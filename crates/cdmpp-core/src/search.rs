@@ -319,11 +319,68 @@ pub struct GenSearchTrace {
     pub measurements: usize,
 }
 
+/// Where a round's dedup table sent one distinct schedule.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Lowered: index into [`RoundCandidates::unique`].
+    Unique(usize),
+    /// Did not lower: index into [`RoundCandidates::failed`].
+    Failed(usize),
+}
+
+/// One round's distinct candidates. The buffers live across rounds, so a
+/// round allocates for the schedules and programs it keeps and nothing else.
+#[derive(Default)]
+struct RoundCandidates {
+    /// Identity hash → the schedule that claimed it. A different schedule
+    /// with the same hash (confirmed by `PartialEq`) claims `hash + 1`, …
+    slots: HashMap<u64, Slot>,
+    /// First occurrences that lowered, in proposal order.
+    unique: Vec<(Schedule, TensorProgram)>,
+    /// First occurrences that did not: remembered so that their duplicates
+    /// are not lowered again.
+    failed: Vec<Schedule>,
+}
+
+impl RoundCandidates {
+    /// Dedups `proposals` by schedule identity, keeping first occurrences in
+    /// order, and lowers each distinct schedule exactly once — dedup comes
+    /// before lowering whether the schedule lowers or not.
+    fn dedup_then_lower(&mut self, nest: &Nest, proposals: impl Iterator<Item = Schedule>) {
+        self.slots.clear();
+        self.unique.clear();
+        self.failed.clear();
+        'next: for sched in proposals {
+            let mut key = sched.identity_hash();
+            while let Some(&slot) = self.slots.get(&key) {
+                let claimed = match slot {
+                    Slot::Unique(i) => &self.unique[i].0,
+                    Slot::Failed(i) => &self.failed[i],
+                };
+                if *claimed == sched {
+                    continue 'next;
+                }
+                key = key.wrapping_add(1);
+            }
+            match lower(nest, &sched) {
+                Ok(prog) => {
+                    self.slots.insert(key, Slot::Unique(self.unique.len()));
+                    self.unique.push((sched, prog));
+                }
+                Err(_) => {
+                    self.slots.insert(key, Slot::Failed(self.failed.len()));
+                    self.failed.push(sched);
+                }
+            }
+        }
+    }
+}
+
 /// Large-scale generational search: thousands of candidates per round from
 /// a configurable proposer mix, deduped by schedule identity so identical
-/// programs are encoded and scored once, ranked by **one** `score_batch`
-/// call per round (the engine-backed cost model turns that into saturating
-/// serving traffic).
+/// programs are lowered, encoded and scored once, ranked by **one**
+/// `score_batch` call per round (the engine-backed cost model turns that
+/// into saturating serving traffic).
 ///
 /// Deterministic for a fixed `(nest, dev, cost, cfg)`: proposals draw from
 /// a seeded RNG in a fixed order, crossover is deterministic, dedup keeps
@@ -341,9 +398,14 @@ pub fn generational_search(
     let mut best_schedule = Schedule::default();
     let mut rounds = Vec::with_capacity(cfg.rounds);
     let mut measurements = 0usize;
+    let target = cfg.candidates_per_round;
+    // Round buffers, reused: only `progs` (it borrows the round's programs)
+    // and the cost model's score vector are built per round.
+    let mut proposals: Vec<Schedule> = Vec::with_capacity(target);
+    let mut candidates = RoundCandidates::default();
+    let mut scored: Vec<(f64, usize)> = Vec::new();
     for _ in 0..cfg.rounds {
         // --- Propose. ---
-        let target = cfg.candidates_per_round;
         let weight = (cfg.mix.mutation + cfg.mix.crossover + cfg.mix.fresh).max(1);
         let (n_mut, n_cross) = if population.is_empty() {
             (0, 0)
@@ -353,7 +415,6 @@ pub fn generational_search(
                 target * cfg.mix.crossover / weight,
             )
         };
-        let mut proposals: Vec<Schedule> = Vec::with_capacity(target);
         for i in 0..n_mut {
             let parent = &population[i % population.len()];
             proposals.push(mutate_schedule(nest, parent, &mut rng));
@@ -369,21 +430,9 @@ pub fn generational_search(
         while proposals.len() < target {
             proposals.push(sample_schedule(nest, &mut rng));
         }
-        // --- Dedup by schedule identity (hash, confirmed by equality). ---
-        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut unique: Vec<(Schedule, TensorProgram)> = Vec::new();
-        'next: for sched in proposals.drain(..) {
-            let bucket = by_hash.entry(sched.identity_hash()).or_default();
-            for &ui in bucket.iter() {
-                if unique[ui].0 == sched {
-                    continue 'next;
-                }
-            }
-            if let Ok(prog) = lower(nest, &sched) {
-                bucket.push(unique.len());
-                unique.push((sched, prog));
-            }
-        }
+        // --- Dedup by schedule identity, then lower what is distinct. ---
+        candidates.dedup_then_lower(nest, proposals.drain(..));
+        let unique = &candidates.unique;
         if unique.is_empty() {
             rounds.push(GenRound {
                 proposed: target,
@@ -398,12 +447,13 @@ pub fn generational_search(
         }
         // --- Rank: one batched cost-model call for the whole round. ---
         let progs: Vec<&TensorProgram> = unique.iter().map(|(_, p)| p).collect();
-        let mut scored: Vec<(f64, usize)> = cost
-            .score_batch(&progs, dev)
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| (s, i))
-            .collect();
+        scored.clear();
+        scored.extend(
+            cost.score_batch(&progs, dev)
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| (s, i)),
+        );
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
         // --- Measure the model's top-k. ---
         let mut round_measured = f64::INFINITY;
@@ -556,6 +606,46 @@ mod tests {
             running = running.min(r.round_measured);
             assert_eq!(r.best_measured, running);
         }
+    }
+
+    #[test]
+    fn dedup_then_lower_keeps_first_occurrences_and_lowers_each_schedule_once() {
+        use tir::Primitive;
+        let split = |axis, factor| Schedule {
+            primitives: vec![Primitive::Split { axis, factor }],
+        };
+        let (a, b, c) = (split(0, 4), split(1, 8), Schedule::default());
+        // 128 is not a multiple of 5: never lowers, proposed twice.
+        let bad = split(0, 5);
+        let proposals = [&a, &bad, &b, &a, &bad, &c, &b, &a];
+        let mut round = RoundCandidates::default();
+        // The buffers are reused: a second fill starts from a clean table.
+        for _ in 0..2 {
+            round.dedup_then_lower(&nest(), proposals.iter().map(|&s| s.clone()));
+            let kept: Vec<&Schedule> = round.unique.iter().map(|(s, _)| s).collect();
+            assert_eq!(kept, [&a, &b, &c]);
+            for (s, prog) in &round.unique {
+                assert_eq!(*prog, lower(&nest(), s).unwrap());
+            }
+            // One lowering attempt per distinct schedule: the failing one
+            // is remembered once, not retried for its duplicate.
+            assert_eq!(round.failed, std::slice::from_ref(&bad));
+            assert_eq!(round.slots.len(), 4);
+        }
+    }
+
+    #[test]
+    fn generational_trace_is_pinned() {
+        // Recorded before the round loop and the proposers were made
+        // allocation-lean (PR 13): the proposal stream, the dedup and the
+        // lowered programs must stay bit-for-bit what they were.
+        let trace =
+            generational_search(&nest(), &devsim::t4(), &RandomCost { seed: 1 }, &gen_cfg());
+        let unique: Vec<usize> = trace.rounds.iter().map(|r| r.unique).collect();
+        assert_eq!(unique, [199, 188, 173, 167]);
+        assert_eq!(trace.best_schedule.identity_hash(), 0x5c08_38e5_0c5e_b239);
+        assert_eq!(trace.best_measured.to_bits(), 0x3f22_d0db_010e_413a);
+        assert_eq!(trace.measurements, 12);
     }
 
     #[test]

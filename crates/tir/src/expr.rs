@@ -49,12 +49,10 @@ impl ComputeKind {
         ComputeKind::Copy,
     ];
 
-    /// Index of this kind in [`ComputeKind::ALL`].
+    /// Index of this kind in [`ComputeKind::ALL`]: its discriminant, which
+    /// `ALL` lists in order.
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("kind present in ALL")
+        self as usize
     }
 
     /// Relative cost weight of one operation of this kind, in "flop units".
@@ -197,6 +195,20 @@ mod tests {
     fn compute_kind_index_roundtrip() {
         for (i, k) in ComputeKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
+        }
+    }
+
+    #[test]
+    fn all_lists_every_kind_at_its_index() {
+        // The feature one-hot is `ALL.len()` wide and set at `index()`. The
+        // match is exhaustive, so a new kind cannot be added without being
+        // listed here, and then it must sit in `ALL` at its discriminant.
+        use ComputeKind::*;
+        let listed = |k| match k {
+            Init | Mac | Ewise | Max | Exp | Div | Sum | Copy => k,
+        };
+        for k in [Init, Mac, Ewise, Max, Exp, Div, Sum, Copy] {
+            assert_eq!(ComputeKind::ALL[listed(k).index()], k);
         }
     }
 

@@ -7,13 +7,30 @@
 //! structure (and therefore performance) depends on the schedule — one
 //! subgraph can expand into thousands of distinct tensor programs, exactly
 //! the space Tenset samples.
+//!
+//! # Cost contract
+//!
+//! A search lowers every unique candidate, so [`lower`] and the proposers
+//! are hot paths, and what they may allocate is part of their contract:
+//!
+//! * **One leaf clone per candidate.** Primitives evolve axes, order and
+//!   annotations only; [`lower`] writes each leaf once, with its final
+//!   strides, when it places it in the AST — never once per `Split` or per
+//!   nesting level.
+//! * **Proposers touch no leaves.** [`sample_schedule`],
+//!   [`mutate_schedule`] and [`crossover_schedule`] evolve the same
+//!   leaf-free state, sized up front so that no split regrows a buffer.
+//!
+//! `tests/properties.rs` holds `lower` equal, program for program and error
+//! for error, to the clone-per-level builder it replaced, and
+//! `tests/stream_pin.rs` pins the proposers' RNG streams.
 
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::ast::{AstNode, LoopKind, LoopVar, TensorProgram};
-use crate::expr::{AxisId, LeafStmt};
+use crate::expr::{AxisId, LeafStmt, MemAccess};
 use crate::task::{AxisInfo, Nest};
 
 /// A single schedule transformation.
@@ -124,34 +141,54 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Mutable lowering state: the nest plus the global loop order and
-/// annotations, evolved by primitives.
+/// One axis of the evolving nest, with its lineage: the canonical axis it
+/// descends from and how many iterations of that axis one step along it
+/// covers (`Split` hands both down: the inner half keeps `scale`, the outer
+/// half multiplies it by the factor). A leaf ranges over exactly the current
+/// axes whose `root` is in its canonical `domain`, and strides `scale` times
+/// its canonical stride along each, so a primitive never touches a leaf.
+#[derive(Clone, Copy)]
+struct Axis {
+    id: AxisId,
+    extent: u64,
+    is_reduction: bool,
+    root: AxisId,
+    scale: i64,
+}
+
+/// Mutable schedule state: the axis set, the global loop order and the
+/// annotations, evolved by primitives. It holds no leaves: the proposers
+/// never need them, and `lower` writes each one once, in [`Self::place`].
 struct LowerState {
-    axes: Vec<AxisInfo>,
+    axes: Vec<Axis>,
     order: Vec<AxisId>,
-    leaves: Vec<(LeafStmt, Vec<AxisId>)>,
     annotations: Vec<(AxisId, LoopKind)>,
     next_axis: AxisId,
 }
 
 impl LowerState {
-    fn new(nest: &Nest) -> Self {
-        let order = nest.axes.iter().map(|a| a.id).collect();
-        let next_axis = nest.axes.iter().map(|a| a.id).max().map_or(0, |m| m + 1);
+    /// The canonical state of `nest`, with room for `splits` splits (each
+    /// adds one axis), so that applying them never regrows a buffer.
+    fn new(nest: &Nest, splits: usize) -> Self {
+        let mut axes = Vec::with_capacity(nest.axes.len() + splits);
+        axes.extend(nest.axes.iter().map(|a| Axis {
+            id: a.id,
+            extent: a.extent,
+            is_reduction: a.is_reduction,
+            root: a.id,
+            scale: 1,
+        }));
+        let mut order = Vec::with_capacity(axes.capacity());
+        order.extend(axes.iter().map(|a| a.id));
         LowerState {
-            axes: nest.axes.clone(),
+            axes,
             order,
-            leaves: nest
-                .leaves
-                .iter()
-                .map(|l| (l.clone(), l.domain.clone()))
-                .collect(),
             annotations: Vec::new(),
-            next_axis,
+            next_axis: nest.axes.iter().map(|a| a.id).max().map_or(0, |m| m + 1),
         }
     }
 
-    fn axis(&self, id: AxisId) -> Option<&AxisInfo> {
+    fn axis(&self, id: AxisId) -> Option<&Axis> {
         self.axes.iter().find(|a| a.id == id)
     }
 
@@ -171,10 +208,7 @@ impl LowerState {
     }
 
     fn split(&mut self, axis: AxisId, factor: u64) -> Result<(), ScheduleError> {
-        let info = self
-            .axis(axis)
-            .ok_or(ScheduleError::UnknownAxis(axis))?
-            .clone();
+        let info = *self.axis(axis).ok_or(ScheduleError::UnknownAxis(axis))?;
         if factor == 0 || info.extent % factor != 0 {
             return Err(ScheduleError::BadFactor {
                 axis,
@@ -187,15 +221,16 @@ impl LowerState {
         self.next_axis += 2;
         // Replace the axis record.
         self.axes.retain(|a| a.id != axis);
-        self.axes.push(AxisInfo {
+        self.axes.push(Axis {
             id: outer,
             extent: info.extent / factor,
-            is_reduction: info.is_reduction,
+            scale: info.scale * factor as i64,
+            ..info
         });
-        self.axes.push(AxisInfo {
+        self.axes.push(Axis {
             id: inner,
             extent: factor,
-            is_reduction: info.is_reduction,
+            ..info
         });
         // Replace in the global order: outer takes the old slot, inner
         // follows immediately (Reorder can move it later).
@@ -205,15 +240,6 @@ impl LowerState {
             .position(|&a| a == axis)
             .expect("axis in order");
         self.order.splice(pos..=pos, [outer, inner]);
-        // Rewrite leaf domains and accesses.
-        for (leaf, domain) in &mut self.leaves {
-            if let Some(dpos) = domain.iter().position(|&a| a == axis) {
-                domain.splice(dpos..=dpos, [outer, inner]);
-                for acc in &mut leaf.accesses {
-                    acc.split_axis(axis, outer, inner, factor as i64);
-                }
-            }
-        }
         // Annotations on the split axis transfer to the inner loop.
         for ann in &mut self.annotations {
             if ann.0 == axis {
@@ -224,17 +250,17 @@ impl LowerState {
     }
 
     fn reorder(&mut self, order: &[AxisId]) -> Result<(), ScheduleError> {
-        if order.len() != self.order.len() {
+        // A permutation of the current order: same length, and every axis
+        // it names occurs as often in both.
+        let count = |xs: &[AxisId], a: AxisId| xs.iter().filter(|&&x| x == a).count();
+        if order.len() != self.order.len()
+            || order
+                .iter()
+                .any(|&a| count(order, a) != count(&self.order, a))
+        {
             return Err(ScheduleError::BadReorder);
         }
-        let mut sorted_new: Vec<_> = order.to_vec();
-        let mut sorted_old = self.order.clone();
-        sorted_new.sort_unstable();
-        sorted_old.sort_unstable();
-        if sorted_new != sorted_old {
-            return Err(ScheduleError::BadReorder);
-        }
-        self.order = order.to_vec();
+        self.order.copy_from_slice(order);
         Ok(())
     }
 
@@ -246,65 +272,109 @@ impl LowerState {
             .unwrap_or(LoopKind::Serial)
     }
 
+    /// The scheduled copy of a canonical leaf — the one leaf clone a
+    /// candidate pays for. Every access entry on a canonical axis the leaf
+    /// ranges over becomes one entry per current axis descending from it
+    /// (what rewriting the access at each `Split` would have left), sorted
+    /// by axis id as [`MemAccess::strides`] requires.
+    fn place(&self, leaf: &LeafStmt) -> LeafStmt {
+        let scheduled = |acc: &MemAccess| {
+            // The heirs of distinct canonical axes are disjoint, so there
+            // are never more entries than current axes.
+            let mut strides = Vec::with_capacity(self.axes.len());
+            for &(r, s) in &acc.strides {
+                let ranged = leaf.domain.contains(&r);
+                let heirs = self.axes.iter().filter(|a| ranged && a.root == r);
+                let before = strides.len();
+                strides.extend(heirs.map(|a| (a.id, s * a.scale)));
+                if strides.len() == before {
+                    strides.push((r, s));
+                }
+            }
+            strides.sort_by_key(|&(a, _)| a);
+            MemAccess { strides, ..*acc }
+        };
+        LeafStmt {
+            accesses: leaf.accesses.iter().map(scheduled).collect(),
+            domain: leaf.domain.clone(),
+            ..*leaf
+        }
+    }
+
     /// Builds the AST forest. Leaves are placed under the loops of their
     /// domain following the global order; when the order forces a leaf
     /// apart from its neighbours (e.g. a reduction axis hoisted above an
     /// init statement's domain), the nest fissions into siblings.
-    fn build(&self) -> Vec<AstNode> {
-        let leaves: Vec<(LeafStmt, Vec<AxisId>)> = self.leaves.clone();
-        self.build_rec(&self.order, leaves)
+    fn build(&self, leaves: &[LeafStmt]) -> Vec<AstNode> {
+        let level = |&a: &AxisId| {
+            let info = self.axis(a).expect("axis exists");
+            let var = LoopVar {
+                axis: a,
+                extent: info.extent,
+                kind: self.annotation(a),
+                is_reduction: info.is_reduction,
+            };
+            Level {
+                var,
+                root: info.root,
+                open: false,
+            }
+        };
+        let mut levels: Vec<Level> = self.order.iter().map(level).collect();
+        self.build_under(&mut levels, leaves)
     }
 
-    fn build_rec(&self, order: &[AxisId], leaves: Vec<(LeafStmt, Vec<AxisId>)>) -> Vec<AstNode> {
-        let mut out = Vec::new();
+    /// The sibling nodes holding `leaves`, all of which sit inside the open
+    /// levels. Consecutive leaves agreeing on their first needed level share
+    /// that loop; a leaf that needs none is placed, exactly once.
+    fn build_under(&self, levels: &mut [Level], leaves: &[LeafStmt]) -> Vec<AstNode> {
+        let mut out = Vec::with_capacity(leaves.len());
         let mut i = 0;
         while i < leaves.len() {
-            let first_needed = order.iter().copied().find(|a| leaves[i].1.contains(a));
-            match first_needed {
-                None => {
-                    out.push(AstNode::Leaf(leaves[i].0.clone()));
-                    i += 1;
-                }
-                Some(a) => {
-                    // Group consecutive leaves whose own first-needed axis is `a`.
-                    let mut group = Vec::new();
-                    while i < leaves.len() {
-                        let fni = order.iter().copied().find(|x| leaves[i].1.contains(x));
-                        if fni != Some(a) {
-                            break;
-                        }
-                        let (leaf, mut dom) = leaves[i].clone();
-                        dom.retain(|&x| x != a);
-                        group.push((leaf, dom));
-                        i += 1;
-                    }
-                    let sub_order: Vec<AxisId> =
-                        order.iter().copied().filter(|&x| x != a).collect();
-                    let info = self.axis(a).expect("axis exists");
-                    let var = LoopVar {
-                        axis: a,
-                        extent: info.extent,
-                        kind: self.annotation(a),
-                        is_reduction: info.is_reduction,
-                    };
-                    let body = self.build_rec(&sub_order, group);
-                    out.push(AstNode::Loop { var, body });
-                }
+            let Some(p) = first_needed(levels, &leaves[i]) else {
+                out.push(AstNode::Leaf(self.place(&leaves[i])));
+                i += 1;
+                continue;
+            };
+            let start = i;
+            while i < leaves.len() && first_needed(levels, &leaves[i]) == Some(p) {
+                i += 1;
             }
+            levels[p].open = true;
+            let body = self.build_under(levels, &leaves[start..i]);
+            levels[p].open = false;
+            let var = levels[p].var.clone();
+            out.push(AstNode::Loop { var, body });
         }
         out
     }
 }
 
+/// One position of the global loop order during [`LowerState::build`]: the
+/// loop it becomes, the canonical axis leaves know it by, and whether the
+/// leaves being placed are already inside it.
+struct Level {
+    var: LoopVar,
+    root: AxisId,
+    open: bool,
+}
+
+/// The outermost level that is not open yet and that `leaf` ranges over.
+fn first_needed(levels: &[Level], leaf: &LeafStmt) -> Option<usize> {
+    levels
+        .iter()
+        .position(|l| !l.open && leaf.domain.contains(&l.root))
+}
+
 /// Applies `schedule` to `nest`, producing a tensor program.
 pub fn lower(nest: &Nest, schedule: &Schedule) -> Result<TensorProgram, ScheduleError> {
-    let mut state = LowerState::new(nest);
+    let mut state = LowerState::new(nest, schedule.primitives.len());
     for p in &schedule.primitives {
         state.apply(p)?;
     }
     Ok(TensorProgram {
         buffers: nest.buffers.clone(),
-        roots: state.build(),
+        roots: state.build(&nest.leaves),
     })
 }
 
@@ -319,11 +389,13 @@ fn divisors(n: u64, max: u64) -> Vec<u64> {
 /// choices (hoisted reductions, missing vectorization) so the dataset spans
 /// the performance range a real auto-tuner explores.
 pub fn sample_schedule(nest: &Nest, rng: &mut impl Rng) -> Schedule {
-    let mut primitives = Vec::new();
-    let mut state = LowerState::new(nest);
+    // At most one split per canonical axis plus a second-level one, one
+    // reorder and three annotations.
+    let max_splits = nest.axes.len() + 1;
+    let mut primitives = Vec::with_capacity(max_splits + 4);
+    let mut state = LowerState::new(nest, max_splits);
     // 1) Tiling: split large axes once or twice.
-    let axis_ids: Vec<AxisId> = state.axes.iter().map(|a| a.id).collect();
-    for id in axis_ids {
+    for &AxisInfo { id, .. } in &nest.axes {
         let extent = state.axis(id).map(|a| a.extent).unwrap_or(1);
         if extent >= 4 && rng.random_bool(0.7) {
             let divs = divisors(extent, 64);
@@ -383,8 +455,8 @@ pub fn sample_schedule(nest: &Nest, rng: &mut impl Rng) -> Schedule {
         primitives.push(p);
     }
     // 3) Annotations.
-    let order = state.order.clone();
-    if let Some(&last) = order.last() {
+    let (first, last) = (state.order.first().copied(), state.order.last().copied());
+    if let Some(last) = last {
         let extent = state.axis(last).map(|a| a.extent).unwrap_or(1);
         if (2..=64).contains(&extent) && rng.random_bool(0.55) {
             let p = Primitive::Annotate {
@@ -396,7 +468,7 @@ pub fn sample_schedule(nest: &Nest, rng: &mut impl Rng) -> Schedule {
             }
         }
     }
-    if let Some(&first) = order.first() {
+    if let Some(first) = first {
         let is_red = state.axis(first).map(|a| a.is_reduction).unwrap_or(false);
         if !is_red && rng.random_bool(0.7) {
             let p = Primitive::Annotate {
@@ -439,7 +511,7 @@ pub fn mutate_schedule(nest: &Nest, schedule: &Schedule, rng: &mut impl Rng) -> 
     // rest, otherwise sample fresh.
     if rng.random_bool(0.5) {
         let mut kept = Schedule::default();
-        let mut state = LowerState::new(nest);
+        let mut state = LowerState::new(nest, schedule.primitives.len());
         for p in &schedule.primitives {
             if matches!(p, Primitive::Split { .. }) && state.apply(p).is_ok() {
                 kept.primitives.push(p.clone());
@@ -454,7 +526,7 @@ pub fn mutate_schedule(nest: &Nest, schedule: &Schedule, rng: &mut impl Rng) -> 
         if state.apply(&p).is_ok() {
             kept.primitives.push(p);
         }
-        if let Some(&last) = state.order.clone().last() {
+        if let Some(&last) = state.order.last() {
             if rng.random_bool(0.5) {
                 let p = Primitive::Annotate {
                     axis: last,
@@ -485,7 +557,7 @@ pub fn mutate_schedule(nest: &Nest, schedule: &Schedule, rng: &mut impl Rng) -> 
 /// wherever their axis survived; the rest are dropped.
 pub fn crossover_schedule(nest: &Nest, splits_from: &Schedule, rest_from: &Schedule) -> Schedule {
     let mut out = Schedule::default();
-    let mut state = LowerState::new(nest);
+    let mut state = LowerState::new(nest, splits_from.primitives.len());
     for p in &splits_from.primitives {
         if matches!(p, Primitive::Split { .. }) && state.apply(p).is_ok() {
             out.primitives.push(p.clone());

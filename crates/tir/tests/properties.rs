@@ -1,9 +1,16 @@
 //! Property-based invariants of schedule lowering.
 
+mod reference;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tir::{lower, sample_schedule, OpSpec, Schedule, SerEntry};
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use reference::reference_lower;
+use tir::{
+    crossover_schedule, lower, mutate_schedule, sample_schedule, LoopKind, Nest, OpSpec, Primitive,
+    Schedule, SerEntry,
+};
 
 fn arb_spec() -> impl Strategy<Value = OpSpec> {
     prop_oneof![
@@ -29,6 +36,109 @@ fn arb_spec() -> impl Strategy<Value = OpSpec> {
             kind: tir::EwKind::Relu
         }),
     ]
+}
+
+/// `arb_spec()` plus the four operator kinds it leaves out, the batched
+/// matmul the search benchmark tunes among them.
+fn arb_any_spec() -> impl Strategy<Value = OpSpec> {
+    prop_oneof![
+        arb_spec(),
+        (1u64..4, 1u64..4, 1u64..4).prop_map(|(b, m, k)| OpSpec::BatchMatmul {
+            b,
+            m: m * 8,
+            n: 16,
+            k: k * 8
+        }),
+        (1u64..3, 1u64..3).prop_map(|(c, h)| OpSpec::DepthwiseConv {
+            n: 1,
+            c: c * 8,
+            hw: h * 8,
+            khw: 3,
+            stride: 1
+        }),
+        (1u64..3, 1u64..3).prop_map(|(c, h)| OpSpec::Pool {
+            n: 1,
+            c: c * 8,
+            hw: h * 8,
+            khw: 2,
+            stride: 2
+        }),
+        (1u64..4, 1u64..4).prop_map(|(r, c)| OpSpec::LayerNorm {
+            rows: r * 16,
+            cols: c * 16
+        }),
+    ]
+}
+
+/// A schedule of the given flavour: fresh sample, mutation chain,
+/// crossover child, or a sample whose `Reorder` is fully shuffled (which
+/// hoists reductions and fissions the nest).
+fn proposed(nest: &Nest, flavour: u32, rng: &mut StdRng) -> Schedule {
+    let base = sample_schedule(nest, rng);
+    match flavour {
+        0 => base,
+        1 => (0..3).fold(base, |s, _| mutate_schedule(nest, &s, rng)),
+        2 => {
+            let other = mutate_schedule(nest, &base, rng);
+            crossover_schedule(nest, &base, &other)
+        }
+        _ => {
+            let mut s = base;
+            for p in &mut s.primitives {
+                if let Primitive::Reorder { order } = p {
+                    order.shuffle(rng);
+                }
+            }
+            s
+        }
+    }
+}
+
+/// Breaks `sched` at a random position with one invalid primitive.
+fn corrupted(sched: &Schedule, rng: &mut StdRng) -> Schedule {
+    let bad = match rng.random_range(0..5u32) {
+        0 => Primitive::Split {
+            axis: 0,
+            factor: 1 << 40,
+        },
+        1 => Primitive::Split { axis: 0, factor: 0 },
+        2 => Primitive::Split {
+            axis: 9_999,
+            factor: 2,
+        },
+        3 => Primitive::Reorder { order: vec![0, 0] },
+        _ => Primitive::Annotate {
+            axis: 9_999,
+            kind: LoopKind::Unroll,
+        },
+    };
+    let mut out = sched.clone();
+    let at = rng.random_range(0..=out.primitives.len());
+    out.primitives.insert(at, bad);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `lower` writes each leaf once, when it places it; the reference
+    /// rewrites it at every split and clones it per nesting level. Same
+    /// program, same error, on every input.
+    #[test]
+    fn lower_equals_clone_based_reference(
+        spec in arb_any_spec(),
+        flavour in 0u32..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let nest = spec.canonical_nest();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sched = proposed(&nest, flavour, &mut rng);
+        let prog = lower(&nest, &sched);
+        prop_assert!(prog.is_ok());
+        prop_assert_eq!(prog, reference_lower(&nest, &sched));
+        let broken = corrupted(&sched, &mut rng);
+        prop_assert_eq!(lower(&nest, &broken), reference_lower(&nest, &broken));
+    }
 }
 
 proptest! {
