@@ -6,8 +6,10 @@
 //! * criterion-style console timings (`cargo bench -p bench --bench gemm`),
 //! * a machine-readable `BENCH_gemm.json` at the workspace root (override
 //!   the path with the `BENCH_GEMM_JSON` env var) recording
-//!   naive-vs-blocked GEMM timings per shape and serial-vs-parallel
-//!   training-step timings, for the repo's perf trajectory.
+//!   naive-vs-blocked GEMM timings per shape (plain and with the fused
+//!   bias / bias+ReLU epilogues plans run), the serial-vs-split fan-out
+//!   crossover sweep, and serial-vs-parallel training-step timings, for
+//!   the repo's perf trajectory.
 //!
 //! The "naive" baseline is a faithful replica of the seed's ikj
 //! `mm_kernel` (transposed-B dot-product form included), so speedups are
@@ -302,15 +304,44 @@ fn emit_json() {
             tensor::matmul_into(black_box(&a), black_box(&b), &mut out).unwrap();
             black_box(&out);
         });
+        // What compiled plans actually run: 19 of the predictor's 20
+        // GEMMs carry a fused bias and 5 an activation, so the epilogue
+        // columns sit beside the plain one for both entry points.
+        let bias: Vec<f32> = (0..n).map(|j| ((j as f32) * 0.61).cos()).collect();
+        let packed = tensor::PackedB::pack(b.data(), k, n);
+        let mut obuf = vec![0.0f32; m * n];
+        let mut with_ep = |prepacked: bool, bias: Option<&[f32]>, act: tensor::Activation| {
+            median_ns(150, || {
+                let a = black_box(a.data());
+                if prepacked {
+                    tensor::gemm_prepacked(m, a, black_box(&packed), bias, act, &mut obuf)
+                } else {
+                    tensor::gemm_ep_slices(m, k, n, a, black_box(b.data()), bias, act, &mut obuf)
+                }
+                .unwrap();
+                black_box(&obuf);
+            })
+        };
+        let (id, relu) = (tensor::Activation::Identity, tensor::Activation::Relu);
+        let blocked_bias = with_ep(false, Some(&bias), id);
+        let blocked_bias_relu = with_ep(false, Some(&bias), relu);
+        let prepacked = with_ep(true, None, id);
+        let prepacked_bias = with_ep(true, Some(&bias), id);
+        let prepacked_bias_relu = with_ep(true, Some(&bias), relu);
         let gflops = |ns: f64| 2.0 * (m * k * n) as f64 / ns;
         gemm_rows.push(format!(
             "    {{\"shape\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
              \"naive_ns\": {naive:.0}, \"autovec_ns\": {autovec:.0}, \
-             \"blocked_ns\": {blocked:.0}, \
+             \"blocked_ns\": {blocked:.0}, \"blocked_bias_ns\": {blocked_bias:.0}, \
+             \"blocked_bias_relu_ns\": {blocked_bias_relu:.0}, \
+             \"prepacked_ns\": {prepacked:.0}, \"prepacked_bias_ns\": {prepacked_bias:.0}, \
+             \"prepacked_bias_relu_ns\": {prepacked_bias_relu:.0}, \
              \"naive_gflops\": {:.2}, \"blocked_gflops\": {:.2}, \
+             \"prepacked_bias_relu_gflops\": {:.2}, \
              \"speedup\": {:.2}, \"simd_vs_autovec\": {:.2}}}",
             gflops(naive),
             gflops(blocked),
+            gflops(prepacked_bias_relu),
             naive / blocked,
             autovec / blocked
         ));
@@ -433,31 +464,55 @@ fn emit_json() {
         ));
     }
 
-    // Intra-op scaling: the same kernel fanned out over explicit pools.
-    // Rows are only meaningful on multi-core hosts (see "note"), but the
-    // bitwise output is thread-count-invariant either way.
+    // The fan-out crossover behind `tensor`'s `PAR_MULADDS`: serial kernel
+    // vs the row-panel split over a pool of `nproc` threads, from 192K to
+    // 32M multiply-adds in three shape families. The split is replayed
+    // here, from outside — MR-aligned row panels handed to `pool.scope`,
+    // exactly what `gemm_dispatch` does — because the library applies the
+    // threshold itself and would run every row below it serial. The
+    // constant sits where `speedup_vs_serial` crosses 1.0 in every family.
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let pool = parallel::ThreadPool::new(cores);
+    let mr = tensor::active_tier().mr();
     let mut par_rows = Vec::new();
-    {
-        let (m, k, n) = (512usize, 96, 48);
-        let a = mk(m, k, 0.0);
-        let b = mk(k, n, 1.0);
-        let mut base = Vec::new();
-        let serial = median_ns(150, || {
-            tensor::matmul_into(black_box(&a), black_box(&b), &mut base).unwrap();
-            black_box(&base);
-        });
-        for threads in [1usize, 2, 4] {
-            let pool = parallel::ThreadPool::new(threads);
-            let mut out = Vec::new();
-            let t = median_ns(150, || {
-                tensor::matmul_into_with_pool(&pool, black_box(&a), black_box(&b), &mut out)
-                    .unwrap();
+    for (k, n) in [(32usize, 32usize), (96, 48), (256, 256)] {
+        for shift in 0..9 {
+            let m = ((192usize << 10) << shift).min(32 << 20) / (k * n);
+            if m < 2 * mr {
+                continue; // too few rows for two MR-aligned panels
+            }
+            let a = mk(m, k, 0.0);
+            let b = mk(k, n, 1.0);
+            let mut out = vec![0.0f32; m * n];
+            let id = tensor::Activation::Identity;
+            let serial = median_ns(150, || {
+                let (a, b) = (black_box(a.data()), black_box(b.data()));
+                tensor::gemm_ep_slices(m, k, n, a, b, None, id, &mut out).unwrap();
+                black_box(&out);
+            });
+            let rows_per = m.div_ceil(cores).next_multiple_of(mr);
+            let split = median_ns(150, || {
+                pool.scope(|s| {
+                    let panels = out.chunks_mut(rows_per * n);
+                    for (orows, arows) in panels.zip(a.data().chunks(rows_per * k)) {
+                        let b = b.data();
+                        s.spawn(move || {
+                            let rows = orows.len() / n;
+                            tensor::gemm_ep_slices(rows, k, n, arows, b, None, id, orows).unwrap();
+                        });
+                    }
+                });
                 black_box(&out);
             });
             par_rows.push(format!(
-                "    {{\"shape\": \"ffn_down_d48_B64\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
-                 \"threads\": {threads}, \"ns\": {t:.0}, \"speedup_vs_serial\": {:.2}}}",
-                serial / t
+                "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"muladds\": {}, \
+                 \"threads\": {cores}, \"serial_ns\": {serial:.0}, \"split_ns\": {split:.0}, \
+                 \"speedup_vs_serial\": {:.2}, \"library_splits\": {}}}",
+                m * k * n,
+                serial / split,
+                tensor::gemm_would_split(m, k, n, cores)
             ));
         }
     }
@@ -506,11 +561,8 @@ fn emit_json() {
     }
 
     let engine_rows = engine_section();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"batch_rows\": {bs},\n  \"note\": \"gemm rows are single-core kernel-vs-kernel (both sides reuse output buffers; global pool pinned to 1 thread); simd_vs_autovec compares the runtime-selected micro-kernel against a replica of the pre-SIMD autovectorized 4x8 tile over the same blocking. gemm_quant rows compare the prepacked serving GEMM over f32 panels against i8/bf16 quantized panels (dequant into per-thread scratch amortized over row strips, or fused into the panel loads for single-strip calls; f32 accumulation either way). Headline *_prepacked_ns columns rotate each call over weight_matrices distinct matrices so the f32 panel working set exceeds the LLC - the cold-weights serving regime (layer stacks, multi-model fleets) where B-panel memory traffic binds and the 4x smaller i8 panels stay cache-resident; i8_vs_f32 > 1 means i8 is faster there. *_resident_ns columns reuse one cache-hot matrix back-to-back - compute-bound, so quantized at best ties f32 (same kernel plus a dequant pass); i8_vs_f32_resident reports that regime. gemm_parallel and parallel_train_step rows on a 1-core host measure dispatch/sharding overhead only - rerun on a multi-core machine for scaling numbers.\",\n  \
+        "{{\n  \"bench\": \"gemm\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"batch_rows\": {bs},\n  \"note\": \"gemm rows are single-core kernel-vs-kernel (both sides reuse output buffers; global pool pinned to 1 thread); simd_vs_autovec compares the runtime-selected micro-kernel against a replica of the pre-SIMD autovectorized 4x8 tile over the same blocking. gemm_quant rows compare the prepacked serving GEMM over f32 panels against i8/bf16 quantized panels (dequant into per-thread scratch amortized over row strips, or fused into the panel loads for single-strip calls; f32 accumulation either way). Headline *_prepacked_ns columns rotate each call over weight_matrices distinct matrices so the f32 panel working set exceeds the LLC - the cold-weights serving regime (layer stacks, multi-model fleets) where B-panel memory traffic binds and the 4x smaller i8 panels stay cache-resident; i8_vs_f32 > 1 means i8 is faster there. *_resident_ns columns reuse one cache-hot matrix back-to-back - compute-bound, so quantized at best ties f32 (same kernel plus a dequant pass); i8_vs_f32_resident reports that regime. blocked_bias*/prepacked* columns time the same product with the fused epilogues compiled plans run (bias on 19 of the predictor's 20 GEMMs, an activation on 5); the write-back finishes them in vector registers, so they should read within noise of the plain column. gemm_parallel is the fan-out crossover sweep behind tensor's PAR_MULADDS: serial kernel vs MR-aligned row panels over a pool of host_cores threads (replayed from outside the library, which applies the threshold itself); library_splits says which side of the constant a row is on. parallel_train_step rows compare data-parallel sharding at explicit pool sizes. On a 1-core host both measure dispatch overhead only.\",\n  \
          \"gemm\": [\n{}\n  ],\n  \"gemm_quant\": [\n{}\n  ],\n  \"gemm_parallel\": [\n{}\n  ],\n  \"training_step\": [\n{}\n  ],\n  \
          \"engine_throughput\": [\n{}\n  ]\n}}\n",
         gemm_rows.join(",\n"),

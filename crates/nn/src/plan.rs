@@ -25,8 +25,10 @@
 //!    **in place**.
 //! 3. **Replay** ([`PlanExec`]): a flat interpreter executes the lowered
 //!    steps against the preallocated arena — zero allocation per batch
-//!    after warmup (asserted via [`PlanExec::alloc_count`]), no dynamic
-//!    dispatch, no shape re-derivation.
+//!    after warmup (arena growth is counted by [`PlanExec::alloc_count`];
+//!    the whole call is held to zero by a counting allocator in
+//!    `tests/replay_allocations.rs`), no dynamic dispatch, no shape
+//!    re-derivation.
 //!
 //! ## The bit-identity invariant
 //!
@@ -680,25 +682,26 @@ enum StepKind {
 }
 
 impl StepKind {
-    fn sources(&self) -> Vec<Src> {
-        match self {
-            StepKind::Gemm { a, b, bias, .. } => {
-                let mut v = vec![*a, *b];
-                if let Some(bs) = bias {
-                    v.push(*bs);
-                }
-                v
+    /// Every operand this step reads (allocation-free: replay walks it).
+    fn sources(&self) -> impl Iterator<Item = Src> + '_ {
+        let (fixed, parts): ([Option<Src>; 3], &[(Src, Dim)]) = match self {
+            StepKind::Gemm { a, b, bias, .. } => ([Some(*a), Some(*b), *bias], &[]),
+            StepKind::Bmm { a, b, .. } | StepKind::Zip { a, b, .. } => {
+                ([Some(*a), Some(*b), None], &[])
             }
-            StepKind::Bmm { a, b, .. } | StepKind::Zip { a, b, .. } => vec![*a, *b],
             StepKind::SplitHeads { x, .. }
             | StepKind::MergeHeads { x, .. }
             | StepKind::Softmax { x, .. }
             | StepKind::Map { x, .. }
-            | StepKind::SliceLast { x, .. } => vec![*x],
-            StepKind::LayerNorm { x, gamma, beta, .. } => vec![*x, *gamma, *beta],
-            StepKind::RowOp { x, row, .. } => vec![*x, *row],
-            StepKind::Concat { parts, .. } => parts.iter().map(|(s, _)| *s).collect(),
-        }
+            | StepKind::SliceLast { x, .. } => ([Some(*x), None, None], &[]),
+            StepKind::LayerNorm { x, gamma, beta, .. } => {
+                ([Some(*x), Some(*gamma), Some(*beta)], &[])
+            }
+            StepKind::RowOp { x, row, .. } => ([Some(*x), Some(*row), None], &[]),
+            StepKind::Concat { parts, .. } => ([None; 3], parts),
+        };
+        let fixed = fixed.into_iter().flatten();
+        fixed.chain(parts.iter().map(|(s, _)| *s))
     }
 
     /// Whether trailing element-wise ops can be folded into this step.
@@ -1554,9 +1557,10 @@ fn infer_batch(sym: &[Vec<Dim>], inputs: &[&Tensor]) -> Result<usize, PlanError>
 /// Replays a [`Plan`] against a preallocated arena.
 ///
 /// One `PlanExec` per serving thread: after the first batch of a given
-/// size warms the arena up, replay performs **zero heap allocation** —
-/// [`PlanExec::alloc_count`] counts arena growth events so tests and
-/// callers can assert that. The parameter store passed to [`PlanExec::run`]
+/// size warms the arena up, replay performs **zero heap allocation**
+/// (`tests/replay_allocations.rs` runs it under a counting allocator);
+/// [`PlanExec::alloc_count`] counts arena growth events so callers can
+/// watch the warm-up itself. The parameter store passed to [`PlanExec::run`]
 /// must be the one the plan was compiled against (same [`ParamId`]s).
 pub struct PlanExec {
     plan: Arc<Plan>,
@@ -1703,13 +1707,19 @@ impl<'r> RunCtx<'r> {
 
     /// Panics if any of `srcs` aliases the output (planner invariant for
     /// steps with no in-place path).
-    fn assert_disjoint(&self, srcs: &[Src], out: usize) {
+    fn assert_disjoint(&self, srcs: impl IntoIterator<Item = Src>, out: usize) {
         for s in srcs {
             assert!(
-                !self.aliases_out(*s, out),
+                !self.aliases_out(s, out),
                 "planner bug: input aliases output of a non-in-place step"
             );
         }
+    }
+
+    /// `src`'s slice, or `None` when it is the output buffer itself (the
+    /// planner's in-place case: the kernel then reads through `out`).
+    fn read_unless_out(&self, src: Src, out: usize) -> Option<&'r [f32]> {
+        (!self.aliases_out(src, out)).then(|| self.read(src))
     }
 
     fn exec(&self, step: &Step) -> Result<(), PlanError> {
@@ -1724,7 +1734,7 @@ impl<'r> RunCtx<'r> {
                 bias,
                 act,
             } => {
-                self.assert_disjoint(&step.kind.sources(), out);
+                self.assert_disjoint(step.kind.sources(), out);
                 let (m, k, n) = (m.at(self.b), k.at(self.b), n.at(self.b));
                 let av = self.read(*a);
                 let bv = self.read(*b);
@@ -1742,7 +1752,7 @@ impl<'r> RunCtx<'r> {
                 n,
                 scale,
             } => {
-                self.assert_disjoint(&step.kind.sources(), out);
+                self.assert_disjoint(step.kind.sources(), out);
                 tensor::bmm_ep_slices(
                     batch.at(self.b),
                     m.at(self.b),
@@ -1757,7 +1767,7 @@ impl<'r> RunCtx<'r> {
                 )?;
             }
             StepKind::SplitHeads { x, h, b, l, d } => {
-                self.assert_disjoint(&step.kind.sources(), out);
+                self.assert_disjoint(step.kind.sources(), out);
                 let (bb, l, d) = (b.at(self.b), l.at(self.b), d.at(self.b));
                 let dh = d / h;
                 let xs = self.read(*x);
@@ -1773,7 +1783,7 @@ impl<'r> RunCtx<'r> {
                 }
             }
             StepKind::MergeHeads { x, h, bh, l, dh } => {
-                self.assert_disjoint(&step.kind.sources(), out);
+                self.assert_disjoint(step.kind.sources(), out);
                 let (bh, l, dh) = (bh.at(self.b), l.at(self.b), dh.at(self.b));
                 let bb = bh / h;
                 let d = dh * h;
@@ -1789,145 +1799,56 @@ impl<'r> RunCtx<'r> {
                     }
                 }
             }
-            StepKind::Softmax { x, rows, d } => {
-                let d = d.at(self.b);
+            StepKind::Softmax { x, d, .. } => {
                 let o = self.out(out);
-                if !self.aliases_out(*x, out) {
-                    o.copy_from_slice(self.read(*x));
-                }
-                let _ = rows;
-                for chunk in o.chunks_mut(d) {
-                    let m = chunk.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    let mut z = 0.0f32;
-                    for v in chunk.iter_mut() {
-                        *v = (*v - m).exp();
-                        z += *v;
-                    }
-                    let inv = 1.0 / z;
-                    for v in chunk.iter_mut() {
-                        *v *= inv;
-                    }
-                }
+                map_into(o, self.read_unless_out(*x, out), &[]);
+                softmax_rows(o, d.at(self.b));
             }
             StepKind::LayerNorm {
                 x,
                 gamma,
                 beta,
                 eps,
-                rows,
                 d,
+                ..
             } => {
-                self.assert_disjoint(&[*gamma, *beta], out);
-                let d = d.at(self.b);
+                self.assert_disjoint([*gamma, *beta], out);
                 let o = self.out(out);
-                if !self.aliases_out(*x, out) {
-                    o.copy_from_slice(self.read(*x));
-                }
-                let _ = rows;
-                let gv = self.read(*gamma);
-                let bv = self.read(*beta);
-                for chunk in o.chunks_mut(d) {
-                    let mean: f32 = chunk.iter().sum::<f32>() / d as f32;
-                    let var: f32 =
-                        chunk.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-                    let inv = 1.0 / (var + *eps).sqrt();
-                    for (j, v) in chunk.iter_mut().enumerate() {
-                        *v = (*v - mean) * inv * gv[j] + bv[j];
-                    }
-                }
+                map_into(o, self.read_unless_out(*x, out), &[]);
+                let (gv, bv) = (self.read(*gamma), self.read(*beta));
+                layer_norm_rows(o, gv, bv, d.at(self.b), *eps);
             }
-            StepKind::Map { x, ops, len } => {
-                let _ = len;
-                let o = self.out(out);
-                if self.aliases_out(*x, out) {
-                    for v in o.iter_mut() {
-                        *v = apply_chain(ops, *v);
-                    }
-                } else {
-                    let xs = self.read(*x);
-                    for (v, &xv) in o.iter_mut().zip(xs) {
-                        *v = apply_chain(ops, xv);
-                    }
-                }
+            StepKind::Map { x, ops, .. } => {
+                map_into(self.out(out), self.read_unless_out(*x, out), ops);
             }
             StepKind::Zip {
-                a,
-                b,
-                kind,
-                ops,
-                len,
+                a, b, kind, ops, ..
             } => {
-                let _ = len;
-                let o = self.out(out);
-                match (self.aliases_out(*a, out), self.aliases_out(*b, out)) {
-                    (true, true) => {
-                        for v in o.iter_mut() {
-                            *v = apply_chain(ops, kind.apply(*v, *v));
-                        }
-                    }
-                    (true, false) => {
-                        let bs = self.read(*b);
-                        for (v, &bv) in o.iter_mut().zip(bs) {
-                            *v = apply_chain(ops, kind.apply(*v, bv));
-                        }
-                    }
-                    (false, true) => {
-                        let as_ = self.read(*a);
-                        for (v, &av) in o.iter_mut().zip(as_) {
-                            *v = apply_chain(ops, kind.apply(av, *v));
-                        }
-                    }
-                    (false, false) => {
-                        let as_ = self.read(*a);
-                        let bs = self.read(*b);
-                        for (v, (&av, &bv)) in o.iter_mut().zip(as_.iter().zip(bs)) {
-                            *v = apply_chain(ops, kind.apply(av, bv));
-                        }
-                    }
-                }
+                let (av, bv) = (self.read_unless_out(*a, out), self.read_unless_out(*b, out));
+                zip_into(self.out(out), av, bv, *kind, ops);
             }
             StepKind::RowOp {
                 x,
                 row,
                 kind,
                 ops,
-                rows,
                 d,
+                ..
             } => {
-                self.assert_disjoint(&[*row], out);
-                let _ = rows;
-                let d = d.at(self.b);
-                let rv = self.read(*row);
-                let o = self.out(out);
-                if self.aliases_out(*x, out) {
-                    for (i, v) in o.iter_mut().enumerate() {
-                        *v = apply_chain(ops, kind.apply(*v, rv[i % d]));
-                    }
-                } else {
-                    let xs = self.read(*x);
-                    for (i, (v, &xv)) in o.iter_mut().zip(xs).enumerate() {
-                        *v = apply_chain(ops, kind.apply(xv, rv[i % d]));
-                    }
-                }
+                self.assert_disjoint([*row], out);
+                let rv = &self.read(*row)[..d.at(self.b)];
+                row_op_into(self.out(out), self.read_unless_out(*x, out), rv, *kind, ops);
             }
             StepKind::Concat { parts, rows, ops } => {
-                self.assert_disjoint(&step.kind.sources(), out);
-                let rows = rows.at(self.b);
-                let widths: Vec<usize> = parts.iter().map(|(_, w)| w.at(self.b)).collect();
-                let total: usize = widths.iter().sum();
+                self.assert_disjoint(step.kind.sources(), out);
+                let total: usize = parts.iter().map(|(_, w)| w.at(self.b)).sum();
                 let o = self.out(out);
-                for r in 0..rows {
+                for r in 0..rows.at(self.b) {
                     let mut at = r * total;
-                    for ((src, _), &w) in parts.iter().zip(&widths) {
+                    for (src, w) in parts {
+                        let w = w.at(self.b);
                         let ps = self.read(*src);
-                        let dst = &mut o[at..at + w];
-                        if ops.is_empty() {
-                            dst.copy_from_slice(&ps[r * w..(r + 1) * w]);
-                        } else {
-                            for (v, &pv) in dst.iter_mut().zip(&ps[r * w..(r + 1) * w]) {
-                                *v = apply_chain(ops, pv);
-                            }
-                        }
+                        map_into(&mut o[at..at + w], Some(&ps[r * w..(r + 1) * w]), ops);
                         at += w;
                     }
                 }
@@ -1939,7 +1860,7 @@ impl<'r> RunCtx<'r> {
                 start,
                 end,
             } => {
-                self.assert_disjoint(&step.kind.sources(), out);
+                self.assert_disjoint(step.kind.sources(), out);
                 let rows = rows.at(self.b);
                 let d = d.at(self.b);
                 let w = end - start;
@@ -2805,9 +2726,7 @@ impl<'r> SpecRun<'r> {
                 }
             }
             SOp::Softmax { x, d } => {
-                if let Some(src) = x {
-                    o.copy_from_slice(self.read(*src, step.out_len));
-                }
+                map_into(o, x.map(|s| self.read(s, step.out_len)), &[]);
                 softmax_rows(o, *d);
             }
             SOp::LayerNorm {
@@ -2817,58 +2736,16 @@ impl<'r> SpecRun<'r> {
                 eps,
                 d,
             } => {
-                if let Some(src) = x {
-                    o.copy_from_slice(self.read(*src, step.out_len));
-                }
-                let gv = self.read(*gamma, *d);
-                let bv = self.read(*beta, *d);
+                map_into(o, x.map(|s| self.read(s, step.out_len)), &[]);
+                let (gv, bv) = (self.read(*gamma, *d), self.read(*beta, *d));
                 layer_norm_rows(o, gv, bv, *d, *eps);
             }
-            SOp::Map { x, ops } => match x {
-                Some(src) => {
-                    let xs = self.read(*src, step.out_len);
-                    if ops.is_empty() {
-                        o.copy_from_slice(xs);
-                    } else {
-                        for (v, &xv) in o.iter_mut().zip(xs) {
-                            *v = apply_chain(ops, xv);
-                        }
-                    }
-                }
-                None => {
-                    if !ops.is_empty() {
-                        for v in o.iter_mut() {
-                            *v = apply_chain(ops, *v);
-                        }
-                    }
-                }
-            },
-            SOp::Zip { a, b, kind, ops } => match (a, b) {
-                (None, None) => {
-                    for v in o.iter_mut() {
-                        *v = apply_chain(ops, kind.apply(*v, *v));
-                    }
-                }
-                (None, Some(bs)) => {
-                    let bv = self.read(*bs, step.out_len);
-                    for (v, &x) in o.iter_mut().zip(bv) {
-                        *v = apply_chain(ops, kind.apply(*v, x));
-                    }
-                }
-                (Some(as_), None) => {
-                    let av = self.read(*as_, step.out_len);
-                    for (v, &x) in o.iter_mut().zip(av) {
-                        *v = apply_chain(ops, kind.apply(x, *v));
-                    }
-                }
-                (Some(as_), Some(bs)) => {
-                    let av = self.read(*as_, step.out_len);
-                    let bv = self.read(*bs, step.out_len);
-                    for (v, (&x, &y)) in o.iter_mut().zip(av.iter().zip(bv)) {
-                        *v = apply_chain(ops, kind.apply(x, y));
-                    }
-                }
-            },
+            SOp::Map { x, ops } => map_into(o, x.map(|s| self.read(s, step.out_len)), ops),
+            SOp::Zip { a, b, kind, ops } => {
+                let av = a.map(|s| self.read(s, step.out_len));
+                let bv = b.map(|s| self.read(s, step.out_len));
+                zip_into(o, av, bv, *kind, ops);
+            }
             SOp::RowOp {
                 x,
                 row,
@@ -2876,20 +2753,8 @@ impl<'r> SpecRun<'r> {
                 ops,
                 d,
             } => {
-                let rv = self.read(*row, *d);
-                match x {
-                    None => {
-                        for (i, v) in o.iter_mut().enumerate() {
-                            *v = apply_chain(ops, kind.apply(*v, rv[i % d]));
-                        }
-                    }
-                    Some(src) => {
-                        let xs = self.read(*src, step.out_len);
-                        for (i, (v, &xv)) in o.iter_mut().zip(xs).enumerate() {
-                            *v = apply_chain(ops, kind.apply(xv, rv[i % d]));
-                        }
-                    }
-                }
+                let xs = x.map(|s| self.read(s, step.out_len));
+                row_op_into(o, xs, &self.read(*row, *d)[..*d], *kind, ops);
             }
             SOp::Concat {
                 parts,
@@ -2901,14 +2766,7 @@ impl<'r> SpecRun<'r> {
                     let mut at = r * total;
                     for &(src, w) in parts {
                         let ps = self.read(src, rows * w);
-                        let dst = &mut o[at..at + w];
-                        if ops.is_empty() {
-                            dst.copy_from_slice(&ps[r * w..(r + 1) * w]);
-                        } else {
-                            for (v, &pv) in dst.iter_mut().zip(&ps[r * w..(r + 1) * w]) {
-                                *v = apply_chain(ops, pv);
-                            }
-                        }
+                        map_into(&mut o[at..at + w], Some(&ps[r * w..(r + 1) * w]), ops);
                         at += w;
                     }
                 }
@@ -2931,8 +2789,76 @@ impl<'r> SpecRun<'r> {
     }
 }
 
-/// Row-wise softmax over contiguous rows of width `d` — the same
-/// per-element operation order as the generic interpreter.
+/// `o[i] = chain(x[i])` — the element loop both executors run for `Map`,
+/// for `Concat` parts, and (with an empty chain) for the copy in front of
+/// an out-of-place softmax / layer norm. `x == None` is the in-place case:
+/// `o` is its own input. An empty chain is a plain copy.
+fn map_into(o: &mut [f32], x: Option<&[f32]>, ops: &[MapOp]) {
+    match x {
+        Some(xs) if ops.is_empty() => {
+            for (v, &xv) in o.iter_mut().zip(xs) {
+                *v = xv;
+            }
+        }
+        Some(xs) => {
+            for (v, &xv) in o.iter_mut().zip(xs) {
+                *v = apply_chain(ops, xv);
+            }
+        }
+        None if ops.is_empty() => {}
+        None => {
+            for v in o.iter_mut() {
+                *v = apply_chain(ops, *v);
+            }
+        }
+    }
+}
+
+/// `o[i] = chain(kind(a[i], b[i]))`, `None` operands being `o` itself. A
+/// bare `Zip` (the residual adds) gets a loop with nothing but the one
+/// arithmetic op in it, which vectorizes; a fused chain does not.
+fn zip_into(o: &mut [f32], a: Option<&[f32]>, b: Option<&[f32]>, kind: ZipKind, ops: &[MapOp]) {
+    #[inline(always)]
+    fn run(o: &mut [f32], a: Option<&[f32]>, b: Option<&[f32]>, f: impl Fn(f32, f32) -> f32) {
+        match (a, b) {
+            (None, None) => o.iter_mut().for_each(|v| *v = f(*v, *v)),
+            (None, Some(bs)) => o.iter_mut().zip(bs).for_each(|(v, &y)| *v = f(*v, y)),
+            (Some(as_), None) => o.iter_mut().zip(as_).for_each(|(v, &x)| *v = f(x, *v)),
+            (Some(as_), Some(bs)) => {
+                for (v, (&x, &y)) in o.iter_mut().zip(as_.iter().zip(bs)) {
+                    *v = f(x, y);
+                }
+            }
+        }
+    }
+    match (ops.is_empty(), kind) {
+        (true, ZipKind::Add) => run(o, a, b, |x, y| x + y),
+        (true, ZipKind::Sub) => run(o, a, b, |x, y| x - y),
+        (true, ZipKind::Mul) => run(o, a, b, |x, y| x * y),
+        (false, _) => run(o, a, b, |x, y| apply_chain(ops, kind.apply(x, y))),
+    }
+}
+
+/// `o[i] = chain(kind(x[i], row[i % d]))` with `d = row.len()`; `x == None`
+/// is the in-place case.
+fn row_op_into(o: &mut [f32], x: Option<&[f32]>, row: &[f32], kind: RowKind, ops: &[MapOp]) {
+    let d = row.len();
+    match x {
+        None => {
+            for (i, v) in o.iter_mut().enumerate() {
+                *v = apply_chain(ops, kind.apply(*v, row[i % d]));
+            }
+        }
+        Some(xs) => {
+            for (i, (v, &xv)) in o.iter_mut().zip(xs).enumerate() {
+                *v = apply_chain(ops, kind.apply(xv, row[i % d]));
+            }
+        }
+    }
+}
+
+/// Row-wise softmax over contiguous rows of width `d` — the one
+/// definition both executors call.
 fn softmax_rows(o: &mut [f32], d: usize) {
     for chunk in o.chunks_mut(d) {
         let m = chunk.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -2954,8 +2880,8 @@ fn softmax_rows(o: &mut [f32], d: usize) {
 /// f32 accumulation order is part of the bit-identity contract, so they
 /// cannot be vectorized within a row) — but rows are independent, so
 /// interleaving four of them runs four accumulation chains in parallel
-/// without changing any row's operation order. The per-row arithmetic is
-/// exactly the generic interpreter's.
+/// without changing any row's operation order (`one_row` below is the
+/// per-row definition; the tape and `InferCtx` compute the same sequence).
 fn layer_norm_rows(o: &mut [f32], gv: &[f32], bv: &[f32], d: usize, eps: f32) {
     #[inline(always)]
     fn one_row(chunk: &mut [f32], gv: &[f32], bv: &[f32], d: usize, eps: f32) {

@@ -1,0 +1,144 @@
+//! The replay contract, held by the allocator itself: once warmed up,
+//! [`PlanExec::run`] and [`SpecExec::run`] perform **zero** heap
+//! allocations. `PlanExec::alloc_count` only counts arena growth, so a
+//! `Vec` built per step inside the interpreter (as `assert_disjoint`'s
+//! source lists and `Concat`'s width table once were — 53 allocations per
+//! warmed replay at the CLI model's shapes) is invisible to it; a counting
+//! `#[global_allocator]` is not.
+//!
+//! One `#[test]` only: the counter is per thread, but a single test keeps
+//! the binary's one global allocator free of any cross-test reasoning.
+
+use nn::{Exec, ParamId, ParamStore, Plan, PlanError, PlanExec, SpecExec, Var};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use tensor::Tensor;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread while `Some`.
+    static COUNT: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+fn note() {
+    COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only addition is
+// a bump of a const-initialized, destructor-free thread-local `Cell`, which
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: as `dealloc`; size/layout per the caller's contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    COUNT.with(|c| c.set(Some(0)));
+    f();
+    COUNT
+        .with(|c| c.replace(None))
+        .expect("counter armed above")
+}
+
+const D: usize = 32;
+const L: usize = 4;
+
+fn input_for(b: usize) -> Tensor {
+    Tensor::from_fn(&[b, L, D], |i| ((i as f32) * 0.37).sin())
+}
+
+/// An encoder-layer-shaped program touching every step kind the predictor
+/// lowers to: attention (`split_heads` / scaled `bmm` / softmax / `bmm` /
+/// `merge_heads`), a weight GEMM with a fused bias + ReLU epilogue (big
+/// enough at `b = 12` for the blocked and prepacked kernels and their
+/// per-thread pack buffers), a residual `Zip`, layer norm, a broadcast
+/// `RowOp`, `slice_last`, and a three-part `Concat` with a fused `tanh`.
+fn program<E: Exec>(
+    e: &mut E,
+    store: &ParamStore,
+    ids: &[ParamId],
+    b: usize,
+) -> tensor::Result<Vec<Var>> {
+    let x = e.constant(input_for(b));
+    let (w, bias) = (e.param(store, ids[0]), e.param(store, ids[1]));
+    let (gamma, beta) = (e.param(store, ids[2]), e.param(store, ids[3]));
+    let h = e.split_heads(x, 2)?;
+    let scores = e.bmm(h, h, false, true)?;
+    let scaled = e.scale(scores, 0.25);
+    let probs = e.softmax_last(scaled)?;
+    let ctx = e.bmm(probs, h, false, false)?;
+    let merged = e.merge_heads(ctx, 2)?;
+    let flat = e.reshape(merged, &[b * L, D])?;
+    let lin = e.matmul(flat, w)?;
+    let lin = e.add_row(lin, bias)?;
+    let act = e.relu(lin)?;
+    let res = e.add(act, flat)?;
+    let ln = e.layer_norm(res, gamma, beta, 1e-5)?;
+    let sm = e.softmax_last(ln)?;
+    let shifted = e.sub_row(sm, beta)?;
+    let head = e.slice_last(shifted, 0, 8)?;
+    let cat = e.concat_last(&[head, ln, head])?;
+    let out = e.tanh(cat)?;
+    Ok(vec![out, ln])
+}
+
+#[test]
+fn warmed_replay_never_touches_the_heap() {
+    let mut store = ParamStore::new();
+    let mut next = 0.0f32;
+    let mut param = |shape: &[usize]| {
+        next += 1.0;
+        let phase = next;
+        Tensor::from_fn(shape, move |i| ((i as f32) * 0.11 + phase).cos() * 0.3)
+    };
+    let ids = vec![
+        store.add("w".to_string(), param(&[D, D])),
+        store.add("bias".to_string(), param(&[D])),
+        store.add("gamma".to_string(), param(&[D])),
+        store.add("beta".to_string(), param(&[D])),
+    ];
+    let plan = Arc::new(
+        Plan::compile(&store, |rec, b| {
+            program(rec, &store, &ids, b).map_err(PlanError::from)
+        })
+        .unwrap(),
+    );
+
+    let mut generic = PlanExec::new(Arc::clone(&plan));
+    for b in [12usize, 3] {
+        let x = input_for(b);
+        // Warm-up: the largest batch first, so the arena and this thread's
+        // GEMM pack buffers reach their final size.
+        generic.run(&store, &[&x]).unwrap();
+        let n = allocations_in(|| generic.run(&store, &[&x]).unwrap());
+        assert_eq!(n, 0, "generic replay at b={b} allocated {n} times");
+    }
+
+    for b in [12usize, 1] {
+        let x = input_for(b);
+        let mut spec = SpecExec::new(Arc::new(plan.specialize(&store, b).unwrap()));
+        spec.run(&store, &[&x]).unwrap();
+        let n = allocations_in(|| spec.run(&store, &[&x]).unwrap());
+        assert_eq!(n, 0, "specialized replay at b={b} allocated {n} times");
+        generic.run(&store, &[&x]).unwrap();
+        assert_eq!(spec.output(0), generic.output(0), "b={b}: executors agree");
+    }
+}

@@ -7,15 +7,27 @@
 //! 1. **Naive strided loop** for tiny products (attention tiles, single
 //!    rows): per-element dot products in ascending-`k` order. Packing would
 //!    cost more than it saves here.
-//! 2. **Blocked + packed serial kernel**: the classic GOTO/BLIS loop nest.
-//!    `B` is packed into `KC x NR` column slabs and `A` into `KC x MR` row
-//!    strips (both cache-line-aligned via [`crate::aligned::AVec`], pooled
-//!    per thread so steady-state calls never allocate); an explicit
-//!    register-tile micro-kernel then streams the panels.
-//! 3. **Row-panel parallelism**: large products split their `M` dimension
-//!    over [`parallel::global`]. Each output element is produced by exactly
-//!    one task with an accumulation order fixed by shape alone, so results
-//!    are **bit-identical for every thread count** (including 1).
+//! 2. **Blocked serial kernel**: the classic GOTO/BLIS loop nest. `B` is
+//!    packed into `KC x NR` column slabs (cache-line-aligned via
+//!    [`crate::aligned::AVec`], pooled per thread so steady-state calls
+//!    never allocate) and an explicit register-tile micro-kernel streams
+//!    them. Row-major `A` is read **in place** (`tile_direct`, bitwise
+//!    equal to the packed-strip tile); only a transposed `A` is packed
+//!    into `KC x MR` strips first.
+//! 3. **Row-panel parallelism**: products of at least `PAR_MULADDS`
+//!    multiply-adds (the measured crossover, see the constant) split their
+//!    `M` dimension over [`parallel::global`]. Each output element is
+//!    produced by exactly one task with an accumulation order fixed by
+//!    shape alone, so results are **bit-identical for every thread count**
+//!    (including 1).
+//!
+//! Every blocked path finishes a tile through one trait method,
+//! `Micro::write_back_tile`: its default is the per-element definition
+//! (`C` update, then `Epilogue::apply`) and is what the scalar tier runs;
+//! the AVX2 tier overrides it to do the same per-lane operations in `ymm`
+//! registers for `Identity` / `Relu` epilogues, so a fused bias costs what
+//! a plain store does. `Tanh` / `Sigmoid` and ragged `n % 8` columns take
+//! the default on every tier.
 //!
 //! # Kernel tiers
 //!
@@ -162,11 +174,33 @@ const NC: usize = 4096;
 /// Retuned for the FMA tile: the packed kernel now pays for its packing
 /// down to ~8K multiply-adds, which pulls the `B=1` serving buckets
 /// (`m=8`: 14K muladds at predictor shapes) onto the fast path.
-const TINY_MULADDS: usize = 8 * 1024;
+#[doc(hidden)]
+pub const TINY_MULADDS: usize = 8 * 1024;
 /// At this many multiply-adds the row-panel split across the global pool
-/// starts to pay for its dispatch overhead. Shared with the bmm batch-axis
-/// split in `ops.rs` so the two dispatch layers cut over together.
-pub(crate) const PAR_MULADDS: usize = 192 * 1024;
+/// pays for its dispatch: the measured crossover of the `gemm_parallel`
+/// sweep in `BENCH_gemm.json` (2 threads on a 2-core host, where waking
+/// the pool costs 50-60 us: the split runs 0.11x serial at 192K
+/// multiply-adds, 0.6-0.9x at 3M, breaks even around 6M — 0.9-1.2x over
+/// three sweeps — and wins 1.3-1.5x at 12M in every shape family). Every
+/// CLI-model GEMM (<= 2.1M) therefore runs serial. Shared with the bmm
+/// batch-axis split in `ops.rs` so the two dispatch layers cut over
+/// together.
+#[doc(hidden)]
+pub const PAR_MULADDS: usize = 6 * 1024 * 1024;
+
+/// Whether the *shape* qualifies for the row-panel split under `tier`
+/// (the caller's thread context and pool size are checked separately).
+fn split_shape_ok(m: usize, k: usize, n: usize, tier: SimdTier) -> bool {
+    m * n * k >= PAR_MULADDS && n <= NC && m >= 2 * tier.mr()
+}
+
+/// Whether a `[m, k] · [k, n]` product handed `threads` workers is fanned
+/// out over row panels — the rule `gemm_dispatch` itself applies, exposed
+/// so tests can assert their shapes really take (or really miss) the split.
+#[doc(hidden)]
+pub fn gemm_would_split(m: usize, k: usize, n: usize, threads: usize) -> bool {
+    threads > 1 && split_shape_ok(m, k, n, active_tier())
+}
 
 thread_local! {
     /// Per-thread packing buffers: pool workers and long-lived serving
@@ -327,6 +361,35 @@ trait Micro {
             *d = f32::from_bits((h as u32) << 16);
         }
     }
+
+    /// Writes the live `mr x nr` corner of a finished `tile` into `c`,
+    /// whose first element is the tile's top-left output (rows `ldc`
+    /// apart) and sits at column `j0` of `ep`'s bias row: overwrite when
+    /// `store`, accumulate otherwise, and apply the epilogue exactly once
+    /// per element. This default *is* the definition — [`write_back_row`]
+    /// per row, [`Epilogue::apply`] per element — and what the scalar
+    /// tier runs; an override may only reorder work across elements, never
+    /// change one element's operation sequence.
+    ///
+    /// # Safety
+    ///
+    /// ISA per the trait contract.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn write_back_tile(
+        tile: &Tile,
+        mr: usize,
+        nr: usize,
+        c: &mut [f32],
+        ldc: usize,
+        j0: usize,
+        store: bool,
+        ep: Epilogue,
+    ) {
+        for (r, trow) in tile.iter().take(mr).enumerate() {
+            write_back_row(&mut c[r * ldc..r * ldc + nr], &trow[..nr], j0, store, ep);
+        }
+    }
 }
 
 /// A strided, read-only view of a row-major matrix (or its transpose —
@@ -423,17 +486,7 @@ pub(crate) fn gemm_dispatch(
     }
     if k == 0 {
         if !acc {
-            // An empty product is all zeros; the epilogue still applies
-            // (scale/bias/activation of zero).
-            if ep.is_none() {
-                c.fill(0.0);
-            } else {
-                for crow in c.chunks_exact_mut(n) {
-                    for (j, o) in crow.iter_mut().enumerate() {
-                        *o = ep.apply(j, 0.0);
-                    }
-                }
-            }
+            store_empty_product(c, n, ep);
         }
         return;
     }
@@ -445,9 +498,7 @@ pub(crate) fn gemm_dispatch(
     // Check the cheap disqualifiers before touching the global pool, so
     // processes whose GEMMs never parallelize (worker threads, budget-1
     // serving threads, mid-size products) never lazily spawn it.
-    let eligible = muladds >= PAR_MULADDS
-        && n <= NC
-        && m >= 2 * mr
+    let eligible = split_shape_ok(m, k, n, tier)
         && (pool.is_some() || (!parallel::is_worker_thread() && parallel::intra_op_threads() > 1));
     if !eligible {
         return gemm_blocked_tier(m, n, k, a, b, c, acc, ep, tier);
@@ -476,6 +527,16 @@ pub(crate) fn gemm_dispatch(
             i0 += rows;
         }
     });
+}
+
+/// An empty product (`k == 0`) is all zeros; the epilogue still applies
+/// (scale / bias / activation of zero).
+fn store_empty_product(c: &mut [f32], n: usize, ep: Epilogue) {
+    for crow in c.chunks_exact_mut(n) {
+        for (j, o) in crow.iter_mut().enumerate() {
+            *o = ep.apply(j, 0.0);
+        }
+    }
 }
 
 /// Tier dispatch for the tiny-product path.
@@ -644,14 +705,25 @@ unsafe fn gemm_blocked_t<K: Micro>(
                 pack_b::<K>(b, pc, kc, jc, nc, bpack);
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
-                    pack_a::<K>(a, ic, mc, pc, kc, apack);
+                    // Row-major `A` streams straight into `tile_direct`
+                    // (bitwise `tile` over the packed strip, minus the
+                    // packing pass); only a transposed view is packed.
+                    let ablock = if a.cs == 1 {
+                        APanel::Rows {
+                            data: &a.data[ic * a.rs + pc..],
+                            rs: a.rs,
+                        }
+                    } else {
+                        pack_a::<K>(a, ic, mc, pc, kc, apack);
+                        APanel::Packed(apack.as_slice())
+                    };
                     // SAFETY: forwarded contract — caller vouched for the ISA.
                     unsafe {
                         macro_kernel::<K>(
                             mc,
                             nc,
                             kc,
-                            apack.as_slice(),
+                            ablock,
                             bpack.as_slice(),
                             &mut c[ic * n + jc..],
                             n,
@@ -799,45 +871,18 @@ unsafe fn gemm_prepacked_t<K: Micro>(
         return;
     }
     if k == 0 {
-        for crow in c.chunks_exact_mut(n) {
-            for (j, o) in crow.iter_mut().enumerate() {
-                *o = ep.apply(j, 0.0);
-            }
-        }
-        return;
+        return store_empty_product(c, n, ep);
     }
-    let slabs = n.div_ceil(K::NR);
     let mut pc = 0usize;
     for (bi, block) in pb.blocks.iter().enumerate() {
         let kc = KC.min(k - pc);
-        let store = bi == 0;
         let ep_here = if pc + kc == k { ep } else { Epilogue::NONE };
-        let bpack = block.as_slice();
-        for t in 0..slabs {
-            let bslab = &bpack[t * kc * K::NR..(t + 1) * kc * K::NR];
-            let j0 = t * K::NR;
-            let nr = K::NR.min(n - j0);
-            let mut i0 = 0usize;
-            while i0 < m {
-                let mr = K::MR.min(m - i0);
-                // Direct A access: row `r`'s k-block slice is contiguous,
-                // so the micro kernel streams MR scalar lanes straight from
-                // the source (edge tiles re-read row 0; their results are
-                // discarded by the `take(mr)` below).
-                let arow = |r: usize| {
-                    let row = i0 + if r < mr { r } else { 0 };
-                    &a[row * k + pc..row * k + pc + kc]
-                };
-                let ar: [&[f32]; MR_MAX] = std::array::from_fn(arow);
-                // SAFETY: ISA vouched by caller; slice lengths per `arow`.
-                let tile = unsafe { K::tile_direct(kc, &ar, bslab) };
-                for (r, trow) in tile.iter().take(mr).enumerate() {
-                    let start = (i0 + r) * n + j0;
-                    write_back_row(&mut c[start..start + nr], &trow[..nr], j0, store, ep_here);
-                }
-                i0 += mr;
-            }
-        }
+        let rows = APanel::Rows {
+            data: &a[pc..],
+            rs: k,
+        };
+        // SAFETY: ISA and slab width vouched by this fn's caller.
+        unsafe { macro_kernel::<K>(m, n, kc, rows, block.as_slice(), c, n, bi == 0, ep_here) };
         pc += kc;
     }
 }
@@ -1060,12 +1105,7 @@ unsafe fn gemm_prepacked_quant_t<K: Micro>(
         return;
     }
     if k == 0 {
-        for crow in c.chunks_exact_mut(n) {
-            for (j, o) in crow.iter_mut().enumerate() {
-                *o = ep.apply(j, 0.0);
-            }
-        }
-        return;
+        return store_empty_product(c, n, ep);
     }
     let slabs = n.div_ceil(K::NR);
     let blocks = match &qb.panels {
@@ -1101,16 +1141,10 @@ unsafe fn gemm_prepacked_quant_t<K: Micro>(
                 let mut i0 = 0usize;
                 while i0 < m {
                     let mr = K::MR.min(m - i0);
-                    // Direct A access, as in the f32 prepacked path: edge
-                    // tiles re-read row 0; their results are discarded.
-                    let arow = |r: usize| {
-                        let row = i0 + if r < mr { r } else { 0 };
-                        &a[row * k + pc..row * k + pc + kc]
-                    };
-                    let ar: [&[f32]; MR_MAX] = std::array::from_fn(arow);
+                    let ar = a_rows(&a[pc..], k, i0, mr, kc);
                     // SAFETY: ISA vouched by caller; slab/scale/scratch
                     // slices sized by the packer and `ensure_len` above;
-                    // A rows per `arow`.
+                    // A rows per `a_rows`.
                     let tile = unsafe {
                         if amortize {
                             K::tile_direct(kc, &ar, deq.as_slice())
@@ -1127,10 +1161,9 @@ unsafe fn gemm_prepacked_quant_t<K: Micro>(
                             }
                         }
                     };
-                    for (r, trow) in tile.iter().take(mr).enumerate() {
-                        let start = (i0 + r) * n + j0;
-                        write_back_row(&mut c[start..start + nr], &trow[..nr], j0, store, ep_here);
-                    }
+                    let ctile = &mut c[i0 * n + j0..];
+                    // SAFETY: ISA vouched by caller.
+                    unsafe { K::write_back_tile(&tile, mr, nr, ctile, n, j0, store, ep_here) };
                     i0 += mr;
                 }
             });
@@ -1220,8 +1253,30 @@ fn pack_a<K: Micro>(a: MatRef, i0: usize, mc: usize, p0: usize, kc: usize, buf: 
     }
 }
 
+/// Where [`macro_kernel`] reads its `A` block from.
+#[derive(Clone, Copy)]
+enum APanel<'a> {
+    /// `ceil(mc/MR)` zero-padded `kc x MR` strips from [`pack_a`].
+    Packed(&'a [f32]),
+    /// Row-major rows read in place: row `i`'s k-block is
+    /// `data[i * rs..][..kc]`.
+    Rows { data: &'a [f32], rs: usize },
+}
+
+/// The row slices `tile_direct*` streams for the strip starting at row
+/// `i0` of row-major `data` (rows `rs` apart, already offset to the
+/// k-block's first column). Edge strips re-read row `i0` in the dead
+/// lanes `r >= mr`; those accumulator rows are never written back.
+#[inline(always)]
+fn a_rows(data: &[f32], rs: usize, i0: usize, mr: usize, kc: usize) -> [&[f32]; MR_MAX] {
+    std::array::from_fn(|r| {
+        let at = (i0 + if r < mr { r } else { 0 }) * rs;
+        &data[at..at + kc]
+    })
+}
+
 /// Runs the register-tile micro-kernel over every `MR x NR` tile of one
-/// packed `A`-block x `B`-panel pair. `c` points at the block's top-left
+/// `A`-block x packed-`B`-panel pair. `c` points at the block's top-left
 /// element inside the full output (leading dimension `ldc`).
 ///
 /// # Safety
@@ -1233,7 +1288,7 @@ unsafe fn macro_kernel<K: Micro>(
     mc: usize,
     nc: usize,
     kc: usize,
-    apack: &[f32],
+    a: APanel,
     bpack: &[f32],
     c: &mut [f32],
     ldc: usize,
@@ -1247,18 +1302,28 @@ unsafe fn macro_kernel<K: Micro>(
         let j0 = t * K::NR;
         let nr = K::NR.min(nc - j0);
         for s in 0..strips {
-            let astrip = &apack[s * kc * K::MR..(s + 1) * kc * K::MR];
             let i0 = s * K::MR;
             let mr = K::MR.min(mc - i0);
-            // SAFETY: ISA vouched by caller; panel sizes per the packers.
-            let tile = unsafe { K::tile(kc, astrip, bslab) };
-            // Edge tiles: the packed panels are zero-padded, so the full
-            // tile is always valid — copy out only the live region. The
-            // epilogue (set only on the final k-block) applies here, in the
-            // write-back, so fused scale/bias/activation cost no extra pass.
-            for (r, trow) in tile.iter().take(mr).enumerate() {
-                let start = (i0 + r) * ldc + j0;
-                write_back_row(&mut c[start..start + nr], &trow[..nr], j0, store, ep);
+            // SAFETY: ISA vouched by caller; panel sizes per the packers,
+            // row slices per `a_rows`.
+            let tile = unsafe {
+                match a {
+                    APanel::Packed(ap) => {
+                        K::tile(kc, &ap[s * kc * K::MR..(s + 1) * kc * K::MR], bslab)
+                    }
+                    APanel::Rows { data, rs } => {
+                        K::tile_direct(kc, &a_rows(data, rs, i0, mr, kc), bslab)
+                    }
+                }
+            };
+            // Edge tiles: packed panels are zero-padded and dead direct
+            // lanes re-read a live row, so the full tile is always valid —
+            // write back only the live corner. The epilogue (set only on
+            // the final k-block) applies here, so fused scale / bias /
+            // activation cost no extra pass.
+            // SAFETY: ISA vouched by caller.
+            unsafe {
+                K::write_back_tile(&tile, mr, nr, &mut c[i0 * ldc + j0..], ldc, j0, store, ep);
             }
         }
     }
@@ -1434,6 +1499,74 @@ impl Micro for Avx2K {
     unsafe fn dequant_bf16(kc: usize, bslab: &[u16], dst: &mut [f32]) {
         // SAFETY: caller guarantees AVX2+FMA and slice lengths.
         unsafe { avx2_dequant_bf16(kc, bslab, dst) }
+    }
+
+    #[inline]
+    unsafe fn write_back_tile(
+        tile: &Tile,
+        mr: usize,
+        nr: usize,
+        c: &mut [f32],
+        ldc: usize,
+        j0: usize,
+        store: bool,
+        ep: Epilogue,
+    ) {
+        // SAFETY: caller guarantees AVX2+FMA.
+        unsafe { avx2_write_back_tile(tile, mr, nr, c, ldc, j0, store, ep) }
+    }
+}
+
+/// [`Micro::write_back_tile`] with every full 8-column group finished in
+/// a `ymm`: load the tile row, `+ C` when accumulating, `* scale`,
+/// `+ bias`, `max(., 0)`, store — per lane the scalar definition's ops in
+/// its order. `_mm256_max_ps(v, 0)` returns its second operand for a NaN or
+/// `-0.0` first one, which is what `v.max(0.0)` compiles to on this target
+/// (the epilogue-oracle suite pins both against the scalar tier). `Tanh` /
+/// `Sigmoid` are libm calls and the ragged `nr % 8` columns are not worth
+/// masking: both go through [`write_back_row`] unchanged.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_write_back_tile(
+    tile: &Tile,
+    mr: usize,
+    nr: usize,
+    c: &mut [f32],
+    ldc: usize,
+    j0: usize,
+    store: bool,
+    ep: Epilogue,
+) {
+    use std::arch::x86_64::*;
+    let relu = ep.act == Activation::Relu;
+    let vector = relu || ep.act == Activation::Identity;
+    let wide = if vector { nr / 8 * 8 } else { 0 };
+    let zero = _mm256_setzero_ps();
+    for (r, trow) in tile.iter().take(mr).enumerate() {
+        let crow = &mut c[r * ldc..r * ldc + nr];
+        for j in (0..wide).step_by(8) {
+            let (tv, cv) = (&trow[j..j + 8], &mut crow[j..j + 8]);
+            // SAFETY: every pointer below comes from a bounds-checked
+            // 8-element slice.
+            unsafe {
+                let mut v = _mm256_loadu_ps(tv.as_ptr());
+                if !store {
+                    v = _mm256_add_ps(_mm256_loadu_ps(cv.as_ptr()), v);
+                }
+                if let Some(s) = ep.scale {
+                    v = _mm256_mul_ps(v, _mm256_set1_ps(s));
+                }
+                if let Some(b) = ep.bias {
+                    v = _mm256_add_ps(v, _mm256_loadu_ps(b[j0 + j..j0 + j + 8].as_ptr()));
+                }
+                if relu {
+                    v = _mm256_max_ps(v, zero);
+                }
+                _mm256_storeu_ps(cv.as_mut_ptr(), v);
+            }
+        }
+        write_back_row(&mut crow[wide..], &trow[wide..nr], j0 + wide, store, ep);
     }
 }
 
@@ -2035,7 +2168,7 @@ mod tests {
             (3usize, 5usize, 4usize, "naive-ikj"),
             (64, 48, 56, "blocked"),
             (9, 100, 600, "two-k-blocks"),
-            (256, 64, 64, "parallel-eligible"),
+            (PAR_MULADDS / (64 * 64), 64, 64, "parallel-eligible"),
         ] {
             let av = filled(m * k, 0.0);
             let bv = filled(k * n, 1.0);
@@ -2381,18 +2514,40 @@ mod tests {
         assert_eq!(c, vec![1.5, 0.0, 0.25, 1.5, 0.0, 0.25]);
     }
 
+    /// Shapes derived from the cut-over itself — one just below it, one
+    /// on it, one 4x above — so moving `PAR_MULADDS` can never leave this
+    /// test comparing two serial runs: the predicate `gemm_dispatch`
+    /// applies must say "split" for the explicit-pool runs that claim it.
     #[test]
     fn parallel_threshold_sizes_are_bit_identical_to_serial() {
-        // Big enough to trigger the row-panel split when threads > 1.
-        let (m, n, k) = (256, 64, 64);
-        let av = filled(m * k, 0.3);
-        let bv = filled(k * n, 0.6);
-        let a = MatRef::dense(&av, k);
-        let b = MatRef::dense(&bv, n);
-        let mut serial = vec![0.0f32; m * n];
-        gemm_blocked(m, n, k, a, b, &mut serial, false, Epilogue::NONE);
-        let mut maybe_par = vec![0.0f32; m * n];
-        gemm(m, n, k, a, b, &mut maybe_par, false, Epilogue::NONE);
-        assert_eq!(serial, maybe_par, "row split must not change any bit");
+        let (n, k) = (64, 64);
+        let at = PAR_MULADDS / (n * k);
+        for (m, splits) in [(at - 1, false), (at, true), (4 * at, true)] {
+            let av = filled(m * k, 0.3);
+            let bv = filled(k * n, 0.6);
+            let a = MatRef::dense(&av, k);
+            let b = MatRef::dense(&bv, n);
+            let mut serial = vec![0.0f32; m * n];
+            gemm_blocked(m, n, k, a, b, &mut serial, false, Epilogue::NONE);
+            for threads in [2usize, 3] {
+                assert_eq!(gemm_would_split(m, k, n, threads), splits, "m={m}");
+                let pool = parallel::ThreadPool::new(threads);
+                let mut par = vec![f32::NAN; m * n];
+                let tier = active_tier();
+                gemm_dispatch(
+                    m,
+                    n,
+                    k,
+                    a,
+                    b,
+                    &mut par,
+                    false,
+                    Epilogue::NONE,
+                    tier,
+                    Some(&pool),
+                );
+                assert_eq!(serial, par, "m={m}: row split must not change any bit");
+            }
+        }
     }
 }

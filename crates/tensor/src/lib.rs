@@ -22,6 +22,8 @@ pub use gemm::{
     active_tier, gemm_prefers_packed, kernel_tier_name, Activation, PackedB, QuantizedPackedB,
     SimdTier,
 };
+#[doc(hidden)]
+pub use gemm::{gemm_would_split, PAR_MULADDS, TINY_MULADDS};
 pub use ops::{
     bmm, bmm_acc_into, bmm_ep_slices, bmm_into, bmm_slices, gemm_ep_slices, gemm_prepacked,
     gemm_prepacked_quant, matmul, matmul_acc_into, matmul_into, matmul_t_acc_into, matmul_t_into,

@@ -575,9 +575,10 @@ pub fn bmm_ep_slices(
 }
 
 /// [`matmul_into`] routed through an explicit pool for the row-panel
-/// split, bypassing the global pool and the caller-thread budget checks —
-/// the seam the multi-thread GEMM benchmarks drive. Bit-identical to
-/// [`matmul_into`] for any pool size.
+/// split, bypassing the global pool and the caller-thread budget checks
+/// (the shape rule, `gemm_would_split`, still applies) — the seam the
+/// thread-count-invariance tests drive. Bit-identical to [`matmul_into`]
+/// for any pool size.
 #[doc(hidden)]
 pub fn matmul_into_with_pool(
     pool: &parallel::ThreadPool,

@@ -8,13 +8,19 @@
 //! tier against a forced-scalar run with `assert_eq!` on the raw `f32`
 //! bits across transpose flags, accumulate variants, fused epilogues
 //! (scale / bias / activation), threshold-crossing and degenerate shapes,
-//! and the prepacked-B path.
+//! and the prepacked-B path. The tiers that finish the write-back epilogue
+//! in vector registers get a dedicated oracle run over operands built to
+//! land `-0.0`, `+0.0`, `NaN` and `±inf` in front of every epilogue.
 //!
 //! On a host whose active tier *is* scalar (or under `CDMPP_SIMD=scalar`)
 //! the comparisons are trivially true; CI runs the suite both ways.
 
 use proptest::prelude::*;
-use tensor::{active_tier, gemm_prepacked, gemm_slices_with_tier, Activation, PackedB, SimdTier};
+use tensor::{
+    active_tier, gemm_prepacked, gemm_prepacked_quant, gemm_slices_with_tier, gemm_would_split,
+    Activation, PackedB, QuantKind, QuantizedMatrix, QuantizedPackedB, SimdTier, PAR_MULADDS,
+    QUANT_GROUP, TINY_MULADDS,
+};
 
 fn fill(numel: usize, seed: f32) -> Vec<f32> {
     (0..numel)
@@ -62,17 +68,17 @@ fn assert_bits_equal(got: &[f32], want: &[f32], what: &str) {
 }
 
 /// Shapes chosen to straddle every dispatch boundary: the naive/blocked
-/// threshold (`TINY_MULADDS = 8·1024`), partial register tiles in both
-/// dimensions for every tier's MR×NR, multiple KC blocks (k > 512), and
-/// degenerate empty dims.
+/// threshold (derived from `TINY_MULADDS`, so it moves with the constant),
+/// partial register tiles in both dimensions for every tier's MR×NR,
+/// multiple KC blocks (k > 512), and degenerate empty dims.
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (3, 5, 7),
-    (8, 32, 32),   // just under the naive threshold
-    (8, 32, 33),   // just over
-    (8, 56, 32),   // the small_bucket_B1_L8 predictor shape
-    (13, 17, 19),  // partial tiles everywhere
-    (16, 600, 24), // k crosses one KC boundary
+    (8, TINY_MULADDS / (8 * 32) - 1, 32), // last shape on the naive loop
+    (8, TINY_MULADDS / (8 * 32), 32),     // first shape on the blocked kernel
+    (8, 56, 32),                          // the small_bucket_B1_L8 predictor shape
+    (13, 17, 19),                         // partial tiles everywhere
+    (16, 600, 24),                        // k crosses one KC boundary
     (33, 40, 48),
     (64, 96, 80),
     (0, 8, 8),
@@ -158,20 +164,181 @@ fn forced_scalar_env_is_respected() {
     }
 }
 
+/// Which special value a row of `A` / a column of `B` is built to produce.
+/// Row kinds: 0 ordinary, 1 all `1e-30`, 2 `+inf` in the first k slot,
+/// 3 `+inf` in the first and `-inf` in the last k slot (so `k > KC` meets
+/// `inf + -inf` in the write-back's own `C + tile` add). Column kinds:
+/// 0 ordinary, 1 all `-1e-30`, 2 all `+1e-30` — against a kind-1 row every
+/// product underflows to `-0.0` / `+0.0`, and the accumulator keeps it.
+/// Column kinds are constant over `group` columns so an i8 scale group
+/// never mixes magnitudes.
+fn special_operands(
+    m: usize,
+    k: usize,
+    n: usize,
+    shift: usize,
+    group: usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let col_kind = |j: usize| (j / group + shift) % 3;
+    let mut a = fill(m * k, 0.3);
+    for i in 0..m {
+        let row = &mut a[i * k..(i + 1) * k];
+        match (i + shift) % 4 {
+            1 => row.fill(1e-30),
+            2 => row[0] = f32::INFINITY,
+            3 => {
+                row[0] = f32::INFINITY;
+                row[k - 1] = f32::NEG_INFINITY;
+            }
+            _ => {}
+        }
+    }
+    let mut b = fill(k * n, 1.7);
+    let mut bias = fill(n, 4.2);
+    for j in 0..n {
+        let tiny = match col_kind(j) {
+            1 => -1e-30f32,
+            2 => 1e-30,
+            _ => continue,
+        };
+        for p in 0..k {
+            b[p * n + j] = tiny;
+        }
+        // A signed-zero bias keeps the zero's sign alive up to the ReLU.
+        bias[j] = tiny * 0.0;
+    }
+    (a, b, bias)
+}
+
+/// Tallies which special values a buffer holds: `[-0.0, +0.0, NaN, +inf, -inf]`.
+fn tally(seen: &mut [bool; 5], vals: &[f32]) {
+    for v in vals {
+        match v.to_bits() {
+            0x8000_0000 => seen[0] = true,
+            0 => seen[1] = true,
+            _ if v.is_nan() => seen[2] = true,
+            _ if *v == f32::INFINITY => seen[3] = true,
+            _ if *v == f32::NEG_INFINITY => seen[4] = true,
+            _ => {}
+        }
+    }
+}
+
+/// The write-back oracle: every path whose epilogue the active tier may
+/// finish in vector registers — naive, blocked over packed `A` (forced by
+/// `ta`), blocked over direct `A`, prepacked f32, prepacked i8 / bf16 — is
+/// compared bit for bit with the scalar tier, whose per-element
+/// `Epilogue::apply` defines the answer (`v.max(0.0)` included: if a vector
+/// `max` ever disagrees on `NaN` / `-0.0`, the override is what changes).
+/// Widths cover full 16- and 8-column groups and every ragged remainder;
+/// `k = 600` crosses a `KC` boundary, so the accumulate-then-epilogue
+/// branch runs too. The prepacked entry points take no `scale`, so the
+/// scale cases run through the generic dispatch only.
+#[test]
+fn vector_write_back_matches_scalar_epilogue() {
+    let tier = active_tier();
+    let mut seen = [[false; 5]; 4];
+    for k in [32usize, 320, 600] {
+        for m in [1usize, 5, 6, 7, 13] {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
+                let shift = m + n + k / 300;
+                let (a, b, bias) = special_operands(m, k, n, shift, 1);
+                let at: Vec<f32> = (0..k * m).map(|e| a[(e % m) * k + e / m]).collect();
+                let (qa, qb, qbias) = special_operands(m, k, n, shift, QUANT_GROUP);
+                let cases = [
+                    (None, false, Activation::Identity),
+                    (None, true, Activation::Identity),
+                    (None, true, Activation::Relu),
+                    (Some(0.577f32), false, Activation::Identity),
+                    (Some(0.577), true, Activation::Relu),
+                    (None, false, Activation::Tanh),
+                ];
+                for (ci, (scale, with_bias, act)) in cases.into_iter().enumerate() {
+                    let what =
+                        format!("m={m} k={k} n={n} scale={scale:?} bias={with_bias} {act:?}");
+                    let generic = |t: SimdTier, av: &[f32], ta: bool| {
+                        let mut out = vec![f32::NAN; m * n];
+                        let bv = with_bias.then_some(&bias[..]);
+                        gemm_slices_with_tier(
+                            t, m, k, n, av, ta, &b, false, false, scale, bv, act, &mut out,
+                        );
+                        out
+                    };
+                    for (av, ta) in [(&a, false), (&at, true)] {
+                        let want = generic(SimdTier::Scalar, av, ta);
+                        assert_bits_equal(
+                            &generic(tier, av, ta),
+                            &want,
+                            &format!("ta={ta} {what}"),
+                        );
+                        if ci == 0 {
+                            tally(&mut seen[0], &want);
+                        }
+                    }
+                    if scale.is_some() {
+                        continue;
+                    }
+                    let pre = |t: SimdTier| {
+                        let mut out = vec![f32::NAN; m * n];
+                        let pb = PackedB::pack_for_tier(&b, k, n, t);
+                        let bv = with_bias.then_some(&bias[..]);
+                        gemm_prepacked(m, &a, &pb, bv, act, &mut out).unwrap();
+                        out
+                    };
+                    let want = pre(SimdTier::Scalar);
+                    assert_bits_equal(&pre(tier), &want, &format!("prepacked {what}"));
+                    if ci == 0 {
+                        tally(&mut seen[1], &want);
+                    }
+                    for (qi, kind) in [QuantKind::I8, QuantKind::Bf16].into_iter().enumerate() {
+                        let q = QuantizedMatrix::quantize(&qb, k, n, kind);
+                        let quant = |t: SimdTier| {
+                            let mut out = vec![f32::NAN; m * n];
+                            let pb = QuantizedPackedB::pack_for_tier(&q, t);
+                            let bv = with_bias.then_some(&qbias[..]);
+                            gemm_prepacked_quant(m, &qa, &pb, bv, act, &mut out).unwrap();
+                            out
+                        };
+                        let want = quant(SimdTier::Scalar);
+                        assert_bits_equal(&quant(tier), &want, &format!("{kind:?} {what}"));
+                        if ci == 0 {
+                            tally(&mut seen[2 + qi], &want);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The operands did what they were built for: every path's plain
+    // outputs (the values its epilogues then consume) held all five.
+    for (path, s) in ["generic", "prepacked", "i8", "bf16"].iter().zip(seen) {
+        assert_eq!(
+            s, [true; 5],
+            "{path}: [-0.0, +0.0, NaN, +inf, -inf] reached the write-back"
+        );
+    }
+}
+
 #[test]
 fn parallel_split_is_bitwise_equal_to_serial() {
     // Thread splits happen at kernel-MR-aligned row boundaries, so every
     // output element sees the same accumulation chain regardless of the
-    // pool size.
-    let (m, k, n) = (96, 700, 64);
-    let a = tensor::Tensor::from_vec(fill(m * k, 0.1), &[m, k]).unwrap();
-    let b = tensor::Tensor::from_vec(fill(k * n, 1.1), &[k, n]).unwrap();
-    let serial = tensor::matmul(&a, &b).unwrap();
-    for threads in [1usize, 2, 3, 4] {
-        let pool = parallel::ThreadPool::new(threads);
-        let mut out = Vec::new();
-        tensor::matmul_into_with_pool(&pool, &a, &b, &mut out).unwrap();
-        assert_bits_equal(&out, serial.data(), &format!("pool of {threads}"));
+    // pool size. Shapes sit one row below the fan-out cut-over, on it, and
+    // 4x above it, so the test keeps splitting wherever the constant
+    // moves; `gemm_would_split` is the dispatcher's own rule.
+    let (k, n) = (700, 64);
+    let at = PAR_MULADDS.div_ceil(k * n);
+    for (m, splits) in [(at - 1, false), (at, true), (4 * at, true)] {
+        let a = tensor::Tensor::from_vec(fill(m * k, 0.1), &[m, k]).unwrap();
+        let b = tensor::Tensor::from_vec(fill(k * n, 1.1), &[k, n]).unwrap();
+        let serial = tensor::matmul(&a, &b).unwrap();
+        for threads in [1usize, 2, 3, 4] {
+            assert_eq!(gemm_would_split(m, k, n, threads), splits && threads > 1);
+            let pool = parallel::ThreadPool::new(threads);
+            let mut out = Vec::new();
+            tensor::matmul_into_with_pool(&pool, &a, &b, &mut out).unwrap();
+            assert_bits_equal(&out, serial.data(), &format!("m={m}, pool of {threads}"));
+        }
     }
 }
 
