@@ -5,16 +5,26 @@
 //! adaptation (CMPP) the target provides only input features; for
 //! cross-device adaptation (CDPP) the target additionally provides labels
 //! for the tasks selected by Algorithm 1 and profiled on the new device.
+//!
+//! Each step replays the predictor's compiled forward for the source and
+//! the target batch (`nn::train_plan`), builds only the loss + CMD head on
+//! a tape over `constant` leaves holding the replayed predictions and
+//! latents, and seeds the two backward replays with the leaves' gradients —
+//! source first, then target, the order one tape's parameter leaves would
+//! be written back in. Each batch is one shard, so the step is bit-for-bit
+//! the single-graph tape step it replaced (kept under `tests/reference/`).
 
 use dataset::Dataset;
 use learn::LabelTransform;
-use nn::{cmd, Adam, Graph, Optimizer, TANH_SUPPORT};
+use nn::{cmd, Adam, Graph, Optimizer, Var, TANH_SUPPORT};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::SeedableRng;
+use tensor::Tensor;
 
 use crate::batch::{build_batch, encode_records, group_by_leaf};
-use crate::trainer::{build_loss, TrainedModel};
+use crate::predictor::{StepSeeds, PLAN_OUT_LATENT, PLAN_OUT_PRED};
+use crate::trainer::{build_loss, StepExecs, TrainedModel};
 
 /// Fine-tuning hyper-parameters.
 #[derive(Debug, Clone)]
@@ -90,6 +100,13 @@ pub fn finetune(
     let lambda = model.train_config.lambda;
     let loss_kind = model.train_config.loss;
     let mut cmd_tail = Vec::new();
+    let mut execs = StepExecs::default();
+    // The target's prediction takes a seed only when its labels are used.
+    let tgt_seeds = if cfg.use_target_labels {
+        StepSeeds::Both
+    } else {
+        StepSeeds::Latent
+    };
     for step in 0..cfg.steps {
         let &l = shared.as_slice().choose(&mut rng).expect("non-empty");
         let pick = |group: &Vec<usize>, rng: &mut StdRng| -> Vec<usize> {
@@ -103,17 +120,22 @@ pub fn finetune(
         let sb = build_batch(&si.iter().map(|&i| &src[i]).collect::<Vec<_>>());
         let tb = build_batch(&ti.iter().map(|&i| &tgt[i]).collect::<Vec<_>>());
         model.predictor.store.zero_grad();
+        // Forward both domains; their outputs become the head's leaves.
         let mut g = Graph::new();
-        let Ok(sout) = model
-            .predictor
-            .forward(&mut g, sb.x.clone(), sb.dev.clone())
-        else {
-            continue;
+        let domains = [(&sb, StepSeeds::Both), (&tb, tgt_seeds)];
+        let mut forward = |domain: usize| -> Option<(Var, Var)> {
+            let (batch, seeds) = domains[domain];
+            let exec = execs.get(&model.predictor, l, seeds, domain).ok()?;
+            exec.forward(&model.predictor.store, &[&batch.x, &batch.dev])
+                .ok()?;
+            let mut leaf = |out: usize| {
+                Tensor::from_vec(exec.output(out).to_vec(), &exec.output_shape(out))
+                    .map(|t| g.constant(t))
+                    .ok()
+            };
+            Some((leaf(PLAN_OUT_LATENT)?, leaf(PLAN_OUT_PRED)?))
         };
-        let Ok(tout) = model
-            .predictor
-            .forward(&mut g, tb.x.clone(), tb.dev.clone())
-        else {
+        let (Some((s_latent, s_pred)), Some((t_latent, t_pred))) = (forward(0), forward(1)) else {
             continue;
         };
         // Regression loss on the source (always) and the target (CDPP).
@@ -122,7 +144,7 @@ pub fn finetune(
             .iter()
             .map(|&y| model.transform.forward(y) as f32)
             .collect();
-        let Ok(mut loss) = build_loss(&mut g, sout.pred, &sy, loss_kind, lambda) else {
+        let Ok(mut loss) = build_loss(&mut g, s_pred, &sy, loss_kind, lambda) else {
             continue;
         };
         if cfg.use_target_labels {
@@ -131,14 +153,16 @@ pub fn finetune(
                 .iter()
                 .map(|&y| model.transform.forward(y) as f32)
                 .collect();
-            if let Ok(tl) = build_loss(&mut g, tout.pred, &ty, loss_kind, lambda) {
-                if let Ok(sum) = g.add(loss, tl) {
-                    loss = sum;
-                }
-            }
+            let Ok(tl) = build_loss(&mut g, t_pred, &ty, loss_kind, lambda) else {
+                continue;
+            };
+            let Ok(sum) = g.add(loss, tl) else {
+                continue;
+            };
+            loss = sum;
         }
         // CMD regularizer between the two latent batches.
-        let Ok(c) = cmd(&mut g, sout.latent, tout.latent, cfg.moments, TANH_SUPPORT) else {
+        let Ok(c) = cmd(&mut g, s_latent, t_latent, cfg.moments, TANH_SUPPORT) else {
             continue;
         };
         if step >= cfg.steps * 3 / 4 {
@@ -151,7 +175,30 @@ pub fn finetune(
         if g.backward(total).is_err() {
             continue;
         }
-        let _ = g.write_param_grads(&mut model.predictor.store);
+        // Seeds in output order (latent, prediction), for the outputs the
+        // domain's plan seeds.
+        let seed = |v| g.grad(v).map(|t: &Tensor| t.data());
+        let (Some(zs), Some(ps), Some(zt)) = (seed(s_latent), seed(s_pred), seed(t_latent)) else {
+            continue;
+        };
+        let s_grads = [zs, ps];
+        let t_grads = [zt, seed(t_pred).unwrap_or(&[])];
+        let t_grads = &t_grads[..if cfg.use_target_labels { 2 } else { 1 }];
+        // Source, then target: the order one tape's parameter leaves are
+        // written back in, so the stored gradient is `(0 + G_s) + G_t`.
+        let mut backward = |domain: usize, grads: &[&[f32]]| -> bool {
+            let (batch, seeds) = domains[domain];
+            execs
+                .get(&model.predictor, l, seeds, domain)
+                .is_ok_and(|exec| {
+                    let inputs = [&batch.x, &batch.dev];
+                    exec.backward(&mut model.predictor.store, &inputs, grads, usize::MAX)
+                        .is_ok()
+                })
+        };
+        if !(backward(0, &s_grads) && backward(1, t_grads)) {
+            continue;
+        }
         model.predictor.store.clip_grad_norm(5.0);
         opt.step(&mut model.predictor.store);
     }

@@ -41,7 +41,7 @@ pub use e2e::{
 pub use finetune::{finetune, latent_cmd, FineTuneConfig};
 pub use predictor::{
     forced_quant_mode, PlanRunner, PredictError, Predictor, PredictorConfig, SharedPredictor,
-    DEFAULT_MAX_BATCH, MAX_BATCH_CLASSES,
+    StepSeeds, DEFAULT_MAX_BATCH, MAX_BATCH_CLASSES,
 };
 pub use replayer::{build_dfg, engine_count, replay, replay_timeline, DfgNode, TimelineEntry};
 pub use sampler::select_tasks;
@@ -51,6 +51,6 @@ pub use search::{
 };
 pub use snapshot::{ParamTensor, PlanEntry, QuantTensor, Snapshot, SnapshotError, SpecPlanEntry};
 pub use trainer::{
-    evaluate, pretrain, train_step, train_step_parallel, EvalMetrics, InferenceModel, LossKind,
-    OptKind, TrainConfig, TrainStats, TrainedModel,
+    evaluate, pretrain, train_step, train_step_parallel, CompiledStep, EvalMetrics, InferenceModel,
+    LossKind, OptKind, TrainConfig, TrainStats, TrainedModel,
 };

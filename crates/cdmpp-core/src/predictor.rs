@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use nn::plan::{Plan, PlanError, PlanExec, Recorder, SpecExec, SpecializedPlan, WeightPackCache};
-use nn::{Exec, Graph, InferCtx, Linear, Mlp, ParamStore, TransformerEncoder, Var};
+use nn::{Exec, Graph, InferCtx, Linear, Mlp, ParamStore, TrainPlan, TransformerEncoder, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::{QuantMode, Tensor, TensorError};
@@ -234,18 +234,46 @@ impl Arch {
                 max_leaves: cfg.max_leaves,
             });
         }
-        let plan = Plan::compile(store, |rec: &mut Recorder<'_>, b| {
-            let x = Tensor::zeros(&[b, leaves, N_ENTRY]);
-            let dev = Tensor::zeros(&[b, N_DEVICE_FEATURES]);
-            let out = self.forward(cfg, rec, store, x, dev).map_err(|e| match e {
-                PredictError::Tensor(t) => PlanError::from(t),
-                other => PlanError::Build(other.to_string()),
-            })?;
-            // Output order is a plan-wide contract: latent first, then the
-            // prediction (see `PLAN_OUT_LATENT` / `PLAN_OUT_PRED`).
-            Ok(vec![out.latent, out.pred])
+        Ok(Plan::compile(store, |rec, b| {
+            self.record(cfg, store, leaves, rec, b)
+        })?)
+    }
+
+    /// Compiles the training step for one leaf count: the same recording
+    /// as [`Arch::compile_plan`], with the backward pass derived from it.
+    fn compile_train_plan(
+        &self,
+        cfg: &PredictorConfig,
+        store: &ParamStore,
+        leaves: usize,
+        seeds: StepSeeds,
+    ) -> PredictResult<TrainPlan> {
+        let mut seeded = [false; 2];
+        seeded[PLAN_OUT_LATENT] = seeds != StepSeeds::Pred;
+        seeded[PLAN_OUT_PRED] = seeds != StepSeeds::Latent;
+        Ok(TrainPlan::compile(store, &seeded, |rec, b| {
+            self.record(cfg, store, leaves, rec, b)
+        })?)
+    }
+
+    /// Runs `forward` on a recorder at probe batch size `b`.
+    fn record(
+        &self,
+        cfg: &PredictorConfig,
+        store: &ParamStore,
+        leaves: usize,
+        rec: &mut Recorder<'_>,
+        b: usize,
+    ) -> Result<Vec<Var>, PlanError> {
+        let x = Tensor::zeros(&[b, leaves, N_ENTRY]);
+        let dev = Tensor::zeros(&[b, N_DEVICE_FEATURES]);
+        let out = self.forward(cfg, rec, store, x, dev).map_err(|e| match e {
+            PredictError::Tensor(t) => PlanError::from(t),
+            other => PlanError::Build(other.to_string()),
         })?;
-        Ok(plan)
+        // Output order is a plan-wide contract: latent first, then the
+        // prediction (see `PLAN_OUT_LATENT` / `PLAN_OUT_PRED`).
+        Ok(vec![out.latent, out.pred])
     }
 
     /// One forward pass on any executor. See [`Predictor::forward`].
@@ -286,9 +314,9 @@ impl Arch {
 }
 
 /// Index of the latent (`z`) output in a compiled predictor plan.
-const PLAN_OUT_LATENT: usize = 0;
+pub(crate) const PLAN_OUT_LATENT: usize = 0;
 /// Index of the prediction output in a compiled predictor plan.
-const PLAN_OUT_PRED: usize = 1;
+pub(crate) const PLAN_OUT_PRED: usize = 1;
 
 /// Lazily compiled plans, one per supported leaf count (index `L - 1`),
 /// plus a counter of recordings actually performed.
@@ -304,6 +332,25 @@ struct PlanCacheInner {
 }
 
 type PlanCache = Arc<PlanCacheInner>;
+
+/// Which outputs of a compiled training step take a loss gradient. A seed
+/// an output never receives would be a gradient path compiled for nothing
+/// (and a seed slice to fill with zeros), so each combination in use is
+/// its own plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepSeeds {
+    /// The prediction only: a regression loss (pre-training).
+    Pred,
+    /// The latent only: a domain that contributes to CMD but has no labels.
+    Latent,
+    /// Both: a labeled domain under CMD regularization.
+    Both,
+}
+
+/// Lazily compiled training steps, per leaf count (index `L - 1`) and
+/// [`StepSeeds`]. Like inference plans they bake in parameter shapes only,
+/// so clones of a predictor share them.
+type TrainPlanCache = Arc<Vec<[OnceLock<Arc<TrainPlan>>; 3]>>;
 
 fn new_plan_cache(max_leaves: usize) -> PlanCache {
     Arc::new(PlanCacheInner {
@@ -461,11 +508,7 @@ fn read_predictions<E: Exec>(e: &E, out: &ForwardOut) -> Vec<f32> {
 
 fn read_latents<E: Exec>(e: &E, out: &ForwardOut) -> Vec<Vec<f64>> {
     let z = e.value(out.latent);
-    let d = z.shape()[1];
-    z.data()
-        .chunks(d)
-        .map(|row| row.iter().map(|&v| v as f64).collect())
-        .collect()
+    latent_rows(z.data(), z.shape()[1])
 }
 
 /// The CDMPP cost model (training-capable: owns a mutable [`ParamStore`]).
@@ -476,6 +519,7 @@ pub struct Predictor {
     arch: Arch,
     cfg: PredictorConfig,
     plans: PlanCache,
+    train_plans: TrainPlanCache,
 }
 
 impl Predictor {
@@ -484,11 +528,13 @@ impl Predictor {
         let mut store = ParamStore::new();
         let arch = Arch::new(&mut store, &cfg);
         let plans = new_plan_cache(cfg.max_leaves);
+        let train_plans = Arc::new((0..cfg.max_leaves).map(|_| Default::default()).collect());
         Predictor {
             store,
             arch,
             cfg,
             plans,
+            train_plans,
         }
     }
 
@@ -586,6 +632,28 @@ impl Predictor {
         plan_for(&self.plans, &self.arch, &self.cfg, &self.store, leaves)
     }
 
+    /// The compiled training step for one leaf count (compiled on first
+    /// use, shared with every clone): forward + backward over one arena,
+    /// replayed by [`nn::TrainExec`]. Its outputs are the latent, then the
+    /// prediction; its seeds follow the same order.
+    pub fn train_plan_for(&self, leaves: usize, seeds: StepSeeds) -> PredictResult<Arc<TrainPlan>> {
+        let slot = leaves
+            .checked_sub(1)
+            .and_then(|i| self.train_plans.get(i))
+            .map(|variants| &variants[seeds as usize])
+            .ok_or(PredictError::LeafCountOutOfRange {
+                leaves,
+                max_leaves: self.cfg.max_leaves,
+            })?;
+        if let Some(plan) = slot.get() {
+            return Ok(Arc::clone(plan));
+        }
+        let plan = self
+            .arch
+            .compile_train_plan(&self.cfg, &self.store, leaves, seeds)?;
+        Ok(Arc::clone(slot.get_or_init(|| Arc::new(plan))))
+    }
+
     /// Number of plan recordings this model (and every handle sharing its
     /// cache) has performed. Stays at zero for a model whose plans were all
     /// seeded from a snapshot — the "loading performs no recording"
@@ -649,6 +717,31 @@ impl Predictor {
         exec.run(&self.store, &[x, dev])?;
         Ok(exec.output(PLAN_OUT_PRED).to_vec())
     }
+
+    /// Latent rows through the compiled plan — the plan's other output,
+    /// bit-identical to [`Predictor::latent_batch`].
+    pub fn latent_planned(
+        &self,
+        runner: &mut PlanRunner,
+        x: &Tensor,
+        dev: &Tensor,
+    ) -> PredictResult<Vec<Vec<f64>>> {
+        let leaves = leaf_count_of(x)?;
+        let plan = self.plan_for(leaves)?;
+        let exec = runner.exec_for(leaves, plan);
+        exec.run(&self.store, &[x, dev])?;
+        Ok(latent_rows(
+            exec.output(PLAN_OUT_LATENT),
+            exec.output_shape(PLAN_OUT_LATENT)[1],
+        ))
+    }
+}
+
+/// Latent rows of width `d` as `f64` vectors.
+fn latent_rows(z: &[f32], d: usize) -> Vec<Vec<f64>> {
+    z.chunks(d)
+        .map(|row| row.iter().map(|&v| v as f64).collect())
+        .collect()
 }
 
 /// The leaf count of a `[B, L, N_ENTRY]` batch.
@@ -938,22 +1031,17 @@ impl SharedPredictor {
     ) -> PredictResult<Vec<Vec<f64>>> {
         let leaves = leaf_count_of(x)?;
         let batch = x.shape()[0];
-        let to_rows = |z: &[f32], d: usize| -> Vec<Vec<f64>> {
-            z.chunks(d)
-                .map(|row| row.iter().map(|&v| v as f64).collect())
-                .collect()
-        };
         if let Some(plan) = self.spec_plan_for(leaves, batch)? {
             let exec = runner.spec_exec_for(leaves, batch, plan);
             exec.run(&self.params, &[x, dev])?;
             let d = exec.output_shape(PLAN_OUT_LATENT)[1];
-            return Ok(to_rows(exec.output(PLAN_OUT_LATENT), d));
+            return Ok(latent_rows(exec.output(PLAN_OUT_LATENT), d));
         }
         let plan = self.plan_for(leaves)?;
         let exec = runner.exec_for(leaves, plan);
         exec.run(&self.params, &[x, dev])?;
         let d = exec.output_shape(PLAN_OUT_LATENT)[1];
-        Ok(to_rows(exec.output(PLAN_OUT_LATENT), d))
+        Ok(latent_rows(exec.output(PLAN_OUT_LATENT), d))
     }
 }
 

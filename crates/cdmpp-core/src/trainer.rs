@@ -1,31 +1,44 @@
 //! Pre-training (§5.2): Box-Cox label normalization + the scale-insensitive
 //! hybrid objective, minibatched over leaf-count-homogeneous batches.
 //!
-//! ## Data-parallel steps
+//! ## The compiled step
 //!
-//! [`pretrain`] runs every optimizer step through
-//! [`train_step_parallel`]: the minibatch is cut into fixed-size gradient
-//! shards (the shard partition depends on the batch alone, **never** on the
-//! thread count), each shard runs forward + backward on its own tape
-//! against the shared read-only parameters, and the shard gradients are
-//! combined by a fixed-order binary tree reduction. Because both the
-//! partition and the reduction order are thread-count-independent — and the
-//! GEMM kernels below keep per-element accumulation order fixed — seeded
-//! training produces **bit-identical weights for any
-//! [`TrainConfig::threads`] value** (asserted by
+//! [`pretrain`] runs every optimizer step through [`CompiledStep`]: the
+//! predictor's forward **and** backward are recorded once per leaf count
+//! ([`Predictor::train_plan_for`]) and replayed from one arena — no graph
+//! rebuilt per batch, no weight cloned, bias/activation epilogues and their
+//! backward fused, parameter gradients accumulated straight into the
+//! store. Only the loss head (a dozen nodes over the `[B, 1]` prediction)
+//! is still built on a tape, over a `constant` leaf holding the replayed
+//! prediction; its gradient seeds the backward replay.
+//!
+//! The step's arithmetic is the **sharded** one: the minibatch is cut into
+//! fixed 16-row gradient shards (a function of the batch alone), each
+//! shard's loss head is weighted `rows / n`, and the shard gradients are
+//! combined by a fixed-order binary tree. It runs on one thread — shard
+//! boundaries are only visible to the reductions that produce a parameter
+//! gradient, so everything else runs once at full batch (see
+//! `nn::train_plan`) — which makes seeded training **bit-identical for any
+//! [`TrainConfig::threads`] value** trivially (still asserted by
 //! `tests/parallel_determinism.rs`).
+//!
+//! [`train_step`] and [`train_step_parallel`] are the taped **oracles**:
+//! the one-graph step and the data-parallel step the compiled one must
+//! reproduce bit for bit (`tests/compiled_step_equivalence.rs`).
 
 use std::time::Instant;
 
 use dataset::Dataset;
 use learn::{accuracy_within, mape, rmse, FittedTransform, LabelTransform, TransformKind};
-use nn::{Adam, CyclicLr, Graph, LrSchedule, Optimizer, Sgd, Var};
+use nn::{Adam, CyclicLr, Graph, LrSchedule, Optimizer, Sgd, TrainExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::Tensor;
 
 use crate::batch::{encode_records, group_by_leaf, make_batches, Batch, EncodedSample, FeatScaler};
-use crate::predictor::{PredictResult, Predictor, PredictorConfig, SharedPredictor};
+use crate::predictor::{
+    PredictResult, Predictor, PredictorConfig, SharedPredictor, StepSeeds, PLAN_OUT_PRED,
+};
 
 /// Which training objective (Tables 4 & 5 ablation).
 pub use nn::LossKind;
@@ -64,10 +77,13 @@ pub struct TrainConfig {
     pub cyclic_lr: bool,
     /// Shuffle/init seed.
     pub seed: u64,
-    /// Worker threads for data-parallel gradient shards. `0` resolves via
-    /// the `PARALLEL_THREADS` environment variable, then available
-    /// parallelism. Any value yields bit-identical weights for a given
-    /// seed (see the module docs).
+    /// Kept for its contract: any value yields bit-identical weights for a
+    /// given seed. [`pretrain`] no longer reads it — the compiled step is
+    /// serial. Measured on the 2-vCPU reference host, the data-parallel
+    /// taped step ([`train_step_parallel`]) ran 1.32–1.58 ms at 2 threads
+    /// against 1.24–1.41 ms serial: waking a pool costs 50–60 µs, a whole
+    /// compiled step is under a millisecond, and 16-row shards make GEMMs
+    /// too small to share.
     pub threads: usize,
 }
 
@@ -388,6 +404,166 @@ pub fn train_step_parallel(
     total.loss
 }
 
+/// Replay state of the compiled training step: one [`TrainExec`] (arena +
+/// offsets) per `(leaf count, seeded outputs, domain)` actually trained,
+/// plus the seed buffers. Keep one per training loop; after the first
+/// step of a shape, a step allocates only its loss-head tape.
+#[derive(Default)]
+pub struct CompiledStep {
+    execs: StepExecs,
+    seed: Vec<f32>,
+    shard_loss: Vec<f64>,
+}
+
+/// The executors of a [`CompiledStep`], keyed `(leaf count, seeded
+/// outputs, domain)`.
+#[derive(Default)]
+pub(crate) struct StepExecs(Vec<((usize, StepSeeds, usize), TrainExec)>);
+
+impl StepExecs {
+    /// The executor for `leaves` under `seeds`. `domain` keeps two batches
+    /// of one leaf count (fine-tuning's source and target) in arenas of
+    /// their own, since both forwards are live until both backwards ran.
+    pub(crate) fn get(
+        &mut self,
+        predictor: &Predictor,
+        leaves: usize,
+        seeds: StepSeeds,
+        domain: usize,
+    ) -> PredictResult<&mut TrainExec> {
+        let plan = predictor.train_plan_for(leaves, seeds)?;
+        let key = (leaves, seeds, domain);
+        let i = match self.0.iter().position(|(k, _)| *k == key) {
+            // A stepper may outlive a model: an executor is only valid for
+            // the plan it was built from.
+            Some(i) if std::sync::Arc::ptr_eq(self.0[i].1.plan(), &plan) => i,
+            Some(i) => {
+                self.0[i].1 = TrainExec::new(plan);
+                i
+            }
+            None => {
+                self.0.push((key, TrainExec::new(plan)));
+                self.0.len() - 1
+            }
+        };
+        Ok(&mut self.0[i].1)
+    }
+}
+
+impl CompiledStep {
+    /// Creates an empty stepper.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// One optimization step, bit-identical to [`train_step_parallel`] on
+    /// any pool: 16-row gradient shards, `rows / n` loss weights, fixed
+    /// tree reduction — on one thread, from one arena.
+    pub fn step_sharded(
+        &mut self,
+        predictor: &mut Predictor,
+        opt: &mut dyn Optimizer,
+        batch: &Batch,
+        y_t: &[f32],
+        loss_kind: LossKind,
+        lambda: f32,
+    ) -> f64 {
+        self.regression_step(predictor, opt, batch, y_t, loss_kind, lambda, SHARD_ROWS)
+    }
+
+    /// One optimization step, bit-identical to [`train_step`]: the whole
+    /// batch is one shard.
+    pub fn step(
+        &mut self,
+        predictor: &mut Predictor,
+        opt: &mut dyn Optimizer,
+        batch: &Batch,
+        y_t: &[f32],
+        loss_kind: LossKind,
+        lambda: f32,
+    ) -> f64 {
+        self.regression_step(predictor, opt, batch, y_t, loss_kind, lambda, usize::MAX)
+    }
+
+    /// Returns the loss value, or NaN (without stepping) on malformed
+    /// input — the taped steps' contract.
+    #[allow(clippy::too_many_arguments)]
+    fn regression_step(
+        &mut self,
+        predictor: &mut Predictor,
+        opt: &mut dyn Optimizer,
+        batch: &Batch,
+        y_t: &[f32],
+        loss_kind: LossKind,
+        lambda: f32,
+        shard_rows: usize,
+    ) -> f64 {
+        let n = y_t.len();
+        if n == 0 || batch.x.shape().len() != 3 || n != batch.x.shape()[0] {
+            return f64::NAN;
+        }
+        let shard_rows = shard_rows.min(n);
+        predictor.store.zero_grad();
+        let inputs = [&batch.x, &batch.dev];
+        let Self {
+            execs,
+            seed,
+            shard_loss,
+        } = self;
+        let Ok(exec) = execs.get(predictor, batch.x.shape()[1], StepSeeds::Pred, 0) else {
+            return f64::NAN;
+        };
+        if exec.forward(&predictor.store, &inputs).is_err() {
+            return f64::NAN;
+        }
+        // One loss head per shard, over a constant leaf holding the shard's
+        // replayed predictions; its gradient is the shard's seed.
+        let pred = exec.output(PLAN_OUT_PRED);
+        seed.clear();
+        shard_loss.clear();
+        for r0 in (0..n).step_by(shard_rows) {
+            let r1 = (r0 + shard_rows).min(n);
+            let w = (r1 - r0) as f32 / n as f32;
+            let mut g = Graph::new();
+            let Ok(rows) = Tensor::from_vec(pred[r0..r1].to_vec(), &[r1 - r0, 1]) else {
+                return f64::NAN;
+            };
+            let leaf = g.constant(rows);
+            let Ok(loss) = build_loss(&mut g, leaf, &y_t[r0..r1], loss_kind, lambda) else {
+                return f64::NAN;
+            };
+            shard_loss.push(g.value(loss).item() as f64 * w as f64);
+            // As `run_shard`: backward from `w · loss` pre-weights every
+            // gradient; a lone shard (`w == 1`) skips the scale node.
+            let root = if w == 1.0 { loss } else { g.scale(loss, w) };
+            let ran = g.backward(root).is_ok();
+            match g.grad(leaf) {
+                Some(rows) if ran => seed.extend_from_slice(rows.data()),
+                _ => return f64::NAN,
+            }
+        }
+        let seeds = [seed.as_slice()];
+        if exec
+            .backward(&mut predictor.store, &inputs, &seeds, shard_rows)
+            .is_err()
+        {
+            return f64::NAN;
+        }
+        predictor.store.clip_grad_norm(5.0);
+        opt.step(&mut predictor.store);
+        // The shard losses add up in the gradients' tree order.
+        let losses = shard_loss;
+        let mut stride = 1;
+        while stride < losses.len() {
+            for i in (0..losses.len() - stride).step_by(2 * stride) {
+                losses[i] += losses[i + stride];
+            }
+            stride *= 2;
+        }
+        losses[0]
+    }
+}
+
 /// Pre-trains a predictor on `train_idx`, early-validating on `valid_idx`.
 pub fn pretrain(
     ds: &Dataset,
@@ -403,7 +579,13 @@ pub fn pretrain(
     scaler.apply_all(&mut train);
     let train_labels: Vec<f64> = train.iter().map(|s| s.y_raw).collect();
     let transform = tcfg.transform.fit(&train_labels);
-    let mut predictor = Predictor::new(pcfg);
+    let mut model = TrainedModel {
+        predictor: Predictor::new(pcfg),
+        transform,
+        scaler,
+        use_pe: tcfg.use_pe,
+        train_config: tcfg.clone(),
+    };
     let mut opt = make_optimizer(&tcfg);
     let schedule = CyclicLr {
         base_lr: tcfg.lr * 0.2,
@@ -411,67 +593,46 @@ pub fn pretrain(
         step_size: ((train.len() / tcfg.batch_size.max(1)).max(1) * 2) as u64,
     };
     let mut rng = StdRng::seed_from_u64(tcfg.seed);
-    let pool = parallel::ThreadPool::new(parallel::resolve_threads(tcfg.threads));
+    let mut stepper = CompiledStep::new();
     let start = Instant::now();
     let mut samples = 0usize;
     let mut step = 0u64;
     let mut final_loss = f64::NAN;
     let mut best_val = f64::INFINITY;
     let mut best_params: Option<nn::ParamStore> = None;
+    let mut y_t: Vec<f32> = Vec::new();
     for epoch in 0..tcfg.epochs {
         let batches = make_batches(&train, tcfg.batch_size, &mut rng);
         for b in &batches {
             if tcfg.cyclic_lr {
                 opt.set_lr(schedule.lr_at(step));
             }
-            let y_t: Vec<f32> = b
-                .y_raw
-                .iter()
-                .map(|&y| transform.forward(y) as f32)
-                .collect();
-            final_loss = train_step_parallel(
-                &mut predictor,
+            y_t.clear();
+            y_t.extend(b.y_raw.iter().map(|&y| model.transform.forward(y) as f32));
+            final_loss = stepper.step_sharded(
+                &mut model.predictor,
                 opt.as_mut(),
                 b,
                 &y_t,
                 tcfg.loss,
                 tcfg.lambda,
-                &pool,
             );
             samples += b.record_idx.len();
             step += 1;
         }
         // Keep the best-on-validation parameters (cheap early stopping).
         if !valid_idx.is_empty() && (epoch + 1) % 2 == 0 {
-            let model = TrainedModel {
-                predictor: Predictor::new(predictor.config().clone()),
-                transform: tcfg.transform.fit(&train_labels),
-                scaler: scaler.clone(),
-                use_pe: tcfg.use_pe,
-                train_config: tcfg.clone(),
-            };
-            // Evaluate with the live parameters (swap stores temporarily).
-            let mut probe = model;
-            std::mem::swap(&mut probe.predictor.store, &mut predictor.store);
-            let metrics = evaluate(&probe, ds, valid_idx);
-            std::mem::swap(&mut probe.predictor.store, &mut predictor.store);
+            let metrics = evaluate(&model, ds, valid_idx);
             if metrics.mape < best_val {
                 best_val = metrics.mape;
-                best_params = Some(predictor.store.clone());
+                best_params = Some(model.predictor.store.clone());
             }
         }
     }
     if let Some(p) = best_params {
-        predictor.store = p;
+        model.predictor.store = p;
     }
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let model = TrainedModel {
-        predictor,
-        transform,
-        scaler,
-        use_pe: tcfg.use_pe,
-        train_config: tcfg,
-    };
     let stats = TrainStats {
         throughput: samples as f64 / elapsed,
         samples,
@@ -503,8 +664,8 @@ impl TrainedModel {
         self.predict_grouped(enc, crate::batch::build_batch)
     }
 
-    /// Shared bucketing loop: group by leaf count, run each dense batch on
-    /// the forward-only executor, scatter back to input order. Batches
+    /// Shared bucketing loop: group by leaf count, replay each dense batch
+    /// through its compiled plan, scatter back to input order. Batches
     /// whose leaf count the predictor does not support come back as NaN
     /// (the serving engine in `runtime` surfaces the descriptive error
     /// instead).
@@ -514,10 +675,14 @@ impl TrainedModel {
         build: impl Fn(&[&EncodedSample]) -> Batch,
     ) -> Vec<f64> {
         let mut out = vec![0.0f64; enc.len()];
+        let mut runner = crate::PlanRunner::new();
         for (_, idxs) in group_by_leaf(enc) {
             let refs: Vec<&EncodedSample> = idxs.iter().map(|&i| &enc[i]).collect();
             let batch = build(&refs);
-            match self.predictor.predict_batch(batch.x, batch.dev) {
+            match self
+                .predictor
+                .predict_planned(&mut runner, &batch.x, &batch.dev)
+            {
                 Ok(preds) => {
                     for (&i, &p) in idxs.iter().zip(preds.iter()) {
                         out[i] = self.transform.inverse(p as f64).max(1e-12);
@@ -539,10 +704,14 @@ impl TrainedModel {
         let mut enc = encode_records(ds, idx, theta, self.use_pe);
         self.scaler.apply_all(&mut enc);
         let mut out = vec![Vec::new(); enc.len()];
+        let mut runner = crate::PlanRunner::new();
         for (_, idxs) in group_by_leaf(&enc) {
             let refs: Vec<&EncodedSample> = idxs.iter().map(|&i| &enc[i]).collect();
             let batch = crate::batch::build_batch(&refs);
-            if let Ok(zs) = self.predictor.latent_batch(batch.x, batch.dev) {
+            let zs = self
+                .predictor
+                .latent_planned(&mut runner, &batch.x, &batch.dev);
+            if let Ok(zs) = zs {
                 for (&i, z) in idxs.iter().zip(zs) {
                     out[i] = z;
                 }

@@ -16,6 +16,11 @@
 //!   plan all intermediates into one liveness-aliased arena, then replay
 //!   per batch with zero allocation and no dynamic dispatch. Still
 //!   bit-identical to the other two executors.
+//! * [`train_plan`] / [`TrainPlan`] / [`TrainExec`]: compiled training —
+//!   the backward pass derived from the same recording in the tape's own
+//!   order, forward + backward replayed from one arena, parameter
+//!   gradients accumulated into the store; bit-identical to a tape step,
+//!   data-parallel shard arithmetic included.
 //! * [`ParamStore`]: parameter + gradient storage shared across steps.
 //! * Layers: [`Linear`], [`LayerNorm`], [`MultiHeadAttention`],
 //!   [`TransformerEncoder`], [`Mlp`], [`LstmCell`].
@@ -29,9 +34,11 @@ pub mod init;
 mod kernels;
 pub mod layers;
 pub mod loss;
+mod memory;
 pub mod optim;
 pub mod plan;
 pub mod tape;
+pub mod train_plan;
 
 pub use cmd::{cmd, cmd_value, DEFAULT_MOMENTS, TANH_SUPPORT};
 pub use exec::{Exec, InferCtx};
@@ -46,3 +53,4 @@ pub use plan::{
     Plan, PlanError, PlanExec, PlanStats, Recorder, SpecExec, SpecializedPlan, WeightPackCache,
 };
 pub use tape::{Graph, ParamId, ParamStore, Var};
+pub use train_plan::{TrainExec, TrainPlan, TrainPlanStats};

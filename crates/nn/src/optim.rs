@@ -49,29 +49,35 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
+    /// One in-place pass per parameter; per element the expression is
+    /// `p -= wd·lr·p`, `v = μ·v + g`, `p += -lr·v`, in that order.
     fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<_> = store.ids().collect();
         if self.velocity.is_empty() && self.momentum != 0.0 {
-            self.velocity = ids
-                .iter()
-                .map(|&id| Tensor::zeros(store.value(id).shape()))
+            self.velocity = store
+                .ids()
+                .map(|id| Tensor::zeros(store.value(id).shape()))
                 .collect();
         }
-        for (i, &id) in ids.iter().enumerate() {
-            let g = store.grad(id).clone();
+        let (lr, momentum) = (self.lr, self.momentum);
+        let decay = self.weight_decay * self.lr;
+        for i in 0..store.len() {
+            let (value, grad) = store.value_and_grad_mut(i);
+            let ps = value.data_mut();
             if self.weight_decay != 0.0 {
-                let decay = store.value(id).scale(self.weight_decay * self.lr);
-                let v = store.value_mut(id);
-                let _ = v.axpy(-1.0, &decay);
+                for p in ps.iter_mut() {
+                    *p += -(*p * decay);
+                }
             }
-            if self.momentum != 0.0 {
-                let vel = &mut self.velocity[i];
-                *vel = vel.scale(self.momentum);
-                let _ = vel.add_assign(&g);
-                let step = vel.clone();
-                let _ = store.value_mut(id).axpy(-self.lr, &step);
+            if momentum != 0.0 {
+                let vel = self.velocity[i].data_mut();
+                for ((p, v), &g) in ps.iter_mut().zip(vel).zip(grad.data()) {
+                    *v = *v * momentum + g;
+                    *p += -lr * *v;
+                }
             } else {
-                let _ = store.value_mut(id).axpy(-self.lr, &g);
+                for (p, &g) in ps.iter_mut().zip(grad.data()) {
+                    *p += -lr * g;
+                }
             }
         }
     }
@@ -123,41 +129,43 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
+    /// One in-place pass per parameter. Per element, in this order:
+    /// `m = β₁·m + (1-β₁)·g`, `v = β₂·v + (1-β₂)·g²`,
+    /// `u = (m/bc₁) / (sqrt(v/bc₂) + ε)`, `p -= wd·lr·p`, `p += -lr·u` —
+    /// every product and sum rounded where the nine full-tensor passes
+    /// this replaces rounded it, so the update is bit-identical to them.
     fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<_> = store.ids().collect();
         if self.m.is_empty() {
-            self.m = ids
-                .iter()
-                .map(|&id| Tensor::zeros(store.value(id).shape()))
-                .collect();
-            self.v = ids
-                .iter()
-                .map(|&id| Tensor::zeros(store.value(id).shape()))
-                .collect();
+            let zeros = |store: &ParamStore| -> Vec<Tensor> {
+                store
+                    .ids()
+                    .map(|id| Tensor::zeros(store.value(id).shape()))
+                    .collect()
+            };
+            self.m = zeros(store);
+            self.v = zeros(store);
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, &id) in ids.iter().enumerate() {
-            let g = store.grad(id).clone();
-            let m = &mut self.m[i];
-            *m = m.scale(self.beta1);
-            let _ = m.axpy(1.0 - self.beta1, &g);
-            let v = &mut self.v[i];
-            *v = v.scale(self.beta2);
-            let g2 = g.map(|x| x * x);
-            let _ = v.axpy(1.0 - self.beta2, &g2);
-            let mhat = m.scale(1.0 / bc1);
-            let vhat = v.scale(1.0 / bc2);
-            let eps = self.eps;
-            let update = mhat
-                .zip(&vhat, "adam_update", |mi, vi| mi / (vi.sqrt() + eps))
-                .expect("optimizer state shapes match parameters");
-            if self.weight_decay != 0.0 {
-                let decay = store.value(id).scale(self.weight_decay * self.lr);
-                let _ = store.value_mut(id).axpy(-1.0, &decay);
+        let (inv_bc1, inv_bc2) = (
+            1.0 / (1.0 - self.beta1.powi(self.t as i32)),
+            1.0 / (1.0 - self.beta2.powi(self.t as i32)),
+        );
+        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
+        let decay = self.weight_decay * self.lr;
+        let decays = self.weight_decay != 0.0;
+        for i in 0..store.len() {
+            let (value, grad) = store.value_and_grad_mut(i);
+            let state = self.m[i].data_mut().iter_mut().zip(self.v[i].data_mut());
+            for ((p, &g), (m, v)) in value.data_mut().iter_mut().zip(grad.data()).zip(state) {
+                *m = *m * b1 + c1 * g;
+                *v = *v * b2 + c2 * (g * g);
+                let update = (*m * inv_bc1) / ((*v * inv_bc2).sqrt() + eps);
+                if decays {
+                    *p += -(*p * decay);
+                }
+                *p += -lr * update;
             }
-            let _ = store.value_mut(id).axpy(-self.lr, &update);
         }
     }
 
@@ -263,6 +271,147 @@ mod tests {
             opt.step(&mut store);
         }
         assert!(store.value(p).item() < 1.0);
+    }
+
+    /// The nine full-tensor passes per parameter `Adam::step` used to be —
+    /// kept here as the definition the fused pass must match bit for bit.
+    fn adam_nine_pass(
+        store: &mut ParamStore,
+        (m, v): (&mut [Tensor], &mut [Tensor]),
+        t: i32,
+        (lr, wd): (f32, f32),
+    ) {
+        let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
+        let bc1 = 1.0 - beta1.powi(t);
+        let bc2 = 1.0 - beta2.powi(t);
+        for (i, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
+            let g = store.grad(id).clone();
+            m[i] = m[i].scale(beta1);
+            m[i].axpy(1.0 - beta1, &g).unwrap();
+            v[i] = v[i].scale(beta2);
+            v[i].axpy(1.0 - beta2, &g.map(|x| x * x)).unwrap();
+            let mhat = m[i].scale(1.0 / bc1);
+            let vhat = v[i].scale(1.0 / bc2);
+            let update = mhat
+                .zip(&vhat, "adam_update", |mi, vi| mi / (vi.sqrt() + eps))
+                .unwrap();
+            if wd != 0.0 {
+                let decay = store.value(id).scale(wd * lr);
+                store.value_mut(id).axpy(-1.0, &decay).unwrap();
+            }
+            store.value_mut(id).axpy(-lr, &update).unwrap();
+        }
+    }
+
+    /// Likewise for SGD with momentum and decoupled decay.
+    fn sgd_full_pass(store: &mut ParamStore, vel: &mut [Tensor], lr: f32, mom: f32, wd: f32) {
+        for (i, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
+            let g = store.grad(id).clone();
+            if wd != 0.0 {
+                let decay = store.value(id).scale(wd * lr);
+                store.value_mut(id).axpy(-1.0, &decay).unwrap();
+            }
+            if mom != 0.0 {
+                vel[i] = vel[i].scale(mom);
+                vel[i].add_assign(&g).unwrap();
+                let step = vel[i].clone();
+                store.value_mut(id).axpy(-lr, &step).unwrap();
+            } else {
+                store.value_mut(id).axpy(-lr, &g).unwrap();
+            }
+        }
+    }
+
+    /// Values and gradients with the awkward cases in: signed zeros on
+    /// both sides, a parameter whose gradient stays all-zero under weight
+    /// decay (an unused `leaf_embed.*` layer), denormals, large values.
+    fn awkward_store(step: usize) -> ParamStore {
+        let mut store = ParamStore::new();
+        let w = store.add(
+            "w",
+            Tensor::from_fn(&[7, 5], |i| ((i as f32) * 0.37).sin() * 3.0),
+        );
+        let unused = store.add(
+            "leaf_embed.unused",
+            Tensor::from_vec(vec![0.5, -0.0, 0.0, -2.0e-39, 7.0e8], &[5]).unwrap(),
+        );
+        let _ = unused; // gradient stays zero
+        let gw = Tensor::from_fn(&[7, 5], |i| match (i + step) % 6 {
+            0 => -0.0,
+            1 => 0.0,
+            2 => 1.0e-41,
+            _ => ((i * (step + 1)) as f32 * 0.91).cos() * 10f32.powi((i % 7) as i32 - 3),
+        });
+        // Written raw: `add_to_grad` onto a zeroed slot would turn `-0.0`
+        // into `+0.0`.
+        store.values_and_grads_mut().1[w.index()] = gw;
+        store
+    }
+
+    fn assert_values_bit_equal(a: &ParamStore, b: &ParamStore, ctx: &str) {
+        for id in a.ids() {
+            let (x, y) = (a.value(id).data(), b.value(id).data());
+            assert!(
+                x.iter()
+                    .map(|v| v.to_bits())
+                    .eq(y.iter().map(|v| v.to_bits())),
+                "{ctx}: {} differs",
+                a.name(id)
+            );
+        }
+    }
+
+    #[test]
+    fn fused_adam_is_the_nine_pass_formula_bit_for_bit() {
+        for wd in [0.0f32, 1e-3] {
+            let mut fused = awkward_store(0);
+            let mut reference = fused.clone();
+            let mut opt = Adam::with_weight_decay(2e-3, wd);
+            let zeros = |s: &ParamStore| -> Vec<Tensor> {
+                s.ids()
+                    .map(|id| Tensor::zeros(s.value(id).shape()))
+                    .collect()
+            };
+            let (mut m, mut v) = (zeros(&reference), zeros(&reference));
+            for step in 0..6 {
+                let lr = 2e-3 * (1.0 + step as f32 * 0.25);
+                // Fresh gradients each step, same on both sides.
+                for s in [&mut fused, &mut reference] {
+                    let fresh = awkward_store(step);
+                    for id in fresh.ids() {
+                        s.values_and_grads_mut().1[id.index()] = fresh.grad(id).clone();
+                    }
+                }
+                opt.set_lr(lr);
+                opt.step(&mut fused);
+                adam_nine_pass(&mut reference, (&mut m, &mut v), step as i32 + 1, (lr, wd));
+                assert_values_bit_equal(&fused, &reference, &format!("wd={wd} step={step}"));
+            }
+        }
+    }
+
+    #[test]
+    fn fused_sgd_is_the_full_pass_formula_bit_for_bit() {
+        for (mom, wd) in [(0.9f32, 1e-3f32), (0.0, 1e-3), (0.9, 0.0), (0.0, 0.0)] {
+            let mut fused = awkward_store(0);
+            let mut reference = fused.clone();
+            let mut opt = Sgd::with_momentum(1e-2, mom, wd);
+            let mut vel: Vec<Tensor> = reference
+                .ids()
+                .map(|id| Tensor::zeros(reference.value(id).shape()))
+                .collect();
+            for step in 0..6 {
+                for s in [&mut fused, &mut reference] {
+                    let fresh = awkward_store(step);
+                    for id in fresh.ids() {
+                        s.values_and_grads_mut().1[id.index()] = fresh.grad(id).clone();
+                    }
+                }
+                opt.step(&mut fused);
+                sgd_full_pass(&mut reference, &mut vel, 1e-2, mom, wd);
+                assert_values_bit_equal(&fused, &reference, &format!("mom={mom} wd={wd}"));
+            }
+        }
     }
 
     #[test]

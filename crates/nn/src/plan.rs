@@ -45,6 +45,7 @@ use std::sync::Arc;
 
 use crate::exec::Exec;
 use crate::kernels;
+use crate::memory::{assign_slots, Def, Slots};
 use crate::tape::{ParamId, ParamStore, Var};
 use tensor::{Activation, Result as TensorResult, Tensor, TensorError};
 
@@ -145,7 +146,7 @@ fn apply_chain(ops: &[MapOp], mut v: f32) -> f32 {
 
 /// Element-wise binary kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ZipKind {
+pub(crate) enum ZipKind {
     Add,
     Sub,
     Mul,
@@ -164,7 +165,7 @@ impl ZipKind {
 
 /// Broadcast-row binary kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowKind {
+pub(crate) enum RowKind {
     Add,
     Sub,
 }
@@ -181,7 +182,7 @@ impl RowKind {
 
 /// A recorded op (the pre-lowering program).
 #[derive(Debug, Clone, PartialEq)]
-enum ROp {
+pub(crate) enum ROp {
     Input(usize),
     Param(ParamId),
     Map {
@@ -240,7 +241,7 @@ enum ROp {
 
 impl ROp {
     /// Node indices this op reads.
-    fn inputs(&self) -> Vec<usize> {
+    pub(crate) fn inputs(&self) -> Vec<usize> {
         match self {
             ROp::Input(_) | ROp::Param(_) => Vec::new(),
             ROp::Map { x, .. }
@@ -481,9 +482,80 @@ impl Exec for Recorder<'_> {
     }
 }
 
+/// The dual-probe recording every compiler starts from: the model's
+/// `forward` run at two batch sizes, verified to be one op stream. Its raw
+/// (pre-CSE) ops are, one to one, the nodes a [`crate::Graph`] would hold
+/// — so [`crate::train_plan`] can derive a backward in the tape's order.
+pub(crate) struct Recording<'p> {
+    r0: Recorder<'p>,
+    r1: Recorder<'p>,
+    /// The nodes `build` returned, as raw op indices.
+    pub(crate) outputs: Vec<usize>,
+}
+
+impl<'p> Recording<'p> {
+    const B0: usize = 2;
+    const B1: usize = 3;
+
+    pub(crate) fn probe<F>(params: &'p ParamStore, mut build: F) -> Result<Self, PlanError>
+    where
+        F: FnMut(&mut Recorder<'_>, usize) -> Result<Vec<Var>, PlanError>,
+    {
+        let mut r0 = Recorder::new(params);
+        let out0 = build(&mut r0, Self::B0)?;
+        let mut r1 = Recorder::new(params);
+        let out1 = build(&mut r1, Self::B1)?;
+        if r0.ops != r1.ops {
+            return Err(PlanError::NonUniform(
+                "op stream changed with batch size".into(),
+            ));
+        }
+        if out0.iter().map(|v| v.0).ne(out1.iter().map(|v| v.0)) {
+            return Err(PlanError::NonUniform(
+                "output nodes changed with batch size".into(),
+            ));
+        }
+        let outputs = out0.iter().map(|v| v.0).collect();
+        Ok(Recording { r0, r1, outputs })
+    }
+
+    /// The raw recorded ops.
+    pub(crate) fn ops(&self) -> &[ROp] {
+        &self.r0.ops
+    }
+
+    /// Raw node `i`'s shape folded into `c` / `c·B` form.
+    pub(crate) fn dims(&self, i: usize) -> Result<Vec<Dim>, PlanError> {
+        derive_dims(self.r0.shape_of(i), self.r1.shape_of(i), Self::B0, Self::B1)
+    }
+
+    /// CSE, fusion and memory planning, with the raw nodes `outputs`
+    /// readable after a run (in that order).
+    pub(crate) fn lower(&self, outputs: &[usize]) -> Result<Plan, PlanError> {
+        // CSE before shape derivation and lowering: the memory planner and
+        // the fusion passes then see each distinct value exactly once.
+        let (ops, origin, outputs, deduped) = cse(
+            &self.r0.ops,
+            outputs,
+            |i| self.r0.shape_of(i),
+            |i| self.r1.shape_of(i),
+        );
+        let shapes: Vec<Vec<Dim>> = origin
+            .iter()
+            .map(|&i| self.dims(i))
+            .collect::<Result<_, _>>()?;
+        let base = PlanStats {
+            recorded_ops: self.r0.ops.len(),
+            cse_deduped: deduped,
+            ..PlanStats::default()
+        };
+        lower(&ops, &shapes, self.r0.n_inputs, &outputs, base)
+    }
+}
+
 /// A symbolic dimension: constant, or linear in the batch size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dim {
+pub(crate) enum Dim {
     Fixed(usize),
     /// `c * B`.
     PerBatch(usize),
@@ -491,7 +563,7 @@ enum Dim {
 
 impl Dim {
     #[inline(always)]
-    fn at(self, b: usize) -> usize {
+    pub(crate) fn at(self, b: usize) -> usize {
         match self {
             Dim::Fixed(n) => n,
             Dim::PerBatch(c) => c * b,
@@ -501,23 +573,23 @@ impl Dim {
 
 /// A symbolic element count: `coef * B + fixed` (one of the two is zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Size {
-    coef: usize,
-    fixed: usize,
+pub(crate) struct Size {
+    pub(crate) coef: usize,
+    pub(crate) fixed: usize,
 }
 
 impl Size {
     #[inline(always)]
-    fn at(&self, b: usize) -> usize {
+    pub(crate) fn at(&self, b: usize) -> usize {
         self.coef * b + self.fixed
     }
 
     /// Whether a buffer of this size can hold `need` for every batch size.
-    fn fits(&self, need: &Size) -> bool {
+    pub(crate) fn fits(&self, need: &Size) -> bool {
         self.coef >= need.coef && self.fixed >= need.fixed
     }
 
-    fn grow_to(&mut self, need: &Size) {
+    pub(crate) fn grow_to(&mut self, need: &Size) {
         self.coef = self.coef.max(need.coef);
         self.fixed = self.fixed.max(need.fixed);
     }
@@ -569,7 +641,7 @@ fn prod_dims(dims: &[Dim]) -> Result<Dim, PlanError> {
     })
 }
 
-fn size_of(dims: &[Dim]) -> Result<Size, PlanError> {
+pub(crate) fn size_of(dims: &[Dim]) -> Result<Size, PlanError> {
     Ok(match prod_dims(dims)? {
         Dim::Fixed(n) => Size { coef: 0, fixed: n },
         Dim::PerBatch(c) => Size { coef: c, fixed: 0 },
@@ -578,7 +650,7 @@ fn size_of(dims: &[Dim]) -> Result<Size, PlanError> {
 
 /// Where a lowered step reads from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Src {
+pub(crate) enum Src {
     /// An arena buffer.
     Buf(usize),
     /// A parameter tensor (borrowed from the store at replay).
@@ -589,7 +661,7 @@ enum Src {
 
 /// One lowered instruction.
 #[derive(Debug, Clone)]
-struct Step {
+pub(crate) struct Step {
     kind: StepKind,
     out: usize,
 }
@@ -741,9 +813,9 @@ impl StepKind {
 
 /// An arena buffer: symbolic size plus its assigned slot.
 #[derive(Debug, Clone, Copy)]
-struct Buf {
-    size: Size,
-    slot: usize,
+pub(crate) struct Buf {
+    pub(crate) size: Size,
+    pub(crate) slot: usize,
 }
 
 /// Optimization counters from lowering — used by tests to assert fusions
@@ -782,11 +854,11 @@ pub struct PlanStats {
 /// immutable and cheap to share via `Arc`).
 #[derive(Debug)]
 pub struct Plan {
-    steps: Vec<Step>,
-    bufs: Vec<Buf>,
-    slot_sizes: Vec<Size>,
-    inputs: Vec<Vec<Dim>>,
-    outputs: Vec<(Src, Vec<Dim>)>,
+    pub(crate) steps: Vec<Step>,
+    pub(crate) bufs: Vec<Buf>,
+    pub(crate) slot_sizes: Vec<Size>,
+    pub(crate) inputs: Vec<Vec<Dim>>,
+    pub(crate) outputs: Vec<(Src, Vec<Dim>)>,
     stats: PlanStats,
 }
 
@@ -797,45 +869,12 @@ impl Plan {
     /// (every `Exec::constant` becomes a positional plan input) and return
     /// the output nodes, whose values [`PlanExec::output`] exposes in the
     /// same order.
-    pub fn compile<F>(params: &ParamStore, mut build: F) -> Result<Plan, PlanError>
+    pub fn compile<F>(params: &ParamStore, build: F) -> Result<Plan, PlanError>
     where
         F: FnMut(&mut Recorder<'_>, usize) -> Result<Vec<Var>, PlanError>,
     {
-        const B0: usize = 2;
-        const B1: usize = 3;
-        let mut r0 = Recorder::new(params);
-        let out0 = build(&mut r0, B0)?;
-        let mut r1 = Recorder::new(params);
-        let out1 = build(&mut r1, B1)?;
-        if r0.ops != r1.ops {
-            return Err(PlanError::NonUniform(
-                "op stream changed with batch size".into(),
-            ));
-        }
-        if out0.iter().map(|v| v.0).ne(out1.iter().map(|v| v.0)) {
-            return Err(PlanError::NonUniform(
-                "output nodes changed with batch size".into(),
-            ));
-        }
-        // CSE before shape derivation and lowering: the memory planner and
-        // the fusion passes then see each distinct value exactly once.
-        let raw_outputs: Vec<usize> = out0.iter().map(|v| v.0).collect();
-        let (ops, origin, outputs, deduped) = cse(
-            &r0.ops,
-            &raw_outputs,
-            |i| r0.shape_of(i),
-            |i| r1.shape_of(i),
-        );
-        let shapes: Vec<Vec<Dim>> = origin
-            .iter()
-            .map(|&i| derive_dims(r0.shape_of(i), r1.shape_of(i), B0, B1))
-            .collect::<Result<_, _>>()?;
-        let base = PlanStats {
-            recorded_ops: r0.ops.len(),
-            cse_deduped: deduped,
-            ..PlanStats::default()
-        };
-        lower(&ops, &shapes, r0.n_inputs, &outputs, base)
+        let rec = Recording::probe(params, build)?;
+        rec.lower(&rec.outputs)
     }
 
     /// Optimization counters.
@@ -1390,10 +1429,7 @@ fn lower(
     plan_memory(steps, bufs, input_shapes, outputs, stats)
 }
 
-/// Liveness analysis + slot assignment: walk the steps in order, free each
-/// buffer's slot after its last read, and give every new buffer the
-/// best-fitting free slot — or the dying input's slot itself for
-/// element-wise steps, which then run in place.
+/// Liveness analysis; slot assignment is [`assign_slots`]'s.
 fn plan_memory(
     mut steps: Vec<Step>,
     mut bufs: Vec<Buf>,
@@ -1417,69 +1453,33 @@ fn plan_memory(
         }
     }
 
-    let mut slot_sizes: Vec<Size> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut released = vec![false; bufs.len()];
-    for (si, step) in steps.iter().enumerate() {
-        // Release buffers whose last read is strictly behind us.
-        for b in 0..bufs.len() {
-            if !released[b] && def_step[b] < si && last_use[b] < si {
-                released[b] = true;
-                free.push(bufs[b].slot);
-            }
-        }
-        let out = step.out;
-        let need = bufs[out].size;
-        // In-place: an element-wise step whose input dies at this very step
-        // writes straight over it (each element is read before it is
-        // written, or the op is row-local like softmax / layer norm).
-        let mut chosen: Option<usize> = None;
-        for cand in step.kind.inplace_candidates() {
-            if let Src::Buf(cb) = cand {
-                if last_use[cb] == si && !released[cb] && bufs[cb].size == need {
-                    released[cb] = true; // slot ownership moves to `out`
-                    chosen = Some(bufs[cb].slot);
-                    stats.inplace_steps += 1;
-                    break;
-                }
-            }
-        }
-        let slot = match chosen {
-            Some(s) => s,
-            None => {
-                // Best fit: the smallest free slot that already holds the
-                // size; otherwise grow the largest free slot; otherwise a
-                // fresh slot.
-                let fit = free
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &s)| slot_sizes[s].fits(&need))
-                    .min_by_key(|(_, &s)| (slot_sizes[s].coef, slot_sizes[s].fixed))
-                    .map(|(pos, _)| pos);
-                let pos = fit.or_else(|| {
-                    free.iter()
-                        .enumerate()
-                        .max_by_key(|(_, &s)| (slot_sizes[s].coef, slot_sizes[s].fixed))
-                        .map(|(pos, _)| pos)
-                });
-                match pos {
-                    Some(pos) => {
-                        let s = free.swap_remove(pos);
-                        slot_sizes[s].grow_to(&need);
-                        s
-                    }
-                    None => {
-                        slot_sizes.push(need);
-                        slot_sizes.len() - 1
-                    }
-                }
-            }
-        };
-        bufs[out].slot = slot;
+    let sizes: Vec<Size> = bufs.iter().map(|b| b.size).collect();
+    let defs: Vec<Def> = steps
+        .iter()
+        .enumerate()
+        .map(|(si, step)| Def {
+            step: si,
+            out: step.out,
+            inplace: step
+                .kind
+                .inplace_candidates()
+                .into_iter()
+                .filter_map(|c| match c {
+                    Src::Buf(b) => Some(b),
+                    _ => None,
+                })
+                .collect(),
+        })
+        .collect();
+    let Slots {
+        slot_of,
+        slot_sizes,
+        inplace_steps,
+    } = assign_slots(&sizes, &def_step, &last_use, &defs);
+    for (buf, slot) in bufs.iter_mut().zip(slot_of) {
+        buf.slot = slot;
     }
-
-    // Sanity: every buffer got a slot.
-    debug_assert!(bufs.iter().all(|b| b.slot != usize::MAX));
+    stats.inplace_steps += inplace_steps;
 
     stats.steps = steps.len();
     stats.buffers = bufs.len();
@@ -1505,7 +1505,7 @@ fn plan_memory(
 }
 
 /// Infers the batch size from concrete inputs and validates every dim.
-fn infer_batch(sym: &[Vec<Dim>], inputs: &[&Tensor]) -> Result<usize, PlanError> {
+pub(crate) fn infer_batch(sym: &[Vec<Dim>], inputs: &[&Tensor]) -> Result<usize, PlanError> {
     if sym.len() != inputs.len() {
         return Err(PlanError::Input(format!(
             "expected {} inputs, got {}",
@@ -1654,14 +1654,14 @@ impl PlanExec {
 
 /// Per-run execution context: raw arena access with explicit disjointness
 /// checks.
-struct RunCtx<'r> {
-    plan: &'r Plan,
-    offsets: &'r [usize],
-    b: usize,
-    params: &'r ParamStore,
-    inputs: &'r [&'r Tensor],
-    arena: *mut f32,
-    arena_len: usize,
+pub(crate) struct RunCtx<'r> {
+    pub(crate) plan: &'r Plan,
+    pub(crate) offsets: &'r [usize],
+    pub(crate) b: usize,
+    pub(crate) params: &'r ParamStore,
+    pub(crate) inputs: &'r [&'r Tensor],
+    pub(crate) arena: *mut f32,
+    pub(crate) arena_len: usize,
 }
 
 impl<'r> RunCtx<'r> {
@@ -1722,7 +1722,7 @@ impl<'r> RunCtx<'r> {
         (!self.aliases_out(src, out)).then(|| self.read(src))
     }
 
-    fn exec(&self, step: &Step) -> Result<(), PlanError> {
+    pub(crate) fn exec(&self, step: &Step) -> Result<(), PlanError> {
         let out = step.out;
         match &step.kind {
             StepKind::Gemm {

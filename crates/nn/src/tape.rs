@@ -194,11 +194,23 @@ impl ParamStore {
         self
     }
 
-    /// Zeroes all accumulated gradients.
+    /// Zeroes all accumulated gradients (in place).
     pub fn zero_grad(&mut self) {
         for g in &mut self.grads {
-            *g = Tensor::zeros(g.shape());
+            g.data_mut().fill(0.0);
         }
+    }
+
+    /// One parameter's value (mutable) next to its gradient — what an
+    /// in-place optimizer pass reads and writes per element.
+    pub(crate) fn value_and_grad_mut(&mut self, i: usize) -> (&mut Tensor, &Tensor) {
+        (&mut self.values[i], &self.grads[i])
+    }
+
+    /// All values (read) next to all gradients (write): the compiled
+    /// backward reads weights while accumulating into the gradients.
+    pub(crate) fn values_and_grads_mut(&mut self) -> (&[Tensor], &mut [Tensor]) {
+        (&self.values, &mut self.grads)
     }
 
     pub(crate) fn accumulate(&mut self, id: ParamId, g: &Tensor) -> Result<()> {
@@ -229,7 +241,9 @@ impl ParamStore {
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
             for g in &mut self.grads {
-                *g = g.scale(s);
+                for x in g.data_mut() {
+                    *x *= s;
+                }
             }
         }
     }

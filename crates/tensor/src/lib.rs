@@ -25,8 +25,9 @@ pub use gemm::{
 #[doc(hidden)]
 pub use gemm::{gemm_would_split, PAR_MULADDS, TINY_MULADDS};
 pub use ops::{
-    bmm, bmm_acc_into, bmm_ep_slices, bmm_into, bmm_slices, gemm_ep_slices, gemm_prepacked,
-    gemm_prepacked_quant, matmul, matmul_acc_into, matmul_into, matmul_t_acc_into, matmul_t_into,
+    bmm, bmm_acc_into, bmm_acc_slices, bmm_ep_slices, bmm_into, bmm_slices, gemm_ep_slices,
+    gemm_prepacked, gemm_prepacked_quant, gemm_t_slices, matmul, matmul_acc_into, matmul_into,
+    matmul_t_acc_into, matmul_t_into,
 };
 #[doc(hidden)]
 pub use ops::{gemm_slices_with_tier, matmul_into_with_pool};

@@ -116,23 +116,7 @@ pub fn matmul_t_acc_into(
     out: &mut [f32],
 ) -> Result<[usize; 2]> {
     let [m, k, n] = check_mm(a, ta, b, tb)?;
-    if out.len() != m * n {
-        return Err(TensorError::BadShape {
-            op: "matmul_acc",
-            shape: vec![m, n],
-            len: out.len(),
-        });
-    }
-    gemm(
-        m,
-        n,
-        k,
-        MatRef::dense_t(a.data(), a.shape()[1], ta),
-        MatRef::dense_t(b.data(), b.shape()[1], tb),
-        out,
-        true,
-        Epilogue::NONE,
-    );
+    gemm_t_slices(m, k, n, a.data(), ta, b.data(), tb, true, out)?;
     Ok([m, n])
 }
 
@@ -147,17 +131,54 @@ pub fn matmul_t_into(
 ) -> Result<[usize; 2]> {
     let [m, k, n] = check_mm(a, ta, b, tb)?;
     ensure_len(out, m * n);
+    gemm_t_slices(m, k, n, a.data(), ta, b.data(), tb, false, out)?;
+    Ok([m, n])
+}
+
+/// The slice-level core of [`matmul_t_into`] (`acc == false`, `out` fully
+/// overwritten) and [`matmul_t_acc_into`] (`acc == true`, `out += ...`):
+/// `a` is stored `[m, k]` row-major (`[k, m]` when `ta`), `b` is `[k, n]`
+/// (`[n, k]` when `tb`), `out` holds exactly `m * n` elements. The compiled
+/// training step calls this on arena slices; because the tensor-level
+/// wrappers route through it too, a backward GEMM is the same kernel call
+/// — same path selection, same accumulate semantics — on either side.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_t_slices(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    ta: bool,
+    b: &[f32],
+    tb: bool,
+    acc: bool,
+    out: &mut [f32],
+) -> Result<()> {
+    if a.len() != m * k || b.len() != k * n {
+        return Err(TensorError::ShapeMismatch {
+            op: "gemm_t",
+            lhs: vec![m, k, a.len()],
+            rhs: vec![k, n, b.len()],
+        });
+    }
+    if out.len() != m * n {
+        return Err(TensorError::BadShape {
+            op: if acc { "matmul_acc" } else { "gemm_t" },
+            shape: vec![m, n],
+            len: out.len(),
+        });
+    }
     gemm(
         m,
         n,
         k,
-        MatRef::dense_t(a.data(), a.shape()[1], ta),
-        MatRef::dense_t(b.data(), b.shape()[1], tb),
+        MatRef::dense_t(a, if ta { m } else { k }, ta),
+        MatRef::dense_t(b, if tb { k } else { n }, tb),
         out,
-        false,
+        acc,
         Epilogue::NONE,
     );
-    Ok([m, n])
+    Ok(())
 }
 
 /// Batched matrix product over the leading axis, with optional transposes.
@@ -571,6 +592,39 @@ pub fn bmm_ep_slices(
         });
     }
     bmm_core(batch, m, k, n, a, ta, b, tb, out, false, scale);
+    Ok(())
+}
+
+/// `out += bmm(a, b)` over raw slices — the slice-level twin of
+/// [`bmm_acc_into`] (same per-batch kernel calls), for the compiled
+/// training step's accumulating attention gradients.
+#[allow(clippy::too_many_arguments)]
+pub fn bmm_acc_slices(
+    batch: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    ta: bool,
+    b: &[f32],
+    tb: bool,
+    out: &mut [f32],
+) -> Result<()> {
+    if a.len() != batch * m * k || b.len() != batch * k * n {
+        return Err(TensorError::ShapeMismatch {
+            op: "bmm_acc",
+            lhs: vec![batch, m, k, a.len()],
+            rhs: vec![batch, k, n, b.len()],
+        });
+    }
+    if out.len() != batch * m * n {
+        return Err(TensorError::BadShape {
+            op: "bmm_acc",
+            shape: vec![batch, m, n],
+            len: out.len(),
+        });
+    }
+    bmm_core(batch, m, k, n, a, ta, b, tb, out, true, None);
     Ok(())
 }
 
