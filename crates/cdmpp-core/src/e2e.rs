@@ -1,20 +1,20 @@
 //! End-to-end model latency prediction: network → tensor programs →
 //! per-program cost-model predictions → Algorithm-2 replay.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 use devsim::{DeviceSpec, Simulator};
 use features::{
-    device_features, extract_compact_ast, extract_compact_ast_into_cached, CompactAst, Log1pTable,
-    PeTable, N_DEVICE_FEATURES, N_ENTRY,
+    device_features, extract_compact_ast_into, extract_compact_ast_into_cached, CompactAst,
+    Log1pTable, PeTable, N_DEVICE_FEATURES, N_ENTRY,
 };
 use parallel::ThreadPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tir::{build_tasks, lower, sample_schedule, Network, TensorProgram};
+use tir::{lower, sample_schedule, task_indices, Network, TensorProgram};
 
 use crate::batch::{EncodedSample, SampleRef};
-use crate::replayer::{build_dfg, engine_count, replay};
+use crate::replayer::{dfg_shape, engine_count, set_layer_durations, simulate, Successors};
 use crate::trainer::TrainedModel;
 
 /// Outcome of an end-to-end prediction against the simulated ground truth.
@@ -33,6 +33,14 @@ impl E2eResult {
     }
 }
 
+thread_local! {
+    /// This thread's positional-encoding rows for [`encode_programs`]: a
+    /// pure-function memo (28 `powf` + 56 `sin`/`cos` per row otherwise),
+    /// filled once per thread up to the largest ordering value seen
+    /// (224 bytes a row, a few dozen rows) and dropped on a Θ change.
+    static PE_ROWS: RefCell<PeTable> = RefCell::new(PeTable::new());
+}
+
 /// Encodes standalone tensor programs (not dataset records) for inference.
 pub fn encode_programs(
     programs: &[&TensorProgram],
@@ -41,25 +49,29 @@ pub fn encode_programs(
     use_pe: bool,
 ) -> Vec<EncodedSample> {
     let dev_feats: [f32; N_DEVICE_FEATURES] = device_features(dev);
-    programs
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let ast = extract_compact_ast(p);
-            let x = if use_pe {
-                ast.encoded_flat(theta)
-            } else {
-                ast.flat()
-            };
-            EncodedSample {
-                record_idx: i,
-                leaf_count: ast.n_leaves(),
-                x,
-                dev: dev_feats,
-                y_raw: 0.0,
-            }
-        })
-        .collect()
+    let mut ast = CompactAst::default();
+    PE_ROWS.with_borrow_mut(|pe| {
+        programs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                extract_compact_ast_into(p, &mut ast);
+                let mut x = vec![0.0; ast.n_leaves() * N_ENTRY];
+                if use_pe {
+                    ast.encoded_flat_into_cached(theta, pe, &mut x);
+                } else {
+                    ast.flat_into(&mut x);
+                }
+                EncodedSample {
+                    record_idx: i,
+                    leaf_count: ast.n_leaves(),
+                    x,
+                    dev: dev_feats,
+                    y_raw: 0.0,
+                }
+            })
+            .collect()
+    })
 }
 
 /// Pooled output of batch feature encoding: one flat `f32` slab holding
@@ -260,11 +272,11 @@ pub fn encode_programs_into(
 /// Per-task program selection for a network: one randomly sampled schedule
 /// per task (§7.2's end-to-end protocol), seeded deterministically.
 pub fn sample_network_programs(net: &Network, seed: u64) -> (Vec<u32>, Vec<TensorProgram>) {
-    let tasks = build_tasks(std::slice::from_ref(net));
+    let (_, tasks) = task_indices(net.layers.iter().map(|l| &l.spec));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut programs = Vec::with_capacity(tasks.len());
-    for t in &tasks {
-        let nest = t.spec.canonical_nest();
+    for spec in &tasks {
+        let nest = spec.canonical_nest();
         let mut prog = None;
         for _ in 0..10 {
             let s = sample_schedule(&nest, &mut rng);
@@ -279,7 +291,7 @@ pub fn sample_network_programs(net: &Network, seed: u64) -> (Vec<u32>, Vec<Tenso
             }),
         );
     }
-    (tasks.iter().map(|t| t.id).collect(), programs)
+    ((0..tasks.len() as u32).collect(), programs)
 }
 
 /// Predicts the end-to-end latency of `net` on `dev` with the cost model,
@@ -320,7 +332,8 @@ pub fn end_to_end_frozen(
 /// [`end_to_end`] and the `runtime` crate's engine-served variant.
 ///
 /// `task_ids[i]` identifies the task whose sampled program is
-/// `programs[i]` with predicted latency `predicted[i]` (seconds).
+/// `programs[i]` with predicted latency `predicted[i]` (seconds). A
+/// non-finite prediction makes `predicted_s` NaN.
 pub fn replay_predictions(
     net: &Network,
     dev: &DeviceSpec,
@@ -328,23 +341,11 @@ pub fn replay_predictions(
     programs: &[TensorProgram],
     predicted: &[f64],
 ) -> E2eResult {
-    // Ground truth durations from the simulator (deterministic).
-    let sim = Simulator::new(dev.clone());
-    let measured: Vec<f64> = programs.iter().map(|p| sim.latency_seconds(p)).collect();
-    // Map layer -> task duration.
-    let tasks = build_tasks(std::slice::from_ref(net));
-    let layer_ids = tir::layer_task_ids(net, &tasks);
-    let dur_of = |durs: &[f64]| -> Vec<f64> {
-        let by_task: HashMap<u32, f64> =
-            task_ids.iter().copied().zip(durs.iter().copied()).collect();
-        layer_ids.iter().map(|id| by_task[id]).collect()
-    };
-    let engines = engine_count(dev);
-    let pred_dfg = build_dfg(net, &dur_of(predicted), dev);
-    let meas_dfg = build_dfg(net, &dur_of(&measured), dev);
+    let [predicted_s, measured_s] =
+        replay_tasks(net, dev, task_ids, [predicted, &measure(dev, programs)]);
     E2eResult {
-        predicted_s: replay(&pred_dfg, engines),
-        measured_s: replay(&meas_dfg, engines),
+        predicted_s,
+        measured_s,
     }
 }
 
@@ -352,18 +353,37 @@ pub fn replay_predictions(
 /// device-selection examples.
 pub fn measured_end_to_end(net: &Network, dev: &DeviceSpec, seed: u64) -> f64 {
     let (task_ids, programs) = sample_network_programs(net, seed);
+    let [measured_s] = replay_tasks(net, dev, &task_ids, [&measure(dev, &programs)]);
+    measured_s
+}
+
+/// Ground-truth durations from the simulator (deterministic).
+fn measure(dev: &DeviceSpec, programs: &[TensorProgram]) -> Vec<f64> {
     let sim = Simulator::new(dev.clone());
-    let measured: Vec<f64> = programs.iter().map(|p| sim.latency_seconds(p)).collect();
-    let tasks = build_tasks(std::slice::from_ref(net));
-    let layer_ids = tir::layer_task_ids(net, &tasks);
-    let by_task: HashMap<u32, f64> = task_ids
-        .iter()
-        .copied()
-        .zip(measured.iter().copied())
-        .collect();
-    let durations: Vec<f64> = layer_ids.iter().map(|id| by_task[id]).collect();
-    let dfg = build_dfg(net, &durations, dev);
-    replay(&dfg, engine_count(dev))
+    programs.iter().map(|p| sim.latency_seconds(p)).collect()
+}
+
+/// Per-task values → layer durations → Algorithm 2, once per value set:
+/// the DFG and its successor lists are built once and every set replays
+/// over them. `per_task[k][i]` belongs to task `task_ids[i]`.
+fn replay_tasks<const N: usize>(
+    net: &Network,
+    dev: &DeviceSpec,
+    task_ids: &[u32],
+    per_task: [&[f64]; N],
+) -> [f64; N] {
+    let (layer_task, _) = task_indices(net.layers.iter().map(|l| &l.spec));
+    let mut by_task = vec![0.0; task_ids.len()];
+    let (mut dfg, first) = dfg_shape(net, dev);
+    let edges = Successors::new(&dfg);
+    per_task.map(|values| {
+        for (&task, &v) in task_ids.iter().zip(values) {
+            by_task[task as usize] = v;
+        }
+        let durations: Vec<f64> = layer_task.iter().map(|&t| by_task[t as usize]).collect();
+        set_layer_durations(&mut dfg, &first, &durations);
+        simulate(&dfg, &edges, engine_count(dev), None)
+    })
 }
 
 #[cfg(test)]
@@ -420,7 +440,7 @@ mod tests {
         let net = zoo::bert_tiny(1);
         let (ids, programs) = sample_network_programs(&net, 1);
         assert_eq!(ids.len(), programs.len());
-        let tasks = build_tasks(std::slice::from_ref(&net));
+        let tasks = tir::build_tasks(std::slice::from_ref(&net));
         assert_eq!(ids.len(), tasks.len());
     }
 

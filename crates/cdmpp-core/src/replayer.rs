@@ -6,8 +6,13 @@
 //! execution over one or more device queues (engines) and reports the
 //! completion time of the last node. On the HL-100, GEMM-class nodes are
 //! split into three parallel sub-operators, one per GEMM engine (§5.5).
-
-use std::collections::HashMap;
+//!
+//! Cost contract: `Successors::new` is O(n + e) and four allocations; one
+//! `simulate` over it touches every node and every distinct edge once,
+//! plus a scan of the popped engine's ready queue per node (a handful of
+//! entries on zoo DFGs), in `3 + n_engines` allocations (+1 with a
+//! timeline). Durations are read at replay time, so one `Successors` serves
+//! any number of duration vectors over the same graph.
 
 use devsim::DeviceSpec;
 use tir::{Network, OpSpec};
@@ -39,49 +44,113 @@ pub struct TimelineEntry {
 }
 
 /// Algorithm 2: simulates the DFG over `n_engines` device queues and
-/// returns the iteration time (completion of the last node).
+/// returns the iteration time (completion of the last node) — NaN if any
+/// node's duration or gap is not finite.
 pub fn replay(nodes: &[DfgNode], n_engines: usize) -> f64 {
-    replay_timeline(nodes, n_engines).1
+    simulate(nodes, &Successors::new(nodes), n_engines, None)
 }
 
 /// Algorithm 2 with a full execution trace: returns the per-node timeline
-/// (in execution order) and the iteration time. Useful for debugging DFG
-/// schedules, in the spirit of dPRO's timeline output.
+/// (in execution order) and the iteration time — an empty timeline and NaN
+/// if any duration or gap is not finite. Useful for debugging DFG schedules,
+/// in the spirit of dPRO's timeline output.
 pub fn replay_timeline(nodes: &[DfgNode], n_engines: usize) -> (Vec<TimelineEntry>, f64) {
-    assert!(n_engines >= 1, "need at least one engine");
-    let n = nodes.len();
-    if n == 0 {
-        return (Vec::new(), 0.0);
-    }
-    let mut timeline = Vec::with_capacity(n);
-    // Lines 3-6: device times and per-device ready queues.
-    let mut device_time = vec![0.0f64; n_engines];
-    let mut refcount: Vec<usize> = nodes.iter().map(|u| u.deps.len()).collect();
-    let mut ready_time = vec![0.0f64; n];
-    // Per-engine queues of ready nodes ordered by readyTime.
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n_engines];
-    for (i, u) in nodes.iter().enumerate() {
-        if refcount[i] == 0 {
-            queues[u.engine.min(n_engines - 1)].push(i);
+    let mut timeline = Vec::with_capacity(nodes.len());
+    let edges = Successors::new(nodes);
+    let t = simulate(nodes, &edges, n_engines, Some(&mut timeline));
+    (timeline, t)
+}
+
+/// A DFG's edges turned around: per node, its consumers in ascending index
+/// (CSR), and how many distinct producers it waits for.
+pub(crate) struct Successors {
+    /// Consumers of `u` are `succ[start[u]..start[u + 1]]`.
+    start: Vec<usize>,
+    succ: Vec<usize>,
+    /// Distinct producers per node: a dependency listed twice is one edge.
+    producers: Vec<usize>,
+}
+
+impl Successors {
+    /// # Panics
+    /// If a `deps` entry is not a node index.
+    pub(crate) fn new(nodes: &[DfgNode]) -> Self {
+        let n = nodes.len();
+        let mut start = vec![0usize; n + 1];
+        let mut producers = vec![0usize; n];
+        // Pass 1 counts distinct edges; `cursor[d] == v` marks producer `d`
+        // as already counted for consumer `v` (consumers ascend).
+        let mut cursor = vec![usize::MAX; n];
+        for (v, node) in nodes.iter().enumerate() {
+            for &d in &node.deps {
+                if cursor[d] != v {
+                    cursor[d] = v;
+                    start[d + 1] += 1;
+                    producers[v] += 1;
+                }
+            }
+        }
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        // Pass 2 fills; a repeated edge is the one written last for `d`.
+        cursor.copy_from_slice(&start[..n]);
+        let mut succ = vec![0usize; start[n]];
+        for (v, node) in nodes.iter().enumerate() {
+            for &d in &node.deps {
+                if cursor[d] == start[d] || succ[cursor[d] - 1] != v {
+                    succ[cursor[d]] = v;
+                    cursor[d] += 1;
+                }
+            }
+        }
+        Successors {
+            start,
+            succ,
+            producers,
         }
     }
-    let mut finished = 0usize;
+}
+
+/// The one Algorithm 2 loop: replays `nodes` (durations, gaps, engines)
+/// over the edges in `edges`, optionally recording the timeline.
+pub(crate) fn simulate(
+    nodes: &[DfgNode],
+    edges: &Successors,
+    n_engines: usize,
+    mut timeline: Option<&mut Vec<TimelineEntry>>,
+) -> f64 {
+    assert!(n_engines >= 1, "need at least one engine");
+    // A non-finite duration has no schedule: NaN it through instead of
+    // ordering queues by it or taking `max` past it.
+    let finite = |u: &DfgNode| u.duration_s.is_finite() && u.gap_s.is_finite();
+    if !nodes.iter().all(finite) {
+        return f64::NAN;
+    }
+    let n = nodes.len();
+    let queue_of = |u: usize| nodes[u].engine.min(n_engines - 1);
+    // Lines 3-6: device times and per-device ready queues.
+    let mut device_time = vec![0.0f64; n_engines];
+    let mut refcount = edges.producers.clone();
+    let mut ready_time = vec![0.0f64; n];
+    // Per-engine queues of ready nodes, in release order.
+    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n_engines];
+    for u in 0..n {
+        if refcount[u] == 0 {
+            queues[queue_of(u)].push(u);
+        }
+    }
     let mut iteration_time = 0.0f64;
-    while finished < n {
-        // Line 14: select the first device with a non-empty queue,
-        // preferring the one with the smallest deviceTime.
-        let d = match (0..n_engines)
-            .filter(|&d| !queues[d].is_empty())
-            .min_by(|&a, &b| device_time[a].partial_cmp(&device_time[b]).expect("finite"))
-        {
-            Some(d) => d,
-            None => break, // Cycle in the graph: stop simulation.
+    loop {
+        // Line 14: select the device with the smallest deviceTime among
+        // those with a non-empty queue (the first on ties).
+        let waiting = (0..n_engines).filter(|&d| !queues[d].is_empty());
+        let Some(d) = first_min(waiting, |d| device_time[d]) else {
+            // Every node ran, or the rest sit on a cycle.
+            break;
         };
         // Line 18: pop the op with the smallest readyTime.
-        let (pos, _) = queues[d]
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| ready_time[a].partial_cmp(&ready_time[b]).expect("finite"))
+        let pos = first_min(0..queues[d].len(), |pos| ready_time[queues[d][pos]])
             .expect("non-empty queue");
         let u = queues[d].remove(pos);
         // Lines 19-20: start and completion times.
@@ -89,25 +158,30 @@ pub fn replay_timeline(nodes: &[DfgNode], n_engines: usize) -> (Vec<TimelineEntr
         let end = start + nodes[u].duration_s + nodes[u].gap_s;
         device_time[d] = end;
         iteration_time = iteration_time.max(end);
-        timeline.push(TimelineEntry {
-            node: u,
-            engine: d,
-            start_s: start,
-            end_s: end,
-        });
-        finished += 1;
+        if let Some(timeline) = timeline.as_deref_mut() {
+            timeline.push(TimelineEntry {
+                node: u,
+                engine: d,
+                start_s: start,
+                end_s: end,
+            });
+        }
         // Lines 22-28: release successors.
-        for (v, node) in nodes.iter().enumerate() {
-            if node.deps.contains(&u) {
-                refcount[v] -= 1;
-                ready_time[v] = ready_time[v].max(end);
-                if refcount[v] == 0 {
-                    queues[node.engine.min(n_engines - 1)].push(v);
-                }
+        for &v in &edges.succ[edges.start[u]..edges.start[u + 1]] {
+            refcount[v] -= 1;
+            ready_time[v] = ready_time[v].max(end);
+            if refcount[v] == 0 {
+                queues[queue_of(v)].push(v);
             }
         }
     }
-    (timeline, iteration_time)
+    iteration_time
+}
+
+/// The first item with the smallest key (`Iterator::min_by`'s tie-break;
+/// keys are never NaN here).
+fn first_min<T: Copy>(items: impl Iterator<Item = T>, key: impl Fn(T) -> f64) -> Option<T> {
+    items.reduce(|best, x| if key(x) < key(best) { x } else { best })
 }
 
 /// How many engines a device exposes to the replayer.
@@ -127,6 +201,16 @@ fn is_gemm_class(spec: &OpSpec) -> bool {
     )
 }
 
+/// How a layer maps onto `dev`'s queues: `(sub-operators, first queue)`. A
+/// GEMM-class layer is split across the GEMM engines, `ŷ/engines` each
+/// (§5.5); anything else is one node on the queue after them.
+fn placement(spec: &OpSpec, dev: &DeviceSpec) -> (usize, usize) {
+    match dev.gemm_engines as usize {
+        n_gemm if n_gemm > 0 && is_gemm_class(spec) => (n_gemm, 0),
+        n_gemm => (1, n_gemm),
+    }
+}
+
 /// Builds the replayable DFG for a network on a device.
 ///
 /// `layer_durations` gives the predicted latency of each layer (seconds).
@@ -134,55 +218,51 @@ fn is_gemm_class(spec: &OpSpec) -> bool {
 /// `gemm_engines` parallel sub-operators of `ŷ/engines` each (§5.5).
 pub fn build_dfg(net: &Network, layer_durations: &[f64], dev: &DeviceSpec) -> Vec<DfgNode> {
     assert_eq!(net.layers.len(), layer_durations.len());
-    let engines = engine_count(dev);
+    let (mut nodes, first) = dfg_shape(net, dev);
+    set_layer_durations(&mut nodes, &first, layer_durations);
+    nodes
+}
+
+/// The DFG of `net` on `dev` with every duration zero, and `first`: layer
+/// `li` became nodes `first[li]..first[li + 1]`.
+pub(crate) fn dfg_shape(net: &Network, dev: &DeviceSpec) -> (Vec<DfgNode>, Vec<usize>) {
     let gap = dev.launch_overhead_us * 1e-6 * 0.1;
-    if engines == 1 {
-        return net
-            .layers
-            .iter()
-            .zip(layer_durations.iter())
-            .map(|(l, &d)| DfgNode {
-                duration_s: d,
-                deps: l.deps.clone(),
-                engine: 0,
-                gap_s: gap,
-            })
-            .collect();
-    }
-    // HL-100 style: map layer index -> sub-node indices.
-    let mut nodes: Vec<DfgNode> = Vec::new();
-    let mut sub_nodes: HashMap<usize, Vec<usize>> = HashMap::new();
-    let n_gemm = dev.gemm_engines as usize;
-    for (li, (layer, &d)) in net.layers.iter().zip(layer_durations.iter()).enumerate() {
-        let deps: Vec<usize> = layer
-            .deps
-            .iter()
-            .flat_map(|dep| sub_nodes[dep].iter().copied())
-            .collect();
-        let ids = if is_gemm_class(&layer.spec) {
-            (0..n_gemm)
-                .map(|e| {
-                    nodes.push(DfgNode {
-                        duration_s: d / n_gemm as f64,
-                        deps: deps.clone(),
-                        engine: e,
-                        gap_s: gap,
-                    });
-                    nodes.len() - 1
-                })
-                .collect()
-        } else {
+    let mut nodes: Vec<DfgNode> = Vec::with_capacity(net.layers.len());
+    let mut first = Vec::with_capacity(net.layers.len() + 1);
+    first.push(0);
+    for layer in &net.layers {
+        let mut deps = Vec::new();
+        for &dep in &layer.deps {
+            deps.extend(first[dep]..first[dep + 1]);
+        }
+        let (split, queue) = placement(&layer.spec, dev);
+        for e in 0..split {
+            // The last sub-node takes the list itself.
+            let deps = if e + 1 < split {
+                deps.clone()
+            } else {
+                std::mem::take(&mut deps)
+            };
             nodes.push(DfgNode {
-                duration_s: d,
+                duration_s: 0.0,
                 deps,
-                engine: n_gemm,
+                engine: queue + e,
                 gap_s: gap,
             });
-            vec![nodes.len() - 1]
-        };
-        sub_nodes.insert(li, ids);
+        }
+        first.push(nodes.len());
     }
-    nodes
+    (nodes, first)
+}
+
+/// Gives each layer's nodes its duration, divided evenly among them
+/// (`ŷ/engines` for a split layer; exact for a single node: `d / 1.0`).
+pub(crate) fn set_layer_durations(nodes: &mut [DfgNode], first: &[usize], durations: &[f64]) {
+    for (range, &d) in first.windows(2).zip(durations) {
+        let sub = &mut nodes[range[0]..range[1]];
+        let each = d / sub.len() as f64;
+        sub.iter_mut().for_each(|node| node.duration_s = each);
+    }
 }
 
 #[cfg(test)]

@@ -21,15 +21,28 @@
 //! The point is not cycle accuracy: it is that latency depends nontrivially
 //! and device-specifically on *program structure* (loop order, tiling,
 //! annotations), which is exactly the signal the paper's cost model learns.
+//!
+//! Cost contract: a leaf makes `accesses × depth` [`MemAccess::stride`] scans
+//! — one dense stride table (`LeafTables`) that the reuse walk, the
+//! contiguity penalty, the footprints and the working set all read — and
+//! computes its per-level footprints once, not once per access.
+//! [`Simulator::latency_seconds`] keeps the tables across a program's
+//! leaves: two buffers a call, grown to its deepest leaf (plus
+//! `visit_leaves`' loop stack), nothing per leaf. Every product keeps its
+//! multiplication order, so latencies are bit-identical to the per-access
+//! formulation (`tests/latency_pin.rs`).
 
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
-use tir::{ComputeKind, LeafStmt, LoopKind, LoopVar, TensorProgram};
+use tir::{ComputeKind, LeafStmt, LoopKind, LoopVar, MemAccess, TensorProgram};
 
 use crate::device::{DeviceClass, DeviceSpec};
 
 /// Cache-line size in bytes assumed for the contiguity penalty.
 const CACHE_LINE_BYTES: f64 = 64.0;
+
+/// Bytes per element the memory model assumes.
+const ELEM_BYTES: f64 = 4.0;
 
 /// Fraction of peak a leaf achieves with no vectorized loop at all.
 fn scalar_fraction(class: DeviceClass) -> f64 {
@@ -83,8 +96,9 @@ impl Simulator {
     /// Deterministic latency of a tensor program in seconds.
     pub fn latency_seconds(&self, prog: &TensorProgram) -> f64 {
         let mut total = 0.0;
+        let mut tables = LeafTables::default();
         prog.visit_leaves(|leaf, stack| {
-            total += self.leaf_cost(prog, leaf, stack).total();
+            total += self.leaf_cost_with(prog, leaf, stack, &mut tables).total();
         });
         // One launch per root nest (fissioned nests dispatch separately on
         // GPUs; CPUs pay a smaller, but still per-nest, dispatch cost).
@@ -101,6 +115,16 @@ impl Simulator {
 
     /// Cost of one leaf under its enclosing loop stack.
     pub fn leaf_cost(&self, prog: &TensorProgram, leaf: &LeafStmt, stack: &[&LoopVar]) -> LeafCost {
+        self.leaf_cost_with(prog, leaf, stack, &mut LeafTables::default())
+    }
+
+    fn leaf_cost_with(
+        &self,
+        prog: &TensorProgram,
+        leaf: &LeafStmt,
+        stack: &[&LoopVar],
+        tables: &mut LeafTables,
+    ) -> LeafCost {
         let iters: f64 = stack.iter().map(|l| l.extent as f64).product();
         let par_iters: f64 = stack
             .iter()
@@ -136,9 +160,10 @@ impl Simulator {
         let compute_s = iters * leaf.flops_per_iter / eff_flops.max(1.0);
 
         // --- Memory term ---
-        let traffic = self.dram_traffic_bytes(prog, leaf, stack);
+        tables.fill(leaf, stack);
+        let traffic = self.dram_traffic_bytes(prog, leaf, stack, tables, iters);
         // Bandwidth bonus if the leaf's entire working set fits in L2.
-        let working_set: f64 = self.leaf_working_set_bytes(prog, leaf, stack);
+        let working_set = leaf_working_set_bytes(prog, leaf, stack, tables);
         let bw_boost = if working_set <= self.spec.l1_kb * 1024.0 {
             8.0
         } else if working_set <= self.spec.l2_kb * 1024.0 {
@@ -174,95 +199,124 @@ impl Simulator {
     }
 
     /// Estimated DRAM traffic of a leaf in bytes, via stride/reuse analysis.
-    fn dram_traffic_bytes(&self, prog: &TensorProgram, leaf: &LeafStmt, stack: &[&LoopVar]) -> f64 {
-        let iters: f64 = stack.iter().map(|l| l.extent as f64).product();
-        let elem_bytes = 4.0f64;
-        let mut total = 0.0;
-        for acc in &leaf.accesses {
-            // Footprint of *all* accesses inside each loop level, innermost
-            // first, used as the cache-capacity test for reuse.
-            // footprint_inside[i] = bytes touched inside loop stack[i].
-            let n = stack.len();
-            let mut footprint_inside = vec![0.0f64; n + 1];
-            // footprint at level n (inside the innermost loop) = one
-            // element per access.
-            footprint_inside[n] = leaf.accesses.len() as f64 * elem_bytes;
-            for i in (0..n).rev() {
-                let mut f = 0.0;
-                for a2 in &leaf.accesses {
-                    let mut elems = 1.0;
-                    for l in &stack[i..] {
-                        if a2.stride(l.axis) != 0 {
-                            elems *= l.extent as f64;
-                        }
-                    }
-                    f += elems * elem_bytes;
-                }
-                footprint_inside[i] = f;
-            }
-            // Reuse: walking outward, a loop with zero stride for this
-            // access reuses the data inside it if that data fits in L2.
-            let l2_bytes = self.spec.l2_kb * 1024.0;
-            let mut reuse = 1.0f64;
-            for i in (0..n).rev() {
-                let l = stack[i];
-                if acc.stride(l.axis) == 0 && footprint_inside[i + 1] <= l2_bytes {
-                    reuse *= l.extent as f64;
-                }
-            }
-            // Contiguity: penalty from the innermost moving loop's stride.
-            let innermost_stride = stack
-                .iter()
-                .rev()
-                .find_map(|l| {
-                    let s = acc.stride(l.axis);
-                    (s != 0).then_some(s.unsigned_abs() as f64)
-                })
-                .unwrap_or(1.0);
-            let line_elems = CACHE_LINE_BYTES / elem_bytes;
-            let penalty = innermost_stride.min(line_elems).max(1.0);
-            // Compulsory floor: at least one pass over the touched data,
-            // at most one line per iteration.
-            let touched = footprint_inside[0].min(
-                prog.buffers
-                    .get(acc.buffer as usize)
-                    .map(|b| b.bytes() as f64)
-                    .unwrap_or(f64::MAX),
-            );
-            let traffic =
-                (iters / reuse * elem_bytes * penalty).max(touched.min(iters * elem_bytes));
-            total += traffic;
-        }
-        total
-    }
-
-    /// Total bytes the leaf touches across all accesses (capped by buffer
-    /// sizes).
-    fn leaf_working_set_bytes(
+    fn dram_traffic_bytes(
         &self,
         prog: &TensorProgram,
         leaf: &LeafStmt,
         stack: &[&LoopVar],
+        tables: &LeafTables,
+        iters: f64,
     ) -> f64 {
-        let elem_bytes = 4.0f64;
-        leaf.accesses
-            .iter()
-            .map(|acc| {
-                let mut elems = 1.0f64;
-                for l in stack {
-                    if acc.stride(l.axis) != 0 {
-                        elems *= l.extent as f64;
-                    }
+        let l2_bytes = self.spec.l2_kb * 1024.0;
+        let footprint_inside = &tables.footprint_inside;
+        let mut total = 0.0;
+        for (a, acc) in leaf.accesses.iter().enumerate() {
+            let strides = tables.row(a);
+            // Reuse: walking outward, a loop with zero stride for this
+            // access reuses the data inside it if that data fits in L2.
+            let mut reuse = 1.0f64;
+            for (i, l) in stack.iter().enumerate().rev() {
+                if strides[i] == 0 && footprint_inside[i + 1] <= l2_bytes {
+                    reuse *= l.extent as f64;
                 }
-                let cap = prog
-                    .buffers
-                    .get(acc.buffer as usize)
-                    .map(|b| b.bytes() as f64)
-                    .unwrap_or(f64::MAX);
-                (elems * elem_bytes).min(cap)
-            })
-            .sum()
+            }
+            // Contiguity: penalty from the innermost moving loop's stride.
+            let innermost_stride = strides
+                .iter()
+                .rev()
+                .find(|&&s| s != 0)
+                .map_or(1.0, |s| s.unsigned_abs() as f64);
+            let line_elems = CACHE_LINE_BYTES / ELEM_BYTES;
+            let penalty = innermost_stride.min(line_elems).max(1.0);
+            // Compulsory floor: at least one pass over the touched data,
+            // at most one line per iteration.
+            let touched = footprint_inside[0].min(buffer_bytes(prog, acc));
+            let traffic =
+                (iters / reuse * ELEM_BYTES * penalty).max(touched.min(iters * ELEM_BYTES));
+            total += traffic;
+        }
+        total
     }
+}
+
+/// Per-leaf tables the memory model reads. A latency call keeps one across
+/// the leaves of a program, so it allocates them once.
+#[derive(Default)]
+struct LeafTables {
+    /// Dense `[access][loop]` element strides, row-major.
+    strides: Vec<i64>,
+    /// Loops enclosing the leaf (the row length of `strides`).
+    depth: usize,
+    /// `footprint_inside[i]` = bytes *all* accesses touch inside loop
+    /// `stack[i]`; at level `depth` (inside the innermost loop) one element
+    /// per access. The cache-capacity test for reuse; it does not depend on
+    /// which access asks.
+    footprint_inside: Vec<f64>,
+}
+
+impl LeafTables {
+    /// Refills both tables for one leaf: `accesses × depth` stride scans,
+    /// the only ones the leaf's cost makes.
+    fn fill(&mut self, leaf: &LeafStmt, stack: &[&LoopVar]) {
+        let n = stack.len();
+        self.depth = n;
+        self.strides.clear();
+        for acc in &leaf.accesses {
+            self.strides
+                .extend(stack.iter().map(|l| acc.stride(l.axis)));
+        }
+        self.footprint_inside.clear();
+        self.footprint_inside.resize(n + 1, 0.0);
+        self.footprint_inside[n] = leaf.accesses.len() as f64 * ELEM_BYTES;
+        for i in (0..n).rev() {
+            let mut f = 0.0;
+            for a in 0..leaf.accesses.len() {
+                f += touched_elems(&self.row(a)[i..], &stack[i..]) * ELEM_BYTES;
+            }
+            self.footprint_inside[i] = f;
+        }
+    }
+
+    /// Strides of access `a` along each enclosing loop, outermost first.
+    fn row(&self, a: usize) -> &[i64] {
+        &self.strides[a * self.depth..(a + 1) * self.depth]
+    }
+}
+
+/// Elements an access touches across `loops`: the product of the extents it
+/// moves along, outermost first.
+fn touched_elems(strides: &[i64], loops: &[&LoopVar]) -> f64 {
+    let mut elems = 1.0f64;
+    for (&s, l) in strides.iter().zip(loops) {
+        if s != 0 {
+            elems *= l.extent as f64;
+        }
+    }
+    elems
+}
+
+/// Size of the buffer an access touches (unbounded if the id is unknown).
+fn buffer_bytes(prog: &TensorProgram, acc: &MemAccess) -> f64 {
+    prog.buffers
+        .get(acc.buffer as usize)
+        .map_or(f64::MAX, |b| b.bytes() as f64)
+}
+
+/// Total bytes the leaf touches across all accesses (capped by buffer
+/// sizes).
+fn leaf_working_set_bytes(
+    prog: &TensorProgram,
+    leaf: &LeafStmt,
+    stack: &[&LoopVar],
+    tables: &LeafTables,
+) -> f64 {
+    leaf.accesses
+        .iter()
+        .enumerate()
+        .map(|(a, acc)| {
+            (touched_elems(tables.row(a), stack) * ELEM_BYTES).min(buffer_bytes(prog, acc))
+        })
+        .sum()
 }
 
 #[cfg(test)]

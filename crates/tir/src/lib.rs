@@ -24,4 +24,6 @@ pub use schedule::{
     crossover_schedule, lower, mutate_schedule, sample_schedule, Primitive, Schedule, ScheduleError,
 };
 pub use task::{AxisInfo, EwKind, Nest, OpSpec, Task};
-pub use zoo::{all_networks, build_tasks, layer_task_ids, LayerNode, Network, HOLD_OUT};
+pub use zoo::{
+    all_networks, build_tasks, layer_task_ids, task_indices, LayerNode, Network, HOLD_OUT,
+};

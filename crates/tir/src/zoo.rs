@@ -6,8 +6,6 @@
 //! [`OpSpec`] nodes; deduplicated specs become the task set used for both
 //! dataset generation and end-to-end replay.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::task::{EwKind, OpSpec, Task};
@@ -68,14 +66,7 @@ impl NetBuilder {
 impl Network {
     /// Distinct operator specs used by this network.
     pub fn unique_specs(&self) -> Vec<OpSpec> {
-        let mut seen = HashMap::new();
-        let mut out = Vec::new();
-        for l in &self.layers {
-            if seen.insert(l.spec, ()).is_none() {
-                out.push(l.spec);
-            }
-        }
-        out
+        task_indices(self.layers.iter().map(|l| &l.spec)).1
     }
 
     /// Validates that dependencies are topological (deps point backwards).
@@ -815,22 +806,45 @@ pub fn all_networks(batch: u64) -> Vec<Network> {
 /// The paper's hold-out networks for cross-model evaluation (§7.1).
 pub const HOLD_OUT: [&str; 3] = ["resnet50", "mobilenet_v2", "bert_tiny"];
 
+/// Task identity, defined once: two specs are the same task iff they are
+/// equal, and tasks are numbered in order of first use. Returns each spec's
+/// task index and the distinct specs, indexed by task.
+///
+/// One pass with no strings and no hashing: a network has a few dozen
+/// tasks, where scanning the `Copy` specs seen so far beats SipHashing each
+/// layer (cost: one comparison per (spec, earlier task) pair).
+pub fn task_indices<'a>(specs: impl IntoIterator<Item = &'a OpSpec>) -> (Vec<u32>, Vec<OpSpec>) {
+    let specs = specs.into_iter();
+    let mut index = Vec::with_capacity(specs.size_hint().0);
+    let mut tasks: Vec<OpSpec> = Vec::new();
+    for spec in specs {
+        let task = tasks.iter().position(|t| t == spec).unwrap_or_else(|| {
+            tasks.push(*spec);
+            tasks.len() - 1
+        });
+        index.push(task as u32);
+    }
+    (index, tasks)
+}
+
 /// Builds the deduplicated task list for a set of networks, tagging each
 /// task with the first network that uses it.
 pub fn build_tasks(networks: &[Network]) -> Vec<Task> {
-    let mut seen: HashMap<OpSpec, u32> = HashMap::new();
+    let layers = || {
+        networks
+            .iter()
+            .flat_map(|net| net.layers.iter().enumerate().map(move |(i, l)| (net, i, l)))
+    };
+    let (index, _) = task_indices(layers().map(|(_, _, l)| &l.spec));
     let mut out = Vec::new();
-    for net in networks {
-        for (i, layer) in net.layers.iter().enumerate() {
-            if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(layer.spec) {
-                let id = out.len() as u32;
-                e.insert(id);
-                out.push(Task {
-                    id,
-                    spec: layer.spec,
-                    name: format!("{}.{}.{}", net.name, layer.spec.kind_name(), i),
-                });
-            }
+    for ((net, i, layer), &id) in layers().zip(&index) {
+        // Tasks are numbered in order of first use.
+        if id as usize == out.len() {
+            out.push(Task {
+                id,
+                spec: layer.spec,
+                name: format!("{}.{}.{}", net.name, layer.spec.kind_name(), i),
+            });
         }
     }
     out
@@ -838,10 +852,11 @@ pub fn build_tasks(networks: &[Network]) -> Vec<Task> {
 
 /// Maps each layer of a network to its task id within `tasks`.
 pub fn layer_task_ids(net: &Network, tasks: &[Task]) -> Vec<u32> {
-    let index: HashMap<OpSpec, u32> = tasks.iter().map(|t| (t.spec, t.id)).collect();
-    net.layers
+    let known = tasks.iter().map(|t| &t.spec);
+    let (index, _) = task_indices(known.chain(net.layers.iter().map(|l| &l.spec)));
+    index[tasks.len()..]
         .iter()
-        .map(|l| *index.get(&l.spec).expect("task exists for layer"))
+        .map(|&t| tasks.get(t as usize).expect("task exists for layer").id)
         .collect()
 }
 
