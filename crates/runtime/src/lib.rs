@@ -31,6 +31,17 @@
 //!   atomic replacement of the served model under live traffic — in-flight
 //!   chunks finish on the old model, new admissions route to the new one,
 //!   and a generation counter makes the cutover observable.
+//! * **Caller-runs for small calls**: a call carrying no more samples than
+//!   one batch class (`len <= max_batch`, window off) is replayed by the
+//!   thread that made it — its chunks go through the same job function the
+//!   workers run (`supervisor::process_job`: deadline shed, fault sites,
+//!   panic containment, accounting, exactly one reply) instead of through
+//!   the queue, so a small request costs what serial replay costs and no
+//!   thread is woken for it. The replay state for this is an engine
+//!   resource bounded by the pool size: exactly one caller-side runner
+//!   per worker exists, lent to one call at a time, and a call that finds
+//!   none free is queued like any other.
+//!   [`InferenceEngine::caller_chunks`] counts the chunks run this way.
 //! * Each worker replays **compiled inference plans** (`nn::plan`); chunks
 //!   whose size is a registered **batch class** (`1` and `max_batch`)
 //!   replay a batch-specialized fold, odd-size remainders fall back to the
@@ -59,7 +70,7 @@ use cdmpp_core::batch::{
 };
 use cdmpp_core::e2e::{encode_programs, encode_programs_into, EncodeArena};
 use cdmpp_core::predictor::PredictError;
-use cdmpp_core::{CostModel, InferenceModel, TrainedModel};
+use cdmpp_core::{CostModel, InferenceModel, PlanRunner, TrainedModel};
 use devsim::DeviceSpec;
 use parallel::ThreadPool;
 use tir::TensorProgram;
@@ -322,15 +333,27 @@ impl EngineConfig {
     }
 }
 
-/// Reusable per-request dispatch state (index buffers only — nothing
-/// borrows the request), pooled on the engine so steady-state dispatch
-/// materializes no `Vec<Vec<usize>>` chunk lists and no per-chunk
-/// sample-ref vectors.
+/// Reusable per-request dispatch state (index and per-chunk bookkeeping
+/// buffers only — nothing borrows the request), pooled on the engine so
+/// steady-state dispatch materializes no `Vec<Vec<usize>>` chunk lists and
+/// no per-chunk sample-ref vectors.
 #[derive(Default)]
 struct DispatchScratch {
     groups: LeafGroups,
     /// `(start, end, dispatch)` per chunk, indexing `groups.order`.
     chunks: Vec<(usize, usize, usize)>,
+    /// Each chunk's outcome once resolved (emptied by the scatter).
+    results: Vec<Option<Result<Vec<f32>, ChunkError>>>,
+    /// Re-dispatches made so far per chunk.
+    attempts: Vec<usize>,
+}
+
+/// What every chunk of one call shares.
+struct Call<'a, S> {
+    enc: &'a [S],
+    served: &'a Arc<Served>,
+    opts: &'a SubmitOptions,
+    reply_tx: std::sync::mpsc::Sender<ChunkReply>,
 }
 
 /// A concurrent, leaf-count-bucketed, failure-aware inference server for
@@ -362,6 +385,13 @@ pub struct InferenceEngine {
     adaptive_thread: Mutex<Option<JoinHandle<()>>>,
     stats: Arc<StatsInner>,
     faults: FaultPlan,
+    /// What `supervisor::process_job` needs when a calling thread runs its
+    /// own chunks, and the replay state it borrows to do so: one runner
+    /// per worker and never more (an unused runner owns no memory), so
+    /// engine-held arenas and replays in flight outside the pool stay
+    /// bounded however many threads call in.
+    caller_ctx: supervisor::WorkerCtx,
+    caller_runners: Mutex<Vec<PlanRunner>>,
     cfg: EngineConfig,
 }
 
@@ -412,18 +442,20 @@ impl InferenceEngine {
         // each worker gets cores/workers threads for its own GEMMs. With
         // one worker per core the budget is 1 and GEMMs stay serial.
         let intra_op = (parallel::resolve_threads(0) / n_workers.max(1)).max(1);
+        let ctx = || supervisor::WorkerCtx {
+            queue: Arc::clone(&queue),
+            stats: Arc::clone(&stats),
+            faults: faults.clone(),
+            use_classes,
+            intra_op,
+        };
         let workers = (0..n_workers)
             .map(|_| {
-                let ctx = supervisor::WorkerCtx {
-                    queue: Arc::clone(&queue),
-                    stats: Arc::clone(&stats),
-                    faults: faults.clone(),
-                    use_classes,
-                    intra_op,
-                };
+                let ctx = ctx();
                 std::thread::spawn(move || supervisor::supervised_worker(ctx))
             })
             .collect();
+        let caller_ctx = ctx();
         // The adaptive tier exists when there is anything for it to do:
         // a non-zero window (pending buffers + timer) or promotion (the
         // collector thread also runs registrations off the hot path).
@@ -454,6 +486,8 @@ impl InferenceEngine {
             adaptive_thread: Mutex::new(adaptive_thread),
             stats,
             faults,
+            caller_ctx,
+            caller_runners: Mutex::new((0..n_workers).map(|_| PlanRunner::new()).collect()),
             cfg,
         }
     }
@@ -514,6 +548,13 @@ impl InferenceEngine {
         self.stats.snapshot(self.queue.depth(), self.queue.parked())
     }
 
+    /// Chunks replayed on the calling thread instead of by a worker (see
+    /// the crate docs: calls of at most `max_batch` samples, window off).
+    /// They count in `stats().completed_chunks` like any other chunk.
+    pub fn caller_chunks(&self) -> u64 {
+        self.stats.caller_chunks.load(Ordering::Relaxed)
+    }
+
     /// The remainder-size frequency histogram driving class promotion, as
     /// `(dispatch size, occurrences)` pairs for every non-class size seen
     /// at least once. Empty when promotion is disabled.
@@ -556,8 +597,7 @@ impl InferenceEngine {
     /// the whole call with its typed error — use
     /// [`InferenceEngine::predict_samples_opts`] for per-sample outcomes.
     pub fn predict_samples(&self, enc: &[EncodedSample]) -> Result<Vec<f64>, EngineError> {
-        let refs: Vec<&EncodedSample> = enc.iter().collect();
-        self.predict_sample_refs(&refs)
+        self.predict_sample_refs(enc)
     }
 
     /// [`InferenceEngine::predict_samples`] over any [`SampleLike`] view:
@@ -586,8 +626,7 @@ impl InferenceEngine {
         enc: &[EncodedSample],
         opts: &SubmitOptions,
     ) -> Result<Vec<Result<f64, EngineError>>, EngineError> {
-        let refs: Vec<&EncodedSample> = enc.iter().collect();
-        self.predict_sample_refs_opts(&refs, opts)
+        self.predict_sample_refs_opts(enc, opts)
     }
 
     /// [`InferenceEngine::predict_samples_opts`] over any [`SampleLike`]
@@ -657,10 +696,29 @@ impl InferenceEngine {
                 .map_err(|_| EngineError::WorkersUnavailable)?;
             pool.pop().unwrap_or_default()
         };
-        let result = self.dispatch_and_collect(enc, &served, opts, &mut scratch);
-        // The scratch goes back to the pool on *every* outcome — an error
-        // (worker failure, shutdown race) must not throw the warmed
-        // buffers away and quietly re-establish per-request allocation.
+        // Who runs the chunks: a call with no more samples than one batch
+        // class is less work than the single chunk a worker would replay
+        // anyway, so waking workers for it costs more than it spreads —
+        // the calling thread replays it, if a caller-side runner is free.
+        // A configured window is a request to hold partial chunks for
+        // merging and keeps the queued routing.
+        let window_off = self.cfg.batch_window.is_some_and(|w| w.is_off());
+        let mut runner = if window_off && enc.len() <= self.cfg.max_batch {
+            self.caller_runners
+                .lock()
+                .ok()
+                .and_then(|mut free| free.pop())
+        } else {
+            None
+        };
+        let result = self.dispatch_and_collect(enc, &served, opts, &mut scratch, runner.as_mut());
+        // The scratch and the runner go back to their pools on *every*
+        // outcome — an error (worker failure, shutdown race) must not
+        // throw the warmed buffers away and quietly re-establish
+        // per-request allocation.
+        if let (Some(runner), Ok(mut free)) = (runner, self.caller_runners.lock()) {
+            free.push(runner);
+        }
         if let Ok(mut pool) = self.scratch.lock() {
             pool.push(scratch);
         }
@@ -676,8 +734,15 @@ impl InferenceEngine {
         served: &Arc<Served>,
         opts: &SubmitOptions,
         scratch: &mut DispatchScratch,
+        mut runner: Option<&mut PlanRunner>,
     ) -> Result<Vec<Result<f64, EngineError>>, EngineError> {
         let (reply_tx, reply_rx) = channel::<ChunkReply>();
+        let call = Call {
+            enc,
+            served,
+            opts,
+            reply_tx,
+        };
         group_by_leaf_into(enc, &mut scratch.groups);
         scratch.chunks.clear();
         {
@@ -692,26 +757,28 @@ impl InferenceEngine {
             }
         }
         let n_chunks = scratch.chunks.len();
+        scratch.results.clear();
+        scratch.results.resize_with(n_chunks, || None);
+        scratch.attempts.clear();
+        scratch.attempts.resize(n_chunks, 0);
         // Dispatch every chunk once. Expired chunks reply immediately
         // through their guard (shed before any batch is built); push
         // failures hand the job back so the right typed reply is sent.
         for tag in 0..n_chunks {
-            self.send_chunk(enc, served, opts, scratch, tag, &reply_tx)
+            self.send_chunk(&call, scratch, tag, runner.as_deref_mut())
                 .map_err(|_closed| EngineError::WorkersUnavailable)?;
         }
         // Collect: every dispatched chunk resolves through the reply
         // channel exactly once (the ReplyGuard guarantees a reply even
         // across panics and queue teardown). Panicked chunks re-dispatch
-        // onto a respawned worker up to `max_retries` times.
-        let mut results: Vec<Option<Result<Vec<f32>, ChunkError>>> = Vec::new();
-        results.resize_with(n_chunks, || None);
-        let mut attempts = vec![0usize; n_chunks];
+        // onto a respawned worker up to `max_retries` times. (Chunks the
+        // caller ran itself have already replied by now.)
         let mut resolved = 0usize;
         while resolved < n_chunks {
             let (tag, res) = reply_rx
                 .recv()
                 .map_err(|_| EngineError::WorkersUnavailable)?;
-            if results[tag].is_some() {
+            if scratch.results[tag].is_some() {
                 continue; // stale duplicate (defensive; guards prevent it)
             }
             if matches!(res, Err(ChunkError::Shutdown)) {
@@ -721,23 +788,23 @@ impl InferenceEngine {
                 return Err(EngineError::WorkersUnavailable);
             }
             if matches!(res, Err(ChunkError::Panicked))
-                && attempts[tag] < self.cfg.max_retries
+                && scratch.attempts[tag] < self.cfg.max_retries
                 && !opts.deadline.is_some_and(|d| d.expired())
             {
-                attempts[tag] += 1;
+                scratch.attempts[tag] += 1;
                 self.stats.chunk_retries.fetch_add(1, Ordering::Relaxed);
-                self.send_chunk(enc, served, opts, scratch, tag, &reply_tx)
+                self.send_chunk(&call, scratch, tag, runner.as_deref_mut())
                     .map_err(|_closed| EngineError::WorkersUnavailable)?;
                 continue;
             }
-            results[tag] = Some(res);
+            scratch.results[tag] = Some(res);
             resolved += 1;
         }
         // Scatter chunk outcomes back to request order (the zip truncates
         // any padded tail predictions).
         let mut out: Vec<Result<f64, EngineError>> = Vec::new();
         out.resize_with(enc.len(), || Ok(0.0));
-        for (tag, res) in results.into_iter().enumerate() {
+        for (tag, res) in scratch.results.drain(..).enumerate() {
             let (s, e, _) = scratch.chunks[tag];
             let idxs = &scratch.groups.order[s..e];
             match res.expect("all chunks resolved") {
@@ -761,19 +828,19 @@ impl InferenceEngine {
         Ok(out)
     }
 
-    /// Builds and enqueues one chunk (or sheds it on an expired deadline).
-    /// Every path delivers exactly one reply for `tag` through the
-    /// channel. Returns `Err(())` only when the pool is closing.
+    /// Builds one chunk and enqueues it — or, given a caller-side `runner`,
+    /// executes it here — or sheds it on an expired deadline. Every path
+    /// delivers exactly one reply for `tag` through the channel. Returns
+    /// `Err(())` only when the pool is closing.
     fn send_chunk<S: SampleLike>(
         &self,
-        enc: &[S],
-        served: &Arc<Served>,
-        opts: &SubmitOptions,
+        call: &Call<'_, S>,
         scratch: &DispatchScratch,
         tag: usize,
-        reply_tx: &std::sync::mpsc::Sender<ChunkReply>,
+        runner: Option<&mut PlanRunner>,
     ) -> Result<(), ()> {
-        let reply = ReplyGuard::new(tag, reply_tx.clone());
+        let (enc, served, opts) = (call.enc, call.served, call.opts);
+        let reply = ReplyGuard::new(tag, call.reply_tx.clone());
         if opts.deadline.is_some_and(|d| d.expired()) {
             self.stats.deadline_sheds.fetch_add(1, Ordering::Relaxed);
             reply.send(Err(ChunkError::DeadlineExceeded));
@@ -801,8 +868,9 @@ impl InferenceEngine {
         }
         let batch = build_scaled_batch_idx(enc, idxs, dispatch, &served.model.scaler);
         // A non-class direct dispatch is the promotion signal: a size that
-        // keeps replaying the batch-generic plan.
-        if dispatch != self.cfg.max_batch {
+        // keeps replaying the batch-generic plan. A retry is the same
+        // chunk again, not a recurrence of its size.
+        if dispatch != self.cfg.max_batch && scratch.attempts[tag] == 0 {
             if let Some(ad) = &self.adaptive {
                 ad.record_remainder(dispatch, served);
             }
@@ -814,6 +882,11 @@ impl InferenceEngine {
             served: Arc::clone(served),
             reply: JobReply::Direct(reply),
         };
+        if let Some(runner) = runner {
+            self.stats.caller_chunks.fetch_add(1, Ordering::Relaxed);
+            supervisor::process_job(&self.caller_ctx, runner, job);
+            return Ok(());
+        }
         match self.queue.push(job) {
             Ok(depth) => {
                 self.stats.observe_depth(depth);

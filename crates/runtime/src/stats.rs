@@ -26,6 +26,10 @@ pub(crate) struct StatsInner {
     pub promotions: AtomicU64,
     pub queue_depth_hw: AtomicU64,
     pub predict_ns: AtomicU64,
+    /// Chunks replayed on the calling thread. Not an [`EngineStats`] field
+    /// (the benchmark builds that struct field by field); read through
+    /// `InferenceEngine::caller_chunks`.
+    pub caller_chunks: AtomicU64,
 }
 
 impl StatsInner {
@@ -74,10 +78,12 @@ pub struct EngineStats {
     /// Chunks (or whole calls) shed with `EngineError::DeadlineExceeded`
     /// before execution.
     pub deadline_sheds: u64,
-    /// Worker panics caught by the supervisor (injected or real).
+    /// Panics caught by the supervisor (injected or real), in a worker or
+    /// in a chunk its caller ran; the calling thread never unwinds.
     pub worker_panics: u64,
-    /// Logical worker respawns (fresh replay state after a panic). The
-    /// pool returns to full strength after every one of these.
+    /// Logical respawns (fresh replay state after a panic): a worker's, or
+    /// the caller-side runner a caller-run chunk had borrowed. The pool
+    /// returns to full strength after every one of these.
     pub worker_restarts: u64,
     /// Chunks re-dispatched after a worker panic (self-healing retries).
     pub chunk_retries: u64,
@@ -108,8 +114,10 @@ pub struct EngineStats {
     /// Samples currently parked in batch-window pending buffers (counted
     /// toward admission headroom alongside `queue_depth`).
     pub parked: u64,
-    /// Total worker-side predict time (the replay region, including
-    /// injected faults), in nanoseconds — the engine's busy time.
+    /// Total predict time (the replay region, including injected
+    /// faults), in nanoseconds — the engine's busy time. Covers chunks
+    /// replayed by workers and by calling threads alike, so it can exceed
+    /// wall time × workers.
     pub predict_ns: u64,
 }
 

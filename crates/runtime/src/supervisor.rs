@@ -10,6 +10,12 @@
 //! discarded and rebuilt, and the thread returns to the queue. The pool
 //! therefore always runs at full strength; the seed engine's
 //! drain-to-`WorkersUnavailable` failure mode is gone.
+//!
+//! [`process_job`] is the one function that executes a chunk. Workers call
+//! it from their serve loop; a calling thread whose whole request is no
+//! larger than one batch class calls it itself, with a runner borrowed
+//! from the engine, instead of waking a worker — so every check above
+//! holds on that path because it is the same code.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -20,7 +26,8 @@ use crate::faults::{FaultPlan, FaultSite};
 use crate::ingress::{ChunkError, Job, JobQueue};
 use crate::stats::StatsInner;
 
-/// Everything one worker thread needs; owned per thread.
+/// Everything one worker thread needs; owned per thread (the engine keeps
+/// one more for chunks its callers run themselves).
 pub(crate) struct WorkerCtx {
     pub queue: Arc<JobQueue>,
     pub stats: Arc<StatsInner>,
@@ -28,7 +35,8 @@ pub(crate) struct WorkerCtx {
     /// `false` pins every chunk to the batch-generic plan
     /// ([`crate::ChunkPolicy::Ragged`]).
     pub use_classes: bool,
-    /// Intra-op GEMM thread budget (cores / workers).
+    /// Intra-op GEMM thread budget (cores / workers). Applied to worker
+    /// threads only: a calling thread's `parallel` budget is its own.
     pub intra_op: usize,
 }
 
@@ -63,7 +71,9 @@ fn serve_loop(ctx: &WorkerCtx, runner: &mut PlanRunner) {
     }
 }
 
-fn process_job(ctx: &WorkerCtx, runner: &mut PlanRunner, job: Job) {
+/// Executes one chunk on the current thread — a worker, or the caller of a
+/// request no larger than one batch class — and sends its one reply.
+pub(crate) fn process_job(ctx: &WorkerCtx, runner: &mut PlanRunner, job: Job) {
     let Job {
         x,
         dev,
@@ -126,9 +136,9 @@ fn process_job(ctx: &WorkerCtx, runner: &mut PlanRunner, job: Job) {
             reply.send(r.map_err(ChunkError::Predict));
         }
         Err(_) => {
-            // Fail only this chunk; respawn the worker's replay state in
-            // place (arenas may be mid-write). The pool stays at full
-            // strength.
+            // Fail only this chunk; respawn the replay state in place
+            // (arenas may be mid-write). The pool stays at full strength,
+            // and a calling thread never unwinds.
             ctx.stats
                 .worker_panics
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);

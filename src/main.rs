@@ -336,7 +336,11 @@ fn cmd_serve(args: &[String]) -> ! {
             }
         }
     }
-    eprintln!("[cdmpp] engine stats: {}", engine.stats());
+    eprintln!(
+        "[cdmpp] engine stats: {} caller_chunks={}",
+        engine.stats(),
+        engine.caller_chunks()
+    );
     std::process::exit(if failures == iters { 1 } else { 0 });
 }
 
@@ -447,7 +451,10 @@ fn cmd_search(args: &[String]) -> ! {
             t.dispatch_ns as f64 / 1e6,
             s.predict_ns as f64 / 1e6
         );
-        eprintln!("[cdmpp] engine stats: {s}");
+        eprintln!(
+            "[cdmpp] engine stats: {s} caller_chunks={}",
+            engine.caller_chunks()
+        );
         trace
     } else {
         generational_search(&nest, &dev, &model, &cfg)
