@@ -337,32 +337,23 @@ pub fn group_by_leaf_into<S: SampleLike>(samples: &[S], out: &mut LeafGroups) {
 /// `samples`) — the engine's dispatch path, which must not materialize a
 /// fresh `Vec<&EncodedSample>` per chunk.
 ///
-/// When `pad_to > idxs.len()`, the **last** sample's rows are replicated
-/// until the batch holds `pad_to` samples (the plan-aware scheduler pads
-/// a near-full tail chunk up to a stable batch class; callers discard the
-/// padded tail of the predictions). Every kernel in the stack computes
-/// rows independently, so the real rows' results are bit-identical with
-/// or without padding. `pad_to <= idxs.len()` means no padding.
-///
 /// # Panics
 ///
 /// Panics if `idxs` is empty.
 pub fn build_scaled_batch_idx<S: SampleLike>(
     samples: &[S],
     idxs: &[usize],
-    pad_to: usize,
     scaler: &FeatScaler,
 ) -> Batch {
-    let b = idxs.len().max(pad_to);
+    let b = idxs.len();
     let l = samples[idxs[0]].leaf_count();
     debug_assert!(idxs.iter().all(|&i| samples[i].leaf_count() == l));
     let mut xs = Vec::with_capacity(b * l * N_ENTRY);
     let mut devs = Vec::with_capacity(b * N_DEVICE_FEATURES);
     let mut y_raw = Vec::with_capacity(b);
     let mut record_idx = Vec::with_capacity(b);
-    let last = *idxs.last().expect("non-empty chunk");
-    for k in 0..b {
-        let s = &samples[*idxs.get(k).unwrap_or(&last)];
+    for &i in idxs {
+        let s = &samples[i];
         xs.extend(s.x().iter().enumerate().map(|(j, &v)| {
             let col = j % N_ENTRY;
             (v - scaler.mean[col]) / scaler.std[col]
@@ -468,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_batch_building_matches_ref_building_and_pads() {
+    fn indexed_batch_building_matches_ref_building() {
         let d = ds();
         let idx = d.device_records("T4");
         let enc = encode_records(&d, &idx, features::DEFAULT_THETA, true);
@@ -479,28 +470,12 @@ mod tests {
             .max_by_key(|(_, v)| v.len())
             .expect("non-empty dataset");
         let refs: Vec<&EncodedSample> = idxs.iter().map(|&i| all[i]).collect();
-        // Unpadded: bit-identical to the ref-slice builder.
         let via_refs = build_scaled_batch(&refs, &scaler);
-        let via_idx = build_scaled_batch_idx(&all, &idxs, 0, &scaler);
+        let via_idx = build_scaled_batch_idx(&all, &idxs, &scaler);
         assert_eq!(via_idx.leaf_count, leaf);
         assert_eq!(via_idx.x.data(), via_refs.x.data());
         assert_eq!(via_idx.dev.data(), via_refs.dev.data());
         assert_eq!(via_idx.record_idx, via_refs.record_idx);
-        // Padded: the real rows are untouched, the tail replicates the
-        // last sample's rows.
-        let pad_to = idxs.len() + 3;
-        let padded = build_scaled_batch_idx(&all, &idxs, pad_to, &scaler);
-        assert_eq!(padded.x.shape()[0], pad_to);
-        let row = leaf * N_ENTRY;
-        assert_eq!(
-            &padded.x.data()[..idxs.len() * row],
-            via_refs.x.data(),
-            "real rows must be bit-identical under padding"
-        );
-        let last = &via_refs.x.data()[(idxs.len() - 1) * row..];
-        for k in idxs.len()..pad_to {
-            assert_eq!(&padded.x.data()[k * row..(k + 1) * row], last);
-        }
     }
 
     #[test]

@@ -900,18 +900,6 @@ impl SharedPredictor {
         self.spec.classes.read().expect("spec classes lock").clone()
     }
 
-    /// Whether `batch` is a registered batch class on this model — a
-    /// dense batch of exactly this size replays a specialized plan. The
-    /// serving engine's promotion path uses this to skip sizes that are
-    /// already fast (and to confirm a promotion actually took effect).
-    pub fn is_batch_class(&self, batch: usize) -> bool {
-        self.spec
-            .classes
-            .read()
-            .expect("spec classes lock")
-            .contains(&batch)
-    }
-
     /// The specialized plans currently folded, as ascending
     /// `(leaf count, batch class)` pairs — what a snapshot captures.
     pub fn specialized_plans(&self) -> Vec<(usize, usize)> {

@@ -9,9 +9,9 @@
 //!   (arbitrary mixes of leaf counts), buckets them by leaf count through
 //!   the one shared grouping policy (`cdmpp_core::batch::group_by_leaf_into`,
 //!   writing into pooled scratch), cuts each bucket into dense
-//!   `[B, L, N_ENTRY]` chunks under a **plan-aware scheduling policy**
-//!   ([`ChunkPolicy`]), dispatches the chunks across a worker-thread pool,
-//!   and returns predictions in request order.
+//!   `[B, L, N_ENTRY]` chunks by one rule ([`plan_chunks`]: `len /
+//!   max_batch` full chunks plus one remainder), dispatches the chunks
+//!   across a worker-thread pool, and returns predictions in request order.
 //! * **Bounded admission** ([`ingress`]): a capacity-limited submission
 //!   queue with a typed [`EngineError::Overloaded`] rejection and an
 //!   [`AdmissionPolicy`] knob — overload degrades to fast typed errors,
@@ -42,23 +42,25 @@
 //!   per worker exists, lent to one call at a time, and a call that finds
 //!   none free is queued like any other.
 //!   [`InferenceEngine::caller_chunks`] counts the chunks run this way.
-//! * Each worker replays **compiled inference plans** (`nn::plan`); chunks
-//!   whose size is a registered **batch class** (`1` and `max_batch`)
-//!   replay a batch-specialized fold, odd-size remainders fall back to the
-//!   batch-generic plan.
-//! * **Adaptive dispatch** ([`window`]): with a [`BatchWindow`] configured,
+//! * Each chunk replays a **compiled inference plan** (`nn::plan`): a
+//!   chunk whose size is a registered **batch class** (`1`, `max_batch`,
+//!   whatever a snapshot shipped) replays its batch-specialized fold, any
+//!   other size replays the batch-generic plan
+//!   (`SharedPredictor::predict_planned` decides, per chunk). Nothing
+//!   about this routing is configurable or learned from traffic.
+//! * **Batch window** ([`window`]): with a [`BatchWindow`] configured,
 //!   partially-filled chunks are held briefly and merged *across calls* of
 //!   the same `(generation, leaf count)` — a pending buffer dispatches the
 //!   moment it fills to the batch class or when its oldest sample has
 //!   waited `max_delay`, so a trickle stream's tail latency stays bounded
-//!   while full-class (specialized-plan) dispatch rates go up. Recurring
-//!   remainder sizes are **promoted** to batch classes at runtime
-//!   (`EngineConfig::promote_after`), registered + prewarmed off the hot
-//!   path. Results stay request-ordered and bitwise equal to serial.
-//! * The engine implements `cdmpp_core::CostModel`, so it drops into the
-//!   schedule search as a faster scorer; scoring failures shed candidates
-//!   to `INFINITY` ranks and count in [`EngineStats`] instead of aborting
-//!   the search.
+//!   while full-class (specialized-plan) dispatch rates go up. Results
+//!   stay request-ordered and bitwise equal to serial. The window's
+//!   collector is the only thread an engine owns besides its workers, and
+//!   it exists only when a window is configured.
+//! * [`EngineCostModel`] puts the engine behind `cdmpp_core::CostModel`,
+//!   so it drops into the schedule search as a faster scorer; scoring
+//!   failures shed candidates to `INFINITY` ranks and count in
+//!   [`EngineStats`] instead of aborting the search.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
@@ -150,101 +152,16 @@ impl From<PredictError> for EngineError {
     }
 }
 
-/// How the dispatcher cuts a leaf bucket into dense chunks — the
-/// plan-aware scheduling policy.
-///
-/// Workers replay **batch-specialized** plans for registered batch
-/// classes (`1` and `max_batch`): a class-size chunk executes with zero
-/// symbolic evaluation against a fixed arena that is never re-offset,
-/// while any other size falls back to the batch-generic plan. The policy
-/// controls how much of the stream lands on class sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkPolicy {
-    /// The pre-specialization baseline: chunk by `max_batch` and replay
-    /// **everything** through the batch-generic plan (no class routing).
-    /// Kept for benchmarks and byte-for-byte comparisons.
-    Ragged,
-    /// Emit only stable chunk shapes: full `max_batch` chunks (replayed
-    /// on the `max_batch` class) plus at most one remainder per leaf
-    /// bucket, routed to the generic plan (or the `1` class when it is a
-    /// single sample). The default.
-    Stable,
-    /// Like [`ChunkPolicy::Stable`], but a remainder filling at least
-    /// `min_fill_pct` percent of `max_batch` is **padded** up to the
-    /// class (the last sample's rows are replicated; padded predictions
-    /// are discarded). With specialized-vs-generic replay measured at
-    /// ≥ 1.3× per sample (see `BENCH_inference_plan.json`), a padded
-    /// class chunk beats a generic remainder whenever the fill fraction
-    /// exceeds `t_spec/t_generic` ≈ 0.77 — so the default threshold of 80
-    /// leaves margin. Real rows' results are bit-identical with or
-    /// without padding (every kernel computes rows independently).
-    PadToClass {
-        /// Minimum remainder fill (percent of `max_batch`) to pad.
-        min_fill_pct: usize,
-    },
-}
-
-/// One planned chunk of a leaf bucket: `start..end` index the bucket's
-/// grouped order; `dispatch` is the dense batch size actually executed
-/// (`> end - start` only for padded chunks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedChunk {
-    /// First sample (inclusive), relative to the bucket.
-    pub start: usize,
-    /// Last sample (exclusive), relative to the bucket.
-    pub end: usize,
-    /// Executed batch size (== chunk length unless padded to a class).
-    pub dispatch: usize,
-}
-
-/// The chunk-planning core, emitting `(start, end, dispatch)` triples —
-/// the dispatcher streams these straight into its pooled scratch so the
-/// warmed hot path allocates no chunk lists.
-fn for_each_chunk(
-    len: usize,
-    max_batch: usize,
-    policy: ChunkPolicy,
-    mut emit: impl FnMut(usize, usize, usize),
-) {
+/// Cuts one leaf bucket of `len` samples into dense chunks, as `(start,
+/// end)` spans: `len / max_batch` full chunks plus at most one remainder.
+/// This is the engine's one chunking rule — the dispatcher streams these
+/// spans straight into its pooled scratch, and property tests drive the
+/// same function.
+pub fn plan_chunks(len: usize, max_batch: usize) -> impl Iterator<Item = (usize, usize)> {
     let mb = max_batch.max(1);
-    let full = len / mb;
-    let rem = len % mb;
-    for i in 0..full {
-        emit(i * mb, (i + 1) * mb, mb);
-    }
-    if rem > 0 {
-        // Widening arithmetic: `rem * 100` in `usize` overflows on
-        // adversarial lengths (rem near `usize::MAX`); and a fill
-        // threshold above 100 is clamped — it could never be met (the
-        // remainder is by definition below the class), so an unclamped
-        // value would silently disable padding.
-        let dispatch = match policy {
-            ChunkPolicy::PadToClass { min_fill_pct }
-                if (rem as u128) * 100 >= (min_fill_pct.min(100) as u128) * (mb as u128) =>
-            {
-                mb
-            }
-            _ => rem,
-        };
-        emit(full * mb, len, dispatch);
-    }
-}
-
-/// Cuts one leaf bucket of `len` samples into dense chunks under a
-/// policy: `len / max_batch` full chunks plus at most one remainder,
-/// which [`ChunkPolicy::PadToClass`] may widen to the full class. Pure —
-/// property tests drive it directly (the engine streams the same
-/// decisions into reused scratch instead of collecting them).
-pub fn plan_chunks(len: usize, max_batch: usize, policy: ChunkPolicy) -> Vec<PlannedChunk> {
-    let mut out = Vec::with_capacity(len / max_batch.max(1) + 1);
-    for_each_chunk(len, max_batch, policy, |start, end, dispatch| {
-        out.push(PlannedChunk {
-            start,
-            end,
-            dispatch,
-        })
-    });
-    out
+    (0..len)
+        .step_by(mb)
+        .map(move |start| (start, start + mb.min(len - start)))
 }
 
 /// Default bound on the submission queue, in chunks. Sized so a single
@@ -254,10 +171,6 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
 
 /// Default per-chunk re-dispatch budget after a caught worker panic.
 pub const DEFAULT_MAX_RETRIES: usize = 3;
-
-/// Default promotion threshold: a non-class dispatch size recurring this
-/// many times is promoted to a batch class (0 disables promotion).
-pub const DEFAULT_PROMOTE_AFTER: u64 = 32;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -271,8 +184,6 @@ pub struct EngineConfig {
     /// never-re-offset arena) for. Buckets bigger than this are split so
     /// they spread across the pool.
     pub max_batch: usize,
-    /// The chunking policy; see [`ChunkPolicy`].
-    pub policy: ChunkPolicy,
     /// Submission-queue capacity in chunks (`0` = unbounded, the seed
     /// engine's behavior). Admission control fires when a call arrives
     /// while the queue is at capacity.
@@ -296,11 +207,6 @@ pub struct EngineConfig {
     /// when its oldest sample has waited `max_delay`. Merging never
     /// changes bits: every kernel computes batch rows independently.
     pub batch_window: Option<BatchWindow>,
-    /// Promotion threshold: a non-class dispatch size recurring this many
-    /// times becomes a batch class (registered + prewarmed off the hot
-    /// path). `0` disables promotion; forced to `0` under
-    /// [`ChunkPolicy::Ragged`] (no class routing to promote into).
-    pub promote_after: u64,
 }
 
 impl Default for EngineConfig {
@@ -308,13 +214,11 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             max_batch: cdmpp_core::DEFAULT_MAX_BATCH,
-            policy: ChunkPolicy::Stable,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             admission: AdmissionPolicy::Reject,
             max_retries: DEFAULT_MAX_RETRIES,
             faults: None,
             batch_window: None,
-            promote_after: DEFAULT_PROMOTE_AFTER,
         }
     }
 }
@@ -340,8 +244,8 @@ impl EngineConfig {
 #[derive(Default)]
 struct DispatchScratch {
     groups: LeafGroups,
-    /// `(start, end, dispatch)` per chunk, indexing `groups.order`.
-    chunks: Vec<(usize, usize, usize)>,
+    /// `(start, end)` per chunk, indexing `groups.order`.
+    chunks: Vec<(usize, usize)>,
     /// Each chunk's outcome once resolved (emptied by the scatter).
     results: Vec<Option<Result<Vec<f32>, ChunkError>>>,
     /// Re-dispatches made so far per chunk.
@@ -360,8 +264,8 @@ struct Call<'a, S> {
 /// one (hot-swappable) frozen model.
 ///
 /// The engine is `Sync`: any number of application threads may call
-/// [`InferenceEngine::predict_samples`] (or score programs through the
-/// `CostModel` impl) concurrently; their batches interleave across the
+/// [`InferenceEngine::predict_samples`] (or score programs through an
+/// [`EngineCostModel`]) concurrently; their batches interleave across the
 /// shared worker pool and each call gets its own results back in request
 /// order. Every submitted call resolves to exactly one reply — a full
 /// result set, per-sample typed errors (via
@@ -376,12 +280,12 @@ pub struct InferenceEngine {
     /// Pooled dispatch scratch: concurrent `predict_samples` calls each
     /// take one set of index buffers and return it when done.
     scratch: Mutex<Vec<DispatchScratch>>,
-    /// The adaptive dispatch tier (window buffers + promotion histogram);
-    /// present when a window is configured or promotion is enabled.
+    /// The batch window's pending buffers; present only when a window is
+    /// configured.
     adaptive: Option<Arc<Adaptive>>,
-    /// The collector thread driving the window timer and promotions;
-    /// joined (after `Adaptive::close`) before the queue closes, so the
-    /// timer provably never fires after shutdown.
+    /// The collector thread driving the window timer; joined (after
+    /// `Adaptive::close`) before the queue closes, so the timer provably
+    /// never fires after shutdown.
     adaptive_thread: Mutex<Option<JoinHandle<()>>>,
     stats: Arc<StatsInner>,
     faults: FaultPlan,
@@ -398,44 +302,21 @@ pub struct InferenceEngine {
 impl InferenceEngine {
     /// Starts an engine serving `model` with the given configuration.
     ///
-    /// Unless the policy is [`ChunkPolicy::Ragged`], the engine registers
-    /// its stable batch classes (`1` and `max_batch`) on the model so
-    /// every class-size chunk replays a shape-final specialized plan
-    /// (folded lazily per leaf count, or pre-folded by a snapshot load).
+    /// The engine registers its batch classes (`1` and `max_batch`) on the
+    /// model so every class-size chunk replays a shape-final specialized
+    /// plan (folded lazily per leaf count, or pre-folded by a snapshot
+    /// load). A class the model's registry has no room for replays the
+    /// generic plan and counts in `stats().class_demotions`.
     pub fn new(model: InferenceModel, cfg: EngineConfig) -> Self {
         let stats = Arc::new(StatsInner::default());
         let mut cfg = cfg;
-        // A fill threshold above 100 can never be met; clamp it so
-        // `config()` reflects what actually runs.
-        if let ChunkPolicy::PadToClass { min_fill_pct } = &mut cfg.policy {
-            *min_fill_pct = (*min_fill_pct).min(100);
-        }
         // Resolve the window once (tri-state like `faults`: `None` reads
         // the environment) and pin the resolution into the config.
         let window = cfg.batch_window.unwrap_or_else(BatchWindow::from_env);
         cfg.batch_window = Some(window);
-        if cfg.policy != ChunkPolicy::Ragged {
-            let ok = model.predictor.register_batch_class(1)
-                && model.predictor.register_batch_class(cfg.max_batch.max(1));
-            if !ok {
-                // The model's class registry is full (e.g. a snapshot that
-                // shipped the maximum number of classes) and cannot take
-                // this engine's {1, max_batch}. Class routing would never
-                // fire — and PadToClass would pad for nothing — so demote
-                // to the generic-plan policy, observably: `config().policy`
-                // reflects what actually runs and `stats().class_demotions`
-                // counts the event.
-                stats.class_demotions.fetch_add(1, Ordering::Relaxed);
-                cfg.policy = ChunkPolicy::Ragged;
-            }
-        }
-        if cfg.policy == ChunkPolicy::Ragged {
-            // No class routing exists to promote into.
-            cfg.promote_after = 0;
-        }
+        swap::register_engine_classes(&model, cfg.max_batch, &stats);
         let faults = cfg.faults.clone().unwrap_or_else(FaultPlan::from_env);
         let queue = JobQueue::new(cfg.queue_capacity);
-        let use_classes = cfg.policy != ChunkPolicy::Ragged;
         let n_workers = cfg.resolved_workers();
         // Split the machine between engine workers and intra-op GEMM
         // threads so the two layers compose instead of oversubscribing:
@@ -446,7 +327,6 @@ impl InferenceEngine {
             queue: Arc::clone(&queue),
             stats: Arc::clone(&stats),
             faults: faults.clone(),
-            use_classes,
             intra_op,
         };
         let workers = (0..n_workers)
@@ -456,23 +336,18 @@ impl InferenceEngine {
             })
             .collect();
         let caller_ctx = ctx();
-        // The adaptive tier exists when there is anything for it to do:
-        // a non-zero window (pending buffers + timer) or promotion (the
-        // collector thread also runs registrations off the hot path).
-        let (adaptive, adaptive_thread) = if !window.is_off() || cfg.promote_after > 0 {
+        let (adaptive, adaptive_thread) = if window.is_off() {
+            (None, None)
+        } else {
             let ad = Adaptive::new(
                 Arc::clone(&queue),
                 Arc::clone(&stats),
                 window,
                 cfg.max_batch,
-                cfg.policy,
-                cfg.promote_after,
             );
             let runner = Arc::clone(&ad);
             let t = std::thread::spawn(move || runner.run());
             (Some(ad), Some(t))
-        } else {
-            (None, None)
         };
         InferenceEngine {
             served: RwLock::new(Arc::new(Served {
@@ -555,26 +430,6 @@ impl InferenceEngine {
         self.stats.caller_chunks.load(Ordering::Relaxed)
     }
 
-    /// The remainder-size frequency histogram driving class promotion, as
-    /// `(dispatch size, occurrences)` pairs for every non-class size seen
-    /// at least once. Empty when promotion is disabled.
-    pub fn remainder_histogram(&self) -> Vec<(usize, u64)> {
-        self.adaptive
-            .as_ref()
-            .map(|a| a.remainder_histogram())
-            .unwrap_or_default()
-    }
-
-    /// Sizes promoted to batch classes at runtime by the traffic-aware
-    /// promotion path (re-prewarmed onto every swapped-in model so a hot
-    /// swap keeps the learned traffic shape).
-    pub fn promoted_classes(&self) -> Vec<usize> {
-        self.adaptive
-            .as_ref()
-            .map(|a| a.promoted())
-            .unwrap_or_default()
-    }
-
     pub(crate) fn served(&self) -> Arc<Served> {
         Arc::clone(&self.served.read().unwrap_or_else(|p| p.into_inner()))
     }
@@ -601,10 +456,10 @@ impl InferenceEngine {
     }
 
     /// [`InferenceEngine::predict_samples`] over any [`SampleLike`] view:
-    /// callers that filter or subset a request stream (like the `CostModel`
-    /// path) pass the survivors by reference, and arena-encoded callers
-    /// (like [`EngineCostModel`]) pass borrowed [`cdmpp_core::SampleRef`]s
-    /// straight out of the encode slab — no sample clones either way.
+    /// callers that filter or subset a request stream pass the survivors
+    /// by reference, and arena-encoded callers (like [`EngineCostModel`])
+    /// pass borrowed [`cdmpp_core::SampleRef`]s straight out of the encode
+    /// slab — no sample clones either way.
     pub fn predict_sample_refs<S: SampleLike>(&self, enc: &[S]) -> Result<Vec<f64>, EngineError> {
         let per = self.predict_sample_refs_opts(enc, &SubmitOptions::default())?;
         let mut out = Vec::with_capacity(per.len());
@@ -748,11 +603,8 @@ impl InferenceEngine {
         {
             let chunks = &mut scratch.chunks;
             for &(_, gs, ge) in &scratch.groups.spans {
-                for_each_chunk(
-                    ge - gs,
-                    self.cfg.max_batch,
-                    self.cfg.policy,
-                    |start, end, dispatch| chunks.push((gs + start, gs + end, dispatch)),
+                chunks.extend(
+                    plan_chunks(ge - gs, self.cfg.max_batch).map(|(s, e)| (gs + s, gs + e)),
                 );
             }
         }
@@ -800,12 +652,11 @@ impl InferenceEngine {
             scratch.results[tag] = Some(res);
             resolved += 1;
         }
-        // Scatter chunk outcomes back to request order (the zip truncates
-        // any padded tail predictions).
+        // Scatter chunk outcomes back to request order.
         let mut out: Vec<Result<f64, EngineError>> = Vec::new();
         out.resize_with(enc.len(), || Ok(0.0));
         for (tag, res) in scratch.results.drain(..).enumerate() {
-            let (s, e, _) = scratch.chunks[tag];
+            let (s, e) = scratch.chunks[tag];
             let idxs = &scratch.groups.order[s..e];
             match res.expect("all chunks resolved") {
                 Ok(preds) => {
@@ -846,17 +697,15 @@ impl InferenceEngine {
             reply.send(Err(ChunkError::DeadlineExceeded));
             return Ok(());
         }
-        let (s, e, dispatch) = scratch.chunks[tag];
+        let (s, e) = scratch.chunks[tag];
         let idxs = &scratch.groups.order[s..e];
-        // Windowed routing: a below-class chunk goes to the adaptive
-        // collector *unpadded* (pad-to-class is re-decided at flush time,
-        // against the merged fill) so later calls can merge into it.
+        let batch = build_scaled_batch_idx(enc, idxs, &served.model.scaler);
+        // Windowed routing: a below-class chunk waits in the window so
+        // later calls can merge into it.
         if let Some(ad) = &self.adaptive {
-            if ad.windowed() && e - s < self.cfg.max_batch {
-                let leaves = enc[idxs[0]].leaf_count();
-                let batch = build_scaled_batch_idx(enc, idxs, 0, &served.model.scaler);
+            if e - s < self.cfg.max_batch {
                 return ad.submit(
-                    leaves,
+                    batch.leaf_count,
                     served,
                     batch.x,
                     batch.dev,
@@ -864,15 +713,6 @@ impl InferenceEngine {
                     reply,
                     opts.deadline,
                 );
-            }
-        }
-        let batch = build_scaled_batch_idx(enc, idxs, dispatch, &served.model.scaler);
-        // A non-class direct dispatch is the promotion signal: a size that
-        // keeps replaying the batch-generic plan. A retry is the same
-        // chunk again, not a recurrence of its size.
-        if dispatch != self.cfg.max_batch && scratch.attempts[tag] == 0 {
-            if let Some(ad) = &self.adaptive {
-                ad.record_remainder(dispatch, served);
             }
         }
         let job = Job {
@@ -955,64 +795,6 @@ impl Drop for InferenceEngine {
     }
 }
 
-/// The engine is a drop-in cost model for the schedule search: `score_batch`
-/// fans candidate programs out across the worker pool.
-impl CostModel for InferenceEngine {
-    fn score(&self, prog: &TensorProgram, dev: &DeviceSpec) -> f64 {
-        self.score_batch(&[prog], dev)[0]
-    }
-
-    fn score_batch(&self, progs: &[&TensorProgram], dev: &DeviceSpec) -> Vec<f64> {
-        // Per-candidate granularity: an unsupported leaf count ranks only
-        // that candidate as infinitely slow; the rest still get real
-        // scores (matching the TrainedModel cost model's behavior).
-        let served = self.served();
-        let enc = encode_programs(
-            progs,
-            dev,
-            served.model.predictor.config().theta,
-            served.model.use_pe,
-        );
-        let max_leaves = served.model.predictor.config().max_leaves;
-        let valid_idx: Vec<usize> = enc
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| (1..=max_leaves).contains(&s.leaf_count))
-            .map(|(i, _)| i)
-            .collect();
-        let mut out = vec![f64::INFINITY; progs.len()];
-        if valid_idx.is_empty() {
-            return out;
-        }
-        // Borrow the validated candidates — no wholesale sample clones.
-        let valid: Vec<&EncodedSample> = valid_idx.iter().map(|&i| &enc[i]).collect();
-        // `CostModel` has no error channel; the established convention is
-        // that an unscorable candidate ranks as INFINITY (invalid leaf
-        // counts already do). Engine failures — overload, shutdown, a
-        // post-retry worker panic, a deadline shed — therefore shed the
-        // affected candidates to INFINITY and count in
-        // `stats().score_sheds`, instead of panicking the search process.
-        match self.predict_sample_refs_opts(&valid, &SubmitOptions::default()) {
-            Ok(per) => {
-                for (&i, r) in valid_idx.iter().zip(per) {
-                    match r {
-                        Ok(p) => out[i] = p,
-                        Err(_) => {
-                            self.stats.score_sheds.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                self.stats
-                    .score_sheds
-                    .fetch_add(valid_idx.len() as u64, Ordering::Relaxed);
-            }
-        }
-        out
-    }
-}
-
 /// Cumulative `EngineCostModel` timing breakdown, in nanoseconds, plus the
 /// number of candidates that received a finite score. `predict_ns` (worker
 /// busy time inside `dispatch_ns`) lives in [`EngineStats`].
@@ -1032,12 +814,10 @@ pub struct ScoreTimings {
 /// through a live [`InferenceEngine`] — leaf bucketing, batch classes, and
 /// window batching all exercised, no per-candidate sample clones.
 ///
-/// Versus `impl CostModel for InferenceEngine` (which re-allocates a fresh
-/// `Vec<EncodedSample>` per round via `encode_programs`), this is the
-/// zero-alloc hot path the generational search runs on: the arena's slabs
-/// are reused round over round. One `EngineCostModel` serializes its own
-/// `score_batch` calls (the arena is a single scratch buffer); the engine
-/// underneath still fans each round's chunks across the worker pool.
+/// The arena's slabs are reused round over round. One `EngineCostModel`
+/// serializes its own `score_batch` calls (the arena is a single scratch
+/// buffer); the engine underneath still fans each round's chunks across
+/// the worker pool.
 pub struct EngineCostModel {
     engine: Arc<InferenceEngine>,
     pool: ThreadPool,
@@ -1114,9 +894,13 @@ impl CostModel for EngineCostModel {
         );
         self.encode_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // Same per-candidate convention as the engine's own CostModel
-        // impl: invalid leaf counts (and engine-shed candidates) rank
-        // INFINITY, everything else gets a real score.
+        // `CostModel` has no error channel; the established convention is
+        // that an unscorable candidate ranks as INFINITY (matching the
+        // TrainedModel cost model). Invalid leaf counts rank only that
+        // candidate INFINITY; engine failures — overload, shutdown, a
+        // post-retry worker panic, a deadline shed — shed the affected
+        // candidates to INFINITY and count in `stats().score_sheds`,
+        // instead of panicking the search process.
         let valid_idx: Vec<usize> = (0..arena.len())
             .filter(|&i| (1..=max_leaves).contains(&arena.leaf_count(i)))
             .collect();

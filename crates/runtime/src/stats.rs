@@ -4,7 +4,7 @@
 //! shedding, worker supervision, hot swap, cost-model shedding — bumps a
 //! counter here instead of writing to stderr. [`EngineStats`] is the
 //! plain-data snapshot returned by `InferenceEngine::stats()` and printed
-//! by the serving bench and the CLI.
+//! by the CLI.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,7 +23,6 @@ pub(crate) struct StatsInner {
     pub score_sheds: AtomicU64,
     pub window_fill_flushes: AtomicU64,
     pub window_timer_flushes: AtomicU64,
-    pub promotions: AtomicU64,
     pub queue_depth_hw: AtomicU64,
     pub predict_ns: AtomicU64,
     /// Chunks replayed on the calling thread. Not an [`EngineStats`] field
@@ -59,7 +58,7 @@ impl StatsInner {
             score_sheds: get(&self.score_sheds),
             window_fill_flushes: get(&self.window_fill_flushes),
             window_timer_flushes: get(&self.window_timer_flushes),
-            promotions: get(&self.promotions),
+            promotions: 0,
             queue_depth: queue_depth as u64,
             queue_depth_hw: get(&self.queue_depth_hw),
             parked: parked as u64,
@@ -91,9 +90,10 @@ pub struct EngineStats {
     pub completed_chunks: u64,
     /// Live model hot-swaps (`swap_snapshot` / `swap_model`).
     pub swaps: u64,
-    /// Batch-class registrations that could not take effect (full class
-    /// registry on the served model) — a performance demotion, counted
-    /// instead of warned about on stderr.
+    /// Engine batch classes (`1`, `max_batch`) that could not register
+    /// on a served model because its class registry was full, one tick per
+    /// class per model — chunks of that size replay the generic plan: a
+    /// performance demotion, counted instead of warned about on stderr.
     pub class_demotions: u64,
     /// Candidates shed to `f32::INFINITY` scores by the `CostModel` path
     /// because the engine returned an error for them.
@@ -104,8 +104,8 @@ pub struct EngineStats {
     /// Window buffers dispatched by the `max_delay` timer (partially
     /// filled — the latency bound doing its job).
     pub window_timer_flushes: u64,
-    /// Remainder sizes promoted to batch classes at runtime by the
-    /// traffic-aware promotion path.
+    /// Retained for layout (callers build this struct field by field);
+    /// always 0 — the engine learns no batch classes from traffic.
     pub promotions: u64,
     /// Current submission-queue depth (chunks).
     pub queue_depth: u64,

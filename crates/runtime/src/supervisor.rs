@@ -32,9 +32,6 @@ pub(crate) struct WorkerCtx {
     pub queue: Arc<JobQueue>,
     pub stats: Arc<StatsInner>,
     pub faults: FaultPlan,
-    /// `false` pins every chunk to the batch-generic plan
-    /// ([`crate::ChunkPolicy::Ragged`]).
-    pub use_classes: bool,
     /// Intra-op GEMM thread budget (cores / workers). Applied to worker
     /// threads only: a calling thread's `parallel` budget is its own.
     pub intra_op: usize,
@@ -108,18 +105,12 @@ pub(crate) fn process_job(ctx: &WorkerCtx, runner: &mut PlanRunner, job: Job) {
 
     // The supervised region: anything that unwinds out of plan replay is
     // caught here and converted into this one chunk's typed failure.
-    let use_classes = ctx.use_classes;
     let started = std::time::Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
         if fired.panic {
             panic!("injected fault: panic@replay");
         }
-        let model = &served.model;
-        if use_classes {
-            model.predictor.predict_planned(runner, &x, &dev)
-        } else {
-            model.predictor.predict_planned_generic(runner, &x, &dev)
-        }
+        served.model.predictor.predict_planned(runner, &x, &dev)
     }));
     ctx.stats.predict_ns.fetch_add(
         started.elapsed().as_nanos() as u64,

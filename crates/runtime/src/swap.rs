@@ -23,13 +23,33 @@ use std::sync::Arc;
 
 use cdmpp_core::InferenceModel;
 
-use crate::{ChunkPolicy, EngineError, InferenceEngine};
+use crate::stats::StatsInner;
+use crate::{EngineError, InferenceEngine};
 
 /// One published model generation. Jobs hold an `Arc<Served>`, pinning the
 /// model they were admitted under.
 pub(crate) struct Served {
     pub model: Arc<InferenceModel>,
     pub generation: u64,
+}
+
+/// Registers the engine's batch classes — `1` and `max_batch` — on a
+/// model about to be served. A class the model's registry has no room for
+/// (e.g. a snapshot that shipped `MAX_BATCH_CLASSES` of its own) is one
+/// `class_demotions` tick: chunks of that size replay the generic plan —
+/// a performance loss worth counting, never a correctness one — and
+/// every class that did register keeps its specialized plan.
+pub(crate) fn register_engine_classes(
+    model: &InferenceModel,
+    max_batch: usize,
+    stats: &StatsInner,
+) {
+    let max_batch = max_batch.max(1);
+    for class in std::iter::once(1).chain((max_batch > 1).then_some(max_batch)) {
+        if !model.predictor.register_batch_class(class) {
+            stats.class_demotions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl InferenceEngine {
@@ -50,33 +70,14 @@ impl InferenceEngine {
     /// racing `shutdown` publishes fine (there is just no traffic left to
     /// serve it to), and neither call can deadlock the other.
     pub fn swap_model(&self, model: InferenceModel) -> Result<u64, EngineError> {
-        if self.config().policy != ChunkPolicy::Ragged {
-            // The stable classes, plus every class the promotion path
-            // learned from live traffic — a swap keeps the learned
-            // traffic shape instead of resetting to {1, max_batch}.
-            let mut classes = vec![1, self.config().max_batch.max(1)];
-            for b in self.promoted_classes() {
-                if !classes.contains(&b) {
-                    classes.push(b);
-                }
-            }
-            model
-                .predictor
-                .prewarm_classes(&classes)
-                .map_err(EngineError::Predict)?;
-            // A full class registry on the new model (e.g. a snapshot that
-            // shipped MAX_BATCH_CLASSES of its own) demotes those sizes to
-            // the generic plan — a performance loss worth counting, never
-            // a correctness one.
-            let registered = model.predictor.batch_classes();
-            for b in classes {
-                if !registered.contains(&b) {
-                    self.stats_inner()
-                        .class_demotions
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        // Fold first: a model that fails to prewarm is never published
+        // and must not count a demotion.
+        let max_batch = self.config().max_batch;
+        model
+            .predictor
+            .prewarm_classes(&[1, max_batch.max(1)])
+            .map_err(EngineError::Predict)?;
+        register_engine_classes(&model, max_batch, self.stats_inner());
         let generation = {
             let mut served = self
                 .served_slot()

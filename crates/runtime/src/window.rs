@@ -1,31 +1,18 @@
-//! Adaptive dispatch: time-window batching + traffic-aware class
-//! promotion (the Clipper/Triton dynamic-batching shape, under this
-//! crate's bit-identity contract).
+//! Time-window batching (the Clipper/Triton dynamic-batching shape, under
+//! this crate's bit-identity contract).
 //!
-//! Two serving-tier gaps remain after the plan-aware scheduler: a trickle
-//! of small requests never fills a batch class (each call's remainder
-//! replays the slower batch-generic plan alone), and a remainder size
-//! that recurs forever keeps replaying that generic plan even though the
-//! specialization registry has room. This module closes both:
-//!
-//! * **Time-window batching** ([`BatchWindow`]): partial (below
-//!   `max_batch`) chunks are *held* in per-`(generation, leaf count)`
-//!   pending buffers instead of dispatching immediately. A buffer
-//!   dispatches the moment it **fills** to the batch class (merged across
-//!   calls — the class-specialized plan replays where N generic
-//!   remainders used to), or when its **oldest sample has waited
-//!   `max_delay`** — a dedicated collector thread sleeps until the
-//!   earliest due time (no busy-wait) and flushes what is due. Per-call
-//!   results stay request-ordered and bitwise equal to serial: every
-//!   kernel in the stack computes batch rows independently, so merging
-//!   changes *which* batch a sample rides in, never its bits.
-//! * **Class promotion** ([`Adaptive::record_remainder`]): every
-//!   non-class dispatch size is counted; a size recurring past
-//!   `promote_after` is promoted to a batch class via
-//!   `SharedPredictor::prewarm_classes` **on the collector thread** —
-//!   registration and plan folding never block a dispatch. A full class
-//!   registry counts an observable demotion (`EngineStats::class_demotions`)
-//!   and stops retrying that size.
+//! A trickle of small requests never fills a batch class: each call's
+//! remainder replays the slower batch-generic plan alone. With a
+//! [`BatchWindow`] configured, partial (below `max_batch`) chunks are
+//! *held* in per-`(generation, leaf count)` pending buffers instead of
+//! dispatching immediately. A buffer dispatches the moment it **fills** to
+//! the batch class (merged across calls — the class-specialized plan
+//! replays where N generic remainders used to), or when its **oldest
+//! sample has waited `max_delay`** — a dedicated collector thread sleeps
+//! until the earliest due time (no busy-wait) and flushes what is due.
+//! Per-call results stay request-ordered and bitwise equal to serial:
+//! every kernel in the stack computes batch rows independently, so merging
+//! changes *which* batch a sample rides in, never its bits.
 //!
 //! Failure semantics compose with the rest of the ingress tier: segments
 //! whose deadline expired are shed at flush (before execution), a merged
@@ -35,7 +22,7 @@
 //! joined), and a worker panic fans [`ChunkError::Panicked`] out to every
 //! segment so each call's own retry budget applies.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -44,11 +31,6 @@ use tensor::Tensor;
 use crate::ingress::{ChunkError, Deadline, Job, JobQueue, JobReply, PushError, ReplyGuard};
 use crate::stats::StatsInner;
 use crate::swap::Served;
-use crate::ChunkPolicy;
-
-/// Promotion candidates are tracked for dispatch sizes below this cap;
-/// an adversarially huge `max_batch` must not inflate the histogram.
-const PROMOTION_HISTOGRAM_CAP: usize = 1024;
 
 /// The time-window batching knob: a partially-filled class chunk
 /// dispatches when it fills *or* when its oldest sample has waited
@@ -108,10 +90,10 @@ pub(crate) struct WindowSeg {
 }
 
 /// The reply side of a window-merged chunk: splits the executed batch's
-/// predictions back per segment (any padded tail is discarded), or fans a
-/// chunk-level failure out to every segment. Dropping it unsent lets each
-/// segment's own [`ReplyGuard`] report `Panicked`, so the
-/// exactly-one-reply contract holds per call even across merges.
+/// predictions back per segment, or fans a chunk-level failure out to
+/// every segment. Dropping it unsent lets each segment's own
+/// [`ReplyGuard`] report `Panicked`, so the exactly-one-reply contract
+/// holds per call even across merges.
 pub(crate) struct WindowReply {
     pub segs: Vec<WindowSeg>,
 }
@@ -168,20 +150,11 @@ struct PendingGroup {
 
 struct AdaptiveInner {
     groups: Vec<PendingGroup>,
-    /// Promotion requests handed to the collector thread: `(size, the
-    /// served generation whose model gets the class)`.
-    promote: Vec<(usize, Arc<Served>)>,
-    /// Sizes promoted at runtime — re-prewarmed onto every swapped-in
-    /// model so a hot swap keeps the learned traffic shape.
-    promoted: Vec<usize>,
-    /// Sizes whose promotion failed (full registry / fold error): counted
-    /// as demotions once, never retried.
-    rejected: Vec<usize>,
     closed: bool,
 }
 
-/// The adaptive dispatch tier: pending window buffers + the promotion
-/// histogram, shared between submitting calls and the collector thread.
+/// The batch window's pending buffers, shared between submitting calls
+/// and the collector thread.
 pub(crate) struct Adaptive {
     inner: Mutex<AdaptiveInner>,
     wake: Condvar,
@@ -189,10 +162,6 @@ pub(crate) struct Adaptive {
     stats: Arc<StatsInner>,
     window: BatchWindow,
     max_batch: usize,
-    policy: ChunkPolicy,
-    promote_after: u64,
-    /// Remainder-size frequency histogram (index = dispatch size).
-    counts: Vec<AtomicU64>,
 }
 
 impl Adaptive {
@@ -201,15 +170,10 @@ impl Adaptive {
         stats: Arc<StatsInner>,
         window: BatchWindow,
         max_batch: usize,
-        policy: ChunkPolicy,
-        promote_after: u64,
     ) -> Arc<Adaptive> {
         Arc::new(Adaptive {
             inner: Mutex::new(AdaptiveInner {
                 groups: Vec::new(),
-                promote: Vec::new(),
-                promoted: Vec::new(),
-                rejected: Vec::new(),
                 closed: false,
             }),
             wake: Condvar::new(),
@@ -217,11 +181,6 @@ impl Adaptive {
             stats,
             window,
             max_batch: max_batch.max(1),
-            policy,
-            promote_after,
-            counts: (0..max_batch.clamp(1, PROMOTION_HISTOGRAM_CAP))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
         })
     }
 
@@ -229,14 +188,9 @@ impl Adaptive {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Whether partial chunks should be held for merging.
-    pub fn windowed(&self) -> bool {
-        !self.window.is_off()
-    }
-
-    /// Hands one call's partial chunk (already scaled, never padded) to
-    /// the window. Returns `Err(())` when the collector is closed — the
-    /// caller surfaces `WorkersUnavailable`, exactly like a closed queue.
+    /// Hands one call's partial chunk (already scaled) to the window.
+    /// Returns `Err(())` when the collector is closed — the caller
+    /// surfaces `WorkersUnavailable`, exactly like a closed queue.
     #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &self,
@@ -316,8 +270,7 @@ impl Adaptive {
     }
 
     /// Dispatches one pending buffer as a dense chunk: sheds expired
-    /// segments, applies `PadToClass` to the merged fill, records the
-    /// final dispatch size in the promotion histogram, and pushes the job.
+    /// segments and pushes the job.
     fn flush(&self, mut g: PendingGroup) {
         // The group's segments leave the pending buffer here on every path
         // (dispatch, shed, closed queue), so this is the one unpark site.
@@ -356,28 +309,6 @@ impl Adaptive {
         if g.segs.is_empty() {
             return;
         }
-        // PadToClass composes with the window: a merged buffer that still
-        // qualifies pads up to the class by replicating the last sample's
-        // rows (padded predictions are discarded by the reply split).
-        let mut dispatch = g.total;
-        if let ChunkPolicy::PadToClass { min_fill_pct } = self.policy {
-            if (g.total as u128) * 100 >= (min_fill_pct.min(100) as u128) * (self.max_batch as u128)
-            {
-                dispatch = self.max_batch;
-            }
-        }
-        for _ in g.total..dispatch {
-            let (xa, xb) = (g.xs.len() - g.x_stride, g.xs.len());
-            g.xs.extend_from_within(xa..xb);
-            let (da, db) = (g.devs.len() - g.dev_stride, g.devs.len());
-            g.devs.extend_from_within(da..db);
-        }
-        if dispatch != self.max_batch {
-            // A partial flush replays the generic plan (unless its size
-            // was already promoted) — that recurring size is exactly the
-            // promotion signal.
-            self.record_remainder(dispatch, &g.served);
-        }
         // A worker sheds the whole chunk on its deadline, so the merged
         // deadline must be the *latest* segment deadline: a shed then
         // never discards a segment that still had time. (Segments that
@@ -393,8 +324,8 @@ impl Adaptive {
             })
             .flatten();
         let entry = g.x_stride / g.leaves.max(1);
-        let x = Tensor::from_vec(g.xs, &[dispatch, g.leaves, entry]).expect("window batch rows");
-        let dev = Tensor::from_vec(g.devs, &[dispatch, g.dev_stride]).expect("window device rows");
+        let x = Tensor::from_vec(g.xs, &[g.total, g.leaves, entry]).expect("window batch rows");
+        let dev = Tensor::from_vec(g.devs, &[g.total, g.dev_stride]).expect("window device rows");
         let job = Job {
             x,
             dev,
@@ -425,47 +356,6 @@ impl Adaptive {
         }
     }
 
-    /// Counts one non-class dispatch of `size` samples toward promotion;
-    /// crossing the threshold queues a promotion request for the collector
-    /// thread (registration + plan folding never happen on this path).
-    pub fn record_remainder(&self, size: usize, served: &Arc<Served>) {
-        if self.promote_after == 0 || size == 0 || size >= self.counts.len() {
-            return;
-        }
-        if served.model.predictor.is_batch_class(size) {
-            return;
-        }
-        let c = self.counts[size].fetch_add(1, Ordering::Relaxed) + 1;
-        if c == self.promote_after {
-            let mut inner = self.lock();
-            if inner.closed || inner.rejected.contains(&size) || inner.promoted.contains(&size) {
-                return;
-            }
-            inner.promote.push((size, Arc::clone(served)));
-            drop(inner);
-            self.wake.notify_all();
-        }
-    }
-
-    /// The remainder-size frequency histogram, as `(size, dispatches)`
-    /// pairs for every size seen at least once.
-    pub fn remainder_histogram(&self) -> Vec<(usize, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter_map(|(size, c)| {
-                let n = c.load(Ordering::Relaxed);
-                (n > 0).then_some((size, n))
-            })
-            .collect()
-    }
-
-    /// Sizes promoted to batch classes so far (re-prewarmed onto every
-    /// swapped-in model).
-    pub fn promoted(&self) -> Vec<usize> {
-        self.lock().promoted.clone()
-    }
-
     /// Closes the collector: pending buffers flush (their samples still
     /// complete — or resolve `WorkersUnavailable` if the queue closed
     /// first), new submissions fail, and the collector thread exits — the
@@ -478,31 +368,12 @@ impl Adaptive {
         self.wake.notify_all();
     }
 
-    /// Registers + prewarms one promoted class on the collector thread.
-    fn promote(&self, size: usize, served: &Arc<Served>) {
-        let promoted = match served.model.predictor.prewarm_classes(&[size]) {
-            Ok(_) => served.model.predictor.is_batch_class(size),
-            Err(_) => false,
-        };
-        let mut inner = self.lock();
-        if promoted {
-            self.stats.promotions.fetch_add(1, Ordering::Relaxed);
-            inner.promoted.push(size);
-        } else {
-            // Full registry (or a fold failure): an observable performance
-            // demotion, asked for exactly once.
-            self.stats.class_demotions.fetch_add(1, Ordering::Relaxed);
-            inner.rejected.push(size);
-        }
-    }
-
     /// The collector thread body: sleep until the earliest pending due
-    /// time (or a wake signal), flush due buffers, run promotions, exit
-    /// only on close (after flushing everything still pending).
+    /// time (or a wake signal), flush due buffers, exit only on close
+    /// (after flushing everything still pending).
     pub fn run(self: &Arc<Self>) {
         loop {
             let mut due: Vec<PendingGroup> = Vec::new();
-            let mut promos: Vec<(usize, Arc<Served>)> = Vec::new();
             let mut timer_fires = 0u64;
             let exit;
             {
@@ -513,7 +384,6 @@ impl Adaptive {
                         exit = true;
                         break;
                     }
-                    promos.append(&mut inner.promote);
                     let now = Instant::now();
                     let mut next: Option<Instant> = None;
                     let mut i = 0;
@@ -529,7 +399,7 @@ impl Adaptive {
                         }
                         i += 1;
                     }
-                    if !due.is_empty() || !promos.is_empty() {
+                    if !due.is_empty() {
                         exit = false;
                         break;
                     }
@@ -549,9 +419,6 @@ impl Adaptive {
                 .fetch_add(timer_fires, Ordering::Relaxed);
             for g in due {
                 self.flush(g);
-            }
-            for (size, served) in promos {
-                self.promote(size, &served);
             }
             if exit {
                 return;

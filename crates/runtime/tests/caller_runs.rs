@@ -351,28 +351,3 @@ fn a_configured_window_keeps_parking_small_calls() {
     assert!(s.window_timer_flushes > 0, "{s}");
     assert_eq!(eng.caller_chunks(), 0);
 }
-
-#[test]
-fn a_retried_chunk_counts_once_toward_promotion() {
-    // Every second replay panics and is retried. Each call has exactly one
-    // 3-sample remainder, so N calls are N occurrences of size 3 — on the
-    // caller path (3 samples) and on the queued one (a full chunk + 3).
-    const N: u64 = 10;
-    for size in [3, MAX_BATCH + 3] {
-        let eng = engine(
-            "panic@replay:every=2",
-            EngineConfig {
-                workers: 1,
-                promote_after: 1_000,
-                ..Default::default()
-            },
-        );
-        let enc = mixed(size, 1);
-        let want = eng.model().predict_samples(&enc).unwrap();
-        for _ in 0..N {
-            assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), bits(&want));
-        }
-        assert!(eng.stats().chunk_retries > 0, "the plan must have fired");
-        assert_eq!(eng.remainder_histogram(), vec![(3, N)], "{size} samples");
-    }
-}

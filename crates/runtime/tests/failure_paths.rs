@@ -1,6 +1,6 @@
 //! Engine failure paths: a shut-down worker pool must surface
 //! `EngineError::WorkersUnavailable` (never hang), and mixed valid/invalid
-//! leaf counts through the `CostModel` must rank only the invalid
+//! leaf counts through the `EngineCostModel` must rank only the invalid
 //! candidates as infinitely slow.
 
 use cdmpp_core::batch::{EncodedSample, FeatScaler};
@@ -12,7 +12,8 @@ use learn::TransformKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use runtime::{EngineConfig, EngineError, FaultPlan, InferenceEngine};
+use runtime::{EngineConfig, EngineCostModel, EngineError, FaultPlan, InferenceEngine};
+use std::sync::Arc;
 use tir::{lower, sample_schedule, OpSpec};
 
 fn frozen_model(max_leaves: usize) -> cdmpp_core::InferenceModel {
@@ -130,7 +131,8 @@ fn score_batch_ranks_only_invalid_leaf_counts_as_infinity() {
     let model = frozen_model(2);
     let theta = model.predictor.config().theta;
     let use_pe = model.use_pe;
-    let engine = InferenceEngine::new(model, EngineConfig::single_worker());
+    let engine = Arc::new(InferenceEngine::new(model, EngineConfig::single_worker()));
+    let cost = EngineCostModel::new(Arc::clone(&engine), 1);
     let mut rng = StdRng::seed_from_u64(9);
     let dev = devsim::t4();
     let mut progs = Vec::new();
@@ -162,7 +164,7 @@ fn score_batch_ranks_only_invalid_leaf_counts_as_infinity() {
         "fixture must mix valid and invalid leaf counts (got {:?})",
         enc.iter().map(|s| s.leaf_count).collect::<Vec<_>>()
     );
-    let scores = engine.score_batch(&refs, &dev);
+    let scores = cost.score_batch(&refs, &dev);
     assert_eq!(scores.len(), progs.len());
     for (i, (&ok, score)) in valid.iter().zip(&scores).enumerate() {
         if ok {
@@ -178,6 +180,17 @@ fn score_batch_ranks_only_invalid_leaf_counts_as_infinity() {
             );
         }
     }
+    // An invalid leaf count is the candidate's own property, not an engine
+    // failure: nothing was shed.
+    assert_eq!(engine.stats().score_sheds, 0);
+    // An engine failure sheds every candidate it was asked to score — and
+    // only those — to INFINITY, counted instead of panicking the search.
+    engine.shutdown();
+    let scores = cost.score_batch(&refs, &dev);
+    assert!(scores.iter().all(|&s| s == f64::INFINITY));
+    let n_valid = valid.iter().filter(|&&v| v).count() as u64;
+    assert_eq!(engine.stats().score_sheds, n_valid);
+    assert_eq!(cost.timings().scored, n_valid, "first round only");
 }
 
 fn frozen_with(transform: TransformKind) -> cdmpp_core::InferenceModel {

@@ -17,8 +17,7 @@ use cdmpp_core::{Predictor, PredictorConfig, TrainConfig, TrainedModel};
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use learn::TransformKind;
 use runtime::{
-    AdmissionPolicy, ChunkPolicy, Deadline, EngineConfig, EngineError, FaultPlan, InferenceEngine,
-    SubmitOptions,
+    AdmissionPolicy, Deadline, EngineConfig, EngineError, FaultPlan, InferenceEngine, SubmitOptions,
 };
 
 fn trained(transform: TransformKind) -> TrainedModel {
@@ -457,18 +456,13 @@ fn snapshot_file_swap_cuts_over_and_bad_files_leave_old_model_serving() {
 
 #[test]
 fn every_fault_and_policy_combination_resolves_cleanly() {
-    // The full matrix: chunk policy x fault profile x admission policy.
+    // The full matrix: fault profile x admission policy.
     // With no deadline and the default retry budget, every combination
     // must serve bit-exact results, resolve every sample exactly once,
     // and tear down to a typed refusal.
     let model = frozen(TransformKind::None);
     let enc = stream(30);
     let want = model.predict_samples(&enc).unwrap();
-    let policies = [
-        ChunkPolicy::Ragged,
-        ChunkPolicy::Stable,
-        ChunkPolicy::PadToClass { min_fill_pct: 50 },
-    ];
     let faults = ["panic@replay:every=3", "delay@replay:ms=2,every=2"];
     let admissions = [
         AdmissionPolicy::Reject,
@@ -476,39 +470,36 @@ fn every_fault_and_policy_combination_resolves_cleanly() {
             timeout: Duration::from_secs(30),
         },
     ];
-    for policy in policies {
-        for fault in faults {
-            for admission in admissions {
-                let label = format!("{policy:?} / {fault} / {admission:?}");
-                let engine = InferenceEngine::new(
-                    frozen(TransformKind::None),
-                    EngineConfig {
-                        workers: 2,
-                        max_batch: 4,
-                        policy,
-                        admission,
-                        // See injected_panics_heal_to_bit_exact_results: a
-                        // big budget keeps re-fired retries from exhausting.
-                        max_retries: 20,
-                        faults: Some(FaultPlan::parse(fault).unwrap()),
-                        ..Default::default()
-                    },
-                );
-                let per = engine
-                    .predict_samples_opts(&enc, &SubmitOptions::default())
-                    .unwrap();
-                assert_eq!(per.len(), enc.len(), "{label}: one outcome per sample");
-                for (i, r) in per.into_iter().enumerate() {
-                    match r {
-                        Ok(p) => assert_eq!(p, want[i], "{label}: sample {i}"),
-                        Err(other) => panic!("{label}: sample {i} failed: {other}"),
-                    }
+    for fault in faults {
+        for admission in admissions {
+            let label = format!("{fault} / {admission:?}");
+            let engine = InferenceEngine::new(
+                frozen(TransformKind::None),
+                EngineConfig {
+                    workers: 2,
+                    max_batch: 4,
+                    admission,
+                    // See injected_panics_heal_to_bit_exact_results: a
+                    // big budget keeps re-fired retries from exhausting.
+                    max_retries: 20,
+                    faults: Some(FaultPlan::parse(fault).unwrap()),
+                    ..Default::default()
+                },
+            );
+            let per = engine
+                .predict_samples_opts(&enc, &SubmitOptions::default())
+                .unwrap();
+            assert_eq!(per.len(), enc.len(), "{label}: one outcome per sample");
+            for (i, r) in per.into_iter().enumerate() {
+                match r {
+                    Ok(p) => assert_eq!(p, want[i], "{label}: sample {i}"),
+                    Err(other) => panic!("{label}: sample {i} failed: {other}"),
                 }
-                engine.shutdown();
-                match engine.predict_samples(&enc) {
-                    Err(EngineError::WorkersUnavailable) => {}
-                    other => panic!("{label}: expected refusal after shutdown, got {other:?}"),
-                }
+            }
+            engine.shutdown();
+            match engine.predict_samples(&enc) {
+                Err(EngineError::WorkersUnavailable) => {}
+                other => panic!("{label}: expected refusal after shutdown, got {other:?}"),
             }
         }
     }
@@ -531,7 +522,6 @@ fn delay_faults_racing_the_batch_window_stay_bit_exact() {
             workers: 2,
             max_batch: 8,
             batch_window: Some(runtime::BatchWindow::millis(1)),
-            promote_after: 4,
             faults: Some(FaultPlan::parse("delay@replay:ms=2,every=3").unwrap()),
             ..Default::default()
         },

@@ -1,23 +1,19 @@
-//! Plan-aware scheduler properties.
+//! Scheduler properties.
 //!
-//! The dispatcher must only ever emit **declared batch shapes** — full
-//! `max_batch` chunks plus at most one remainder per leaf bucket (padded
-//! up to the class only under `PadToClass` at sufficient fill) — and,
-//! under every policy, serve any request mix (sizes `1..=3·max_batch`,
-//! arbitrarily interleaved leaf counts) with request-ordered results that
-//! are **bit-identical** to the serial reference path: no drops, no
-//! duplicates, no padding leakage. A shutdown racing the padded dispatch
-//! path must still never hang or return partial results.
+//! The dispatcher cuts every leaf bucket by one rule — full `max_batch`
+//! chunks plus at most one remainder — and serves any request mix (sizes
+//! `1..=3·max_batch`, arbitrarily interleaved leaf counts) with
+//! request-ordered results that are **bit-identical** to the serial
+//! reference path: no drops, no duplicates. Which plan a chunk replays is
+//! decided per chunk size by the model's class registry, which the engine
+//! never grows past `{1, max_batch}`.
 
 use cdmpp_core::batch::{EncodedSample, FeatScaler};
 use cdmpp_core::{Predictor, PredictorConfig, TrainConfig, TrainedModel};
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use learn::TransformKind;
 use proptest::prelude::*;
-use runtime::{
-    plan_chunks, BatchWindow, ChunkPolicy, EngineConfig, EngineError, FaultPlan, InferenceEngine,
-    PlannedChunk,
-};
+use runtime::{plan_chunks, BatchWindow, EngineConfig, EngineError, FaultPlan, InferenceEngine};
 
 fn frozen_model() -> cdmpp_core::InferenceModel {
     let model = TrainedModel {
@@ -48,73 +44,40 @@ fn stream_of(leaves: &[usize]) -> Vec<EncodedSample> {
         .collect()
 }
 
-fn policies() -> [ChunkPolicy; 3] {
-    [
-        ChunkPolicy::Ragged,
-        ChunkPolicy::Stable,
-        ChunkPolicy::PadToClass { min_fill_pct: 80 },
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pure chunk-planning invariants, for any bucket length and policy.
+    /// The chunking rule, for any bucket length: chunks partition
+    /// `0..len`, and every chunk except possibly the last is `max_batch`
+    /// long (a configured `max_batch` of 0 serves as 1).
     #[test]
     fn chunks_partition_and_emit_only_declared_shapes(
         len in 0usize..200,
-        max_batch in 1usize..24,
-        policy_idx in 0usize..3,
-        min_fill in 50usize..=100,
+        max_batch in 0usize..24,
     ) {
-        let policy = match policy_idx {
-            0 => ChunkPolicy::Ragged,
-            1 => ChunkPolicy::Stable,
-            _ => ChunkPolicy::PadToClass { min_fill_pct: min_fill },
-        };
-        let chunks = plan_chunks(len, max_batch, policy);
-        // Contiguous partition of 0..len — nothing dropped or duplicated.
+        let chunks: Vec<(usize, usize)> = plan_chunks(len, max_batch).collect();
+        let max_batch = max_batch.max(1);
         let mut at = 0usize;
-        for c in &chunks {
-            prop_assert_eq!(c.start, at, "chunks must tile the bucket");
-            prop_assert!(c.end > c.start, "no empty chunks");
-            at = c.end;
+        for (i, &(start, end)) in chunks.iter().enumerate() {
+            prop_assert_eq!(start, at, "chunks must tile the bucket");
+            prop_assert!(end > start, "no empty chunks");
+            if i + 1 < chunks.len() {
+                prop_assert_eq!(end - start, max_batch, "only the last chunk may be partial");
+            } else {
+                prop_assert!(end - start <= max_batch);
+            }
+            at = end;
         }
         prop_assert_eq!(at, len, "chunks must cover the bucket");
-        // Shape discipline: every chunk but the last is exactly full; the
-        // remainder is dispatched at its own size, or padded to the full
-        // class only under PadToClass at sufficient fill.
-        for (i, c) in chunks.iter().enumerate() {
-            let chunk_len = c.end - c.start;
-            if i + 1 < chunks.len() {
-                prop_assert_eq!(chunk_len, max_batch, "only the last chunk may be partial");
-                prop_assert_eq!(c.dispatch, max_batch);
-            } else if chunk_len == max_batch {
-                prop_assert_eq!(c.dispatch, max_batch);
-            } else {
-                match policy {
-                    ChunkPolicy::PadToClass { min_fill_pct }
-                        if chunk_len * 100 >= min_fill_pct * max_batch =>
-                    {
-                        prop_assert_eq!(c.dispatch, max_batch, "qualifying remainder pads up");
-                    }
-                    _ => prop_assert_eq!(c.dispatch, chunk_len, "remainder stays unpadded"),
-                }
-            }
-            prop_assert!(c.dispatch >= chunk_len);
-        }
     }
 
-    /// End to end through the worker pool: any request mix under any
-    /// policy returns exactly the serial reference predictions, in
-    /// request order.
+    /// End to end through the worker pool: any request mix returns exactly
+    /// the serial reference predictions, in request order.
     #[test]
     fn any_request_mix_is_served_exactly_under_every_policy(
         leaves in proptest::collection::vec(1usize..=8, 1..25),
-        policy_idx in 0usize..3,
     ) {
         let max_batch = 8usize; // streams span 1..=3·max_batch
-        let policy = policies()[policy_idx];
         let model = frozen_model();
         let enc = stream_of(&leaves);
         let want = model.predict_samples(&enc).unwrap();
@@ -123,135 +86,43 @@ proptest! {
             EngineConfig {
                 workers: 3,
                 max_batch,
-                policy,
                 faults: Some(FaultPlan::none()),
                 ..Default::default()
             },
         );
         let got = engine.predict_samples(&enc).unwrap();
-        prop_assert_eq!(got, want, "policy {:?}", policy);
+        prop_assert_eq!(got, want);
     }
 }
 
 /// Deterministic sweep of the boundary sizes (exact class multiples, one
-/// off either side, single samples) per policy — the shapes where padding
-/// and remainder routing switch over.
+/// off either side, single samples) — the shapes where remainder routing
+/// switches over.
 #[test]
 fn boundary_sizes_round_trip_exactly() {
     let max_batch = 8usize;
     let model = frozen_model();
-    for policy in policies() {
-        for n in [1usize, 7, 8, 9, 15, 16, 17, 24] {
-            // One homogeneous bucket plus an interleaved second leaf count.
-            let mut leaves = vec![4usize; n];
-            for i in (0..n).step_by(3) {
-                leaves[i] = 6;
-            }
-            let enc = stream_of(&leaves);
-            let want = model.predict_samples(&enc).unwrap();
-            let engine = InferenceEngine::new(
-                model.clone(),
-                EngineConfig {
-                    workers: 2,
-                    max_batch,
-                    policy,
-                    faults: Some(FaultPlan::none()),
-                    ..Default::default()
-                },
-            );
-            let got = engine.predict_samples(&enc).unwrap();
-            assert_eq!(got, want, "policy {policy:?}, n = {n}");
-            engine.shutdown();
+    for n in [1usize, 7, 8, 9, 15, 16, 17, 24] {
+        // One homogeneous bucket plus an interleaved second leaf count.
+        let mut leaves = vec![4usize; n];
+        for i in (0..n).step_by(3) {
+            leaves[i] = 6;
         }
-    }
-}
-
-/// The padded dispatch path under a shutdown race: every call completes
-/// with either the full, exact result set or `WorkersUnavailable` — never
-/// a hang, never partial/padded output.
-#[test]
-fn padded_dispatch_racing_shutdown_never_hangs_or_leaks_padding() {
-    let model = frozen_model();
-    let enc = stream_of(&[4usize; 21]); // 2 full chunks + a padded tail
-    let want = model.predict_samples(&enc).unwrap();
-    let engine = InferenceEngine::new(
-        model,
-        EngineConfig {
-            workers: 3,
-            max_batch: 8,
-            policy: ChunkPolicy::PadToClass { min_fill_pct: 50 },
-            faults: Some(FaultPlan::none()),
-            ..Default::default()
-        },
-    );
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let engine = &engine;
-                let enc = &enc;
-                let want = &want;
-                s.spawn(move || {
-                    for _ in 0..20 {
-                        match engine.predict_samples(enc) {
-                            Ok(got) => assert_eq!(&got, want, "results must stay exact"),
-                            Err(EngineError::WorkersUnavailable) => {}
-                            Err(other) => panic!("unexpected error: {other}"),
-                        }
-                    }
-                })
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        let enc = stream_of(&leaves);
+        let want = model.predict_samples(&enc).unwrap();
+        let engine = InferenceEngine::new(
+            model.clone(),
+            EngineConfig {
+                workers: 2,
+                max_batch,
+                faults: Some(FaultPlan::none()),
+                ..Default::default()
+            },
+        );
+        let got = engine.predict_samples(&enc).unwrap();
+        assert_eq!(got, want, "n = {n}");
         engine.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
-    match engine.predict_samples(&enc) {
-        Err(EngineError::WorkersUnavailable) => {}
-        other => panic!("expected WorkersUnavailable after shutdown, got {other:?}"),
     }
-}
-
-/// `plan_chunks` is what the engine actually dispatches: a probe stream
-/// sized to produce a padded tail must come back exact (padding rows are
-/// computed but never leak into results).
-#[test]
-fn planned_chunk_shapes_match_issue_contract() {
-    // 19 samples at max_batch 8 under PadToClass(80): 2 full chunks plus
-    // a 3-sample remainder that must NOT pad (fill 37%); under fill 25 it
-    // must pad to the class.
-    let c80 = plan_chunks(19, 8, ChunkPolicy::PadToClass { min_fill_pct: 80 });
-    assert_eq!(
-        c80,
-        vec![
-            PlannedChunk {
-                start: 0,
-                end: 8,
-                dispatch: 8
-            },
-            PlannedChunk {
-                start: 8,
-                end: 16,
-                dispatch: 8
-            },
-            PlannedChunk {
-                start: 16,
-                end: 19,
-                dispatch: 3
-            },
-        ]
-    );
-    let c25 = plan_chunks(19, 8, ChunkPolicy::PadToClass { min_fill_pct: 25 });
-    assert_eq!(
-        c25[2].dispatch, 8,
-        "37% fill must pad under a 25% threshold"
-    );
-    // Stable and Ragged share chunk shapes (they differ in plan routing).
-    assert_eq!(
-        plan_chunks(19, 8, ChunkPolicy::Stable),
-        plan_chunks(19, 8, ChunkPolicy::Ragged)
-    );
 }
 
 proptest! {
@@ -260,13 +131,11 @@ proptest! {
     /// The windowed dispatcher under any arrival pattern: the stream is
     /// split across concurrent callers whose partial chunks merge in the
     /// batch window, and every caller must get back exactly the serial
-    /// reference predictions for its own slice — any window, any policy,
-    /// bitwise.
+    /// reference predictions for its own slice — any window, bitwise.
     #[test]
     fn windowed_dispatch_matches_serial_for_any_arrival_pattern(
         leaves in proptest::collection::vec(1usize..=8, 3..30),
         cuts in proptest::collection::vec(0usize..30, 2),
-        policy_idx in 0usize..3,
         window_ms in prop_oneof![Just(0u64), Just(1), Just(4)],
     ) {
         let model = frozen_model();
@@ -288,10 +157,8 @@ proptest! {
             EngineConfig {
                 workers: 3,
                 max_batch: 8,
-                policy: policies()[policy_idx],
                 faults: Some(FaultPlan::none()),
                 batch_window: Some(BatchWindow::millis(window_ms)),
-                promote_after: 0,
                 ..Default::default()
             },
         );
@@ -329,7 +196,6 @@ fn window_timer_never_fires_after_shutdown_and_pending_work_completes() {
             // only flush on fill or shutdown — so the call below is
             // provably parked in the window until shutdown flushes it.
             batch_window: Some(BatchWindow::millis(u64::MAX)),
-            promote_after: 0,
             faults: Some(FaultPlan::none()),
             ..Default::default()
         },
@@ -371,162 +237,77 @@ fn window_timer_never_fires_after_shutdown_and_pending_work_completes() {
     }
 }
 
-/// Traffic-aware promotion: a recurring remainder size becomes a batch
-/// class (visible in the model's registry and `stats().promotions`), and
-/// results before, across, and after the promotion are bitwise identical
-/// to serial — promotion changes which plan replays, never the bits.
+/// A default engine learns nothing from traffic: a remainder size that
+/// recurs forever keeps replaying the generic plan, the class registry
+/// stays at what the engine registered, and a hot swap registers exactly
+/// the same classes on the new model.
 #[test]
-fn promotion_of_recurring_remainder_never_changes_results() {
+fn default_engine_learns_no_classes() {
     let model = frozen_model();
-    let enc = stream_of(&[4usize; 13]); // one full chunk + remainder 5
+    let enc = stream_of(&[4usize; 5]);
     let want = model.predict_samples(&enc).unwrap();
     let engine = InferenceEngine::new(
         model,
         EngineConfig {
-            workers: 2,
-            max_batch: 8,
-            policy: ChunkPolicy::Stable,
-            batch_window: Some(BatchWindow::off()),
-            promote_after: 3,
             faults: Some(FaultPlan::none()),
+            batch_window: Some(BatchWindow::off()),
             ..Default::default()
         },
     );
-    for _ in 0..3 {
+    let max_batch = engine.config().max_batch;
+    for _ in 0..100 {
         assert_eq!(engine.predict_samples(&enc).unwrap(), want);
     }
-    // Promotion runs on the collector thread; poll for it to land.
-    let t0 = std::time::Instant::now();
-    while !engine.model().predictor.is_batch_class(5) {
-        assert!(
-            t0.elapsed().as_secs() < 5,
-            "remainder size 5 was never promoted (histogram: {:?})",
-            engine.remainder_histogram()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    assert!(engine.stats().promotions >= 1);
-    assert!(engine.promoted_classes().contains(&5));
+    assert_eq!(engine.model().predictor.batch_classes(), vec![1, max_batch]);
     assert!(
-        engine
-            .remainder_histogram()
-            .iter()
-            .any(|&(size, n)| size == 5 && n >= 3),
-        "histogram must have counted the recurring remainder"
+        engine.model().predictor.specialized_plans().is_empty(),
+        "a 5-sample chunk is no class: nothing may have been folded for it"
     );
-    // Post-promotion calls replay the specialized fold for size 5 — and
-    // must still be bit-identical.
-    for _ in 0..3 {
-        assert_eq!(engine.predict_samples(&enc).unwrap(), want);
-    }
-}
+    let stats = engine.stats();
+    assert_eq!(stats.promotions, 0);
+    assert_eq!(stats.class_demotions, 0);
+    assert_eq!(stats.completed_chunks, 100);
 
-/// Promotion against a full class registry: the attempt is counted as a
-/// demotion (observable, never retried, never a dispatch stall) and
-/// serving stays exact on the generic plan.
-#[test]
-fn promotion_into_full_registry_counts_a_demotion() {
-    let model = frozen_model();
-    let enc = stream_of(&[4usize; 13]); // remainder size 5
-    let want = model.predict_samples(&enc).unwrap();
-    let engine = InferenceEngine::new(
-        model,
-        EngineConfig {
-            workers: 2,
-            max_batch: 8,
-            policy: ChunkPolicy::Stable,
-            batch_window: Some(BatchWindow::off()),
-            promote_after: 2,
-            faults: Some(FaultPlan::none()),
-            ..Default::default()
-        },
-    );
-    // Fill the registry after construction ({1, 8} already occupy 2 slots).
-    let predictor = &engine.model().predictor;
-    while predictor.batch_classes().len() < cdmpp_core::MAX_BATCH_CLASSES {
-        assert!(predictor.register_batch_class(100 + predictor.batch_classes().len()));
-    }
-    for _ in 0..2 {
-        assert_eq!(engine.predict_samples(&enc).unwrap(), want);
-    }
-    let t0 = std::time::Instant::now();
-    while engine.stats().class_demotions < 1 {
-        assert!(
-            t0.elapsed().as_secs() < 5,
-            "failed promotion was never counted as a demotion"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    assert!(!engine.model().predictor.is_batch_class(5));
-    assert_eq!(engine.stats().promotions, 0);
+    engine.swap_model(frozen_model()).unwrap();
+    assert_eq!(engine.model().predictor.batch_classes(), vec![1, max_batch]);
+    assert_eq!(engine.stats().class_demotions, 0);
     assert_eq!(engine.predict_samples(&enc).unwrap(), want);
 }
 
-/// `min_fill_pct` hygiene: values above 100 are clamped (they could never
-/// be met — a remainder is by definition below the class), and the fill
-/// test uses widening arithmetic so adversarial lengths cannot overflow
-/// `rem * 100`.
+/// A full class registry costs exactly the classes that could not
+/// register. This model holds `MAX_BATCH_CLASSES` entries including `1`
+/// but not `max_batch`: the `max_batch` class is one counted demotion,
+/// and a single-sample call still replays its specialized plan.
 #[test]
-fn min_fill_pct_is_clamped_and_overflow_safe() {
-    // Adversarial length: rem = usize::MAX - 1 would overflow rem * 100
-    // in usize; with widening arithmetic the ~100% fill pads cleanly.
-    let chunks = plan_chunks(
-        usize::MAX - 1,
-        usize::MAX,
-        ChunkPolicy::PadToClass { min_fill_pct: 50 },
-    );
-    assert_eq!(chunks.len(), 1);
-    assert_eq!(chunks[0].dispatch, usize::MAX, "99.9% fill must pad");
-    // A threshold above 100 behaves exactly like 100 (never pads a
-    // partial remainder) instead of overflowing or silently diverging.
-    assert_eq!(
-        plan_chunks(19, 8, ChunkPolicy::PadToClass { min_fill_pct: 150 }),
-        plan_chunks(19, 8, ChunkPolicy::PadToClass { min_fill_pct: 100 }),
-    );
-    // The engine clamps the configured policy observably.
-    let engine = InferenceEngine::new(
-        frozen_model(),
-        EngineConfig {
-            workers: 1,
-            max_batch: 8,
-            policy: ChunkPolicy::PadToClass { min_fill_pct: 150 },
-            faults: Some(FaultPlan::none()),
-            batch_window: Some(BatchWindow::off()),
-            ..Default::default()
-        },
-    );
-    assert_eq!(
-        engine.config().policy,
-        ChunkPolicy::PadToClass { min_fill_pct: 100 },
-        "config() must reflect the clamped threshold"
-    );
-}
-
-/// A model whose class registry is already full cannot take the engine's
-/// `{1, max_batch}`: the engine must demote to `Ragged` observably (and
-/// still serve exactly) rather than padding for plans that never fire.
-#[test]
-fn full_class_registry_demotes_policy_observably() {
+fn full_class_registry_keeps_the_classes_that_registered() {
     let model = frozen_model();
-    for c in 0..cdmpp_core::MAX_BATCH_CLASSES {
+    assert!(model.predictor.register_batch_class(1));
+    for c in 1..cdmpp_core::MAX_BATCH_CLASSES {
         assert!(model.predictor.register_batch_class(100 + c));
     }
-    let enc = stream_of(&[3usize; 13]);
+    let leaves = 3usize;
+    let enc = stream_of(&[leaves]);
     let want = model.predict_samples(&enc).unwrap();
     let engine = InferenceEngine::new(
         model,
         EngineConfig {
             workers: 2,
             max_batch: 8,
-            policy: ChunkPolicy::PadToClass { min_fill_pct: 50 },
             faults: Some(FaultPlan::none()),
+            batch_window: Some(BatchWindow::off()),
             ..Default::default()
         },
     );
-    assert_eq!(
-        engine.config().policy,
-        ChunkPolicy::Ragged,
-        "a full registry must demote the policy, not silently degrade"
-    );
+    assert_eq!(engine.stats().class_demotions, 1);
     assert_eq!(engine.predict_samples(&enc).unwrap(), want);
+    assert_eq!(
+        engine.model().predictor.specialized_plans(),
+        vec![(leaves, 1)],
+        "the size-1 chunk must have replayed its specialized plan"
+    );
+    // Above-class traffic falls back to the generic plan, exactly.
+    let big = stream_of(&[leaves; 13]);
+    let want_big = engine.model().predict_samples(&big).unwrap();
+    assert_eq!(engine.predict_samples(&big).unwrap(), want_big);
+    assert_eq!(engine.stats().class_demotions, 1);
 }

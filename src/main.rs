@@ -29,7 +29,7 @@ fn usage() -> ! {
     eprintln!(
         "       cdmpp serve --snapshot <snapshot> <network> <batch_size> <device> \
          [--queue-cap N] [--deadline-ms N] [--watch <snapshot>] [--iters N] \
-         [--batch-window-ms N] [--promote-after N]"
+         [--batch-window-ms N]"
     );
     eprintln!("       cdmpp predict --snapshot <snapshot> <network> <batch_size> <device>");
     eprintln!(
@@ -229,7 +229,7 @@ fn load_model(path: &str) -> InferenceModel {
 
 /// `cdmpp serve --snapshot <path> <network> <batch> <device>
 ///  [--queue-cap N] [--deadline-ms N] [--watch <snapshot>] [--iters N]
-///  [--batch-window-ms N] [--promote-after N]`:
+///  [--batch-window-ms N]`:
 /// cold-start the concurrent engine from the checkpoint and serve
 /// predictions through the worker pool.
 ///
@@ -238,10 +238,9 @@ fn load_model(path: &str) -> InferenceModel {
 /// work is shed with a typed error instead of served late), `--watch`
 /// hot-swaps the engine onto `<snapshot>` whenever the file changes
 /// between iterations — zero downtime, no restart — `--iters` serves that
-/// many iterations (default 1), `--batch-window-ms` holds partial chunks
-/// up to that long so concurrent traffic merges into full batch classes
-/// (0 = off, the default), and `--promote-after` promotes a remainder
-/// size recurring that many times to a batch class (0 = never).
+/// many iterations (default 1), and `--batch-window-ms` holds partial
+/// chunks up to that long so concurrent traffic merges into full batch
+/// classes (0 = off, the default).
 fn cmd_serve(args: &[String]) -> ! {
     let mut positional: Vec<String> = Vec::new();
     let mut queue_cap: Option<usize> = None;
@@ -249,7 +248,6 @@ fn cmd_serve(args: &[String]) -> ! {
     let mut watch: Option<String> = None;
     let mut iters = 1usize;
     let mut window_ms: Option<u64> = None;
-    let mut promote_after: Option<u64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -278,12 +276,6 @@ fn cmd_serve(args: &[String]) -> ! {
                     None => usage(),
                 }
             }
-            "--promote-after" => {
-                promote_after = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => Some(n),
-                    None => usage(),
-                }
-            }
             _ => positional.push(a.clone()),
         }
     }
@@ -295,9 +287,6 @@ fn cmd_serve(args: &[String]) -> ! {
     }
     if let Some(ms) = window_ms {
         cfg.batch_window = Some(BatchWindow::millis(ms));
-    }
-    if let Some(n) = promote_after {
-        cfg.promote_after = n;
     }
     let engine = InferenceEngine::new(model, cfg);
     eprintln!(
