@@ -30,7 +30,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use nn::plan::{Plan, PlanError, PlanExec, Recorder, SpecExec, SpecializedPlan, WeightPackCache};
-use nn::{Exec, Graph, InferCtx, Linear, Mlp, ParamStore, TrainPlan, TransformerEncoder, Var};
+use nn::{
+    Exec, Graph, InferCtx, Init, Linear, Mlp, ParamStore, TrainPlan, TransformerEncoder, Var,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::{QuantMode, Tensor, TensorError};
@@ -173,12 +175,11 @@ struct Arch {
 }
 
 impl Arch {
-    fn new(store: &mut ParamStore, cfg: &PredictorConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let input_proj = Linear::new(store, &mut rng, "input_proj", N_ENTRY, cfg.d_model);
+    fn new(store: &mut ParamStore, cfg: &PredictorConfig, init: &mut impl Init) -> Self {
+        let input_proj = Linear::new(store, init, "input_proj", N_ENTRY, cfg.d_model);
         let encoder = TransformerEncoder::new(
             store,
-            &mut rng,
+            init,
             "encoder",
             cfg.n_layers,
             cfg.d_model,
@@ -189,7 +190,7 @@ impl Arch {
             .map(|l| {
                 Linear::new(
                     store,
-                    &mut rng,
+                    init,
                     &format!("leaf_embed.{l}"),
                     l * cfg.d_model,
                     cfg.d_emb,
@@ -198,14 +199,14 @@ impl Arch {
             .collect();
         let dev_mlp = Mlp::new(
             store,
-            &mut rng,
+            init,
             "dev_mlp",
             &[N_DEVICE_FEATURES, cfg.d_dev * 2, cfg.d_dev],
         );
         let mut dec_widths = vec![cfg.d_emb + cfg.d_dev];
         dec_widths.extend(std::iter::repeat_n(cfg.dec_hidden, cfg.dec_layers));
         dec_widths.push(1);
-        let decoder = Mlp::new(store, &mut rng, "decoder", &dec_widths);
+        let decoder = Mlp::new(store, init, "decoder", &dec_widths);
         Arch {
             input_proj,
             encoder,
@@ -523,10 +524,24 @@ pub struct Predictor {
 }
 
 impl Predictor {
-    /// Creates an untrained predictor.
+    /// Creates an untrained predictor, its weights drawn from
+    /// `StdRng::seed_from_u64(cfg.seed)`.
     pub fn new(cfg: PredictorConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        Self::with_init(cfg, &mut rng)
+    }
+
+    /// The architecture `cfg` describes — the same parameter names, shapes
+    /// and order as [`Predictor::new`] — with every weight matrix left at
+    /// zero and no random number drawn: what a snapshot restore builds
+    /// before it installs the stored tensors.
+    pub(crate) fn shape_only(cfg: PredictorConfig) -> Self {
+        Self::with_init(cfg, &mut nn::ShapeOnly)
+    }
+
+    fn with_init(cfg: PredictorConfig, init: &mut impl Init) -> Self {
         let mut store = ParamStore::new();
-        let arch = Arch::new(&mut store, &cfg);
+        let arch = Arch::new(&mut store, &cfg, init);
         let plans = new_plan_cache(cfg.max_leaves);
         let train_plans = Arc::new((0..cfg.max_leaves).map(|_| Default::default()).collect());
         Predictor {
@@ -1353,5 +1368,99 @@ mod tests {
             ..PredictorConfig::default()
         });
         assert!(big.num_params() > 2 * small.num_params());
+    }
+
+    /// FNV-1a over every parameter's name, shape and value bits, in order.
+    fn weights_hash(p: &Predictor) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for id in p.store.ids() {
+            eat(p.store.name(id).as_bytes());
+            for &d in p.store.value(id).shape() {
+                eat(&(d as u64).to_le_bytes());
+            }
+            for v in p.store.value(id).data() {
+                eat(&v.to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// `Predictor::new` is what training starts from: the same names,
+    /// shapes and drawn values as before the constructor took its
+    /// initializer as an argument (hashes taken at the parent commit).
+    #[test]
+    fn seeded_construction_is_pinned() {
+        let default = Predictor::new(PredictorConfig::default());
+        assert_eq!(default.store.len(), 60);
+        assert_eq!(default.num_params(), 49_241);
+        assert_eq!(weights_hash(&default), 0xe4c0_5701_ab46_e27c);
+        let other = Predictor::new(PredictorConfig {
+            d_model: 24,
+            n_layers: 3,
+            heads: 3,
+            max_leaves: 5,
+            seed: 77,
+            ..Default::default()
+        });
+        assert_eq!(weights_hash(&other), 0x9a46_7600_d63d_0398);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The shape-only architecture a snapshot restore builds lists the
+        /// parameters `Predictor::new` lists — same names, same shapes,
+        /// same order — and holds nothing drawn from a generator: every
+        /// value is the constant its layer starts a non-random parameter
+        /// at.
+        #[test]
+        fn shape_only_lists_what_new_lists_and_draws_nothing(
+            n_layers in 1usize..=3,
+            heads in 1usize..=4,
+            head_dim in 1usize..=6,
+            max_leaves in 1usize..=12,
+            d_ff in 1usize..=40,
+            d_emb in 1usize..=20,
+            d_dev in 1usize..=9,
+            dec_hidden in 1usize..=20,
+            dec_layers in 1usize..=3,
+            seed in 0u64..1000,
+        ) {
+            let cfg = PredictorConfig {
+                d_model: heads * head_dim,
+                n_layers,
+                heads,
+                d_ff,
+                d_emb,
+                d_dev,
+                dec_hidden,
+                dec_layers,
+                max_leaves,
+                seed,
+                ..Default::default()
+            };
+            let drawn = Predictor::new(cfg.clone());
+            let shaped = Predictor::shape_only(cfg);
+            let listing = |p: &Predictor| -> Vec<(String, Vec<usize>)> {
+                p.store
+                    .ids()
+                    .map(|id| (p.store.name(id).to_string(), p.store.value(id).shape().to_vec()))
+                    .collect()
+            };
+            proptest::prop_assert_eq!(listing(&shaped), listing(&drawn));
+            for id in shaped.store.ids() {
+                let fill = if shaped.store.name(id).ends_with(".gamma") { 1.0 } else { 0.0 };
+                proptest::prop_assert!(
+                    shaped.store.value(id).data().iter().all(|&v| v == fill),
+                    "{} holds something other than {fill}",
+                    shaped.store.name(id)
+                );
+            }
+        }
     }
 }

@@ -59,6 +59,19 @@
 //! Every declared length is capped *before* any allocation happens
 //! (header bytes, parameter count, tensor ranks and dims, plan tables), so
 //! decoding a malicious file cannot balloon memory either.
+//!
+//! ## What a load costs
+//!
+//! Restore draws no random numbers: the architecture is rebuilt for its
+//! parameter names, shapes and order only (`Predictor::shape_only`, the
+//! one constructor with `nn::ShapeOnly` as its initializer) and the
+//! file's tensors are installed into it — `Predictor::new`'s seeded
+//! Xavier draw would be overwritten on the next line. Decode parses the
+//! header without allocating for its structure (object keys are compared
+//! in place, enum tags borrowed) and reads the weight blob four bytes at
+//! a time off one slice. Every check above still runs on every load.
+//! `cargo run --release -p runtime --example cold_start_probe` prints
+//! what each step costs.
 
 use std::sync::Arc;
 
@@ -104,8 +117,8 @@ const MAX_SPEC_BATCH: usize = 1 << 12;
 /// what serving a file-declared batch class can make a worker allocate.
 const MAX_SPEC_ARENA: usize = 1 << 28;
 /// Caps on architecture hyper-parameters a snapshot may declare, so a
-/// hostile config cannot make [`Predictor::new`] allocate absurd weights
-/// before the parameter tables are even compared.
+/// hostile config cannot make the architecture rebuild allocate absurd
+/// weights before the parameter tables are even compared.
 const MAX_CFG_WIDTH: usize = 1 << 14;
 const MAX_CFG_LAYERS: usize = 256;
 const MAX_CFG_LEAVES: usize = 1 << 10;
@@ -356,9 +369,9 @@ impl serde::Deserialize for Header {
         let mut seen_spec = false;
         while p.peek() == Some(b',') {
             p.expect_byte(b',')?;
-            let key = p.parse_string()?;
+            let key = p.parse_str()?;
             p.expect_byte(b':')?;
-            match key.as_str() {
+            match &*key {
                 "spec_plans" if !seen_spec && !seen_quant => {
                     spec_plans = serde::Deserialize::deserialize_json(p)?;
                     seen_spec = true;
@@ -870,17 +883,15 @@ impl Snapshot {
                 continue;
             }
             let numel: usize = meta.shape.iter().product();
-            let mut data = Vec::with_capacity(numel);
-            for i in 0..numel {
-                let off = at + i * 4;
-                let v = f32::from_le_bytes(blob[off..off + 4].try_into().expect("4 bytes"));
-                if !v.is_finite() {
-                    return Err(SnapshotError::NonFinite {
-                        name: meta.name,
-                        index: i,
-                    });
-                }
-                data.push(v);
+            let data: Vec<f32> = blob[at..at + numel * 4]
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+                .collect();
+            if let Some(index) = data.iter().position(|v| !v.is_finite()) {
+                return Err(SnapshotError::NonFinite {
+                    name: meta.name,
+                    index,
+                });
             }
             at += numel * 4;
             params.push(ParamTensor {
@@ -959,8 +970,8 @@ fn store_params(store: &nn::ParamStore) -> Vec<ParamTensor> {
         .collect()
 }
 
-/// Sanity caps on a deserialized config so `Predictor::new` cannot be made
-/// to allocate attacker-sized weight tensors.
+/// Sanity caps on a deserialized config so the architecture rebuild cannot
+/// be made to allocate attacker-sized weight tensors.
 fn validate_config(cfg: &PredictorConfig) -> Result<(), SnapshotError> {
     let widths = [
         ("d_model", cfg.d_model),
@@ -991,7 +1002,7 @@ fn validate_config(cfg: &PredictorConfig) -> Result<(), SnapshotError> {
         )));
     }
     // The attention layers assert this; a hostile config must become a
-    // typed error here, not a panic inside `Predictor::new`.
+    // typed error here, not a panic inside the rebuild.
     if !cfg.d_model.is_multiple_of(cfg.heads) {
         return Err(SnapshotError::Model(format!(
             "config d_model = {} is not divisible by heads = {}",
@@ -1003,7 +1014,7 @@ fn validate_config(cfg: &PredictorConfig) -> Result<(), SnapshotError> {
     }
     // Per-field caps still compose into terabyte-scale architectures
     // (d_model and n_layers maxed together); bound the *total* scalar
-    // count the config implies before `Predictor::new` allocates it. The
+    // count the config implies before the rebuild allocates it. The
     // estimate overshoots slightly, which is fine: any architecture it
     // rejects could never match a weight section that fits
     // `MAX_TOTAL_NUMEL` anyway.
@@ -1094,9 +1105,9 @@ impl InferenceModel {
             ));
         }
 
-        // Rebuild the architecture, then overwrite its (seed-initialized)
-        // weights with the snapshot's tensors.
-        let mut predictor = Predictor::new(snap.config.clone());
+        // Rebuild the architecture — names, shapes and order only, no
+        // weights drawn — then install the snapshot's tensors.
+        let mut predictor = Predictor::shape_only(snap.config.clone());
         if predictor.store.len() != snap.params.len() {
             return Err(SnapshotError::Model(format!(
                 "architecture has {} parameters, snapshot declares {}",

@@ -132,6 +132,40 @@ fn quantized_snapshots_round_trip_canonically_and_serve_bitwise() {
     }
 }
 
+/// Restore builds the architecture with no weights in it and installs the
+/// file's tensors: every parameter must end up the captured one — a
+/// tensor left at the rebuild's zero would change answers — for plain,
+/// bf16 and i8 snapshots alike, on every leaf count, through the folded
+/// classes (1 and 4 samples a bucket) and the generic plan (2 and 3).
+#[test]
+fn restored_answers_are_the_captured_models_on_every_leaf_count_and_mode() {
+    for mode in [QuantMode::F32, QuantMode::Bf16, QuantMode::I8] {
+        let model = model_with(34);
+        let snap = Snapshot::capture_quantized(&model, &[1, 2, 3, 4], mode)
+            .unwrap()
+            .with_batch_classes(&[1, 4])
+            .unwrap();
+        let captured = model.freeze_quantized(mode);
+        let restored = InferenceModel::from_snapshot(&snap).unwrap();
+        assert_eq!(Snapshot::from_inference(&restored).params, snap.params);
+        for leaves in 1..=4 {
+            for batch in 1..=4 {
+                let enc: Vec<EncodedSample> = (0..batch)
+                    .map(|i| sample(leaves, 10 * leaves + i))
+                    .collect();
+                let got = restored.predict_samples(&enc).unwrap();
+                let want = captured.predict_samples(&enc).unwrap();
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{mode:?}, {leaves} leaves, batch {batch}"
+                );
+            }
+        }
+        assert_eq!(restored.predictor.plan_compile_count(), 0, "{mode:?}");
+    }
+}
+
 #[test]
 fn quantized_serving_weights_shrink() {
     let enc = samples(8);

@@ -3,6 +3,34 @@
 use rand::Rng;
 use tensor::Tensor;
 
+/// What a layer constructor fills the weight matrices it registers with.
+///
+/// Every random generator is one: `Linear::new(store, &mut rng, ..)` draws
+/// Xavier-uniform weights from it. [`ShapeOnly`] is the other.
+pub trait Init {
+    /// A `[fan_in, fan_out]` weight matrix.
+    fn weight(&mut self, fan_in: usize, fan_out: usize) -> Tensor;
+}
+
+impl<R: Rng> Init for R {
+    fn weight(&mut self, fan_in: usize, fan_out: usize) -> Tensor {
+        xavier_uniform(self, fan_in, fan_out)
+    }
+}
+
+/// Registers every parameter under its name and shape, in order, and
+/// leaves the weights zero: for a caller about to install stored weights
+/// (a snapshot restore), which would only overwrite the random ones. It
+/// holds no generator, so construction draws no random numbers.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShapeOnly;
+
+impl Init for ShapeOnly {
+    fn weight(&mut self, fan_in: usize, fan_out: usize) -> Tensor {
+        Tensor::zeros(&[fan_in, fan_out])
+    }
+}
+
 /// Xavier/Glorot uniform initialization for a `[fan_in, fan_out]` matrix.
 pub fn xavier_uniform(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Tensor {
     let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();

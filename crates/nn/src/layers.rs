@@ -4,12 +4,11 @@
 //! methods take `(&mut Graph, &ParamStore, input Var)` and return an output
 //! `Var`, so a fresh tape can be built per step while parameters persist.
 
-use rand::Rng;
 use tensor::{Result, Tensor};
 
 use crate::{
     exec::Exec,
-    init,
+    init::Init,
     tape::{ParamId, ParamStore, Var},
 };
 
@@ -25,18 +24,16 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Creates a new layer with Xavier-uniform weights and zero bias.
+    /// Creates a new layer with weights from `init` (Xavier-uniform when it
+    /// is a random generator) and zero bias.
     pub fn new(
         store: &mut ParamStore,
-        rng: &mut impl Rng,
+        init: &mut impl Init,
         name: &str,
         in_dim: usize,
         out_dim: usize,
     ) -> Self {
-        let w = store.add(
-            format!("{name}.w"),
-            init::xavier_uniform(rng, in_dim, out_dim),
-        );
+        let w = store.add(format!("{name}.w"), init.weight(in_dim, out_dim));
         let b = store.add(format!("{name}.b"), Tensor::zeros(&[out_dim]));
         Linear {
             w,
@@ -49,15 +46,12 @@ impl Linear {
     /// Creates a layer without a bias term.
     pub fn new_no_bias(
         store: &mut ParamStore,
-        rng: &mut impl Rng,
+        init: &mut impl Init,
         name: &str,
         in_dim: usize,
         out_dim: usize,
     ) -> Self {
-        let w = store.add(
-            format!("{name}.w"),
-            init::xavier_uniform(rng, in_dim, out_dim),
-        );
+        let w = store.add(format!("{name}.w"), init.weight(in_dim, out_dim));
         Linear {
             w,
             b: None,
@@ -130,7 +124,7 @@ impl MultiHeadAttention {
     /// Creates a self-attention block; `d_model` must be divisible by `heads`.
     pub fn new(
         store: &mut ParamStore,
-        rng: &mut impl Rng,
+        init: &mut impl Init,
         name: &str,
         d_model: usize,
         heads: usize,
@@ -140,10 +134,10 @@ impl MultiHeadAttention {
             "d_model must be divisible by heads"
         );
         MultiHeadAttention {
-            wq: Linear::new(store, rng, &format!("{name}.wq"), d_model, d_model),
-            wk: Linear::new(store, rng, &format!("{name}.wk"), d_model, d_model),
-            wv: Linear::new(store, rng, &format!("{name}.wv"), d_model, d_model),
-            wo: Linear::new(store, rng, &format!("{name}.wo"), d_model, d_model),
+            wq: Linear::new(store, init, &format!("{name}.wq"), d_model, d_model),
+            wk: Linear::new(store, init, &format!("{name}.wk"), d_model, d_model),
+            wv: Linear::new(store, init, &format!("{name}.wv"), d_model, d_model),
+            wo: Linear::new(store, init, &format!("{name}.wo"), d_model, d_model),
             heads,
             d_model,
         }
@@ -181,18 +175,18 @@ impl TransformerEncoderLayer {
     /// Creates an encoder layer with hidden feed-forward width `d_ff`.
     pub fn new(
         store: &mut ParamStore,
-        rng: &mut impl Rng,
+        init: &mut impl Init,
         name: &str,
         d_model: usize,
         heads: usize,
         d_ff: usize,
     ) -> Self {
         TransformerEncoderLayer {
-            attn: MultiHeadAttention::new(store, rng, &format!("{name}.attn"), d_model, heads),
+            attn: MultiHeadAttention::new(store, init, &format!("{name}.attn"), d_model, heads),
             ln1: LayerNorm::new(store, &format!("{name}.ln1"), d_model),
             ln2: LayerNorm::new(store, &format!("{name}.ln2"), d_model),
-            ff1: Linear::new(store, rng, &format!("{name}.ff1"), d_model, d_ff),
-            ff2: Linear::new(store, rng, &format!("{name}.ff2"), d_ff, d_model),
+            ff1: Linear::new(store, init, &format!("{name}.ff1"), d_model, d_ff),
+            ff2: Linear::new(store, init, &format!("{name}.ff2"), d_ff, d_model),
         }
     }
 
@@ -219,7 +213,7 @@ impl TransformerEncoder {
     /// Creates `n_layers` encoder layers.
     pub fn new(
         store: &mut ParamStore,
-        rng: &mut impl Rng,
+        init: &mut impl Init,
         name: &str,
         n_layers: usize,
         d_model: usize,
@@ -230,7 +224,7 @@ impl TransformerEncoder {
             .map(|i| {
                 TransformerEncoderLayer::new(
                     store,
-                    rng,
+                    init,
                     &format!("{name}.{i}"),
                     d_model,
                     heads,
@@ -263,7 +257,7 @@ pub struct Mlp {
 
 impl Mlp {
     /// Creates an MLP from a list of layer widths, e.g. `[in, h, h, out]`.
-    pub fn new(store: &mut ParamStore, rng: &mut impl Rng, name: &str, widths: &[usize]) -> Self {
+    pub fn new(store: &mut ParamStore, init: &mut impl Init, name: &str, widths: &[usize]) -> Self {
         assert!(
             widths.len() >= 2,
             "MLP needs at least input and output widths"
@@ -271,7 +265,7 @@ impl Mlp {
         let layers = widths
             .windows(2)
             .enumerate()
-            .map(|(i, w)| Linear::new(store, rng, &format!("{name}.{i}"), w[0], w[1]))
+            .map(|(i, w)| Linear::new(store, init, &format!("{name}.{i}"), w[0], w[1]))
             .collect();
         Mlp { layers }
     }
@@ -301,14 +295,14 @@ impl LstmCell {
     /// Creates an LSTM cell with the given input and hidden sizes.
     pub fn new(
         store: &mut ParamStore,
-        rng: &mut impl Rng,
+        init: &mut impl Init,
         name: &str,
         input: usize,
         hidden: usize,
     ) -> Self {
         LstmCell {
-            w_ih: Linear::new(store, rng, &format!("{name}.w_ih"), input, 4 * hidden),
-            w_hh: Linear::new_no_bias(store, rng, &format!("{name}.w_hh"), hidden, 4 * hidden),
+            w_ih: Linear::new(store, init, &format!("{name}.w_ih"), input, 4 * hidden),
+            w_hh: Linear::new_no_bias(store, init, &format!("{name}.w_hh"), hidden, 4 * hidden),
             hidden,
         }
     }

@@ -42,6 +42,7 @@ pub mod train_plan;
 
 pub use cmd::{cmd, cmd_value, DEFAULT_MOMENTS, TANH_SUPPORT};
 pub use exec::{Exec, InferCtx};
+pub use init::{Init, ShapeOnly};
 pub use layers::{
     LayerNorm, Linear, LstmCell, Mlp, MultiHeadAttention, TransformerEncoder,
     TransformerEncoderLayer,

@@ -97,6 +97,12 @@ pub fn intra_op_threads() -> usize {
 /// Resolves a thread count: `requested` if non-zero, else the
 /// `PARALLEL_THREADS` environment variable, else available parallelism
 /// (always at least 1).
+///
+/// The OS is asked once per process: the query reads the affinity mask and
+/// the cgroup quota files (15–25 µs), and callers resolve a count on paths
+/// where that shows — building a serving engine costs little else. The
+/// process-wide [`global`] pool is sized once too, so a count resolved
+/// later agrees with it.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -104,9 +110,12 @@ pub fn resolve_threads(requested: usize) -> usize {
     if let Some(n) = env_threads() {
         return n;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 fn env_threads() -> Option<usize> {

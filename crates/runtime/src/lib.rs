@@ -12,6 +12,19 @@
 //!   `[B, L, N_ENTRY]` chunks by one rule ([`plan_chunks`]: `len /
 //!   max_batch` full chunks plus one remainder), dispatches the chunks
 //!   across a worker-thread pool, and returns predictions in request order.
+//! * **Threads exist from the first queued chunk until shutdown.**
+//!   [`InferenceEngine::new`] starts none. The workers (`cdmpp-worker-{i}`,
+//!   and `cdmpp-window` when a batch window is configured) are spawned
+//!   once, by the first chunk that has to go through the queue — a call
+//!   above one batch class, a small call that found every caller-side
+//!   runner lent out, anything under a window — and joined by
+//!   [`InferenceEngine::shutdown`] / `Drop`. An engine that only ever
+//!   answers small calls (a one-shot tool: snapshot file, one answer,
+//!   exit) never creates a thread; [`InferenceEngine::worker_count`] is
+//!   the configured pool size either way. A thread the OS refuses to
+//!   start fails that call with [`EngineError::WorkersUnavailable`]; the
+//!   workers that did start are kept and the next queued chunk starts the
+//!   rest.
 //! * **Bounded admission** ([`ingress`]): a capacity-limited submission
 //!   queue with a typed [`EngineError::Overloaded`] rejection and an
 //!   [`AdmissionPolicy`] knob — overload degrades to fast typed errors,
@@ -62,7 +75,7 @@
 //!   failures shed candidates to `INFINITY` ranks and count in
 //!   [`EngineStats`] instead of aborting the search.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -102,8 +115,9 @@ pub enum EngineError {
     /// A request failed inside the predictor (e.g. an unsupported leaf
     /// count — see `PredictError::LeafCountOutOfRange`).
     Predict(PredictError),
-    /// The worker pool is gone (the engine is shutting down); the request
-    /// cannot be served.
+    /// There is no worker pool to serve the request: the engine is
+    /// shutting down, or the OS refused to start a worker thread (the next
+    /// call tries again).
     WorkersUnavailable,
     /// Admission control rejected the call: the submission queue held
     /// `depth` chunks against a capacity of `capacity` (and, under
@@ -252,6 +266,30 @@ struct DispatchScratch {
     attempts: Vec<usize>,
 }
 
+/// The threads an engine owns.
+#[derive(Default)]
+struct Pool {
+    workers: Vec<JoinHandle<()>>,
+    /// The batch window's timer thread; only with a window configured.
+    collector: Option<JoinHandle<()>>,
+    /// Set by `shutdown`: nothing is started afterwards.
+    closed: bool,
+}
+
+/// Tops `handles` up to `want` threads through `spawn(index)`, stopping at
+/// the first refusal: what did start stays in `handles`, and the next call
+/// continues from there.
+fn top_up(
+    handles: &mut Vec<JoinHandle<()>>,
+    want: usize,
+    mut spawn: impl FnMut(usize) -> std::io::Result<JoinHandle<()>>,
+) -> std::io::Result<()> {
+    while handles.len() < want {
+        handles.push(spawn(handles.len())?);
+    }
+    Ok(())
+}
+
 /// What every chunk of one call shares.
 struct Call<'a, S> {
     enc: &'a [S],
@@ -276,17 +314,21 @@ pub struct InferenceEngine {
     /// The served model + generation, swapped atomically under traffic.
     served: RwLock<Arc<Served>>,
     queue: Arc<JobQueue>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Empty until the first chunk that has to be queued (see
+    /// `ensure_workers`); `workers_started` is that having happened, read
+    /// without the lock from then on.
+    workers: Mutex<Pool>,
+    workers_started: AtomicBool,
+    /// The configured pool size.
+    n_workers: usize,
     /// Pooled dispatch scratch: concurrent `predict_samples` calls each
     /// take one set of index buffers and return it when done.
     scratch: Mutex<Vec<DispatchScratch>>,
     /// The batch window's pending buffers; present only when a window is
-    /// configured.
+    /// configured. Its collector thread (`Pool::collector`) is joined,
+    /// after `Adaptive::close`, before the queue closes, so the timer
+    /// provably never fires after shutdown.
     adaptive: Option<Arc<Adaptive>>,
-    /// The collector thread driving the window timer; joined (after
-    /// `Adaptive::close`) before the queue closes, so the timer provably
-    /// never fires after shutdown.
-    adaptive_thread: Mutex<Option<JoinHandle<()>>>,
     stats: Arc<StatsInner>,
     faults: FaultPlan,
     /// What `supervisor::process_job` needs when a calling thread runs its
@@ -300,7 +342,10 @@ pub struct InferenceEngine {
 }
 
 impl InferenceEngine {
-    /// Starts an engine serving `model` with the given configuration.
+    /// An engine serving `model` with the given configuration. No thread
+    /// is started here: the pool is spawned by the first chunk that has to
+    /// be queued (see the crate docs), so building an engine costs what its
+    /// bookkeeping costs.
     ///
     /// The engine registers its batch classes (`1` and `max_batch`) on the
     /// model so every class-size chunk replays a shape-final specialized
@@ -323,42 +368,31 @@ impl InferenceEngine {
         // each worker gets cores/workers threads for its own GEMMs. With
         // one worker per core the budget is 1 and GEMMs stay serial.
         let intra_op = (parallel::resolve_threads(0) / n_workers.max(1)).max(1);
-        let ctx = || supervisor::WorkerCtx {
+        let caller_ctx = supervisor::WorkerCtx {
             queue: Arc::clone(&queue),
             stats: Arc::clone(&stats),
             faults: faults.clone(),
             intra_op,
         };
-        let workers = (0..n_workers)
-            .map(|_| {
-                let ctx = ctx();
-                std::thread::spawn(move || supervisor::supervised_worker(ctx))
-            })
-            .collect();
-        let caller_ctx = ctx();
-        let (adaptive, adaptive_thread) = if window.is_off() {
-            (None, None)
-        } else {
-            let ad = Adaptive::new(
+        let adaptive = (!window.is_off()).then(|| {
+            Adaptive::new(
                 Arc::clone(&queue),
                 Arc::clone(&stats),
                 window,
                 cfg.max_batch,
-            );
-            let runner = Arc::clone(&ad);
-            let t = std::thread::spawn(move || runner.run());
-            (Some(ad), Some(t))
-        };
+            )
+        });
         InferenceEngine {
             served: RwLock::new(Arc::new(Served {
                 model: Arc::new(model),
                 generation: 0,
             })),
             queue,
-            workers: Mutex::new(workers),
+            workers: Mutex::new(Pool::default()),
+            workers_started: AtomicBool::new(false),
+            n_workers,
             scratch: Mutex::new(Vec::new()),
             adaptive,
-            adaptive_thread: Mutex::new(adaptive_thread),
             stats,
             faults,
             caller_ctx,
@@ -381,9 +415,10 @@ impl InferenceEngine {
 
     /// Cold start from a decoded snapshot: restores the model (weights
     /// moved — not copied — into the served `Arc`, plan cache seeded from
-    /// the file's pre-fused plans) and starts the worker pool. With a
-    /// full-plan snapshot the workers begin serving with **zero** plan
-    /// recording (`model().predictor.plan_compile_count()` stays 0).
+    /// the file's pre-fused plans) and builds the engine around it. With a
+    /// full-plan snapshot the first answer comes with **zero** plan
+    /// recording (`model().predictor.plan_compile_count()` stays 0) and,
+    /// for a call of at most one batch class, without a thread started.
     pub fn from_snapshot(
         snap: &cdmpp_core::Snapshot,
         cfg: EngineConfig,
@@ -404,12 +439,56 @@ impl InferenceEngine {
         &self.cfg
     }
 
-    /// Number of worker threads serving requests (0 after
-    /// [`InferenceEngine::shutdown`]). Worker panics do **not** shrink
-    /// this: panicked workers respawn in place (see
-    /// `EngineStats::worker_restarts`).
+    /// The configured worker-pool size (0 after
+    /// [`InferenceEngine::shutdown`]), whether or not the threads have been
+    /// started yet. Worker panics do **not** shrink this: panicked workers
+    /// respawn in place (see `EngineStats::worker_restarts`).
     pub fn worker_count(&self) -> usize {
-        self.workers.lock().map(|w| w.len()).unwrap_or(0)
+        if self.pool().closed {
+            0
+        } else {
+            self.n_workers
+        }
+    }
+
+    fn pool(&self) -> std::sync::MutexGuard<'_, Pool> {
+        // Every update of the pool (a handle pushed or taken, a flag set)
+        // leaves it valid, so a poisoned lock is still good to use.
+        self.workers.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Makes sure the threads that drain the queue are running; called
+    /// before a job can reach it. Spawns them once (a load and nothing else
+    /// afterwards), and nothing at all once `shutdown` has begun. `Err(())`
+    /// — no pool to hand the job to — becomes the call's
+    /// [`EngineError::WorkersUnavailable`].
+    fn ensure_workers(&self) -> Result<(), ()> {
+        // Acquire pairs with the Release store below: a caller that reads
+        // `true` pushes into a queue the started workers already drain.
+        if self.workers_started.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let mut pool = self.pool();
+        if pool.closed {
+            return Err(());
+        }
+        top_up(&mut pool.workers, self.n_workers, |i| {
+            let ctx = self.caller_ctx.clone();
+            std::thread::Builder::new()
+                .name(format!("cdmpp-worker-{i}"))
+                .spawn(move || supervisor::supervised_worker(ctx))
+        })
+        .map_err(|_refused| ())?;
+        if let (Some(ad), None) = (&self.adaptive, &pool.collector) {
+            let ad = Arc::clone(ad);
+            let collector = std::thread::Builder::new()
+                .name("cdmpp-window".into())
+                .spawn(move || ad.run())
+                .map_err(|_refused| ())?;
+            pool.collector = Some(collector);
+        }
+        self.workers_started.store(true, Ordering::Release);
+        Ok(())
     }
 
     /// The model currently being served (the newest generation; requests
@@ -682,7 +761,8 @@ impl InferenceEngine {
     /// Builds one chunk and enqueues it — or, given a caller-side `runner`,
     /// executes it here — or sheds it on an expired deadline. Every path
     /// delivers exactly one reply for `tag` through the channel. Returns
-    /// `Err(())` only when the pool is closing.
+    /// `Err(())` only when there is no pool to take it (closing, or its
+    /// threads could not be started).
     fn send_chunk<S: SampleLike>(
         &self,
         call: &Call<'_, S>,
@@ -696,6 +776,11 @@ impl InferenceEngine {
             self.stats.deadline_sheds.fetch_add(1, Ordering::Relaxed);
             reply.send(Err(ChunkError::DeadlineExceeded));
             return Ok(());
+        }
+        // Without a caller-side runner the chunk is about to be queued —
+        // straight away or out of the batch window.
+        if runner.is_none() {
+            self.ensure_workers()?;
         }
         let (s, e) = scratch.chunks[tag];
         let idxs = &scratch.groups.order[s..e];
@@ -761,7 +846,8 @@ impl InferenceEngine {
 
 impl InferenceEngine {
     /// Gracefully stops the worker pool: refuses new requests, lets
-    /// requests already queued drain, then joins every worker.
+    /// requests already queued drain, then joins every worker. On an
+    /// engine whose pool was never started this only closes the queue.
     /// Requests arriving after (or racing) the shutdown surface
     /// [`EngineError::WorkersUnavailable`] instead of hanging.
     pub fn shutdown(&self) {
@@ -773,15 +859,19 @@ impl InferenceEngine {
         if let Some(ad) = &self.adaptive {
             ad.close();
         }
-        let collector = self.adaptive_thread.lock().ok().and_then(|mut t| t.take());
+        // `closed` goes up under the lock `ensure_workers` spawns under:
+        // a first fan-out racing this either finished spawning (its
+        // threads are joined below) or starts nothing.
+        let collector = {
+            let mut pool = self.pool();
+            pool.closed = true;
+            pool.collector.take()
+        };
         if let Some(t) = collector {
             let _ = t.join();
         }
         self.queue.close();
-        let drained = match self.workers.lock() {
-            Ok(mut w) => w.drain(..).collect::<Vec<_>>(),
-            Err(_) => Vec::new(),
-        };
+        let drained = std::mem::take(&mut self.pool().workers);
         for w in drained {
             let _ = w.join();
         }
@@ -1067,6 +1157,32 @@ mod tests {
         assert_eq!(eng.worker_count(), 2);
         let auto = engine(0);
         assert!(auto.worker_count() >= 1);
+    }
+
+    #[test]
+    fn a_refused_spawn_keeps_what_started_and_the_next_try_starts_the_rest() {
+        // The OS refuses the third thread once (`EAGAIN`).
+        let mut refusals = 1;
+        let mut asked = Vec::new();
+        let mut spawn = |i: usize| {
+            asked.push(i);
+            if i == 2 && refusals > 0 {
+                refusals -= 1;
+                return Err(std::io::Error::from(std::io::ErrorKind::WouldBlock));
+            }
+            std::thread::Builder::new().spawn(|| {})
+        };
+        let mut handles = Vec::new();
+        let refused = top_up(&mut handles, 4, &mut spawn).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::WouldBlock);
+        assert_eq!(handles.len(), 2, "the two that started are kept");
+        top_up(&mut handles, 4, &mut spawn).unwrap();
+        assert_eq!(handles.len(), 4);
+        top_up(&mut handles, 4, &mut spawn).unwrap();
+        assert_eq!(asked, [0, 1, 2, 2, 3], "a full pool asks for nothing");
+        for h in handles {
+            h.join().unwrap();
+        }
     }
 
     #[test]

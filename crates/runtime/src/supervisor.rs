@@ -1,7 +1,14 @@
 //! Worker supervision: panic containment, in-place respawn, deadline
 //! shedding at the point of execution.
 //!
-//! Each worker thread runs [`supervised_worker`]. A panic during plan
+//! Lifecycle: the engine starts its workers (`cdmpp-worker-{i}`) at the
+//! first chunk that has to go through the queue, not at construction, and
+//! joins them in `shutdown` / `Drop` after closing the queue; an engine
+//! whose calls were all small enough to run on their callers never has
+//! any.
+//!
+//! Each worker thread runs [`supervised_worker`] until the queue is closed
+//! and drained. A panic during plan
 //! replay (injected by a [`crate::FaultPlan`] or real) is caught with
 //! `catch_unwind`; it fails **only the in-flight chunk** — the chunk gets
 //! a typed [`ChunkError::Panicked`] reply (which the dispatcher may retry
@@ -26,8 +33,9 @@ use crate::faults::{FaultPlan, FaultSite};
 use crate::ingress::{ChunkError, Job, JobQueue};
 use crate::stats::StatsInner;
 
-/// Everything one worker thread needs; owned per thread (the engine keeps
-/// one more for chunks its callers run themselves).
+/// Everything one worker thread needs; owned per thread, cloned from the
+/// one the engine keeps for chunks its callers run themselves.
+#[derive(Clone)]
 pub(crate) struct WorkerCtx {
     pub queue: Arc<JobQueue>,
     pub stats: Arc<StatsInner>,
