@@ -26,10 +26,9 @@
 //! produces a cheap-clone [`SharedPredictor`] holding the weights behind an
 //! `Arc`.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use nn::plan::{Plan, PlanError, PlanExec, Recorder, SpecExec, SpecializedPlan, WeightPackCache};
+use nn::plan::{Plan, PlanError, PlanExec, Recorder, SpecializedPlan, WeightPackCache};
 use nn::{
     Exec, Graph, InferCtx, Init, Linear, Mlp, ParamStore, TrainPlan, TransformerEncoder, Var,
 };
@@ -360,51 +359,66 @@ fn new_plan_cache(max_leaves: usize) -> PlanCache {
     })
 }
 
-/// The second cache tier: **batch-specialized** plans for one frozen
-/// weight set, keyed by `(leaf count, batch class)`.
+/// The second cache tier: **folds** ([`SpecializedPlan`]) of one frozen
+/// weight set, keyed by `(leaf count, batch size)`.
 ///
 /// The first tier (the per-leaf [`PlanCache`]) holds batch-size-generic
 /// plans that read parameter values at replay time — safe to share across
-/// training-side clones and every frozen handle. Specialized plans are
-/// different: [`SpecializedPlan`] prepacks weight GEMM panels, baking in
-/// parameter **values**, so this cache hangs off each freeze
-/// ([`Predictor::share`] / [`Predictor::into_shared`]) and is never shared
-/// with the mutable training-side predictor. Clones of one
-/// [`SharedPredictor`] share it (same frozen weights); re-freezing after
-/// further training gets a fresh, empty cache.
+/// training-side clones and every frozen handle. Folds are different:
+/// [`SpecializedPlan`] prepacks weight GEMM panels, baking in parameter
+/// **values**, so this cache hangs off each freeze ([`Predictor::share`] /
+/// [`Predictor::into_shared`]) and is never shared with the mutable
+/// training-side predictor. Clones of one [`SharedPredictor`] share it
+/// (same frozen weights); re-freezing after further training gets a
+/// fresh, empty cache.
 ///
-/// Only **registered batch classes** are specialized — routing an
-/// arbitrary request stream through here must not grow an unbounded plan
-/// set, so odd batch sizes fall back to the generic plan.
+/// Every batch size up to [`DEFAULT_MAX_BATCH`] is folded the first time
+/// it is replayed, into a table with one slot per `(leaf count, size)` —
+/// `max_leaves × DEFAULT_MAX_BATCH` slots, so what serving can build is
+/// bounded by the table's shape, not by a policy. A larger batch replays
+/// the generic plan.
 struct SpecCacheInner {
-    /// Registered batch classes (small: typically `{1, max_batch}`).
+    /// Registered batch classes (small: typically `{1, max_batch}`): what
+    /// a snapshot ships and a hot swap prewarms.
     classes: RwLock<Vec<usize>>,
-    /// `(leaves, batch)` → folded plan.
-    plans: RwLock<HashMap<(usize, usize), Arc<SpecializedPlan>>>,
+    /// `folds[leaves - 1][batch - 1]`; a leaf count's row is allocated by
+    /// its first fold.
+    folds: Box<[OnceLock<FoldRow>]>,
+    /// The `(leaves, batch)` pairs the snapshot this model was restored
+    /// from asked for, ascending. They are folded like any other size — on
+    /// first replay — and reported by
+    /// [`SharedPredictor::specialized_plans`] either way, so the model
+    /// re-serializes to the bytes it came from.
+    requested: OnceLock<Vec<(usize, usize)>>,
     /// Prepacked weight panels shared across every fold of this frozen
     /// weight set (plans overlap in the parameters they read, so each
     /// distinct `[k, n]` weight matrix is packed exactly once).
     packs: Mutex<WeightPackCache>,
 }
 
+type FoldRow = Box<[OnceLock<Arc<SpecializedPlan>>]>;
+
 type SpecCache = Arc<SpecCacheInner>;
 
-fn new_spec_cache() -> SpecCache {
+fn new_spec_cache(max_leaves: usize) -> SpecCache {
     Arc::new(SpecCacheInner {
         classes: RwLock::new(Vec::new()),
-        plans: RwLock::new(HashMap::new()),
+        folds: (0..max_leaves).map(|_| OnceLock::new()).collect(),
+        requested: OnceLock::new(),
         packs: Mutex::new(WeightPackCache::new()),
     })
 }
 
-/// Hard cap on registered batch classes: the specialized tier is meant for
-/// a handful of stable serving shapes, not one plan per request size.
+/// Hard cap on registered batch classes. A class is a size a snapshot
+/// ships a fold request for and a hot swap folds before it publishes —
+/// not a condition for folding: every size up to [`DEFAULT_MAX_BATCH`]
+/// folds on first use, class or not, and no size above it folds.
 pub const MAX_BATCH_CLASSES: usize = 8;
 
-/// The serving engine's default dense chunk size — and therefore the
-/// default non-trivial batch class. Defined here (not in `runtime`) so
-/// checkpoints can pre-specialize for the same class the engine dispatches
-/// by default.
+/// The serving engine's default dense chunk size — the default non-trivial
+/// batch class, and the largest batch a frozen model folds on first use.
+/// Defined here (not in `runtime`) so checkpoints can pre-specialize for
+/// the same class the engine dispatches by default.
 pub const DEFAULT_MAX_BATCH: usize = 64;
 
 /// Looks up (compiling on first use) the plan for `leaves`.
@@ -434,17 +448,26 @@ fn plan_for(
     Ok(Arc::clone(slot.get_or_init(|| plan)))
 }
 
-/// Per-thread replay state for compiled plans: one [`PlanExec`] (arena +
-/// offsets) per leaf count actually served, plus one fixed-size
-/// [`SpecExec`] arena per `(leaf count, batch class)` replayed through a
-/// specialized plan. Keep one `PlanRunner` per serving thread and feed it
-/// every batch; steady-state replay allocates nothing, and class-size
-/// batches never re-offset an arena (each class owns its own).
+/// Per-thread replay state for compiled plans: **one arena** for every
+/// fold this thread replays, grown to the largest of them, plus one
+/// [`PlanExec`] (arena + offsets) per leaf count replayed through the
+/// batch-generic plan. Keep one `PlanRunner` per serving thread and feed
+/// it every batch; steady-state replay allocates nothing. A runner holds
+/// no reference to any model, so feeding it batches of two models (A/B
+/// serving, a hot swap) costs nothing on the fold path.
 #[derive(Default)]
 pub struct PlanRunner {
     execs: Vec<Option<PlanExec>>,
-    spec: Vec<((usize, usize), SpecExec)>,
+    arena: Vec<f32>,
+    arena_growths: usize,
+    /// `seen[leaves - 1]` bit `batch - 1`: this runner has replayed the
+    /// `(leaves, batch)` fold.
+    seen: Vec<u64>,
+    /// How many of those were registered-class folds when first replayed.
+    class_folds: usize,
 }
+
+const _: () = assert!(DEFAULT_MAX_BATCH <= u64::BITS as usize);
 
 impl PlanRunner {
     /// Creates an empty runner.
@@ -452,18 +475,19 @@ impl PlanRunner {
         Self::default()
     }
 
-    /// Total arena-growth events across all leaf counts on the generic
-    /// path (flat once every served shape has warmed up — the "plan path
-    /// allocates nothing per batch" counter). Specialized arenas are
-    /// allocated exactly once per `(leaf count, class)` and are excluded.
+    /// Total arena-growth events: the fold arena's plus every generic
+    /// exec's. Flat once every served shape has been replayed once — the
+    /// "plan path allocates nothing per batch" counter.
     pub fn alloc_count(&self) -> usize {
-        self.execs.iter().flatten().map(|e| e.alloc_count()).sum()
+        let generic: usize = self.execs.iter().flatten().map(|e| e.alloc_count()).sum();
+        generic + self.arena_growths
     }
 
-    /// Number of specialized `(leaf count, batch class)` arenas this
-    /// runner holds (bounded by leaf counts × registered classes).
+    /// Number of distinct `(leaf count, batch class)` folds this runner
+    /// has replayed whose batch size was a registered class at the time
+    /// (bounded by leaf counts × registered classes).
     pub fn spec_exec_count(&self) -> usize {
-        self.spec.len()
+        self.class_folds
     }
 
     fn exec_for(&mut self, leaves: usize, plan: Arc<Plan>) -> &mut PlanExec {
@@ -481,25 +505,31 @@ impl PlanRunner {
         slot.as_mut().expect("just ensured")
     }
 
-    fn spec_exec_for(
+    /// Replays `fold` in this runner's arena and returns the arena.
+    fn replay_fold(
         &mut self,
-        leaves: usize,
-        batch: usize,
-        plan: Arc<SpecializedPlan>,
-    ) -> &mut SpecExec {
-        let key = (leaves, batch);
-        match self.spec.iter().position(|(k, _)| *k == key) {
-            Some(i) if Arc::ptr_eq(self.spec[i].1.plan(), &plan) => &mut self.spec[i].1,
-            Some(i) => {
-                // Same key, different model (A/B serving): rebind.
-                self.spec[i].1 = SpecExec::new(plan);
-                &mut self.spec[i].1
-            }
-            None => {
-                self.spec.push((key, SpecExec::new(plan)));
-                &mut self.spec.last_mut().expect("just pushed").1
-            }
+        fold: &SpecializedPlan,
+        params: &ParamStore,
+        inputs: &[&Tensor],
+    ) -> Result<&[f32], PlanError> {
+        if self.arena.capacity() < fold.arena_len() {
+            self.arena_growths += 1;
         }
+        fold.replay(&mut self.arena, params, inputs)?;
+        Ok(&self.arena)
+    }
+
+    /// Books the `(leaves, batch)` fold for [`Self::spec_exec_count`];
+    /// `is_class` is asked the first time this runner sees the pair.
+    fn note_fold(&mut self, leaves: usize, batch: usize, is_class: impl FnOnce() -> bool) {
+        if self.seen.len() < leaves {
+            self.seen.resize(leaves, 0);
+        }
+        let (word, bit) = (&mut self.seen[leaves - 1], 1u64 << (batch - 1));
+        if *word & bit == 0 && is_class() {
+            self.class_folds += 1;
+        }
+        *word |= bit;
     }
 }
 
@@ -596,10 +626,9 @@ impl Predictor {
             // Plans bake in parameter *shapes*, not values, so the frozen
             // copy can reuse (and share) the same compiled plans.
             plans: Arc::clone(&self.plans),
-            // Specialized plans DO bake values (prepacked weights), so
-            // every freeze starts a fresh specialization tier bound to
-            // this exact weight copy.
-            spec: new_spec_cache(),
+            // Folds DO bake values (prepacked weights), so every freeze
+            // starts a fresh fold table bound to this exact weight copy.
+            spec: new_spec_cache(self.cfg.max_leaves),
         }
     }
 
@@ -710,10 +739,10 @@ impl Predictor {
         }
         SharedPredictor {
             params: Arc::new(store),
+            spec: new_spec_cache(self.cfg.max_leaves),
             arch: self.arch,
             cfg: self.cfg,
             plans: self.plans,
-            spec: new_spec_cache(),
         }
     }
 
@@ -809,8 +838,9 @@ impl SharedPredictor {
 
     /// Bytes of weight storage the serving hot path reads: per parameter,
     /// its quantized encoding when one is installed (blob + scales) or
-    /// its f32 values otherwise, plus every prepacked GEMM panel folded
-    /// so far (grows as batch classes fold). Quantized parameters also
+    /// its f32 values otherwise, plus every prepacked GEMM panel packed
+    /// so far (none until the first fold; a panel is shared by every fold
+    /// that reads its weights at its shape). Quantized parameters also
     /// keep a dequantized f32 copy backing the generic fallback
     /// executors; that cold copy is deliberately not counted — this is
     /// the benches' serving-footprint column, comparing what each storage
@@ -885,11 +915,11 @@ impl SharedPredictor {
             .collect()
     }
 
-    /// Registers a batch size as a **class** worth specializing for: dense
-    /// batches of exactly this size route to a shape-final
-    /// [`SpecializedPlan`] (folded lazily, once per leaf count) instead of
-    /// the generic plan. The serving engine registers `{1, max_batch}`;
-    /// snapshot loading registers whatever classes the file carries.
+    /// Registers a batch size as a **class**: a size snapshots ship a fold
+    /// request for ([`SharedPredictor::specialized_plans`]) and hot swaps
+    /// fold before they publish ([`SharedPredictor::prewarm_classes`]).
+    /// The serving engine registers `{1, max_batch}`; snapshot loading
+    /// registers whatever classes the file carries.
     ///
     /// Returns `false` (and registers nothing) for batch 0 or once
     /// [`MAX_BATCH_CLASSES`] distinct classes exist; registering an
@@ -915,61 +945,88 @@ impl SharedPredictor {
         self.spec.classes.read().expect("spec classes lock").clone()
     }
 
-    /// The specialized plans currently folded, as ascending
-    /// `(leaf count, batch class)` pairs — what a snapshot captures.
+    fn is_batch_class(&self, batch: usize) -> bool {
+        let classes = self.spec.classes.read().expect("spec classes lock");
+        classes.contains(&batch)
+    }
+
+    /// The **registered-class** folds this model holds or was restored
+    /// with a request for, as ascending `(leaf count, batch class)` pairs
+    /// — what a snapshot captures. A fold built on first use for a size
+    /// that is no class is never listed: serving traffic must not grow
+    /// the next snapshot.
     pub fn specialized_plans(&self) -> Vec<(usize, usize)> {
-        let mut keys: Vec<(usize, usize)> = self
-            .spec
-            .plans
-            .read()
-            .expect("spec plans lock")
-            .keys()
-            .copied()
-            .collect();
+        let mut keys = self.spec.requested.get().cloned().unwrap_or_default();
+        let classes = self.batch_classes();
+        for (i, row) in self.spec.folds.iter().enumerate() {
+            let Some(row) = row.get() else { continue };
+            let folded = |&&c: &&usize| row.get(c - 1).is_some_and(|slot| slot.get().is_some());
+            keys.extend(classes.iter().filter(folded).map(|&c| (i + 1, c)));
+        }
         keys.sort_unstable();
+        keys.dedup();
         keys
     }
 
-    /// The specialized plan for `(leaves, batch)`: `None` when `batch` is
-    /// not a registered class (callers fall back to the generic plan),
-    /// folded on first use otherwise.
+    /// Records the fold requests of the snapshot this model is being
+    /// restored from (ascending, classes already registered).
+    pub(crate) fn request_folds(&self, keys: Vec<(usize, usize)>) {
+        // A model is restored once; a second call would be a bug in the
+        // restore path, and keeping the first set is harmless.
+        let _ = self.spec.requested.set(keys);
+    }
+
+    /// The fold for `(leaves, batch)`, built on first use, for any batch up
+    /// to [`DEFAULT_MAX_BATCH`]; `None` above it (callers replay the
+    /// generic plan).
     pub fn spec_plan_for(
         &self,
         leaves: usize,
         batch: usize,
     ) -> PredictResult<Option<Arc<SpecializedPlan>>> {
-        {
-            let classes = self.spec.classes.read().expect("spec classes lock");
-            if !classes.contains(&batch) {
-                return Ok(None);
-            }
+        if !(1..=DEFAULT_MAX_BATCH).contains(&batch) {
+            return Ok(None);
         }
-        let key = (leaves, batch);
-        if let Some(plan) = self.spec.plans.read().expect("spec plans lock").get(&key) {
-            return Ok(Some(Arc::clone(plan)));
+        let row = leaves
+            .checked_sub(1)
+            .and_then(|i| self.spec.folds.get(i))
+            .ok_or(PredictError::LeafCountOutOfRange {
+                leaves,
+                max_leaves: self.cfg.max_leaves,
+            })?;
+        let empty = || (0..DEFAULT_MAX_BATCH).map(|_| OnceLock::new()).collect();
+        let slot = &row.get_or_init(empty)[batch - 1];
+        if let Some(fold) = slot.get() {
+            return Ok(Some(Arc::clone(fold)));
         }
-        // Fold outside the plans lock (pure, so a racing duplicate is
-        // dropped); the pack cache's own lock shares weight panels across
-        // every fold of this frozen model.
-        let generic = self.plan_for(leaves)?;
-        let folded = {
-            let mut packs = self.spec.packs.lock().expect("pack cache lock");
-            Arc::new(generic.specialize_cached(&self.params, batch, &mut packs)?)
-        };
-        let mut plans = self.spec.plans.write().expect("spec plans lock");
-        Ok(Some(Arc::clone(plans.entry(key).or_insert(folded))))
+        let folded = self.fold(leaves, batch)?;
+        Ok(Some(Arc::clone(slot.get_or_init(|| folded))))
     }
 
-    /// Pre-folds the specialized plans for `classes` across every compiled
-    /// leaf-count plan — the hot-swap seam. A snapshot-restored model is
-    /// warmed here (classes registered, folds built, weight panels packed)
-    /// *before* it is published to live traffic, so a cutover never pays a
-    /// first-request folding cliff on the new model. Classes that cannot
-    /// register (a full registry, e.g. a snapshot that shipped
-    /// [`MAX_BATCH_CLASSES`] of its own) are skipped — routing for them
-    /// falls back to the generic plan, which is a performance demotion,
-    /// never a correctness one. Returns the number of specialized folds
-    /// now resident for the requested classes.
+    /// Folds the generic plan for `leaves` at `batch`. Pure, so racing
+    /// threads may each fold and all but one result is dropped; the pack
+    /// cache's lock shares weight panels across every fold of this model.
+    fn fold(&self, leaves: usize, batch: usize) -> PredictResult<Arc<SpecializedPlan>> {
+        let generic = self.plan_for(leaves)?;
+        let mut packs = self.spec.packs.lock().expect("pack cache lock");
+        Ok(Arc::new(generic.specialize_cached(
+            &self.params,
+            batch,
+            &mut packs,
+        )?))
+    }
+
+    /// Registers `classes` and builds their folds across every compiled
+    /// leaf-count plan — the hot-swap seam. A model about to be published
+    /// is warmed here (classes registered, folds built, weight panels
+    /// packed) *before* live traffic reaches it, so a cutover never pays
+    /// first-use folding on the new model's stable sizes. A class that
+    /// cannot register (a full registry, e.g. a snapshot that shipped
+    /// [`MAX_BATCH_CLASSES`] of its own) is skipped and folds on first use
+    /// like any other size — a performance demotion, never a correctness
+    /// one; a class above [`DEFAULT_MAX_BATCH`] registers and has nothing
+    /// to fold. Returns the number of folds now resident for the requested
+    /// classes.
     pub fn prewarm_classes(&self, classes: &[usize]) -> PredictResult<usize> {
         let mut resident = 0usize;
         for &batch in classes {
@@ -985,12 +1042,50 @@ impl SharedPredictor {
         Ok(resident)
     }
 
+    /// Replays `(x, dev)` and hands plan output `out` — its values and
+    /// shape — to `read`. The one routing rule of the serving hot path: a
+    /// batch of at most [`DEFAULT_MAX_BATCH`] samples replays its
+    /// shape-final fold (built on first use: zero symbolic evaluation,
+    /// prepacked weight GEMMs, fused attention) in the runner's one arena;
+    /// anything larger replays the batch-generic plan.
+    fn replay<R>(
+        &self,
+        runner: &mut PlanRunner,
+        x: &Tensor,
+        dev: &Tensor,
+        out: usize,
+        read: impl FnOnce(&[f32], &[usize]) -> R,
+    ) -> PredictResult<R> {
+        let leaves = leaf_count_of(x)?;
+        let batch = x.shape()[0];
+        let Some(fold) = self.spec_plan_for(leaves, batch)? else {
+            return self.replay_generic(runner, x, dev, out, read);
+        };
+        runner.note_fold(leaves, batch, || self.is_batch_class(batch));
+        let arena = runner.replay_fold(&fold, &self.params, &[x, dev])?;
+        Ok(read(fold.output(arena, out), fold.output_shape(out)))
+    }
+
+    /// [`Self::replay`] pinned to the batch-generic plan.
+    fn replay_generic<R>(
+        &self,
+        runner: &mut PlanRunner,
+        x: &Tensor,
+        dev: &Tensor,
+        out: usize,
+        read: impl FnOnce(&[f32], &[usize]) -> R,
+    ) -> PredictResult<R> {
+        let leaves = leaf_count_of(x)?;
+        let exec = runner.exec_for(leaves, self.plan_for(leaves)?);
+        exec.run(&self.params, &[x, dev])?;
+        Ok(read(exec.output(out), &exec.output_shape(out)))
+    }
+
     /// Predictions (transformed space) through a compiled plan replayed by
-    /// `runner`. This is the serving hot path: a batch whose size is a
-    /// registered class replays its shape-final specialized plan (zero
-    /// symbolic evaluation, prepacked weight GEMMs, one fixed arena per
-    /// class); any other size falls back to the batch-generic plan. After
-    /// warmup neither path allocates, and both are bit-identical to
+    /// `runner` — the serving hot path. Sizes up to [`DEFAULT_MAX_BATCH`]
+    /// replay a fold built on first use; larger batches replay the
+    /// batch-generic plan. After each shape's
+    /// first replay neither path allocates, and both are bit-identical to
     /// [`SharedPredictor::predict_with`].
     pub fn predict_planned(
         &self,
@@ -998,30 +1093,20 @@ impl SharedPredictor {
         x: &Tensor,
         dev: &Tensor,
     ) -> PredictResult<Vec<f32>> {
-        let leaves = leaf_count_of(x)?;
-        let batch = x.shape()[0];
-        if let Some(plan) = self.spec_plan_for(leaves, batch)? {
-            let exec = runner.spec_exec_for(leaves, batch, plan);
-            exec.run(&self.params, &[x, dev])?;
-            return Ok(exec.output(PLAN_OUT_PRED).to_vec());
-        }
-        self.predict_planned_generic(runner, x, dev)
+        self.replay(runner, x, dev, PLAN_OUT_PRED, |pred, _| pred.to_vec())
     }
 
     /// [`SharedPredictor::predict_planned`] pinned to the batch-generic
-    /// plan (no class routing) — the baseline the specialization benches
-    /// and equivalence tests compare against.
+    /// plan (no folds) — what batches above [`DEFAULT_MAX_BATCH`] replay,
+    /// and the baseline the fold benches and equivalence tests compare
+    /// against.
     pub fn predict_planned_generic(
         &self,
         runner: &mut PlanRunner,
         x: &Tensor,
         dev: &Tensor,
     ) -> PredictResult<Vec<f32>> {
-        let leaves = leaf_count_of(x)?;
-        let plan = self.plan_for(leaves)?;
-        let exec = runner.exec_for(leaves, plan);
-        exec.run(&self.params, &[x, dev])?;
-        Ok(exec.output(PLAN_OUT_PRED).to_vec())
+        self.replay_generic(runner, x, dev, PLAN_OUT_PRED, |pred, _| pred.to_vec())
     }
 
     /// Latent representations through a compiled plan (the plan's other
@@ -1032,19 +1117,9 @@ impl SharedPredictor {
         x: &Tensor,
         dev: &Tensor,
     ) -> PredictResult<Vec<Vec<f64>>> {
-        let leaves = leaf_count_of(x)?;
-        let batch = x.shape()[0];
-        if let Some(plan) = self.spec_plan_for(leaves, batch)? {
-            let exec = runner.spec_exec_for(leaves, batch, plan);
-            exec.run(&self.params, &[x, dev])?;
-            let d = exec.output_shape(PLAN_OUT_LATENT)[1];
-            return Ok(latent_rows(exec.output(PLAN_OUT_LATENT), d));
-        }
-        let plan = self.plan_for(leaves)?;
-        let exec = runner.exec_for(leaves, plan);
-        exec.run(&self.params, &[x, dev])?;
-        let d = exec.output_shape(PLAN_OUT_LATENT)[1];
-        Ok(latent_rows(exec.output(PLAN_OUT_LATENT), d))
+        self.replay(runner, x, dev, PLAN_OUT_LATENT, |z, shape| {
+            latent_rows(z, shape[1])
+        })
     }
 }
 
@@ -1325,22 +1400,91 @@ mod tests {
         assert!(shared.register_batch_class(4));
         assert!(!shared.register_batch_class(0), "batch 0 is not a class");
         let mut runner = PlanRunner::new();
-        for (b, expect_spec) in [(4usize, true), (3, false), (4, true)] {
+        for b in [4usize, 3, 4, DEFAULT_MAX_BATCH, DEFAULT_MAX_BATCH + 1] {
             let (x, dev) = batch(b, 3);
             let routed = shared.predict_planned(&mut runner, &x, &dev).unwrap();
             let generic = p.predict_batch(x.clone(), dev.clone()).unwrap();
             assert_freeze_close(&routed, &generic, &format!("b={b}"));
-            let _ = expect_spec;
+            // Folded up to `DEFAULT_MAX_BATCH`, generic above it.
+            let fold = shared.spec_plan_for(3, b).unwrap();
+            assert_eq!(fold.is_some(), b <= DEFAULT_MAX_BATCH, "b={b}");
         }
         assert_eq!(
             runner.spec_exec_count(),
             1,
-            "one specialized arena for the registered class"
+            "one registered-class fold replayed"
         );
-        assert_eq!(shared.specialized_plans(), vec![(3, 4)]);
-        // A fresh freeze of the same predictor gets its own spec tier.
+        assert_eq!(
+            shared.specialized_plans(),
+            vec![(3, 4)],
+            "folds of sizes that are no class are not what a snapshot ships"
+        );
+        // A class registered later lists the folds already built for it.
+        assert!(shared.register_batch_class(3));
+        assert_eq!(shared.specialized_plans(), vec![(3, 3), (3, 4)]);
+        // A class above `DEFAULT_MAX_BATCH` registers and folds nothing.
+        assert!(shared.register_batch_class(DEFAULT_MAX_BATCH + 1));
+        assert!(shared
+            .spec_plan_for(3, DEFAULT_MAX_BATCH + 1)
+            .unwrap()
+            .is_none());
+        assert_eq!(shared.prewarm_classes(&[DEFAULT_MAX_BATCH + 1]).unwrap(), 0);
+        // A fresh freeze of the same predictor gets its own fold table.
         let refrozen = p.share();
         assert!(refrozen.specialized_plans().is_empty());
+    }
+
+    #[test]
+    fn a_fold_is_two_fused_steps_per_encoder_layer() {
+        // 42 generic steps at the default config: 17 per encoder layer
+        // (3 projections, 3 head splits, bmm, softmax, bmm, merge, output
+        // projection, 2 residual adds, 2 layer norms, 2 feed-forward
+        // GEMMs) + 8 around them. The fold merges each layer's first ten
+        // into a fused projection and an attention step: 26.
+        let shared = Predictor::new(PredictorConfig::default()).share();
+        for (leaves, batch) in [(1usize, 1usize), (3, 5), (8, 13), (8, DEFAULT_MAX_BATCH)] {
+            let generic = shared.plan_for(leaves).unwrap();
+            assert_eq!(generic.stats().steps, 42);
+            let fold = shared.spec_plan_for(leaves, batch).unwrap().unwrap();
+            assert_eq!(fold.steps(), 26, "L={leaves} B={batch}: {fold:?}");
+            assert_eq!(fold.fused_attentions(), 2);
+            assert_eq!(fold.fused_qkv_gemms(), 2);
+            assert_eq!(fold.unrolled_copies(), 0, "no head copy is left to unroll");
+        }
+    }
+
+    #[test]
+    fn one_runner_serves_two_models_from_one_arena() {
+        // A/B serving, or the runner of a worker across a hot swap: the
+        // fold path keeps no per-model state, so alternating models grows
+        // nothing after each shape's first replay.
+        let a = Predictor::new(PredictorConfig::default()).share();
+        let b = Predictor::new(PredictorConfig {
+            seed: 1,
+            ..PredictorConfig::default()
+        })
+        .share();
+        let mut runner = PlanRunner::new();
+        let shapes = [(1usize, 2usize), (24, 8), (5, 3)];
+        let mut want = Vec::new();
+        for &(bsz, l) in &shapes {
+            let (x, dev) = batch(bsz, l);
+            let ya = a.predict_planned(&mut runner, &x, &dev).unwrap();
+            let yb = b.predict_planned(&mut runner, &x, &dev).unwrap();
+            assert_ne!(ya, yb, "different weights must differ");
+            assert_eq!(ya, a.predict_batch(x.clone(), dev.clone()).unwrap());
+            assert_eq!(yb, b.predict_batch(x, dev).unwrap());
+            want.push((ya, yb));
+        }
+        let warmed = runner.alloc_count();
+        for _ in 0..3 {
+            for (&(bsz, l), (ya, yb)) in shapes.iter().zip(&want) {
+                let (x, dev) = batch(bsz, l);
+                assert_eq!(&b.predict_planned(&mut runner, &x, &dev).unwrap(), yb);
+                assert_eq!(&a.predict_planned(&mut runner, &x, &dev).unwrap(), ya);
+            }
+        }
+        assert_eq!(runner.alloc_count(), warmed, "rebinding must not grow");
     }
 
     #[test]

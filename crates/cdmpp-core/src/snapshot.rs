@@ -277,15 +277,17 @@ pub struct QuantTensor {
     pub matrix: QuantizedMatrix,
 }
 
-/// One batch-specialization request: fold the generic plan for `leaves`
-/// at batch size `batch` on load.
+/// One batch-specialization request: the restored model serves `leaves`
+/// at batch size `batch` through a fold, and `batch` is one of its
+/// registered classes.
 ///
 /// Specialized plans bake in parameter *values* (prepacked weight
 /// panels), so the snapshot does **not** ship their bytes — it records
-/// the `(leaf count, batch class)` pairs and the loader re-folds each
-/// one from the (already validated) generic plan against the restored
-/// weights. Folding is pure constant propagation: no recording happens
-/// and the result is bit-identical to specializing a live model.
+/// the `(leaf count, batch class)` pairs. The loader validates each pair
+/// against the (already validated) generic plan and registers the class;
+/// the fold itself is built from the restored weights by the first replay
+/// of its shape. Folding is pure constant propagation: no recording
+/// happens and the result is bit-identical to specializing a live model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpecPlanEntry {
     /// The leaf count of the generic plan to specialize.
@@ -436,9 +438,9 @@ pub struct Snapshot {
     /// use after load, exactly like a freshly trained model.
     pub plans: Vec<PlanEntry>,
     /// Batch-specialization requests, ascending by `(leaves, batch)`.
-    /// Optional (older files have none): each entry re-folds a shipped
-    /// generic plan for one batch class on load, so the restored model
-    /// serves class-size batches through shape-final plans immediately.
+    /// Optional (older files have none): each entry names a shipped
+    /// generic plan and a batch class the restored model registers — what
+    /// a hot swap folds before it publishes the model.
     pub spec_plans: Vec<SpecPlanEntry>,
     /// Canonical quantized encodings for a subset of the parameters,
     /// ascending by param index. Optional (pre-quantization files have
@@ -518,10 +520,9 @@ impl Snapshot {
     }
 
     /// Adds specialization requests for every captured plan × every given
-    /// batch class (deduplicated, canonical order), so loading the
-    /// snapshot cold-starts with shape-final plans for those classes. The
-    /// serving default is [`crate::DEFAULT_MAX_BATCH`] plus single-sample
-    /// batches.
+    /// batch class (deduplicated, canonical order), so a model loaded
+    /// from the snapshot has those classes registered. The serving
+    /// default is [`crate::DEFAULT_MAX_BATCH`] plus single-sample batches.
     ///
     /// The loader's constraints are enforced here too — classes must be
     /// in `1..=4096` and at most [`crate::predictor::MAX_BATCH_CLASSES`]
@@ -1054,8 +1055,8 @@ impl TrainedModel {
     /// serving batch classes (`1` and [`crate::DEFAULT_MAX_BATCH`]) — the
     /// paper's checkpoint workflow. Loading it back
     /// ([`InferenceModel::from_snapshot_file`]) restores a serving model
-    /// with zero training and zero plan recording, already specialized
-    /// for the engine's stable chunk sizes.
+    /// with zero training and zero plan recording, the engine's stable
+    /// chunk sizes registered as its classes.
     pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
         Snapshot::capture_all(self)
             .map_err(|e| SnapshotError::Model(format!("capturing plans failed: {e}")))?
@@ -1243,10 +1244,15 @@ impl InferenceModel {
             }
         }
 
-        // Hand the store to the served `Arc`, then honor the file's
-        // specialization requests: each folds a seeded generic plan for
-        // one batch class — pure constant propagation against the
-        // restored weights, so the zero-recording property holds.
+        // Hand the store to the served `Arc`, then check the file's
+        // specialization requests and register their classes. Nothing is
+        // folded here: a fold is built by the first replay of its shape
+        // (`SharedPredictor::spec_plan_for`), like every other size, so a
+        // restore costs no folds its traffic never asks for. Everything a
+        // fold could be refused for is checked now — `Plan::from_desc`
+        // above leaves `specialize_cached` nothing to reject at an
+        // in-range batch — so a hostile file fails at load, never at a
+        // first replay.
         //
         // Explicit `F32` mode: the file alone decides quantization.
         // Honoring `CDMPP_QUANT` here would re-quantize loaded weights
@@ -1283,17 +1289,23 @@ impl InferenceModel {
                     crate::predictor::MAX_BATCH_CLASSES
                 )));
             }
-            let folded = shared
-                .spec_plan_for(entry.leaves, entry.batch)
-                .map_err(|e| spec_err(e.to_string()))?
-                .expect("class registered above");
-            if folded.arena_len() > MAX_SPEC_ARENA {
+            // Seeded above (its presence was just checked): no recording.
+            let generic = shared
+                .plan_for(entry.leaves)
+                .map_err(|e| spec_err(e.to_string()))?;
+            let arena = generic.arena_len(entry.batch);
+            if arena > MAX_SPEC_ARENA {
                 return Err(spec_err(format!(
-                    "specialized arena {} exceeds the cap {MAX_SPEC_ARENA}",
-                    folded.arena_len()
+                    "specialized arena {arena} exceeds the cap {MAX_SPEC_ARENA}"
                 )));
             }
         }
+        shared.request_folds(
+            snap.spec_plans
+                .iter()
+                .map(|e| (e.leaves, e.batch))
+                .collect(),
+        );
 
         Ok(InferenceModel {
             predictor: shared,

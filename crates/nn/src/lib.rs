@@ -50,8 +50,6 @@ pub use layers::{
 pub use loss::{hybrid, mape, mse, mspe, LossKind};
 pub use optim::{Adam, ConstantLr, CyclicLr, LrSchedule, Optimizer, Sgd};
 pub use plan::desc::{PlanDecodeError, PlanDesc};
-pub use plan::{
-    Plan, PlanError, PlanExec, PlanStats, Recorder, SpecExec, SpecializedPlan, WeightPackCache,
-};
+pub use plan::{Plan, PlanError, PlanExec, PlanStats, Recorder, SpecializedPlan, WeightPackCache};
 pub use tape::{Graph, ParamId, ParamStore, Var};
 pub use train_plan::{TrainExec, TrainPlan, TrainPlanStats};

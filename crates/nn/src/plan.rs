@@ -569,6 +569,15 @@ impl Dim {
             Dim::PerBatch(c) => c * b,
         }
     }
+
+    /// [`Dim::at`] for batch sizes that may come from a file: `None` on
+    /// overflow.
+    fn checked_at(self, b: usize) -> Option<usize> {
+        match self {
+            Dim::Fixed(n) => Some(n),
+            Dim::PerBatch(c) => c.checked_mul(b),
+        }
+    }
 }
 
 /// A symbolic element count: `coef * B + fixed` (one of the two is zero).
@@ -1902,8 +1911,18 @@ impl<'r> RunCtx<'r> {
 ///   exactly once, here), and row-local normalization steps run a
 ///   row-interleaved kernel that breaks the per-row accumulation latency
 ///   chain;
-/// * the arena length is final, so the replay arena is allocated exactly
-///   once and never re-offset.
+/// * the arena length is final, so a replay arena that holds it is never
+///   re-offset;
+/// * two serving-only fusions, each a strict pattern match that keeps the
+///   generic steps whenever an intermediate has a reader outside the
+///   pattern: `split_heads ×3 → bmm(Q·Kᵀ, scale) → softmax → bmm(·V) →
+///   merge_heads` becomes one [`tensor::attention_slices`] step reading
+///   heads in place by stride, and the three projections feeding it (one
+///   input, three weight matrices) become one prepacked GEMM over a
+///   column-concatenated panel and bias, written to a scratch region
+///   behind the planned slots and read by the attention step at row
+///   stride `3·d`. A fold is never serialized, so neither fusion exists
+///   in a [`desc::PlanDesc`].
 ///
 /// Bit-identity is preserved throughout: every kernel accumulates each
 /// output element in the same order as the generic interpreter, so a
@@ -1919,11 +1938,15 @@ pub struct SpecializedPlan {
     batch: usize,
     steps: Vec<SStep>,
     arena_len: usize,
+    /// Values the fold owns ([`SpecSrc::Const`]): concatenated bias rows.
+    consts: Vec<f32>,
     inputs: Vec<(Vec<usize>, usize)>,
     outputs: Vec<(usize, usize, Vec<usize>)>,
     prepacked: usize,
     quant_prepacked: usize,
     spans: usize,
+    attentions: usize,
+    qkv_gemms: usize,
 }
 
 /// Cap on the block copies one `split_heads` / `merge_heads` step may
@@ -1940,6 +1963,8 @@ enum SpecSrc {
     Arena(usize),
     Param(ParamId),
     Input(usize),
+    /// An offset into the fold's own constants.
+    Const(usize),
 }
 
 /// One specialized step: the folded op plus its output slice.
@@ -1996,6 +2021,20 @@ enum SOp {
         m: usize,
         k: usize,
         n: usize,
+        scale: Option<f32>,
+    },
+    /// `merge_heads(softmax(Q·Kᵀ·scale)·V)` in one pass: `b` sequences of
+    /// `l` positions, `h` heads of width `dh`, operands read in place at
+    /// row stride `rs` ([`tensor::attention_slices`]).
+    Attention {
+        q: SpecSrc,
+        k: SpecSrc,
+        v: SpecSrc,
+        rs: usize,
+        b: usize,
+        h: usize,
+        l: usize,
+        dh: usize,
         scale: Option<f32>,
     },
     /// An unrolled permutation copy (`split_heads` / `merge_heads`): move
@@ -2079,6 +2118,57 @@ enum SOp {
 pub struct WeightPackCache {
     map: std::collections::HashMap<(usize, usize, usize), Arc<tensor::PackedB>>,
     qmap: std::collections::HashMap<(usize, usize, usize), Arc<tensor::QuantizedPackedB>>,
+    /// Fused `Q|K|V` panels, keyed by the three parameters and each one's
+    /// `[k, n]`.
+    qkv: std::collections::HashMap<QkvKey, QkvPanel>,
+}
+
+type QkvKey = ([usize; 3], usize, usize);
+
+/// One column-concatenated `[k, 3n]` projection panel.
+#[derive(Clone)]
+enum QkvPanel {
+    F32(Arc<tensor::PackedB>),
+    Quant(Arc<tensor::QuantizedPackedB>),
+}
+
+impl QkvPanel {
+    fn panel_bytes(&self) -> usize {
+        match self {
+            QkvPanel::F32(p) => p.panel_bytes(),
+            QkvPanel::Quant(p) => p.panel_bytes(),
+        }
+    }
+}
+
+/// `[k, n]` row-major matrices side by side: row `i` of the result is row
+/// `i` of each part in turn, `row` elements (or bytes) apiece.
+fn concat_cols<T: Copy>(parts: [&[T]; 3], row: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    if row > 0 {
+        let [a, b, c] = parts.map(|p| p.chunks_exact(row));
+        for ((ra, rb), rc) in a.zip(b).zip(c) {
+            out.extend_from_slice(ra);
+            out.extend_from_slice(rb);
+            out.extend_from_slice(rc);
+        }
+    }
+    out
+}
+
+/// The three quantized `[k, n]` encodings as one `[k, 3n]` encoding with
+/// the same stored values and scales — possible when they share a kind
+/// and each part's scale groups end on its last column.
+fn concat_quant(parts: [&tensor::QuantizedMatrix; 3]) -> Option<tensor::QuantizedMatrix> {
+    let [a, b, c] = parts;
+    let (kind, k, n) = (a.kind(), a.k(), a.n());
+    let same = |q: &tensor::QuantizedMatrix| q.kind() == kind && q.k() == k && q.n() == n;
+    if !same(b) || !same(c) || (kind == tensor::QuantKind::I8 && n % tensor::QUANT_GROUP != 0) {
+        return None;
+    }
+    let data = concat_cols(parts.map(|q| q.data()), n * kind.bytes_per_elem());
+    let scales = parts.iter().flat_map(|q| q.scales()).copied().collect();
+    tensor::QuantizedMatrix::from_parts(kind, k, 3 * n, data, scales).ok()
 }
 
 impl WeightPackCache {
@@ -2089,12 +2179,12 @@ impl WeightPackCache {
 
     /// Distinct `(parameter, k, n)` panels packed so far.
     pub fn len(&self) -> usize {
-        self.map.len() + self.qmap.len()
+        self.map.len() + self.qmap.len() + self.qkv.len()
     }
 
     /// Whether no panel has been packed yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty() && self.qmap.is_empty()
+        self.len() == 0
     }
 
     /// Bytes all cached panels occupy in memory (the serving-weights
@@ -2102,6 +2192,43 @@ impl WeightPackCache {
     pub fn panel_bytes(&self) -> usize {
         self.map.values().map(|p| p.panel_bytes()).sum::<usize>()
             + self.qmap.values().map(|p| p.panel_bytes()).sum::<usize>()
+            + self.qkv.values().map(|p| p.panel_bytes()).sum::<usize>()
+    }
+
+    /// The fused panel of three `[k, n]` projection weights: the quantized
+    /// encodings when all three carry one that concatenates, the f32
+    /// values when none does, `None` (no fusion) for a mix.
+    fn get_or_pack_qkv(
+        &mut self,
+        params: &ParamStore,
+        w: [ParamId; 3],
+        k: usize,
+        n: usize,
+    ) -> Option<QkvPanel> {
+        let key = (w.map(|id| id.index()), k, n);
+        if let Some(panel) = self.qkv.get(&key) {
+            return Some(panel.clone());
+        }
+        let values = w.map(|id| params.value(id).data());
+        if values.iter().any(|v| v.len() != k * n) {
+            return None;
+        }
+        let quants = w.map(|id| params.quant(id).filter(|q| q.k() == k && q.n() == n));
+        let panel = match quants {
+            [None, None, None] => QkvPanel::F32(Arc::new(tensor::PackedB::pack(
+                &concat_cols(values, n),
+                k,
+                3 * n,
+            ))),
+            [Some(a), Some(b), Some(c)] => {
+                QkvPanel::Quant(Arc::new(tensor::QuantizedPackedB::pack(&concat_quant([
+                    &**a, &**b, &**c,
+                ])?)))
+            }
+            _ => return None,
+        };
+        self.qkv.insert(key, panel.clone());
+        Some(panel)
     }
 
     fn get_or_pack(
@@ -2133,7 +2260,186 @@ impl WeightPackCache {
     }
 }
 
+/// The seven generic steps [`SOp::Attention`] replaces, matched at one
+/// batch size.
+struct AttnMatch {
+    q: Src,
+    k: Src,
+    v: Src,
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    scale: Option<f32>,
+    /// The `merge_heads` output buffer — where the fused step writes.
+    out: usize,
+}
+
+/// The three projection GEMMs in front of an [`AttnMatch`]: one input,
+/// three `[k, n]` parameters, a bias each or none, one activation.
+struct QkvMatch {
+    a: Src,
+    w: [ParamId; 3],
+    bias: Option<[ParamId; 3]>,
+    act: Activation,
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
 impl Plan {
+    /// How many steps read each buffer, the outputs list counting as one
+    /// more reader: a buffer with a single reader is invisible outside
+    /// the step that reads it.
+    fn reader_counts(&self) -> Vec<usize> {
+        let mut readers = vec![0usize; self.bufs.len()];
+        let step_reads = self.steps.iter().flat_map(|s| s.kind.sources());
+        for src in step_reads.chain(self.outputs.iter().map(|(s, _)| *s)) {
+            if let Src::Buf(b) = src {
+                readers[b] += 1;
+            }
+        }
+        readers
+    }
+
+    /// Matches `split_heads ×3 → bmm(Q·Kᵀ, scale) → softmax → bmm(·V) →
+    /// merge_heads` in the seven consecutive steps starting at `at`, every
+    /// intermediate read by the next step of the pattern and by nothing
+    /// else, on a geometry the fused kernel serves.
+    fn match_attention(&self, at: usize, readers: &[usize], bsz: usize) -> Option<AttnMatch> {
+        let [sq, sk, sv, qk, sm, pv, mg] = self.steps.get(at..at + 7)? else {
+            return None;
+        };
+        let dim = |d: Dim| d.checked_at(bsz);
+        let split = |st: &Step| match st.kind {
+            StepKind::SplitHeads { x, h, b, l, d } => Some((x, [h, dim(b)?, dim(l)?, dim(d)?])),
+            _ => None,
+        };
+        let ((q, geom), (k, gk), (v, gv)) = (split(sq)?, split(sk)?, split(sv)?);
+        let [h, b, l, d] = geom;
+        if gk != geom || gv != geom || h == 0 || d % h != 0 {
+            return None;
+        }
+        let dh = d / h;
+        let bh = b.checked_mul(h)?;
+        let bmm = |st: &Step, lhs: usize, rhs: usize, t: bool| match st.kind {
+            StepKind::Bmm {
+                a: Src::Buf(a),
+                b: Src::Buf(b),
+                ta: false,
+                tb,
+                batch,
+                m,
+                k,
+                n,
+                scale,
+            } if (a, b, tb) == (lhs, rhs, t) => {
+                Some(([dim(batch)?, dim(m)?, dim(k)?, dim(n)?], scale))
+            }
+            _ => None,
+        };
+        let (qk_dims, scale) = bmm(qk, sq.out, sk.out, true)?;
+        let softmax_ok = matches!(
+            sm.kind,
+            StepKind::Softmax { x: Src::Buf(x), rows, d }
+                if x == qk.out && dim(d) == Some(l) && dim(rows) == bh.checked_mul(l)
+        );
+        let merge_ok = matches!(
+            mg.kind,
+            StepKind::MergeHeads { x: Src::Buf(x), h: mh, bh: mbh, l: ml, dh: mdh }
+                if x == pv.out && mh == h && [dim(mbh), dim(ml), dim(mdh)] == [Some(bh), Some(l), Some(dh)]
+        );
+        let inner = [sq.out, sk.out, sv.out, qk.out, sm.out, pv.out];
+        let fits = qk_dims == [bh, l, dh, l]
+            && softmax_ok
+            && bmm(pv, sm.out, sv.out, false)? == ([bh, l, l, dh], None)
+            && merge_ok
+            && inner.iter().all(|&buf| readers[buf] == 1)
+            && tensor::attention_fusable(l, dh);
+        fits.then_some(AttnMatch {
+            q,
+            k,
+            v,
+            b,
+            h,
+            l,
+            dh,
+            scale,
+            out: mg.out,
+        })
+    }
+
+    /// Matches the three projection GEMMs at `at .. at + 3` feeding `attn`
+    /// (matched at `at + 3`): one input, parameter weights of one `[k, n]`,
+    /// outputs read by their `split_heads` only, and a shape where the
+    /// prepacked kernel reproduces each projection's own dispatch.
+    fn match_qkv(
+        &self,
+        at: usize,
+        readers: &[usize],
+        bsz: usize,
+        attn: &AttnMatch,
+    ) -> Option<QkvMatch> {
+        /// One projection: what it writes, its weight and bias, and
+        /// everything the three must agree on.
+        struct Proj {
+            out: Src,
+            w: ParamId,
+            bias: Option<ParamId>,
+            shared: (Src, Activation, [usize; 3]),
+        }
+        let proj = |st: &Step| match st.kind {
+            StepKind::Gemm {
+                a,
+                b: Src::Param(w),
+                m,
+                k,
+                n,
+                bias,
+                act,
+            } if readers[st.out] == 1 => {
+                let bias = match bias {
+                    None => None,
+                    Some(Src::Param(id)) => Some(id),
+                    Some(_) => return None,
+                };
+                let mkn = [m, k, n].map(|d| d.checked_at(bsz));
+                Some(Proj {
+                    out: Src::Buf(st.out),
+                    w,
+                    bias,
+                    shared: (a, act, [mkn[0]?, mkn[1]?, mkn[2]?]),
+                })
+            }
+            _ => None,
+        };
+        let [pq, pk, pv] = self.steps.get(at..at + 3)? else {
+            return None;
+        };
+        let (pq, pk, pv) = (proj(pq)?, proj(pk)?, proj(pv)?);
+        let (a, act, [m, k, n]) = pq.shared;
+        let bias = match (pq.bias, pk.bias, pv.bias) {
+            (None, None, None) => None,
+            (Some(bq), Some(bk), Some(bv)) => Some([bq, bk, bv]),
+            _ => return None,
+        };
+        let fits = pk.shared == pq.shared
+            && pv.shared == pq.shared
+            && (pq.out, pk.out, pv.out) == (attn.q, attn.k, attn.v)
+            && Some(m) == attn.b.checked_mul(attn.l)
+            && n == attn.h * attn.dh
+            && tensor::gemm_prepacked_is_exact(m, k, n);
+        fits.then_some(QkvMatch {
+            a,
+            w: [pq.w, pk.w, pv.w],
+            bias,
+            act,
+            m,
+            k,
+            n,
+        })
+    }
+
     /// Folds this plan for one concrete batch size; see
     /// [`SpecializedPlan`]. `params` must be the (frozen) store the plan
     /// replays against — prepacked weight panels read their values here.
@@ -2157,11 +2463,8 @@ impl Plan {
             ));
         }
         let dim_at = |d: Dim| -> Result<usize, PlanError> {
-            let v = match d {
-                Dim::Fixed(n) => Some(n),
-                Dim::PerBatch(c) => c.checked_mul(b),
-            };
-            v.ok_or_else(|| PlanError::Input(format!("batch size {b} overflows plan dims")))
+            d.checked_at(b)
+                .ok_or_else(|| PlanError::Input(format!("batch size {b} overflows plan dims")))
         };
         let size_at = |s: &Size| -> Result<usize, PlanError> {
             s.coef
@@ -2200,8 +2503,96 @@ impl Plan {
         let mut prepacked = 0usize;
         let mut quant_prepacked = 0usize;
         let mut span_count = 0usize;
+        let mut attentions = 0usize;
+        let mut qkv_gemms = 0usize;
+        let mut consts: Vec<f32> = Vec::new();
+        // Fused `Q|K|V` outputs live behind the planned slots: one region,
+        // as large as the widest projection, live from its GEMM to the
+        // attention step that follows it.
+        let qkv_off = arena_len;
+        let mut qkv_len = 0usize;
+        let readers = self.reader_counts();
+        // The fused step of `attn`, its operands at `[q, k, v]` with rows
+        // `rs` apart, writing where `merge_heads` did.
+        let attention_step = |attn: &AttnMatch, [q, k, v]: [SpecSrc; 3], rs: usize| {
+            Ok::<_, PlanError>(SStep {
+                op: SOp::Attention {
+                    q,
+                    k,
+                    v,
+                    rs,
+                    b: attn.b,
+                    h: attn.h,
+                    l: attn.l,
+                    dh: attn.dh,
+                    scale: attn.scale,
+                },
+                out_off: offsets[self.bufs[attn.out].slot],
+                out_len: size_at(&self.bufs[attn.out].size)?,
+            })
+        };
         let mut steps = Vec::with_capacity(self.steps.len());
-        for step in &self.steps {
+        let mut si = 0usize;
+        while si < self.steps.len() {
+            let step = &self.steps[si];
+            // Projections + attention: one GEMM into the scratch region,
+            // one attention step reading it at row stride `3n`.
+            let fused = self.match_attention(si + 3, &readers, b).and_then(|attn| {
+                let qkv = self.match_qkv(si, &readers, b, &attn)?;
+                let len = qkv.m.checked_mul(3 * qkv.n)?;
+                let panel = cache.get_or_pack_qkv(params, qkv.w, qkv.k, qkv.n)?;
+                let biases = qkv.bias.map(|ids| ids.map(|id| params.value(id).data()));
+                if biases.is_some_and(|rows| rows.iter().any(|r| r.len() != qkv.n)) {
+                    return None;
+                }
+                Some((attn, qkv, len, panel, biases))
+            });
+            if let Some((attn, qkv, len, panel, biases)) = fused {
+                let bias = biases.map(|rows| {
+                    let at = consts.len();
+                    rows.iter().for_each(|r| consts.extend_from_slice(r));
+                    SpecSrc::Const(at)
+                });
+                let (a, m, act) = (src_of(qkv.a), qkv.m, qkv.act);
+                let op = match panel {
+                    QkvPanel::F32(b) => {
+                        prepacked += 1;
+                        SOp::GemmPrepacked { a, b, m, bias, act }
+                    }
+                    QkvPanel::Quant(b) => {
+                        quant_prepacked += 1;
+                        SOp::GemmQuantPrepacked { a, b, m, bias, act }
+                    }
+                };
+                steps.push(SStep {
+                    op,
+                    out_off: qkv_off,
+                    out_len: len,
+                });
+                let d = qkv.n;
+                let heads = [0, d, 2 * d].map(|col| SpecSrc::Arena(qkv_off + col));
+                steps.push(attention_step(&attn, heads, 3 * d)?);
+                qkv_len = qkv_len.max(len);
+                qkv_gemms += 1;
+                attentions += 1;
+                si += 10;
+                continue;
+            }
+            // Attention alone, its operands read where they are — unless
+            // the planner handed the merged output one of their slots.
+            let in_place = self.match_attention(si, &readers, b).filter(|attn| {
+                ![attn.q, attn.k, attn.v]
+                    .iter()
+                    .any(|&s| aliases(s, attn.out))
+            });
+            if let Some(attn) = in_place {
+                let heads = [attn.q, attn.k, attn.v].map(src_of);
+                steps.push(attention_step(&attn, heads, attn.h * attn.dh)?);
+                attentions += 1;
+                si += 7;
+                continue;
+            }
+            si += 1;
             let out = step.out;
             let out_off = offsets[self.bufs[out].slot];
             let out_len = size_at(&self.bufs[out].size)?;
@@ -2218,14 +2609,21 @@ impl Plan {
                     let (m, k, n) = (dim_at(*m)?, dim_at(*k)?, dim_at(*n)?);
                     let bias = bias.map(src_of);
                     match bsrc {
-                        // Weight operand + blocked-kernel shape: pack the
-                        // panel once, now, instead of on every replay.
-                        // Quantized stores pack the i8/bf16 encoding
-                        // instead (below-threshold shapes fall through to
-                        // the generic f32 entry either way — the store's
-                        // values are the dequantized numbers, so both
-                        // entries compute identical results).
-                        Src::Param(id) if tensor::gemm_prefers_packed(m, k, n) => {
+                        // Weight operand: pack the panel once, now, instead
+                        // of on every replay — where the generic entry would
+                        // pick the blocked kernel, and from two rows up also
+                        // below that: the naive loop it picks there
+                        // accumulates through memory and runs 2-5x behind a
+                        // prepacked register tile at every predictor shape
+                        // (README, "Where replay time goes"); one row is its
+                        // best case and stays. Quantized stores pack the
+                        // i8/bf16 encoding instead (the store's values are
+                        // the dequantized numbers, so every entry computes
+                        // identical results).
+                        Src::Param(id)
+                            if tensor::gemm_prefers_packed(m, k, n)
+                                || (m > 1 && tensor::gemm_prepacked_is_exact(m, k, n)) =>
+                        {
                             let w = params.value(*id);
                             if w.numel() != k * n {
                                 return Err(PlanError::Input(format!(
@@ -2463,15 +2861,21 @@ impl Plan {
             })
             .collect::<Result<Vec<_>, PlanError>>()?;
 
+        let arena_len = arena_len
+            .checked_add(qkv_len)
+            .ok_or_else(|| PlanError::Input(format!("batch size {b} overflows the arena")))?;
         Ok(SpecializedPlan {
             batch: b,
             steps,
             arena_len,
+            consts,
             inputs,
             outputs,
             prepacked,
             quant_prepacked,
             spans: span_count,
+            attentions,
+            qkv_gemms,
         })
     }
 }
@@ -2522,9 +2926,69 @@ impl SpecializedPlan {
         self.spans
     }
 
-    /// Arena elements the replay arena holds (fixed — never re-offset).
+    /// Attention blocks folded into one [`tensor::attention_slices`] step.
+    pub fn fused_attentions(&self) -> usize {
+        self.attentions
+    }
+
+    /// `Q|K|V` projection triples folded into one prepacked GEMM.
+    pub fn fused_qkv_gemms(&self) -> usize {
+        self.qkv_gemms
+    }
+
+    /// Arena elements a replay needs (fixed — never re-offset).
     pub fn arena_len(&self) -> usize {
         self.arena_len
+    }
+
+    /// Executes the plan in `arena`, growing it to [`Self::arena_len`] if
+    /// it is shorter (an arena that has replayed a larger fold serves a
+    /// smaller one as it is). `params` must be the store the plan was
+    /// specialized against; inputs must match the folded shapes exactly
+    /// (the batch size is part of the plan).
+    pub fn replay(
+        &self,
+        arena: &mut Vec<f32>,
+        params: &ParamStore,
+        inputs: &[&Tensor],
+    ) -> Result<(), PlanError> {
+        if inputs.len() != self.inputs.len() {
+            return Err(PlanError::Input(format!(
+                "expected {} inputs, got {}",
+                self.inputs.len(),
+                inputs.len()
+            )));
+        }
+        for (i, ((shape, _), t)) in self.inputs.iter().zip(inputs).enumerate() {
+            if t.shape() != shape.as_slice() {
+                return Err(PlanError::Input(format!(
+                    "input {i}: expected shape {shape:?} (plan specialized for batch {}), got {:?}",
+                    self.batch,
+                    t.shape()
+                )));
+            }
+        }
+        if arena.len() < self.arena_len {
+            arena.resize(self.arena_len, 0.0);
+        }
+        let ctx = SpecRun {
+            params,
+            inputs,
+            consts: &self.consts,
+            arena: arena.as_mut_ptr(),
+            arena_len: arena.len(),
+        };
+        for step in &self.steps {
+            ctx.exec(step)?;
+        }
+        Ok(())
+    }
+
+    /// Output `i`'s data in `arena` after a successful [`Self::replay`]
+    /// there.
+    pub fn output<'a>(&self, arena: &'a [f32], i: usize) -> &'a [f32] {
+        let (off, len, _) = self.outputs[i];
+        &arena[off..off + len]
     }
 }
 
@@ -2536,79 +3000,9 @@ impl fmt::Debug for SpecializedPlan {
             .field("arena_len", &self.arena_len)
             .field("prepacked_gemms", &self.prepacked)
             .field("quant_prepacked_gemms", &self.quant_prepacked)
+            .field("fused_attentions", &self.attentions)
+            .field("fused_qkv_gemms", &self.qkv_gemms)
             .finish()
-    }
-}
-
-/// Replays a [`SpecializedPlan`] against its fixed-size arena.
-///
-/// One per (serving thread, plan): the arena is allocated on the first
-/// [`SpecExec::run`] and never grows or re-offsets afterwards — batch
-/// size, shapes, and layout are all baked into the plan.
-pub struct SpecExec {
-    plan: Arc<SpecializedPlan>,
-    arena: Vec<f32>,
-}
-
-impl SpecExec {
-    /// Creates an executor for `plan` (arena allocated lazily).
-    pub fn new(plan: Arc<SpecializedPlan>) -> Self {
-        SpecExec {
-            plan,
-            arena: Vec::new(),
-        }
-    }
-
-    /// The specialized plan being replayed.
-    pub fn plan(&self) -> &Arc<SpecializedPlan> {
-        &self.plan
-    }
-
-    /// Executes the plan. `params` must be the store the plan was
-    /// specialized against; inputs must match the folded shapes exactly
-    /// (the batch size is part of the plan).
-    pub fn run(&mut self, params: &ParamStore, inputs: &[&Tensor]) -> Result<(), PlanError> {
-        let plan = Arc::clone(&self.plan);
-        if inputs.len() != plan.inputs.len() {
-            return Err(PlanError::Input(format!(
-                "expected {} inputs, got {}",
-                plan.inputs.len(),
-                inputs.len()
-            )));
-        }
-        for (i, ((shape, _), t)) in plan.inputs.iter().zip(inputs).enumerate() {
-            if t.shape() != shape.as_slice() {
-                return Err(PlanError::Input(format!(
-                    "input {i}: expected shape {shape:?} (plan specialized for batch {}), got {:?}",
-                    plan.batch,
-                    t.shape()
-                )));
-            }
-        }
-        if self.arena.len() < plan.arena_len {
-            self.arena.resize(plan.arena_len, 0.0);
-        }
-        let ctx = SpecRun {
-            params,
-            inputs,
-            arena: self.arena.as_mut_ptr(),
-            arena_len: self.arena.len(),
-        };
-        for step in &plan.steps {
-            ctx.exec(step)?;
-        }
-        Ok(())
-    }
-
-    /// Output `i`'s data (valid after a successful [`SpecExec::run`]).
-    pub fn output(&self, i: usize) -> &[f32] {
-        let (off, len, _) = self.plan.outputs[i];
-        &self.arena[off..off + len]
-    }
-
-    /// Output `i`'s concrete shape.
-    pub fn output_shape(&self, i: usize) -> &[usize] {
-        self.plan.output_shape(i)
     }
 }
 
@@ -2617,6 +3011,7 @@ impl SpecExec {
 struct SpecRun<'r> {
     params: &'r ParamStore,
     inputs: &'r [&'r Tensor],
+    consts: &'r [f32],
     arena: *mut f32,
     arena_len: usize,
 }
@@ -2629,6 +3024,7 @@ impl<'r> SpecRun<'r> {
         match src {
             SpecSrc::Param(id) => self.params.value(id).data(),
             SpecSrc::Input(i) => self.inputs[i].data(),
+            SpecSrc::Const(off) => &self.consts[off..off + len],
             SpecSrc::Arena(off) => {
                 assert!(off + len <= self.arena_len, "arena read out of bounds");
                 // SAFETY: in-bounds; disjointness from the output slice is
@@ -2690,6 +3086,22 @@ impl<'r> SpecRun<'r> {
                 let av = self.read(*a, batch * m * k);
                 let bv = self.read(*b, batch * k * n);
                 tensor::bmm_ep_slices(*batch, *m, *k, *n, av, *ta, bv, *tb, *scale, o)?;
+            }
+            SOp::Attention {
+                q,
+                k,
+                v,
+                rs,
+                b,
+                h,
+                l,
+                dh,
+                scale,
+            } => {
+                // Each operand's last row ends `h·dh` past its start.
+                let len = (b * l).saturating_sub(1) * rs + h * dh;
+                let (qs, ks, vs) = (self.read(*q, len), self.read(*k, len), self.read(*v, len));
+                tensor::attention_slices(*b, *h, *l, *dh, qs, ks, vs, *rs, *scale, o)?;
             }
             SOp::Copy { x, spans, width } => {
                 let xs = self.read(*x, step.out_len);
@@ -2857,21 +3269,16 @@ fn row_op_into(o: &mut [f32], x: Option<&[f32]>, row: &[f32], kind: RowKind, ops
     }
 }
 
-/// Row-wise softmax over contiguous rows of width `d` — the one
-/// definition both executors call.
+/// Row-wise softmax over contiguous rows of width `d` — what both
+/// executors call; the row itself is [`tensor::softmax_row`], which the
+/// fused attention step calls too.
 fn softmax_rows(o: &mut [f32], d: usize) {
-    for chunk in o.chunks_mut(d) {
-        let m = chunk.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0f32;
-        for v in chunk.iter_mut() {
-            *v = (*v - m).exp();
-            z += *v;
-        }
-        let inv = 1.0 / z;
-        for v in chunk.iter_mut() {
-            *v *= inv;
-        }
+    // A zero-width row has nothing to normalize (and `chunks_mut(0)`
+    // panics); `layer_norm_rows` takes the same early return.
+    if d == 0 {
+        return;
     }
+    o.chunks_mut(d).for_each(tensor::softmax_row);
 }
 
 /// Row-wise layer norm, processed **four rows at a time**.
@@ -4665,20 +5072,20 @@ mod tests {
         );
         let mut generic = PlanExec::new(Arc::clone(&plan));
         for b in [1usize, 2, 3, 5, 8, 64] {
-            let spec = Arc::new(plan.specialize(&store, b).unwrap());
+            let spec = plan.specialize(&store, b).unwrap();
             assert_eq!(spec.batch_size(), b);
             assert!(spec.unrolled_copies() > 0, "split/merge spans must unroll");
-            let mut sx = SpecExec::new(Arc::clone(&spec));
+            let mut arena = Vec::new();
             let x = input_for(b);
-            sx.run(&store, &[&x]).unwrap();
+            spec.replay(&mut arena, &store, &[&x]).unwrap();
             generic.run(&store, &[&x]).unwrap();
             for i in 0..2 {
                 assert_eq!(
-                    sx.output(i),
+                    spec.output(&arena, i),
                     generic.output(i),
                     "output {i} at batch {b} must be bit-identical"
                 );
-                assert_eq!(sx.output_shape(i), generic.output_shape(i).as_slice());
+                assert_eq!(spec.output_shape(i), generic.output_shape(i).as_slice());
             }
         }
     }
@@ -4708,11 +5115,11 @@ mod tests {
         assert_eq!(spec_one.prepacked_gemms(), 0, "{spec_one:?}");
         let mut generic = PlanExec::new(Arc::clone(&plan));
         for (b, spec) in [(64usize, spec_big), (1, spec_one)] {
-            let mut sx = SpecExec::new(Arc::new(spec));
+            let mut arena = Vec::new();
             let x = Tensor::from_fn(&[b, 64], |i| (i as f32 * 0.29).sin());
-            sx.run(&store, &[&x]).unwrap();
+            spec.replay(&mut arena, &store, &[&x]).unwrap();
             generic.run(&store, &[&x]).unwrap();
-            assert_eq!(sx.output(0), generic.output(0), "b={b}");
+            assert_eq!(spec.output(&arena, 0), generic.output(0), "b={b}");
         }
     }
 
@@ -4747,11 +5154,11 @@ mod tests {
         assert_eq!(spec_one.quant_prepacked_gemms(), 0, "{spec_one:?}");
         let mut generic = PlanExec::new(Arc::clone(&plan));
         for (b, spec) in [(64usize, spec_big), (1, spec_one)] {
-            let mut sx = SpecExec::new(Arc::new(spec));
+            let mut arena = Vec::new();
             let x = Tensor::from_fn(&[b, 64], |i| (i as f32 * 0.29).sin());
-            sx.run(&store, &[&x]).unwrap();
+            spec.replay(&mut arena, &store, &[&x]).unwrap();
             generic.run(&store, &[&x]).unwrap();
-            assert_eq!(sx.output(0), generic.output(0), "b={b}");
+            assert_eq!(spec.output(&arena, 0), generic.output(0), "b={b}");
         }
     }
 
@@ -4776,9 +5183,9 @@ mod tests {
         assert_eq!(cache.len(), 1, "same (param, k, n) must reuse the panel");
         // Both folds still replay correctly.
         for (b, spec) in [(64usize, s64), (128, s128)] {
-            let mut sx = SpecExec::new(Arc::new(spec));
+            let mut arena = Vec::new();
             let x = Tensor::from_fn(&[b, 64], |i| (i as f32 * 0.23).sin());
-            sx.run(&store, &[&x]).unwrap();
+            spec.replay(&mut arena, &store, &[&x]).unwrap();
             let mut generic = PlanExec::new(Arc::new(
                 Plan::compile(&store, |rec, bb| {
                     let x = rec.constant(Tensor::from_fn(&[bb, 64], |i| (i as f32 * 0.23).sin()));
@@ -4789,7 +5196,193 @@ mod tests {
                 .unwrap(),
             ));
             generic.run(&store, &[&x]).unwrap();
-            assert_eq!(sx.output(0), generic.output(0), "b={b}");
+            assert_eq!(spec.output(&arena, 0), generic.output(0), "b={b}");
+        }
+    }
+
+    const ATT_L: usize = 3;
+    const ATT_D: usize = 32;
+    const ATT_H: usize = 2;
+
+    fn attention_input(b: usize) -> Tensor {
+        Tensor::from_fn(&[b, ATT_L, ATT_D], |i| ((i as f32) * 0.173).sin())
+    }
+
+    /// `[wq, bq, wk, bk, wv, bv, wo, bo]` for [`attention_program`].
+    fn attention_store() -> (ParamStore, Vec<ParamId>) {
+        let (w, b): (&[usize], &[usize]) = (&[ATT_D, ATT_D], &[ATT_D]);
+        store_with(&[w, b, w, b, w, b, w, b])
+    }
+
+    /// Which intermediate of [`attention_program`] gets a second reader
+    /// (as an extra plan output).
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Leak {
+        Nothing,
+        Probs,
+        SplitHead,
+        Projection,
+    }
+
+    /// One multi-head self-attention block the way `MultiHeadAttention`
+    /// records it (rank-3 linears, `1/sqrt(dh)` scale), plus the output
+    /// projection.
+    fn attention_program<E: Exec>(
+        e: &mut E,
+        store: &ParamStore,
+        ids: &[ParamId],
+        b: usize,
+        leak: Leak,
+    ) -> TensorResult<Vec<Var>> {
+        let x = e.constant(attention_input(b));
+        let linear = |e: &mut E, x: Var, w: ParamId, bias: ParamId| -> TensorResult<Var> {
+            let flat = e.reshape(x, &[b * ATT_L, ATT_D])?;
+            let w = e.param(store, w);
+            let y = e.matmul(flat, w)?;
+            let y = e.reshape(y, &[b, ATT_L, ATT_D])?;
+            let bias = e.param(store, bias);
+            e.add_row(y, bias)
+        };
+        let q = linear(e, x, ids[0], ids[1])?;
+        let k = linear(e, x, ids[2], ids[3])?;
+        let v = linear(e, x, ids[4], ids[5])?;
+        let qh = e.split_heads(q, ATT_H)?;
+        let kh = e.split_heads(k, ATT_H)?;
+        let vh = e.split_heads(v, ATT_H)?;
+        let scores = e.bmm(qh, kh, false, true)?;
+        let scaled = e.scale(scores, 1.0 / ((ATT_D / ATT_H) as f32).sqrt());
+        let probs = e.softmax_last(scaled)?;
+        let ctx = e.bmm(probs, vh, false, false)?;
+        let merged = e.merge_heads(ctx, ATT_H)?;
+        let out = linear(e, merged, ids[6], ids[7])?;
+        Ok(match leak {
+            Leak::Nothing => vec![out],
+            Leak::Probs => vec![out, probs],
+            Leak::SplitHead => vec![out, kh],
+            Leak::Projection => vec![out, q],
+        })
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Folds [`attention_program`] at every batch in `1..=9` and asserts
+    /// the fold replays the generic plan's bits; returns the B = 4 fold.
+    fn fold_attention(store: &ParamStore, ids: &[ParamId], leak: Leak) -> SpecializedPlan {
+        let plan = Arc::new(
+            Plan::compile(store, |rec, b| {
+                attention_program(rec, store, ids, b, leak).map_err(PlanError::from)
+            })
+            .unwrap(),
+        );
+        let mut generic = PlanExec::new(Arc::clone(&plan));
+        let mut cache = WeightPackCache::new();
+        let mut arena = Vec::new();
+        for b in 1..=9usize {
+            let fold = plan.specialize_cached(store, b, &mut cache).unwrap();
+            let x = attention_input(b);
+            fold.replay(&mut arena, store, &[&x]).unwrap();
+            generic.run(store, &[&x]).unwrap();
+            for i in 0..plan.num_outputs() {
+                assert_eq!(
+                    bits(fold.output(&arena, i)),
+                    bits(generic.output(i)),
+                    "{leak:?}: output {i} at batch {b}"
+                );
+            }
+        }
+        plan.specialize_cached(store, 4, &mut cache).unwrap()
+    }
+
+    #[test]
+    fn attention_block_folds_into_one_gemm_and_one_attention_step() {
+        // Generic: 3 projections + 3 splits + bmm + softmax + bmm + merge
+        // + output projection = 11 steps. Folded: fused projection,
+        // attention, output projection. f32, bf16 and i8 stores alike.
+        for kind in [
+            None,
+            Some(tensor::QuantKind::Bf16),
+            Some(tensor::QuantKind::I8),
+        ] {
+            let (mut store, ids) = attention_store();
+            if let Some(kind) = kind {
+                assert_eq!(store.quantize_weights(kind), 4);
+            }
+            let fold = fold_attention(&store, &ids, Leak::Nothing);
+            assert_eq!(fold.steps(), 3, "{kind:?}: {fold:?}");
+            assert_eq!(fold.fused_attentions(), 1, "{kind:?}");
+            assert_eq!(fold.fused_qkv_gemms(), 1, "{kind:?}");
+            assert_eq!(fold.unrolled_copies(), 0, "{kind:?}: no head copies left");
+            // The fused projection and the output projection, on the
+            // kernel the store's encoding selects.
+            let (f32_gemms, quant_gemms) = if kind.is_some() { (0, 2) } else { (2, 0) };
+            assert_eq!(fold.prepacked_gemms(), f32_gemms, "{kind:?}");
+            assert_eq!(fold.quant_prepacked_gemms(), quant_gemms, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_second_reader_keeps_the_generic_steps() {
+        let (store, ids) = attention_store();
+        // `probs` or a split head observed from outside: the seven steps
+        // stay, and with them the projections they read.
+        for leak in [Leak::Probs, Leak::SplitHead] {
+            let fold = fold_attention(&store, &ids, leak);
+            assert_eq!(fold.fused_attentions(), 0, "{leak:?}");
+            assert_eq!(fold.fused_qkv_gemms(), 0, "{leak:?}");
+            assert_eq!(fold.steps(), 11, "{leak:?}: {fold:?}");
+        }
+        // A projection output observed from outside: the projections stay
+        // three GEMMs; attention may still read them where they are.
+        let fold = fold_attention(&store, &ids, Leak::Projection);
+        assert_eq!(fold.fused_qkv_gemms(), 0);
+        assert!(fold.steps() == 11 || (fold.steps() == 5 && fold.fused_attentions() == 1));
+    }
+
+    #[test]
+    fn attention_over_plain_inputs_fuses_in_place() {
+        // No projections to merge: Q, K and V are three plan inputs, read
+        // by stride where they are.
+        fn body<E: Exec>(e: &mut E, b: usize) -> TensorResult<Vec<Var>> {
+            let mut input = |phase: f32| {
+                e.constant(Tensor::from_fn(&[b, ATT_L, ATT_D], |i| {
+                    ((i as f32) * 0.091 + phase).cos()
+                }))
+            };
+            let (q, k, v) = (input(0.0), input(1.0), input(2.0));
+            let qh = e.split_heads(q, ATT_H)?;
+            let kh = e.split_heads(k, ATT_H)?;
+            let vh = e.split_heads(v, ATT_H)?;
+            let scores = e.bmm(qh, kh, false, true)?;
+            let probs = e.softmax_last(scores)?;
+            let ctx = e.bmm(probs, vh, false, false)?;
+            Ok(vec![e.merge_heads(ctx, ATT_H)?])
+        }
+        let (store, _) = store_with(&[]);
+        let plan = Arc::new(
+            Plan::compile(&store, |rec, b| body(rec, b).map_err(PlanError::from)).unwrap(),
+        );
+        let mut generic = PlanExec::new(Arc::clone(&plan));
+        for b in [1usize, 2, 5] {
+            let fold = plan.specialize(&store, b).unwrap();
+            assert_eq!((fold.steps(), fold.fused_attentions()), (1, 1), "{fold:?}");
+            let inputs: Vec<Tensor> = (0..3)
+                .map(|p| {
+                    Tensor::from_fn(&[b, ATT_L, ATT_D], |i| {
+                        ((i as f32) * 0.091 + p as f32).cos()
+                    })
+                })
+                .collect();
+            let refs: Vec<&Tensor> = inputs.iter().collect();
+            let mut arena = Vec::new();
+            fold.replay(&mut arena, &store, &refs).unwrap();
+            generic.run(&store, &refs).unwrap();
+            assert_eq!(
+                bits(fold.output(&arena, 0)),
+                bits(generic.output(0)),
+                "b={b}"
+            );
         }
     }
 
@@ -4805,14 +5398,17 @@ mod tests {
             Err(PlanError::Input(_))
         ));
         let spec = plan.specialize(&store, 3).unwrap();
-        let mut sx = SpecExec::new(Arc::new(spec));
+        let mut arena = Vec::new();
         // Wrong batch size against a shape-final plan is a typed error.
         let x = input_for(4);
-        assert!(matches!(sx.run(&store, &[&x]), Err(PlanError::Input(_))));
+        assert!(matches!(
+            spec.replay(&mut arena, &store, &[&x]),
+            Err(PlanError::Input(_))
+        ));
         // The right batch still works afterwards.
         let ok = input_for(3);
-        sx.run(&store, &[&ok]).unwrap();
-        assert_eq!(sx.output_shape(1), &[12, 8]);
+        spec.replay(&mut arena, &store, &[&ok]).unwrap();
+        assert_eq!(spec.output_shape(1), &[12, 8]);
     }
 
     #[test]
@@ -5034,6 +5630,29 @@ mod tests {
             Plan::from_desc(&d, &store),
             Err(PlanDecodeError::Output { .. })
         ));
+
+        // A zero row width on any row-wise step: `from_desc` admits no
+        // zero dim at all (and the row kernels return early on one, so a
+        // recorded plan cannot divide or chunk by it either).
+        let mut zeroed = 0;
+        for si in 0..good.steps.len() {
+            let mut d = good.clone();
+            match &mut d.steps[si].kind {
+                StepKindDesc::Softmax { d: width, .. }
+                | StepKindDesc::LayerNorm { d: width, .. }
+                | StepKindDesc::RowOp { d: width, .. }
+                | StepKindDesc::SliceLast { d: width, .. } => *width = DimDesc::Fixed(0),
+                _ => continue,
+            }
+            zeroed += 1;
+            assert!(matches!(
+                Plan::from_desc(&d, &store),
+                Err(PlanDecodeError::Limit { value: 0, .. })
+            ));
+        }
+        assert!(zeroed >= 4, "the mixed program has all four row-wise kinds");
+        softmax_rows(&mut [], 0);
+        softmax_rows(&mut [1.0, 2.0], 0);
 
         // A buffer read before any step writes it.
         let mut d = good.clone();

@@ -1,5 +1,5 @@
 //! The replay contract, held by the allocator itself: once warmed up,
-//! [`PlanExec::run`] and [`SpecExec::run`] perform **zero** heap
+//! [`PlanExec::run`] and [`SpecializedPlan::replay`] perform **zero** heap
 //! allocations — and so do a compiled training step's
 //! [`TrainExec::forward`], [`TrainExec::backward`] and optimizer update,
 //! leaving the loss-head tape as the only thing a step allocates. `PlanExec::alloc_count` only counts arena growth, so a
@@ -12,8 +12,8 @@
 //! the binary's one global allocator free of any cross-test reasoning.
 
 use nn::{
-    Adam, Exec, Graph, Optimizer, ParamId, ParamStore, Plan, PlanError, PlanExec, Sgd, SpecExec,
-    TrainExec, TrainPlan, Var,
+    Adam, Exec, Graph, Optimizer, ParamId, ParamStore, Plan, PlanError, PlanExec, Sgd, TrainExec,
+    TrainPlan, Var,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -147,14 +147,24 @@ fn warmed_replay_never_touches_the_heap() {
         assert_eq!(n, 0, "generic replay at b={b} allocated {n} times");
     }
 
-    for b in [12usize, 1] {
+    // Folds share one arena, as a serving thread's runner does: the
+    // largest fold's first replay sizes it, and after that no replay
+    // allocates — not even a smaller fold's first.
+    let mut arena = Vec::new();
+    for (b, warm) in [(12usize, true), (1, false), (12, false)] {
         let x = input_for(b);
-        let mut spec = SpecExec::new(Arc::new(plan.specialize(&store, b).unwrap()));
-        spec.run(&store, &[&x]).unwrap();
-        let n = allocations_in(|| spec.run(&store, &[&x]).unwrap());
+        let fold = plan.specialize(&store, b).unwrap();
+        if warm {
+            fold.replay(&mut arena, &store, &[&x]).unwrap();
+        }
+        let n = allocations_in(|| fold.replay(&mut arena, &store, &[&x]).unwrap());
         assert_eq!(n, 0, "specialized replay at b={b} allocated {n} times");
         generic.run(&store, &[&x]).unwrap();
-        assert_eq!(spec.output(0), generic.output(0), "b={b}: executors agree");
+        assert_eq!(
+            fold.output(&arena, 0),
+            generic.output(0),
+            "b={b}: executors agree"
+        );
     }
 
     // A compiled training step over the same program: forward, backward

@@ -56,17 +56,24 @@
 //!   none free is queued like any other.
 //!   [`InferenceEngine::caller_chunks`] counts the chunks run this way.
 //! * Each chunk replays a **compiled inference plan** (`nn::plan`): a
-//!   chunk whose size is a registered **batch class** (`1`, `max_batch`,
-//!   whatever a snapshot shipped) replays its batch-specialized fold, any
-//!   other size replays the batch-generic plan
-//!   (`SharedPredictor::predict_planned` decides, per chunk). Nothing
-//!   about this routing is configurable or learned from traffic.
+//!   chunk of at most `cdmpp_core::DEFAULT_MAX_BATCH` samples replays the
+//!   shape-final **fold** of its `(leaf count, size)`, which the served
+//!   model builds the first time it sees that shape
+//!   (`SharedPredictor::predict_planned`; the table is `max_leaves ×
+//!   DEFAULT_MAX_BATCH` slots, so traffic cannot grow it past that). The
+//!   engine's **batch classes** (`1`, `max_batch`, whatever a snapshot
+//!   shipped) are the sizes a snapshot lists and a hot swap folds before
+//!   it publishes. The batch-generic interpreter serves everything else:
+//!   larger batches (library callers, an engine configured with
+//!   `max_batch` above `DEFAULT_MAX_BATCH`), training, and recording-time
+//!   validation. Nothing about this routing is configurable or learned
+//!   from traffic.
 //! * **Batch window** ([`window`]): with a [`BatchWindow`] configured,
 //!   partially-filled chunks are held briefly and merged *across calls* of
 //!   the same `(generation, leaf count)` — a pending buffer dispatches the
 //!   moment it fills to the batch class or when its oldest sample has
 //!   waited `max_delay`, so a trickle stream's tail latency stays bounded
-//!   while full-class (specialized-plan) dispatch rates go up. Results
+//!   while full-class dispatch rates go up. Results
 //!   stay request-ordered and bitwise equal to serial. The window's
 //!   collector is the only thread an engine owns besides its workers, and
 //!   it exists only when a window is configured.
@@ -194,9 +201,9 @@ pub struct EngineConfig {
     /// [`parallel::resolve_threads`]).
     pub workers: usize,
     /// Largest dense batch dispatched to one worker — also the non-trivial
-    /// batch class workers keep a specialized plan (and a dedicated,
-    /// never-re-offset arena) for. Buckets bigger than this are split so
-    /// they spread across the pool.
+    /// batch class the engine registers on every model it serves (what a
+    /// hot swap folds before publishing). Buckets bigger than this are
+    /// split so they spread across the pool.
     pub max_batch: usize,
     /// Submission-queue capacity in chunks (`0` = unbounded, the seed
     /// engine's behavior). Admission control fires when a call arrives
@@ -348,10 +355,11 @@ impl InferenceEngine {
     /// bookkeeping costs.
     ///
     /// The engine registers its batch classes (`1` and `max_batch`) on the
-    /// model so every class-size chunk replays a shape-final specialized
-    /// plan (folded lazily per leaf count, or pre-folded by a snapshot
-    /// load). A class the model's registry has no room for replays the
-    /// generic plan and counts in `stats().class_demotions`.
+    /// model: the sizes a snapshot of it lists and a later hot swap
+    /// prewarms. Folding itself needs no registration — every chunk of at
+    /// most `DEFAULT_MAX_BATCH` samples replays a fold built on first use
+    /// — so a class the model's registry has no room for only counts in
+    /// `stats().class_demotions`.
     pub fn new(model: InferenceModel, cfg: EngineConfig) -> Self {
         let stats = Arc::new(StatsInner::default());
         let mut cfg = cfg;

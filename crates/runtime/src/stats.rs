@@ -92,8 +92,10 @@ pub struct EngineStats {
     pub swaps: u64,
     /// Engine batch classes (`1`, `max_batch`) that could not register
     /// on a served model because its class registry was full, one tick per
-    /// class per model — chunks of that size replay the generic plan: a
-    /// performance demotion, counted instead of warned about on stderr.
+    /// class per model — that size is not folded before a hot swap
+    /// publishes the model (it folds on first use instead) nor listed by a
+    /// snapshot of it: a performance demotion, counted instead of warned
+    /// about on stderr.
     pub class_demotions: u64,
     /// Candidates shed to `f32::INFINITY` scores by the `CostModel` path
     /// because the engine returned an error for them.

@@ -11,10 +11,10 @@
 //!   `Arc`),
 //! * no request is ever lost, split across models, or served a torn mix.
 //!
-//! The new model is fully *prewarmed* before it is published — batch
-//! classes registered, specialized plans folded, weight panels prepacked
-//! (`SharedPredictor::prewarm_classes`) — so the cutover never pays a
-//! first-request folding cliff. A validation failure (hostile snapshot,
+//! The new model is *prewarmed* before it is published — batch classes
+//! registered, their folds built, weight panels prepacked
+//! (`SharedPredictor::prewarm_classes`) — so the cutover never pays
+//! first-use folding on the engine's stable chunk sizes. A validation failure (hostile snapshot,
 //! plan error) surfaces as a typed error and leaves the old model serving,
 //! untouched.
 
@@ -36,9 +36,9 @@ pub(crate) struct Served {
 /// Registers the engine's batch classes — `1` and `max_batch` — on a
 /// model about to be served. A class the model's registry has no room for
 /// (e.g. a snapshot that shipped `MAX_BATCH_CLASSES` of its own) is one
-/// `class_demotions` tick: chunks of that size replay the generic plan —
-/// a performance loss worth counting, never a correctness one — and
-/// every class that did register keeps its specialized plan.
+/// `class_demotions` tick: chunks of that size fold on first use instead
+/// of before publication — a performance loss worth counting, never a
+/// correctness one — and every class that did register is untouched.
 pub(crate) fn register_engine_classes(
     model: &InferenceModel,
     max_batch: usize,

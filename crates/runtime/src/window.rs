@@ -2,12 +2,12 @@
 //! this crate's bit-identity contract).
 //!
 //! A trickle of small requests never fills a batch class: each call's
-//! remainder replays the slower batch-generic plan alone. With a
-//! [`BatchWindow`] configured, partial (below `max_batch`) chunks are
-//! *held* in per-`(generation, leaf count)` pending buffers instead of
+//! remainder is replayed alone, at a small batch's worse per-sample cost.
+//! With a [`BatchWindow`] configured, partial (below `max_batch`) chunks
+//! are *held* in per-`(generation, leaf count)` pending buffers instead of
 //! dispatching immediately. A buffer dispatches the moment it **fills** to
-//! the batch class (merged across calls — the class-specialized plan
-//! replays where N generic remainders used to), or when its **oldest
+//! the batch class (merged across calls — one full-class replay where N
+//! small ones used to run), or when its **oldest
 //! sample has waited `max_delay`** — a dedicated collector thread sleeps
 //! until the earliest due time (no busy-wait) and flushes what is due.
 //! Per-call results stay request-ordered and bitwise equal to serial:

@@ -163,7 +163,7 @@ const NR_MAX: usize = 16;
 type Tile = [[f32; NR_MAX]; MR_MAX];
 /// K-dimension block: sized to cover every predictor shape in one block so
 /// accumulation order matches the naive kernel exactly at those sizes.
-const KC: usize = 512;
+pub(crate) const KC: usize = 512;
 /// M-dimension block (rows of A packed at a time).
 const MC: usize = 128;
 /// N-dimension block. Row-panel parallelism assumes `n <= NC`, which holds
@@ -743,6 +743,16 @@ unsafe fn gemm_blocked_t<K: Micro>(
 /// fixed-shape callers should keep the generic entry point there.
 pub fn gemm_prefers_packed(m: usize, k: usize, n: usize) -> bool {
     k > 0 && m.saturating_mul(n).saturating_mul(k) >= TINY_MULADDS
+}
+
+/// Whether [`crate::gemm_prepacked`] reproduces [`crate::gemm_ep_slices`]
+/// bit for bit at this shape: always where the generic entry picks the
+/// blocked kernel, and on the naive loop's shapes as long as the
+/// contraction fits one `KC` block (nothing is reassociated). A caller
+/// that wants a prepacked panel where `gemm_prefers_packed` says no — to
+/// merge several products over one `A` into one wider panel — checks this.
+pub fn gemm_prepacked_is_exact(m: usize, k: usize, n: usize) -> bool {
+    k <= KC || gemm_prefers_packed(m, k, n)
 }
 
 /// A `[k, n]` matrix packed **once** into the blocked kernel's slab layout

@@ -13,14 +13,20 @@
 //!   library callers can propagate failures.
 
 pub mod aligned;
+mod attention;
 mod gemm;
 mod ops;
 mod quant;
 mod shape;
 
+#[doc(hidden)]
+pub use attention::attention_slices_with_tier;
+pub use attention::{
+    attention_fusable, attention_slices, softmax_row, ATTENTION_MAX_DH, ATTENTION_MAX_L,
+};
 pub use gemm::{
-    active_tier, gemm_prefers_packed, kernel_tier_name, Activation, PackedB, QuantizedPackedB,
-    SimdTier,
+    active_tier, gemm_prefers_packed, gemm_prepacked_is_exact, kernel_tier_name, Activation,
+    PackedB, QuantizedPackedB, SimdTier,
 };
 #[doc(hidden)]
 pub use gemm::{gemm_would_split, PAR_MULADDS, TINY_MULADDS};
@@ -310,17 +316,8 @@ impl Tensor {
         })?;
         out.clear();
         out.extend_from_slice(&self.data);
-        for chunk in out.chunks_mut(d) {
-            let m = chunk.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0f32;
-            for v in chunk.iter_mut() {
-                *v = (*v - m).exp();
-                z += *v;
-            }
-            let inv = 1.0 / z;
-            for v in chunk.iter_mut() {
-                *v *= inv;
-            }
+        if d > 0 {
+            out.chunks_mut(d).for_each(softmax_row);
         }
         Ok(())
     }

@@ -342,6 +342,61 @@ fn parallel_split_is_bitwise_equal_to_serial() {
     }
 }
 
+#[test]
+fn fused_attention_matches_scalar_oracle() {
+    // One body per tier, like the naive GEMM loop: the scalar compile is
+    // the oracle for the active tier's. Dense operands and heads read out
+    // of one fused `[rows, 3d]` projection; `l` off a whole vector; a score row
+    // of all-equal values, `-0.0` operands, and rows driven to ±inf / NaN.
+    let tier = active_tier();
+    for &(b, h, l, dh) in &[
+        (1usize, 1usize, 1usize, 1usize),
+        (2, 2, 8, 16),
+        (3, 4, 5, 8),
+        (1, 2, 11, 40),
+    ] {
+        let d = h * dh;
+        for special in [
+            None,
+            Some(0.0f32),
+            Some(-0.0),
+            Some(f32::INFINITY),
+            Some(f32::NAN),
+        ] {
+            let mut qkv = fill(b * l * 3 * d, 0.7);
+            if let Some(v) = special {
+                qkv[..dh].fill(v);
+                qkv[2 * d] = -0.0;
+            }
+            for scale in [None, Some(0.25f32)] {
+                let run = |tier: SimdTier| {
+                    let mut out = vec![f32::NAN; b * l * d];
+                    tensor::attention_slices_with_tier(
+                        tier,
+                        b,
+                        h,
+                        l,
+                        dh,
+                        &qkv,
+                        &qkv[d..],
+                        &qkv[2 * d..],
+                        3 * d,
+                        scale,
+                        &mut out,
+                    )
+                    .unwrap();
+                    out
+                };
+                assert_bits_equal(
+                    &run(tier),
+                    &run(SimdTier::Scalar),
+                    &format!("attention b={b} h={h} l={l} dh={dh} special={special:?}"),
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
