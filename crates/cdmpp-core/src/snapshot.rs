@@ -17,48 +17,58 @@
 //! 8       4     format version, u32 little-endian
 //! 12      8     header length H, u64 little-endian
 //! 20      H     JSON header (UTF-8): config, use_pe, transform, scaler,
-//!               parameter names + shapes, serialized plans, and the
-//!               optional trailing sections `spec_plans` and `quant`
-//! 20+H    4·Σ   weight blob: each *non-quantized* parameter's f32 data,
+//!               parameter names + shapes, and the optional trailing
+//!               sections `spec_plans` and `quant` — a few KB, readable
+//!               with `jq`
+//! 20+H    8     plan section length P, u64 little-endian
+//! 28+H    P     plan section: per plan, ascending by leaf count,
+//!               `leaves: u32`, `len: u32`, then `len` bytes of
+//!               [`PlanDesc::encode_into`]; the entries fill P exactly
+//! 28+H+P  4·Σ   weight blob: each *non-quantized* parameter's f32 data,
 //!               little-endian, concatenated in header order
 //! …       Σq    quantized blobs (only when `quant` is present): each
 //!               entry's raw i8 / bf16 elements, row-major, concatenated
 //!               in `quant` order; lengths implied by kind × param shape
 //! ```
 //!
-//! The `quant` section is additive: files without it load exactly as
-//! before and reserialize byte-identically (optional sections are emitted
-//! only when non-empty, in a fixed canonical order). When present, each
-//! entry carries a parameter's canonical quantized encoding (i8 with
-//! per-column-group scales, or bf16), which **replaces** that parameter's
-//! f32 data in the weight blob — the f32 numbers are reconstructed as the
-//! blob's exact dequantization on decode, which is both the file-size win
-//! and what keeps every executor bitwise consistent. On load the encoding
-//! is installed into the store so serving packs GEMM panels straight from
-//! the quantized bytes.
+//! The header's optional sections are emitted only when non-empty, in a
+//! fixed canonical order, so equal snapshots have equal bytes. When
+//! `quant` is present, each entry carries a parameter's canonical
+//! quantized encoding (i8 with per-column-group scales, or bf16), which
+//! **replaces** that parameter's f32 data in the weight blob — the f32
+//! numbers are reconstructed as the blob's exact dequantization on decode,
+//! which is both the file-size win and what keeps every executor bitwise
+//! consistent. On load the encoding is installed into the store so serving
+//! packs GEMM panels straight from the quantized bytes.
 //!
-//! Weights travel as raw little-endian f32 bits (not JSON), so a
-//! save → load round trip is bit-exact and `save(load(x))` reproduces
-//! `x`'s bytes. Plans are pure data (steps + symbolic shapes + slot
-//! table) and ride in the JSON header as [`nn::PlanDesc`]; on load each
-//! descriptor is re-validated by [`nn::Plan::from_desc`] — indices, slot
-//! capacities, per-step geometry, write-once ordering, and in-place
-//! aliasing discipline — so a hostile file can never alias the replay
-//! arena out of bounds or trigger a panic.
+//! Weights and plans travel as bytes, not JSON: raw little-endian f32 bits
+//! and the fixed-width plan encoding of [`nn::plan::desc`], in which every
+//! value has exactly one form. So a save → load round trip is bit-exact
+//! and `save(load(x))` reproduces `x`'s bytes by construction. Plans are
+//! pure data (steps + symbolic shapes + slot table); decoding one checks
+//! its tags, counts and lengths against their caps and the bytes present,
+//! and on load each descriptor is re-validated by [`nn::Plan::from_desc`]
+//! — indices, slot capacities, per-step geometry, finite constants,
+//! write-once ordering, and in-place aliasing discipline — so a hostile
+//! file can never alias the replay arena out of bounds or trigger a panic.
 //!
 //! ## Versioning policy
 //!
 //! The version is bumped whenever the header schema, the weight encoding,
-//! or the plan descriptor layout changes shape. Loaders accept exactly the
-//! versions they know ([`SNAPSHOT_VERSION`]); anything newer is a typed
-//! [`SnapshotError::UnsupportedVersion`], never a garbled model. A golden
-//! fixture committed under `tests/fixtures/` pins the format in CI so
-//! accidental drift breaks the build instead of silently orphaning old
-//! snapshot files.
+//! or the plan encoding changes shape. Loaders accept exactly the one
+//! version they know ([`SNAPSHOT_VERSION`]); any other — newer, or written
+//! by an earlier build — is a typed [`SnapshotError::UnsupportedVersion`]
+//! whose message says which and what to do, never a garbled model. There
+//! is no reader for an old version: a checkpoint is re-saved from its
+//! model (`cdmpp train --save`). A golden fixture committed under
+//! `tests/fixtures/` pins the format in CI so accidental drift breaks the
+//! build instead of silently orphaning old snapshot files; the fixture of
+//! the previous version stays next to it, pinned to that error.
 //!
 //! Every declared length is capped *before* any allocation happens
-//! (header bytes, parameter count, tensor ranks and dims, plan tables), so
-//! decoding a malicious file cannot balloon memory either.
+//! (header bytes, plan-section bytes, parameter count, tensor ranks and
+//! dims, plan tables), so decoding a malicious file cannot balloon memory
+//! either.
 //!
 //! ## What a load costs
 //!
@@ -67,9 +77,11 @@
 //! one constructor with `nn::ShapeOnly` as its initializer) and the
 //! file's tensors are installed into it — `Predictor::new`'s seeded
 //! Xavier draw would be overwritten on the next line. Decode parses the
-//! header without allocating for its structure (object keys are compared
-//! in place, enum tags borrowed) and reads the weight blob four bytes at
-//! a time off one slice. Every check above still runs on every load.
+//! small header without allocating for its structure (object keys are
+//! compared in place, enum tags borrowed), reads each plan off its bytes
+//! with one allocation per list it holds — no text to scan, which was
+//! most of a v2 decode — and reads the weight blob four bytes at a time
+//! off one slice. Every check above still runs on every load.
 //! `cargo run --release -p runtime --example cold_start_probe` prints
 //! what each step costs.
 
@@ -89,14 +101,17 @@ use features::{N_DEVICE_FEATURES, N_ENTRY};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CDMPSNAP";
 /// The (only) format version this build reads and writes.
 ///
-/// v2: plan descriptors gained `Bmm.scale` (fused attention scaling) and
-/// the required `fused_bmm_scales` stats field; numerics moved to fused
-/// multiply-add accumulation, so v1 weights would no longer reproduce the
-/// predictions they were snapshotted with.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// v3: plans left the JSON header for a binary plan section between the
+/// header and the weight blob ([`PlanDesc::encode_into`]). v2: plan
+/// descriptors gained `Bmm.scale` and `fused_bmm_scales`, and numerics
+/// moved to fused multiply-add accumulation, so v1 weights would no longer
+/// reproduce the predictions they were snapshotted with.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Byte cap on the JSON header.
 const MAX_HEADER_BYTES: usize = 1 << 26;
+/// Byte cap on the plan section.
+const MAX_PLAN_BYTES: usize = 1 << 26;
 /// Cap on the number of parameters.
 const MAX_PARAMS: usize = 1 << 16;
 /// Cap on a tensor rank.
@@ -130,11 +145,12 @@ pub enum SnapshotError {
     Io(String),
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads (newer,
+    /// or written by an earlier build).
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
-        /// Latest version this build reads.
+        /// The version this build reads.
         supported: u32,
     },
     /// The file ends before a declared section does.
@@ -195,6 +211,11 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(m) => write!(f, "snapshot I/O failed: {m}"),
             SnapshotError::BadMagic => write!(f, "not a cdmpp snapshot (bad magic)"),
+            SnapshotError::UnsupportedVersion { found, supported } if found < supported => write!(
+                f,
+                "snapshot format version {found} was written by an earlier build (this one \
+                 reads version {supported}); re-save it with `cdmpp train --save`"
+            ),
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "snapshot format version {found} is newer than the supported {supported}"
@@ -240,7 +261,7 @@ struct ParamMeta {
 }
 
 /// One serialized plan with the leaf count it serves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanEntry {
     /// The leaf count this plan's embedding layer serves.
     pub leaves: usize,
@@ -296,13 +317,12 @@ pub struct SpecPlanEntry {
     pub batch: usize,
 }
 
-/// The JSON header (everything but the weight data).
+/// The JSON header (everything but the plans and the weight data).
 ///
-/// Serde impls are hand-written because `spec_plans` was added after
-/// format version 1 shipped: it decodes as an **optional trailing
-/// section** (absent in older files) and is emitted only when non-empty,
-/// so pre-specialization snapshot bytes still load and re-serialize
-/// byte-identically.
+/// Serde impls are hand-written because `spec_plans` and `quant` are
+/// **optional trailing sections**: each decodes as absent when missing and
+/// is emitted only when non-empty, so a snapshot without them
+/// re-serializes byte-identically.
 #[derive(Debug, Clone)]
 struct Header {
     config: PredictorConfig,
@@ -310,7 +330,6 @@ struct Header {
     transform: FittedTransform,
     scaler: FeatScaler,
     params: Vec<ParamMeta>,
-    plans: Vec<PlanEntry>,
     spec_plans: Vec<SpecPlanEntry>,
     quants: Vec<QuantMeta>,
 }
@@ -327,8 +346,6 @@ impl Serialize for Header {
         self.scaler.serialize_json(out);
         out.push_str(",\"params\":");
         self.params.serialize_json(out);
-        out.push_str(",\"plans\":");
-        self.plans.serialize_json(out);
         if !self.spec_plans.is_empty() {
             out.push_str(",\"spec_plans\":");
             self.spec_plans.serialize_json(out);
@@ -358,13 +375,10 @@ impl serde::Deserialize for Header {
         p.expect_byte(b',')?;
         p.expect_key("params")?;
         let params = serde::Deserialize::deserialize_json(p)?;
-        p.expect_byte(b',')?;
-        p.expect_key("plans")?;
-        let plans = serde::Deserialize::deserialize_json(p)?;
-        // Optional trailing sections, added after v1 shipped. Canonical
-        // order is `spec_plans` then `quant`, each at most once and each
-        // emitted only when non-empty — the dispatch below enforces the
-        // order, so equal headers always have equal bytes.
+        // Optional trailing sections. Canonical order is `spec_plans`
+        // then `quant`, each at most once and each emitted only when
+        // non-empty — the dispatch below enforces the order, so equal
+        // headers always have equal bytes.
         let mut spec_plans: Vec<SpecPlanEntry> = Vec::new();
         let mut quants: Vec<QuantMeta> = Vec::new();
         let mut seen_quant = false;
@@ -394,7 +408,6 @@ impl serde::Deserialize for Header {
             transform,
             scaler,
             params,
-            plans,
             spec_plans,
             quants,
         })
@@ -639,7 +652,6 @@ impl Snapshot {
                     shape: p.shape.clone(),
                 })
                 .collect(),
-            plans: self.plans.clone(),
             spec_plans: self.spec_plans.clone(),
             quants: self
                 .quants
@@ -658,6 +670,23 @@ impl Snapshot {
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&(json.len() as u64).to_le_bytes());
         out.extend_from_slice(json.as_bytes());
+        // The plan section: its byte length, then per plan the leaf count,
+        // the entry's byte length and the entry. Lengths are patched in
+        // once known; a count no `u32` holds is written as `u32::MAX`,
+        // which no loader accepts.
+        let wire_u32 = |v: usize| u32::try_from(v).unwrap_or(u32::MAX).to_le_bytes();
+        let section_at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        for entry in &self.plans {
+            out.extend_from_slice(&wire_u32(entry.leaves));
+            let entry_at = out.len() + 4;
+            out.extend_from_slice(&[0; 4]);
+            entry.plan.encode_into(&mut out);
+            let len = wire_u32(out.len() - entry_at);
+            out[entry_at - 4..entry_at].copy_from_slice(&len);
+        }
+        let section_len = (out.len() - section_at - 8) as u64;
+        out[section_at..section_at + 8].copy_from_slice(&section_len.to_le_bytes());
         // A quantized parameter's f32 data is *replaced* on disk by its
         // quantized blob (the f32 numbers are its exact dequantization,
         // reconstructed on decode) — that substitution is the file-size
@@ -762,18 +791,6 @@ impl Snapshot {
                 max: MAX_TOTAL_NUMEL,
             });
         }
-        if header.plans.len() > MAX_PLANS {
-            return Err(SnapshotError::Limit {
-                what: "plan count",
-                value: header.plans.len(),
-                max: MAX_PLANS,
-            });
-        }
-        if header.plans.windows(2).any(|w| w[0].leaves >= w[1].leaves) {
-            return Err(SnapshotError::Header(
-                "plans must be in strictly ascending leaf order".into(),
-            ));
-        }
         if header.spec_plans.len() > MAX_SPEC_PLANS {
             return Err(SnapshotError::Limit {
                 what: "specialized-plan count",
@@ -863,7 +880,7 @@ impl Snapshot {
         // then each quantized blob in header order.
         let quantized: std::collections::HashSet<usize> =
             header.quants.iter().map(|q| q.param).collect();
-        let blob = &bytes[20 + header_len..];
+        let (plans, blob) = decode_plan_section(&bytes[20 + header_len..])?;
         let needed = (total_numel - quant_numel) * 4 + quant_blob_bytes;
         need("weight data", needed, blob.len())?;
         if blob.len() > needed {
@@ -927,7 +944,7 @@ impl Snapshot {
             transform: header.transform,
             scaler: header.scaler,
             params,
-            plans: header.plans,
+            plans,
             spec_plans: header.spec_plans,
             quants,
         })
@@ -936,13 +953,18 @@ impl Snapshot {
     /// Writes the snapshot to a file, atomically: the bytes go to a
     /// temporary sibling first and are renamed over the destination, so a
     /// crash or full disk mid-write can never destroy an existing good
-    /// checkpoint or leave a truncated file at the path.
+    /// checkpoint or leave a truncated file at the path. The sibling's
+    /// name is unique per call, so threads saving to one path at once
+    /// each rename a whole file into place.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
+        static SAVES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let path = path.as_ref();
         let io_err =
             |e: std::io::Error| SnapshotError::Io(format!("writing {}: {e}", path.display()));
+        // Relaxed: the counter only has to hand out distinct numbers.
+        let nth = SAVES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
+        tmp.push(format!(".tmp.{}.{nth}", std::process::id()));
         let tmp = std::path::PathBuf::from(tmp);
         std::fs::write(&tmp, self.to_bytes()).map_err(io_err)?;
         std::fs::rename(&tmp, path).map_err(|e| {
@@ -958,6 +980,67 @@ impl Snapshot {
             .map_err(|e| SnapshotError::Io(format!("reading {}: {e}", path.display())))?;
         Snapshot::from_bytes(&bytes)
     }
+}
+
+/// Reads the plan section off the front of `rest` (everything after the
+/// JSON header) and returns its plans with what follows it. Every length
+/// is checked against its cap and the bytes present before it is used;
+/// an entry's bytes become a [`PlanDesc`] only — [`Plan::from_desc`]
+/// validates it at restore.
+fn decode_plan_section(rest: &[u8]) -> Result<(Vec<PlanEntry>, &[u8]), SnapshotError> {
+    let truncated = |what, needed, have| SnapshotError::Truncated { what, needed, have };
+    let (len, rest) = rest
+        .split_first_chunk::<8>()
+        .ok_or_else(|| truncated("plan section length", 8, rest.len()))?;
+    let len = u64::from_le_bytes(*len);
+    if len > MAX_PLAN_BYTES as u64 {
+        return Err(SnapshotError::Limit {
+            what: "plan section length",
+            value: len.min(usize::MAX as u64) as usize,
+            max: MAX_PLAN_BYTES,
+        });
+    }
+    let (mut section, blob) = rest
+        .split_at_checked(len as usize)
+        .ok_or_else(|| truncated("plan section", len as usize, rest.len()))?;
+    let mut plans: Vec<PlanEntry> = Vec::new();
+    while !section.is_empty() {
+        if plans.len() == MAX_PLANS {
+            return Err(SnapshotError::Limit {
+                what: "plan count",
+                value: MAX_PLANS + 1,
+                max: MAX_PLANS,
+            });
+        }
+        let at = len as usize - section.len();
+        let (head, body) = section
+            .split_first_chunk::<8>()
+            .ok_or_else(|| truncated("plan entry", 8, section.len()))?;
+        let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("4 bytes"));
+        let (leaves, entry_len) = (word(0) as usize, word(4) as usize);
+        let plan_err = |reason: String| SnapshotError::Plan {
+            leaves,
+            reason: format!("entry at plan-section offset {at}: {reason}"),
+        };
+        let (mut entry, next) = body.split_at_checked(entry_len).ok_or_else(|| {
+            plan_err(format!("declares {entry_len} bytes, {} remain", body.len()))
+        })?;
+        let plan = PlanDesc::decode(&mut entry).map_err(|e| plan_err(e.to_string()))?;
+        if !entry.is_empty() {
+            return Err(plan_err(format!(
+                "{} trailing bytes after the plan",
+                entry.len()
+            )));
+        }
+        if plans.last().is_some_and(|prev| prev.leaves >= leaves) {
+            return Err(SnapshotError::Header(
+                "plans must be in strictly ascending leaf order".into(),
+            ));
+        }
+        plans.push(PlanEntry { leaves, plan });
+        section = next;
+    }
+    Ok((plans, blob))
 }
 
 fn store_params(store: &nn::ParamStore) -> Vec<ParamTensor> {

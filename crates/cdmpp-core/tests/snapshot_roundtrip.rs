@@ -6,10 +6,14 @@
 //!   plan recordings when the file carries plans.
 //! * `save(load(x))` must reproduce `x`'s bytes exactly (the format is
 //!   canonical).
-//! * Malformed files — truncations, flipped magic, future versions,
-//!   out-of-range plan indices, NaN or length-mismatched weight sections,
-//!   attacker-sized declared lengths — must come back as typed
-//!   [`SnapshotError`]s: never a panic, never an unbounded allocation.
+//! * Malformed files — truncations, flipped magic, future and earlier
+//!   versions, out-of-range plan indices, hostile plan-section bytes, NaN
+//!   or length-mismatched weight sections, attacker-sized declared lengths
+//!   — must come back as typed [`SnapshotError`]s: never a panic, never an
+//!   unbounded allocation.
+//! * Plans travel as bytes: for every leaf count and weight-storage kind,
+//!   a recorded plan's byte form round-trips both ways and replays
+//!   bit-identically.
 
 use cdmpp_core::batch::{EncodedSample, FeatScaler};
 use cdmpp_core::{
@@ -103,6 +107,14 @@ fn valid_bytes() -> Vec<u8> {
     Snapshot::capture_all(&model).unwrap().to_bytes()
 }
 
+/// Where the plan section's entries sit in a snapshot file: after the
+/// 20-byte prelude, the JSON header and the section's own 8-byte length.
+fn plan_section(bytes: &[u8]) -> std::ops::Range<usize> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let start = 20 + word(12) + 8;
+    start..start + word(start - 8)
+}
+
 #[test]
 fn weights_only_snapshot_compiles_plans_lazily() {
     let model = model_with(tiny_config(2, 3), true, TransformKind::None);
@@ -137,13 +149,31 @@ fn partial_plan_sets_round_trip() {
 #[test]
 fn truncated_files_are_typed_errors_never_panics() {
     let bytes = valid_bytes();
-    // Every prefix of the prelude + header region, then a sweep through
-    // the weight section (strided to keep the test fast).
+    let plans = plan_section(&bytes);
+    // Every prefix of the prelude and the start of the header, every cut
+    // inside the plan section (its length field included), then a sweep
+    // through the rest (strided to keep the test fast).
     let mut cuts: Vec<usize> = (0..64.min(bytes.len())).collect();
-    cuts.extend((64..bytes.len()).step_by(997));
+    cuts.extend((64..plans.start - 8).step_by(997));
+    cuts.extend(plans.start - 8..plans.end);
+    cuts.extend((plans.end..bytes.len()).step_by(997));
     cuts.push(bytes.len() - 1);
     for cut in cuts {
         let err = Snapshot::from_bytes(&bytes[..cut]).unwrap_err();
+        if plans.contains(&cut) {
+            // The section's declared length is checked against the bytes
+            // present before any entry is read.
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Truncated {
+                        what: "plan section",
+                        ..
+                    }
+                ),
+                "cut at {cut}: unexpected {err:?}"
+            );
+        }
         assert!(
             matches!(
                 err,
@@ -151,6 +181,181 @@ fn truncated_files_are_typed_errors_never_panics() {
             ),
             "cut at {cut}: unexpected {err:?}"
         );
+    }
+}
+
+#[test]
+fn hostile_plan_sections_are_typed_errors_naming_leaf_count_and_offset() {
+    let bytes = valid_bytes();
+    let plans = plan_section(&bytes);
+    let load = |bytes: &[u8]| InferenceModel::from_snapshot_bytes(bytes).err().unwrap();
+    let u32_at =
+        |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    // The first entry: leaf count, byte length, then the plan.
+    assert_eq!(u32_at(&bytes, plans.start), 1);
+    let first_len = u32_at(&bytes, plans.start + 4) as usize;
+    let second = plans.start + 8 + first_len;
+    assert_eq!(u32_at(&bytes, second), 2);
+
+    // An unknown tag inside the second entry (its first step's kind).
+    let mut bad = bytes.clone();
+    bad[second + 8 + 4] = 0xEE;
+    match load(&bad) {
+        SnapshotError::Plan { leaves: 2, reason } => {
+            assert!(
+                reason.contains(&format!("offset {}", second - plans.start))
+                    && reason.contains("step kind tag 238 at offset 4"),
+                "{reason}"
+            );
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // An entry one byte longer than its plan (the section and the next
+    // entry moved along with it): trailing bytes inside the entry.
+    let mut bad = bytes.clone();
+    bad.insert(second, 0);
+    bad[plans.start + 4..plans.start + 8].copy_from_slice(&(first_len as u32 + 1).to_le_bytes());
+    let at = plans.start - 8;
+    bad[at..at + 8].copy_from_slice(&(plans.len() as u64 + 1).to_le_bytes());
+    match load(&bad) {
+        SnapshotError::Plan { leaves: 1, reason } => {
+            assert!(reason.contains("1 trailing bytes"), "{reason}")
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // An entry one byte shorter than its plan: a short read inside it.
+    let mut bad = bytes.clone();
+    bad[plans.start + 4..plans.start + 8].copy_from_slice(&(first_len as u32 - 1).to_le_bytes());
+    match load(&bad) {
+        SnapshotError::Plan { leaves: 1, reason } => {
+            assert!(reason.contains("plan bytes end at offset"), "{reason}")
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // An entry that claims more bytes than the section has left.
+    let mut bad = bytes.clone();
+    bad[plans.start + 4..plans.start + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(
+        matches!(load(&bad), SnapshotError::Plan { leaves: 1, .. }),
+        "{:?}",
+        load(&bad)
+    );
+
+    // A step count above the table cap, and one the bytes cannot back:
+    // both refused before they size an allocation.
+    for (count, want) in [
+        (u32::MAX, "exceeds the decode cap"),
+        (60_000, "plan bytes end"),
+    ] {
+        let mut bad = bytes.clone();
+        bad[plans.start + 8..plans.start + 12].copy_from_slice(&count.to_le_bytes());
+        match load(&bad) {
+            SnapshotError::Plan { leaves: 1, reason } => assert!(reason.contains(want), "{reason}"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    // A section length beyond its cap, and beyond the file.
+    let mut bad = bytes.clone();
+    bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(matches!(
+        load(&bad),
+        SnapshotError::Limit {
+            what: "plan section length",
+            ..
+        }
+    ));
+    let mut bad = bytes.clone();
+    bad[at..at + 8].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+    assert!(matches!(
+        load(&bad),
+        SnapshotError::Truncated {
+            what: "plan section",
+            ..
+        }
+    ));
+}
+
+#[test]
+fn non_finite_plan_constants_are_refused_in_structs_and_in_bytes() {
+    use nn::plan::desc::StepKindDesc;
+    let model = model_with(tiny_config(2, 16), true, TransformKind::None);
+    let mut snap = Snapshot::capture(&model, &[2]).unwrap();
+    let mut poisoned = 0;
+    for step in &mut snap.plans[0].plan.steps {
+        if let StepKindDesc::Bmm { scale: Some(c), .. } = &mut step.kind {
+            *c = f32::NAN;
+            poisoned += 1;
+        }
+    }
+    assert!(poisoned > 0, "attention scaling is fused into a Bmm");
+    // Raw-bit constants carry a NaN through the file as it is, so the
+    // byte path meets the same check as the struct path.
+    for err in [
+        InferenceModel::from_snapshot(&snap).err().unwrap(),
+        InferenceModel::from_snapshot_bytes(&snap.to_bytes())
+            .err()
+            .unwrap(),
+    ] {
+        match err {
+            SnapshotError::Plan { leaves: 2, reason } => {
+                assert!(reason.contains("not finite"), "{reason}")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+/// Plans of every leaf count, recorded against f32, bf16 and i8 weight
+/// stores: the byte form round-trips both ways, and the plan rebuilt
+/// from it replays bit-identically to the recorded one.
+#[test]
+fn plan_bytes_round_trip_and_replay_for_every_leaf_count_and_store_kind() {
+    use nn::{Plan, PlanDesc, PlanExec};
+    use std::sync::Arc;
+    use tensor::{QuantMode, Tensor};
+    for mode in [QuantMode::F32, QuantMode::Bf16, QuantMode::I8] {
+        let cfg = tiny_config(2, 17);
+        let shared = Predictor::new(cfg.clone()).into_shared_quantized(mode);
+        for leaves in 1..=cfg.max_leaves {
+            let recorded = shared.plan_for(leaves).unwrap();
+            let desc = recorded.to_desc();
+            let mut bytes = Vec::new();
+            desc.encode_into(&mut bytes);
+            let mut rest = bytes.as_slice();
+            let back = PlanDesc::decode(&mut rest).unwrap();
+            assert!(rest.is_empty(), "{mode:?}, {leaves} leaves");
+            assert_eq!(back, desc, "{mode:?}, {leaves} leaves");
+            let mut again = Vec::new();
+            back.encode_into(&mut again);
+            assert_eq!(again, bytes, "{mode:?}, {leaves} leaves");
+
+            let rebuilt = Plan::from_desc(&back, shared.params()).unwrap();
+            let mut want = PlanExec::new(recorded);
+            let mut got = PlanExec::new(Arc::new(rebuilt));
+            for b in [1usize, 3] {
+                let x = Tensor::from_fn(&[b, leaves, N_ENTRY], |i| (i as f32 * 0.31).sin());
+                let dev = Tensor::from_fn(&[b, N_DEVICE_FEATURES], |i| (i as f32 * 0.17).cos());
+                want.run(shared.params(), &[&x, &dev]).unwrap();
+                got.run(shared.params(), &[&x, &dev]).unwrap();
+                for out in 0..2 {
+                    assert_eq!(
+                        got.output(out)
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                        want.output(out)
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                        "{mode:?}, {leaves} leaves, batch {b}, output {out}"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -175,6 +380,74 @@ fn future_format_version_is_rejected() {
             supported: cdmpp_core::snapshot::SNAPSHOT_VERSION
         }
     );
+}
+
+#[test]
+fn earlier_format_version_is_rejected_and_worded_as_older() {
+    let mut bytes = valid_bytes();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let err = Snapshot::from_bytes(&bytes).unwrap_err();
+    assert_eq!(
+        err,
+        SnapshotError::UnsupportedVersion {
+            found: 2,
+            supported: 3
+        }
+    );
+    // The wording follows the direction: an old file is not "newer".
+    assert_eq!(
+        err.to_string(),
+        "snapshot format version 2 was written by an earlier build (this one reads version 3); \
+         re-save it with `cdmpp train --save`"
+    );
+    let newer = SnapshotError::UnsupportedVersion {
+        found: 99,
+        supported: 3,
+    };
+    assert_eq!(
+        newer.to_string(),
+        "snapshot format version 99 is newer than the supported 3"
+    );
+}
+
+#[test]
+fn concurrent_saves_to_one_path_never_publish_a_mixed_file() {
+    // Two threads of one process saving different models to the same
+    // path: each save writes through a temporary of its own, so every
+    // load in between reads one whole file or the other.
+    let a = Snapshot::capture_all(&model_with(tiny_config(2, 30), true, TransformKind::None))
+        .unwrap()
+        .to_bytes();
+    let b = Snapshot::capture_all(&model_with(tiny_config(2, 31), true, TransformKind::None))
+        .unwrap()
+        .to_bytes();
+    assert_ne!(a, b);
+    let dir = std::env::temp_dir().join(format!("cdmpp-save-race-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.cdmppsnap");
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for bytes in [&a, &b] {
+            let (path, start, a, b) = (&path, &start, &a, &b);
+            s.spawn(move || {
+                let snap = Snapshot::from_bytes(bytes).unwrap();
+                start.wait();
+                for i in 0..50 {
+                    snap.save(path).unwrap_or_else(|e| panic!("save {i}: {e}"));
+                    let seen = Snapshot::load(path)
+                        .unwrap_or_else(|e| panic!("load after save {i}: {e}"))
+                        .to_bytes();
+                    assert!(seen == *a || seen == *b, "mixed file after save {i}");
+                }
+            });
+        }
+    });
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["model.cdmppsnap"], "temporaries left behind");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -210,9 +483,8 @@ fn nan_weight_section_is_a_typed_error() {
     let snap = Snapshot::capture(&model, &[]).unwrap();
     let mut bytes = snap.to_bytes();
     // Overwrite the first weight with a NaN bit pattern. The weight blob
-    // starts right after the JSON header.
-    let header_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    let at = 20 + header_len;
+    // starts right after the plan section.
+    let at = plan_section(&bytes).end;
     bytes[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
     let err = Snapshot::from_bytes(&bytes).unwrap_err();
     assert!(

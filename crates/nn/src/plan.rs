@@ -3362,6 +3362,8 @@ fn layer_norm_rows(o: &mut [f32], gv: &[f32], bv: &[f32], d: usize, eps: f32) {
 ///   size equals the step's computed output size, and every operand buffer
 ///   /parameter/input exactly matches the size the kernel will read,
 /// * each buffer's slot large enough for the buffer at every batch size,
+/// * every float constant a step carries (`Bmm.scale`, layer-norm `eps`,
+///   `Scale` / `AddScalar` in a fused chain) finite,
 /// * buffers written exactly once, read only after they are written,
 /// * an operand may share the output's arena slot only where the
 ///   interpreter has a sanctioned in-place path (the same rule
@@ -3370,9 +3372,16 @@ fn layer_norm_rows(o: &mut [f32], gv: &[f32], bv: &[f32], d: usize, eps: f32) {
 /// A descriptor that passes produces a plan whose replay stays in bounds
 /// for any batch size — a hostile file can yield garbage *values* at
 /// worst, never an out-of-bounds access or a panic.
+///
+/// On disk a descriptor is bytes, not text: [`desc::PlanDesc::encode_into`] /
+/// [`desc::PlanDesc::decode`] are one fixed-width little-endian encoding in
+/// which every value has exactly one form, so a descriptor round-trips
+/// both ways by construction. `decode` checks what bytes alone can be
+/// wrong about — tags, counts against the caps below and against the
+/// bytes left, short reads — and answers with a typed error carrying the
+/// offset; `from_desc` stays the one validator of what the bytes say.
 pub mod desc {
     use super::*;
-    use serde::{Deserialize, Serialize};
 
     /// Largest constant allowed in a dim / size field (elements).
     pub const MAX_DIM_CONST: usize = 1 << 24;
@@ -3431,6 +3440,25 @@ pub mod desc {
             /// What is wrong with it.
             reason: String,
         },
+        /// The byte form ends inside a value ([`PlanDesc::decode`]).
+        Truncated {
+            /// Byte offset of the value, from where decoding started.
+            offset: usize,
+            /// Bytes the value needs.
+            needed: usize,
+            /// Bytes left.
+            have: usize,
+        },
+        /// A one-byte tag names no variant of its enum
+        /// ([`PlanDesc::decode`]).
+        Tag {
+            /// The enum being read.
+            what: &'static str,
+            /// Byte offset of the tag, from where decoding started.
+            offset: usize,
+            /// The byte found.
+            tag: u8,
+        },
     }
 
     impl fmt::Display for PlanDecodeError {
@@ -3451,6 +3479,17 @@ pub mod desc {
                 PlanDecodeError::Output { output, reason } => {
                     write!(f, "output {output}: {reason}")
                 }
+                PlanDecodeError::Truncated {
+                    offset,
+                    needed,
+                    have,
+                } => write!(
+                    f,
+                    "plan bytes end at offset {offset}: need {needed} more, have {have}"
+                ),
+                PlanDecodeError::Tag { what, offset, tag } => {
+                    write!(f, "unknown {what} tag {tag} at offset {offset}")
+                }
             }
         }
     }
@@ -3458,7 +3497,7 @@ pub mod desc {
     impl std::error::Error for PlanDecodeError {}
 
     /// A symbolic dimension: constant or linear in the batch size.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum DimDesc {
         /// A batch-independent constant.
         Fixed(usize),
@@ -3467,7 +3506,7 @@ pub mod desc {
     }
 
     /// A symbolic element count `coef · B + fixed`.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SizeDesc {
         /// Batch-linear component.
         pub coef: usize,
@@ -3476,7 +3515,7 @@ pub mod desc {
     }
 
     /// Where a step reads from.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum SrcDesc {
         /// An arena buffer, by buffer id.
         Buf(usize),
@@ -3487,7 +3526,7 @@ pub mod desc {
     }
 
     /// A GEMM write-back activation.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum ActDesc {
         /// No activation.
         Identity,
@@ -3500,7 +3539,7 @@ pub mod desc {
     }
 
     /// Element-wise binary kind.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum ZipKindDesc {
         /// `a + b`.
         Add,
@@ -3511,7 +3550,7 @@ pub mod desc {
     }
 
     /// Broadcast-row binary kind.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum RowKindDesc {
         /// `x + row`.
         Add,
@@ -3521,7 +3560,7 @@ pub mod desc {
 
     /// One scalar function of a fused chain (mirrors [`MapOp`], so
     /// internal refactors never silently change the wire format).
-    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     pub enum MapOpDesc {
         /// `v * c`.
         Scale(f32),
@@ -3544,11 +3583,6 @@ pub mod desc {
     }
 
     /// The compiler's optimization counters (mirrors [`PlanStats`]).
-    ///
-    /// Serde impls are hand-written: `cse_deduped` was added after format
-    /// version 1 shipped, so it decodes as an **optional trailing field**
-    /// (absent in older headers, defaulting to 0) and is emitted only when
-    /// non-zero — older snapshot bytes re-serialize byte-identically.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct PlanStatsDesc {
         /// Ops captured by the recorder.
@@ -3575,79 +3609,8 @@ pub mod desc {
         pub arena_slots: usize,
     }
 
-    impl Serialize for PlanStatsDesc {
-        fn serialize_json(&self, out: &mut String) {
-            out.push('{');
-            for (i, (key, v)) in [
-                ("recorded_ops", self.recorded_ops),
-                ("steps", self.steps),
-                ("elided_reshapes", self.elided_reshapes),
-                ("fused_bias", self.fused_bias),
-                ("fused_activations", self.fused_activations),
-                ("fused_bmm_scales", self.fused_bmm_scales),
-                ("fused_elementwise", self.fused_elementwise),
-                ("inplace_steps", self.inplace_steps),
-                ("buffers", self.buffers),
-                ("arena_slots", self.arena_slots),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(key);
-                out.push_str("\":");
-                v.serialize_json(out);
-            }
-            // Additive field: omitted when zero so pre-CSE snapshot bytes
-            // stay canonical under a load → save round trip.
-            if self.cse_deduped != 0 {
-                out.push_str(",\"cse_deduped\":");
-                self.cse_deduped.serialize_json(out);
-            }
-            out.push('}');
-        }
-    }
-
-    impl serde::Deserialize for PlanStatsDesc {
-        fn deserialize_json(p: &mut serde::de::Parser<'_>) -> Result<Self, serde::de::Error> {
-            p.expect_byte(b'{')?;
-            let mut stats = PlanStatsDesc::default();
-            for (i, (key, slot)) in [
-                ("recorded_ops", &mut stats.recorded_ops as &mut usize),
-                ("steps", &mut stats.steps),
-                ("elided_reshapes", &mut stats.elided_reshapes),
-                ("fused_bias", &mut stats.fused_bias),
-                ("fused_activations", &mut stats.fused_activations),
-                ("fused_bmm_scales", &mut stats.fused_bmm_scales),
-                ("fused_elementwise", &mut stats.fused_elementwise),
-                ("inplace_steps", &mut stats.inplace_steps),
-                ("buffers", &mut stats.buffers),
-                ("arena_slots", &mut stats.arena_slots),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                if i > 0 {
-                    p.expect_byte(b',')?;
-                }
-                p.expect_key(key)?;
-                *slot = serde::Deserialize::deserialize_json(p)?;
-            }
-            if p.peek() == Some(b',') {
-                p.expect_byte(b',')?;
-                p.expect_key("cse_deduped")?;
-                stats.cse_deduped = serde::Deserialize::deserialize_json(p)?;
-            }
-            p.expect_byte(b'}')?;
-            Ok(stats)
-        }
-    }
-
     /// One concatenated part: its source and trailing-dim width.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct ConcatPartDesc {
         /// Where the part is read from.
         pub src: SrcDesc,
@@ -3656,7 +3619,7 @@ pub mod desc {
     }
 
     /// One lowered instruction (mirrors the interpreter's step kinds).
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub enum StepKindDesc {
         /// `out = act(a · b + bias)` fused into the GEMM write-back.
         Gemm {
@@ -3808,7 +3771,7 @@ pub mod desc {
     }
 
     /// One step: a kind plus the buffer it writes.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct StepDesc {
         /// The instruction.
         pub kind: StepKindDesc,
@@ -3817,7 +3780,7 @@ pub mod desc {
     }
 
     /// An arena buffer: its symbolic size and assigned slot.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct BufDesc {
         /// Symbolic element count.
         pub size: SizeDesc,
@@ -3826,7 +3789,7 @@ pub mod desc {
     }
 
     /// One plan output: the buffer it reads and its symbolic shape.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct OutputDesc {
         /// Where the output lives (must be a buffer).
         pub src: SrcDesc,
@@ -3835,7 +3798,7 @@ pub mod desc {
     }
 
     /// The serializable mirror of a compiled [`Plan`].
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct PlanDesc {
         /// Lowered steps, in execution order.
         pub steps: Vec<StepDesc>,
@@ -4093,6 +4056,303 @@ pub mod desc {
         }
     }
 
+    // ---- PlanDesc <-> bytes -----------------------------------------------
+    //
+    // One width per kind of value and nothing variable-length, all
+    // little-endian: an enum is a one-byte tag and then its fields; an
+    // index into a table (`SrcDesc`, `StepDesc::out`, `BufDesc::slot`) a
+    // `u16`, tables being capped at 2^16 entries; a `DimDesc` one `u32`,
+    // bit 31 set for `PerBatch` over a constant capped at 2^24; every
+    // other integer a `u32`; an `f32` its bits; a `bool` or `Option` a 0/1
+    // byte; a list a `u32` count and then its elements. A value has
+    // exactly one encoding, so `decode(encode(d)) == d` and
+    // `encode(decode(b)) == b`. An integer its field cannot hold is
+    // written as the field's maximum, which `from_desc` refuses like the
+    // value it replaces (a full 2^16-entry table aside). The reader only
+    // turns bytes into a `PlanDesc`; whether that is a plan is
+    // `Plan::from_desc`'s business alone.
+
+    /// The bytes still to be read, and how many there were at the start
+    /// (error offsets count from there).
+    struct Reader<'a> {
+        rest: &'a [u8],
+        start: usize,
+    }
+
+    impl Reader<'_> {
+        fn offset(&self) -> usize {
+            self.start - self.rest.len()
+        }
+
+        fn take<const N: usize>(&mut self) -> Result<[u8; N], PlanDecodeError> {
+            match self.rest.split_first_chunk::<N>() {
+                Some((head, tail)) => {
+                    self.rest = tail;
+                    Ok(*head)
+                }
+                None => Err(PlanDecodeError::Truncated {
+                    offset: self.offset(),
+                    needed: N,
+                    have: self.rest.len(),
+                }),
+            }
+        }
+    }
+
+    /// A value's byte form: `put` appends it, `get` reads it back. Both
+    /// are written from one field list per type (`wire!`), so they cannot
+    /// disagree on order or width.
+    trait Wire: Sized {
+        fn put(&self, out: &mut Vec<u8>);
+        fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError>;
+    }
+
+    /// `Wire` for a struct, or for an enum of unit / tuple / struct
+    /// variants under the tags listed, field by field in the order listed;
+    /// a `usize` marked `: idx` travels as a table index.
+    macro_rules! wire {
+        (struct $ty:ident { $($f:ident $(: $as:ident)?),+ }) => {
+            impl Wire for $ty {
+                fn put(&self, out: &mut Vec<u8>) {
+                    $(wire!(@put self.$f, out $(, $as)?);)+
+                }
+                fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+                    Ok($ty { $($f: wire!(@get r $(, $as)?)),+ })
+                }
+            }
+        };
+        (enum $ty:ident as $what:literal {
+            $($tag:literal => $v:ident $(($($t:ident $(: $as:ident)?),+))? $({$($s:ident),+})?),+
+        }) => {
+            impl Wire for $ty {
+                fn put(&self, out: &mut Vec<u8>) {
+                    match self {
+                        $($ty::$v $(($($t),+))? $({$($s),+})? => {
+                            out.push($tag);
+                            $($(wire!(@put *$t, out $(, $as)?);)+)?
+                            $($($s.put(out);)+)?
+                        })+
+                    }
+                }
+                fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+                    let offset = r.offset();
+                    Ok(match u8::from_le_bytes(r.take()?) {
+                        $($tag => $ty::$v
+                            $(($(wire!(@get r $(, $as)?)),+))? $({$($s: Wire::get(r)?),+})?,)+
+                        tag => return Err(PlanDecodeError::Tag { what: $what, offset, tag }),
+                    })
+                }
+            }
+        };
+        (@put $v:expr, $out:ident) => { $v.put($out) };
+        (@put $v:expr, $out:ident, idx) => { Idx($v).put($out) };
+        (@get $r:ident) => { Wire::get($r)? };
+        (@get $r:ident, idx) => { Idx::get($r)?.0 };
+    }
+
+    wire!(enum SrcDesc as "source" { 0 => Buf(i: idx), 1 => Param(i: idx), 2 => Input(i: idx) });
+    wire!(enum ActDesc as "activation" { 0 => Identity, 1 => Relu, 2 => Tanh, 3 => Sigmoid });
+    wire!(enum ZipKindDesc as "zip kind" { 0 => Add, 1 => Sub, 2 => Mul });
+    wire!(enum RowKindDesc as "row kind" { 0 => Add, 1 => Sub });
+    wire!(enum MapOpDesc as "map op" {
+        0 => Scale(c), 1 => AddScalar(c), 2 => Relu, 3 => Tanh, 4 => Sigmoid,
+        5 => Exp, 6 => Abs, 7 => Sqrt, 8 => Square
+    });
+    wire!(enum StepKindDesc as "step kind" {
+        0 => Gemm { a, b, m, k, n, bias, act },
+        1 => Bmm { a, b, ta, tb, batch, m, k, n, scale },
+        2 => SplitHeads { x, h, b, l, d },
+        3 => MergeHeads { x, h, bh, l, dh },
+        4 => Softmax { x, rows, d },
+        5 => LayerNorm { x, gamma, beta, eps, rows, d },
+        6 => Map { x, ops, len },
+        7 => Zip { a, b, kind, ops, len },
+        8 => RowOp { x, row, kind, ops, rows, d },
+        9 => Concat { parts, rows, ops },
+        10 => SliceLast { x, rows, d, start, end }
+    });
+    wire!(struct SizeDesc { coef, fixed });
+    wire!(struct ConcatPartDesc { src, width });
+    wire!(struct StepDesc { kind, out: idx });
+    wire!(struct BufDesc { size, slot: idx });
+    wire!(struct OutputDesc { src, dims });
+    wire!(struct PlanStatsDesc {
+        recorded_ops, cse_deduped, steps, elided_reshapes, fused_bias, fused_activations,
+        fused_bmm_scales, fused_elementwise, inplace_steps, buffers, arena_slots
+    });
+    wire!(struct PlanDesc { steps, bufs, slot_sizes, inputs, outputs, stats });
+
+    impl Wire for usize {
+        fn put(&self, out: &mut Vec<u8>) {
+            let v = u32::try_from(*self).unwrap_or(u32::MAX);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+            Ok(u32::from_le_bytes(r.take()?) as usize)
+        }
+    }
+
+    /// A table index on the wire.
+    struct Idx(usize);
+
+    impl Wire for Idx {
+        fn put(&self, out: &mut Vec<u8>) {
+            let v = u16::try_from(self.0).unwrap_or(u16::MAX);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+            Ok(Idx(u16::from_le_bytes(r.take()?) as usize))
+        }
+    }
+
+    /// Bit 31 of a [`DimDesc`]'s word: set for `PerBatch`.
+    const PER_BATCH: u32 = 1 << 31;
+
+    impl Wire for DimDesc {
+        fn put(&self, out: &mut Vec<u8>) {
+            let (flag, v) = match *self {
+                DimDesc::Fixed(n) => (0, n),
+                DimDesc::PerBatch(c) => (PER_BATCH, c),
+            };
+            let v = u32::try_from(v).map_or(PER_BATCH - 1, |v| v.min(PER_BATCH - 1));
+            out.extend_from_slice(&(flag | v).to_le_bytes());
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+            let word = u32::from_le_bytes(r.take()?);
+            let v = (word & !PER_BATCH) as usize;
+            Ok(if word & PER_BATCH == 0 {
+                DimDesc::Fixed(v)
+            } else {
+                DimDesc::PerBatch(v)
+            })
+        }
+    }
+
+    impl Wire for f32 {
+        fn put(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_bits().to_le_bytes());
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+            Ok(f32::from_bits(u32::from_le_bytes(r.take()?)))
+        }
+    }
+
+    impl Wire for bool {
+        fn put(&self, out: &mut Vec<u8>) {
+            out.push(u8::from(*self));
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+            let offset = r.offset();
+            match u8::from_le_bytes(r.take()?) {
+                0 => Ok(false),
+                1 => Ok(true),
+                tag => Err(PlanDecodeError::Tag {
+                    what: "flag",
+                    offset,
+                    tag,
+                }),
+            }
+        }
+    }
+
+    impl<T: Wire> Wire for Option<T> {
+        fn put(&self, out: &mut Vec<u8>) {
+            out.push(u8::from(self.is_some()));
+            if let Some(v) = self {
+                v.put(out);
+            }
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+            Ok(if bool::get(r)? {
+                Some(T::get(r)?)
+            } else {
+                None
+            })
+        }
+    }
+
+    /// An element type of a list field: what `from_desc` calls that list
+    /// and the cap it holds it to — enforced here too, before the count
+    /// sizes an allocation.
+    trait Listed: Wire {
+        const WHAT: &'static str;
+        const MAX: usize;
+    }
+
+    macro_rules! listed {
+        ($($ty:ty: $what:literal <= $max:expr),+) => {
+            $(impl Listed for $ty {
+                const WHAT: &'static str = $what;
+                const MAX: usize = $max;
+            })+
+        };
+    }
+
+    listed!(
+        StepDesc: "steps" <= MAX_TABLE,
+        BufDesc: "buffers" <= MAX_TABLE,
+        SizeDesc: "slots" <= MAX_TABLE,
+        Vec<DimDesc>: "inputs" <= MAX_PORTS,
+        OutputDesc: "outputs" <= MAX_PORTS,
+        DimDesc: "rank" <= MAX_RANK,
+        MapOpDesc: "element-wise chain length" <= MAX_CHAIN,
+        ConcatPartDesc: "concat parts" <= MAX_PORTS
+    );
+
+    impl<T: Listed> Wire for Vec<T> {
+        fn put(&self, out: &mut Vec<u8>) {
+            self.len().put(out);
+            self.iter().for_each(|v| v.put(out));
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+            let n = usize::get(r)?;
+            if n > T::MAX {
+                return Err(PlanDecodeError::Limit {
+                    what: T::WHAT,
+                    value: n,
+                    max: T::MAX,
+                });
+            }
+            // An element is at least one byte, so the bytes left bound
+            // the count as well.
+            if n > r.rest.len() {
+                return Err(PlanDecodeError::Truncated {
+                    offset: r.offset(),
+                    needed: n,
+                    have: r.rest.len(),
+                });
+            }
+            let mut list = Vec::with_capacity(n);
+            for _ in 0..n {
+                list.push(T::get(r)?);
+            }
+            Ok(list)
+        }
+    }
+
+    impl PlanDesc {
+        /// Appends the descriptor's byte form (fixed-width, little-endian,
+        /// canonical: equal descriptors append equal bytes).
+        pub fn encode_into(&self, out: &mut Vec<u8>) {
+            self.put(out);
+        }
+
+        /// Reads one descriptor off the front of `bytes` and leaves
+        /// `bytes` at what follows it (untouched on error). Every count
+        /// is held to its decode cap and to the bytes left before it
+        /// sizes an allocation; the result is data, not yet a plan —
+        /// [`Plan::from_desc`] validates it.
+        pub fn decode(bytes: &mut &[u8]) -> Result<PlanDesc, PlanDecodeError> {
+            let mut r = Reader {
+                rest: bytes,
+                start: bytes.len(),
+            };
+            let desc = PlanDesc::get(&mut r)?;
+            *bytes = r.rest;
+            Ok(desc)
+        }
+    }
+
     // ---- PlanDesc -> Plan (validated) -------------------------------------
 
     struct Decoder<'d, 'p> {
@@ -4330,6 +4590,25 @@ pub mod desc {
                 },
             })
         }
+    }
+
+    /// A step's first float constant that is NaN or infinite: replaying
+    /// it would answer the same garbage for every sample.
+    fn non_finite_const(kind: &StepKindDesc) -> Option<f32> {
+        let ops = match kind {
+            StepKindDesc::Bmm { scale: Some(c), .. } | StepKindDesc::LayerNorm { eps: c, .. } => {
+                return Some(*c).filter(|c| !c.is_finite());
+            }
+            StepKindDesc::Map { ops, .. }
+            | StepKindDesc::Zip { ops, .. }
+            | StepKindDesc::RowOp { ops, .. }
+            | StepKindDesc::Concat { ops, .. } => ops,
+            _ => return None,
+        };
+        ops.iter().find_map(|op| match op {
+            MapOpDesc::Scale(c) | MapOpDesc::AddScalar(c) if !c.is_finite() => Some(*c),
+            _ => None,
+        })
     }
 
     /// Symbolic size of one dim.
@@ -4646,6 +4925,9 @@ pub mod desc {
             let mut defined = vec![false; bufs.len()];
             for (si, sd) in d.steps.iter().enumerate() {
                 let step_err = |reason: String| PlanDecodeError::Step { step: si, reason };
+                if let Some(c) = non_finite_const(&sd.kind) {
+                    return Err(step_err(format!("constant {c} is not finite")));
+                }
                 let kind = dec.kind(&sd.kind)?;
                 if sd.out >= bufs.len() {
                     return Err(PlanDecodeError::Index {
@@ -5518,10 +5800,19 @@ mod tests {
         })
         .unwrap();
         let d = plan.to_desc();
-        // Descriptor JSON round-trips exactly.
-        let json = serde_json::to_string(&d).unwrap();
-        let back: PlanDesc = serde_json::from_str(&json).unwrap();
+        // The byte form round-trips exactly, both ways, and decoding stops
+        // where the descriptor does.
+        let mut bytes = Vec::new();
+        d.encode_into(&mut bytes);
+        let len = bytes.len();
+        bytes.extend_from_slice(b"next");
+        let mut rest = bytes.as_slice();
+        let back = PlanDesc::decode(&mut rest).unwrap();
+        assert_eq!(rest, b"next");
         assert_eq!(back, d);
+        let mut again = Vec::new();
+        back.encode_into(&mut again);
+        assert_eq!(again, bytes[..len]);
         // Rebuilt plan re-describes identically...
         let loaded = Plan::from_desc(&back, &store).unwrap();
         assert_eq!(loaded.to_desc(), d);
@@ -5540,9 +5831,63 @@ mod tests {
     }
 
     #[test]
+    fn hostile_plan_bytes_are_typed_errors_or_other_descriptors() {
+        use super::desc::{PlanDecodeError, PlanDesc};
+        let (store, ids) = store_with(&[&[4, 6], &[6, 6], &[6], &[6]]);
+        let plan = Plan::compile(&store, |rec, b| {
+            mixed_program(rec, &store, &ids, b).map_err(PlanError::from)
+        })
+        .unwrap();
+        let mut good = Vec::new();
+        plan.to_desc().encode_into(&mut good);
+
+        // Every proper prefix is a short read, and the cursor stays put.
+        for cut in 0..good.len() {
+            let mut rest = &good[..cut];
+            let err = PlanDesc::decode(&mut rest).unwrap_err();
+            assert!(
+                matches!(err, PlanDecodeError::Truncated { offset, .. } if offset <= cut),
+                "cut at {cut}: unexpected {err:?}"
+            );
+            assert_eq!(rest.len(), cut);
+        }
+
+        // Every bit of every byte, flipped: a typed error, or a descriptor
+        // whose encoding is exactly the bytes it was read from — which
+        // `from_desc` then refuses or turns into a plan that replays
+        // without leaving its arena, whatever it computes.
+        let x = input_for(2);
+        let (mut refused, mut replayed) = (0, 0);
+        for at in 0..good.len() {
+            for bit in 0..8 {
+                let mut bytes = good.clone();
+                bytes[at] ^= 1 << bit;
+                let mut rest = bytes.as_slice();
+                let Ok(desc) = PlanDesc::decode(&mut rest) else {
+                    refused += 1;
+                    continue;
+                };
+                let read = bytes.len() - rest.len();
+                let mut again = Vec::new();
+                desc.encode_into(&mut again);
+                assert_eq!(again, bytes[..read], "byte {at} bit {bit}");
+                if let Ok(plan) = Plan::from_desc(&desc, &store) {
+                    let _ = PlanExec::new(Arc::new(plan)).run(&store, &[&x]);
+                    replayed += 1;
+                }
+            }
+        }
+        assert!(
+            refused > 0 && replayed > 0,
+            "{refused} refused, {replayed} replayed"
+        );
+    }
+
+    #[test]
     fn tampered_descs_are_typed_errors_not_panics() {
         use super::desc::{
-            BufDesc, DimDesc, OutputDesc, PlanDecodeError, SizeDesc, SrcDesc, StepKindDesc,
+            BufDesc, DimDesc, MapOpDesc, OutputDesc, PlanDecodeError, SizeDesc, SrcDesc,
+            StepKindDesc,
         };
         let (store, ids) = store_with(&[&[4, 6], &[6, 6], &[6], &[6]]);
         let plan = Plan::compile(&store, |rec, b| {
@@ -5607,6 +5952,52 @@ mod tests {
             Plan::from_desc(&d, &store),
             Err(PlanDecodeError::Step { .. })
         ));
+
+        // A NaN or infinite step constant would answer the same garbage for
+        // every sample: refused, in each of the places one can sit.
+        let mut poisoned = [0; 4];
+        for si in 0..good.steps.len() {
+            let mut d = good.clone();
+            let which = match &mut d.steps[si].kind {
+                StepKindDesc::Bmm { scale: Some(c), .. } => {
+                    *c = f32::NAN;
+                    0
+                }
+                StepKindDesc::LayerNorm { eps, .. } => {
+                    *eps = f32::INFINITY;
+                    1
+                }
+                StepKindDesc::Map { ops, .. }
+                | StepKindDesc::Zip { ops, .. }
+                | StepKindDesc::RowOp { ops, .. }
+                | StepKindDesc::Concat { ops, .. } => {
+                    match ops.iter_mut().find_map(|op| match op {
+                        MapOpDesc::Scale(c) => Some((c, 2)),
+                        MapOpDesc::AddScalar(c) => Some((c, 3)),
+                        _ => None,
+                    }) {
+                        Some((c, which)) => {
+                            *c = f32::NEG_INFINITY;
+                            which
+                        }
+                        None => continue,
+                    }
+                }
+                _ => continue,
+            };
+            poisoned[which] += 1;
+            assert!(
+                matches!(
+                    Plan::from_desc(&d, &store),
+                    Err(PlanDecodeError::Step { step, .. }) if step == si
+                ),
+                "step {si}"
+            );
+        }
+        assert!(
+            poisoned.iter().all(|&n| n > 0),
+            "Bmm.scale / eps / Scale / AddScalar poisoned {poisoned:?} times"
+        );
 
         // An attacker-sized dim constant is capped.
         let mut d = good.clone();

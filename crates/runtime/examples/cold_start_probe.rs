@@ -13,7 +13,8 @@
 //! same engine (the steady state the first call is set against), and
 //! decode + restore for three snapshots of the same model — weights only,
 //! weights + plans, weights + plans + the 16 specialization requests — so
-//! the plan JSON's and the folds' shares can be read off by subtraction.
+//! the plan section's share of the file and of a load can be read off by
+//! subtraction.
 //!
 //! Public API only, so the same file builds against an older commit of the
 //! crates: that is how the before/after table in README ("Where a cold
@@ -153,6 +154,10 @@ fn main() {
     }
     println!("| cycle with one call (sum of its medians) | {cycle:.0} |");
     println!();
+    println!(
+        "plans take {} of the file's bytes (with plans - weights only)",
+        with_plans.len() - weights_only.len()
+    );
     println!("| snapshot | bytes | decode µs | restore µs |");
     println!("|---|---:|---:|---:|");
     for (name, bytes) in [

@@ -9,78 +9,18 @@
 //! $ cargo run --release --example golden_snapshot
 //! ```
 //!
-//! then paste the printed constants into `tests/snapshot_golden.rs`.
-//! Training is bit-deterministic for any thread count, so the fixture
-//! reproduces exactly on the same target.
+//! then paste the printed constants into `tests/snapshot_golden.rs`. The
+//! model, the probes and the hash are `tests/fixtures/golden_recipe.rs`,
+//! shared with that test. Training is bit-deterministic for any thread
+//! count, so the fixture reproduces exactly on the same target —
+//! `golden_fixture_regenerates_from_its_recipe` holds it to that.
 
-use cdmpp::core::batch::EncodedSample;
 use cdmpp::core::Snapshot;
 use cdmpp::prelude::*;
 
-/// The exact model the fixture holds: tiny, deterministic, max_leaves 4.
-fn train_fixture_model() -> TrainedModel {
-    let ds = Dataset::generate_with_networks(
-        GenConfig {
-            batch: 1,
-            schedules_per_task: 3,
-            devices: vec![cdmpp::devsim::t4()],
-            seed: 7,
-            noise_sigma: 0.0,
-        },
-        vec![cdmpp::tir::zoo::bert_tiny(1), cdmpp::tir::zoo::mlp_mixer(1)],
-    );
-    let split = SplitIndices::for_device(&ds, "T4", &[], 1);
-    let pcfg = PredictorConfig {
-        d_model: 16,
-        n_layers: 1,
-        heads: 2,
-        d_ff: 32,
-        d_emb: 12,
-        d_dev: 8,
-        dec_hidden: 16,
-        dec_layers: 1,
-        max_leaves: 4,
-        ..Default::default()
-    };
-    let (model, _) = pretrain(
-        &ds,
-        &split.train,
-        &split.valid,
-        pcfg,
-        TrainConfig {
-            epochs: 4,
-            ..Default::default()
-        },
-    );
-    model
-}
-
-/// The three pinned probe samples (shared verbatim with the golden test).
-fn probes() -> Vec<EncodedSample> {
-    [1usize, 2, 4]
-        .iter()
-        .enumerate()
-        .map(|(s, &leaves)| EncodedSample {
-            record_idx: s,
-            leaf_count: leaves,
-            x: (0..leaves * cdmpp::features::N_ENTRY)
-                .map(|i| ((i + 13 * s) as f32 * 0.157).sin())
-                .collect(),
-            dev: [0.4; cdmpp::features::N_DEVICE_FEATURES],
-            y_raw: 1e-3,
-        })
-        .collect()
-}
-
-/// FNV-1a over bytes (stable, platform-independent).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+#[path = "../tests/fixtures/golden_recipe.rs"]
+mod recipe;
+use recipe::{fnv1a, probes, train_fixture_model};
 
 fn main() {
     let model = train_fixture_model();

@@ -7,14 +7,19 @@
 //! header schema, weight encoding, or plan descriptor layout **breaks the
 //! build** instead of silently orphaning users' snapshot files. An
 //! intentional format change must bump `SNAPSHOT_VERSION`, regenerate the
-//! fixture, and repin the constants below.
+//! fixture, keep the outgoing one as `golden_v<N>.cdmppsnap`, and repin
+//! the constants below. The recipe — model, probes, hash — is
+//! `tests/fixtures/golden_recipe.rs`, the file the generator runs.
 
-use cdmpp::core::batch::EncodedSample;
-use cdmpp::core::Snapshot;
+use cdmpp::core::{Snapshot, SnapshotError};
 use cdmpp::prelude::*;
 
+#[path = "fixtures/golden_recipe.rs"]
+mod recipe;
+use recipe::{fnv1a, probes};
+
 /// FNV-1a of the committed fixture bytes (platform-independent).
-const FIXTURE_FNV1A: u64 = 0xa6fa9afee56ef6ae;
+const FIXTURE_FNV1A: u64 = 0xfde92e5c5a0609af;
 /// Exact predictions (seconds) for the three probe samples below.
 const PINNED_PREDICTIONS: [f64; 3] = [
     4.413091913525276e-5,
@@ -24,31 +29,11 @@ const PINNED_PREDICTIONS: [f64; 3] = [
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/golden.cdmppsnap");
 
-/// The three probe samples (shared verbatim with the generator example).
-fn probes() -> Vec<EncodedSample> {
-    [1usize, 2, 4]
-        .iter()
-        .enumerate()
-        .map(|(s, &leaves)| EncodedSample {
-            record_idx: s,
-            leaf_count: leaves,
-            x: (0..leaves * cdmpp::features::N_ENTRY)
-                .map(|i| ((i + 13 * s) as f32 * 0.157).sin())
-                .collect(),
-            dev: [0.4; cdmpp::features::N_DEVICE_FEATURES],
-            y_raw: 1e-3,
-        })
-        .collect()
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+/// The fixture as format version 2 wrote it: the same model, its plans
+/// still JSON in the header.
+const FIXTURE_V2: &[u8] = include_bytes!("fixtures/golden_v2.cdmppsnap");
+/// Bytes of the fixture's weight blob, the tail of the file.
+const WEIGHT_BLOB_BYTES: usize = 23_204;
 
 #[test]
 fn golden_fixture_bytes_are_pinned() {
@@ -107,4 +92,43 @@ fn golden_fixture_reserializes_canonically() {
         FIXTURE,
         "canonical re-serialization of the fixture drifted"
     );
+}
+
+/// Training is bit-deterministic, so the recipe reproduces the committed
+/// bytes — asserted where the exact prediction pin is (libm transcendentals
+/// may differ elsewhere).
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn golden_fixture_regenerates_from_its_recipe() {
+    let model = recipe::train_fixture_model();
+    let bytes = Snapshot::capture_all(&model).unwrap().to_bytes();
+    assert!(
+        bytes == FIXTURE,
+        "the recipe no longer reproduces the committed fixture ({} bytes, FNV-1a {:#018x})",
+        bytes.len(),
+        fnv1a(&bytes)
+    );
+}
+
+#[test]
+fn version_2_fixture_is_refused_and_differs_only_in_format() {
+    assert_eq!(
+        Snapshot::from_bytes(FIXTURE_V2).unwrap_err(),
+        SnapshotError::UnsupportedVersion {
+            found: 2,
+            supported: 3
+        }
+    );
+    // Same weights, bit for bit: the version bump re-encoded the plans and
+    // touched nothing a prediction is computed from.
+    let blob = |bytes: &'static [u8]| &bytes[bytes.len() - WEIGHT_BLOB_BYTES..];
+    assert_eq!(blob(FIXTURE), blob(FIXTURE_V2));
+    // Same header, less its `plans` member (last in this fixture's header).
+    let header = |bytes: &'static [u8]| {
+        let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        std::str::from_utf8(&bytes[20..20 + len]).unwrap()
+    };
+    let v2 = header(FIXTURE_V2);
+    let plans_at = v2.find(",\"plans\":[").expect("v2 carried plans as JSON");
+    assert_eq!(header(FIXTURE), format!("{}}}", &v2[..plans_at]));
 }
