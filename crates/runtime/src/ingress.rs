@@ -18,7 +18,6 @@
 //!   lose a reply.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -78,16 +77,6 @@ impl Deadline {
     pub fn instant(&self) -> Option<Instant> {
         self.at
     }
-
-    /// The later of two deadlines — a never-expiring deadline dominates.
-    /// The window collector merges segments under the *latest* deadline so
-    /// a worker-side shed can never discard a segment that still had time.
-    pub(crate) fn later(self, other: Deadline) -> Deadline {
-        match (self.at, other.at) {
-            (Some(a), Some(b)) => Deadline { at: Some(a.max(b)) },
-            _ => Deadline { at: None },
-        }
-    }
 }
 
 /// What happens to a call that arrives while the submission queue is at
@@ -122,9 +111,9 @@ impl SubmitOptions {
     }
 }
 
-/// Why one chunk failed. Cheap to clone so a chunk-level failure can fan
-/// out to a per-sample error for every sample the chunk carried.
-#[derive(Debug, Clone, PartialEq)]
+/// Why one chunk failed; the dispatcher turns it into a per-sample error
+/// for every sample the chunk carried.
+#[derive(Debug, PartialEq)]
 pub(crate) enum ChunkError {
     /// The predictor rejected the batch.
     Predict(PredictError),
@@ -133,9 +122,6 @@ pub(crate) enum ChunkError {
     /// A worker panicked while executing the chunk (caught; the worker
     /// respawned).
     Panicked,
-    /// The engine shut down while the chunk was pending in the batch
-    /// window (maps to `EngineError::WorkersUnavailable` for the call).
-    Shutdown,
 }
 
 pub(crate) type ChunkReply = (usize, Result<Vec<f32>, ChunkError>);
@@ -176,27 +162,6 @@ impl Drop for ReplyGuard {
     }
 }
 
-/// Where one executed chunk's predictions go: straight back to the one
-/// call that dispatched it, or split across the calls whose remainder
-/// segments the batch window merged into this chunk.
-pub(crate) enum JobReply {
-    /// A chunk owned by one call: the reply goes to its chunk tag.
-    Direct(ReplyGuard),
-    /// A window-merged chunk: predictions are split back per segment.
-    Window(crate::window::WindowReply),
-}
-
-impl JobReply {
-    /// Delivers the chunk's reply (fanning a merged chunk's predictions or
-    /// failure out to every segment it carried).
-    pub fn send(self, r: Result<Vec<f32>, ChunkError>) {
-        match self {
-            JobReply::Direct(g) => g.send(r),
-            JobReply::Window(w) => w.send(r),
-        }
-    }
-}
-
 /// One dense batch dispatched to a worker.
 pub(crate) struct Job {
     pub x: Tensor,
@@ -206,7 +171,7 @@ pub(crate) struct Job {
     /// The model generation captured at admission: in-flight chunks finish
     /// on the model they were admitted under, even across a hot swap.
     pub served: Arc<Served>,
-    pub reply: JobReply,
+    pub reply: ReplyGuard,
 }
 
 /// Admission failure, mapped to `EngineError` by the engine.
@@ -237,14 +202,6 @@ pub(crate) struct JobQueue {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    /// Segments parked in batch-window pending buffers. They are queued
-    /// work the engine has accepted but not yet pushed, so *admission*
-    /// counts them toward capacity — otherwise a trickle flood hides an
-    /// unbounded backlog inside the window and `Overloaded` fires late.
-    /// `push` deliberately does NOT count them: window flushes push merged
-    /// buffers while their segments are still parked, and counting both
-    /// would deadlock the flush against its own backlog.
-    parked: AtomicUsize,
 }
 
 impl JobQueue {
@@ -257,7 +214,6 @@ impl JobQueue {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
-            parked: AtomicUsize::new(0),
         })
     }
 
@@ -274,26 +230,6 @@ impl JobQueue {
     /// Current depth, in chunks.
     pub fn depth(&self) -> usize {
         self.lock().q.len()
-    }
-
-    /// Marks `n` segments as parked in a window pending buffer (they now
-    /// count toward admission headroom).
-    pub fn park(&self, n: usize) {
-        self.parked.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Releases `n` parked segments (a window buffer is flushing them into
-    /// the queue proper, or shedding them). Wakes blocked admitters.
-    pub fn unpark(&self, n: usize) {
-        if n > 0 {
-            self.parked.fetch_sub(n, Ordering::Relaxed);
-            self.not_full.notify_all();
-        }
-    }
-
-    /// Segments currently parked in window pending buffers.
-    pub fn parked(&self) -> usize {
-        self.parked.load(Ordering::Relaxed)
     }
 
     /// Per-call admission control: succeeds while the queue has headroom.
@@ -324,11 +260,7 @@ impl JobQueue {
             if inner.closed {
                 return Err(AdmitError::Closed);
             }
-            // Admission headroom counts *parked* window segments as well
-            // as queued chunks: work accepted into a pending buffer is
-            // backlog exactly like a queued job, and a trickle flood that
-            // never fills a class must still trip `Overloaded` on time.
-            if inner.q.len() + self.parked() < self.capacity {
+            if inner.q.len() < self.capacity {
                 return Ok(());
             }
             if deadline.is_some_and(|d| d.expired()) {
@@ -336,14 +268,14 @@ impl JobQueue {
             }
             let Some(block_until) = wait_until else {
                 return Err(AdmitError::Overloaded {
-                    depth: inner.q.len() + self.parked(),
+                    depth: inner.q.len(),
                     capacity: self.capacity,
                 });
             };
             let now = Instant::now();
             if block_until.is_some_and(|t| t <= now) {
                 return Err(AdmitError::Overloaded {
-                    depth: inner.q.len() + self.parked(),
+                    depth: inner.q.len(),
                     capacity: self.capacity,
                 });
             }

@@ -14,11 +14,10 @@
 //!   across a worker-thread pool, and returns predictions in request order.
 //! * **Threads exist from the first queued chunk until shutdown.**
 //!   [`InferenceEngine::new`] starts none. The workers (`cdmpp-worker-{i}`,
-//!   and `cdmpp-window` when a batch window is configured) are spawned
-//!   once, by the first chunk that has to go through the queue — a call
-//!   above one batch class, a small call that found every caller-side
-//!   runner lent out, anything under a window — and joined by
-//!   [`InferenceEngine::shutdown`] / `Drop`. An engine that only ever
+//!   the only threads an engine owns) are spawned once, by the first chunk
+//!   that has to go through the queue — a call above one batch class, or a
+//!   small call that found every caller-side runner lent out — and joined
+//!   by [`InferenceEngine::shutdown`] / `Drop`. An engine that only ever
 //!   answers small calls (a one-shot tool: snapshot file, one answer,
 //!   exit) never creates a thread; [`InferenceEngine::worker_count`] is
 //!   the configured pool size either way. A thread the OS refuses to
@@ -45,15 +44,17 @@
 //!   chunks finish on the old model, new admissions route to the new one,
 //!   and a generation counter makes the cutover observable.
 //! * **Caller-runs for small calls**: a call carrying no more samples than
-//!   one batch class (`len <= max_batch`, window off) is replayed by the
-//!   thread that made it — its chunks go through the same job function the
+//!   one batch class (`len <= max_batch`) is replayed by the thread that
+//!   made it — its chunks go through the same job function the
 //!   workers run (`supervisor::process_job`: deadline shed, fault sites,
 //!   panic containment, accounting, exactly one reply) instead of through
 //!   the queue, so a small request costs what serial replay costs and no
 //!   thread is woken for it. The replay state for this is an engine
 //!   resource bounded by the pool size: exactly one caller-side runner
 //!   per worker exists, lent to one call at a time, and a call that finds
-//!   none free is queued like any other.
+//!   none free is queued like any other. Those are a chunk's only two
+//!   routes: nothing holds a chunk back to merge it with later calls'
+//!   (README, "No batch window", has the measurement).
 //!   [`InferenceEngine::caller_chunks`] counts the chunks run this way.
 //! * Each chunk replays a **compiled inference plan** (`nn::plan`): a
 //!   chunk of at most `cdmpp_core::DEFAULT_MAX_BATCH` samples replays the
@@ -68,15 +69,6 @@
 //!   `max_batch` above `DEFAULT_MAX_BATCH`), training, and recording-time
 //!   validation. Nothing about this routing is configurable or learned
 //!   from traffic.
-//! * **Batch window** ([`window`]): with a [`BatchWindow`] configured,
-//!   partially-filled chunks are held briefly and merged *across calls* of
-//!   the same `(generation, leaf count)` — a pending buffer dispatches the
-//!   moment it fills to the batch class or when its oldest sample has
-//!   waited `max_delay`, so a trickle stream's tail latency stays bounded
-//!   while full-class dispatch rates go up. Results
-//!   stay request-ordered and bitwise equal to serial. The window's
-//!   collector is the only thread an engine owns besides its workers, and
-//!   it exists only when a window is configured.
 //! * [`EngineCostModel`] puts the engine behind `cdmpp_core::CostModel`,
 //!   so it drops into the schedule search as a faster scorer; scoring
 //!   failures shed candidates to `INFINITY` ranks and count in
@@ -87,9 +79,7 @@ use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-use cdmpp_core::batch::{
-    build_scaled_batch_idx, group_by_leaf_into, EncodedSample, LeafGroups, SampleLike,
-};
+use cdmpp_core::batch::{build_scaled_batch_idx, group_by_leaf_into, LeafGroups, SampleLike};
 use cdmpp_core::e2e::{encode_programs, encode_programs_into, EncodeArena};
 use cdmpp_core::predictor::PredictError;
 use cdmpp_core::{CostModel, InferenceModel, PlanRunner, TrainedModel};
@@ -102,19 +92,16 @@ mod ingress;
 mod stats;
 mod supervisor;
 mod swap;
-mod window;
 
 pub use faults::FaultPlan;
 pub use ingress::{AdmissionPolicy, Deadline, SubmitOptions};
 pub use stats::EngineStats;
 pub use swap::SnapshotWatcher;
-pub use window::BatchWindow;
 
 use faults::FaultSite;
-use ingress::{AdmitError, ChunkError, ChunkReply, Job, JobQueue, JobReply, PushError, ReplyGuard};
+use ingress::{AdmitError, ChunkError, ChunkReply, Job, JobQueue, PushError, ReplyGuard};
 use stats::StatsInner;
 use swap::Served;
-use window::Adaptive;
 
 /// Errors from the serving engine.
 #[derive(Debug)]
@@ -220,14 +207,6 @@ pub struct EngineConfig {
     /// variable (empty plan when unset); tests pin `Some(plan)` to stay
     /// deterministic regardless of the environment.
     pub faults: Option<FaultPlan>,
-    /// Time-window batching knob. `None` reads the `CDMPP_BATCH_WINDOW_MS`
-    /// environment variable (off when unset); tests pin
-    /// `Some(BatchWindow::off())` or an explicit window to stay
-    /// deterministic. With a non-zero window, a partially-filled chunk is
-    /// held so later calls can merge into it — it dispatches on fill or
-    /// when its oldest sample has waited `max_delay`. Merging never
-    /// changes bits: every kernel computes batch rows independently.
-    pub batch_window: Option<BatchWindow>,
 }
 
 impl Default for EngineConfig {
@@ -239,7 +218,6 @@ impl Default for EngineConfig {
             admission: AdmissionPolicy::Reject,
             max_retries: DEFAULT_MAX_RETRIES,
             faults: None,
-            batch_window: None,
         }
     }
 }
@@ -277,8 +255,6 @@ struct DispatchScratch {
 #[derive(Default)]
 struct Pool {
     workers: Vec<JoinHandle<()>>,
-    /// The batch window's timer thread; only with a window configured.
-    collector: Option<JoinHandle<()>>,
     /// Set by `shutdown`: nothing is started afterwards.
     closed: bool,
 }
@@ -331,11 +307,6 @@ pub struct InferenceEngine {
     /// Pooled dispatch scratch: concurrent `predict_samples` calls each
     /// take one set of index buffers and return it when done.
     scratch: Mutex<Vec<DispatchScratch>>,
-    /// The batch window's pending buffers; present only when a window is
-    /// configured. Its collector thread (`Pool::collector`) is joined,
-    /// after `Adaptive::close`, before the queue closes, so the timer
-    /// provably never fires after shutdown.
-    adaptive: Option<Arc<Adaptive>>,
     stats: Arc<StatsInner>,
     faults: FaultPlan,
     /// What `supervisor::process_job` needs when a calling thread runs its
@@ -362,11 +333,6 @@ impl InferenceEngine {
     /// `stats().class_demotions`.
     pub fn new(model: InferenceModel, cfg: EngineConfig) -> Self {
         let stats = Arc::new(StatsInner::default());
-        let mut cfg = cfg;
-        // Resolve the window once (tri-state like `faults`: `None` reads
-        // the environment) and pin the resolution into the config.
-        let window = cfg.batch_window.unwrap_or_else(BatchWindow::from_env);
-        cfg.batch_window = Some(window);
         swap::register_engine_classes(&model, cfg.max_batch, &stats);
         let faults = cfg.faults.clone().unwrap_or_else(FaultPlan::from_env);
         let queue = JobQueue::new(cfg.queue_capacity);
@@ -382,14 +348,6 @@ impl InferenceEngine {
             faults: faults.clone(),
             intra_op,
         };
-        let adaptive = (!window.is_off()).then(|| {
-            Adaptive::new(
-                Arc::clone(&queue),
-                Arc::clone(&stats),
-                window,
-                cfg.max_batch,
-            )
-        });
         InferenceEngine {
             served: RwLock::new(Arc::new(Served {
                 model: Arc::new(model),
@@ -400,7 +358,6 @@ impl InferenceEngine {
             workers_started: AtomicBool::new(false),
             n_workers,
             scratch: Mutex::new(Vec::new()),
-            adaptive,
             stats,
             faults,
             caller_ctx,
@@ -487,14 +444,6 @@ impl InferenceEngine {
                 .spawn(move || supervisor::supervised_worker(ctx))
         })
         .map_err(|_refused| ())?;
-        if let (Some(ad), None) = (&self.adaptive, &pool.collector) {
-            let ad = Arc::clone(ad);
-            let collector = std::thread::Builder::new()
-                .name("cdmpp-window".into())
-                .spawn(move || ad.run())
-                .map_err(|_refused| ())?;
-            pool.collector = Some(collector);
-        }
         self.workers_started.store(true, Ordering::Release);
         Ok(())
     }
@@ -507,11 +456,11 @@ impl InferenceEngine {
 
     /// A snapshot of the engine's traffic/failure counters.
     pub fn stats(&self) -> EngineStats {
-        self.stats.snapshot(self.queue.depth(), self.queue.parked())
+        self.stats.snapshot(self.queue.depth())
     }
 
     /// Chunks replayed on the calling thread instead of by a worker (see
-    /// the crate docs: calls of at most `max_batch` samples, window off).
+    /// the crate docs: calls of at most `max_batch` samples).
     /// They count in `stats().completed_chunks` like any other chunk.
     pub fn caller_chunks(&self) -> u64 {
         self.stats.caller_chunks.load(Ordering::Relaxed)
@@ -538,22 +487,16 @@ impl InferenceEngine {
     /// chunk-level failure (deadline shed, post-retry worker panic) fails
     /// the whole call with its typed error — use
     /// [`InferenceEngine::predict_samples_opts`] for per-sample outcomes.
-    pub fn predict_samples(&self, enc: &[EncodedSample]) -> Result<Vec<f64>, EngineError> {
-        self.predict_sample_refs(enc)
-    }
-
-    /// [`InferenceEngine::predict_samples`] over any [`SampleLike`] view:
-    /// callers that filter or subset a request stream pass the survivors
-    /// by reference, and arena-encoded callers (like [`EngineCostModel`])
-    /// pass borrowed [`cdmpp_core::SampleRef`]s straight out of the encode
-    /// slab — no sample clones either way.
-    pub fn predict_sample_refs<S: SampleLike>(&self, enc: &[S]) -> Result<Vec<f64>, EngineError> {
-        let per = self.predict_sample_refs_opts(enc, &SubmitOptions::default())?;
-        let mut out = Vec::with_capacity(per.len());
-        for r in per {
-            out.push(r?);
-        }
-        Ok(out)
+    ///
+    /// The samples may be any [`SampleLike`] view: owned
+    /// [`cdmpp_core::batch::EncodedSample`]s, the survivors of a filtered
+    /// request stream by reference, or borrowed [`cdmpp_core::SampleRef`]s
+    /// straight out of an encode slab (as [`EngineCostModel`] passes them)
+    /// — no sample clones either way.
+    pub fn predict_samples<S: SampleLike>(&self, enc: &[S]) -> Result<Vec<f64>, EngineError> {
+        self.predict_samples_opts(enc, &SubmitOptions::default())?
+            .into_iter()
+            .collect()
     }
 
     /// Per-sample prediction with submission options (deadline). The outer
@@ -563,17 +506,7 @@ impl InferenceEngine {
     /// typed shed ([`EngineError::DeadlineExceeded`],
     /// [`EngineError::WorkerPanicked`]). Samples from unaffected chunks
     /// are bit-identical to a serial no-fault run.
-    pub fn predict_samples_opts(
-        &self,
-        enc: &[EncodedSample],
-        opts: &SubmitOptions,
-    ) -> Result<Vec<Result<f64, EngineError>>, EngineError> {
-        self.predict_sample_refs_opts(enc, opts)
-    }
-
-    /// [`InferenceEngine::predict_samples_opts`] over any [`SampleLike`]
-    /// view (borrowed samples, arena [`cdmpp_core::SampleRef`]s, ...).
-    pub fn predict_sample_refs_opts<S: SampleLike>(
+    pub fn predict_samples_opts<S: SampleLike>(
         &self,
         enc: &[S],
         opts: &SubmitOptions,
@@ -642,10 +575,7 @@ impl InferenceEngine {
         // class is less work than the single chunk a worker would replay
         // anyway, so waking workers for it costs more than it spreads —
         // the calling thread replays it, if a caller-side runner is free.
-        // A configured window is a request to hold partial chunks for
-        // merging and keeps the queued routing.
-        let window_off = self.cfg.batch_window.is_some_and(|w| w.is_off());
-        let mut runner = if window_off && enc.len() <= self.cfg.max_batch {
+        let mut runner = if enc.len() <= self.cfg.max_batch {
             self.caller_runners
                 .lock()
                 .ok()
@@ -667,7 +597,7 @@ impl InferenceEngine {
         result
     }
 
-    /// The fallible middle of [`InferenceEngine::predict_sample_refs_opts`]:
+    /// The fallible middle of [`InferenceEngine::predict_samples_opts`]:
     /// plan chunks into `scratch`, dispatch, collect (retrying panicked
     /// chunks), scatter per-sample outcomes.
     fn dispatch_and_collect<S: SampleLike>(
@@ -720,12 +650,6 @@ impl InferenceEngine {
             if scratch.results[tag].is_some() {
                 continue; // stale duplicate (defensive; guards prevent it)
             }
-            if matches!(res, Err(ChunkError::Shutdown)) {
-                // The engine shut down while this chunk waited in the
-                // batch window — the same call-level outcome as a closed
-                // queue at dispatch time.
-                return Err(EngineError::WorkersUnavailable);
-            }
             if matches!(res, Err(ChunkError::Panicked))
                 && scratch.attempts[tag] < self.cfg.max_retries
                 && !opts.deadline.is_some_and(|d| d.expired())
@@ -757,7 +681,6 @@ impl InferenceEngine {
                             ChunkError::Predict(pe) => EngineError::Predict(pe.clone()),
                             ChunkError::DeadlineExceeded => EngineError::DeadlineExceeded,
                             ChunkError::Panicked => EngineError::WorkerPanicked,
-                            ChunkError::Shutdown => EngineError::WorkersUnavailable,
                         });
                     }
                 }
@@ -785,35 +708,19 @@ impl InferenceEngine {
             reply.send(Err(ChunkError::DeadlineExceeded));
             return Ok(());
         }
-        // Without a caller-side runner the chunk is about to be queued —
-        // straight away or out of the batch window.
+        // Without a caller-side runner the chunk is about to be queued.
         if runner.is_none() {
             self.ensure_workers()?;
         }
         let (s, e) = scratch.chunks[tag];
         let idxs = &scratch.groups.order[s..e];
         let batch = build_scaled_batch_idx(enc, idxs, &served.model.scaler);
-        // Windowed routing: a below-class chunk waits in the window so
-        // later calls can merge into it.
-        if let Some(ad) = &self.adaptive {
-            if e - s < self.cfg.max_batch {
-                return ad.submit(
-                    batch.leaf_count,
-                    served,
-                    batch.x,
-                    batch.dev,
-                    e - s,
-                    reply,
-                    opts.deadline,
-                );
-            }
-        }
         let job = Job {
             x: batch.x,
             dev: batch.dev,
             deadline: opts.deadline,
             served: Arc::clone(served),
-            reply: JobReply::Direct(reply),
+            reply,
         };
         if let Some(runner) = runner {
             self.stats.caller_chunks.fetch_add(1, Ordering::Relaxed);
@@ -859,25 +766,10 @@ impl InferenceEngine {
     /// Requests arriving after (or racing) the shutdown surface
     /// [`EngineError::WorkersUnavailable`] instead of hanging.
     pub fn shutdown(&self) {
-        // Ordering matters: close the adaptive collector and JOIN it
-        // first — its final loop flushes every pending window buffer into
-        // the still-open queue (those samples complete normally), and
-        // once the join returns the window timer provably cannot fire
-        // again. Only then close the queue and drain the workers.
-        if let Some(ad) = &self.adaptive {
-            ad.close();
-        }
         // `closed` goes up under the lock `ensure_workers` spawns under:
         // a first fan-out racing this either finished spawning (its
         // threads are joined below) or starts nothing.
-        let collector = {
-            let mut pool = self.pool();
-            pool.closed = true;
-            pool.collector.take()
-        };
-        if let Some(t) = collector {
-            let _ = t.join();
-        }
+        self.pool().closed = true;
         self.queue.close();
         let drained = std::mem::take(&mut self.pool().workers);
         for w in drained {
@@ -909,8 +801,9 @@ pub struct ScoreTimings {
 /// The search-scale scoring front end: encodes candidate programs into a
 /// pooled [`EncodeArena`] (zero steady-state allocation) on a dedicated
 /// encode pool, then dispatches borrowed [`cdmpp_core::SampleRef`] views
-/// through a live [`InferenceEngine`] — leaf bucketing, batch classes, and
-/// window batching all exercised, no per-candidate sample clones.
+/// through [`InferenceEngine::predict_samples_opts`] — leaf bucketing,
+/// chunking and caller-runs or queued replay as for any other call, no
+/// per-candidate sample clones.
 ///
 /// The arena's slabs are reused round over round. One `EngineCostModel`
 /// serializes its own `score_batch` calls (the arena is a single scratch
@@ -1010,7 +903,7 @@ impl CostModel for EngineCostModel {
         let t1 = std::time::Instant::now();
         let res = self
             .engine
-            .predict_sample_refs_opts(&valid, &SubmitOptions::default());
+            .predict_samples_opts(&valid, &SubmitOptions::default());
         self.dispatch_ns
             .fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match res {
@@ -1087,6 +980,7 @@ pub fn end_to_end_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdmpp_core::batch::EncodedSample;
     use cdmpp_core::PredictorConfig;
     use features::{N_DEVICE_FEATURES, N_ENTRY};
 
@@ -1156,7 +1050,10 @@ mod tests {
     #[test]
     fn empty_request_is_fine() {
         let eng = engine(2);
-        assert!(eng.predict_samples(&[]).unwrap().is_empty());
+        assert!(eng
+            .predict_samples::<EncodedSample>(&[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -21,8 +21,6 @@ pub(crate) struct StatsInner {
     pub swaps: AtomicU64,
     pub class_demotions: AtomicU64,
     pub score_sheds: AtomicU64,
-    pub window_fill_flushes: AtomicU64,
-    pub window_timer_flushes: AtomicU64,
     pub queue_depth_hw: AtomicU64,
     pub predict_ns: AtomicU64,
     /// Chunks replayed on the calling thread. Not an [`EngineStats`] field
@@ -43,7 +41,7 @@ impl StatsInner {
         self.worker_restarts.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn snapshot(&self, queue_depth: usize, parked: usize) -> EngineStats {
+    pub fn snapshot(&self, queue_depth: usize) -> EngineStats {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         EngineStats {
             admitted: get(&self.admitted),
@@ -56,12 +54,12 @@ impl StatsInner {
             swaps: get(&self.swaps),
             class_demotions: get(&self.class_demotions),
             score_sheds: get(&self.score_sheds),
-            window_fill_flushes: get(&self.window_fill_flushes),
-            window_timer_flushes: get(&self.window_timer_flushes),
+            window_fill_flushes: 0,
+            window_timer_flushes: 0,
             promotions: 0,
             queue_depth: queue_depth as u64,
             queue_depth_hw: get(&self.queue_depth_hw),
-            parked: parked as u64,
+            parked: 0,
             predict_ns: get(&self.predict_ns),
         }
     }
@@ -100,21 +98,20 @@ pub struct EngineStats {
     /// Candidates shed to `f32::INFINITY` scores by the `CostModel` path
     /// because the engine returned an error for them.
     pub score_sheds: u64,
-    /// Window buffers dispatched because they filled to the batch class
-    /// (the merge the window exists to find).
-    pub window_fill_flushes: u64,
-    /// Window buffers dispatched by the `max_delay` timer (partially
-    /// filled — the latency bound doing its job).
-    pub window_timer_flushes: u64,
     /// Retained for layout (callers build this struct field by field);
-    /// always 0 — the engine learns no batch classes from traffic.
+    /// always 0 — the engine has no batch window to flush.
+    pub window_fill_flushes: u64,
+    /// Retained for layout; always 0 — the engine has no batch window.
+    pub window_timer_flushes: u64,
+    /// Retained for layout; always 0 — the engine learns no batch classes
+    /// from traffic.
     pub promotions: u64,
     /// Current submission-queue depth (chunks).
     pub queue_depth: u64,
     /// Highest queue depth observed since engine start.
     pub queue_depth_hw: u64,
-    /// Samples currently parked in batch-window pending buffers (counted
-    /// toward admission headroom alongside `queue_depth`).
+    /// Retained for layout; always 0 — every chunk is replayed by its
+    /// caller or queued, none is held back.
     pub parked: u64,
     /// Total predict time (the replay region, including injected
     /// faults), in nanoseconds — the engine's busy time. Covers chunks
@@ -123,15 +120,15 @@ pub struct EngineStats {
     pub predict_ns: u64,
 }
 
+/// The live counters only: the fields retained for layout always read 0.
 impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "admitted={} rejected={} deadline_sheds={} worker_panics={} \
              worker_restarts={} chunk_retries={} completed_chunks={} swaps={} \
-             class_demotions={} score_sheds={} window_fill_flushes={} \
-             window_timer_flushes={} promotions={} queue_depth={} \
-             queue_depth_hw={} parked={} predict_ns={}",
+             class_demotions={} score_sheds={} queue_depth={} \
+             queue_depth_hw={} predict_ns={}",
             self.admitted,
             self.rejected,
             self.deadline_sheds,
@@ -142,12 +139,8 @@ impl std::fmt::Display for EngineStats {
             self.swaps,
             self.class_demotions,
             self.score_sheds,
-            self.window_fill_flushes,
-            self.window_timer_flushes,
-            self.promotions,
             self.queue_depth,
             self.queue_depth_hw,
-            self.parked,
             self.predict_ns
         )
     }

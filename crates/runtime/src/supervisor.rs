@@ -1,11 +1,11 @@
 //! Worker supervision: panic containment, in-place respawn, deadline
 //! shedding at the point of execution.
 //!
-//! Lifecycle: the engine starts its workers (`cdmpp-worker-{i}`) at the
-//! first chunk that has to go through the queue, not at construction, and
-//! joins them in `shutdown` / `Drop` after closing the queue; an engine
-//! whose calls were all small enough to run on their callers never has
-//! any.
+//! Lifecycle: the engine starts its workers (`cdmpp-worker-{i}`, the only
+//! threads it owns) at the first chunk that has to go through the queue,
+//! not at construction, and joins them in `shutdown` / `Drop` after
+//! closing the queue; an engine whose calls were all small enough to run
+//! on their callers never has any.
 //!
 //! Each worker thread runs [`supervised_worker`] until the queue is closed
 //! and drained. A panic during plan

@@ -6,8 +6,8 @@
 //! panic containment and retry, per-chunk deadline sheds, hot swap,
 //! shutdown, overload — on that path.
 //!
-//! Every engine here pins its fault plan and batch window, so the file
-//! reads the same under CI's `CDMPP_FAULTS` / `CDMPP_BATCH_WINDOW_MS` jobs.
+//! Every engine here pins its fault plan, so the file reads the same under
+//! CI's `CDMPP_FAULTS` job.
 
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -16,7 +16,7 @@ use cdmpp_core::batch::{EncodedSample, FeatScaler};
 use cdmpp_core::{InferenceModel, Predictor, PredictorConfig, TrainConfig, TrainedModel};
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use learn::TransformKind;
-use runtime::{BatchWindow, EngineConfig, EngineError, FaultPlan, InferenceEngine, SubmitOptions};
+use runtime::{EngineConfig, EngineError, FaultPlan, InferenceEngine, SubmitOptions};
 
 const MAX_BATCH: usize = 8;
 
@@ -58,7 +58,6 @@ fn engine(faults: &str, cfg: EngineConfig) -> InferenceEngine {
         EngineConfig {
             max_batch: MAX_BATCH,
             faults: Some(FaultPlan::parse(faults).unwrap()),
-            batch_window: Some(BatchWindow::off()),
             ..cfg
         },
     )
@@ -330,24 +329,4 @@ fn many_threads_hammering_small_calls_stay_exact_and_bounded() {
     assert_eq!(s.completed_chunks, 3 * calls, "{s}");
     assert_eq!((s.queue_depth, s.worker_panics), (0, 0), "{s}");
     assert!(eng.caller_chunks() > 0 && eng.caller_chunks() <= s.completed_chunks);
-}
-
-#[test]
-fn a_configured_window_keeps_parking_small_calls() {
-    let eng = InferenceEngine::new(
-        frozen(0, TransformKind::None),
-        EngineConfig {
-            workers: 1,
-            max_batch: MAX_BATCH,
-            faults: Some(FaultPlan::none()),
-            batch_window: Some(BatchWindow::millis(1)),
-            ..Default::default()
-        },
-    );
-    let enc = mixed(5, 2);
-    let want = eng.model().predict_samples(&enc).unwrap();
-    assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), bits(&want));
-    let s = eng.stats();
-    assert!(s.window_timer_flushes > 0, "{s}");
-    assert_eq!(eng.caller_chunks(), 0);
 }

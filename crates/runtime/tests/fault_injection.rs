@@ -506,13 +506,13 @@ fn every_fault_and_policy_combination_resolves_cleanly() {
 }
 
 #[test]
-fn delay_faults_racing_the_batch_window_stay_bit_exact() {
-    // Injected replay latency (2ms every 3rd chunk) against a 1ms batch
-    // window: timer flushes race slowed workers, window merges race
-    // fill flushes, and concurrent callers' partial chunks interleave in
-    // the pending buffers. Every call must still come back bit-identical
-    // to the serial reference — delays reorder *when* merged chunks
-    // execute, never what they compute.
+fn delay_faults_racing_concurrent_callers_stay_bit_exact() {
+    // Injected replay latency (2ms every 3rd chunk) under three concurrent
+    // callers whose 21-sample calls are above the batch class, so every
+    // chunk is queued: slowed workers race each other and the callers'
+    // chunks interleave in the queue. Every call must still come back
+    // bit-identical to the serial reference — delays reorder *when*
+    // chunks execute, never what they compute.
     let model = frozen(TransformKind::None);
     let enc = stream(21); // leaf mix -> several below-class partial chunks
     let want = model.predict_samples(&enc).unwrap();
@@ -521,7 +521,6 @@ fn delay_faults_racing_the_batch_window_stay_bit_exact() {
         EngineConfig {
             workers: 2,
             max_batch: 8,
-            batch_window: Some(runtime::BatchWindow::millis(1)),
             faults: Some(FaultPlan::parse("delay@replay:ms=2,every=3").unwrap()),
             ..Default::default()
         },
@@ -533,93 +532,19 @@ fn delay_faults_racing_the_batch_window_stay_bit_exact() {
                     assert_eq!(
                         engine.predict_samples(&enc).unwrap(),
                         want,
-                        "windowed results must match serial under delay faults"
+                        "results must match serial under delay faults"
                     );
                 }
             });
         }
     });
-    let s = engine.stats();
-    assert!(
-        s.window_fill_flushes + s.window_timer_flushes > 0,
-        "the window must actually have dispatched something: {s}"
-    );
+    assert_eq!(engine.caller_chunks(), 0, "above the class: all queued");
     // Teardown under the same faults: typed refusal, no hang.
     engine.shutdown();
     match engine.predict_samples(&enc) {
         Err(EngineError::WorkersUnavailable) => {}
         other => panic!("expected WorkersUnavailable after shutdown, got {other:?}"),
     }
-}
-
-#[test]
-fn parked_window_segments_count_toward_admission() {
-    // Samples held in BatchWindow pending buffers are backlog the engine
-    // has accepted, but the pre-fix admission check only counted queued
-    // chunks — a trickle flood could park unbounded work behind a long
-    // window without ever tripping Overloaded. Parked segments now count:
-    // with a 2-slot queue and a window that never times out, the third
-    // single-sample call must be rejected while the queue itself is still
-    // empty, and the parked calls must still complete bit-exact through
-    // the injected replay delay once shutdown flushes them.
-    let model = frozen(TransformKind::None);
-    let one: Vec<EncodedSample> = stream(1)
-        .into_iter()
-        .map(|mut s| {
-            s.leaf_count = 3;
-            s.x.resize(3 * N_ENTRY, 0.1);
-            s
-        })
-        .collect();
-    let want = model.predict_samples(&one).unwrap();
-    let engine = InferenceEngine::new(
-        model,
-        EngineConfig {
-            workers: 1,
-            max_batch: 8,
-            queue_capacity: 2,
-            admission: AdmissionPolicy::Reject,
-            // Saturating delay: pending buffers flush only on fill or
-            // shutdown, so parked segments stay parked for the probe.
-            batch_window: Some(runtime::BatchWindow::millis(u64::MAX)),
-            faults: Some(FaultPlan::parse("delay@replay:ms=1").unwrap()),
-            ..Default::default()
-        },
-    );
-    let wait_for_parked = |n: u64| {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while engine.stats().parked < n {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "timed out waiting for {n} parked segments: {}",
-                engine.stats()
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    };
-    std::thread::scope(|s| {
-        let h1 = s.spawn(|| engine.predict_samples(&one).unwrap());
-        wait_for_parked(1);
-        let h2 = s.spawn(|| engine.predict_samples(&one).unwrap());
-        wait_for_parked(2);
-        let st = engine.stats();
-        assert_eq!(st.queue_depth, 0, "backlog is parked, not queued: {st}");
-        match engine.predict_samples(&one) {
-            Err(EngineError::Overloaded { depth, capacity }) => {
-                assert_eq!(capacity, 2);
-                assert!(depth >= 2, "depth must include parked segments: {depth}");
-            }
-            other => panic!("expected Overloaded from parked backlog, got {other:?}"),
-        }
-        // Shutdown flushes the pending buffer into the still-open queue:
-        // the parked calls complete, merged, bit-exact.
-        engine.shutdown();
-        assert_eq!(h1.join().unwrap(), want);
-        assert_eq!(h2.join().unwrap(), want);
-    });
-    let st = engine.stats();
-    assert_eq!(st.parked, 0, "flush must unpark everything: {st}");
-    assert!(st.rejected >= 1, "{st}");
 }
 
 #[test]

@@ -13,7 +13,7 @@ use cdmpp_core::{
 };
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use learn::TransformKind;
-use runtime::{BatchWindow, EngineConfig, FaultPlan, InferenceEngine};
+use runtime::{EngineConfig, FaultPlan, InferenceEngine};
 
 /// An untrained model at the default (CLI) shape: lifecycle does not
 /// depend on what the weights are.
@@ -112,7 +112,6 @@ fn a_thousand_ragged_calls_leave_the_snapshot_as_it_was() {
         EngineConfig {
             workers: 2,
             faults: Some(FaultPlan::none()),
-            batch_window: Some(BatchWindow::off()),
             ..Default::default()
         },
     )

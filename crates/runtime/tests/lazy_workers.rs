@@ -8,9 +8,8 @@
 //! no accessor for it, and should not need one), so the counting tests run
 //! on Linux only, and one at a time: the test harness runs a file's tests
 //! on parallel threads of one process, and another test's workers would be
-//! counted too. Every engine pins its fault plan and batch window, so the
-//! file reads the same under CI's `CDMPP_FAULTS` / `CDMPP_BATCH_WINDOW_MS`
-//! jobs.
+//! counted too. Every engine pins its fault plan, so the file reads the
+//! same under CI's `CDMPP_FAULTS` job.
 #![cfg(target_os = "linux")]
 
 use std::sync::{Barrier, Mutex, MutexGuard};
@@ -20,7 +19,7 @@ use cdmpp_core::batch::{EncodedSample, FeatScaler};
 use cdmpp_core::{InferenceModel, Predictor, PredictorConfig, TrainConfig, TrainedModel};
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use learn::TransformKind;
-use runtime::{BatchWindow, EngineConfig, EngineError, FaultPlan, InferenceEngine};
+use runtime::{EngineConfig, EngineError, FaultPlan, InferenceEngine};
 
 const MAX_BATCH: usize = 8;
 const WORKERS: usize = 3;
@@ -33,9 +32,9 @@ fn alone() -> MutexGuard<'static, ()> {
     CENSUS.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// `(cdmpp-worker-*, cdmpp-window)` threads alive in this process.
-fn census() -> (usize, usize) {
-    let mut seen = (0, 0);
+/// `cdmpp-worker-*` threads alive in this process.
+fn census() -> usize {
+    let mut seen = 0;
     for task in std::fs::read_dir("/proc/self/task").expect("/proc/self/task") {
         let comm = task.expect("task entry").path().join("comm");
         // A thread may exit between the listing and the read.
@@ -43,9 +42,7 @@ fn census() -> (usize, usize) {
             continue;
         };
         if name.starts_with("cdmpp-worker-") {
-            seen.0 += 1;
-        } else if name.trim_end() == "cdmpp-window" {
-            seen.1 += 1;
+            seen += 1;
         }
     }
     seen
@@ -55,14 +52,14 @@ fn census() -> (usize, usize) {
 /// moment after `join` returns (the previous test's pool), so a census
 /// that is too high is read again for a while; one that stays wrong fails.
 #[track_caller]
-fn assert_census(want: (usize, usize), when: &str) {
+fn assert_census(want: usize, when: &str) {
     let start = Instant::now();
     let mut got = census();
     while got != want && start.elapsed() < Duration::from_secs(5) {
         std::thread::sleep(Duration::from_millis(2));
         got = census();
     }
-    assert_eq!(got, want, "(workers, collectors) {when}");
+    assert_eq!(got, want, "workers {when}");
 }
 
 fn frozen() -> InferenceModel {
@@ -93,14 +90,13 @@ fn mixed(n: usize, kinds: usize) -> Vec<EncodedSample> {
     (0..n).map(|i| sample(1 + i % kinds, i)).collect()
 }
 
-fn engine(faults: &str, window: BatchWindow) -> InferenceEngine {
+fn engine(faults: &str) -> InferenceEngine {
     InferenceEngine::new(
         frozen(),
         EngineConfig {
             workers: WORKERS,
             max_batch: MAX_BATCH,
             faults: Some(FaultPlan::parse(faults).unwrap()),
-            batch_window: Some(window),
             ..Default::default()
         },
     )
@@ -113,8 +109,8 @@ fn bits(v: &[f64]) -> Vec<u64> {
 #[test]
 fn caller_run_calls_never_start_a_thread() {
     let _alone = alone();
-    let eng = engine("", BatchWindow::off());
-    assert_census((0, 0), "after construction");
+    let eng = engine("");
+    assert_census(0, "after construction");
     assert_eq!(eng.worker_count(), WORKERS, "the configured size");
     // One caller per caller-side runner, so no call ever finds none free.
     let start = Barrier::new(WORKERS);
@@ -136,19 +132,19 @@ fn caller_run_calls_never_start_a_thread() {
     assert_eq!(s.admitted, 200 * WORKERS as u64, "{s}");
     assert_eq!(s.completed_chunks, eng.caller_chunks(), "{s}");
     assert_eq!(s.queue_depth_hw, 0, "{s}");
-    assert_census((0, 0), "after 600 calls of at most one batch class");
+    assert_census(0, "after 600 calls of at most one batch class");
     drop(eng);
-    assert_census((0, 0), "after drop");
+    assert_census(0, "after drop");
 }
 
 #[test]
 fn racing_first_fan_outs_start_the_pool_exactly_once() {
     let _alone = alone();
-    let eng = engine("", BatchWindow::off());
+    let eng = engine("");
     let callers = 4 * eng.worker_count();
     let enc = mixed(3 * MAX_BATCH + 2, 4);
     let want = bits(&eng.model().predict_samples(&enc).unwrap());
-    assert_census((0, 0), "before the first fan-out");
+    assert_census(0, "before the first fan-out");
     let start = Barrier::new(callers);
     std::thread::scope(|s| {
         for _ in 0..callers {
@@ -158,7 +154,7 @@ fn racing_first_fan_outs_start_the_pool_exactly_once() {
             });
         }
     });
-    assert_census((WORKERS, 0), "after 12 callers' first above-class call");
+    assert_census(WORKERS, "after 12 callers' first above-class call");
     let s = eng.stats();
     assert_eq!(s.admitted, callers as u64, "every call answered once: {s}");
     // 4 leaf buckets of 7, 7, 6, 6 samples: one chunk each.
@@ -166,10 +162,10 @@ fn racing_first_fan_outs_start_the_pool_exactly_once() {
     assert_eq!(eng.caller_chunks(), 0, "above the class: all queued");
     // A second round finds the pool running and adds nothing to it.
     assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), want);
-    assert_census((WORKERS, 0), "after a later fan-out");
+    assert_census(WORKERS, "after a later fan-out");
     eng.shutdown();
     assert_eq!(eng.worker_count(), 0);
-    assert_census((0, 0), "after shutdown");
+    assert_census(0, "after shutdown");
 }
 
 #[test]
@@ -178,10 +174,7 @@ fn a_small_call_that_finds_no_runner_free_starts_the_pool() {
     // The first `WORKERS` passages of the replay site sleep: that many
     // small calls hold every caller-side runner, and one more small call
     // has to go through the queue.
-    let eng = engine(
-        &format!("delay@replay:ms=300,times={WORKERS}"),
-        BatchWindow::off(),
-    );
+    let eng = engine(&format!("delay@replay:ms=300,times={WORKERS}"));
     let enc = mixed(4, 1);
     let want = bits(&eng.model().predict_samples(&enc).unwrap());
     std::thread::scope(|s| {
@@ -193,10 +186,10 @@ fn a_small_call_that_finds_no_runner_free_starts_the_pool() {
             assert!(waited.elapsed() < Duration::from_secs(20), "holders stuck");
             std::thread::yield_now();
         }
-        assert_census((0, 0), "while callers run their own chunks");
+        assert_census(0, "while callers run their own chunks");
         assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), want);
         assert_eq!(eng.caller_chunks(), WORKERS as u64, "the extra call queued");
-        assert_census((WORKERS, 0), "after a below-class chunk was queued");
+        assert_census(WORKERS, "after a below-class chunk was queued");
         for h in holders {
             assert_eq!(h.join().unwrap(), want);
         }
@@ -207,7 +200,7 @@ fn a_small_call_that_finds_no_runner_free_starts_the_pool() {
 #[test]
 fn nothing_is_started_once_shutdown_has_begun() {
     let _alone = alone();
-    let eng = engine("", BatchWindow::off());
+    let eng = engine("");
     eng.predict_samples(&mixed(3, 3)).unwrap();
     eng.shutdown();
     assert_eq!(eng.worker_count(), 0);
@@ -217,7 +210,7 @@ fn nothing_is_started_once_shutdown_has_begun() {
             other => panic!("expected WorkersUnavailable, got {other:?}"),
         }
     }
-    assert_census((0, 0), "after calls on a shut-down engine");
+    assert_census(0, "after calls on a shut-down engine");
     eng.shutdown(); // idempotent on a pool that never existed
     assert_eq!(eng.caller_chunks(), 3, "nothing ran after shutdown");
 }
@@ -228,7 +221,7 @@ fn shutdown_racing_the_first_fan_out_neither_hangs_nor_leaks() {
     let enc = mixed(4 * MAX_BATCH, 2);
     let want = bits(&frozen().predict_samples(&enc).unwrap());
     for round in 0..40 {
-        let eng = engine("", BatchWindow::off());
+        let eng = engine("");
         let start = Barrier::new(3);
         std::thread::scope(|s| {
             let callers = [(); 2].map(|_| {
@@ -252,33 +245,6 @@ fn shutdown_racing_the_first_fan_out_neither_hangs_nor_leaks() {
             }
         });
         // Whichever side won, `shutdown` has returned: no thread is left.
-        assert_census((0, 0), "after a raced shutdown");
+        assert_census(0, "after a raced shutdown");
     }
-}
-
-#[test]
-fn a_windowed_engine_starts_its_collector_with_its_workers() {
-    let _alone = alone();
-    let eng = engine("", BatchWindow::millis(1));
-    assert_census((0, 0), "after constructing a windowed engine");
-    // Under a window even a one-sample call is held for merging, flushed
-    // by the collector's timer and replayed by a worker.
-    let enc = mixed(1, 1);
-    let want = bits(&eng.model().predict_samples(&enc).unwrap());
-    assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), want);
-    assert_census((WORKERS, 1), "after the first windowed call");
-    assert_eq!(eng.caller_chunks(), 0);
-    assert_eq!(eng.stats().window_timer_flushes, 1);
-    drop(eng);
-    assert_census((0, 0), "after drop");
-
-    // Shut down before any call: the collector was never started, and a
-    // call is refused without starting it.
-    let eng = engine("", BatchWindow::millis(1));
-    eng.shutdown();
-    match eng.predict_samples(&enc) {
-        Err(EngineError::WorkersUnavailable) => {}
-        other => panic!("expected WorkersUnavailable, got {other:?}"),
-    }
-    assert_census((0, 0), "after a refused windowed call");
 }

@@ -13,7 +13,7 @@ use cdmpp_core::{Predictor, PredictorConfig, TrainConfig, TrainedModel};
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use learn::TransformKind;
 use proptest::prelude::*;
-use runtime::{plan_chunks, BatchWindow, EngineConfig, EngineError, FaultPlan, InferenceEngine};
+use runtime::{plan_chunks, EngineConfig, FaultPlan, InferenceEngine};
 
 fn frozen_model() -> cdmpp_core::InferenceModel {
     let model = TrainedModel {
@@ -128,15 +128,15 @@ fn boundary_sizes_round_trip_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The windowed dispatcher under any arrival pattern: the stream is
-    /// split across concurrent callers whose partial chunks merge in the
-    /// batch window, and every caller must get back exactly the serial
-    /// reference predictions for its own slice — any window, bitwise.
+    /// Concurrent callers under any arrival pattern: the stream is split
+    /// across callers whose chunks interleave — replayed by their callers,
+    /// or queued to the pool when a call is above one class or finds no
+    /// caller-side runner free — and every caller must get back exactly
+    /// the serial reference predictions for its own slice, bitwise.
     #[test]
-    fn windowed_dispatch_matches_serial_for_any_arrival_pattern(
+    fn concurrent_callers_match_serial_for_any_arrival_pattern(
         leaves in proptest::collection::vec(1usize..=8, 3..30),
         cuts in proptest::collection::vec(0usize..30, 2),
-        window_ms in prop_oneof![Just(0u64), Just(1), Just(4)],
     ) {
         let model = frozen_model();
         let enc = stream_of(&leaves);
@@ -158,12 +158,9 @@ proptest! {
                 workers: 3,
                 max_batch: 8,
                 faults: Some(FaultPlan::none()),
-                batch_window: Some(BatchWindow::millis(window_ms)),
                 ..Default::default()
             },
         );
-        // Concurrent callers: their partial chunks land in the window
-        // together and merge whenever generations + leaf counts line up.
         let got: Vec<Vec<f64>> = std::thread::scope(|s| {
             let handles: Vec<_> = slices
                 .iter()
@@ -174,66 +171,7 @@ proptest! {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        prop_assert_eq!(got, want, "window {}ms", window_ms);
-    }
-}
-
-/// Shutdown with samples still waiting in the batch window: the pending
-/// buffer is flushed and completes exactly (never dropped, never hung),
-/// the collector is joined so the window timer provably cannot fire
-/// afterwards, and later calls get `WorkersUnavailable`.
-#[test]
-fn window_timer_never_fires_after_shutdown_and_pending_work_completes() {
-    let model = frozen_model();
-    let enc = stream_of(&[5usize; 3]); // one partial chunk, far below max_batch
-    let want = model.predict_samples(&enc).unwrap();
-    let engine = InferenceEngine::new(
-        model,
-        EngineConfig {
-            workers: 2,
-            max_batch: 8,
-            // A window so large its due time saturates: the buffer can
-            // only flush on fill or shutdown — so the call below is
-            // provably parked in the window until shutdown flushes it.
-            batch_window: Some(BatchWindow::millis(u64::MAX)),
-            faults: Some(FaultPlan::none()),
-            ..Default::default()
-        },
-    );
-    std::thread::scope(|s| {
-        let caller = {
-            let engine = &engine;
-            let enc = &enc;
-            s.spawn(move || engine.predict_samples(enc))
-        };
-        // Wait until the call is admitted (its chunk is then in the
-        // window), then give the submit a moment to finish.
-        let t0 = std::time::Instant::now();
-        while engine.stats().admitted < 1 {
-            assert!(t0.elapsed().as_secs() < 5, "call never admitted");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(
-            engine.stats().completed_chunks,
-            0,
-            "the partial chunk must be parked in the window, not dispatched"
-        );
-        engine.shutdown();
-        let got = caller.join().unwrap().unwrap();
-        assert_eq!(got, want, "shutdown-flushed window work must stay exact");
-    });
-    let timer_flushes = engine.stats().window_timer_flushes;
-    assert_eq!(timer_flushes, 0, "a saturated window never timer-fires");
-    std::thread::sleep(std::time::Duration::from_millis(10));
-    assert_eq!(
-        engine.stats().window_timer_flushes,
-        timer_flushes,
-        "the joined collector cannot fire after shutdown"
-    );
-    match engine.predict_samples(&enc) {
-        Err(EngineError::WorkersUnavailable) => {}
-        other => panic!("expected WorkersUnavailable after shutdown, got {other:?}"),
+        prop_assert_eq!(got, want);
     }
 }
 
@@ -250,7 +188,6 @@ fn default_engine_learns_no_classes() {
         model,
         EngineConfig {
             faults: Some(FaultPlan::none()),
-            batch_window: Some(BatchWindow::off()),
             ..Default::default()
         },
     );
@@ -274,6 +211,46 @@ fn default_engine_learns_no_classes() {
     assert_eq!(engine.predict_samples(&enc).unwrap(), want);
 }
 
+/// Every chunk is replayed by its caller or queued; none is held back. The
+/// counters `EngineStats` keeps for layout read 0 after calls on both
+/// routes, from one caller and from several at once.
+#[test]
+fn no_chunk_is_ever_parked() {
+    let max_batch = 8usize;
+    let model = frozen_model();
+    let small = stream_of(&[3, 5, 3, 2, 5]);
+    let large = stream_of(&vec![4usize; 3 * max_batch + 5]);
+    let want_small = model.predict_samples(&small).unwrap();
+    let want_large = model.predict_samples(&large).unwrap();
+    let engine = InferenceEngine::new(
+        model,
+        EngineConfig {
+            workers: 2,
+            max_batch,
+            faults: Some(FaultPlan::none()),
+            ..Default::default()
+        },
+    );
+    std::thread::scope(|s| {
+        for _ in 0..3 {
+            s.spawn(|| {
+                for _ in 0..10 {
+                    assert_eq!(engine.predict_samples(&small).unwrap(), want_small);
+                    assert_eq!(engine.predict_samples(&large).unwrap(), want_large);
+                }
+            });
+        }
+    });
+    let s = engine.stats();
+    assert!(engine.caller_chunks() > 0, "small calls ran inline: {s}");
+    assert!(s.queue_depth_hw >= 1, "large calls were queued: {s}");
+    assert_eq!(
+        (s.window_fill_flushes, s.window_timer_flushes, s.parked),
+        (0, 0, 0),
+        "{s:?}"
+    );
+}
+
 /// A full class registry costs exactly the classes that could not
 /// register. This model holds `MAX_BATCH_CLASSES` entries including `1`
 /// but not `max_batch`: the `max_batch` class is one counted demotion,
@@ -294,7 +271,6 @@ fn full_class_registry_keeps_the_classes_that_registered() {
             workers: 2,
             max_batch: 8,
             faults: Some(FaultPlan::none()),
-            batch_window: Some(BatchWindow::off()),
             ..Default::default()
         },
     );

@@ -17,8 +17,7 @@
 use cdmpp::core::{end_to_end_frozen, generational_search, GenSearchConfig, Snapshot};
 use cdmpp::prelude::*;
 use cdmpp::runtime::{
-    end_to_end_opts, BatchWindow, EngineConfig, EngineCostModel, InferenceEngine, SnapshotWatcher,
-    SubmitOptions,
+    end_to_end_opts, EngineConfig, EngineCostModel, InferenceEngine, SnapshotWatcher, SubmitOptions,
 };
 use cdmpp::tensor::QuantMode;
 use cdmpp::tir::{lower, Nest, OpSpec, Schedule};
@@ -28,8 +27,7 @@ fn usage() -> ! {
     eprintln!("       cdmpp train <device> --save <snapshot> [--epochs N] [--quant i8|bf16]");
     eprintln!(
         "       cdmpp serve --snapshot <snapshot> <network> <batch_size> <device> \
-         [--queue-cap N] [--deadline-ms N] [--watch <snapshot>] [--iters N] \
-         [--batch-window-ms N]"
+         [--queue-cap N] [--deadline-ms N] [--watch <snapshot>] [--iters N]"
     );
     eprintln!("       cdmpp predict --snapshot <snapshot> <network> <batch_size> <device>");
     eprintln!(
@@ -228,26 +226,23 @@ fn load_model(path: &str) -> InferenceModel {
 }
 
 /// `cdmpp serve --snapshot <path> <network> <batch> <device>
-///  [--queue-cap N] [--deadline-ms N] [--watch <snapshot>] [--iters N]
-///  [--batch-window-ms N]`:
+///  [--queue-cap N] [--deadline-ms N] [--watch <snapshot>] [--iters N]`:
 /// cold-start the concurrent engine from the checkpoint and serve
-/// predictions through the worker pool.
+/// predictions through it — a call of at most one batch class on this
+/// thread, a larger one across the worker pool.
 ///
 /// `--queue-cap` bounds the submission queue (0 = unbounded),
 /// `--deadline-ms` gives each iteration a completion deadline (expired
 /// work is shed with a typed error instead of served late), `--watch`
 /// hot-swaps the engine onto `<snapshot>` whenever the file changes
-/// between iterations — zero downtime, no restart — `--iters` serves that
-/// many iterations (default 1), and `--batch-window-ms` holds partial
-/// chunks up to that long so concurrent traffic merges into full batch
-/// classes (0 = off, the default).
+/// between iterations — zero downtime, no restart — and `--iters` serves
+/// that many iterations (default 1).
 fn cmd_serve(args: &[String]) -> ! {
     let mut positional: Vec<String> = Vec::new();
     let mut queue_cap: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut watch: Option<String> = None;
     let mut iters = 1usize;
-    let mut window_ms: Option<u64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -270,12 +265,6 @@ fn cmd_serve(args: &[String]) -> ! {
                     _ => usage(),
                 }
             }
-            "--batch-window-ms" => {
-                window_ms = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(ms) => Some(ms),
-                    None => usage(),
-                }
-            }
             _ => positional.push(a.clone()),
         }
     }
@@ -284,9 +273,6 @@ fn cmd_serve(args: &[String]) -> ! {
     let mut cfg = EngineConfig::default();
     if let Some(cap) = queue_cap {
         cfg.queue_capacity = cap;
-    }
-    if let Some(ms) = window_ms {
-        cfg.batch_window = Some(BatchWindow::millis(ms));
     }
     let engine = InferenceEngine::new(model, cfg);
     eprintln!(
