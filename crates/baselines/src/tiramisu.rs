@@ -3,17 +3,17 @@
 //! Faithful to Baghdadi et al. (MLSys '21): leaf computation vectors are
 //! embedded, then each loop node aggregates its children with an LSTM pass
 //! (loop features are mixed into the hidden state), recursively up to the
-//! root. Because the recursion shape follows each program's AST, samples
-//! with different AST structures cannot share a batch — the training is
-//! effectively batch-size-1 per distinct structure, which is exactly the
-//! inefficiency §7.2 measures. Trained with a MAPE objective, Tiramisu's
-//! default.
+//! root, walking the program's `roots()` tree view. Because the recursion
+//! shape follows each program's AST, samples with different AST structures
+//! cannot share a batch — the training is effectively batch-size-1 per
+//! distinct structure, which is exactly the inefficiency §7.2 measures.
+//! Trained with a MAPE objective, Tiramisu's default.
 
 use nn::{Adam, Graph, Linear, LstmCell, Mlp, Optimizer, ParamStore, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::Tensor;
-use tir::{AstNode, TensorProgram};
+use tir::{LeafView, NodeView, TensorProgram};
 
 use features::N_ENTRY;
 
@@ -51,7 +51,7 @@ pub struct TiramisuModel {
     cfg: TiramisuConfig,
 }
 
-fn leaf_vector(leaf: &tir::LeafStmt) -> Tensor {
+fn leaf_vector(leaf: LeafView<'_>) -> Tensor {
     // Per-leaf computation vector WITHOUT loop context: Tiramisu encodes
     // loop structure through the recursion itself.
     let mut v = vec![0.0f32; N_ENTRY];
@@ -108,14 +108,14 @@ impl TiramisuModel {
         self.store.num_scalars()
     }
 
-    fn embed_node(&self, g: &mut Graph, node: &AstNode) -> Result<Var, tensor::TensorError> {
+    fn embed_node(&self, g: &mut Graph, node: NodeView<'_>) -> Result<Var, tensor::TensorError> {
         match node {
-            AstNode::Leaf(leaf) => {
+            NodeView::Leaf(leaf) => {
                 let x = g.constant(leaf_vector(leaf));
                 let e = self.leaf_embed.forward(g, &self.store, x)?;
                 g.relu(e)
             }
-            AstNode::Loop { var, body } => {
+            NodeView::Loop { var, body } => {
                 // LSTM over children embeddings.
                 let h0 = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
                 let c0 = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
@@ -143,7 +143,7 @@ impl TiramisuModel {
         let c0 = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
         let mut h = h0;
         let mut c = c0;
-        for root in &prog.roots {
+        for root in prog.roots() {
             let e = self.embed_node(g, root)?;
             let (h2, c2) = self.lstm.step(g, &self.store, e, h, c)?;
             h = h2;

@@ -8,7 +8,7 @@
 //! which is unavailable on an unseen target device — the weakness §7.3
 //! observes when comparing absolute-time predictions.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use features::tlp_features;
 use nn::{Adam, Graph, Linear, Mlp, Optimizer, ParamStore};
@@ -146,8 +146,10 @@ impl TlpModel {
         let mut order: Vec<usize> = (0..rows.len()).collect();
         for _ in 0..self.cfg.epochs {
             order.shuffle(&mut rng);
-            // Group consecutive picks by device so each batch uses one head.
-            let mut by_dev: HashMap<&str, Vec<usize>> = HashMap::new();
+            // Group consecutive picks by device so each batch uses one head,
+            // visiting devices in name order so the Adam steps come in the
+            // same order on every run.
+            let mut by_dev: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
             for &i in &order {
                 by_dev.entry(rows[i].2).or_default().push(i);
             }
@@ -340,6 +342,39 @@ mod tests {
             right / wrong > 10.0,
             "scale mismatch must bias: {right} vs {wrong}"
         );
+    }
+
+    #[test]
+    fn two_device_fit_is_reproducible_in_one_process() {
+        // Each epoch visits the devices' batches in one fixed order, so
+        // the same samples fit to the same bits every time.
+        let mut samples = make_samples("T4", 1e-3);
+        samples.extend(make_samples("CPU", 1e-1));
+        let devices = ["T4".to_string(), "CPU".to_string()];
+        let spec = OpSpec::Dense {
+            m: 64,
+            n: 64,
+            k: 64,
+        };
+        let fit = || {
+            let mut m = TlpModel::new(
+                &devices,
+                TlpConfig {
+                    epochs: 2,
+                    ..Default::default()
+                },
+            );
+            m.fit(&samples);
+            devices.each_ref().map(|d| {
+                m.predict_relative(&spec, &Schedule::default(), d)
+                    .unwrap()
+                    .to_bits()
+            })
+        };
+        let first = fit();
+        for _ in 0..8 {
+            assert_eq!(fit(), first);
+        }
     }
 
     #[test]

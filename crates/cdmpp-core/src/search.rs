@@ -319,58 +319,50 @@ pub struct GenSearchTrace {
     pub measurements: usize,
 }
 
-/// Where a round's dedup table sent one distinct schedule.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// Lowered: index into [`RoundCandidates::unique`].
-    Unique(usize),
-    /// Did not lower: index into [`RoundCandidates::failed`].
-    Failed(usize),
-}
-
 /// One round's distinct candidates. The buffers live across rounds, so a
-/// round allocates for the schedules and programs it keeps and nothing else.
+/// round allocates for the schedules and programs it keeps and for the
+/// pool hand-off of its lowering, nothing else.
 #[derive(Default)]
 struct RoundCandidates {
-    /// Identity hash → the schedule that claimed it. A different schedule
-    /// with the same hash (confirmed by `PartialEq`) claims `hash + 1`, …
-    slots: HashMap<u64, Slot>,
+    /// Identity hash → index into `distinct` of the schedule that claimed
+    /// it. A different schedule with the same hash (confirmed by
+    /// `PartialEq`) claims `hash + 1`, …
+    slots: HashMap<u64, usize>,
+    /// First occurrences, in proposal order, until they are lowered.
+    distinct: Vec<Schedule>,
     /// First occurrences that lowered, in proposal order.
     unique: Vec<(Schedule, TensorProgram)>,
-    /// First occurrences that did not: remembered so that their duplicates
-    /// are not lowered again.
+    /// First occurrences that did not, in proposal order.
     failed: Vec<Schedule>,
 }
 
 impl RoundCandidates {
     /// Dedups `proposals` by schedule identity, keeping first occurrences in
-    /// order, and lowers each distinct schedule exactly once — dedup comes
-    /// before lowering whether the schedule lowers or not.
+    /// order, then lowers each distinct schedule exactly once, on every core
+    /// of `parallel::global()`. The programs come back in index order and
+    /// are split into `unique` / `failed` in proposal order, so the round is
+    /// bit-identical for any pool size.
     fn dedup_then_lower(&mut self, nest: &Nest, proposals: impl Iterator<Item = Schedule>) {
         self.slots.clear();
         self.unique.clear();
         self.failed.clear();
         'next: for sched in proposals {
             let mut key = sched.identity_hash();
-            while let Some(&slot) = self.slots.get(&key) {
-                let claimed = match slot {
-                    Slot::Unique(i) => &self.unique[i].0,
-                    Slot::Failed(i) => &self.failed[i],
-                };
-                if *claimed == sched {
+            while let Some(&i) = self.slots.get(&key) {
+                if self.distinct[i] == sched {
                     continue 'next;
                 }
                 key = key.wrapping_add(1);
             }
-            match lower(nest, &sched) {
-                Ok(prog) => {
-                    self.slots.insert(key, Slot::Unique(self.unique.len()));
-                    self.unique.push((sched, prog));
-                }
-                Err(_) => {
-                    self.slots.insert(key, Slot::Failed(self.failed.len()));
-                    self.failed.push(sched);
-                }
+            self.slots.insert(key, self.distinct.len());
+            self.distinct.push(sched);
+        }
+        let distinct = &self.distinct;
+        let lowered = parallel::global().run_indexed(distinct.len(), |i| lower(nest, &distinct[i]));
+        for (sched, prog) in self.distinct.drain(..).zip(lowered) {
+            match prog {
+                Ok(prog) => self.unique.push((sched, prog)),
+                Err(_) => self.failed.push(sched),
             }
         }
     }
@@ -378,13 +370,14 @@ impl RoundCandidates {
 
 /// Large-scale generational search: thousands of candidates per round from
 /// a configurable proposer mix, deduped by schedule identity so identical
-/// programs are lowered, encoded and scored once, ranked by **one**
-/// `score_batch` call per round (the engine-backed cost model turns that
-/// into saturating serving traffic).
+/// programs are lowered, encoded and scored once, lowered on every core,
+/// and ranked by **one** `score_batch` call per round (the engine-backed
+/// cost model turns that into saturating serving traffic).
 ///
-/// Deterministic for a fixed `(nest, dev, cost, cfg)`: proposals draw from
-/// a seeded RNG in a fixed order, crossover is deterministic, dedup keeps
-/// first occurrences, and ranking uses a stable sort on `total_cmp`.
+/// Deterministic for a fixed `(nest, dev, cost, cfg)`, whatever the pool
+/// size: proposals draw from a seeded RNG in a fixed order, crossover is
+/// deterministic, dedup keeps first occurrences, lowered programs come back
+/// in proposal order, and ranking uses a stable sort on `total_cmp`.
 pub fn generational_search(
     nest: &Nest,
     dev: &DeviceSpec,

@@ -119,7 +119,7 @@ impl Dataset {
                 let key = (r.task_id, r.schedule_id);
                 let (schedule, program) = prog_cache
                     .entry(key)
-                    .or_insert_with(|| (Arc::new(r.schedule.clone()), Arc::new(r.program.clone())))
+                    .or_insert_with(|| (Arc::new(r.schedule), Arc::new(r.program)))
                     .clone();
                 Record {
                     task_id: r.task_id,
@@ -206,6 +206,29 @@ mod tests {
             })
             .expect("two devices present");
         assert!(Arc::ptr_eq(&a.program, &twin.program));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn broken_program_json_is_a_typed_error() {
+        let path = std::env::temp_dir().join("cdmpp_ds_broken.json");
+        tiny().save_json(&path).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let program = json.find("\"program\":").unwrap();
+        let tag = program + json[program..].find("{\"Loop\"").unwrap();
+        // Cut inside the first program, misspell a node tag, and put a
+        // number where a loop body holds nodes.
+        for broken in [
+            json[..tag + 20].to_string(),
+            format!("{}{{\"Lop\"{}", &json[..tag], &json[tag + 7..]),
+            json.replacen("\"body\":[", "\"body\":[7,", 1),
+        ] {
+            std::fs::write(&path, broken).unwrap();
+            assert!(matches!(
+                Dataset::load_json(&path),
+                Err(PersistError::Json(_))
+            ));
+        }
         let _ = std::fs::remove_file(path);
     }
 

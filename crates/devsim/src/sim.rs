@@ -28,13 +28,14 @@
 //! computes its per-level footprints once, not once per access.
 //! [`Simulator::latency_seconds`] keeps the tables across a program's
 //! leaves: two buffers a call, grown to its deepest leaf (plus
-//! `visit_leaves`' loop stack), nothing per leaf. Every product keeps its
-//! multiplication order, so latencies are bit-identical to the per-access
-//! formulation (`tests/latency_pin.rs`).
+//! `visit_leaves`' loop stack, sized once to the program's depth), and
+//! nothing per leaf, whose accesses are borrowed views of the flat program.
+//! Every product keeps its multiplication order, so latencies are
+//! bit-identical to the per-access formulation (`tests/latency_pin.rs`).
 
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
-use tir::{ComputeKind, LeafStmt, LoopKind, LoopVar, MemAccess, TensorProgram};
+use tir::{AccessView, ComputeKind, LeafView, LoopKind, LoopVar, TensorProgram};
 
 use crate::device::{DeviceClass, DeviceSpec};
 
@@ -102,7 +103,7 @@ impl Simulator {
         });
         // One launch per root nest (fissioned nests dispatch separately on
         // GPUs; CPUs pay a smaller, but still per-nest, dispatch cost).
-        total += self.spec.launch_overhead_us * 1e-6 * prog.roots.len().max(1) as f64;
+        total += self.spec.launch_overhead_us * 1e-6 * prog.roots().count().max(1) as f64;
         total
     }
 
@@ -114,14 +115,19 @@ impl Simulator {
     }
 
     /// Cost of one leaf under its enclosing loop stack.
-    pub fn leaf_cost(&self, prog: &TensorProgram, leaf: &LeafStmt, stack: &[&LoopVar]) -> LeafCost {
+    pub fn leaf_cost(
+        &self,
+        prog: &TensorProgram,
+        leaf: LeafView<'_>,
+        stack: &[&LoopVar],
+    ) -> LeafCost {
         self.leaf_cost_with(prog, leaf, stack, &mut LeafTables::default())
     }
 
     fn leaf_cost_with(
         &self,
         prog: &TensorProgram,
-        leaf: &LeafStmt,
+        leaf: LeafView<'_>,
         stack: &[&LoopVar],
         tables: &mut LeafTables,
     ) -> LeafCost {
@@ -202,7 +208,7 @@ impl Simulator {
     fn dram_traffic_bytes(
         &self,
         prog: &TensorProgram,
-        leaf: &LeafStmt,
+        leaf: LeafView<'_>,
         stack: &[&LoopVar],
         tables: &LeafTables,
         iters: f64,
@@ -257,7 +263,7 @@ struct LeafTables {
 impl LeafTables {
     /// Refills both tables for one leaf: `accesses × depth` stride scans,
     /// the only ones the leaf's cost makes.
-    fn fill(&mut self, leaf: &LeafStmt, stack: &[&LoopVar]) {
+    fn fill(&mut self, leaf: LeafView<'_>, stack: &[&LoopVar]) {
         let n = stack.len();
         self.depth = n;
         self.strides.clear();
@@ -296,8 +302,8 @@ fn touched_elems(strides: &[i64], loops: &[&LoopVar]) -> f64 {
 }
 
 /// Size of the buffer an access touches (unbounded if the id is unknown).
-fn buffer_bytes(prog: &TensorProgram, acc: &MemAccess) -> f64 {
-    prog.buffers
+fn buffer_bytes(prog: &TensorProgram, acc: AccessView<'_>) -> f64 {
+    prog.buffers()
         .get(acc.buffer as usize)
         .map_or(f64::MAX, |b| b.bytes() as f64)
 }
@@ -306,7 +312,7 @@ fn buffer_bytes(prog: &TensorProgram, acc: &MemAccess) -> f64 {
 /// sizes).
 fn leaf_working_set_bytes(
     prog: &TensorProgram,
-    leaf: &LeafStmt,
+    leaf: LeafView<'_>,
     stack: &[&LoopVar],
     tables: &LeafTables,
 ) -> f64 {

@@ -71,15 +71,15 @@ fn loopless_leaf_matches_reference_model() {
     // Lowering never emits a leaf outside every loop, but the AST allows it
     // and the stride table's rows are then empty.
     use tir::{AstNode, Buffer, ComputeKind, LeafStmt, MemAccess};
-    let prog = TensorProgram {
-        buffers: vec![Buffer::f32("x", 1)],
-        roots: vec![AstNode::Leaf(LeafStmt {
+    let prog = TensorProgram::from_tree(
+        vec![Buffer::f32("x", 1)],
+        &[AstNode::Leaf(LeafStmt {
             kind: ComputeKind::Ewise,
             flops_per_iter: 1.0,
             accesses: vec![MemAccess::read(0, vec![]), MemAccess::write(0, vec![])],
             domain: vec![],
         })],
-    };
+    );
     for dev in all_devices() {
         let sim = Simulator::new(dev.clone());
         let oracle = reference::Reference { spec: dev };

@@ -3,10 +3,11 @@
 //! rebuilds the access-independent `footprint_inside` table once per access
 //! and every stride is a `MemAccess::stride` linear scan. Kept verbatim as
 //! the oracle `Simulator::leaf_cost` must match bit for bit; only the
-//! receiver changed (`self.spec` reads the public `DeviceSpec`).
+//! receiver changed (`self.spec` reads the public `DeviceSpec`), and the
+//! program is read through its leaf views and `buffers()`.
 
 use devsim::{DeviceClass, DeviceSpec, LeafCost};
-use tir::{ComputeKind, LeafStmt, LoopKind, LoopVar, TensorProgram};
+use tir::{ComputeKind, LeafView, LoopKind, LoopVar, TensorProgram};
 
 /// Cache-line size in bytes assumed for the contiguity penalty.
 const CACHE_LINE_BYTES: f64 = 64.0;
@@ -27,7 +28,12 @@ pub struct Reference {
 
 impl Reference {
     /// Cost of one leaf under its enclosing loop stack.
-    pub fn leaf_cost(&self, prog: &TensorProgram, leaf: &LeafStmt, stack: &[&LoopVar]) -> LeafCost {
+    pub fn leaf_cost(
+        &self,
+        prog: &TensorProgram,
+        leaf: LeafView<'_>,
+        stack: &[&LoopVar],
+    ) -> LeafCost {
         let iters: f64 = stack.iter().map(|l| l.extent as f64).product();
         let par_iters: f64 = stack
             .iter()
@@ -101,7 +107,12 @@ impl Reference {
     }
 
     /// Estimated DRAM traffic of a leaf in bytes, via stride/reuse analysis.
-    fn dram_traffic_bytes(&self, prog: &TensorProgram, leaf: &LeafStmt, stack: &[&LoopVar]) -> f64 {
+    fn dram_traffic_bytes(
+        &self,
+        prog: &TensorProgram,
+        leaf: LeafView<'_>,
+        stack: &[&LoopVar],
+    ) -> f64 {
         let iters: f64 = stack.iter().map(|l| l.extent as f64).product();
         let elem_bytes = 4.0f64;
         let mut total = 0.0;
@@ -151,7 +162,7 @@ impl Reference {
             // Compulsory floor: at least one pass over the touched data,
             // at most one line per iteration.
             let touched = footprint_inside[0].min(
-                prog.buffers
+                prog.buffers()
                     .get(acc.buffer as usize)
                     .map(|b| b.bytes() as f64)
                     .unwrap_or(f64::MAX),
@@ -168,7 +179,7 @@ impl Reference {
     fn leaf_working_set_bytes(
         &self,
         prog: &TensorProgram,
-        leaf: &LeafStmt,
+        leaf: LeafView<'_>,
         stack: &[&LoopVar],
     ) -> f64 {
         let elem_bytes = 4.0f64;
@@ -182,7 +193,7 @@ impl Reference {
                     }
                 }
                 let cap = prog
-                    .buffers
+                    .buffers()
                     .get(acc.buffer as usize)
                     .map(|b| b.bytes() as f64)
                     .unwrap_or(f64::MAX);

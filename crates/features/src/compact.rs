@@ -8,6 +8,11 @@
 //! marker after each leaf). Nothing about loop structure is lost — it is
 //! encoded per leaf — while the representation stays regular: leaf counts
 //! span a small range (Fig 2b) even though node counts vary wildly (Fig 2a).
+//!
+//! Both are read straight off the flat program: the ordering vector from
+//! its pre-order node array, the computation vectors from the leaf views
+//! and loop stacks `TensorProgram::visit_leaves` hands out, with nothing
+//! copied out of the program.
 
 use tir::{LoopVar, TensorProgram};
 
@@ -142,7 +147,7 @@ fn extract_with(prog: &TensorProgram, out: &mut CompactAst, log_u64: &mut impl F
         let mut lut = [[0i64; MAX_D]; MAX_A];
         let direct = n > MAX_D || na > MAX_A;
         if !direct {
-            for (row, acc) in lut.iter_mut().zip(&leaf.accesses) {
+            for (row, acc) in lut.iter_mut().zip(leaf.accesses) {
                 for (s, l) in row.iter_mut().zip(stack) {
                     *s = acc.stride(l.axis);
                 }
@@ -150,7 +155,11 @@ fn extract_with(prog: &TensorProgram, out: &mut CompactAst, log_u64: &mut impl F
         }
         let stride_at = |ai: usize, si: usize| {
             if direct {
-                leaf.accesses[ai].stride(stack[si].axis)
+                let acc = leaf
+                    .accesses
+                    .get(ai)
+                    .expect("ai indexes the leaf's accesses");
+                acc.stride(stack[si].axis)
             } else {
                 lut[ai][si]
             }

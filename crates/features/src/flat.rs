@@ -50,9 +50,9 @@ pub fn flattened_features(prog: &TensorProgram) -> Vec<f32> {
     out.push(prog.node_count() as f32);
     out.push(prog.max_depth() as f32);
     out.push((prog.total_iterations() + 1.0).ln() as f32);
-    out.push(prog.roots.len() as f32);
+    out.push(prog.roots().count() as f32);
     out.push(
-        prog.buffers
+        prog.buffers()
             .iter()
             .map(|b| b.bytes() as f64)
             .sum::<f64>()

@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::ast::AccessView;
+
 /// Identifier of a loop axis within one tensor program.
 pub type AxisId = u32;
 
@@ -140,11 +142,12 @@ impl MemAccess {
 
     /// Stride along `axis` (0 if the access is invariant to it).
     pub fn stride(&self, axis: AxisId) -> i64 {
-        self.strides
-            .iter()
-            .find(|&&(a, _)| a == axis)
-            .map(|&(_, s)| s)
-            .unwrap_or(0)
+        AccessView {
+            buffer: self.buffer,
+            is_write: self.is_write,
+            strides: &self.strides,
+        }
+        .stride(axis)
     }
 
     /// Rewrites axis `old` into `(outer, inner)` after a split by `factor`:

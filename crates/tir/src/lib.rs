@@ -4,8 +4,9 @@
 //! provides the equivalent substrate built from scratch:
 //!
 //! * [`expr`]: leaf computation statements with symbolic memory accesses.
-//! * [`ast`]: the loop-nest AST (Fig 1c) with pre-order serialization
-//!   (Fig 1d) that drives the compact-AST features.
+//! * [`ast`]: the loop-nest AST (Fig 1c), stored flat in its pre-order
+//!   serialization (Fig 1d) that drives the compact-AST features, and read
+//!   through borrowed leaf and node views.
 //! * [`task`]: operator specs ([`OpSpec`]) and their canonical loop nests.
 //! * [`schedule`]: Ansor-style schedule primitives (split / reorder /
 //!   annotate), lowering, and a random schedule sampler.
@@ -18,7 +19,10 @@ pub mod schedule;
 pub mod task;
 pub mod zoo;
 
-pub use ast::{AstNode, LoopKind, LoopVar, SerEntry, TensorProgram};
+pub use ast::{
+    AccessIter, AccessView, Accesses, AstNode, LeafView, LoopKind, LoopVar, NodeView, Nodes,
+    SerEntry, TensorProgram,
+};
 pub use expr::{AxisId, Buffer, BufferId, ComputeKind, LeafStmt, MemAccess};
 pub use schedule::{
     crossover_schedule, lower, mutate_schedule, sample_schedule, Primitive, Schedule, ScheduleError,

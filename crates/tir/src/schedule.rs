@@ -10,27 +10,33 @@
 //!
 //! # Cost contract
 //!
-//! A search lowers every unique candidate, so [`lower`] and the proposers
-//! are hot paths, and what they may allocate is part of their contract:
+//! A search proposes and lowers thousands of candidates a round, so the
+//! proposers and [`lower`] are hot paths, and what they allocate is part of
+//! their contract, held over every zoo task by `tests/lower_allocations.rs`:
 //!
-//! * **One leaf clone per candidate.** Primitives evolve axes, order and
-//!   annotations only; [`lower`] writes each leaf once, with its final
-//!   strides, when it places it in the AST — never once per `Split` or per
-//!   nesting level.
-//! * **Proposers touch no leaves.** [`sample_schedule`],
-//!   [`mutate_schedule`] and [`crossover_schedule`] evolve the same
-//!   leaf-free state, sized up front so that no split regrows a buffer.
+//! * **[`lower`] makes at most 10 allocations, at any loop depth.** The
+//!   schedule state is two buffers sized once, and primitives evolve axes,
+//!   order and annotations only. The program is written in one pre-order
+//!   pass into five slabs sized before the pass ([`TensorProgram`]), each
+//!   leaf once, with its final strides, and it shares the nest's buffer
+//!   list instead of cloning it: six heap blocks a program.
+//! * **[`sample_schedule`] makes at most 5.** Divisor and candidate-axis
+//!   lists are drawn from stack buffers; what is left is the schedule, its
+//!   reorder list and the state. [`mutate_schedule`] and
+//!   [`crossover_schedule`] evolve the same leaf-free state.
 //!
 //! `tests/properties.rs` holds `lower` equal, program for program and error
-//! for error, to the clone-per-level builder it replaced, and
+//! for error, to the clone-per-level tree builder it replaced, and
 //! `tests/stream_pin.rs` pins the proposers' RNG streams.
+
+use std::sync::Arc;
 
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::ast::{AstNode, LoopKind, LoopVar, TensorProgram};
-use crate::expr::{AxisId, LeafStmt, MemAccess};
+use crate::ast::{LoopKind, LoopVar, TensorProgram};
+use crate::expr::{AxisId, LeafStmt};
 use crate::task::{AxisInfo, Nest};
 
 /// A single schedule transformation.
@@ -154,15 +160,17 @@ struct Axis {
     is_reduction: bool,
     root: AxisId,
     scale: i64,
+    /// The axis's annotation; `Split` hands it to the inner half.
+    kind: LoopKind,
 }
 
-/// Mutable schedule state: the axis set, the global loop order and the
-/// annotations, evolved by primitives. It holds no leaves: the proposers
-/// never need them, and `lower` writes each one once, in [`Self::place`].
+/// Mutable schedule state: the axis set (annotations included) and the
+/// global loop order, evolved by primitives. It holds no leaves: the
+/// proposers never need them, and `lower` writes each one once, in
+/// [`Self::place`].
 struct LowerState {
     axes: Vec<Axis>,
     order: Vec<AxisId>,
-    annotations: Vec<(AxisId, LoopKind)>,
     next_axis: AxisId,
 }
 
@@ -177,13 +185,13 @@ impl LowerState {
             is_reduction: a.is_reduction,
             root: a.id,
             scale: 1,
+            kind: LoopKind::Serial,
         }));
         let mut order = Vec::with_capacity(axes.capacity());
         order.extend(axes.iter().map(|a| a.id));
         LowerState {
             axes,
             order,
-            annotations: Vec::new(),
             next_axis: nest.axes.iter().map(|a| a.id).max().map_or(0, |m| m + 1),
         }
     }
@@ -197,11 +205,12 @@ impl LowerState {
             Primitive::Split { axis, factor } => self.split(*axis, *factor),
             Primitive::Reorder { order } => self.reorder(order),
             Primitive::Annotate { axis, kind } => {
-                if self.axis(*axis).is_none() {
-                    return Err(ScheduleError::UnknownAxis(*axis));
-                }
-                self.annotations.retain(|&(a, _)| a != *axis);
-                self.annotations.push((*axis, *kind));
+                let a = self
+                    .axes
+                    .iter_mut()
+                    .find(|a| a.id == *axis)
+                    .ok_or(ScheduleError::UnknownAxis(*axis))?;
+                a.kind = *kind;
                 Ok(())
             }
         }
@@ -219,12 +228,14 @@ impl LowerState {
         let outer = self.next_axis;
         let inner = self.next_axis + 1;
         self.next_axis += 2;
-        // Replace the axis record.
+        // Replace the axis record; its annotation transfers to the inner
+        // loop.
         self.axes.retain(|a| a.id != axis);
         self.axes.push(Axis {
             id: outer,
             extent: info.extent / factor,
             scale: info.scale * factor as i64,
+            kind: LoopKind::Serial,
             ..info
         });
         self.axes.push(Axis {
@@ -240,12 +251,6 @@ impl LowerState {
             .position(|&a| a == axis)
             .expect("axis in order");
         self.order.splice(pos..=pos, [outer, inner]);
-        // Annotations on the split axis transfer to the inner loop.
-        for ann in &mut self.annotations {
-            if ann.0 == axis {
-                ann.0 = inner;
-            }
-        }
         Ok(())
     }
 
@@ -265,105 +270,124 @@ impl LowerState {
     }
 
     fn annotation(&self, axis: AxisId) -> LoopKind {
-        self.annotations
-            .iter()
-            .find(|&&(a, _)| a == axis)
-            .map(|&(_, k)| k)
-            .unwrap_or(LoopKind::Serial)
+        self.axis(axis).map_or(LoopKind::Serial, |a| a.kind)
     }
 
-    /// The scheduled copy of a canonical leaf — the one leaf clone a
-    /// candidate pays for. Every access entry on a canonical axis the leaf
+    /// The stride entries of `leaf` once scheduled: every entry on a
+    /// canonical axis the leaf ranges over becomes one entry per current
+    /// axis descending from it.
+    fn stride_count(&self, leaf: &LeafStmt) -> usize {
+        let heirs = |r: AxisId| self.axes.iter().filter(|a| a.root == r).count();
+        leaf.accesses
+            .iter()
+            .flat_map(|acc| &acc.strides)
+            .map(|&(r, _)| {
+                if leaf.domain.contains(&r) {
+                    heirs(r).max(1)
+                } else {
+                    1
+                }
+            })
+            .sum()
+    }
+
+    /// Appends the scheduled copy of a canonical leaf to `prog`, the one
+    /// write a leaf costs: every access entry on a canonical axis the leaf
     /// ranges over becomes one entry per current axis descending from it
     /// (what rewriting the access at each `Split` would have left), sorted
-    /// by axis id as [`MemAccess::strides`] requires.
-    fn place(&self, leaf: &LeafStmt) -> LeafStmt {
-        let scheduled = |acc: &MemAccess| {
-            // The heirs of distinct canonical axes are disjoint, so there
-            // are never more entries than current axes.
-            let mut strides = Vec::with_capacity(self.axes.len());
+    /// by axis id as [`MemAccess::strides`](crate::MemAccess::strides)
+    /// requires.
+    fn place(&self, leaf: &LeafStmt, prog: &mut TensorProgram) {
+        prog.push_leaf(leaf, |acc, out| {
+            let first = out.len();
             for &(r, s) in &acc.strides {
                 let ranged = leaf.domain.contains(&r);
                 let heirs = self.axes.iter().filter(|a| ranged && a.root == r);
-                let before = strides.len();
-                strides.extend(heirs.map(|a| (a.id, s * a.scale)));
-                if strides.len() == before {
-                    strides.push((r, s));
+                let before = out.len();
+                out.extend(heirs.map(|a| (a.id, s * a.scale)));
+                if out.len() == before {
+                    out.push((r, s));
                 }
             }
-            strides.sort_by_key(|&(a, _)| a);
-            MemAccess { strides, ..*acc }
-        };
-        LeafStmt {
-            accesses: leaf.accesses.iter().map(scheduled).collect(),
-            domain: leaf.domain.clone(),
-            ..*leaf
-        }
+            out[first..].sort_by_key(|&(a, _)| a);
+        });
     }
 
-    /// Builds the AST forest. Leaves are placed under the loops of their
-    /// domain following the global order; when the order forces a leaf
-    /// apart from its neighbours (e.g. a reduction axis hoisted above an
-    /// init statement's domain), the nest fissions into siblings.
-    fn build(&self, leaves: &[LeafStmt]) -> Vec<AstNode> {
+    /// Lowers `nest` under this state. A leaf sits under the loops of the
+    /// levels it ranges over, in the global order, and consecutive leaves
+    /// share the loops of the longest prefix they agree on: when the order
+    /// forces a leaf apart from its neighbours (e.g. a reduction axis
+    /// hoisted above an init statement's domain), the nest fissions into
+    /// siblings. One pass over the leaves writes the program in pre-order.
+    ///
+    /// Every slab of the program is sized before it is written: a leaf
+    /// opens at most one loop per level it ranges over, so that count plus
+    /// one per leaf bounds the nodes, and the others are exact.
+    fn build(&self, nest: &Nest) -> TensorProgram {
         let level = |&a: &AxisId| {
             let info = self.axis(a).expect("axis exists");
             let var = LoopVar {
                 axis: a,
                 extent: info.extent,
-                kind: self.annotation(a),
+                kind: info.kind,
                 is_reduction: info.is_reduction,
             };
             Level {
                 var,
                 root: info.root,
-                open: false,
+                open_at: None,
             }
         };
         let mut levels: Vec<Level> = self.order.iter().map(level).collect();
-        self.build_under(&mut levels, leaves)
-    }
-
-    /// The sibling nodes holding `leaves`, all of which sit inside the open
-    /// levels. Consecutive leaves agreeing on their first needed level share
-    /// that loop; a leaf that needs none is placed, exactly once.
-    fn build_under(&self, levels: &mut [Level], leaves: &[LeafStmt]) -> Vec<AstNode> {
-        let mut out = Vec::with_capacity(leaves.len());
-        let mut i = 0;
-        while i < leaves.len() {
-            let Some(p) = first_needed(levels, &leaves[i]) else {
-                out.push(AstNode::Leaf(self.place(&leaves[i])));
-                i += 1;
-                continue;
-            };
-            let start = i;
-            while i < leaves.len() && first_needed(levels, &leaves[i]) == Some(p) {
-                i += 1;
+        let leaves = &nest.leaves;
+        let ranged = |l: &LeafStmt| levels.iter().filter(|v| l.domain.contains(&v.root)).count();
+        let capacity: [usize; 5] = [
+            leaves.iter().map(|l| 1 + ranged(l)).sum(),
+            leaves.len(),
+            leaves.iter().map(|l| l.accesses.len()).sum(),
+            leaves.iter().map(|l| self.stride_count(l)).sum(),
+            leaves.iter().map(|l| l.domain.len()).sum(),
+        ];
+        let mut prog = TensorProgram::with_capacity(Arc::clone(&nest.buffers), capacity);
+        let mut depth = 0;
+        for leaf in leaves {
+            // The open loops stay open up to the first level where the
+            // leaf's needs and the open loops differ; from there every open
+            // loop closes and every needed one opens.
+            let mut diverged = false;
+            for l in levels.iter_mut() {
+                let needed = leaf.domain.contains(&l.root);
+                diverged |= needed != l.open_at.is_some();
+                if !diverged {
+                    continue;
+                }
+                if let Some(at) = l.open_at.take() {
+                    prog.close_loop(at);
+                    depth -= 1;
+                }
             }
-            levels[p].open = true;
-            let body = self.build_under(levels, &leaves[start..i]);
-            levels[p].open = false;
-            let var = levels[p].var.clone();
-            out.push(AstNode::Loop { var, body });
+            for l in levels.iter_mut() {
+                if l.open_at.is_none() && leaf.domain.contains(&l.root) {
+                    depth += 1;
+                    l.open_at = Some(prog.open_loop(l.var.clone(), depth));
+                }
+            }
+            self.place(leaf, &mut prog);
         }
-        out
+        for at in levels.iter().filter_map(|l| l.open_at) {
+            prog.close_loop(at);
+        }
+        prog
     }
 }
 
 /// One position of the global loop order during [`LowerState::build`]: the
-/// loop it becomes, the canonical axis leaves know it by, and whether the
-/// leaves being placed are already inside it.
+/// loop it becomes, the canonical axis leaves know it by, and, while it is
+/// open around the leaves being placed, where that loop starts.
 struct Level {
     var: LoopVar,
     root: AxisId,
-    open: bool,
-}
-
-/// The outermost level that is not open yet and that `leaf` ranges over.
-fn first_needed(levels: &[Level], leaf: &LeafStmt) -> Option<usize> {
-    levels
-        .iter()
-        .position(|l| !l.open && leaf.domain.contains(&l.root))
+    open_at: Option<usize>,
 }
 
 /// Applies `schedule` to `nest`, producing a tensor program.
@@ -372,15 +396,44 @@ pub fn lower(nest: &Nest, schedule: &Schedule) -> Result<TensorProgram, Schedule
     for p in &schedule.primitives {
         state.apply(p)?;
     }
-    Ok(TensorProgram {
-        buffers: nest.buffers.clone(),
-        roots: state.build(&nest.leaves),
-    })
+    Ok(state.build(nest))
 }
 
-/// Divisors of `n` in `[2, max]`, used by the random tiler.
-fn divisors(n: u64, max: u64) -> Vec<u64> {
-    (2..=n.min(max)).filter(|d| n.is_multiple_of(*d)).collect()
+/// Divisors of `n` in `[2, max]`, ascending, used by the random tiler.
+/// Each divisor `d ≤ √n` comes with its cofactor `n / d`, so a call tries
+/// about `2√n` candidates instead of `max`.
+fn divisors(n: u64, max: u64) -> impl Iterator<Item = u64> {
+    let root = n.isqrt();
+    let small = (2..=root).filter(move |&d| n.is_multiple_of(d));
+    let large = (1..=root)
+        .rev()
+        .filter(move |&d| n.is_multiple_of(d) && d != n / d)
+        .map(move |d| n / d);
+    small.chain(large).filter(move |&d| d >= 2 && d <= max)
+}
+
+/// What `choose` picks from the slice of `items`, with the slice held in a
+/// stack buffer: a slice of the same length draws the same from `rng`
+/// wherever it lives.
+fn choose_from<T: Copy + Default>(
+    mut items: impl Iterator<Item = T>,
+    rng: &mut impl Rng,
+) -> Option<T> {
+    const STACK: usize = 64;
+    let mut buf = [T::default(); STACK];
+    let mut len = 0;
+    while let Some(x) = items.next() {
+        if len == STACK {
+            // Longer than any list a zoo nest yields: spill to the heap.
+            let mut spilled = buf.to_vec();
+            spilled.push(x);
+            spilled.extend(items);
+            return spilled.choose(rng).copied();
+        }
+        buf[len] = x;
+        len += 1;
+    }
+    buf[..len].choose(rng).copied()
 }
 
 /// Samples a random Ansor-style schedule for a nest.
@@ -398,8 +451,7 @@ pub fn sample_schedule(nest: &Nest, rng: &mut impl Rng) -> Schedule {
     for &AxisInfo { id, .. } in &nest.axes {
         let extent = state.axis(id).map(|a| a.extent).unwrap_or(1);
         if extent >= 4 && rng.random_bool(0.7) {
-            let divs = divisors(extent, 64);
-            if let Some(&f) = divs.as_slice().choose(rng) {
+            if let Some(f) = choose_from(divisors(extent, 64), rng) {
                 let p = Primitive::Split {
                     axis: id,
                     factor: f,
@@ -412,15 +464,9 @@ pub fn sample_schedule(nest: &Nest, rng: &mut impl Rng) -> Schedule {
     }
     // Occasionally add a second-level split on one inner axis.
     if rng.random_bool(0.4) {
-        let candidates: Vec<(AxisId, u64)> = state
-            .axes
-            .iter()
-            .filter(|a| a.extent >= 8)
-            .map(|a| (a.id, a.extent))
-            .collect();
-        if let Some(&(id, extent)) = candidates.as_slice().choose(rng) {
-            let divs = divisors(extent, 16);
-            if let Some(&f) = divs.as_slice().choose(rng) {
+        let candidates = state.axes.iter().filter(|a| a.extent >= 8);
+        if let Some((id, extent)) = choose_from(candidates.map(|a| (a.id, a.extent)), rng) {
+            if let Some(f) = choose_from(divisors(extent, 16), rng) {
                 let p = Primitive::Split {
                     axis: id,
                     factor: f,
@@ -482,13 +528,11 @@ pub fn sample_schedule(nest: &Nest, rng: &mut impl Rng) -> Schedule {
     }
     // Unroll a random small inner axis.
     if rng.random_bool(0.4) {
-        let candidates: Vec<AxisId> = state
+        let candidates = state
             .axes
             .iter()
-            .filter(|a| a.extent >= 2 && a.extent <= 16)
-            .map(|a| a.id)
-            .collect();
-        if let Some(&id) = candidates.as_slice().choose(rng) {
+            .filter(|a| a.extent >= 2 && a.extent <= 16);
+        if let Some(id) = choose_from(candidates.map(|a| a.id), rng) {
             if state.annotation(id) == LoopKind::Serial {
                 let p = Primitive::Annotate {
                     axis: id,
@@ -510,7 +554,10 @@ pub fn mutate_schedule(nest: &Nest, schedule: &Schedule, rng: &mut impl Rng) -> 
     // with probability 0.5 keep the old schedule's splits and resample the
     // rest, otherwise sample fresh.
     if rng.random_bool(0.5) {
-        let mut kept = Schedule::default();
+        // The kept splits, a reorder and a vectorize at most.
+        let mut kept = Schedule {
+            primitives: Vec::with_capacity(schedule.primitives.len() + 2),
+        };
         let mut state = LowerState::new(nest, schedule.primitives.len());
         for p in &schedule.primitives {
             if matches!(p, Primitive::Split { .. }) && state.apply(p).is_ok() {
@@ -556,7 +603,11 @@ pub fn mutate_schedule(nest: &Nest, schedule: &Schedule, rng: &mut impl Rng) -> 
 /// parent's tiling stay in their canonical slots. Annotations transfer
 /// wherever their axis survived; the rest are dropped.
 pub fn crossover_schedule(nest: &Nest, splits_from: &Schedule, rest_from: &Schedule) -> Schedule {
-    let mut out = Schedule::default();
+    // The first parent's splits, plus one reorder or annotation per
+    // primitive of the second at most.
+    let mut out = Schedule {
+        primitives: Vec::with_capacity(splits_from.primitives.len() + rest_from.primitives.len()),
+    };
     let mut state = LowerState::new(nest, splits_from.primitives.len());
     for p in &splits_from.primitives {
         if matches!(p, Primitive::Split { .. }) && state.apply(p).is_ok() {
@@ -570,19 +621,17 @@ pub fn crossover_schedule(nest: &Nest, splits_from: &Schedule, rest_from: &Sched
         _ => None,
     });
     if let Some(donor) = donor_order {
-        let shared: Vec<AxisId> = donor
-            .iter()
-            .copied()
-            .filter(|a| state.axis(*a).is_some())
-            .collect();
-        if !shared.is_empty() {
-            let mut next_shared = shared.iter().copied();
+        // The donor's axes that exist here, in its order. Every slot of the
+        // current order is an existing axis, so it is shared iff the donor
+        // names it.
+        let mut shared = donor.iter().copied().filter(|&a| state.axis(a).is_some());
+        if shared.clone().next().is_some() {
             let order: Vec<AxisId> = state
                 .order
                 .iter()
                 .map(|&a| {
-                    if shared.contains(&a) {
-                        next_shared.next().expect("one shared axis per slot")
+                    if donor.contains(&a) {
+                        shared.next().expect("one shared axis per slot")
                     } else {
                         a
                     }
@@ -608,6 +657,21 @@ mod tests {
     use crate::task::OpSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Every loop of `p`, in pre-order, read through its tree view.
+    fn loops(p: &TensorProgram) -> Vec<LoopVar> {
+        fn walk(nodes: crate::ast::Nodes<'_>, out: &mut Vec<LoopVar>) {
+            for n in nodes {
+                if let crate::ast::NodeView::Loop { var, body } = n {
+                    out.push(var.clone());
+                    walk(body, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(p.roots(), &mut out);
+        out
+    }
 
     fn dense_nest() -> Nest {
         OpSpec::Dense {
@@ -698,7 +762,7 @@ mod tests {
         let p = lower(&nest, &s).unwrap();
         assert_eq!(p.leaf_count(), 3);
         // Three sibling nests at the root: init-nest, k-nest, relu-nest.
-        assert_eq!(p.roots.len(), 3);
+        assert_eq!(p.roots().count(), 3);
         assert_eq!(p.total_iterations(), nest.total_iterations());
     }
 
@@ -718,18 +782,7 @@ mod tests {
             ],
         };
         let p = lower(&nest, &s).unwrap();
-        let mut kinds = Vec::new();
-        fn walk(n: &AstNode, out: &mut Vec<LoopKind>) {
-            if let AstNode::Loop { var, body } = n {
-                out.push(var.kind);
-                for c in body {
-                    walk(c, out);
-                }
-            }
-        }
-        for r in &p.roots {
-            walk(r, &mut kinds);
-        }
+        let kinds: Vec<LoopKind> = loops(&p).iter().map(|l| l.kind).collect();
         assert!(kinds.contains(&LoopKind::Parallel));
         assert!(kinds.contains(&LoopKind::Vectorize));
     }
@@ -748,21 +801,12 @@ mod tests {
         };
         let p = lower(&nest, &s).unwrap();
         // Find the vectorized loop; its extent must be the inner factor 4.
-        let mut found = None;
-        fn walk(n: &AstNode, found: &mut Option<u64>) {
-            if let AstNode::Loop { var, body } = n {
-                if var.kind == LoopKind::Vectorize {
-                    *found = Some(var.extent);
-                }
-                for c in body {
-                    walk(c, found);
-                }
-            }
-        }
-        for r in &p.roots {
-            walk(r, &mut found);
-        }
-        assert_eq!(found, Some(4));
+        let vectorized: Vec<u64> = loops(&p)
+            .iter()
+            .filter(|l| l.kind == LoopKind::Vectorize)
+            .map(|l| l.extent)
+            .collect();
+        assert_eq!(vectorized, [4]);
     }
 
     #[test]
@@ -777,7 +821,7 @@ mod tests {
         let mut checked = false;
         p.visit_leaves(|leaf, _| {
             if leaf.kind == crate::expr::ComputeKind::Mac {
-                let b_acc = &leaf.accesses[1];
+                let b_acc = leaf.accesses.get(1).unwrap();
                 let strides: Vec<i64> = b_acc.strides.iter().map(|&(_, s)| s).collect();
                 assert!(strides.contains(&1));
                 assert!(strides.contains(&4));
@@ -863,9 +907,23 @@ mod tests {
 
     #[test]
     fn divisors_helper() {
-        assert_eq!(divisors(12, 64), vec![2, 3, 4, 6, 12]);
-        assert_eq!(divisors(7, 64), vec![7]);
-        assert!(divisors(1, 64).is_empty());
+        let divs = |n, max| divisors(n, max).collect::<Vec<u64>>();
+        assert_eq!(divs(12, 64), vec![2, 3, 4, 6, 12]);
+        assert_eq!(divs(7, 64), vec![7]);
+        assert!(divs(1, 64).is_empty());
+        // Square, prime and capped extents, against the definition.
+        for (n, max) in [
+            (36, 64),
+            (49, 64),
+            (97, 64),
+            (512, 64),
+            (512, 16),
+            (2, 64),
+            (0, 64),
+        ] {
+            let want: Vec<u64> = (2..=u64::min(n, max)).filter(|d| n % d == 0).collect();
+            assert_eq!(divs(n, max), want, "divisors({n}, {max})");
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! [`OpSpec`] here defines the canonical (untransformed) loop nest; the
 //! `schedule` module then derives concrete tensor programs from it.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::expr::{AxisId, Buffer, ComputeKind, LeafStmt, MemAccess};
@@ -121,15 +123,16 @@ pub struct AxisInfo {
 }
 
 /// A canonical loop nest: axes, leaves (with iteration domains) and buffers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Nest {
     /// All axes, in canonical outermost-first order.
     pub axes: Vec<AxisInfo>,
     /// Leaf statements in program order; `LeafStmt::domain` lists the axes
     /// each statement ranges over.
     pub leaves: Vec<LeafStmt>,
-    /// Buffers referenced by the leaves.
-    pub buffers: Vec<Buffer>,
+    /// Buffers referenced by the leaves, shared by every program lowered
+    /// from the nest.
+    pub buffers: Arc<[Buffer]>,
 }
 
 impl OpSpec {
@@ -287,7 +290,7 @@ fn axis(id: AxisId, extent: u64, is_reduction: bool) -> AxisInfo {
 fn dense_nest(m: u64, n: u64, k: u64) -> Nest {
     // Axes: 0=i(m) 1=j(n) 2=k(K).
     let axes = vec![axis(0, m, false), axis(1, n, false), axis(2, k, true)];
-    let buffers = vec![
+    let buffers = [
         Buffer::f32("a", m * k),
         Buffer::f32("b", k * n),
         Buffer::f32("c", m * n),
@@ -317,7 +320,7 @@ fn dense_nest(m: u64, n: u64, k: u64) -> Nest {
     Nest {
         axes,
         leaves: vec![init, mac, relu],
-        buffers,
+        buffers: buffers.into(),
     }
 }
 
@@ -329,7 +332,7 @@ fn batch_matmul_nest(b: u64, m: u64, n: u64, k: u64) -> Nest {
         axis(2, n, false),
         axis(3, k, true),
     ];
-    let buffers = vec![
+    let buffers = [
         Buffer::f32("a", b * m * k),
         Buffer::f32("b", b * k * n),
         Buffer::f32("c", b * m * n),
@@ -354,7 +357,7 @@ fn batch_matmul_nest(b: u64, m: u64, n: u64, k: u64) -> Nest {
     Nest {
         axes,
         leaves: vec![init, mac],
-        buffers,
+        buffers: buffers.into(),
     }
 }
 
@@ -370,7 +373,7 @@ fn conv2d_nest(n: u64, cin: u64, hw: u64, cout: u64, khw: u64, stride: u64) -> N
         axis(5, khw, true),
         axis(6, khw, true),
     ];
-    let buffers = vec![
+    let buffers = [
         Buffer::f32("input", n * cin * hw * hw),
         Buffer::f32("weight", cout * cin * khw * khw),
         Buffer::f32("output", n * cout * o * o),
@@ -424,7 +427,7 @@ fn conv2d_nest(n: u64, cin: u64, hw: u64, cout: u64, khw: u64, stride: u64) -> N
     Nest {
         axes,
         leaves: vec![init, mac, relu],
-        buffers,
+        buffers: buffers.into(),
     }
 }
 
@@ -439,7 +442,7 @@ fn depthwise_nest(n: u64, c: u64, hw: u64, khw: u64, stride: u64) -> Nest {
         axis(4, khw, true),
         axis(5, khw, true),
     ];
-    let buffers = vec![
+    let buffers = [
         Buffer::f32("input", n * c * hw * hw),
         Buffer::f32("weight", c * khw * khw),
         Buffer::f32("output", n * c * o * o),
@@ -479,7 +482,7 @@ fn depthwise_nest(n: u64, c: u64, hw: u64, khw: u64, stride: u64) -> Nest {
     Nest {
         axes,
         leaves: vec![init, mac],
-        buffers,
+        buffers: buffers.into(),
     }
 }
 
@@ -494,7 +497,7 @@ fn pool_nest(n: u64, c: u64, hw: u64, khw: u64, stride: u64) -> Nest {
         axis(4, khw, true),
         axis(5, khw, true),
     ];
-    let buffers = vec![
+    let buffers = [
         Buffer::f32("input", n * c * hw * hw),
         Buffer::f32("output", n * c * o * o),
     ];
@@ -532,7 +535,7 @@ fn pool_nest(n: u64, c: u64, hw: u64, khw: u64, stride: u64) -> Nest {
     Nest {
         axes,
         leaves: vec![init, reduce],
-        buffers,
+        buffers: buffers.into(),
     }
 }
 
@@ -546,7 +549,7 @@ fn softmax_nest(rows: u64, cols: u64) -> Nest {
         axis(3, cols, true),
         axis(4, cols, false),
     ];
-    let buffers = vec![
+    let buffers = [
         Buffer::f32("x", rows * cols),
         Buffer::f32("rowstat", rows),
         Buffer::f32("y", rows * cols),
@@ -591,7 +594,7 @@ fn softmax_nest(rows: u64, cols: u64) -> Nest {
     Nest {
         axes,
         leaves: vec![maxr, expm, sumr, divr],
-        buffers,
+        buffers: buffers.into(),
     }
 }
 
@@ -603,7 +606,7 @@ fn layer_norm_nest(rows: u64, cols: u64) -> Nest {
         axis(2, cols, true),
         axis(3, cols, false),
     ];
-    let buffers = vec![
+    let buffers = [
         Buffer::f32("x", rows * cols),
         Buffer::f32("stats", rows * 2),
         Buffer::f32("y", rows * cols),
@@ -640,13 +643,13 @@ fn layer_norm_nest(rows: u64, cols: u64) -> Nest {
     Nest {
         axes,
         leaves: vec![mean, var, norm],
-        buffers,
+        buffers: buffers.into(),
     }
 }
 
 fn elementwise_nest(n: u64, kind: EwKind) -> Nest {
     let axes = vec![axis(0, n, false)];
-    let buffers = vec![Buffer::f32("x", n), Buffer::f32("y", n)];
+    let buffers = [Buffer::f32("x", n), Buffer::f32("y", n)];
     let (ck, flops, extra_read) = match kind {
         EwKind::Relu => (ComputeKind::Max, 1.0, false),
         EwKind::Add => (ComputeKind::Ewise, 1.0, true),
@@ -669,7 +672,7 @@ fn elementwise_nest(n: u64, kind: EwKind) -> Nest {
     Nest {
         axes,
         leaves: vec![leaf],
-        buffers,
+        buffers: buffers.into(),
     }
 }
 

@@ -1,7 +1,8 @@
 //! The clone-based lowering `tir::lower` replaced in PR 13, kept verbatim as
 //! the oracle `lower` is tested against: a full `(LeafStmt, domain)` copy
 //! per leaf in the state, another in `build`, and one more per nesting
-//! level in `build_rec`. Written against `tir`'s public types only.
+//! level in `build_rec`. Written against `tir`'s public types only; the
+//! tree it builds is flattened by `TensorProgram::from_tree` to compare.
 
 use tir::{
     AstNode, AxisId, AxisInfo, LeafStmt, LoopKind, LoopVar, Nest, Primitive, Schedule,
@@ -174,8 +175,8 @@ pub fn reference_lower(nest: &Nest, schedule: &Schedule) -> Result<TensorProgram
     for p in &schedule.primitives {
         state.apply(p)?;
     }
-    Ok(TensorProgram {
-        buffers: nest.buffers.clone(),
-        roots: state.build(),
-    })
+    Ok(TensorProgram::from_tree(
+        nest.buffers.clone(),
+        &state.build(),
+    ))
 }
