@@ -21,9 +21,12 @@
 //! `nn::train_plan`). A thread pool does not pay here: measured on the
 //! 2-vCPU reference host, the data-parallel taped step
 //! ([`train_step_parallel`]) ran 1.32–1.58 ms at 2 threads against
-//! 1.24–1.41 ms serial — waking a pool costs 50–60 µs, a whole compiled
-//! step is under a millisecond, and 16-row shards make GEMMs too small to
-//! share.
+//! 1.24–1.41 ms serial. An empty pool round trip costs 9 µs at p50 back
+//! to back and 13 µs after 1 ms idle (p90 20 µs), and a second thread
+//! scaled a fixed loop 0.98–1.03× for whole stretches and 1.85–2.05× at
+//! other times (`cargo run --release -p parallel --example wake_probe`).
+//! A whole compiled step is under a millisecond, and 16-row shards make
+//! GEMMs too small to share.
 //!
 //! [`train_step`] and [`train_step_parallel`] are the taped **oracles**:
 //! the one-graph step and the data-parallel step the compiled one must

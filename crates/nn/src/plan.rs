@@ -244,7 +244,6 @@ impl ROp {
         match self {
             ROp::Input(_) | ROp::Param(_) => Vec::new(),
             ROp::Map { x, .. }
-            | ROp::RowOp { x, .. }
             | ROp::SplitHeads { x, .. }
             | ROp::MergeHeads { x, .. }
             | ROp::Reshape { x }
@@ -253,6 +252,7 @@ impl ROp {
             ROp::Zip { a, b, .. } | ROp::Matmul { a, b } | ROp::Bmm { a, b, .. } => {
                 vec![*a, *b]
             }
+            ROp::RowOp { x, row, .. } => vec![*x, *row],
             ROp::Concat { parts } => parts.clone(),
             ROp::LayerNorm { x, gamma, beta, .. } => vec![*x, *gamma, *beta],
         }
@@ -5215,6 +5215,46 @@ mod tests {
             let y = tape.add_row(y, bias).unwrap();
             let y = tape.relu(y).unwrap();
             assert_eq!(exec.output(0), tape.value(y).data());
+        }
+    }
+
+    /// A value a row op reads as its broadcast row is observed by that row
+    /// op: lowering must not chain a later map onto the step producing it,
+    /// or the row op reads the mapped value instead.
+    #[test]
+    fn row_operand_is_not_fused_into_by_a_later_map() {
+        fn body<E: Exec>(
+            e: &mut E,
+            store: &ParamStore,
+            ids: &[ParamId],
+            b: usize,
+        ) -> TensorResult<Vec<Var>> {
+            let x = e.constant(Tensor::from_fn(&[b, 5], |i| (i as f32 * 0.29).sin()));
+            let p = e.param(store, ids[0]);
+            let r = e.tanh(p)?;
+            let y = e.add_row(x, r)?;
+            let z = e.relu(r)?;
+            let z = e.add_scalar(z, 0.5);
+            Ok(vec![y, z])
+        }
+        let (store, ids) = store_with(&[&[5]]);
+        let plan = Plan::compile(&store, |rec, b| {
+            body(rec, &store, &ids, b).map_err(PlanError::from)
+        })
+        .unwrap();
+        let mut exec = PlanExec::new(Arc::new(plan));
+        for b in [1usize, 2, 3] {
+            let x = Tensor::from_fn(&[b, 5], |i| (i as f32 * 0.29).sin());
+            exec.run(&store, &[&x]).unwrap();
+            let mut tape = Graph::new();
+            let outs = body(&mut tape, &store, &ids, b).unwrap();
+            for (i, v) in outs.iter().enumerate() {
+                assert_eq!(
+                    exec.output(i),
+                    tape.value(*v).data(),
+                    "output {i} at batch {b} must be bit-identical"
+                );
+            }
         }
     }
 

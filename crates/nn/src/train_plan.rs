@@ -446,16 +446,6 @@ impl TrainPlan {
     }
 }
 
-/// Every node `op` reads (`ROp::inputs` leaves a row op's row out: the
-/// inference lowering resolves it on its own).
-fn operands(op: &ROp) -> Vec<usize> {
-    let mut v = op.inputs();
-    if let ROp::RowOp { row, .. } = op {
-        v.push(*row);
-    }
-    v
-}
-
 fn unsupported(what: &str) -> PlanError {
     PlanError::Build(format!("not compilable as a training step: {what}"))
 }
@@ -486,7 +476,7 @@ impl<'a> Deriver<'a> {
             needs[i] = match op {
                 ROp::Param(_) => true,
                 ROp::Input(_) => false,
-                _ => operands(op).iter().any(|&j| needs[j]),
+                _ => op.inputs().iter().any(|&j| needs[j]),
             };
         }
         Deriver {
@@ -642,7 +632,7 @@ impl<'a> Deriver<'a> {
                 if !matches!(self.ops[i], ROp::Param(_)) {
                     self.per_sample(i)?;
                 }
-                for j in operands(&self.ops[i]) {
+                for j in self.ops[i].inputs() {
                     if self.needs[j] {
                         self.total[j] += 1;
                     }

@@ -21,13 +21,19 @@
 //!    shape alone, so results are **bit-identical for every thread count**
 //!    (including 1).
 //!
-//! Every blocked path finishes a tile through one trait method,
-//! `Micro::write_back_tile`: its default is the per-element definition
-//! (`C` update, then `Epilogue::apply`) and is what the scalar tier runs;
-//! the AVX2 tier overrides it to do the same per-lane operations in `ymm`
-//! registers for `Identity` / `Relu` epilogues, so a fused bias costs what
-//! a plain store does. `Tanh` / `Sigmoid` and ragged `n % 8` columns take
-//! the default on every tier.
+//! Every blocked path runs one loop body over its tiles (`macro_body`) and
+//! finishes each tile through one trait method, `TileAcc::write_back`.
+//! Each tier names the form its accumulators take (`Micro::Acc`) and
+//! compiles the loop under its own target features (`Micro::macro_kernel`,
+//! a `#[target_feature]` trampoline on AVX2), so the micro-kernel and its
+//! write-back inline into one function. The scalar and NEON tiers hold a
+//! stack [`Tile`], whose write-back is the per-element definition (`C`
+//! update, then `Epilogue::apply`). The AVX2
+//! tier writes every full 8-column half straight from its `ymm`
+//! accumulators, doing the definition's per-lane operations in registers
+//! for `Identity` / `Relu` epilogues, so a fused bias costs what a plain
+//! store does; only `Tanh` / `Sigmoid` and a ragged `n % 8` half spill that
+//! half to the stack and take the definition.
 //!
 //! # Kernel tiers
 //!
@@ -159,7 +165,8 @@ impl Epilogue<'_> {
 const MR_MAX: usize = 8;
 /// Largest `NR` any tier uses.
 const NR_MAX: usize = 16;
-/// The micro-kernel accumulator: every tier fills its `MR x NR` prefix.
+/// A micro-kernel accumulator held in memory: a tier that keeps its tile
+/// here fills the `MR x NR` prefix.
 type Tile = [[f32; NR_MAX]; MR_MAX];
 /// K-dimension block: sized to cover every predictor shape in one block so
 /// accumulation order matches the naive kernel exactly at those sizes.
@@ -178,8 +185,11 @@ const NC: usize = 4096;
 pub const TINY_MULADDS: usize = 8 * 1024;
 /// At this many multiply-adds the row-panel split across the global pool
 /// pays for its dispatch: the measured crossover of the `gemm_parallel`
-/// sweep in `BENCH_gemm.json` (2 threads on a 2-core host, where waking
-/// the pool costs 50-60 us: the split runs 0.11x serial at 192K
+/// sweep in `BENCH_gemm.json` (2 threads on a 2-core host, where an empty
+/// pool round trip costs 9-13 us at p50 and 20 us at p90, and a second
+/// thread scales a fixed loop anywhere from 1.0x to 2.0x depending on the
+/// host's neighbours, per the `parallel` crate's `wake_probe` example:
+/// the split runs 0.11x serial at 192K
 /// multiply-adds, 0.6-0.9x at 3M, breaks even around 6M — 0.9-1.2x over
 /// three sweeps — and wins 1.3-1.5x at 12M in every shape family). Every
 /// CLI-model GEMM (<= 2.1M) therefore runs serial. Shared with the bmm
@@ -289,11 +299,14 @@ fn detect_tier() -> SimdTier {
 /// supports (guaranteed by dispatching through [`active_tier`]). Slice
 /// contracts: `astrip` holds `kc * MR` elements, `bslab` holds `kc * NR`,
 /// and every row in `tile_direct`'s `ar` holds at least `kc`.
-trait Micro {
+trait Micro: Sized {
     const MR: usize;
     const NR: usize;
-    unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile;
-    unsafe fn tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Tile;
+    /// One finished `MR x NR` tile's accumulators, in the form the tier
+    /// computes them: a stack [`Tile`], or the vector registers themselves.
+    type Acc: TileAcc;
+    unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Self::Acc;
+    unsafe fn tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Self::Acc;
     #[allow(clippy::too_many_arguments)]
     unsafe fn naive(
         m: usize,
@@ -322,7 +335,7 @@ trait Micro {
         ar: &[&[f32]; MR_MAX],
         bslab: &[i8],
         scales: &[f32],
-    ) -> Tile;
+    ) -> Self::Acc;
 
     /// Dequantizing twin of `tile_direct` for bf16 panels: each u16 is
     /// widened to the f32 whose upper bits it is (`(h as u32) << 16`,
@@ -331,7 +344,7 @@ trait Micro {
     /// # Safety
     ///
     /// As `tile_direct`.
-    unsafe fn tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Tile;
+    unsafe fn tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Self::Acc;
 
     /// Expands one quantized `kc x NR` i8 slab into f32 — per element the
     /// exact value `tile_direct_i8` computes in registers (`q as f32`
@@ -366,22 +379,65 @@ trait Micro {
         }
     }
 
-    /// Writes the live `mr x nr` corner of a finished `tile` into `c`,
-    /// whose first element is the tile's top-left output (rows `ldc`
-    /// apart) and sits at column `j0` of `ep`'s bias row: overwrite when
-    /// `store`, accumulate otherwise, and apply the epilogue exactly once
-    /// per element. This default *is* the definition — [`write_back_row`]
-    /// per row, [`Epilogue::apply`] per element — and what the scalar
-    /// tier runs; an override may only reorder work across elements, never
-    /// change one element's operation sequence.
+    /// Runs [`macro_body`] for this tier. The default compiles it with the
+    /// crate's baseline features; a tier whose ISA is detected at run time
+    /// overrides it with a `#[target_feature]` trampoline, so the tile
+    /// loop, the micro-kernel and the write-back inline into one function.
     ///
     /// # Safety
     ///
-    /// ISA per the trait contract.
+    /// As [`macro_body`].
     #[allow(clippy::too_many_arguments)]
+    #[inline]
+    unsafe fn macro_kernel(
+        mc: usize,
+        nc: usize,
+        kc: usize,
+        a: APanel,
+        bpack: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        store: bool,
+        ep: Epilogue,
+    ) {
+        // SAFETY: forwarded contract.
+        unsafe { macro_body::<Self>(mc, nc, kc, a, bpack, c, ldc, store, ep) }
+    }
+}
+
+/// A finished tile's accumulators ([`Micro::Acc`]), and how they reach `C`.
+trait TileAcc {
+    /// Writes the live `mr x nr` corner of a finished tile into `c`,
+    /// whose first element is the tile's top-left output (rows `ldc`
+    /// apart) and sits at column `j0` of `ep`'s bias row: overwrite when
+    /// `store`, accumulate otherwise, and apply the epilogue exactly once
+    /// per element. The [`Tile`] impl is the definition; a tier may only
+    /// reorder work across elements, never change one element's operation
+    /// sequence.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU supports the ISA of the tier that built `self`.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn write_back(
+        &self,
+        mr: usize,
+        nr: usize,
+        c: &mut [f32],
+        ldc: usize,
+        j0: usize,
+        store: bool,
+        ep: Epilogue,
+    );
+}
+
+/// The write-back definition: [`write_back_row`] per row,
+/// [`Epilogue::apply`] per element. The scalar tier (the oracle) and NEON
+/// write back through it.
+impl TileAcc for Tile {
     #[inline(always)]
-    unsafe fn write_back_tile(
-        tile: &Tile,
+    unsafe fn write_back(
+        &self,
         mr: usize,
         nr: usize,
         c: &mut [f32],
@@ -390,7 +446,7 @@ trait Micro {
         store: bool,
         ep: Epilogue,
     ) {
-        for (r, trow) in tile.iter().take(mr).enumerate() {
+        for (r, trow) in self.iter().take(mr).enumerate() {
             write_back_row(&mut c[r * ldc..r * ldc + nr], &trow[..nr], j0, store, ep);
         }
     }
@@ -723,7 +779,7 @@ unsafe fn gemm_blocked_t<K: Micro>(
                     };
                     // SAFETY: forwarded contract — caller vouched for the ISA.
                     unsafe {
-                        macro_kernel::<K>(
+                        K::macro_kernel(
                             mc,
                             nc,
                             kc,
@@ -896,7 +952,7 @@ unsafe fn gemm_prepacked_t<K: Micro>(
             rs: k,
         };
         // SAFETY: ISA and slab width vouched by this fn's caller.
-        unsafe { macro_kernel::<K>(m, n, kc, rows, block.as_slice(), c, n, bi == 0, ep_here) };
+        unsafe { K::macro_kernel(m, n, kc, rows, block.as_slice(), c, n, bi == 0, ep_here) };
         pc += kc;
     }
 }
@@ -1159,7 +1215,7 @@ unsafe fn gemm_prepacked_quant_t<K: Micro>(
                     // SAFETY: ISA vouched by caller; slab/scale/scratch
                     // slices sized by the packer and `ensure_len` above;
                     // A rows per `a_rows`.
-                    let tile = unsafe {
+                    let acc = unsafe {
                         if amortize {
                             K::tile_direct(kc, &ar, deq.as_slice())
                         } else {
@@ -1177,7 +1233,7 @@ unsafe fn gemm_prepacked_quant_t<K: Micro>(
                     };
                     let ctile = &mut c[i0 * n + j0..];
                     // SAFETY: ISA vouched by caller.
-                    unsafe { K::write_back_tile(&tile, mr, nr, ctile, n, j0, store, ep_here) };
+                    unsafe { acc.write_back(mr, nr, ctile, n, j0, store, ep_here) };
                     i0 += mr;
                 }
             });
@@ -1267,7 +1323,7 @@ fn pack_a<K: Micro>(a: MatRef, i0: usize, mc: usize, p0: usize, kc: usize, buf: 
     }
 }
 
-/// Where [`macro_kernel`] reads its `A` block from.
+/// Where [`macro_body`] reads its `A` block from.
 #[derive(Clone, Copy)]
 enum APanel<'a> {
     /// `ceil(mc/MR)` zero-padded `kc x MR` strips from [`pack_a`].
@@ -1291,14 +1347,17 @@ fn a_rows(data: &[f32], rs: usize, i0: usize, mr: usize, kc: usize) -> [&[f32]; 
 
 /// Runs the register-tile micro-kernel over every `MR x NR` tile of one
 /// `A`-block x packed-`B`-panel pair. `c` points at the block's top-left
-/// element inside the full output (leading dimension `ldc`).
+/// element inside the full output (leading dimension `ldc`). The one loop
+/// body every tier runs, through its [`Micro::macro_kernel`]:
+/// `#[inline(always)]`, so it compiles under that tier's target features.
 ///
 /// # Safety
 ///
 /// The running CPU must support `K`'s ISA; panels must be packed with
 /// `K`'s dimensions.
 #[allow(clippy::too_many_arguments)]
-unsafe fn macro_kernel<K: Micro>(
+#[inline(always)]
+unsafe fn macro_body<K: Micro>(
     mc: usize,
     nc: usize,
     kc: usize,
@@ -1320,7 +1379,7 @@ unsafe fn macro_kernel<K: Micro>(
             let mr = K::MR.min(mc - i0);
             // SAFETY: ISA vouched by caller; panel sizes per the packers,
             // row slices per `a_rows`.
-            let tile = unsafe {
+            let acc = unsafe {
                 match a {
                     APanel::Packed(ap) => {
                         K::tile(kc, &ap[s * kc * K::MR..(s + 1) * kc * K::MR], bslab)
@@ -1337,7 +1396,7 @@ unsafe fn macro_kernel<K: Micro>(
             // activation cost no extra pass.
             // SAFETY: ISA vouched by caller.
             unsafe {
-                K::write_back_tile(&tile, mr, nr, &mut c[i0 * ldc + j0..], ldc, j0, store, ep);
+                acc.write_back(mr, nr, &mut c[i0 * ldc + j0..], ldc, j0, store, ep);
             }
         }
     }
@@ -1355,6 +1414,7 @@ struct ScalarK;
 impl Micro for ScalarK {
     const MR: usize = 4;
     const NR: usize = 8;
+    type Acc = Tile;
 
     #[inline(always)]
     unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {
@@ -1454,19 +1514,42 @@ impl Micro for ScalarK {
 #[cfg(target_arch = "x86_64")]
 struct Avx2K;
 
+/// The AVX2 tile's accumulators: row `r`'s columns `0..8` and `8..16`.
+#[cfg(target_arch = "x86_64")]
+type Avx2Acc = [[std::arch::x86_64::__m256; 2]; 6];
+
+#[cfg(target_arch = "x86_64")]
+impl TileAcc for Avx2Acc {
+    #[inline]
+    unsafe fn write_back(
+        &self,
+        mr: usize,
+        nr: usize,
+        c: &mut [f32],
+        ldc: usize,
+        j0: usize,
+        store: bool,
+        ep: Epilogue,
+    ) {
+        // SAFETY: caller guarantees AVX2+FMA.
+        unsafe { avx2_write_back(self, mr, nr, c, ldc, j0, store, ep) }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 impl Micro for Avx2K {
     const MR: usize = 6;
     const NR: usize = 16;
+    type Acc = Avx2Acc;
 
     #[inline]
-    unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {
+    unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Avx2Acc {
         // SAFETY: caller guarantees AVX2+FMA and panel sizes.
         unsafe { avx2_tile(kc, astrip, bslab) }
     }
 
     #[inline]
-    unsafe fn tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Tile {
+    unsafe fn tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Avx2Acc {
         // SAFETY: caller guarantees AVX2+FMA and slice lengths.
         unsafe { avx2_tile_direct(kc, ar, bslab) }
     }
@@ -1492,13 +1575,13 @@ impl Micro for Avx2K {
         ar: &[&[f32]; MR_MAX],
         bslab: &[i8],
         scales: &[f32],
-    ) -> Tile {
+    ) -> Avx2Acc {
         // SAFETY: caller guarantees AVX2+FMA and slice lengths.
         unsafe { avx2_tile_direct_i8(kc, ar, bslab, scales) }
     }
 
     #[inline]
-    unsafe fn tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Tile {
+    unsafe fn tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Avx2Acc {
         // SAFETY: caller guarantees AVX2+FMA and slice lengths.
         unsafe { avx2_tile_direct_bf16(kc, ar, bslab) }
     }
@@ -1516,34 +1599,146 @@ impl Micro for Avx2K {
     }
 
     #[inline]
-    unsafe fn write_back_tile(
-        tile: &Tile,
-        mr: usize,
-        nr: usize,
+    unsafe fn macro_kernel(
+        mc: usize,
+        nc: usize,
+        kc: usize,
+        a: APanel,
+        bpack: &[f32],
         c: &mut [f32],
         ldc: usize,
-        j0: usize,
         store: bool,
         ep: Epilogue,
     ) {
-        // SAFETY: caller guarantees AVX2+FMA.
-        unsafe { avx2_write_back_tile(tile, mr, nr, c, ldc, j0, store, ep) }
+        // SAFETY: caller guarantees AVX2+FMA and panel sizes.
+        unsafe { avx2_macro_kernel(mc, nc, kc, a, bpack, c, ldc, store, ep) }
     }
 }
 
-/// [`Micro::write_back_tile`] with every full 8-column group finished in
-/// a `ymm`: load the tile row, `+ C` when accumulating, `* scale`,
-/// `+ bias`, `max(., 0)`, store — per lane the scalar definition's ops in
-/// its order. `_mm256_max_ps(v, 0)` returns its second operand for a NaN or
-/// `-0.0` first one, which is what `v.max(0.0)` compiles to on this target
-/// (the epilogue-oracle suite pins both against the scalar tier). `Tanh` /
-/// `Sigmoid` are libm calls and the ragged `nr % 8` columns are not worth
-/// masking: both go through [`write_back_row`] unchanged.
+/// [`macro_body`] compiled with AVX2+FMA enabled: the FMA tile and
+/// [`avx2_write_back`] inline into the tile loop, so the accumulators go
+/// from the last `k` step to `C` without leaving their registers.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_write_back_tile(
-    tile: &Tile,
+unsafe fn avx2_macro_kernel(
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    a: APanel,
+    bpack: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    store: bool,
+    ep: Epilogue,
+) {
+    // SAFETY: forwarded contract.
+    unsafe { macro_body::<Avx2K>(mc, nc, kc, a, bpack, c, ldc, store, ep) }
+}
+
+/// [`TileAcc::write_back`] straight from the accumulators. Every full
+/// 8-column half finishes in its `ymm` ([`avx2_finish`]): `+ C` when
+/// accumulating, `* scale`, `+ bias`, `max(., 0)`, store — per lane the ops
+/// of the [`Tile`] write-back, in its order. A full-width tile with an
+/// `Identity` / `Relu` epilogue (the common case) runs as straight-line
+/// code over constant indices, so the accumulators never leave their
+/// registers; anything else goes to [`avx2_write_back_halves`].
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_write_back(
+    acc: &Avx2Acc,
+    mr: usize,
+    nr: usize,
+    c: &mut [f32],
+    ldc: usize,
+    j0: usize,
+    store: bool,
+    ep: Epilogue,
+) {
+    use std::arch::x86_64::*;
+    let relu = ep.act == Activation::Relu;
+    if nr != Avx2K::NR || !(relu || ep.act == Activation::Identity) {
+        // SAFETY: forwarded contract.
+        return unsafe { avx2_write_back_halves(*acc, mr, nr, c, ldc, j0, store, ep) };
+    }
+    assert!((1..=Avx2K::MR).contains(&mr) && c.len() >= (mr - 1) * ldc + Avx2K::NR);
+    let scale = ep.scale.map(|s| _mm256_set1_ps(s));
+    // SAFETY: the loads read a bounds-checked 16-element slice.
+    let bias = ep.bias.map(|b| {
+        let b = &b[j0..j0 + Avx2K::NR];
+        unsafe {
+            [
+                _mm256_loadu_ps(b.as_ptr()),
+                _mm256_loadu_ps(b[8..].as_ptr()),
+            ]
+        }
+    });
+    for (r, accr) in acc.iter().enumerate() {
+        if r == mr {
+            break;
+        }
+        for (h, &v) in accr.iter().enumerate() {
+            // SAFETY: row `r < mr`, columns `8h..8h + 8 <= NR`: inside `c`
+            // per the assert above.
+            unsafe {
+                let cp = c.as_mut_ptr().add(r * ldc + 8 * h);
+                avx2_finish(v, cp, store, scale, bias.map(|b| b[h]), relu);
+            }
+        }
+    }
+}
+
+/// One `ymm` of a finished tile, written to the 8 floats at `cp`.
+/// `_mm256_max_ps(v, 0)` returns its second operand for a NaN or `-0.0`
+/// first one, which is what `v.max(0.0)` compiles to on this target (the
+/// epilogue-oracle suite pins both against the scalar tier).
+///
+/// # Safety
+///
+/// AVX2+FMA; `cp` is valid for 8 reads and writes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_finish(
+    mut v: std::arch::x86_64::__m256,
+    cp: *mut f32,
+    store: bool,
+    scale: Option<std::arch::x86_64::__m256>,
+    bias: Option<std::arch::x86_64::__m256>,
+    relu: bool,
+) {
+    use std::arch::x86_64::*;
+    // SAFETY: `cp` per the contract.
+    unsafe {
+        if !store {
+            v = _mm256_add_ps(_mm256_loadu_ps(cp), v);
+        }
+        if let Some(s) = scale {
+            v = _mm256_mul_ps(v, s);
+        }
+        if let Some(b) = bias {
+            v = _mm256_add_ps(v, b);
+        }
+        if relu {
+            v = _mm256_max_ps(v, _mm256_setzero_ps());
+        }
+        _mm256_storeu_ps(cp, v);
+    }
+}
+
+/// The rest of [`avx2_write_back`]: ragged `nr` and `Tanh` / `Sigmoid`,
+/// half by half. A full half with a vector epilogue still finishes in its
+/// register ([`avx2_finish`]); `Tanh` / `Sigmoid` are libm calls and a
+/// ragged half (`nr % 8` columns) is not worth masking, so those halves
+/// spill to an 8-lane stack row and go through [`write_back_row`].
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_write_back_halves(
+    acc: Avx2Acc,
     mr: usize,
     nr: usize,
     c: &mut [f32],
@@ -1555,32 +1750,25 @@ unsafe fn avx2_write_back_tile(
     use std::arch::x86_64::*;
     let relu = ep.act == Activation::Relu;
     let vector = relu || ep.act == Activation::Identity;
-    let wide = if vector { nr / 8 * 8 } else { 0 };
-    let zero = _mm256_setzero_ps();
-    for (r, trow) in tile.iter().take(mr).enumerate() {
-        let crow = &mut c[r * ldc..r * ldc + nr];
-        for j in (0..wide).step_by(8) {
-            let (tv, cv) = (&trow[j..j + 8], &mut crow[j..j + 8]);
-            // SAFETY: every pointer below comes from a bounds-checked
-            // 8-element slice.
-            unsafe {
-                let mut v = _mm256_loadu_ps(tv.as_ptr());
-                if !store {
-                    v = _mm256_add_ps(_mm256_loadu_ps(cv.as_ptr()), v);
-                }
-                if let Some(s) = ep.scale {
-                    v = _mm256_mul_ps(v, _mm256_set1_ps(s));
-                }
-                if let Some(b) = ep.bias {
-                    v = _mm256_add_ps(v, _mm256_loadu_ps(b[j0 + j..j0 + j + 8].as_ptr()));
-                }
-                if relu {
-                    v = _mm256_max_ps(v, zero);
-                }
-                _mm256_storeu_ps(cv.as_mut_ptr(), v);
+    let scale = ep.scale.map(|s| _mm256_set1_ps(s));
+    for (h, j) in (0..nr).step_by(8).enumerate() {
+        let lanes = 8.min(nr - j);
+        for (r, accr) in acc.iter().take(mr).enumerate() {
+            let cv = &mut c[r * ldc + j..r * ldc + j + lanes];
+            if vector && lanes == 8 {
+                // SAFETY: the load reads a bounds-checked 8-element slice.
+                let bias = ep
+                    .bias
+                    .map(|b| unsafe { _mm256_loadu_ps(b[j0 + j..j0 + j + 8].as_ptr()) });
+                // SAFETY: `cv` is a bounds-checked 8-element slice.
+                unsafe { avx2_finish(accr[h], cv.as_mut_ptr(), store, scale, bias, relu) };
+            } else {
+                let mut spill = [0.0f32; 8];
+                // SAFETY: `spill` holds exactly one ymm.
+                unsafe { _mm256_storeu_ps(spill.as_mut_ptr(), accr[h]) };
+                write_back_row(cv, &spill[..lanes], j0 + j, store, ep);
             }
         }
-        write_back_row(&mut crow[wide..], &trow[wide..nr], j0 + wide, store, ep);
     }
 }
 
@@ -1649,7 +1837,7 @@ unsafe fn avx2_tile_direct_i8(
     ar: &[&[f32]; MR_MAX],
     bslab: &[i8],
     scales: &[f32],
-) -> Tile {
+) -> Avx2Acc {
     use std::arch::x86_64::*;
     debug_assert!(bslab.len() >= kc * Avx2K::NR);
     debug_assert!(scales.len() >= Avx2K::NR);
@@ -1678,14 +1866,14 @@ unsafe fn avx2_tile_direct_i8(
             accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
         }
     }
-    avx2_spill(&acc)
+    acc
 }
 
 /// bf16 dequant tile: widen u16 lanes to u32, shift into the f32 exponent
 /// position (`(h as u32) << 16` — exact), reinterpret, FMA as usual.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Tile {
+unsafe fn avx2_tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Avx2Acc {
     use std::arch::x86_64::*;
     debug_assert!(bslab.len() >= kc * Avx2K::NR);
     debug_assert!(ar.iter().take(Avx2K::MR).all(|r| r.len() >= kc));
@@ -1709,12 +1897,13 @@ unsafe fn avx2_tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16])
             accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
         }
     }
-    avx2_spill(&acc)
+    acc
 }
 
 #[cfg(target_arch = "x86_64")]
+#[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {
+unsafe fn avx2_tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Avx2Acc {
     use std::arch::x86_64::*;
     debug_assert!(astrip.len() >= kc * Avx2K::MR);
     debug_assert!(bslab.len() >= kc * Avx2K::NR);
@@ -1736,12 +1925,13 @@ unsafe fn avx2_tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {
             accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
         }
     }
-    avx2_spill(&acc)
+    acc
 }
 
 #[cfg(target_arch = "x86_64")]
+#[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Tile {
+unsafe fn avx2_tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Avx2Acc {
     use std::arch::x86_64::*;
     debug_assert!(bslab.len() >= kc * Avx2K::NR);
     debug_assert!(ar.iter().take(Avx2K::MR).all(|r| r.len() >= kc));
@@ -1763,23 +1953,7 @@ unsafe fn avx2_tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> T
             accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
         }
     }
-    avx2_spill(&acc)
-}
-
-/// Spills the 6x2-ymm accumulator block into the shared [`Tile`] layout.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_spill(acc: &[[std::arch::x86_64::__m256; 2]; 6]) -> Tile {
-    use std::arch::x86_64::*;
-    let mut out = [[0.0f32; NR_MAX]; MR_MAX];
-    for (r, accr) in acc.iter().enumerate() {
-        // SAFETY: each Tile row holds NR_MAX = 16 f32, exactly two ymm.
-        unsafe {
-            _mm256_storeu_ps(out[r].as_mut_ptr(), accr[0]);
-            _mm256_storeu_ps(out[r].as_mut_ptr().add(8), accr[1]);
-        }
-    }
-    out
+    acc
 }
 
 /// The naive body re-compiled with AVX2+FMA enabled, so `f32::mul_add`
@@ -1813,6 +1987,7 @@ struct NeonK;
 impl Micro for NeonK {
     const MR: usize = 4;
     const NR: usize = 8;
+    type Acc = Tile;
 
     #[inline]
     unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {

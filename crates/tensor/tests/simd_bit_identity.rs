@@ -260,81 +260,99 @@ fn tally(seen: &mut [bool; 5], vals: &[f32]) {
 /// compared bit for bit with the scalar tier, whose per-element
 /// `Epilogue::apply` defines the answer (`v.max(0.0)` included: if a vector
 /// `max` ever disagrees on `NaN` / `-0.0`, the override is what changes).
-/// Widths cover full 16- and 8-column groups and every ragged remainder;
-/// `k = 600` crosses a `KC` boundary, so the accumulate-then-epilogue
-/// branch runs too. The prepacked entry points take no `scale`, so the
-/// scale cases run through the generic dispatch only.
+/// Widths cover full 16- and 8-column groups, several full tiles and every
+/// ragged remainder; rows cross the `MC` = 128 row-block edge (127 ends in
+/// a 1-row strip, 134 starts a second block); `k = 600` crosses a `KC`
+/// boundary, so the accumulate-then-epilogue branch runs too. The
+/// prepacked entry points take no `scale` or `acc`, so those cases run
+/// through the generic dispatch only.
 #[test]
 fn vector_write_back_matches_scalar_epilogue() {
     let tier = active_tier();
     let mut seen = [[false; 5]; 4];
-    for k in [32usize, 320, 600] {
-        for m in [1usize, 5, 6, 7, 13] {
-            for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
-                let shift = m + n + k / 300;
-                let (a, b, bias) = special_operands(m, k, n, shift, 1);
-                let at: Vec<f32> = (0..k * m).map(|e| a[(e % m) * k + e / m]).collect();
-                let (qa, qb, qbias) = special_operands(m, k, n, shift, QUANT_GROUP);
-                let cases = [
-                    (None, false, Activation::Identity),
-                    (None, true, Activation::Identity),
-                    (None, true, Activation::Relu),
-                    (Some(0.577f32), false, Activation::Identity),
-                    (Some(0.577), true, Activation::Relu),
-                    (None, false, Activation::Tanh),
-                ];
-                for (ci, (scale, with_bias, act)) in cases.into_iter().enumerate() {
-                    let what =
-                        format!("m={m} k={k} n={n} scale={scale:?} bias={with_bias} {act:?}");
-                    let generic = |t: SimdTier, av: &[f32], ta: bool| {
-                        let mut out = vec![f32::NAN; m * n];
-                        let bv = with_bias.then_some(&bias[..]);
-                        gemm_slices_with_tier(
-                            t, m, k, n, av, ta, &b, false, false, scale, bv, act, &mut out,
-                        );
-                        out
-                    };
-                    for (av, ta) in [(&a, false), (&at, true)] {
-                        let want = generic(SimdTier::Scalar, av, ta);
-                        assert_bits_equal(
-                            &generic(tier, av, ta),
-                            &want,
-                            &format!("ta={ta} {what}"),
-                        );
-                        if ci == 0 {
-                            tally(&mut seen[0], &want);
-                        }
-                    }
-                    if scale.is_some() {
-                        continue;
-                    }
-                    let pre = |t: SimdTier| {
-                        let mut out = vec![f32::NAN; m * n];
-                        let pb = PackedB::pack_for_tier(&b, k, n, t);
-                        let bv = with_bias.then_some(&bias[..]);
-                        gemm_prepacked(m, &a, &pb, bv, act, &mut out).unwrap();
-                        out
-                    };
-                    let want = pre(SimdTier::Scalar);
-                    assert_bits_equal(&pre(tier), &want, &format!("prepacked {what}"));
-                    if ci == 0 {
-                        tally(&mut seen[1], &want);
-                    }
-                    for (qi, kind) in [QuantKind::I8, QuantKind::Bf16].into_iter().enumerate() {
-                        let q = QuantizedMatrix::quantize(&qb, k, n, kind);
-                        let quant = |t: SimdTier| {
-                            let mut out = vec![f32::NAN; m * n];
-                            let pb = QuantizedPackedB::pack_for_tier(&q, t);
-                            let bv = with_bias.then_some(&qbias[..]);
-                            gemm_prepacked_quant(m, &qa, &pb, bv, act, &mut out).unwrap();
-                            out
-                        };
-                        let want = quant(SimdTier::Scalar);
-                        assert_bits_equal(&quant(tier), &want, &format!("{kind:?} {what}"));
-                        if ci == 0 {
-                            tally(&mut seen[2 + qi], &want);
-                        }
-                    }
+    let mut shapes = Vec::new();
+    for (ks, ms, ns) in [
+        // Short strips at every ragged width.
+        (
+            &[32usize, 320, 600][..],
+            &[1usize, 5, 6, 7, 13][..],
+            &[1usize, 7, 8, 9, 15, 16, 17, 24, 33][..],
+        ),
+        // Row counts across the `MC` row-block edge at full-tile widths.
+        (&[32, 600], &[127, 128, 129, 134], &[8, 16, 24, 32, 96]),
+    ] {
+        for &k in ks {
+            for &m in ms {
+                for &n in ns {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+    }
+    for (m, k, n) in shapes {
+        let shift = m + n + k / 300;
+        let (a, b, bias) = special_operands(m, k, n, shift, 1);
+        let at: Vec<f32> = (0..k * m).map(|e| a[(e % m) * k + e / m]).collect();
+        let (qa, qb, qbias) = special_operands(m, k, n, shift, QUANT_GROUP);
+        // (scale, acc, bias, activation)
+        let cases = [
+            (None, false, false, Activation::Identity),
+            (None, false, true, Activation::Identity),
+            (None, false, true, Activation::Relu),
+            (Some(0.577f32), false, false, Activation::Identity),
+            (Some(0.577), false, true, Activation::Relu),
+            (None, false, false, Activation::Tanh),
+            (None, false, true, Activation::Sigmoid),
+            (None, true, false, Activation::Identity),
+        ];
+        for (ci, (scale, acc, with_bias, act)) in cases.into_iter().enumerate() {
+            let what =
+                format!("m={m} k={k} n={n} scale={scale:?} acc={acc} bias={with_bias} {act:?}");
+            let generic = |t: SimdTier, av: &[f32], ta: bool| {
+                let mut out = if acc {
+                    fill(m * n, 2.9)
+                } else {
+                    vec![f32::NAN; m * n]
+                };
+                let bv = with_bias.then_some(&bias[..]);
+                gemm_slices_with_tier(t, m, k, n, av, ta, &b, false, acc, scale, bv, act, &mut out);
+                out
+            };
+            for (av, ta) in [(&a, false), (&at, true)] {
+                let want = generic(SimdTier::Scalar, av, ta);
+                assert_bits_equal(&generic(tier, av, ta), &want, &format!("ta={ta} {what}"));
+                if ci == 0 {
+                    tally(&mut seen[0], &want);
+                }
+            }
+            if scale.is_some() || acc {
+                continue;
+            }
+            let pre = |t: SimdTier| {
+                let mut out = vec![f32::NAN; m * n];
+                let pb = PackedB::pack_for_tier(&b, k, n, t);
+                let bv = with_bias.then_some(&bias[..]);
+                gemm_prepacked(m, &a, &pb, bv, act, &mut out).unwrap();
+                out
+            };
+            let want = pre(SimdTier::Scalar);
+            assert_bits_equal(&pre(tier), &want, &format!("prepacked {what}"));
+            if ci == 0 {
+                tally(&mut seen[1], &want);
+            }
+            for (qi, kind) in [QuantKind::I8, QuantKind::Bf16].into_iter().enumerate() {
+                let q = QuantizedMatrix::quantize(&qb, k, n, kind);
+                let quant = |t: SimdTier| {
+                    let mut out = vec![f32::NAN; m * n];
+                    let pb = QuantizedPackedB::pack_for_tier(&q, t);
+                    let bv = with_bias.then_some(&qbias[..]);
+                    gemm_prepacked_quant(m, &qa, &pb, bv, act, &mut out).unwrap();
+                    out
+                };
+                let want = quant(SimdTier::Scalar);
+                assert_bits_equal(&quant(tier), &want, &format!("{kind:?} {what}"));
+                if ci == 0 {
+                    tally(&mut seen[2 + qi], &want);
                 }
             }
         }
