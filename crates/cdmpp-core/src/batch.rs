@@ -4,11 +4,17 @@
 //! grouped by leaf count so each minibatch is a dense `[B, L, N_ENTRY]`
 //! tensor routed through the `L`-specific embedding layer.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 use dataset::Dataset;
 use devsim::device_by_name;
-use features::{device_features, extract_compact_ast, N_DEVICE_FEATURES, N_ENTRY};
+use features::{
+    device_features, extract_compact_ast_into_cached, CompactAst, Log1pTable, N_DEVICE_FEATURES,
+    N_ENTRY,
+};
+
+use crate::e2e::PE_ROWS;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use tensor::Tensor;
@@ -121,32 +127,53 @@ impl SampleLike for SampleRef<'_> {
 
 /// Encodes dataset records into samples.
 ///
-/// `use_pe` toggles positional encoding (the Fig 14a ablation).
+/// `use_pe` toggles positional encoding (the Fig 14a ablation). Extraction
+/// reuses one compact-AST scratch and this thread's `log1p` memo, PE rows
+/// come from this thread's memo, and device features are looked up once
+/// per device name: each replays its direct computation bit for bit.
 pub fn encode_records(ds: &Dataset, idx: &[usize], theta: f32, use_pe: bool) -> Vec<EncodedSample> {
-    let mut dev_cache: HashMap<String, [f32; N_DEVICE_FEATURES]> = HashMap::new();
-    idx.iter()
-        .map(|&i| {
-            let rec = &ds.records[i];
-            let ast = extract_compact_ast(&rec.program);
-            let x = if use_pe {
-                ast.encoded_flat(theta)
-            } else {
-                ast.flat()
-            };
-            let dev = *dev_cache.entry(rec.device.clone()).or_insert_with(|| {
-                device_by_name(&rec.device)
-                    .map(|d| device_features(&d))
-                    .unwrap_or([0.0; N_DEVICE_FEATURES])
-            });
-            EncodedSample {
-                record_idx: i,
-                leaf_count: ast.n_leaves(),
-                x,
-                dev,
-                y_raw: rec.latency_s,
-            }
+    let mut devs: Vec<(&str, [f32; N_DEVICE_FEATURES])> = Vec::new();
+    let mut ast = CompactAst::default();
+    let (pe, logs) = (&PE_ROWS, &LOG1P);
+    pe.with_borrow_mut(|pe| {
+        logs.with_borrow_mut(|logs| {
+            idx.iter()
+                .map(|&i| {
+                    let rec = &ds.records[i];
+                    extract_compact_ast_into_cached(&rec.program, &mut ast, logs);
+                    let mut x = vec![0.0; ast.n_leaves() * N_ENTRY];
+                    if use_pe {
+                        ast.encoded_flat_into_cached(theta, pe, &mut x);
+                    } else {
+                        ast.flat_into(&mut x);
+                    }
+                    let dev = match devs.iter().find(|(name, _)| *name == rec.device) {
+                        Some((_, feats)) => *feats,
+                        None => {
+                            let feats = device_by_name(&rec.device)
+                                .map(|d| device_features(&d))
+                                .unwrap_or([0.0; N_DEVICE_FEATURES]);
+                            devs.push((&rec.device, feats));
+                            feats
+                        }
+                    };
+                    EncodedSample {
+                        record_idx: i,
+                        leaf_count: ast.n_leaves(),
+                        x,
+                        dev,
+                        y_raw: rec.latency_s,
+                    }
+                })
+                .collect()
         })
-        .collect()
+    })
+}
+
+thread_local! {
+    /// This thread's `log1p` memo for [`encode_records`]: filled once up to
+    /// the largest extent or stride seen (at most 256 KiB), replayed after.
+    static LOG1P: RefCell<Log1pTable> = RefCell::new(Log1pTable::new());
 }
 
 /// Per-column feature standardizer fitted on the training set.
@@ -419,6 +446,43 @@ mod tests {
         for s in &enc {
             assert_eq!(s.x.len(), s.leaf_count * N_ENTRY);
             assert!(s.y_raw > 0.0);
+        }
+    }
+
+    #[test]
+    fn encoding_replays_the_direct_computation_bit_for_bit() {
+        // Two devices, and two Θ in a row on one thread (the PE memo drops
+        // its rows on a change): each sample as computed from scratch.
+        let d = Dataset::generate_with_networks(
+            GenConfig {
+                batch: 1,
+                schedules_per_task: 2,
+                devices: vec![devsim::t4(), devsim::v100()],
+                seed: 3,
+                noise_sigma: 0.0,
+            },
+            vec![zoo::bert_tiny(1)],
+        );
+        let idx: Vec<usize> = (0..d.records.len()).rev().collect();
+        for (theta, use_pe) in [
+            (features::DEFAULT_THETA, true),
+            (500.0, true),
+            (500.0, false),
+        ] {
+            for (s, &i) in encode_records(&d, &idx, theta, use_pe).iter().zip(&idx) {
+                let rec = &d.records[i];
+                let ast = features::extract_compact_ast(&rec.program);
+                let x = if use_pe {
+                    ast.encoded_flat(theta)
+                } else {
+                    ast.flat()
+                };
+                let dev = device_features(&device_by_name(&rec.device).unwrap());
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&s.x), bits(&x), "record {i} theta {theta}");
+                assert_eq!(bits(&s.dev), bits(&dev), "record {i}");
+                assert_eq!((s.record_idx, s.leaf_count), (i, ast.n_leaves()));
+            }
         }
     }
 

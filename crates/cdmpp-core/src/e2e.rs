@@ -34,11 +34,12 @@ impl E2eResult {
 }
 
 thread_local! {
-    /// This thread's positional-encoding rows for [`encode_programs`]: a
-    /// pure-function memo (28 `powf` + 56 `sin`/`cos` per row otherwise),
-    /// filled once per thread up to the largest ordering value seen
-    /// (224 bytes a row, a few dozen rows) and dropped on a Θ change.
-    static PE_ROWS: RefCell<PeTable> = RefCell::new(PeTable::new());
+    /// This thread's positional-encoding rows for [`encode_programs`] and
+    /// [`crate::batch::encode_records`]: a pure-function memo (28 `powf` +
+    /// 56 `sin`/`cos` per row otherwise), filled once per thread up to the
+    /// largest ordering value seen (224 bytes a row, a few dozen rows) and
+    /// dropped on a Θ change.
+    pub(crate) static PE_ROWS: RefCell<PeTable> = RefCell::new(PeTable::new());
 }
 
 /// Encodes standalone tensor programs (not dataset records) for inference.

@@ -1364,6 +1364,19 @@ mod tests {
     }
 
     #[test]
+    fn training_steps_fuse_every_attention_block_both_ways() {
+        let p = Predictor::new(PredictorConfig::default());
+        let layers = p.config().n_layers;
+        for leaves in [1, 3, 8] {
+            for seeds in [StepSeeds::Pred, StepSeeds::Latent, StepSeeds::Both] {
+                let st = p.train_plan_for(leaves, seeds).unwrap().stats();
+                let got = (st.fused_attention_forward, st.fused_attention_backward);
+                assert_eq!(got, (layers, layers), "L={leaves} {seeds:?}: {st:?}");
+            }
+        }
+    }
+
+    #[test]
     fn specialized_routing_matches_generic_and_falls_back_off_class() {
         let p = Predictor::new(PredictorConfig::default());
         let shared = p.share();

@@ -25,8 +25,11 @@
 //! to back and 13 µs after 1 ms idle (p90 20 µs), and a second thread
 //! scaled a fixed loop 0.98–1.03× for whole stretches and 1.85–2.05× at
 //! other times (`cargo run --release -p parallel --example wake_probe`).
-//! A whole compiled step is under a millisecond, and 16-row shards make
-//! GEMMs too small to share.
+//! A whole compiled step reads 0.86–1.23 ms for sharded pre-training at
+//! B = 64 and 1.26–1.66 ms for a two-domain fine-tuning step at B = 48 on
+//! that host
+//! (`cargo run --release -p cdmpp-core --example train_step_phases`), and
+//! 16-row shards make GEMMs too small to share.
 //!
 //! [`train_step`] and [`train_step_parallel`] are the taped **oracles**:
 //! the one-graph step and the data-parallel step the compiled one must

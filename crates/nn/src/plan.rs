@@ -1730,6 +1730,17 @@ impl<'r> RunCtx<'r> {
         (!self.aliases_out(src, out)).then(|| self.read(src))
     }
 
+    /// Replays a training forward's fused attention block.
+    pub(crate) fn exec_train_attention(&self, a: &TrainAttention) -> Result<(), PlanError> {
+        self.assert_disjoint([a.q, a.k, a.v, Src::Buf(a.probs)], a.out);
+        self.assert_disjoint([a.q, a.k, a.v], a.probs);
+        let (q, k, v) = (self.read(a.q), self.read(a.k), self.read(a.v));
+        let (out, probs) = (self.out(a.out), self.out(a.probs));
+        let b = a.b.at(self.b);
+        tensor::attention_train_slices(b, a.h, a.l, a.dh, q, k, v, a.scale, out, probs)?;
+        Ok(())
+    }
+
     pub(crate) fn exec(&self, step: &Step) -> Result<(), PlanError> {
         let out = step.out;
         match &step.kind {
@@ -2270,7 +2281,27 @@ struct AttnMatch {
     l: usize,
     dh: usize,
     scale: Option<f32>,
+    /// The softmax output buffer (written by the training step only).
+    probs: usize,
     /// The `merge_heads` output buffer — where the fused step writes.
+    out: usize,
+}
+
+/// A training forward's attention block: the seven steps
+/// [`Plan::match_attention`] matches, replayed as one
+/// [`tensor::attention_train_slices`] step over `b` sequences that also
+/// writes the probabilities where the softmax step did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TrainAttention {
+    q: Src,
+    k: Src,
+    v: Src,
+    b: Dim,
+    h: usize,
+    l: usize,
+    dh: usize,
+    scale: Option<f32>,
+    probs: usize,
     out: usize,
 }
 
@@ -2290,7 +2321,7 @@ impl Plan {
     /// How many steps read each buffer, the outputs list counting as one
     /// more reader: a buffer with a single reader is invisible outside
     /// the step that reads it.
-    fn reader_counts(&self) -> Vec<usize> {
+    pub(crate) fn reader_counts(&self) -> Vec<usize> {
         let mut readers = vec![0usize; self.bufs.len()];
         let step_reads = self.steps.iter().flat_map(|s| s.kind.sources());
         for src in step_reads.chain(self.outputs.iter().map(|(s, _)| *s)) {
@@ -2304,8 +2335,15 @@ impl Plan {
     /// Matches `split_heads ×3 → bmm(Q·Kᵀ, scale) → softmax → bmm(·V) →
     /// merge_heads` in the seven consecutive steps starting at `at`, every
     /// intermediate read by the next step of the pattern and by nothing
-    /// else, on a geometry the fused kernel serves.
-    fn match_attention(&self, at: usize, readers: &[usize], bsz: usize) -> Option<AttnMatch> {
+    /// else, on a geometry the fused kernel serves. With `keep_probs` the
+    /// softmax output may have other readers: the training step writes it.
+    fn match_attention(
+        &self,
+        at: usize,
+        readers: &[usize],
+        bsz: usize,
+        keep_probs: bool,
+    ) -> Option<AttnMatch> {
         let [sq, sk, sv, qk, sm, pv, mg] = self.steps.get(at..at + 7)? else {
             return None;
         };
@@ -2348,12 +2386,13 @@ impl Plan {
             StepKind::MergeHeads { x: Src::Buf(x), h: mh, bh: mbh, l: ml, dh: mdh }
                 if x == pv.out && mh == h && [dim(mbh), dim(ml), dim(mdh)] == [Some(bh), Some(l), Some(dh)]
         );
-        let inner = [sq.out, sk.out, sv.out, qk.out, sm.out, pv.out];
+        let inner = [sq.out, sk.out, sv.out, qk.out, pv.out];
         let fits = qk_dims == [bh, l, dh, l]
             && softmax_ok
             && bmm(pv, sm.out, sv.out, false)? == ([bh, l, l, dh], None)
             && merge_ok
             && inner.iter().all(|&buf| readers[buf] == 1)
+            && (keep_probs || readers[sm.out] == 1)
             && tensor::attention_fusable(l, dh);
         fits.then_some(AttnMatch {
             q,
@@ -2364,7 +2403,46 @@ impl Plan {
             l,
             dh,
             scale,
+            probs: sm.out,
             out: mg.out,
+        })
+    }
+
+    /// [`Plan::match_attention`] for a training forward, at every batch
+    /// size: the match must hold at two probe sizes with one geometry and
+    /// a batch-linear sequence count (every dim is linear in the batch, so
+    /// agreeing at two sizes is agreeing at all), and the step's two
+    /// outputs must sit in slots of their own, apart from its operands.
+    pub(crate) fn match_train_attention(
+        &self,
+        at: usize,
+        readers: &[usize],
+    ) -> Option<TrainAttention> {
+        let [m1, m2] = [1, 2].map(|bsz| self.match_attention(at, readers, bsz, true));
+        let (m1, m2) = (m1?, m2?);
+        let same = (m1.q, m1.k, m1.v, m1.h, m1.l, m1.dh, m1.probs, m1.out)
+            == (m2.q, m2.k, m2.v, m2.h, m2.l, m2.dh, m2.probs, m2.out)
+            && m1.scale.map(f32::to_bits) == m2.scale.map(f32::to_bits);
+        let slot = |b: usize| self.bufs[b].slot;
+        let operand_slots = [m1.q, m1.k, m1.v].map(|s| match s {
+            Src::Buf(b) => Some(slot(b)),
+            _ => None,
+        });
+        let apart = slot(m1.probs) != slot(m1.out)
+            && [m1.probs, m1.out]
+                .iter()
+                .all(|&w| !operand_slots.contains(&Some(slot(w))));
+        (same && apart && m1.b > 0 && m2.b == 2 * m1.b).then_some(TrainAttention {
+            q: m1.q,
+            k: m1.k,
+            v: m1.v,
+            b: Dim::PerBatch(m1.b),
+            h: m1.h,
+            l: m1.l,
+            dh: m1.dh,
+            scale: m1.scale,
+            probs: m1.probs,
+            out: m1.out,
         })
     }
 
@@ -2536,16 +2614,18 @@ impl Plan {
             let step = &self.steps[si];
             // Projections + attention: one GEMM into the scratch region,
             // one attention step reading it at row stride `3n`.
-            let fused = self.match_attention(si + 3, &readers, b).and_then(|attn| {
-                let qkv = self.match_qkv(si, &readers, b, &attn)?;
-                let len = qkv.m.checked_mul(3 * qkv.n)?;
-                let panel = cache.get_or_pack_qkv(params, qkv.w, qkv.k, qkv.n)?;
-                let biases = qkv.bias.map(|ids| ids.map(|id| params.value(id).data()));
-                if biases.is_some_and(|rows| rows.iter().any(|r| r.len() != qkv.n)) {
-                    return None;
-                }
-                Some((attn, qkv, len, panel, biases))
-            });
+            let fused = self
+                .match_attention(si + 3, &readers, b, false)
+                .and_then(|attn| {
+                    let qkv = self.match_qkv(si, &readers, b, &attn)?;
+                    let len = qkv.m.checked_mul(3 * qkv.n)?;
+                    let panel = cache.get_or_pack_qkv(params, qkv.w, qkv.k, qkv.n)?;
+                    let biases = qkv.bias.map(|ids| ids.map(|id| params.value(id).data()));
+                    if biases.is_some_and(|rows| rows.iter().any(|r| r.len() != qkv.n)) {
+                        return None;
+                    }
+                    Some((attn, qkv, len, panel, biases))
+                });
             if let Some((attn, qkv, len, panel, biases)) = fused {
                 let bias = biases.map(|rows| {
                     let at = consts.len();
@@ -2579,7 +2659,7 @@ impl Plan {
             }
             // Attention alone, its operands read where they are — unless
             // the planner handed the merged output one of their slots.
-            let in_place = self.match_attention(si, &readers, b).filter(|attn| {
+            let in_place = self.match_attention(si, &readers, b, false).filter(|attn| {
                 ![attn.q, attn.k, attn.v]
                     .iter()
                     .any(|&s| aliases(s, attn.out))
@@ -3280,68 +3360,79 @@ fn softmax_rows(o: &mut [f32], d: usize) {
     o.chunks_mut(d).for_each(tensor::softmax_row);
 }
 
-/// Row-wise layer norm, processed **four rows at a time**.
+/// Where `Iterator::sum` starts an `f32` sum (`-0.0`): a row sum kept in
+/// a hand-interleaved accumulator starts here, so it takes exactly the
+/// steps `iter().sum()` takes — the tape's definition — down to the sign
+/// of an all-zero row's sum.
+#[inline(always)]
+pub(crate) fn sum_start() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
+/// Rows [`layer_norm_rows`] and the training step's layer-norm backward
+/// advance together: rows are independent, so interleaving them runs that
+/// many accumulation chains side by side without changing any row's own
+/// operation order.
+pub(crate) const NORM_ROWS: usize = 8;
+
+/// `rows` split into `R` disjoint rows of width `d` (`rows` holds exactly
+/// `R * d`).
+#[inline(always)]
+pub(crate) fn split_rows<const R: usize>(rows: &mut [f32], d: usize) -> [&mut [f32]; R] {
+    let mut it = rows.chunks_exact_mut(d);
+    std::array::from_fn(|_| it.next().expect("R rows of width d"))
+}
+
+/// Row-wise layer norm, [`NORM_ROWS`] rows at a time, then four, then one.
 ///
 /// The mean and variance sums are serial dependency chains per row (the
 /// f32 accumulation order is part of the bit-identity contract, so they
 /// cannot be vectorized within a row) — but rows are independent, so
-/// interleaving four of them runs four accumulation chains in parallel
-/// without changing any row's operation order (`one_row` below is the
-/// per-row definition; the tape computes the same sequence).
+/// interleaving them runs one chain per row in parallel without changing
+/// any row's operation order (`R = 1` is the per-row definition; the tape
+/// computes the same sequence).
 fn layer_norm_rows(o: &mut [f32], gv: &[f32], bv: &[f32], d: usize, eps: f32) {
     #[inline(always)]
-    fn one_row(chunk: &mut [f32], gv: &[f32], bv: &[f32], d: usize, eps: f32) {
-        let mean: f32 = chunk.iter().sum::<f32>() / d as f32;
-        let var: f32 = chunk.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let inv = 1.0 / (var + eps).sqrt();
-        for (j, v) in chunk.iter_mut().enumerate() {
-            *v = (*v - mean) * inv * gv[j] + bv[j];
+    fn rows<'o, const R: usize>(
+        o: &'o mut [f32],
+        gv: &[f32],
+        bv: &[f32],
+        d: usize,
+        eps: f32,
+    ) -> &'o mut [f32] {
+        let (gv, bv) = (&gv[..d], &bv[..d]);
+        let mut blocks = o.chunks_exact_mut(R * d);
+        for block in blocks.by_ref() {
+            let mut r = split_rows::<R>(block, d);
+            let mut s = [sum_start(); R];
+            for p in 0..d {
+                for (s, row) in s.iter_mut().zip(&r) {
+                    *s += row[p];
+                }
+            }
+            let mean = s.map(|x| x / d as f32);
+            let mut vs = [sum_start(); R];
+            for p in 0..d {
+                for ((v, row), &m) in vs.iter_mut().zip(&r).zip(&mean) {
+                    *v += (row[p] - m) * (row[p] - m);
+                }
+            }
+            let inv = vs.map(|v| 1.0 / (v / d as f32 + eps).sqrt());
+            // Element-wise: a row at a time, so the loop runs across `j`.
+            for ((row, &m), &i) in r.iter_mut().zip(&mean).zip(&inv) {
+                for ((v, &g), &b) in row.iter_mut().zip(gv).zip(bv) {
+                    *v = (*v - m) * i * g + b;
+                }
+            }
         }
+        blocks.into_remainder()
     }
     if d == 0 {
         return;
     }
-    let mut quads = o.chunks_exact_mut(4 * d);
-    for quad in quads.by_ref() {
-        let (r0, rest) = quad.split_at_mut(d);
-        let (r1, rest) = rest.split_at_mut(d);
-        let (r2, r3) = rest.split_at_mut(d);
-        let (r0, r1, r2, r3) = (&mut r0[..d], &mut r1[..d], &mut r2[..d], &mut r3[..d]);
-        let mut s = [0.0f32; 4];
-        for p in 0..d {
-            s[0] += r0[p];
-            s[1] += r1[p];
-            s[2] += r2[p];
-            s[3] += r3[p];
-        }
-        let mean = s.map(|x| x / d as f32);
-        let mut vs = [0.0f32; 4];
-        for p in 0..d {
-            let d0 = (r0[p] - mean[0]) * (r0[p] - mean[0]);
-            let d1 = (r1[p] - mean[1]) * (r1[p] - mean[1]);
-            let d2 = (r2[p] - mean[2]) * (r2[p] - mean[2]);
-            let d3 = (r3[p] - mean[3]) * (r3[p] - mean[3]);
-            vs[0] += d0;
-            vs[1] += d1;
-            vs[2] += d2;
-            vs[3] += d3;
-        }
-        let inv = [
-            1.0 / (vs[0] / d as f32 + eps).sqrt(),
-            1.0 / (vs[1] / d as f32 + eps).sqrt(),
-            1.0 / (vs[2] / d as f32 + eps).sqrt(),
-            1.0 / (vs[3] / d as f32 + eps).sqrt(),
-        ];
-        for j in 0..d {
-            r0[j] = (r0[j] - mean[0]) * inv[0] * gv[j] + bv[j];
-            r1[j] = (r1[j] - mean[1]) * inv[1] * gv[j] + bv[j];
-            r2[j] = (r2[j] - mean[2]) * inv[2] * gv[j] + bv[j];
-            r3[j] = (r3[j] - mean[3]) * inv[3] * gv[j] + bv[j];
-        }
-    }
-    for chunk in quads.into_remainder().chunks_mut(d) {
-        one_row(chunk, gv, bv, d, eps);
-    }
+    let rest = rows::<NORM_ROWS>(o, gv, bv, d, eps);
+    let rest = rows::<4>(rest, gv, bv, d, eps);
+    rows::<1>(rest, gv, bv, d, eps);
 }
 
 /// Serializable plan descriptors: a plain-data mirror of [`Plan`]

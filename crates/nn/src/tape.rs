@@ -869,12 +869,9 @@ impl Graph {
 
 fn softmax_bwd(s: &Tensor, g: &Tensor) -> Result<Tensor> {
     let d = *s.shape().last().expect("non-empty");
-    let mut out = vec![0.0f32; s.numel()];
-    for (r, (srow, grow)) in s.data().chunks(d).zip(g.data().chunks(d)).enumerate() {
-        let dot: f32 = srow.iter().zip(grow.iter()).map(|(&a, &b)| a * b).sum();
-        for j in 0..d {
-            out[r * d + j] = srow[j] * (grow[j] - dot);
-        }
+    let mut out = g.data().to_vec();
+    for (srow, orow) in s.data().chunks(d).zip(out.chunks_mut(d)) {
+        tensor::softmax_bwd_row(srow, orow);
     }
     Tensor::from_vec(out, s.shape())
 }

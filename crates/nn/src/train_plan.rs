@@ -27,6 +27,14 @@
 //!    interpreter, backward steps through the kernels below, parameter
 //!    gradients accumulated straight into the [`ParamStore`].
 //!
+//! An attention block (`split_heads ×3 → bmm(Q·Kᵀ) [→ scale] → softmax →
+//! bmm(·V) → merge_heads`) is one step each way where its geometry allows:
+//! the forward's seven lowered steps replay as
+//! [`tensor::attention_train_slices`], which also writes the
+//! probabilities, and the backward is [`tensor::attention_bwd_slices`]
+//! reading `Q`, `K`, `V` and the probabilities in place — every element
+//! the unfused steps' own chain.
+//!
 //! The loss stays on the tape: a caller builds it over `constant` leaves
 //! holding the replayed outputs, runs `backward`, and hands the leaves'
 //! gradients to [`TrainExec::backward`] as **seeds**. A seed is an output
@@ -76,8 +84,8 @@ use std::sync::Arc;
 
 use crate::memory::{assign_slots, Def};
 use crate::plan::{
-    infer_batch, size_of, Dim, MapOp, Plan, PlanError, ROp, Recorder, Recording, RowKind, RunCtx,
-    Size, Src, ZipKind,
+    infer_batch, size_of, split_rows, sum_start, Dim, MapOp, Plan, PlanError, ROp, Recorder,
+    Recording, RowKind, RunCtx, Size, Src, TrainAttention, ZipKind, NORM_ROWS,
 };
 use crate::tape::{ParamId, ParamStore, Var};
 use tensor::Tensor;
@@ -201,6 +209,21 @@ enum BStep {
         d: usize,
         out: usize,
     },
+    /// One attention block's backward — `split_heads ×3 → bmm(Q·Kᵀ)
+    /// [→ scale] → softmax → bmm(·V) → merge_heads` — as one
+    /// [`tensor::attention_bwd_slices`] over `b·B` sequences: from the
+    /// merged output's gradient `g`, writes `out = [dQ, dK, dV]`.
+    Attention {
+        qkv: [BSrc; 3],
+        p: BSrc,
+        g: usize,
+        b: usize,
+        h: usize,
+        l: usize,
+        dh: usize,
+        scale: Option<f32>,
+        out: [usize; 3],
+    },
     /// Layer-norm backward: `out = dx` at full batch; `dγ` / `dβ` per shard
     /// range, tree-added into the stored gradients.
     LayerNormBwd {
@@ -251,33 +274,38 @@ enum BStep {
     },
 }
 
+/// `(gradient buffers read, buffers written, whether the write is a
+/// read-modify-write of an existing buffer, operand it may overwrite)`.
+type StepIo = ([Option<usize>; 2], [Option<usize>; 3], bool, Option<usize>);
+
 impl BStep {
-    /// `(gradient buffers read, buffer written, whether the write is a
-    /// read-modify-write of an existing buffer, operand it may overwrite)`.
-    fn io(&self) -> ([Option<usize>; 2], Option<usize>, bool, Option<usize>) {
+    /// What the slot planner needs to know of this step ([`StepIo`]).
+    fn io(&self) -> StepIo {
         let grad = |s: &BSrc| match s {
             BSrc::Grad(b) => Some(*b),
             _ => None,
         };
+        let one = |o: &usize| [Some(*o), None, None];
         match self {
-            BStep::Seed { out, .. } => ([None, None], Some(*out), false, None),
+            BStep::Seed { out, .. } => ([None, None], one(out), false, None),
             BStep::Copy { x, out } | BStep::Scale { x, out, .. } => {
-                ([Some(*x), None], Some(*out), false, Some(*x))
+                ([Some(*x), None], one(out), false, Some(*x))
             }
-            BStep::AddAssign { x, out } => ([Some(*x), None], Some(*out), true, None),
-            BStep::MulFwd { x, out, .. } => ([Some(*x), None], Some(*out), false, Some(*x)),
+            BStep::AddAssign { x, out } => ([Some(*x), None], one(out), true, None),
+            BStep::MulFwd { x, out, .. } => ([Some(*x), None], one(out), false, Some(*x)),
             BStep::Act { g, out, .. }
             | BStep::SoftmaxBwd { g, out, .. }
-            | BStep::LayerNormBwd { g, out, .. } => ([Some(*g), None], Some(*out), false, Some(*g)),
-            BStep::Gemm { x, acc, out, .. } => ([Some(*x), None], Some(*out), *acc, None),
-            BStep::Bmm { x, y, acc, out, .. } => ([grad(x), grad(y)], Some(*out), *acc, None),
-            BStep::Heads { x, out, .. } => ([Some(*x), None], Some(*out), false, None),
+            | BStep::LayerNormBwd { g, out, .. } => ([Some(*g), None], one(out), false, Some(*g)),
+            BStep::Gemm { x, acc, out, .. } => ([Some(*x), None], one(out), *acc, None),
+            BStep::Bmm { x, y, acc, out, .. } => ([grad(x), grad(y)], one(out), *acc, None),
+            BStep::Heads { x, out, .. } => ([Some(*x), None], one(out), false, None),
             BStep::SliceCols { g, out, .. } | BStep::PadCols { g, out, .. } => {
-                ([Some(*g), None], Some(*out), false, None)
+                ([Some(*g), None], one(out), false, None)
             }
             BStep::ParamMatmul { g, .. } | BStep::ParamColSum { g, .. } => {
-                ([Some(*g), None], None, false, None)
+                ([Some(*g), None], [None; 3], false, None)
             }
+            BStep::Attention { g, out, .. } => ([Some(*g), None], out.map(Some), false, None),
         }
     }
 
@@ -295,7 +323,8 @@ impl BStep {
 /// Counters from compiling a [`TrainPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrainPlanStats {
-    /// Steps of the forward half (the inference planner's count).
+    /// Steps of the forward half: the inference planner's, with each
+    /// fused attention block counted once.
     pub forward_steps: usize,
     /// Steps of the backward half.
     pub backward_steps: usize,
@@ -311,6 +340,18 @@ pub struct TrainPlanStats {
     pub forward_slots: usize,
     /// Arena slots of the backward half.
     pub backward_slots: usize,
+    /// Attention blocks the forward replays as one fused step.
+    pub fused_attention_forward: usize,
+    /// Attention blocks the backward replays as one fused step.
+    pub fused_attention_backward: usize,
+}
+
+/// One step of a compiled forward: a step of the lowered inference plan,
+/// or an attention block fused over seven of them.
+#[derive(Debug)]
+enum FwdStep {
+    Plan(usize),
+    Attention(TrainAttention),
 }
 
 /// A compiled, batch-size-generic forward + backward program.
@@ -322,6 +363,8 @@ pub struct TrainPlanStats {
 #[derive(Debug)]
 pub struct TrainPlan {
     fwd: Plan,
+    /// What [`TrainExec::forward`] replays, in order.
+    fwd_steps: Vec<FwdStep>,
     /// Number of user outputs (the forward plan lists kept activations
     /// after them).
     n_outputs: usize,
@@ -382,11 +425,11 @@ impl TrainPlan {
         let mut last_use = vec![0usize; sizes.len()];
         let mut defs = Vec::new();
         for (si, step) in steps.iter().enumerate() {
-            let (reads, out, rmw, inplace) = step.io();
+            let (reads, outs, rmw, inplace) = step.io();
             for b in reads.into_iter().flatten() {
                 last_use[b] = last_use[b].max(si);
             }
-            if let Some(o) = out {
+            for o in outs.into_iter().flatten() {
                 if rmw {
                     last_use[o] = last_use[o].max(si);
                 } else {
@@ -400,8 +443,13 @@ impl TrainPlan {
             }
         }
         let slots = assign_slots(&sizes, &def_step, &last_use, &defs);
+        let fwd_steps = fuse_forward(&fwd);
+        let fused_fwd = fwd_steps
+            .iter()
+            .filter(|s| matches!(s, FwdStep::Attention(_)))
+            .count();
         let stats = TrainPlanStats {
-            forward_steps: fwd.stats().steps,
+            forward_steps: fwd_steps.len(),
             backward_steps: steps.len(),
             kept_activations: acts.len(),
             aliased_grads: d.aliased,
@@ -409,10 +457,16 @@ impl TrainPlan {
             param_grads: d.params_seen.len(),
             forward_slots: fwd.slot_sizes.len(),
             backward_slots: slots.slot_sizes.len(),
+            fused_attention_forward: fused_fwd,
+            fused_attention_backward: steps
+                .iter()
+                .filter(|s| matches!(s, BStep::Attention { .. }))
+                .count(),
         };
         Ok(TrainPlan {
             scratch: steps.iter().map(BStep::scratch).max().unwrap_or(0),
             fwd,
+            fwd_steps,
             n_outputs,
             seeded: (0..n_outputs).filter(|&i| seeded[i]).collect(),
             acts,
@@ -446,6 +500,28 @@ impl TrainPlan {
     }
 }
 
+/// The forward's replay list: every attention block
+/// [`Plan::match_train_attention`] accepts becomes one step, the rest
+/// replay as lowered.
+fn fuse_forward(fwd: &Plan) -> Vec<FwdStep> {
+    let readers = fwd.reader_counts();
+    let mut out = Vec::with_capacity(fwd.steps.len());
+    let mut si = 0;
+    while si < fwd.steps.len() {
+        match fwd.match_train_attention(si, &readers) {
+            Some(a) => {
+                out.push(FwdStep::Attention(a));
+                si += 7;
+            }
+            None => {
+                out.push(FwdStep::Plan(si));
+                si += 1;
+            }
+        }
+    }
+    out
+}
+
 fn unsupported(what: &str) -> PlanError {
     PlanError::Build(format!("not compilable as a training step: {what}"))
 }
@@ -467,6 +543,24 @@ struct Deriver<'a> {
     keep: Vec<usize>,
     params_seen: Vec<ParamId>,
     aliased: usize,
+    /// Nodes whose backward a fused attention step already emitted.
+    fused: Vec<bool>,
+}
+
+/// An attention block of the raw recording, ending at its `merge_heads`.
+struct RawAttention {
+    /// The block's nodes before `merge_heads`, in recording order.
+    nodes: Vec<usize>,
+    /// The nodes split into heads, and the softmax output.
+    q: usize,
+    k: usize,
+    v: usize,
+    probs: usize,
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    scale: Option<f32>,
 }
 
 impl<'a> Deriver<'a> {
@@ -490,6 +584,7 @@ impl<'a> Deriver<'a> {
             keep: Vec::new(),
             params_seen: Vec::new(),
             aliased: 0,
+            fused: vec![false; ops.len()],
         }
     }
 
@@ -652,12 +747,114 @@ impl<'a> Deriver<'a> {
             self.contribute(o, out)?;
         }
         for i in (0..n).rev() {
-            if active[i] && !matches!(self.ops[i], ROp::Param(_)) {
+            if active[i] && !matches!(self.ops[i], ROp::Param(_)) && !self.fused[i] {
                 let g = self.gbuf[i].expect("an active node has received its contributions");
-                self.backprop(i, g)?;
+                match self.match_attention(i) {
+                    Some(attn) => self.attention(attn, g)?,
+                    None => self.backprop(i, g)?,
+                }
             }
         }
         Ok(())
+    }
+
+    /// The attention block `split_heads ×3 → bmm(Q·Kᵀ) [→ scale] →
+    /// softmax → bmm(·V) → merge_heads` ending at node `i`, if the fused
+    /// backward serves it: its nodes recorded back to back, each feeding
+    /// only the next (so nothing else backpropagates between them, and
+    /// every product is a first, non-accumulating contribution), all three
+    /// heads' sources needing a gradient, and a geometry
+    /// [`tensor::attention_fusable`] accepts.
+    fn match_attention(&self, i: usize) -> Option<RawAttention> {
+        let ROp::MergeHeads { x: ctx, h } = self.ops[i] else {
+            return None;
+        };
+        let ROp::Bmm {
+            a: probs,
+            b: vh,
+            ta: false,
+            tb: false,
+        } = self.ops[ctx]
+        else {
+            return None;
+        };
+        let ROp::Softmax { x: pre } = self.ops[probs] else {
+            return None;
+        };
+        let (scores, scale) = match self.ops[pre] {
+            ROp::Map {
+                x,
+                op: MapOp::Scale(c),
+            } => (x, Some(c)),
+            _ => (pre, None),
+        };
+        let ROp::Bmm {
+            a: qh,
+            b: kh,
+            ta: false,
+            tb: true,
+        } = self.ops[scores]
+        else {
+            return None;
+        };
+        let split = |j: usize| match self.ops[j] {
+            ROp::SplitHeads { x, h: hj } if hj == h => Some(x),
+            _ => None,
+        };
+        let (q, k, v) = (split(qh)?, split(kh)?, split(vh)?);
+        let mut nodes = vec![qh, kh, vh, scores];
+        nodes.extend(scale.map(|_| pre));
+        nodes.extend([probs, ctx]);
+        let [Dim::PerBatch(b), Dim::Fixed(l), Dim::Fixed(d)] = self.dims[i][..] else {
+            return None;
+        };
+        let fits = nodes.iter().enumerate().all(|(o, &j)| j == qh + o)
+            && ctx + 1 == i
+            && nodes.iter().all(|&j| self.total[j] == 1)
+            && [q, k, v]
+                .iter()
+                .all(|&j| self.needs[j] && self.dims[j] == self.dims[i])
+            && h > 0
+            && d % h == 0
+            && tensor::attention_fusable(l, d / h);
+        fits.then_some(RawAttention {
+            nodes,
+            q,
+            k,
+            v,
+            probs,
+            b,
+            h,
+            l,
+            dh: d / h,
+            scale,
+        })
+    }
+
+    /// Emits one fused step for the whole block; its three gradients go
+    /// to `v`, `k`, `q` in that order, as the tape's `split_heads` nodes
+    /// hand them on.
+    fn attention(&mut self, a: RawAttention, g: usize) -> Result<(), PlanError> {
+        let qkv = [self.value(a.q), self.value(a.k), self.value(a.v)];
+        let p = self.value(a.probs);
+        let out = [self.new_buf(a.q)?, self.new_buf(a.k)?, self.new_buf(a.v)?];
+        self.steps.push(BStep::Attention {
+            qkv,
+            p,
+            g,
+            b: a.b,
+            h: a.h,
+            l: a.l,
+            dh: a.dh,
+            scale: a.scale,
+            out,
+        });
+        for &j in &a.nodes {
+            self.fused[j] = true;
+        }
+        self.contribute(a.v, out[2])?;
+        self.contribute(a.k, out[1])?;
+        self.contribute(a.q, out[0])
     }
 
     /// Emits a step computing a fresh buffer shaped like node `like`.
@@ -1000,8 +1197,11 @@ impl TrainExec {
             arena: self.arena.as_mut_ptr(),
             arena_len: self.arena.len(),
         };
-        for step in &plan.fwd.steps {
-            ctx.exec(step)?;
+        for step in &plan.fwd_steps {
+            match step {
+                FwdStep::Plan(i) => ctx.exec(&plan.fwd.steps[*i])?,
+                FwdStep::Attention(a) => ctx.exec_train_attention(a)?,
+            }
         }
         Ok(())
     }
@@ -1321,6 +1521,42 @@ impl<'r> BwdCtx<'r> {
                 self.assert_disjoint(x, out);
                 heads(self.out(out), self.grad(x), b * self.b, l, d, h, split);
             }
+            BStep::Attention {
+                qkv,
+                p,
+                g,
+                b,
+                h,
+                l,
+                dh,
+                scale,
+                out,
+            } => {
+                for (i, &o) in out.iter().enumerate() {
+                    self.assert_disjoint(g, o);
+                    for &other in &out[i + 1..] {
+                        self.assert_disjoint(other, o);
+                    }
+                }
+                let [q, k, v] = qkv.map(|s| self.read(s));
+                let (p, gs) = (self.read(p), self.grad(g));
+                let [dq, dk, dv] = out.map(|o| self.out(o));
+                tensor::attention_bwd_slices(
+                    b * self.b,
+                    h,
+                    l,
+                    dh,
+                    q,
+                    k,
+                    v,
+                    p,
+                    gs,
+                    scale,
+                    dq,
+                    dk,
+                    dv,
+                )?;
+            }
             BStep::SoftmaxBwd { s, g, d, out } => {
                 let o = self.out(out);
                 if let Some(gs) = self.grad_unless_out(g, out) {
@@ -1489,18 +1725,17 @@ fn heads(o: &mut [f32], x: &[f32], b: usize, l: usize, d: usize, h: usize, split
 /// incoming gradient on entry and `s * (g - Σ s·g)` on return.
 fn softmax_bwd_rows(s: &[f32], d: usize, o: &mut [f32]) {
     for (srow, orow) in s.chunks(d).zip(o.chunks_mut(d)) {
-        let dot: f32 = srow.iter().zip(orow.iter()).map(|(&a, &b)| a * b).sum();
-        for (o, &s) in orow.iter_mut().zip(srow) {
-            *o = s * (*o - dot);
-        }
+        tensor::softmax_bwd_row(srow, orow);
     }
 }
 
 /// Layer-norm backward over rows of width `d`, in place: `o` holds the
 /// incoming gradient on entry and `dx` on return; `dgamma` / `dbeta`
-/// accumulate row after row, as the tape's do. The two row means are
-/// serial chains and stay in a loop of their own, so the column
-/// accumulators — independent across `j` — get one that vectorizes.
+/// accumulate row after row, as the tape's do. Rows advance
+/// [`NORM_ROWS`] at a time, then four, then one: each row's mean,
+/// variance and two dot chains stay serial and in the tape's order, but
+/// the rows' chains run side by side, and a column accumulator still
+/// takes its rows in order.
 fn layer_norm_bwd_rows(
     x: &[f32],
     gamma: &[f32],
@@ -1510,29 +1745,73 @@ fn layer_norm_bwd_rows(
     dgamma: &mut [f32],
     dbeta: &mut [f32],
 ) {
-    let (gamma, dgamma, dbeta) = (&gamma[..d], &mut dgamma[..d], &mut dbeta[..d]);
-    for (xrow, orow) in x.chunks_exact(d).zip(o.chunks_exact_mut(d)) {
-        let mean: f32 = xrow.iter().sum::<f32>() / d as f32;
-        let var: f32 = xrow.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let inv = 1.0 / (var + eps).sqrt();
-        let mut mean_gg = 0.0f32;
-        let mut mean_ggx = 0.0f32;
-        for j in 0..d {
-            let gg = orow[j] * gamma[j];
-            mean_gg += gg;
-            mean_ggx += gg * ((xrow[j] - mean) * inv);
+    #[inline(always)]
+    fn rows<'x, 'o, const R: usize>(
+        x: &'x [f32],
+        o: &'o mut [f32],
+        gamma: &[f32],
+        eps: f32,
+        d: usize,
+        dgamma: &mut [f32],
+        dbeta: &mut [f32],
+    ) -> (&'x [f32], &'o mut [f32]) {
+        let (gamma, dgamma, dbeta) = (&gamma[..d], &mut dgamma[..d], &mut dbeta[..d]);
+        let mut xs = x.chunks_exact(R * d);
+        let mut os = o.chunks_exact_mut(R * d);
+        for (xb, ob) in (&mut xs).zip(&mut os) {
+            let mut it = xb.chunks_exact(d);
+            let xr: [&[f32]; R] = std::array::from_fn(|_| it.next().expect("R rows"));
+            let or = split_rows::<R>(ob, d);
+            let mut s = [sum_start(); R];
+            for p in 0..d {
+                for (s, row) in s.iter_mut().zip(&xr) {
+                    *s += row[p];
+                }
+            }
+            let mean = s.map(|v| v / d as f32);
+            let mut vs = [sum_start(); R];
+            for p in 0..d {
+                for ((v, row), &m) in vs.iter_mut().zip(&xr).zip(&mean) {
+                    *v += (row[p] - m) * (row[p] - m);
+                }
+            }
+            let inv = vs.map(|v| 1.0 / (v / d as f32 + eps).sqrt());
+            let xhat = |r: usize, j: usize| (xr[r][j] - mean[r]) * inv[r];
+            let mut mean_gg = [0.0f32; R];
+            let mut mean_ggx = [0.0f32; R];
+            for j in 0..d {
+                for r in 0..R {
+                    let gg = or[r][j] * gamma[j];
+                    mean_gg[r] += gg;
+                    mean_ggx[r] += gg * xhat(r, j);
+                }
+            }
+            let mean_gg = mean_gg.map(|v| v / d as f32);
+            let mean_ggx = mean_ggx.map(|v| v / d as f32);
+            // The column accumulators and `dx` are element-wise: a row at a
+            // time (rows in order), so those loops run across `j`.
+            for (r, orow) in or.into_iter().enumerate() {
+                let (xrow, m, iv) = (xr[r], mean[r], inv[r]);
+                let cols = dgamma.iter_mut().zip(dbeta.iter_mut());
+                for ((&g, &x), (dg, db)) in orow.iter().zip(xrow).zip(cols) {
+                    *dg += g * ((x - m) * iv);
+                    *db += g;
+                }
+                let (mg, mgx) = (mean_gg[r], mean_ggx[r]);
+                for ((o, &x), &ga) in orow.iter_mut().zip(xrow).zip(gamma) {
+                    let xhat = (x - m) * iv;
+                    *o = iv * (*o * ga - mg - xhat * mgx);
+                }
+            }
         }
-        for j in 0..d {
-            dgamma[j] += orow[j] * ((xrow[j] - mean) * inv);
-            dbeta[j] += orow[j];
-        }
-        mean_gg /= d as f32;
-        mean_ggx /= d as f32;
-        for j in 0..d {
-            let xhat = (xrow[j] - mean) * inv;
-            orow[j] = inv * (orow[j] * gamma[j] - mean_gg - xhat * mean_ggx);
-        }
+        (xs.remainder(), os.into_remainder())
     }
+    if d == 0 {
+        return;
+    }
+    let (x, o) = rows::<NORM_ROWS>(x, o, gamma, eps, d, dgamma, dbeta);
+    let (x, o) = rows::<4>(x, o, gamma, eps, d, dgamma, dbeta);
+    rows::<1>(x, o, gamma, eps, d, dgamma, dbeta);
 }
 
 /// Column sums of rows of width `d`, each column accumulated in `f64` in
@@ -1996,6 +2275,48 @@ mod tests {
         Ok(vec![e.merge_heads(ctx, 2)?])
     });
 
+    // `MultiHeadAttention`'s block: three projections split into heads,
+    // scaled scores. Both halves of the step fuse it.
+    small_program!(
+        FusedAttention,
+        vec![vec![D, D], vec![D], vec![D, D], vec![D, D]],
+        |e, store, ids, x| {
+            let (b, h) = stem(e, store, ids, x)?;
+            let (wk, wv) = (e.param(store, ids[2]), e.param(store, ids[3]));
+            let k = e.matmul(h, wk)?;
+            let v = e.matmul(h, wv)?;
+            let q3 = e.reshape(h, &[b, L, D])?;
+            let k3 = e.reshape(k, &[b, L, D])?;
+            let v3 = e.reshape(v, &[b, L, D])?;
+            let qh = e.split_heads(q3, 2)?;
+            let kh = e.split_heads(k3, 2)?;
+            let vh = e.split_heads(v3, 2)?;
+            let scores = e.bmm(qh, kh, false, true)?;
+            let scaled = e.scale(scores, 0.5);
+            let probs = e.softmax_last(scaled)?;
+            let ctx = e.bmm(probs, vh, false, false)?;
+            Ok(vec![e.merge_heads(ctx, 2)?])
+        }
+    );
+
+    // One value split three times and no scale: the three head gradients
+    // reach one node, in the tape's order.
+    small_program!(
+        SharedHeads,
+        vec![vec![D, D], vec![D]],
+        |e, store, ids, x| {
+            let (b, h) = stem(e, store, ids, x)?;
+            let h3 = e.reshape(h, &[b, L, D])?;
+            let qh = e.split_heads(h3, 2)?;
+            let kh = e.split_heads(h3, 2)?;
+            let vh = e.split_heads(h3, 2)?;
+            let scores = e.bmm(qh, kh, false, true)?;
+            let probs = e.softmax_last(scores)?;
+            let ctx = e.bmm(probs, vh, false, false)?;
+            Ok(vec![e.merge_heads(ctx, 2)?])
+        }
+    );
+
     small_program!(
         BmmTransposed,
         vec![vec![D, D], vec![D]],
@@ -2032,9 +2353,32 @@ mod tests {
             RowOps,
             Norm,
             Attention,
+            FusedAttention,
+            SharedHeads,
             BmmTransposed,
             ConcatSlice
         );
+    }
+
+    #[test]
+    fn attention_blocks_fuse_both_ways_where_the_pattern_holds() {
+        for (name, fused, st) in [
+            ("fused", (1, 1), plan_stats(&FusedAttention, &[true])),
+            // The lowered forward keeps one of three identical splits
+            // (common subexpressions), so only the backward has the block.
+            ("shared heads", (0, 1), plan_stats(&SharedHeads, &[true])),
+            // One head source read by two `bmm`s is not the pattern.
+            ("reused split", (0, 0), plan_stats(&Attention, &[true])),
+            ("mixed", (0, 0), plan_stats(&Mixed, &[true, true, true])),
+        ] {
+            let got = (st.fused_attention_forward, st.fused_attention_backward);
+            assert_eq!(got, fused, "{name}: {st:?}");
+        }
+    }
+
+    fn plan_stats<P: Program>(p: &P, seeded: &[bool]) -> TrainPlanStats {
+        let (store, ids) = store_for(p);
+        compile(p, &store, &ids, seeded).unwrap().stats()
     }
 
     #[test]

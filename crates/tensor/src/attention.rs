@@ -30,6 +30,20 @@
 //! Like the GEMM tiers, the body is compiled once per SIMD tier so
 //! `f32::mul_add` lowers to the tier's fused instruction; the scalar tier
 //! is the oracle (`tests/simd_bit_identity.rs`).
+//!
+//! # Training
+//!
+//! A compiled training step runs the same block both ways:
+//! [`attention_train_slices`] is the forward above that also writes the
+//! probabilities `P` the backward reads, and [`attention_bwd_slices`] is
+//! the backward of the seven steps as one pass per (sample, head) —
+//! `dV = Pᵀ·dC`, `dP = dC·Vᵀ`, the softmax backward ([`softmax_bwd_row`]),
+//! the scale, `dQ = dS·K` and `dK = dSᵀ·Q` — reading `Q`, `K`, `V`, `P`
+//! and the merged context gradient `dC` in place and writing `dQ`, `dK`,
+//! `dV` merged. Each gradient element is the unfused chain's: a product
+//! starts at `0.0` and takes one fused multiply-add per contraction index
+//! ascending, which is what either GEMM kernel computes for a
+//! non-accumulating product inside one `KC` block.
 
 use crate::gemm::{active_tier, SimdTier, KC};
 use crate::{Result, TensorError};
@@ -68,6 +82,19 @@ pub fn softmax_row(row: &mut [f32]) {
     let inv = 1.0 / z;
     for v in row.iter_mut() {
         *v *= inv;
+    }
+}
+
+/// Softmax backward of one row, in place: `g` holds the gradient of the
+/// probabilities `s` on entry and `s * (g - Σ s·g)` on return, the sum a
+/// plain ascending one of products. The single definition behind the
+/// tape's softmax backward, the compiled training step's and
+/// [`attention_bwd_slices`].
+#[inline]
+pub fn softmax_bwd_row(s: &[f32], g: &mut [f32]) {
+    let dot: f32 = s.iter().zip(g.iter()).map(|(&a, &b)| a * b).sum();
+    for (o, &s) in g.iter_mut().zip(s) {
+        *o = s * (*o - dot);
     }
 }
 
@@ -112,6 +139,71 @@ pub fn attention_slices_with_tier(
     scale: Option<f32>,
     out: &mut [f32],
 ) -> Result<()> {
+    attention_fwd(tier, b, h, l, dh, q, k, v, rs, scale, out, None)
+}
+
+/// [`attention_slices`] over dense `[b·l, h·dh]` operands that also
+/// writes the softmax probabilities to `probs`, `[b·h, l, l]` as the
+/// seven-step form's softmax lays them out — the forward of a compiled
+/// training step, whose backward ([`attention_bwd_slices`]) reads them.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_train_slices(
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scale: Option<f32>,
+    out: &mut [f32],
+    probs: &mut [f32],
+) -> Result<()> {
+    attention_train_slices_with_tier(active_tier(), b, h, l, dh, q, k, v, scale, out, probs)
+}
+
+/// [`attention_train_slices`] with the kernel tier pinned.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn attention_train_slices_with_tier(
+    tier: SimdTier,
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scale: Option<f32>,
+    out: &mut [f32],
+    probs: &mut [f32],
+) -> Result<()> {
+    if probs.len() != b * h * l * l {
+        return Err(TensorError::BadShape {
+            op: "attention",
+            shape: vec![b * h, l, l],
+            len: probs.len(),
+        });
+    }
+    attention_fwd(tier, b, h, l, dh, q, k, v, h * dh, scale, out, Some(probs))
+}
+
+/// Geometry checks and tier dispatch of the forward kernel.
+#[allow(clippy::too_many_arguments)]
+fn attention_fwd(
+    tier: SimdTier,
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    rs: usize,
+    scale: Option<f32>,
+    out: &mut [f32],
+    probs: Option<&mut [f32]>,
+) -> Result<()> {
     let d = h * dh;
     let rows = b * l;
     if out.len() != rows * d {
@@ -137,11 +229,103 @@ pub fn attention_slices_with_tier(
     match tier {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier was selected by runtime feature detection.
-        SimdTier::Avx2Fma => unsafe { avx2_attention(b, h, l, dh, q, k, v, rs, scale, out) },
+        SimdTier::Avx2Fma => unsafe { avx2_attention(b, h, l, dh, q, k, v, rs, scale, out, probs) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
-        SimdTier::Neon => unsafe { neon_attention(b, h, l, dh, q, k, v, rs, scale, out) },
-        _ => attention_body(b, h, l, dh, q, k, v, rs, scale, out),
+        SimdTier::Neon => unsafe { neon_attention(b, h, l, dh, q, k, v, rs, scale, out, probs) },
+        _ => attention_body(b, h, l, dh, q, k, v, rs, scale, out, probs),
+    }
+    Ok(())
+}
+
+/// The backward of [`attention_train_slices`] for `b` sequences of `l`
+/// positions and `h` heads of width `dh` (see the module docs): from the
+/// forward's operands `q`, `k`, `v` (dense `[b·l, h·dh]`), its
+/// probabilities `probs` (`[b·h, l, l]`) and the gradient `g` of its
+/// merged output, writes the gradients `dq`, `dk`, `dv` of the three
+/// operands, each fully overwritten. `(l, dh)` must satisfy
+/// [`attention_fusable`].
+#[allow(clippy::too_many_arguments)]
+pub fn attention_bwd_slices(
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    probs: &[f32],
+    g: &[f32],
+    scale: Option<f32>,
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) -> Result<()> {
+    attention_bwd_slices_with_tier(
+        active_tier(),
+        b,
+        h,
+        l,
+        dh,
+        q,
+        k,
+        v,
+        probs,
+        g,
+        scale,
+        dq,
+        dk,
+        dv,
+    )
+}
+
+/// [`attention_bwd_slices`] with the kernel tier pinned.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn attention_bwd_slices_with_tier(
+    tier: SimdTier,
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    probs: &[f32],
+    g: &[f32],
+    scale: Option<f32>,
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) -> Result<()> {
+    let n = b * l * h * dh;
+    let reads = [q, k, v, g];
+    let writes = [dq.len(), dk.len(), dv.len()];
+    let bad = reads.iter().any(|s| s.len() != n)
+        || writes.iter().any(|&len| len != n)
+        || probs.len() != b * h * l * l;
+    if bad || (n > 0 && !attention_fusable(l, dh)) {
+        return Err(TensorError::ShapeMismatch {
+            op: "attention_bwd",
+            lhs: vec![b, h, l, dh],
+            rhs: vec![q.len(), k.len(), v.len(), g.len(), probs.len()],
+        });
+    }
+    if n == 0 {
+        return Ok(());
+    }
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the tier was selected by runtime feature detection.
+        SimdTier::Avx2Fma => unsafe {
+            avx2_attention_bwd(b, h, l, dh, [q, k, v], probs, g, scale, [dq, dk, dv])
+        },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: as above.
+        SimdTier::Neon => unsafe {
+            neon_attention_bwd(b, h, l, dh, [q, k, v], probs, g, scale, [dq, dk, dv])
+        },
+        _ => attention_bwd_body(b, h, l, dh, [q, k, v], probs, g, scale, [dq, dk, dv]),
     }
     Ok(())
 }
@@ -160,8 +344,26 @@ unsafe fn avx2_attention(
     rs: usize,
     scale: Option<f32>,
     out: &mut [f32],
+    probs: Option<&mut [f32]>,
 ) {
-    attention_body(b, h, l, dh, q, k, v, rs, scale, out)
+    attention_body(b, h, l, dh, q, k, v, rs, scale, out, probs)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn avx2_attention_bwd(
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    qkv: [&[f32]; 3],
+    probs: &[f32],
+    g: &[f32],
+    scale: Option<f32>,
+    grads: [&mut [f32]; 3],
+) {
+    attention_bwd_body(b, h, l, dh, qkv, probs, g, scale, grads)
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -178,15 +380,52 @@ unsafe fn neon_attention(
     rs: usize,
     scale: Option<f32>,
     out: &mut [f32],
+    probs: Option<&mut [f32]>,
 ) {
-    attention_body(b, h, l, dh, q, k, v, rs, scale, out)
+    attention_body(b, h, l, dh, q, k, v, rs, scale, out, probs)
+}
+
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn neon_attention_bwd(
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    qkv: [&[f32]; 3],
+    probs: &[f32],
+    g: &[f32],
+    scale: Option<f32>,
+    grads: [&mut [f32]; 3],
+) {
+    attention_bwd_body(b, h, l, dh, qkv, probs, g, scale, grads)
 }
 
 /// Lanes a transposed key row is padded to: whole vectors on every tier.
 const LANES: usize = 8;
 const LP_MAX: usize = ATTENTION_MAX_L.next_multiple_of(LANES);
+/// Most rows of one (sample, head) a kernel advances together. A row's
+/// products are serial chains (one fused multiply-add per contraction
+/// index, in order), so the rows' chains run side by side. A kernel runs
+/// groups of `G = min(l, GROUP)` rows; a group that runs past the last row
+/// recomputes that row and is never stored.
+const GROUP: usize = 4;
 
-/// The kernel, shared by every tier. `#[inline(always)]` so each tier's
+/// Calls `$f::<G>($args)` with `G = min($l, GROUP)`.
+macro_rules! by_group {
+    ($l:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $l {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            _ => $f::<GROUP>($($arg),*),
+        }
+    };
+}
+
+/// The forward kernel, shared by every tier; `probs_out`, when given,
+/// receives each softmax row. `#[inline(always)]` so each tier's
 /// wrapper re-compiles it under its own `target_feature` set (see
 /// `gemm::naive_body`).
 ///
@@ -194,7 +433,8 @@ const LP_MAX: usize = ATTENTION_MAX_L.next_multiple_of(LANES);
 /// (`kt[p][j] = K[j][p]`, rows padded with zeros to whole vectors), so a
 /// query row's scores advance together — lane `j` is score `j`'s own
 /// accumulator, from `0.0`, one fused multiply-add per `p` ascending,
-/// which is the naive GEMM kernel's dot product.
+/// which is the naive GEMM kernel's dot product — and up to [`GROUP`]
+/// query rows advance together too.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn attention_body(
@@ -208,71 +448,267 @@ fn attention_body(
     rs: usize,
     scale: Option<f32>,
     out: &mut [f32],
+    probs_out: Option<&mut [f32]>,
+) {
+    by_group!(
+        l,
+        attention_groups(b, h, l, dh, q, k, v, rs, scale, out, probs_out)
+    )
+}
+
+/// [`attention_body`] in groups of `G` query rows.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn attention_groups<const G: usize>(
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    rs: usize,
+    scale: Option<f32>,
+    out: &mut [f32],
+    mut probs_out: Option<&mut [f32]>,
 ) {
     let d = h * dh;
     let lp = l.next_multiple_of(LANES);
     // Lanes `l..lp` of every row are never written: they stay zero.
     let mut kt = [0.0f32; ATTENTION_MAX_DH * LP_MAX];
     let kt = &mut kt[..dh * lp];
-    let mut probs = [0.0f32; LP_MAX];
+    let mut ctx = [[0.0f32; ATTENTION_MAX_DH]; G];
     for bi in 0..b {
         let row0 = bi * l;
         for hi in 0..h {
             let col = hi * dh;
             // Head `hi` of position `row`: `dh` columns of one operand row.
             let head = |m, row| head_of(m, (row0 + row) * rs + col, dh);
-            for j in 0..l {
-                for (lane, &y) in kt[j..].iter_mut().step_by(lp).zip(head(k, j)) {
-                    *lane = y;
-                }
-            }
-            for i in 0..l {
-                let qrow = head(q, i);
-                if lp == LANES {
-                    probs[..LANES].copy_from_slice(&score_row::<LANES>(qrow, kt));
-                } else {
-                    probs.copy_from_slice(&score_row::<LP_MAX>(qrow, kt));
-                }
-                let probs = &mut probs[..l];
-                if let Some(c) = scale {
-                    for s in probs.iter_mut() {
-                        *s *= c;
+            transpose_into(kt, lp, l, |j| head(k, j));
+            for i0 in (0..l).step_by(G) {
+                let live = G.min(l - i0);
+                let qs: [&[f32]; G] = std::array::from_fn(|g| head(q, i0 + g.min(live - 1)));
+                let mut probs = score_rows(qs, kt, lp);
+                for (g, row) in probs.iter_mut().enumerate().take(live) {
+                    let row = &mut row[..l];
+                    if let Some(c) = scale {
+                        for s in row.iter_mut() {
+                            *s *= c;
+                        }
+                    }
+                    softmax_row(row);
+                    if let Some(p) = probs_out.as_deref_mut() {
+                        let at = ((bi * h + hi) * l + i0 + g) * l;
+                        p[at..at + l].copy_from_slice(row);
                     }
                 }
-                softmax_row(probs);
                 // A context element starts at `0.0` and takes one fused
-                // multiply-add per key position ascending; position 0
-                // writes, so the row needs no zeroing pass.
-                let at = (row0 + i) * d + col;
-                let orow = &mut out[at..at + dh];
-                for (o, &x) in orow.iter_mut().zip(head(v, 0)) {
-                    *o = probs[0].mul_add(x, 0.0);
-                }
-                for (p, &w) in probs.iter().enumerate().skip(1) {
-                    for (o, &x) in orow.iter_mut().zip(head(v, p)) {
-                        *o = w.mul_add(x, *o);
-                    }
+                // multiply-add per key position ascending.
+                let w: [&[f32]; G] = std::array::from_fn(|g| &probs[g][..l]);
+                weighted_rows(w, l, dh, |p| head(v, p), &mut ctx);
+                for (g, c) in ctx.iter().enumerate().take(live) {
+                    let at = (row0 + i0 + g) * d + col;
+                    out[at..at + dh].copy_from_slice(&c[..dh]);
                 }
             }
         }
     }
 }
 
-/// One query row against a transposed key tile of `LP`-lane rows.
+/// `G` query rows against a transposed key tile of `lp`-lane rows: lane
+/// `j` of row `g` is its own accumulator, from `0.0`, one fused
+/// multiply-add per `p` ascending. Lanes past `lp` stay zero.
 #[inline(always)]
-fn score_row<const LP: usize>(qrow: &[f32], kt: &[f32]) -> [f32; LP] {
-    let mut s = [0.0f32; LP];
-    for (&x, keys) in qrow.iter().zip(kt.chunks_exact(LP)) {
-        for (acc, &y) in s.iter_mut().zip(keys) {
-            *acc = x.mul_add(y, *acc);
+fn score_rows<const G: usize>(q: [&[f32]; G], kt: &[f32], lp: usize) -> [[f32; LP_MAX]; G] {
+    #[inline(always)]
+    fn rows<const G: usize, const LP: usize>(
+        q: [&[f32]; G],
+        kt: &[f32],
+        out: &mut [[f32; LP_MAX]; G],
+    ) {
+        let mut s = [[0.0f32; LP]; G];
+        for (p, keys) in kt.chunks_exact(LP).enumerate() {
+            for (sg, qg) in s.iter_mut().zip(&q) {
+                let x = qg[p];
+                for (acc, &y) in sg.iter_mut().zip(keys) {
+                    *acc = x.mul_add(y, *acc);
+                }
+            }
+        }
+        for (o, sg) in out.iter_mut().zip(&s) {
+            o[..LP].copy_from_slice(sg);
         }
     }
-    s
+    let mut out = [[0.0f32; LP_MAX]; G];
+    if lp == LANES {
+        rows::<G, LANES>(q, kt, &mut out);
+    } else {
+        rows::<G, LP_MAX>(q, kt, &mut out);
+    }
+    out
+}
+
+/// `out[g][c] = Σ_p w[g][p] · x(p)[c]` over `p` in `0..l` ascending: each
+/// element a product's chain from `0.0`, one fused multiply-add per `p`.
+/// The `G` rows advance together, eight columns at a time.
+#[inline(always)]
+fn weighted_rows<'a, const G: usize>(
+    w: [&[f32]; G],
+    l: usize,
+    dh: usize,
+    x: impl Fn(usize) -> &'a [f32],
+    out: &mut [[f32; ATTENTION_MAX_DH]; G],
+) {
+    let full = dh - dh % LANES;
+    for c0 in (0..full).step_by(LANES) {
+        let mut acc = [[0.0f32; LANES]; G];
+        let x0 = &x(0)[c0..c0 + LANES];
+        for (a, wg) in acc.iter_mut().zip(&w) {
+            for (o, &v) in a.iter_mut().zip(x0) {
+                *o = wg[0].mul_add(v, 0.0);
+            }
+        }
+        for p in 1..l {
+            let xp = &x(p)[c0..c0 + LANES];
+            for (a, wg) in acc.iter_mut().zip(&w) {
+                let wp = wg[p];
+                for (o, &v) in a.iter_mut().zip(xp) {
+                    *o = wp.mul_add(v, *o);
+                }
+            }
+        }
+        for (og, a) in out.iter_mut().zip(&acc) {
+            og[c0..c0 + LANES].copy_from_slice(a);
+        }
+    }
+    for c in full..dh {
+        for (og, wg) in out.iter_mut().zip(&w) {
+            let mut o = wg[0].mul_add(x(0)[c], 0.0);
+            for p in 1..l {
+                o = wg[p].mul_add(x(p)[c], o);
+            }
+            og[c] = o;
+        }
+    }
 }
 
 #[inline(always)]
 fn head_of(m: &[f32], at: usize, dh: usize) -> &[f32] {
     &m[at..at + dh]
+}
+
+/// The backward kernel, shared by every tier (compiled per tier like
+/// [`attention_body`]). Per (sample, head): `V` is transposed into a stack
+/// tile so rows of `dP = dC·Vᵀ` run like score rows; each row then takes
+/// the softmax backward and the scale into a stack tile of `dS`; and
+/// `dV`, `dQ`, `dK` are weighted sums of rows of `dC`, `K` and `Q` —
+/// up to [`GROUP`] rows of every step at a time.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn attention_bwd_body(
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    qkv: [&[f32]; 3],
+    probs: &[f32],
+    g: &[f32],
+    scale: Option<f32>,
+    grads: [&mut [f32]; 3],
+) {
+    by_group!(
+        l,
+        attention_bwd_groups(b, h, l, dh, qkv, probs, g, scale, grads)
+    )
+}
+
+/// [`attention_bwd_body`] in groups of `G` rows.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn attention_bwd_groups<const G: usize>(
+    b: usize,
+    h: usize,
+    l: usize,
+    dh: usize,
+    [q, k, v]: [&[f32]; 3],
+    probs: &[f32],
+    g: &[f32],
+    scale: Option<f32>,
+    [dq, dk, dv]: [&mut [f32]; 3],
+) {
+    let d = h * dh;
+    let lp = l.next_multiple_of(LANES);
+    let mut vt = [0.0f32; ATTENTION_MAX_DH * LP_MAX];
+    let vt = &mut vt[..dh * lp];
+    // `dS` by rows and by columns, and `Pᵀ`: the weights of the three
+    // weighted sums, each a row.
+    let mut ds = [[0.0f32; LP_MAX]; ATTENTION_MAX_L];
+    let mut dst = [[0.0f32; LP_MAX]; ATTENTION_MAX_L];
+    let mut pt = [[0.0f32; LP_MAX]; ATTENTION_MAX_L];
+    let mut rows = [[0.0f32; ATTENTION_MAX_DH]; G];
+    for bi in 0..b {
+        let row0 = bi * l;
+        for hi in 0..h {
+            let col = hi * dh;
+            let at = |row: usize| (row0 + row) * d + col;
+            let head = |m, row| head_of(m, at(row), dh);
+            let p = &probs[(bi * h + hi) * l * l..][..l * l];
+            transpose_into(vt, lp, l, |j| head(v, j));
+            for (i, prow) in p.chunks_exact(l).enumerate() {
+                for (ptj, &x) in pt.iter_mut().zip(prow) {
+                    ptj[i] = x;
+                }
+            }
+            for i0 in (0..l).step_by(G) {
+                let live = G.min(l - i0);
+                let gs: [&[f32]; G] = std::array::from_fn(|r| head(g, i0 + r.min(live - 1)));
+                let dp = score_rows(gs, vt, lp);
+                for (r, dpr) in dp.iter().enumerate().take(live) {
+                    let i = i0 + r;
+                    let row = &mut ds[i][..l];
+                    row.copy_from_slice(&dpr[..l]);
+                    softmax_bwd_row(&p[i * l..(i + 1) * l], row);
+                    if let Some(c) = scale {
+                        for s in row.iter_mut() {
+                            *s *= c;
+                        }
+                    }
+                    for (dsj, &x) in dst.iter_mut().zip(row.iter()) {
+                        dsj[i] = x;
+                    }
+                }
+            }
+            for j0 in (0..l).step_by(G) {
+                let live = G.min(l - j0);
+                let js: [usize; G] = std::array::from_fn(|r| j0 + r.min(live - 1));
+                let store = |dst: &mut [f32], rows: &[[f32; ATTENTION_MAX_DH]; G]| {
+                    for (r, row) in rows.iter().enumerate().take(live) {
+                        dst[at(j0 + r)..at(j0 + r) + dh].copy_from_slice(&row[..dh]);
+                    }
+                };
+                // dV[j] = Σ_i P[i][j]·dC[i], dK[j] = Σ_i dS[i][j]·Q[i],
+                // dQ[j] = Σ_i dS[j][i]·K[i].
+                weighted_rows(js.map(|j| &pt[j][..]), l, dh, |i| head(g, i), &mut rows);
+                store(dv, &rows);
+                weighted_rows(js.map(|j| &dst[j][..]), l, dh, |i| head(q, i), &mut rows);
+                store(dk, &rows);
+                weighted_rows(js.map(|j| &ds[j][..]), l, dh, |i| head(k, i), &mut rows);
+                store(dq, &rows);
+            }
+        }
+    }
+}
+
+/// `t[p * lp + j] = row(j)[p]` for the `l` rows of one head: a head's
+/// keys (or values) with positions as lanes. Lanes `l..lp` are left as
+/// they are (zero).
+#[inline(always)]
+fn transpose_into<'a>(t: &mut [f32], lp: usize, l: usize, row: impl Fn(usize) -> &'a [f32]) {
+    for j in 0..l {
+        for (lane, &y) in t[j..].iter_mut().step_by(lp).zip(row(j)) {
+            *lane = y;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +784,142 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `[b, l, h·dh] -> [b·h, l, dh]`, or the inverse when `!split`.
+    fn heads(x: &[f32], b: usize, h: usize, l: usize, dh: usize, split: bool) -> Vec<f32> {
+        let d = h * dh;
+        let mut o = vec![0.0f32; x.len()];
+        for bi in 0..b {
+            for li in 0..l {
+                for hi in 0..h {
+                    let merged = (bi * l + li) * d + hi * dh;
+                    let parted = ((bi * h + hi) * l + li) * dh;
+                    let (dst, src) = if split {
+                        (parted, merged)
+                    } else {
+                        (merged, parted)
+                    };
+                    o[dst..dst + dh].copy_from_slice(&x[src..src + dh]);
+                }
+            }
+        }
+        o
+    }
+
+    /// The unfused backward: head copies, four `bmm`s, the softmax
+    /// backward and the scale, as a compiled training step lays them out.
+    #[allow(clippy::too_many_arguments)]
+    fn unfused_bwd(
+        b: usize,
+        h: usize,
+        l: usize,
+        dh: usize,
+        [q, k, v]: [&[f32]; 3],
+        p: &[f32],
+        g: &[f32],
+        scale: Option<f32>,
+    ) -> [Vec<f32>; 3] {
+        let bh = b * h;
+        let split = |x: &[f32]| heads(x, b, h, l, dh, true);
+        let (qh, kh, vh, gh) = (split(q), split(k), split(v), split(g));
+        let mut dp = vec![0.0f32; bh * l * l];
+        bmm_ep_slices(bh, l, dh, l, &gh, false, &vh, true, None, &mut dp).unwrap();
+        let mut dvh = vec![0.0f32; bh * l * dh];
+        bmm_ep_slices(bh, l, l, dh, p, true, &gh, false, None, &mut dvh).unwrap();
+        for (srow, grow) in p.chunks(l).zip(dp.chunks_mut(l)) {
+            softmax_bwd_row(srow, grow);
+        }
+        if let Some(c) = scale {
+            dp.iter_mut().for_each(|x| *x *= c);
+        }
+        let mut dqh = vec![0.0f32; bh * l * dh];
+        bmm_ep_slices(bh, l, l, dh, &dp, false, &kh, false, None, &mut dqh).unwrap();
+        let mut dkh = vec![0.0f32; bh * l * dh];
+        bmm_ep_slices(bh, l, l, dh, &dp, true, &qh, false, None, &mut dkh).unwrap();
+        [dqh, dkh, dvh].map(|x| heads(&x, b, h, l, dh, false))
+    }
+
+    #[test]
+    fn training_forward_and_backward_match_the_unfused_steps_bit_for_bit() {
+        // As the forward test's shapes: both sides of the naive / blocked
+        // `bmm` threshold, `l` on and off a whole vector.
+        for &(b, h, l, dh) in &[
+            (1usize, 1usize, 1usize, 1usize),
+            (2, 2, 3, 16),
+            (3, 2, 8, 16),
+            (1, 4, 5, 8),
+            (2, 1, 16, 32),
+            (1, 1, ATTENTION_MAX_L, ATTENTION_MAX_DH),
+            (2, 3, 9, 7),
+        ] {
+            let n = b * l * h * dh;
+            let (q, k, v, g) = (fill(n, 0.3), fill(n, 1.9), fill(n, 4.1), fill(n, 2.6));
+            for scale in [None, Some(1.0 / (dh as f32).sqrt())] {
+                let mut out = vec![f32::NAN; n];
+                let mut p = vec![f32::NAN; b * h * l * l];
+                attention_train_slices(b, h, l, dh, &q, &k, &v, scale, &mut out, &mut p).unwrap();
+                let what = format!("b={b} h={h} l={l} dh={dh} scale={scale:?}");
+                assert_eq!(
+                    bits(&out),
+                    bits(&unfused(b, h, l, dh, &q, &k, &v, scale)),
+                    "{what}"
+                );
+                let mut want_p = vec![0.0f32; b * h * l * l];
+                let (qh, kh) = (heads(&q, b, h, l, dh, true), heads(&k, b, h, l, dh, true));
+                bmm_ep_slices(b * h, l, dh, l, &qh, false, &kh, true, scale, &mut want_p).unwrap();
+                want_p.chunks_mut(l).for_each(softmax_row);
+                assert_eq!(bits(&p), bits(&want_p), "probs {what}");
+
+                let want = unfused_bwd(b, h, l, dh, [&q, &k, &v], &p, &g, scale);
+                let mut got = [vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]];
+                let [dq, dk, dv] = &mut got;
+                attention_bwd_slices(b, h, l, dh, &q, &k, &v, &p, &g, scale, dq, dk, dv).unwrap();
+                for (name, (got, want)) in ["dq", "dk", "dv"].iter().zip(got.iter().zip(&want)) {
+                    assert_eq!(bits(got), bits(want), "{name} {what}");
+                }
+            }
+        }
+        // Wrong lengths are typed errors; an empty problem is a no-op.
+        let x = fill(32, 0.1);
+        let mut o = vec![0.0f32; 32];
+        let (mut o2, mut o3) = (o.clone(), o.clone());
+        let p = fill(2 * 4 * 4, 0.5);
+        assert!(attention_bwd_slices(
+            1,
+            2,
+            4,
+            4,
+            &x,
+            &x,
+            &x,
+            &p[1..],
+            &x,
+            None,
+            &mut o,
+            &mut o2,
+            &mut o3
+        )
+        .is_err());
+        assert!(
+            attention_train_slices(1, 2, 4, 4, &x, &x, &x, None, &mut o, &mut o2[..5]).is_err()
+        );
+        attention_bwd_slices(
+            0,
+            2,
+            4,
+            4,
+            &[],
+            &[],
+            &[],
+            &[],
+            &[],
+            None,
+            &mut [],
+            &mut [],
+            &mut [],
+        )
+        .unwrap();
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!    packed into `KC x NR` column slabs (cache-line-aligned via
 //!    [`crate::aligned::AVec`], pooled per thread so steady-state calls
 //!    never allocate) and an explicit register-tile micro-kernel streams
-//!    them. Row-major `A` is read **in place** (`tile_direct`, bitwise
-//!    equal to the packed-strip tile); only a transposed `A` is packed
-//!    into `KC x MR` strips first.
+//!    them. `A` is read **in place**: row-major rows through `tile_direct`,
+//!    a transposed view's strips through `tile` at the view's column
+//!    stride (bitwise the same tile); only a transposed block's ragged
+//!    last strip is copied into a zero-padded `KC x MR` strip.
 //! 3. **Row-panel parallelism**: products of at least `PAR_MULADDS`
 //!    multiply-adds (the measured crossover, see the constant) split their
 //!    `M` dimension over [`parallel::global`]. Each output element is
@@ -58,8 +59,9 @@
 //! kernel-selected constant and never affects results: it only changes
 //! which elements are produced together, not any element's own sum.
 //!
-//! Transposed operands are handled by the packing routines through strided
-//! [`MatRef`] views — there is no materialized transpose anywhere.
+//! Transposed operands are strided [`MatRef`] views — there is no
+//! materialized transpose anywhere: a transposed `B` is packed with
+//! column-contiguous reads, a transposed `A` is read where it lies.
 
 use crate::aligned::AVec;
 use crate::quant::{bf16_to_f32, QuantKind, QuantizedMatrix};
@@ -297,7 +299,8 @@ fn detect_tier() -> SimdTier {
 ///
 /// Callers must only invoke an implementation whose ISA the running CPU
 /// supports (guaranteed by dispatching through [`active_tier`]). Slice
-/// contracts: `astrip` holds `kc * MR` elements, `bslab` holds `kc * NR`,
+/// contracts: `tile`'s `astrip` holds `(kc - 1) * lda + MR` elements (its
+/// `MR` values for step `p` start at `p * lda`), `bslab` holds `kc * NR`,
 /// and every row in `tile_direct`'s `ar` holds at least `kc`.
 trait Micro: Sized {
     const MR: usize;
@@ -305,7 +308,7 @@ trait Micro: Sized {
     /// One finished `MR x NR` tile's accumulators, in the form the tier
     /// computes them: a stack [`Tile`], or the vector registers themselves.
     type Acc: TileAcc;
-    unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Self::Acc;
+    unsafe fn tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Self::Acc;
     unsafe fn tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Self::Acc;
     #[allow(clippy::too_many_arguments)]
     unsafe fn naive(
@@ -765,17 +768,26 @@ unsafe fn gemm_blocked_t<K: Micro>(
                 pack_b::<K>(b, pc, kc, jc, nc, bpack);
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
-                    // Row-major `A` streams straight into `tile_direct`
-                    // (bitwise `tile` over the packed strip, minus the
-                    // packing pass); only a transposed view is packed.
+                    // `A` is read in place: row-major rows stream into
+                    // `tile_direct`, a transposed view's strips into `tile`
+                    // at stride `cs` (bitwise the same tile either way);
+                    // only a transposed block's ragged last strip is packed.
                     let ablock = if a.cs == 1 {
                         APanel::Rows {
                             data: &a.data[ic * a.rs + pc..],
                             rs: a.rs,
                         }
                     } else {
-                        pack_a::<K>(a, ic, mc, pc, kc, apack);
-                        APanel::Packed(apack.as_slice())
+                        debug_assert_eq!(a.rs, 1, "a strided view is row- or column-major");
+                        let full = mc - mc % K::MR;
+                        if full < mc {
+                            pack_a_edge::<K>(a, ic + full, mc - full, pc, kc, apack);
+                        }
+                        APanel::Cols {
+                            data: &a.data[pc * a.cs + ic..],
+                            cs: a.cs,
+                            edge: apack.as_slice(),
+                        }
                     };
                     // SAFETY: forwarded contract — caller vouched for the ISA.
                     unsafe {
@@ -1273,64 +1285,80 @@ unsafe fn dequant_slab<K: Micro>(
 }
 
 /// Packs `kc` rows x `nc` columns of `B` into `ceil(nc/NR)` slabs, each
-/// `kc x NR` in row-(`p`-)major order, zero-padding partial slabs.
+/// `kc x NR` in row-(`p`-)major order, zero-padding partial slabs. A
+/// row-major `B` is copied a slab row at a time; a transposed one
+/// (column-contiguous, `dx = dY·Wᵀ`) is gathered a slab row at a time from
+/// the slab's column runs, each column's `kc` values read front to back.
 fn pack_b<K: Micro>(b: MatRef, p0: usize, kc: usize, j0: usize, nc: usize, buf: &mut AVec) {
     let nr = K::NR;
     let slabs = nc.div_ceil(nr);
     buf.ensure_len(slabs * kc * nr);
     let dst = buf.as_mut_slice();
     for t in 0..slabs {
+        let jt = j0 + t * nr;
         let cols = nr.min(nc - t * nr);
-        let base = t * kc * nr;
-        for p in 0..kc {
-            let d = &mut dst[base + p * nr..base + (p + 1) * nr];
-            if b.cs == 1 && cols == nr {
-                let src = (p0 + p) * b.rs + j0 + t * nr;
-                d.copy_from_slice(&b.data[src..src + nr]);
-            } else {
-                for (cj, dj) in d.iter_mut().enumerate() {
-                    *dj = if cj < cols {
-                        b.at(p0 + p, j0 + t * nr + cj)
-                    } else {
-                        0.0
-                    };
-                }
+        let slab = &mut dst[t * kc * nr..(t + 1) * kc * nr];
+        if b.cs == 1 {
+            for (p, d) in slab.chunks_exact_mut(nr).enumerate() {
+                let src = (p0 + p) * b.rs + jt;
+                d[..cols].copy_from_slice(&b.data[src..src + cols]);
+                d[cols..].fill(0.0);
             }
+            continue;
+        }
+        debug_assert_eq!(b.rs, 1, "a strided view is row- or column-major");
+        let col = |cj: usize| {
+            let src = (jt + cj.min(cols - 1)) * b.cs + p0;
+            &b.data[src..src + kc]
+        };
+        let srcs: [&[f32]; NR_MAX] = std::array::from_fn(col);
+        for (p, d) in slab.chunks_exact_mut(nr).enumerate() {
+            for (dj, src) in d[..cols].iter_mut().zip(&srcs) {
+                *dj = src[p];
+            }
+            d[cols..].fill(0.0);
         }
     }
 }
 
-/// Packs `mc` rows x `kc` columns of `A` into `ceil(mc/MR)` strips, each
-/// `kc x MR` in `p`-major order, zero-padding partial strips.
-fn pack_a<K: Micro>(a: MatRef, i0: usize, mc: usize, p0: usize, kc: usize, buf: &mut AVec) {
+/// Packs the ragged last strip of a column-major (transposed) `A` block —
+/// its `rows < MR` rows from row `i0`, columns `p0 .. p0 + kc` — into one
+/// `kc x MR` strip in `p`-major order, zero-padded. Full strips are read
+/// in place ([`APanel::Cols`]): at each `p` their `MR` values are
+/// contiguous.
+fn pack_a_edge<K: Micro>(a: MatRef, i0: usize, rows: usize, p0: usize, kc: usize, buf: &mut AVec) {
     let mr = K::MR;
-    let strips = mc.div_ceil(mr);
-    buf.ensure_len(strips * kc * mr);
-    let dst = buf.as_mut_slice();
-    for s in 0..strips {
-        let rows = mr.min(mc - s * mr);
-        let base = s * kc * mr;
-        for p in 0..kc {
-            let d = &mut dst[base + p * mr..base + (p + 1) * mr];
-            for (r, dr) in d.iter_mut().enumerate() {
-                *dr = if r < rows {
-                    a.at(i0 + s * mr + r, p0 + p)
-                } else {
-                    0.0
-                };
-            }
-        }
+    buf.ensure_len(kc * mr);
+    for (p, d) in buf.as_mut_slice()[..kc * mr]
+        .chunks_exact_mut(mr)
+        .enumerate()
+    {
+        let src = (p0 + p) * a.cs + i0;
+        d[..rows].copy_from_slice(&a.data[src..src + rows]);
+        d[rows..].fill(0.0);
     }
 }
 
-/// Where [`macro_body`] reads its `A` block from.
+/// Where [`macro_body`] reads its `A` block from. Either way `A` is read
+/// where it lies; only a column-major block's ragged last strip is copied.
+/// (Measured against packing every strip with one fixed-length copy per
+/// step: reading in place was as fast or faster at every training shape,
+/// `k` from 48 to 1024, on a 48 KiB-L1 host.)
 #[derive(Clone, Copy)]
 enum APanel<'a> {
-    /// `ceil(mc/MR)` zero-padded `kc x MR` strips from [`pack_a`].
-    Packed(&'a [f32]),
     /// Row-major rows read in place: row `i`'s k-block is
     /// `data[i * rs..][..kc]`.
     Rows { data: &'a [f32], rs: usize },
+    /// Column-major rows (a transposed view) read in place: the strip at
+    /// row `i0` holds its `MR` values for step `p` at
+    /// `data[p * cs + i0..][..MR]` — the packed-strip layout at stride
+    /// `cs`. A strip of fewer than `MR` rows reads `edge` instead, the
+    /// zero-padded `kc x MR` strip [`pack_a_edge`] made of it.
+    Cols {
+        data: &'a [f32],
+        cs: usize,
+        edge: &'a [f32],
+    },
 }
 
 /// The row slices `tile_direct*` streams for the strip starting at row
@@ -1381,15 +1409,16 @@ unsafe fn macro_body<K: Micro>(
             // row slices per `a_rows`.
             let acc = unsafe {
                 match a {
-                    APanel::Packed(ap) => {
-                        K::tile(kc, &ap[s * kc * K::MR..(s + 1) * kc * K::MR], bslab)
+                    APanel::Cols { data, cs, .. } if mr == K::MR => {
+                        K::tile(kc, &data[i0..], cs, bslab)
                     }
+                    APanel::Cols { edge, .. } => K::tile(kc, edge, K::MR, bslab),
                     APanel::Rows { data, rs } => {
                         K::tile_direct(kc, &a_rows(data, rs, i0, mr, kc), bslab)
                     }
                 }
             };
-            // Edge tiles: packed panels are zero-padded and dead direct
+            // Edge tiles: an edge strip is zero-padded and dead direct
             // lanes re-read a live row, so the full tile is always valid —
             // write back only the live corner. The epilogue (set only on
             // the final k-block) applies here, so fused scale / bias /
@@ -1417,10 +1446,10 @@ impl Micro for ScalarK {
     type Acc = Tile;
 
     #[inline(always)]
-    unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {
+    unsafe fn tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Tile {
         let mut acc = [[0.0f32; NR_MAX]; MR_MAX];
         for p in 0..kc {
-            let av = &astrip[p * Self::MR..(p + 1) * Self::MR];
+            let av = &astrip[p * lda..p * lda + Self::MR];
             let bv = &bslab[p * Self::NR..(p + 1) * Self::NR];
             for (accrow, &ar) in acc.iter_mut().zip(av) {
                 for (s, &bc) in accrow.iter_mut().zip(bv) {
@@ -1543,9 +1572,9 @@ impl Micro for Avx2K {
     type Acc = Avx2Acc;
 
     #[inline]
-    unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Avx2Acc {
+    unsafe fn tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Avx2Acc {
         // SAFETY: caller guarantees AVX2+FMA and panel sizes.
-        unsafe { avx2_tile(kc, astrip, bslab) }
+        unsafe { avx2_tile(kc, astrip, lda, bslab) }
     }
 
     #[inline]
@@ -1903,9 +1932,9 @@ unsafe fn avx2_tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16])
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Avx2Acc {
+unsafe fn avx2_tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Avx2Acc {
     use std::arch::x86_64::*;
-    debug_assert!(astrip.len() >= kc * Avx2K::MR);
+    debug_assert!(kc == 0 || astrip.len() >= (kc - 1) * lda + Avx2K::MR);
     debug_assert!(bslab.len() >= kc * Avx2K::NR);
     let mut acc = [[_mm256_setzero_ps(); 2]; 6];
     let ap = astrip.as_ptr();
@@ -1920,7 +1949,7 @@ unsafe fn avx2_tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Avx2Acc {
         };
         for (r, accr) in acc.iter_mut().enumerate() {
             // SAFETY: in-bounds per the panel-size contract.
-            let a = unsafe { _mm256_set1_ps(*ap.add(p * 6 + r)) };
+            let a = unsafe { _mm256_set1_ps(*ap.add(p * lda + r)) };
             accr[0] = _mm256_fmadd_ps(a, b0, accr[0]);
             accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
         }
@@ -1990,9 +2019,9 @@ impl Micro for NeonK {
     type Acc = Tile;
 
     #[inline]
-    unsafe fn tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {
+    unsafe fn tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Tile {
         // SAFETY: caller guarantees NEON and panel sizes.
-        unsafe { neon_tile(kc, astrip, bslab) }
+        unsafe { neon_tile(kc, astrip, lda, bslab) }
     }
 
     #[inline]
@@ -2166,9 +2195,9 @@ unsafe fn neon_tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16])
 
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn neon_tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {
+unsafe fn neon_tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Tile {
     use std::arch::aarch64::*;
-    debug_assert!(astrip.len() >= kc * NeonK::MR);
+    debug_assert!(kc == 0 || astrip.len() >= (kc - 1) * lda + NeonK::MR);
     debug_assert!(bslab.len() >= kc * NeonK::NR);
     let mut acc = [[vdupq_n_f32(0.0); 2]; 4];
     let ap = astrip.as_ptr();
@@ -2178,7 +2207,7 @@ unsafe fn neon_tile(kc: usize, astrip: &[f32], bslab: &[f32]) -> Tile {
         let (b0, b1) = unsafe { (vld1q_f32(bp.add(p * 8)), vld1q_f32(bp.add(p * 8 + 4))) };
         for (r, accr) in acc.iter_mut().enumerate() {
             // SAFETY: in-bounds per the panel-size contract.
-            let a = unsafe { vdupq_n_f32(*ap.add(p * 4 + r)) };
+            let a = unsafe { vdupq_n_f32(*ap.add(p * lda + r)) };
             accr[0] = vfmaq_f32(accr[0], a, b0);
             accr[1] = vfmaq_f32(accr[1], a, b1);
         }

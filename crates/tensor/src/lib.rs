@@ -19,10 +19,13 @@ mod ops;
 mod quant;
 mod shape;
 
-#[doc(hidden)]
-pub use attention::attention_slices_with_tier;
 pub use attention::{
-    attention_fusable, attention_slices, softmax_row, ATTENTION_MAX_DH, ATTENTION_MAX_L,
+    attention_bwd_slices, attention_fusable, attention_slices, attention_train_slices,
+    softmax_bwd_row, softmax_row, ATTENTION_MAX_DH, ATTENTION_MAX_L,
+};
+#[doc(hidden)]
+pub use attention::{
+    attention_bwd_slices_with_tier, attention_slices_with_tier, attention_train_slices_with_tier,
 };
 pub use gemm::{
     active_tier, gemm_prefers_packed, gemm_prepacked_is_exact, kernel_tier_name, Activation,

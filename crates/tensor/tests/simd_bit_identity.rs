@@ -17,9 +17,9 @@
 
 use proptest::prelude::*;
 use tensor::{
-    active_tier, gemm_prepacked, gemm_prepacked_quant, gemm_slices_with_tier, gemm_would_split,
-    Activation, PackedB, QuantKind, QuantizedMatrix, QuantizedPackedB, SimdTier, PAR_MULADDS,
-    QUANT_GROUP, TINY_MULADDS,
+    active_tier, bmm_acc_slices, bmm_slices, gemm_prepacked, gemm_prepacked_quant,
+    gemm_slices_with_tier, gemm_t_slices, gemm_would_split, Activation, PackedB, QuantKind,
+    QuantizedMatrix, QuantizedPackedB, SimdTier, PAR_MULADDS, QUANT_GROUP, TINY_MULADDS,
 };
 
 fn fill(numel: usize, seed: f32) -> Vec<f32> {
@@ -266,6 +266,15 @@ fn tally(seen: &mut [bool; 5], vals: &[f32]) {
 /// boundary, so the accumulate-then-epilogue branch runs too. The
 /// prepacked entry points take no `scale` or `acc`, so those cases run
 /// through the generic dispatch only.
+///
+/// The third family reads its operands in place: transposed `A`
+/// (`dW = Aᵀ·dY`, strips read at the view's stride, a ragged last strip
+/// packed) and transposed `B` (`dx = dY·Wᵀ`, packed a column at a time),
+/// with rows around `MR` and across `MC`, `k` from 1 to across `KC`. Its
+/// plain and accumulating products also run through the entry points the
+/// compiled training step calls, `gemm_t_slices` and `bmm_slices` /
+/// `bmm_acc_slices` (two matrices a batch), on the active tier, and must
+/// land on the scalar tier's bits.
 #[test]
 fn vector_write_back_matches_scalar_epilogue() {
     let tier = active_tier();
@@ -280,19 +289,23 @@ fn vector_write_back_matches_scalar_epilogue() {
         ),
         // Row counts across the `MC` row-block edge at full-tile widths.
         (&[32, 600], &[127, 128, 129, 134], &[8, 16, 24, 32, 96]),
+        // Operands read in place, transposed either side.
+        (&[1, 48, 513], &[1, 5, 6, 7, 127, 134], &[8, 16, 24, 96]),
     ] {
+        let in_place = ks[0] == 1;
         for &k in ks {
             for &m in ms {
                 for &n in ns {
-                    shapes.push((m, k, n));
+                    shapes.push((m, k, n, in_place));
                 }
             }
         }
     }
-    for (m, k, n) in shapes {
+    for (m, k, n, in_place) in shapes {
         let shift = m + n + k / 300;
         let (a, b, bias) = special_operands(m, k, n, shift, 1);
         let at: Vec<f32> = (0..k * m).map(|e| a[(e % m) * k + e / m]).collect();
+        let bt: Vec<f32> = (0..n * k).map(|e| b[(e % k) * n + e / k]).collect();
         let (qa, qb, qbias) = special_operands(m, k, n, shift, QUANT_GROUP);
         // (scale, acc, bias, activation)
         let cases = [
@@ -306,24 +319,57 @@ fn vector_write_back_matches_scalar_epilogue() {
             (None, true, false, Activation::Identity),
         ];
         for (ci, (scale, acc, with_bias, act)) in cases.into_iter().enumerate() {
+            let plain = scale.is_none() && !with_bias && act == Activation::Identity;
+            if in_place && !plain {
+                continue;
+            }
             let what =
                 format!("m={m} k={k} n={n} scale={scale:?} acc={acc} bias={with_bias} {act:?}");
-            let generic = |t: SimdTier, av: &[f32], ta: bool| {
-                let mut out = if acc {
+            let start = || {
+                if acc {
                     fill(m * n, 2.9)
                 } else {
                     vec![f32::NAN; m * n]
-                };
-                let bv = with_bias.then_some(&bias[..]);
-                gemm_slices_with_tier(t, m, k, n, av, ta, &b, false, acc, scale, bv, act, &mut out);
+                }
+            };
+            let generic = |t: SimdTier, (av, ta): (&[f32], bool), (bv, tb): (&[f32], bool)| {
+                let mut out = start();
+                let bias = with_bias.then_some(&bias[..]);
+                gemm_slices_with_tier(t, m, k, n, av, ta, bv, tb, acc, scale, bias, act, &mut out);
                 out
             };
-            for (av, ta) in [(&a, false), (&at, true)] {
-                let want = generic(SimdTier::Scalar, av, ta);
-                assert_bits_equal(&generic(tier, av, ta), &want, &format!("ta={ta} {what}"));
-                if ci == 0 {
-                    tally(&mut seen[0], &want);
+            let bs: &[(&[f32], bool)] = if in_place {
+                &[(&b, false), (&bt, true)]
+            } else {
+                &[(&b, false)]
+            };
+            for &(av, ta) in &[(&a[..], false), (&at[..], true)] {
+                for &(bv, tb) in bs {
+                    let what = format!("ta={ta} tb={tb} {what}");
+                    let want = generic(SimdTier::Scalar, (av, ta), (bv, tb));
+                    assert_bits_equal(&generic(tier, (av, ta), (bv, tb)), &want, &what);
+                    if ci == 0 && !tb {
+                        tally(&mut seen[0], &want);
+                    }
+                    if !in_place {
+                        continue;
+                    }
+                    let mut out = start();
+                    gemm_t_slices(m, k, n, av, ta, bv, tb, acc, &mut out).unwrap();
+                    assert_bits_equal(&out, &want, &format!("gemm_t_slices {what}"));
+                    let two = |x: &[f32]| [x, x].concat();
+                    let (a2, b2) = (two(av), two(bv));
+                    let mut out = two(&start());
+                    if acc {
+                        bmm_acc_slices(2, m, k, n, &a2, ta, &b2, tb, &mut out).unwrap();
+                    } else {
+                        bmm_slices(2, m, k, n, &a2, ta, &b2, tb, &mut out).unwrap();
+                    }
+                    assert_bits_equal(&out, &two(&want), &format!("bmm {what}"));
                 }
+            }
+            if in_place {
+                continue;
             }
             if scale.is_some() || acc {
                 continue;
@@ -440,6 +486,45 @@ fn fused_attention_matches_scalar_oracle() {
                     &run(SimdTier::Scalar),
                     &format!("attention b={b} h={h} l={l} dh={dh} special={special:?}"),
                 );
+            }
+        }
+    }
+    // The compiled training step's pair at the predictor's sequence lengths
+    // and head width: the forward that keeps `P`, and the backward from it.
+    for l in 1..=8 {
+        let (b, h, dh) = (3usize, 2usize, 16usize);
+        let n = b * l * h * dh;
+        for special in [None, Some(-0.0f32), Some(f32::INFINITY), Some(f32::NAN)] {
+            let (mut q, k, mut v, g) = (fill(n, 0.7), fill(n, 1.3), fill(n, 2.9), fill(n, 0.4));
+            if let Some(x) = special {
+                q[..dh].fill(x);
+                v[dh] = -0.0;
+            }
+            for scale in [None, Some(0.25f32)] {
+                let run = |tier: SimdTier| {
+                    let mut out = vec![f32::NAN; n];
+                    let mut p = vec![f32::NAN; b * h * l * l];
+                    tensor::attention_train_slices_with_tier(
+                        tier, b, h, l, dh, &q, &k, &v, scale, &mut out, &mut p,
+                    )
+                    .unwrap();
+                    let mut grads = [vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]];
+                    let [dq, dk, dv] = &mut grads;
+                    tensor::attention_bwd_slices_with_tier(
+                        tier, b, h, l, dh, &q, &k, &v, &p, &g, scale, dq, dk, dv,
+                    )
+                    .unwrap();
+                    let [dq, dk, dv] = grads;
+                    [out, p, dq, dk, dv]
+                };
+                let (got, want) = (run(tier), run(SimdTier::Scalar));
+                for (name, (got, want)) in ["out", "probs", "dq", "dk", "dv"]
+                    .iter()
+                    .zip(got.iter().zip(&want))
+                {
+                    let what = format!("training attention {name} l={l} special={special:?}");
+                    assert_bits_equal(got, want, &what);
+                }
             }
         }
     }
