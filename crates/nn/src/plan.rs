@@ -46,7 +46,8 @@ use crate::exec::Exec;
 use crate::kernels;
 use crate::memory::{assign_slots, Def, Slots};
 use crate::tape::{ParamId, ParamStore, Var};
-use tensor::{Activation, Result as TensorResult, Tensor, TensorError};
+use tensor::math::{self, Func};
+use tensor::{softmax_rows, Activation, Result as TensorResult, Tensor, TensorError};
 
 /// Errors from plan compilation or replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,11 +95,11 @@ pub enum MapOp {
     AddScalar(f32),
     /// `v.max(0.0)`.
     Relu,
-    /// `v.tanh()`.
+    /// [`tensor::math::tanh`].
     Tanh,
-    /// `1 / (1 + exp(-v))`.
+    /// [`tensor::math::sigmoid`].
     Sigmoid,
-    /// `v.exp()`.
+    /// [`tensor::math::exp`].
     Exp,
     /// `v.abs()`.
     Abs,
@@ -115,12 +116,22 @@ impl MapOp {
             MapOp::Scale(c) => v * c,
             MapOp::AddScalar(c) => v + c,
             MapOp::Relu => v.max(0.0),
-            MapOp::Tanh => v.tanh(),
-            MapOp::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-            MapOp::Exp => v.exp(),
+            MapOp::Tanh => math::tanh(v),
+            MapOp::Sigmoid => math::sigmoid(v),
+            MapOp::Exp => math::exp(v),
             MapOp::Abs => v.abs(),
             MapOp::Sqrt => v.sqrt(),
             MapOp::Square => v * v,
+        }
+    }
+
+    /// The [`tensor::math`] function this op is, if it is one.
+    fn func(self) -> Option<Func> {
+        match self {
+            MapOp::Tanh => Some(Func::Tanh),
+            MapOp::Sigmoid => Some(Func::Sigmoid),
+            MapOp::Exp => Some(Func::Exp),
+            _ => None,
         }
     }
 
@@ -1867,10 +1878,11 @@ impl<'r> RunCtx<'r> {
                     for (src, w) in parts {
                         let w = w.at(self.b);
                         let ps = self.read(*src);
-                        map_into(&mut o[at..at + w], Some(&ps[r * w..(r + 1) * w]), ops);
+                        o[at..at + w].copy_from_slice(&ps[r * w..(r + 1) * w]);
                         at += w;
                     }
                 }
+                map_into(o, None, ops);
             }
             StepKind::SliceLast {
                 x,
@@ -3257,10 +3269,11 @@ impl<'r> SpecRun<'r> {
                     let mut at = r * total;
                     for &(src, w) in parts {
                         let ps = self.read(src, rows * w);
-                        map_into(&mut o[at..at + w], Some(&ps[r * w..(r + 1) * w]), ops);
+                        o[at..at + w].copy_from_slice(&ps[r * w..(r + 1) * w]);
                         at += w;
                     }
                 }
+                map_into(o, None, ops);
             }
             SOp::SliceLast {
                 x,
@@ -3280,34 +3293,44 @@ impl<'r> SpecRun<'r> {
     }
 }
 
-/// `o[i] = chain(x[i])` — the element loop both executors run for `Map`,
-/// for `Concat` parts, and (with an empty chain) for the copy in front of
-/// an out-of-place softmax / layer norm. `x == None` is the in-place case:
+/// `o[i] = chain(x[i])` — what both executors run for `Map`, for a
+/// `Concat`'s chain, and (with an empty chain) for the copy in front of an
+/// out-of-place softmax / layer norm. `x == None` is the in-place case:
 /// `o` is its own input. An empty chain is a plain copy.
-fn map_into(o: &mut [f32], x: Option<&[f32]>, ops: &[MapOp]) {
-    match x {
-        Some(xs) if ops.is_empty() => {
-            for (v, &xv) in o.iter_mut().zip(xs) {
-                *v = xv;
+///
+/// The chain runs as passes over the slice: each run of plain ops in one
+/// fused loop, each `tanh` / `exp` / `sigmoid` as one
+/// [`tensor::math::map`]. Every element still takes the chain's ops in
+/// order, so the passes are bit-identical to [`apply_chain`] per element.
+/// The first pass reads `x`; the rest run in place.
+fn map_into(o: &mut [f32], mut x: Option<&[f32]>, ops: &[MapOp]) {
+    for run in ops.split_inclusive(|op| op.func().is_some()) {
+        let (plain, func) = match run.split_last() {
+            Some((last, head)) if last.func().is_some() => (head, last.func()),
+            _ => (run, None),
+        };
+        if !plain.is_empty() {
+            match x.take() {
+                Some(xs) => {
+                    for (v, &xv) in o.iter_mut().zip(xs) {
+                        *v = apply_chain(plain, xv);
+                    }
+                }
+                None => o.iter_mut().for_each(|v| *v = apply_chain(plain, *v)),
             }
         }
-        Some(xs) => {
-            for (v, &xv) in o.iter_mut().zip(xs) {
-                *v = apply_chain(ops, xv);
-            }
+        if let Some(f) = func {
+            math::map(f, x.take(), o);
         }
-        None if ops.is_empty() => {}
-        None => {
-            for v in o.iter_mut() {
-                *v = apply_chain(ops, *v);
-            }
-        }
+    }
+    if let Some(xs) = x {
+        o.copy_from_slice(xs);
     }
 }
 
-/// `o[i] = chain(kind(a[i], b[i]))`, `None` operands being `o` itself. A
-/// bare `Zip` (the residual adds) gets a loop with nothing but the one
-/// arithmetic op in it, which vectorizes; a fused chain does not.
+/// `o[i] = chain(kind(a[i], b[i]))`, `None` operands being `o` itself: the
+/// bare binary op (the residual adds), in a loop with nothing but the one
+/// arithmetic op in it, which vectorizes; then the chain in place.
 fn zip_into(o: &mut [f32], a: Option<&[f32]>, b: Option<&[f32]>, kind: ZipKind, ops: &[MapOp]) {
     #[inline(always)]
     fn run(o: &mut [f32], a: Option<&[f32]>, b: Option<&[f32]>, f: impl Fn(f32, f32) -> f32) {
@@ -3322,42 +3345,31 @@ fn zip_into(o: &mut [f32], a: Option<&[f32]>, b: Option<&[f32]>, kind: ZipKind, 
             }
         }
     }
-    match (ops.is_empty(), kind) {
-        (true, ZipKind::Add) => run(o, a, b, |x, y| x + y),
-        (true, ZipKind::Sub) => run(o, a, b, |x, y| x - y),
-        (true, ZipKind::Mul) => run(o, a, b, |x, y| x * y),
-        (false, _) => run(o, a, b, |x, y| apply_chain(ops, kind.apply(x, y))),
+    match kind {
+        ZipKind::Add => run(o, a, b, |x, y| x + y),
+        ZipKind::Sub => run(o, a, b, |x, y| x - y),
+        ZipKind::Mul => run(o, a, b, |x, y| x * y),
     }
+    map_into(o, None, ops);
 }
 
 /// `o[i] = chain(kind(x[i], row[i % d]))` with `d = row.len()`; `x == None`
-/// is the in-place case.
+/// is the in-place case. The chain runs in place after the row op.
 fn row_op_into(o: &mut [f32], x: Option<&[f32]>, row: &[f32], kind: RowKind, ops: &[MapOp]) {
     let d = row.len();
     match x {
         None => {
             for (i, v) in o.iter_mut().enumerate() {
-                *v = apply_chain(ops, kind.apply(*v, row[i % d]));
+                *v = kind.apply(*v, row[i % d]);
             }
         }
         Some(xs) => {
             for (i, (v, &xv)) in o.iter_mut().zip(xs).enumerate() {
-                *v = apply_chain(ops, kind.apply(xv, row[i % d]));
+                *v = kind.apply(xv, row[i % d]);
             }
         }
     }
-}
-
-/// Row-wise softmax over contiguous rows of width `d` — what both
-/// executors call; the row itself is [`tensor::softmax_row`], which the
-/// fused attention step calls too.
-fn softmax_rows(o: &mut [f32], d: usize) {
-    // A zero-width row has nothing to normalize (and `chunks_mut(0)`
-    // panics); `layer_norm_rows` takes the same early return.
-    if d == 0 {
-        return;
-    }
-    o.chunks_mut(d).for_each(tensor::softmax_row);
+    map_into(o, None, ops);
 }
 
 /// Where `Iterator::sum` starts an `f32` sum (`-0.0`): a row sum kept in

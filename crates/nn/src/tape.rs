@@ -13,6 +13,7 @@
 
 use crate::kernels::{layer_norm_fwd, merge_heads, slice_last, split_heads};
 use std::sync::Arc;
+use tensor::math::Func;
 use tensor::{
     bmm, bmm_acc_into, bmm_into, matmul, matmul_t_acc_into, matmul_t_into, QuantKind,
     QuantizedMatrix, Result, Tensor, TensorError,
@@ -454,27 +455,34 @@ impl Graph {
         Ok(self.push(Op::SoftmaxLast(x), v))
     }
 
+    /// `f` over `x`'s value, through [`tensor::math::map`].
+    fn math(&self, x: Var, f: Func) -> Tensor {
+        let mut v = self.value(x).clone();
+        tensor::math::map(f, None, v.data_mut());
+        v
+    }
+
     /// Rectified linear unit.
     pub fn relu(&mut self, x: Var) -> Result<Var> {
         let v = self.value(x).map(|a| a.max(0.0));
         Ok(self.push(Op::Relu(x), v))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`tensor::math::tanh`]).
     pub fn tanh(&mut self, x: Var) -> Result<Var> {
-        let v = self.value(x).map(f32::tanh);
+        let v = self.math(x, Func::Tanh);
         Ok(self.push(Op::Tanh(x), v))
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid ([`tensor::math::sigmoid`]).
     pub fn sigmoid(&mut self, x: Var) -> Result<Var> {
-        let v = self.value(x).map(|a| 1.0 / (1.0 + (-a).exp()));
+        let v = self.math(x, Func::Sigmoid);
         Ok(self.push(Op::Sigmoid(x), v))
     }
 
-    /// Element-wise exponential.
+    /// Element-wise exponential ([`tensor::math::exp`]).
     pub fn exp(&mut self, x: Var) -> Result<Var> {
-        let v = self.value(x).map(f32::exp);
+        let v = self.math(x, Func::Exp);
         Ok(self.push(Op::Exp(x), v))
     }
 

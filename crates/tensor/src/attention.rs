@@ -17,8 +17,10 @@
 //!
 //! * a score is the naive kernel's dot product — one accumulator from
 //!   `0.0`, one fused multiply-add per `p` ascending — times `scale`;
-//! * a row's softmax is [`softmax_row`], the one definition every executor
-//!   calls (row max, `exp(v - max)`, ascending sum, `* (1 / sum)`);
+//! * a row's softmax is [`softmax_rows`], the one definition every
+//!   executor calls (row max, [`crate::math::exp`] of `v - max`, ascending
+//!   sum, `* (1 / sum)`); a group's live score rows are packed side by side
+//!   first, so their exponentials run as whole vectors;
 //! * a context element starts at `0.0` and takes one fused multiply-add
 //!   per key position `p` ascending.
 //!
@@ -46,6 +48,7 @@
 //! non-accumulating product inside one `KC` block.
 
 use crate::gemm::{active_tier, SimdTier, KC};
+use crate::math::{self, Func};
 use crate::{Result, TensorError};
 
 /// Longest sequence, and widest head, whose transposed keys fit the
@@ -67,21 +70,33 @@ pub fn attention_fusable(l: usize, dh: usize) -> bool {
     (1..=ATTENTION_MAX_L).contains(&l) && (1..=ATTENTION_MAX_DH).contains(&dh)
 }
 
-/// In-place softmax of one row: `exp(v - max)` normalized by the ascending
-/// sum. The single definition behind [`crate::Tensor::softmax_last`], the
-/// plan executors' softmax step and [`attention_slices`]. An empty row is
-/// left alone.
-#[inline]
-pub fn softmax_row(row: &mut [f32]) {
-    let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut z = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - m).exp();
-        z += *v;
+/// In-place softmax of each contiguous row of width `d`: `exp(v - max)`
+/// normalized by the ascending sum. The single definition behind
+/// [`crate::Tensor::softmax_last`], the plan executors' softmax step and
+/// [`attention_slices`]. The exponentials of all rows run as one
+/// [`math::map`]; the max and the sum stay serial per row. `d == 0` is a
+/// no-op.
+pub fn softmax_rows(o: &mut [f32], d: usize) {
+    softmax_rows_with_tier(active_tier(), o, d)
+}
+
+#[inline(always)]
+fn softmax_rows_with_tier(tier: SimdTier, o: &mut [f32], d: usize) {
+    if d == 0 {
+        return;
     }
-    let inv = 1.0 / z;
-    for v in row.iter_mut() {
-        *v *= inv;
+    for row in o.chunks_mut(d) {
+        let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        row.iter_mut().for_each(|v| *v -= m);
+    }
+    math::map_with_tier(tier, Func::Exp, None, o);
+    for row in o.chunks_mut(d) {
+        let mut z = 0.0f32;
+        for &v in row.iter() {
+            z += v;
+        }
+        let inv = 1.0 / z;
+        row.iter_mut().for_each(|v| *v *= inv);
     }
 }
 
@@ -233,7 +248,7 @@ fn attention_fwd(
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
         SimdTier::Neon => unsafe { neon_attention(b, h, l, dh, q, k, v, rs, scale, out, probs) },
-        _ => attention_body(b, h, l, dh, q, k, v, rs, scale, out, probs),
+        _ => attention_body(tier, b, h, l, dh, q, k, v, rs, scale, out, probs),
     }
     Ok(())
 }
@@ -346,7 +361,20 @@ unsafe fn avx2_attention(
     out: &mut [f32],
     probs: Option<&mut [f32]>,
 ) {
-    attention_body(b, h, l, dh, q, k, v, rs, scale, out, probs)
+    attention_body(
+        SimdTier::Avx2Fma,
+        b,
+        h,
+        l,
+        dh,
+        q,
+        k,
+        v,
+        rs,
+        scale,
+        out,
+        probs,
+    )
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -382,7 +410,7 @@ unsafe fn neon_attention(
     out: &mut [f32],
     probs: Option<&mut [f32]>,
 ) {
-    attention_body(b, h, l, dh, q, k, v, rs, scale, out, probs)
+    attention_body(SimdTier::Neon, b, h, l, dh, q, k, v, rs, scale, out, probs)
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -438,6 +466,7 @@ macro_rules! by_group {
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn attention_body(
+    tier: SimdTier,
     b: usize,
     h: usize,
     l: usize,
@@ -452,7 +481,7 @@ fn attention_body(
 ) {
     by_group!(
         l,
-        attention_groups(b, h, l, dh, q, k, v, rs, scale, out, probs_out)
+        attention_groups(tier, b, h, l, dh, q, k, v, rs, scale, out, probs_out)
     )
 }
 
@@ -460,6 +489,7 @@ fn attention_body(
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn attention_groups<const G: usize>(
+    tier: SimdTier,
     b: usize,
     h: usize,
     l: usize,
@@ -478,6 +508,8 @@ fn attention_groups<const G: usize>(
     let mut kt = [0.0f32; ATTENTION_MAX_DH * LP_MAX];
     let kt = &mut kt[..dh * lp];
     let mut ctx = [[0.0f32; ATTENTION_MAX_DH]; G];
+    // A group's live score rows, side by side.
+    let mut packed = [0.0f32; GROUP * ATTENTION_MAX_L];
     for bi in 0..b {
         let row0 = bi * l;
         for hi in 0..h {
@@ -488,23 +520,23 @@ fn attention_groups<const G: usize>(
             for i0 in (0..l).step_by(G) {
                 let live = G.min(l - i0);
                 let qs: [&[f32]; G] = std::array::from_fn(|g| head(q, i0 + g.min(live - 1)));
-                let mut probs = score_rows(qs, kt, lp);
-                for (g, row) in probs.iter_mut().enumerate().take(live) {
-                    let row = &mut row[..l];
+                let scores = score_rows(qs, kt, lp);
+                let packed = &mut packed[..live * l];
+                for (row, s) in packed.chunks_exact_mut(l).zip(&scores) {
+                    row.copy_from_slice(&s[..l]);
                     if let Some(c) = scale {
-                        for s in row.iter_mut() {
-                            *s *= c;
-                        }
-                    }
-                    softmax_row(row);
-                    if let Some(p) = probs_out.as_deref_mut() {
-                        let at = ((bi * h + hi) * l + i0 + g) * l;
-                        p[at..at + l].copy_from_slice(row);
+                        row.iter_mut().for_each(|s| *s *= c);
                     }
                 }
+                softmax_rows_with_tier(tier, packed, l);
+                if let Some(p) = probs_out.as_deref_mut() {
+                    let at = ((bi * h + hi) * l + i0) * l;
+                    p[at..at + packed.len()].copy_from_slice(packed);
+                }
                 // A context element starts at `0.0` and takes one fused
-                // multiply-add per key position ascending.
-                let w: [&[f32]; G] = std::array::from_fn(|g| &probs[g][..l]);
+                // multiply-add per key position ascending. Rows past the
+                // live ones repeat the last and are never stored.
+                let w: [&[f32]; G] = std::array::from_fn(|g| &packed[g.min(live - 1) * l..][..l]);
                 weighted_rows(w, l, dh, |p| head(v, p), &mut ctx);
                 for (g, c) in ctx.iter().enumerate().take(live) {
                     let at = (row0 + i0 + g) * d + col;
@@ -868,7 +900,7 @@ mod tests {
                 let mut want_p = vec![0.0f32; b * h * l * l];
                 let (qh, kh) = (heads(&q, b, h, l, dh, true), heads(&k, b, h, l, dh, true));
                 bmm_ep_slices(b * h, l, dh, l, &qh, false, &kh, true, scale, &mut want_p).unwrap();
-                want_p.chunks_mut(l).for_each(softmax_row);
+                softmax_rows(&mut want_p, l);
                 assert_eq!(bits(&p), bits(&want_p), "probs {what}");
 
                 let want = unfused_bwd(b, h, l, dh, [&q, &k, &v], &p, &g, scale);

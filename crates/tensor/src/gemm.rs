@@ -32,9 +32,9 @@
 //! update, then `Epilogue::apply`). The AVX2
 //! tier writes every full 8-column half straight from its `ymm`
 //! accumulators, doing the definition's per-lane operations in registers
-//! for `Identity` / `Relu` epilogues, so a fused bias costs what a plain
-//! store does; only `Tanh` / `Sigmoid` and a ragged `n % 8` half spill that
-//! half to the stack and take the definition.
+//! for every epilogue (`Tanh` / `Sigmoid` through [`crate::math`]'s
+//! eight-lane forms), so a fused bias costs what a plain store does; only a
+//! ragged `n % 8` half spills to the stack and takes the definition.
 //!
 //! # Kernel tiers
 //!
@@ -71,10 +71,10 @@ use std::sync::OnceLock;
 /// Activation applied by a GEMM [`Epilogue`] during output write-back.
 ///
 /// The formulas are **exactly** the ones `nn`'s executors use for the
-/// standalone element-wise ops (`relu = v.max(0.0)`,
-/// `sigmoid = 1/(1+exp(-v))`), so fusing an activation into the GEMM
-/// write-back produces bit-identical results to running it as a separate
-/// full-tensor pass.
+/// standalone element-wise ops (`relu = v.max(0.0)`, `tanh` and `sigmoid`
+/// from [`crate::math`]), so fusing an activation into the GEMM write-back
+/// produces bit-identical results to running it as a separate full-tensor
+/// pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Activation {
     /// No activation (`v`).
@@ -95,8 +95,8 @@ impl Activation {
         match self {
             Activation::Identity => v,
             Activation::Relu => v.max(0.0),
-            Activation::Tanh => v.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+            Activation::Tanh => crate::math::tanh(v),
+            Activation::Sigmoid => crate::math::sigmoid(v),
         }
     }
 }
@@ -1667,11 +1667,11 @@ unsafe fn avx2_macro_kernel(
 
 /// [`TileAcc::write_back`] straight from the accumulators. Every full
 /// 8-column half finishes in its `ymm` ([`avx2_finish`]): `+ C` when
-/// accumulating, `* scale`, `+ bias`, `max(., 0)`, store — per lane the ops
-/// of the [`Tile`] write-back, in its order. A full-width tile with an
-/// `Identity` / `Relu` epilogue (the common case) runs as straight-line
-/// code over constant indices, so the accumulators never leave their
-/// registers; anything else goes to [`avx2_write_back_halves`].
+/// accumulating, `* scale`, `+ bias`, the activation, store — per lane the
+/// ops of the [`Tile`] write-back, in its order. A full-width tile (the
+/// common case) runs as straight-line code over constant indices, so the
+/// accumulators never leave their registers; a ragged one goes to
+/// [`avx2_write_back_halves`].
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -1687,8 +1687,7 @@ unsafe fn avx2_write_back(
     ep: Epilogue,
 ) {
     use std::arch::x86_64::*;
-    let relu = ep.act == Activation::Relu;
-    if nr != Avx2K::NR || !(relu || ep.act == Activation::Identity) {
+    if nr != Avx2K::NR {
         // SAFETY: forwarded contract.
         return unsafe { avx2_write_back_halves(*acc, mr, nr, c, ldc, j0, store, ep) };
     }
@@ -1713,7 +1712,7 @@ unsafe fn avx2_write_back(
             // per the assert above.
             unsafe {
                 let cp = c.as_mut_ptr().add(r * ldc + 8 * h);
-                avx2_finish(v, cp, store, scale, bias.map(|b| b[h]), relu);
+                avx2_finish(v, cp, store, scale, bias.map(|b| b[h]), ep.act);
             }
         }
     }
@@ -1722,7 +1721,9 @@ unsafe fn avx2_write_back(
 /// One `ymm` of a finished tile, written to the 8 floats at `cp`.
 /// `_mm256_max_ps(v, 0)` returns its second operand for a NaN or `-0.0`
 /// first one, which is what `v.max(0.0)` compiles to on this target (the
-/// epilogue-oracle suite pins both against the scalar tier).
+/// epilogue-oracle suite pins both against the scalar tier); `Tanh` /
+/// `Sigmoid` are [`crate::math`]'s eight-lane forms, bit-equal to the
+/// scalar oracles [`Activation::apply`] calls.
 ///
 /// # Safety
 ///
@@ -1736,7 +1737,7 @@ unsafe fn avx2_finish(
     store: bool,
     scale: Option<std::arch::x86_64::__m256>,
     bias: Option<std::arch::x86_64::__m256>,
-    relu: bool,
+    act: Activation,
 ) {
     use std::arch::x86_64::*;
     // SAFETY: `cp` per the contract.
@@ -1750,18 +1751,38 @@ unsafe fn avx2_finish(
         if let Some(b) = bias {
             v = _mm256_add_ps(v, b);
         }
-        if relu {
-            v = _mm256_max_ps(v, _mm256_setzero_ps());
-        }
+        v = match act {
+            Activation::Identity => v,
+            Activation::Relu => _mm256_max_ps(v, _mm256_setzero_ps()),
+            _ => avx2_transcendental(v, act),
+        };
         _mm256_storeu_ps(cp, v);
     }
 }
 
-/// The rest of [`avx2_write_back`]: ragged `nr` and `Tanh` / `Sigmoid`,
-/// half by half. A full half with a vector epilogue still finishes in its
-/// register ([`avx2_finish`]); `Tanh` / `Sigmoid` are libm calls and a
-/// ragged half (`nr % 8` columns) is not worth masking, so those halves
-/// spill to an 8-lane stack row and go through [`write_back_row`].
+/// `Tanh` / `Sigmoid` of one `ymm`, kept out of line so the straight-line
+/// `Identity` / `Relu` write-back does not carry twelve inlined copies.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_transcendental(
+    v: std::arch::x86_64::__m256,
+    act: Activation,
+) -> std::arch::x86_64::__m256 {
+    use crate::math::avx2;
+    // SAFETY: AVX2+FMA, per this function's own target features.
+    unsafe {
+        match act {
+            Activation::Sigmoid => avx2::sigmoid8(v),
+            _ => avx2::tanh8(v),
+        }
+    }
+}
+
+/// The ragged-`nr` rest of [`avx2_write_back`], half by half. A full half
+/// still finishes in its register ([`avx2_finish`]); a ragged half
+/// (`nr % 8` columns) is not worth masking, so it spills to an 8-lane stack
+/// row and goes through [`write_back_row`].
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
@@ -1777,20 +1798,18 @@ unsafe fn avx2_write_back_halves(
     ep: Epilogue,
 ) {
     use std::arch::x86_64::*;
-    let relu = ep.act == Activation::Relu;
-    let vector = relu || ep.act == Activation::Identity;
     let scale = ep.scale.map(|s| _mm256_set1_ps(s));
     for (h, j) in (0..nr).step_by(8).enumerate() {
         let lanes = 8.min(nr - j);
         for (r, accr) in acc.iter().take(mr).enumerate() {
             let cv = &mut c[r * ldc + j..r * ldc + j + lanes];
-            if vector && lanes == 8 {
+            if lanes == 8 {
                 // SAFETY: the load reads a bounds-checked 8-element slice.
                 let bias = ep
                     .bias
                     .map(|b| unsafe { _mm256_loadu_ps(b[j0 + j..j0 + j + 8].as_ptr()) });
                 // SAFETY: `cv` is a bounds-checked 8-element slice.
-                unsafe { avx2_finish(accr[h], cv.as_mut_ptr(), store, scale, bias, relu) };
+                unsafe { avx2_finish(accr[h], cv.as_mut_ptr(), store, scale, bias, ep.act) };
             } else {
                 let mut spill = [0.0f32; 8];
                 // SAFETY: `spill` holds exactly one ymm.

@@ -15,13 +15,14 @@
 pub mod aligned;
 mod attention;
 mod gemm;
+pub mod math;
 mod ops;
 mod quant;
 mod shape;
 
 pub use attention::{
     attention_bwd_slices, attention_fusable, attention_slices, attention_train_slices,
-    softmax_bwd_row, softmax_row, ATTENTION_MAX_DH, ATTENTION_MAX_L,
+    softmax_bwd_row, softmax_rows, ATTENTION_MAX_DH, ATTENTION_MAX_L,
 };
 #[doc(hidden)]
 pub use attention::{
@@ -463,9 +464,7 @@ impl Tensor {
             actual: 0,
         })?;
         let mut out = self.data.clone();
-        if d > 0 {
-            out.chunks_mut(d).for_each(softmax_row);
-        }
+        softmax_rows(&mut out, d);
         Ok(Tensor {
             data: out,
             shape: self.shape.clone(),
