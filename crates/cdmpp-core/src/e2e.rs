@@ -11,10 +11,10 @@ use features::{
 use parallel::ThreadPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tir::{lower, sample_schedule, task_indices, Network, TensorProgram};
+use tir::{sample_lowered, task_indices, Network, TensorProgram};
 
 use crate::batch::{EncodedSample, SampleRef};
-use crate::replayer::{dfg_shape, engine_count, set_layer_durations, simulate, Successors};
+use crate::replayer::{engine_count, simulate, Dfg, Scratch};
 use crate::trainer::TrainedModel;
 
 /// Outcome of an end-to-end prediction against the simulated ground truth.
@@ -275,23 +275,10 @@ pub fn encode_programs_into(
 pub fn sample_network_programs(net: &Network, seed: u64) -> (Vec<u32>, Vec<TensorProgram>) {
     let (_, tasks) = task_indices(net.layers.iter().map(|l| &l.spec));
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut programs = Vec::with_capacity(tasks.len());
-    for spec in &tasks {
-        let nest = spec.canonical_nest();
-        let mut prog = None;
-        for _ in 0..10 {
-            let s = sample_schedule(&nest, &mut rng);
-            if let Ok(p) = lower(&nest, &s) {
-                prog = Some(p);
-                break;
-            }
-        }
-        programs.push(
-            prog.unwrap_or_else(|| {
-                lower(&nest, &tir::Schedule::default()).expect("canonical lowers")
-            }),
-        );
-    }
+    let programs = tasks
+        .iter()
+        .map(|spec| sample_lowered(&spec.canonical_nest(), &mut rng).1)
+        .collect();
     ((0..tasks.len() as u32).collect(), programs)
 }
 
@@ -365,8 +352,8 @@ fn measure(dev: &DeviceSpec, programs: &[TensorProgram]) -> Vec<f64> {
 }
 
 /// Per-task values → layer durations → Algorithm 2, once per value set:
-/// the DFG and its successor lists are built once and every set replays
-/// over them. `per_task[k][i]` belongs to task `task_ids[i]`.
+/// the DFG is built once and every set replays over it, in the same
+/// scratch buffers. `per_task[k][i]` belongs to task `task_ids[i]`.
 fn replay_tasks<const N: usize>(
     net: &Network,
     dev: &DeviceSpec,
@@ -375,15 +362,14 @@ fn replay_tasks<const N: usize>(
 ) -> [f64; N] {
     let (layer_task, _) = task_indices(net.layers.iter().map(|l| &l.spec));
     let mut by_task = vec![0.0; task_ids.len()];
-    let (mut dfg, first) = dfg_shape(net, dev);
-    let edges = Successors::new(&dfg);
+    let (mut dfg, first) = Dfg::for_network(net, dev);
+    let mut scratch = Scratch::default();
     per_task.map(|values| {
         for (&task, &v) in task_ids.iter().zip(values) {
             by_task[task as usize] = v;
         }
-        let durations: Vec<f64> = layer_task.iter().map(|&t| by_task[t as usize]).collect();
-        set_layer_durations(&mut dfg, &first, &durations);
-        simulate(&dfg, &edges, engine_count(dev), None)
+        dfg.set_layer_durations(&first, layer_task.iter().map(|&t| by_task[t as usize]));
+        simulate(&dfg, engine_count(dev), &mut scratch, None)
     })
 }
 
@@ -394,6 +380,7 @@ mod tests {
     use crate::trainer::{pretrain, TrainConfig};
     use dataset::{Dataset, GenConfig, SplitIndices};
     use tir::zoo;
+    use tir::{lower, sample_schedule};
 
     fn quick_model(devices: Vec<DeviceSpec>) -> (Dataset, TrainedModel) {
         let ds = Dataset::generate_with_networks(

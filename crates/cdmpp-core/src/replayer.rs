@@ -7,15 +7,19 @@
 //! completion time of the last node. On the HL-100, GEMM-class nodes are
 //! split into three parallel sub-operators, one per GEMM engine (§5.5).
 //!
-//! Cost contract: `Successors::new` is O(n + e) and four allocations; one
-//! `simulate` over it touches every node and every distinct edge once,
-//! plus a scan of the popped engine's ready queue per node (a handful of
-//! entries on zoo DFGs), in `3 + n_engines` allocations (+1 with a
-//! timeline). Durations are read at replay time, so one `Successors` serves
-//! any number of duration vectors over the same graph.
+//! Cost contract: a network's DFG (`Dfg::for_network`) is written straight
+//! into per-node duration / gap / engine arrays and CSR successor lists, in
+//! O(n + e) and eight allocations, with no dependency list per node. One
+//! `simulate` over it touches every node and every distinct edge once, plus
+//! a scan of the popped engine's ready queue per node (a handful of entries
+//! on zoo DFGs), in buffers its caller hands it (`Scratch`): the first replay
+//! sizes them and later ones reuse them.
+//! Durations are read at replay time, so one `Dfg` serves any number of
+//! duration vectors over the same graph; `replay` and `replay_timeline` lay
+//! a `DfgNode` list out the same way and run the same `simulate`.
 
 use devsim::DeviceSpec;
-use tir::{Network, OpSpec};
+use tir::{LayerNode, Network, OpSpec};
 
 /// One node of the replayable DFG.
 #[derive(Debug, Clone)]
@@ -47,7 +51,8 @@ pub struct TimelineEntry {
 /// returns the iteration time (completion of the last node) — NaN if any
 /// node's duration or gap is not finite.
 pub fn replay(nodes: &[DfgNode], n_engines: usize) -> f64 {
-    simulate(nodes, &Successors::new(nodes), n_engines, None)
+    let dfg = Dfg::from_nodes(nodes);
+    simulate(&dfg, n_engines, &mut Scratch::default(), None)
 }
 
 /// Algorithm 2 with a full execution trace: returns the per-node timeline
@@ -56,14 +61,86 @@ pub fn replay(nodes: &[DfgNode], n_engines: usize) -> f64 {
 /// in the spirit of dPRO's timeline output.
 pub fn replay_timeline(nodes: &[DfgNode], n_engines: usize) -> (Vec<TimelineEntry>, f64) {
     let mut timeline = Vec::with_capacity(nodes.len());
-    let edges = Successors::new(nodes);
-    let t = simulate(nodes, &edges, n_engines, Some(&mut timeline));
+    let dfg = Dfg::from_nodes(nodes);
+    let t = simulate(
+        &dfg,
+        n_engines,
+        &mut Scratch::default(),
+        Some(&mut timeline),
+    );
     (timeline, t)
+}
+
+/// A DFG laid out for Algorithm 2: per-node arrays, and the edges turned
+/// around into successor lists.
+pub(crate) struct Dfg {
+    duration_s: Vec<f64>,
+    gap_s: Vec<f64>,
+    engine: Vec<usize>,
+    edges: Successors,
+}
+
+impl Dfg {
+    /// # Panics
+    /// If a `deps` entry is not a node index.
+    fn from_nodes(nodes: &[DfgNode]) -> Self {
+        let edges = Successors::new(nodes.len(), || {
+            (nodes.iter().enumerate()).flat_map(|(v, node)| node.deps.iter().map(move |&d| (v, d)))
+        });
+        Dfg {
+            duration_s: nodes.iter().map(|u| u.duration_s).collect(),
+            gap_s: nodes.iter().map(|u| u.gap_s).collect(),
+            engine: nodes.iter().map(|u| u.engine).collect(),
+            edges,
+        }
+    }
+
+    /// The DFG of `net` on `dev` with every duration zero, written straight
+    /// into its arrays and successor lists (no per-node dependency list),
+    /// and `first`: layer `li` became nodes `first[li]..first[li + 1]`.
+    pub(crate) fn for_network(net: &Network, dev: &DeviceSpec) -> (Self, Vec<usize>) {
+        let first = node_ranges(net, dev);
+        let n = first[net.layers.len()];
+        let mut engine = Vec::with_capacity(n);
+        for layer in &net.layers {
+            let (split, queue) = placement(&layer.spec, dev);
+            engine.extend(queue..queue + split);
+        }
+        let edges = Successors::new(n, || {
+            let first = &first;
+            net.layers.iter().enumerate().flat_map(move |(li, layer)| {
+                (first[li]..first[li + 1])
+                    .flat_map(move |v| layer_deps(layer, first).map(move |d| (v, d)))
+            })
+        });
+        let dfg = Dfg {
+            duration_s: vec![0.0; n],
+            gap_s: vec![dispatch_gap(dev); n],
+            engine,
+            edges,
+        };
+        (dfg, first)
+    }
+
+    /// Gives each layer's nodes its duration (`durations` yields one per
+    /// layer), divided evenly among them (`ŷ/engines` for a split layer;
+    /// exact for a single node: `d / 1.0`).
+    pub(crate) fn set_layer_durations(
+        &mut self,
+        first: &[usize],
+        durations: impl IntoIterator<Item = f64>,
+    ) {
+        for (range, d) in first.windows(2).zip(durations) {
+            let sub = &mut self.duration_s[range[0]..range[1]];
+            let each = d / sub.len() as f64;
+            sub.fill(each);
+        }
+    }
 }
 
 /// A DFG's edges turned around: per node, its consumers in ascending index
 /// (CSR), and how many distinct producers it waits for.
-pub(crate) struct Successors {
+struct Successors {
     /// Consumers of `u` are `succ[start[u]..start[u + 1]]`.
     start: Vec<usize>,
     succ: Vec<usize>,
@@ -72,22 +149,23 @@ pub(crate) struct Successors {
 }
 
 impl Successors {
+    /// The successor lists of `n` nodes whose dependency edges `edges()`
+    /// yields as `(consumer, producer)`, grouped by consumer, consumers
+    /// ascending. `edges` is walked twice: once to count, once to fill.
+    ///
     /// # Panics
-    /// If a `deps` entry is not a node index.
-    pub(crate) fn new(nodes: &[DfgNode]) -> Self {
-        let n = nodes.len();
+    /// If a producer is not a node index.
+    fn new<I: Iterator<Item = (usize, usize)>>(n: usize, edges: impl Fn() -> I) -> Self {
         let mut start = vec![0usize; n + 1];
         let mut producers = vec![0usize; n];
         // Pass 1 counts distinct edges; `cursor[d] == v` marks producer `d`
         // as already counted for consumer `v` (consumers ascend).
         let mut cursor = vec![usize::MAX; n];
-        for (v, node) in nodes.iter().enumerate() {
-            for &d in &node.deps {
-                if cursor[d] != v {
-                    cursor[d] = v;
-                    start[d + 1] += 1;
-                    producers[v] += 1;
-                }
+        for (v, d) in edges() {
+            if cursor[d] != v {
+                cursor[d] = v;
+                start[d + 1] += 1;
+                producers[v] += 1;
             }
         }
         for u in 0..n {
@@ -96,12 +174,10 @@ impl Successors {
         // Pass 2 fills; a repeated edge is the one written last for `d`.
         cursor.copy_from_slice(&start[..n]);
         let mut succ = vec![0usize; start[n]];
-        for (v, node) in nodes.iter().enumerate() {
-            for &d in &node.deps {
-                if cursor[d] == start[d] || succ[cursor[d] - 1] != v {
-                    succ[cursor[d]] = v;
-                    cursor[d] += 1;
-                }
+        for (v, d) in edges() {
+            if cursor[d] == start[d] || succ[cursor[d] - 1] != v {
+                succ[cursor[d]] = v;
+                cursor[d] += 1;
             }
         }
         Successors {
@@ -112,29 +188,54 @@ impl Successors {
     }
 }
 
-/// The one Algorithm 2 loop: replays `nodes` (durations, gaps, engines)
-/// over the edges in `edges`, optionally recording the timeline.
+/// Algorithm 2's working buffers, cleared and reused by every replay they
+/// are handed to.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    device_time: Vec<f64>,
+    refcount: Vec<usize>,
+    ready_time: Vec<f64>,
+    /// Per-engine queues of ready nodes, in release order.
+    queues: Vec<Vec<usize>>,
+}
+
+/// The one Algorithm 2 loop: replays `dfg` over `n_engines` queues in
+/// `scratch`'s buffers, optionally recording the timeline.
 pub(crate) fn simulate(
-    nodes: &[DfgNode],
-    edges: &Successors,
+    dfg: &Dfg,
     n_engines: usize,
+    scratch: &mut Scratch,
     mut timeline: Option<&mut Vec<TimelineEntry>>,
 ) -> f64 {
     assert!(n_engines >= 1, "need at least one engine");
     // A non-finite duration has no schedule: NaN it through instead of
     // ordering queues by it or taking `max` past it.
-    let finite = |u: &DfgNode| u.duration_s.is_finite() && u.gap_s.is_finite();
-    if !nodes.iter().all(finite) {
+    if !dfg
+        .duration_s
+        .iter()
+        .chain(&dfg.gap_s)
+        .all(|t| t.is_finite())
+    {
         return f64::NAN;
     }
-    let n = nodes.len();
-    let queue_of = |u: usize| nodes[u].engine.min(n_engines - 1);
+    let n = dfg.duration_s.len();
+    let edges = &dfg.edges;
+    let queue_of = |u: usize| dfg.engine[u].min(n_engines - 1);
     // Lines 3-6: device times and per-device ready queues.
-    let mut device_time = vec![0.0f64; n_engines];
-    let mut refcount = edges.producers.clone();
-    let mut ready_time = vec![0.0f64; n];
-    // Per-engine queues of ready nodes, in release order.
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n_engines];
+    let Scratch {
+        device_time,
+        refcount,
+        ready_time,
+        queues,
+    } = scratch;
+    device_time.clear();
+    device_time.resize(n_engines, 0.0);
+    refcount.clear();
+    refcount.extend_from_slice(&edges.producers);
+    ready_time.clear();
+    ready_time.resize(n, 0.0);
+    queues.iter_mut().for_each(Vec::clear);
+    queues.resize_with(n_engines, Vec::new);
     for u in 0..n {
         if refcount[u] == 0 {
             queues[queue_of(u)].push(u);
@@ -155,7 +256,7 @@ pub(crate) fn simulate(
         let u = queues[d].remove(pos);
         // Lines 19-20: start and completion times.
         let start = device_time[d].max(ready_time[u]);
-        let end = start + nodes[u].duration_s + nodes[u].gap_s;
+        let end = start + dfg.duration_s[u] + dfg.gap_s[u];
         device_time[d] = end;
         iteration_time = iteration_time.max(end);
         if let Some(timeline) = timeline.as_deref_mut() {
@@ -211,6 +312,31 @@ fn placement(spec: &OpSpec, dev: &DeviceSpec) -> (usize, usize) {
     }
 }
 
+/// Inter-op dispatch gap of every DFG node on `dev`, in seconds.
+fn dispatch_gap(dev: &DeviceSpec) -> f64 {
+    dev.launch_overhead_us * 1e-6 * 0.1
+}
+
+/// Where each layer of `net` lands in its DFG on `dev`: layer `li` becomes
+/// nodes `first[li]..first[li + 1]`.
+fn node_ranges(net: &Network, dev: &DeviceSpec) -> Vec<usize> {
+    let mut first = Vec::with_capacity(net.layers.len() + 1);
+    first.push(0);
+    for layer in &net.layers {
+        first.push(first[first.len() - 1] + placement(&layer.spec, dev).0);
+    }
+    first
+}
+
+/// The producers of each node of `layer`: every node of every layer it
+/// depends on, in the layer's dependency order.
+fn layer_deps<'a>(layer: &'a LayerNode, first: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+    layer
+        .deps
+        .iter()
+        .flat_map(|&dep| first[dep]..first[dep + 1])
+}
+
 /// Builds the replayable DFG for a network on a device.
 ///
 /// `layer_durations` gives the predicted latency of each layer (seconds).
@@ -218,51 +344,19 @@ fn placement(spec: &OpSpec, dev: &DeviceSpec) -> (usize, usize) {
 /// `gemm_engines` parallel sub-operators of `ŷ/engines` each (§5.5).
 pub fn build_dfg(net: &Network, layer_durations: &[f64], dev: &DeviceSpec) -> Vec<DfgNode> {
     assert_eq!(net.layers.len(), layer_durations.len());
-    let (mut nodes, first) = dfg_shape(net, dev);
-    set_layer_durations(&mut nodes, &first, layer_durations);
-    nodes
-}
-
-/// The DFG of `net` on `dev` with every duration zero, and `first`: layer
-/// `li` became nodes `first[li]..first[li + 1]`.
-pub(crate) fn dfg_shape(net: &Network, dev: &DeviceSpec) -> (Vec<DfgNode>, Vec<usize>) {
-    let gap = dev.launch_overhead_us * 1e-6 * 0.1;
-    let mut nodes: Vec<DfgNode> = Vec::with_capacity(net.layers.len());
-    let mut first = Vec::with_capacity(net.layers.len() + 1);
-    first.push(0);
-    for layer in &net.layers {
-        let mut deps = Vec::new();
-        for &dep in &layer.deps {
-            deps.extend(first[dep]..first[dep + 1]);
-        }
+    let first = node_ranges(net, dev);
+    let gap_s = dispatch_gap(dev);
+    let mut nodes = Vec::with_capacity(first[net.layers.len()]);
+    for (layer, &d) in net.layers.iter().zip(layer_durations) {
         let (split, queue) = placement(&layer.spec, dev);
-        for e in 0..split {
-            // The last sub-node takes the list itself.
-            let deps = if e + 1 < split {
-                deps.clone()
-            } else {
-                std::mem::take(&mut deps)
-            };
-            nodes.push(DfgNode {
-                duration_s: 0.0,
-                deps,
-                engine: queue + e,
-                gap_s: gap,
-            });
-        }
-        first.push(nodes.len());
+        nodes.extend((queue..queue + split).map(|engine| DfgNode {
+            duration_s: d / split as f64,
+            deps: layer_deps(layer, &first).collect(),
+            engine,
+            gap_s,
+        }));
     }
-    (nodes, first)
-}
-
-/// Gives each layer's nodes its duration, divided evenly among them
-/// (`ŷ/engines` for a split layer; exact for a single node: `d / 1.0`).
-pub(crate) fn set_layer_durations(nodes: &mut [DfgNode], first: &[usize], durations: &[f64]) {
-    for (range, &d) in first.windows(2).zip(durations) {
-        let sub = &mut nodes[range[0]..range[1]];
-        let each = d / sub.len() as f64;
-        sub.iter_mut().for_each(|node| node.duration_s = each);
-    }
+    nodes
 }
 
 #[cfg(test)]

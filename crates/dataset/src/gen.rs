@@ -6,9 +6,7 @@ use std::sync::Arc;
 use devsim::{DeviceSpec, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tir::{
-    all_networks, build_tasks, lower, sample_schedule, Network, Schedule, Task, TensorProgram,
-};
+use tir::{all_networks, build_tasks, sample_lowered, Network, Schedule, Task, TensorProgram};
 
 /// One measured record: a tensor program's latency on a device.
 #[derive(Debug, Clone)]
@@ -95,18 +93,12 @@ impl Dataset {
         let mut programs: Vec<Vec<(Arc<Schedule>, Arc<TensorProgram>)>> = Vec::new();
         for task in &tasks {
             let nest = task.spec.canonical_nest();
-            let mut per_task = Vec::with_capacity(config.schedules_per_task);
-            let mut guard = 0;
-            while per_task.len() < config.schedules_per_task
-                && guard < config.schedules_per_task * 10
-            {
-                guard += 1;
-                let sched = sample_schedule(&nest, &mut sched_rng);
-                match lower(&nest, &sched) {
-                    Ok(p) => per_task.push((Arc::new(sched), Arc::new(p))),
-                    Err(_) => continue,
-                }
-            }
+            let per_task = (0..config.schedules_per_task)
+                .map(|_| {
+                    let (sched, prog) = sample_lowered(&nest, &mut sched_rng);
+                    (Arc::new(sched), Arc::new(prog))
+                })
+                .collect();
             programs.push(per_task);
         }
         // Measure on every device.

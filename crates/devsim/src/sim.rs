@@ -22,16 +22,24 @@
 //! and device-specifically on *program structure* (loop order, tiling,
 //! annotations), which is exactly the signal the paper's cost model learns.
 //!
-//! Cost contract: a leaf makes `accesses × depth` [`MemAccess::stride`] scans
+//! Cost contract: a leaf makes `accesses × depth` [`AccessView::stride`] scans
 //! — one dense stride table (`LeafTables`) that the reuse walk, the
 //! contiguity penalty, the footprints and the working set all read — and
-//! computes its per-level footprints once, not once per access.
-//! [`Simulator::latency_seconds`] keeps the tables across a program's
-//! leaves: two buffers a call, grown to its deepest leaf (plus
-//! `visit_leaves`' loop stack, sized once to the program's depth), and
-//! nothing per leaf, whose accesses are borrowed views of the flat program.
-//! Every product keeps its multiplication order, so latencies are
+//! computes its per-level footprints once, not once per access, from one
+//! running product per access: O(depth × accesses), not O(depth² ×
+//! accesses). The stack's iteration, parallel, vector, unroll and overhead
+//! products share one pass over the loops. The tables live in a per-thread
+//! scratch, grown to the deepest leaf the thread has seen, so a warmed
+//! [`Simulator::latency_seconds`] makes one allocation, `visit_leaves`' loop
+//! stack (`tests/latency_allocations.rs`), and nothing per leaf, whose
+//! accesses are borrowed views of the flat program.
+//!
+//! Every product keeps its multiplication order, or is exact in any order
+//! (a product of integers no larger than 2⁵³; deeper stacks take the
+//! ordered fold, `tests/footprint_guard.rs`), so latencies are
 //! bit-identical to the per-access formulation (`tests/latency_pin.rs`).
+
+use std::cell::RefCell;
 
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
@@ -97,9 +105,10 @@ impl Simulator {
     /// Deterministic latency of a tensor program in seconds.
     pub fn latency_seconds(&self, prog: &TensorProgram) -> f64 {
         let mut total = 0.0;
-        let mut tables = LeafTables::default();
-        prog.visit_leaves(|leaf, stack| {
-            total += self.leaf_cost_with(prog, leaf, stack, &mut tables).total();
+        TABLES.with_borrow_mut(|tables| {
+            prog.visit_leaves(|leaf, stack| {
+                total += self.leaf_cost_with(prog, leaf, stack, tables).total();
+            });
         });
         // One launch per root nest (fissioned nests dispatch separately on
         // GPUs; CPUs pay a smaller, but still per-nest, dispatch cost).
@@ -121,7 +130,7 @@ impl Simulator {
         leaf: LeafView<'_>,
         stack: &[&LoopVar],
     ) -> LeafCost {
-        self.leaf_cost_with(prog, leaf, stack, &mut LeafTables::default())
+        TABLES.with_borrow_mut(|tables| self.leaf_cost_with(prog, leaf, stack, tables))
     }
 
     fn leaf_cost_with(
@@ -131,30 +140,40 @@ impl Simulator {
         stack: &[&LoopVar],
         tables: &mut LeafTables,
     ) -> LeafCost {
-        let iters: f64 = stack.iter().map(|l| l.extent as f64).product();
-        let par_iters: f64 = stack
-            .iter()
-            .filter(|l| l.kind == LoopKind::Parallel)
-            .map(|l| l.extent as f64)
-            .product();
+        // One pass over the stack, outermost first: every product keeps the
+        // order (and so the bits) of its own fold over the stack.
+        let (mut iters, mut par_iters, mut vec_extent) = (1.0f64, 1.0f64, 1.0f64);
+        let (mut unrolled, mut overhead_trips) = (false, 0.0);
+        for l in stack {
+            let extent = l.extent as f64;
+            iters *= extent;
+            let per_trip = match l.kind {
+                LoopKind::Serial => 1.0,
+                LoopKind::Parallel => {
+                    par_iters *= extent;
+                    1.0
+                }
+                LoopKind::Unroll => {
+                    unrolled = true;
+                    0.15
+                }
+                LoopKind::Vectorize => {
+                    vec_extent *= extent;
+                    1.0 / self.spec.vector_width as f64
+                }
+            };
+            // `iters` so far: the trips of this loop over all its outer ones.
+            overhead_trips += iters * per_trip;
+        }
         let cores_used = par_iters.min(self.spec.cores as f64).max(1.0);
 
         // --- Compute term ---
-        let vec_extent: f64 = stack
-            .iter()
-            .filter(|l| l.kind == LoopKind::Vectorize)
-            .map(|l| l.extent as f64)
-            .product();
         let lane_util = if vec_extent > 1.0 {
             (vec_extent.min(self.spec.vector_width as f64)) / self.spec.vector_width as f64
         } else {
             scalar_fraction(self.spec.class)
         };
-        let unroll_boost = if stack.iter().any(|l| l.kind == LoopKind::Unroll) {
-            1.15
-        } else {
-            1.0
-        };
+        let unroll_boost = if unrolled { 1.15 } else { 1.0 };
         let gemm_boost = if self.spec.gemm_engines > 0 && leaf.kind == ComputeKind::Mac {
             // GEMM engines are systolic: high throughput for MACs only.
             6.0 * self.spec.gemm_engines as f64 / 3.0
@@ -169,7 +188,7 @@ impl Simulator {
         tables.fill(leaf, stack);
         let traffic = self.dram_traffic_bytes(prog, leaf, stack, tables, iters);
         // Bandwidth bonus if the leaf's entire working set fits in L2.
-        let working_set = leaf_working_set_bytes(prog, leaf, stack, tables);
+        let working_set = leaf_working_set_bytes(prog, leaf, tables);
         let bw_boost = if working_set <= self.spec.l1_kb * 1024.0 {
             8.0
         } else if working_set <= self.spec.l2_kb * 1024.0 {
@@ -183,18 +202,6 @@ impl Simulator {
         let memory_s = traffic / (self.spec.mem_bw_gbs * 1e9 * bw_boost * bw_parallel);
 
         // --- Loop overhead term ---
-        let mut overhead_trips = 0.0;
-        let mut outer = 1.0;
-        for l in stack {
-            let per_trip = match l.kind {
-                LoopKind::Serial => 1.0,
-                LoopKind::Parallel => 1.0,
-                LoopKind::Unroll => 0.15,
-                LoopKind::Vectorize => 1.0 / self.spec.vector_width as f64,
-            };
-            outer *= l.extent as f64;
-            overhead_trips += outer * per_trip;
-        }
         let overhead_s = overhead_trips * self.spec.loop_overhead_ns * 1e-9 / cores_used;
 
         LeafCost {
@@ -245,8 +252,13 @@ impl Simulator {
     }
 }
 
-/// Per-leaf tables the memory model reads. A latency call keeps one across
-/// the leaves of a program, so it allocates them once.
+thread_local! {
+    /// This thread's [`LeafTables`], kept across leaves and calls: a warmed
+    /// [`Simulator::latency_seconds`] grows none of its buffers.
+    static TABLES: RefCell<LeafTables> = RefCell::new(LeafTables::default());
+}
+
+/// Per-leaf tables the memory model reads, refilled for every leaf.
 #[derive(Default)]
 struct LeafTables {
     /// Dense `[access][loop]` element strides, row-major.
@@ -258,13 +270,28 @@ struct LeafTables {
     /// per access. The cache-capacity test for reuse; it does not depend on
     /// which access asks.
     footprint_inside: Vec<f64>,
+    /// Elements each access touches across the whole stack.
+    touched: Vec<f64>,
 }
 
+/// Every integer up to 2⁵³ is an `f64`, so a product of integers that
+/// stays at or below it is exact, whatever the order of its factors.
+const EXACT_PRODUCTS: u64 = 1 << f64::MANTISSA_DIGITS;
+
 impl LeafTables {
-    /// Refills both tables for one leaf: `accesses × depth` stride scans,
+    /// Refills the tables for one leaf: `accesses × depth` stride scans,
     /// the only ones the leaf's cost makes.
+    ///
+    /// `footprint_inside` comes from one running product per access, walked
+    /// inward to outward, in O(depth × accesses). Each product of extents is
+    /// a product of integers, and when the product of the whole stack is at
+    /// most 2⁵³ every partial product is an integer no larger, so exact in
+    /// any order: the running products are bit for bit the outermost-first
+    /// products of the definition. Deeper stacks than that bound take the
+    /// definition itself, a [`touched_elems`] fold per (access, level).
     fn fill(&mut self, leaf: LeafView<'_>, stack: &[&LoopVar]) {
         let n = stack.len();
+        let accesses = leaf.accesses.len();
         self.depth = n;
         self.strides.clear();
         for acc in &leaf.accesses {
@@ -273,13 +300,39 @@ impl LeafTables {
         }
         self.footprint_inside.clear();
         self.footprint_inside.resize(n + 1, 0.0);
-        self.footprint_inside[n] = leaf.accesses.len() as f64 * ELEM_BYTES;
-        for i in (0..n).rev() {
-            let mut f = 0.0;
-            for a in 0..leaf.accesses.len() {
-                f += touched_elems(&self.row(a)[i..], &stack[i..]) * ELEM_BYTES;
+        self.footprint_inside[n] = accesses as f64 * ELEM_BYTES;
+        self.touched.clear();
+        self.touched.resize(accesses, 1.0);
+        let exact = stack
+            .iter()
+            .try_fold(1u64, |p, l| {
+                p.checked_mul(l.extent)
+                    .filter(|&p| l.extent > 0 && p <= EXACT_PRODUCTS)
+            })
+            .is_some();
+        if exact {
+            for i in (0..n).rev() {
+                let extent = stack[i].extent as f64;
+                let mut f = 0.0;
+                for a in 0..accesses {
+                    if self.strides[a * n + i] != 0 {
+                        self.touched[a] *= extent;
+                    }
+                    f += self.touched[a] * ELEM_BYTES;
+                }
+                self.footprint_inside[i] = f;
             }
-            self.footprint_inside[i] = f;
+        } else {
+            for i in (0..n).rev() {
+                let mut f = 0.0;
+                for a in 0..accesses {
+                    f += touched_elems(&self.row(a)[i..], &stack[i..]) * ELEM_BYTES;
+                }
+                self.footprint_inside[i] = f;
+            }
+            for a in 0..accesses {
+                self.touched[a] = touched_elems(self.row(a), stack);
+            }
         }
     }
 
@@ -310,18 +363,11 @@ fn buffer_bytes(prog: &TensorProgram, acc: AccessView<'_>) -> f64 {
 
 /// Total bytes the leaf touches across all accesses (capped by buffer
 /// sizes).
-fn leaf_working_set_bytes(
-    prog: &TensorProgram,
-    leaf: LeafView<'_>,
-    stack: &[&LoopVar],
-    tables: &LeafTables,
-) -> f64 {
+fn leaf_working_set_bytes(prog: &TensorProgram, leaf: LeafView<'_>, tables: &LeafTables) -> f64 {
     leaf.accesses
         .iter()
-        .enumerate()
-        .map(|(a, acc)| {
-            (touched_elems(tables.row(a), stack) * ELEM_BYTES).min(buffer_bytes(prog, acc))
-        })
+        .zip(&tables.touched)
+        .map(|(acc, &elems)| (elems * ELEM_BYTES).min(buffer_bytes(prog, acc)))
         .sum()
 }
 

@@ -25,7 +25,8 @@ pub use ast::{
 };
 pub use expr::{AxisId, Buffer, BufferId, ComputeKind, LeafStmt, MemAccess};
 pub use schedule::{
-    crossover_schedule, lower, mutate_schedule, sample_schedule, Primitive, Schedule, ScheduleError,
+    crossover_schedule, lower, mutate_schedule, sample_lowered, sample_schedule, Primitive,
+    Schedule, ScheduleError,
 };
 pub use task::{AxisInfo, EwKind, Nest, OpSpec, Task};
 pub use zoo::{

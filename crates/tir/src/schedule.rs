@@ -24,10 +24,21 @@
 //!   lists are drawn from stack buffers; what is left is the schedule, its
 //!   reorder list and the state. [`mutate_schedule`] and
 //!   [`crossover_schedule`] evolve the same leaf-free state.
+//! * **[`sample_lowered`] makes at least 2 fewer than `sample_schedule`
+//!   and `lower` together.** The sampler's state has already applied every
+//!   primitive it kept, so the program is built from it: no state is
+//!   rebuilt and no primitive applied twice. The end-to-end path and dataset
+//!   generation lower their samples this way.
+//! * **A leaf's domain is read once per pass of the build**, as a bitmask
+//!   over the canonical axis ids, so each of the leaves × levels membership
+//!   tests is one AND; a nest with a canonical id of 64 or more tests the
+//!   domain list instead.
 //!
 //! `tests/properties.rs` holds `lower` equal, program for program and error
-//! for error, to the clone-per-level tree builder it replaced, and
-//! `tests/stream_pin.rs` pins the proposers' RNG streams.
+//! for error, to the clone-per-level tree builder it replaced,
+//! `tests/sample_lowered.rs` holds `sample_lowered` to `sample_schedule`
+//! then `lower` over every zoo task, and `tests/stream_pin.rs` pins the
+//! proposers' RNG streams.
 
 use std::sync::Arc;
 
@@ -273,16 +284,16 @@ impl LowerState {
         self.axis(axis).map_or(LoopKind::Serial, |a| a.kind)
     }
 
-    /// The stride entries of `leaf` once scheduled: every entry on a
-    /// canonical axis the leaf ranges over becomes one entry per current
-    /// axis descending from it.
-    fn stride_count(&self, leaf: &LeafStmt) -> usize {
+    /// The stride entries of `leaf` (ranging over `domain`) once scheduled:
+    /// every entry on a canonical axis the leaf ranges over becomes one
+    /// entry per current axis descending from it.
+    fn stride_count(&self, leaf: &LeafStmt, domain: Domain<'_>) -> usize {
         let heirs = |r: AxisId| self.axes.iter().filter(|a| a.root == r).count();
         leaf.accesses
             .iter()
             .flat_map(|acc| &acc.strides)
             .map(|&(r, _)| {
-                if leaf.domain.contains(&r) {
+                if domain.contains(r) {
                     heirs(r).max(1)
                 } else {
                     1
@@ -291,17 +302,17 @@ impl LowerState {
             .sum()
     }
 
-    /// Appends the scheduled copy of a canonical leaf to `prog`, the one
-    /// write a leaf costs: every access entry on a canonical axis the leaf
-    /// ranges over becomes one entry per current axis descending from it
-    /// (what rewriting the access at each `Split` would have left), sorted
-    /// by axis id as [`MemAccess::strides`](crate::MemAccess::strides)
-    /// requires.
-    fn place(&self, leaf: &LeafStmt, prog: &mut TensorProgram) {
+    /// Appends the scheduled copy of a canonical leaf (ranging over
+    /// `domain`) to `prog`, the one write a leaf costs: every access entry
+    /// on a canonical axis the leaf ranges over becomes one entry per
+    /// current axis descending from it (what rewriting the access at each
+    /// `Split` would have left), sorted by axis id as
+    /// [`MemAccess::strides`](crate::MemAccess::strides) requires.
+    fn place(&self, leaf: &LeafStmt, domain: Domain<'_>, prog: &mut TensorProgram) {
         prog.push_leaf(leaf, |acc, out| {
             let first = out.len();
             for &(r, s) in &acc.strides {
-                let ranged = leaf.domain.contains(&r);
+                let ranged = domain.contains(r);
                 let heirs = self.axes.iter().filter(|a| ranged && a.root == r);
                 let before = out.len();
                 out.extend(heirs.map(|a| (a.id, s * a.scale)));
@@ -323,7 +334,11 @@ impl LowerState {
     /// Every slab of the program is sized before it is written: a leaf
     /// opens at most one loop per level it ranges over, so that count plus
     /// one per leaf bounds the nodes, and the others are exact.
+    ///
+    /// Each pass over the leaves reads a leaf's domain once, as a [`Domain`]
+    /// mask, so the leaves × levels tests are one AND each.
     fn build(&self, nest: &Nest) -> TensorProgram {
+        let masked = nest.axes.iter().all(|a| a.id < u64::BITS);
         let level = |&a: &AxisId| {
             let info = self.axis(a).expect("axis exists");
             let var = LoopVar {
@@ -340,23 +355,24 @@ impl LowerState {
         };
         let mut levels: Vec<Level> = self.order.iter().map(level).collect();
         let leaves = &nest.leaves;
-        let ranged = |l: &LeafStmt| levels.iter().filter(|v| l.domain.contains(&v.root)).count();
-        let capacity: [usize; 5] = [
-            leaves.iter().map(|l| 1 + ranged(l)).sum(),
-            leaves.len(),
-            leaves.iter().map(|l| l.accesses.len()).sum(),
-            leaves.iter().map(|l| self.stride_count(l)).sum(),
-            leaves.iter().map(|l| l.domain.len()).sum(),
-        ];
+        let mut capacity = [0, leaves.len(), 0, 0, 0];
+        for leaf in leaves {
+            let d = Domain::of(leaf, masked);
+            capacity[0] += 1 + levels.iter().filter(|v| d.contains(v.root)).count();
+            capacity[2] += leaf.accesses.len();
+            capacity[3] += self.stride_count(leaf, d);
+            capacity[4] += leaf.domain.len();
+        }
         let mut prog = TensorProgram::with_capacity(Arc::clone(&nest.buffers), capacity);
         let mut depth = 0;
         for leaf in leaves {
+            let d = Domain::of(leaf, masked);
             // The open loops stay open up to the first level where the
             // leaf's needs and the open loops differ; from there every open
             // loop closes and every needed one opens.
             let mut diverged = false;
             for l in levels.iter_mut() {
-                let needed = leaf.domain.contains(&l.root);
+                let needed = d.contains(l.root);
                 diverged |= needed != l.open_at.is_some();
                 if !diverged {
                     continue;
@@ -367,17 +383,48 @@ impl LowerState {
                 }
             }
             for l in levels.iter_mut() {
-                if l.open_at.is_none() && leaf.domain.contains(&l.root) {
+                if l.open_at.is_none() && d.contains(l.root) {
                     depth += 1;
                     l.open_at = Some(prog.open_loop(l.var.clone(), depth));
                 }
             }
-            self.place(leaf, &mut prog);
+            self.place(leaf, d, &mut prog);
         }
         for at in levels.iter().filter_map(|l| l.open_at) {
             prog.close_loop(at);
         }
         prog
+    }
+}
+
+/// The canonical axes a leaf ranges over, read once per pass of
+/// [`LowerState::build`]: a bitmask over canonical axis ids when every
+/// canonical id of the nest is below 64, so that membership is one AND, and
+/// the leaf's domain list otherwise. A domain id of 64 or more names no
+/// canonical axis of a masked nest, so the mask can leave it out.
+#[derive(Clone, Copy)]
+enum Domain<'a> {
+    Mask(u64),
+    List(&'a [AxisId]),
+}
+
+impl<'a> Domain<'a> {
+    /// `leaf`'s domain, as a mask if `masked` (every canonical id `< 64`).
+    fn of(leaf: &'a LeafStmt, masked: bool) -> Self {
+        if masked {
+            let bits = leaf.domain.iter().filter(|&&a| a < u64::BITS);
+            Domain::Mask(bits.fold(0, |m, &a| m | 1 << a))
+        } else {
+            Domain::List(&leaf.domain)
+        }
+    }
+
+    /// Whether the leaf ranges over canonical axis `root`.
+    fn contains(self, root: AxisId) -> bool {
+        match self {
+            Domain::Mask(m) => root < u64::BITS && m >> root & 1 != 0,
+            Domain::List(d) => d.contains(&root),
+        }
     }
 }
 
@@ -442,6 +489,27 @@ fn choose_from<T: Copy + Default>(
 /// choices (hoisted reductions, missing vectorization) so the dataset spans
 /// the performance range a real auto-tuner explores.
 pub fn sample_schedule(nest: &Nest, rng: &mut impl Rng) -> Schedule {
+    sample_state(nest, rng).0
+}
+
+/// [`sample_schedule`] and the program it lowers to: `(s, lower(nest,
+/// &s).unwrap())` for the `s` that `sample_schedule` would draw from `rng`,
+/// leaving `rng` in the same state.
+///
+/// A sampled schedule always lowers: the sampler keeps only primitives that
+/// applied to its own state, and `lower` would re-apply exactly those to
+/// the same canonical state. So the program is built from the sampler's
+/// state instead, and no primitive is applied twice.
+pub fn sample_lowered(nest: &Nest, rng: &mut impl Rng) -> (Schedule, TensorProgram) {
+    let (schedule, state) = sample_state(nest, rng);
+    let program = state.build(nest);
+    (schedule, program)
+}
+
+/// The sampler: the schedule it draws, and the state that applying that
+/// schedule to `nest`'s canonical state leaves (every primitive it keeps
+/// applied once, in order).
+fn sample_state(nest: &Nest, rng: &mut impl Rng) -> (Schedule, LowerState) {
     // At most one split per canonical axis plus a second-level one, one
     // reorder and three annotations.
     let max_splits = nest.axes.len() + 1;
@@ -544,7 +612,7 @@ pub fn sample_schedule(nest: &Nest, rng: &mut impl Rng) -> Schedule {
             }
         }
     }
-    Schedule { primitives }
+    (Schedule { primitives }, state)
 }
 
 /// Enumerates light mutations of a schedule (used by the Ansor-lite

@@ -1,7 +1,9 @@
 //! The cost contract of `schedule.rs`, held by the allocator itself: over
 //! every zoo task, `lower` makes at most 10 allocations whatever the loop
-//! depth, the program it returns owns at most 6 heap blocks, and
-//! `sample_schedule` makes at most 5. A program stored as a tree was one
+//! depth, the program it returns owns at most 6 heap blocks,
+//! `sample_schedule` makes at most 5, and `sample_lowered` makes at least
+//! the two of the rebuilt schedule state fewer than `sample_schedule` and
+//! `lower` together. A program stored as a tree was one
 //! heap block per loop body, leaf, access and domain: on these schedules
 //! its programs owned 24.1 blocks on average (46 at most), lowering made
 //! 27.9 allocations a call (50 at most) and sampling 10.8 (22 at most).
@@ -14,7 +16,9 @@ use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tir::{all_networks, build_tasks, lower, sample_schedule, Nest, Primitive, Schedule};
+use tir::{
+    all_networks, build_tasks, lower, sample_lowered, sample_schedule, Nest, Primitive, Schedule,
+};
 
 thread_local! {
     /// `(allocations, frees)` made by this thread while `Some`.
@@ -99,10 +103,20 @@ fn lowering_and_sampling_allocate_within_their_contract() {
         let deep = std::iter::once(split_everything(&nest));
         let samples: Vec<Schedule> = (0..50)
             .map(|_| {
+                let mut fused = rng.clone();
                 let (s, (allocs, _)) = counted(|| sample_schedule(&nest, &mut rng));
                 sampled += 1;
                 totals[2] += allocs;
                 worst[2] = worst[2].max(allocs);
+                // The same draw, lowered from the sampler's state.
+                let (_, (fused_allocs, _)) = counted(|| sample_lowered(&nest, &mut fused));
+                let (_, (lower_allocs, _)) = counted(|| lower(&nest, &s));
+                assert!(
+                    fused_allocs + 2 <= allocs + lower_allocs,
+                    "{}: sample_lowered made {fused_allocs} allocations, sample_schedule \
+                     {allocs} and lower {lower_allocs}",
+                    task.name
+                );
                 s
             })
             .collect();
