@@ -349,10 +349,9 @@ fn emit_json() {
 
     // Quantized serving GEMM: f32 vs i8 vs bf16 prepacked panels, the
     // fixed-shape weight-GEMM path specialized plans dispatch to. All
-    // three run the same micro-kernel tier with f32 accumulation; the
-    // quantized paths dequantize each panel slab once into a per-thread
-    // scratch (amortized over row strips) or fuse dequant into the panel
-    // loads for single-strip calls. Two regimes per shape:
+    // three run the same f32 macro-kernel; the quantized paths first
+    // expand each k-block of panels to f32 in a per-thread scratch. Two
+    // regimes per shape:
     //
     //  * `*_resident_ns`: one weight matrix reused back-to-back, panels
     //    pinned in L1/L2. Compute-bound, so quantization can at best tie
@@ -562,7 +561,7 @@ fn emit_json() {
 
     let engine_rows = engine_section();
     let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"batch_rows\": {bs},\n  \"note\": \"gemm rows are single-core kernel-vs-kernel (both sides reuse output buffers; global pool pinned to 1 thread); simd_vs_autovec compares the runtime-selected micro-kernel against a replica of the pre-SIMD autovectorized 4x8 tile over the same blocking. gemm_quant rows compare the prepacked serving GEMM over f32 panels against i8/bf16 quantized panels (dequant into per-thread scratch amortized over row strips, or fused into the panel loads for single-strip calls; f32 accumulation either way). Headline *_prepacked_ns columns rotate each call over weight_matrices distinct matrices so the f32 panel working set exceeds the LLC - the cold-weights serving regime (layer stacks, multi-model fleets) where B-panel memory traffic binds and the 4x smaller i8 panels stay cache-resident; i8_vs_f32 > 1 means i8 is faster there. *_resident_ns columns reuse one cache-hot matrix back-to-back - compute-bound, so quantized at best ties f32 (same kernel plus a dequant pass); i8_vs_f32_resident reports that regime. blocked_bias*/prepacked* columns time the same product with the fused epilogues compiled plans run (bias on 19 of the predictor's 20 GEMMs, an activation on 5); the write-back finishes them in vector registers, so they should read within noise of the plain column. gemm_parallel is the fan-out crossover sweep behind tensor's PAR_MULADDS: serial kernel vs MR-aligned row panels over a pool of host_cores threads (replayed from outside the library, which applies the threshold itself); library_splits says which side of the constant a row is on. parallel_train_step rows compare data-parallel sharding at explicit pool sizes. On a 1-core host both measure dispatch overhead only.\",\n  \
+        "{{\n  \"bench\": \"gemm\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"batch_rows\": {bs},\n  \"note\": \"gemm rows are single-core kernel-vs-kernel (both sides reuse output buffers; global pool pinned to 1 thread); simd_vs_autovec compares the runtime-selected micro-kernel against a replica of the pre-SIMD autovectorized 4x8 tile over the same blocking. gemm_quant rows compare the prepacked serving GEMM over f32 panels against i8/bf16 quantized panels (each k-block dequantized into a per-thread f32 scratch, then the same f32 macro-kernel; f32 accumulation). Headline *_prepacked_ns columns rotate each call over weight_matrices distinct matrices so the f32 panel working set exceeds the LLC - the cold-weights serving regime (layer stacks, multi-model fleets) where B-panel memory traffic binds and the 4x smaller i8 panels stay cache-resident; i8_vs_f32 > 1 means i8 is faster there. *_resident_ns columns reuse one cache-hot matrix back-to-back - compute-bound, so quantized at best ties f32 (same kernel plus a dequant pass); i8_vs_f32_resident reports that regime. blocked_bias*/prepacked* columns time the same product with the fused epilogues compiled plans run (bias on 19 of the predictor's 20 GEMMs, an activation on 5); the write-back finishes them in vector registers, so they should read within noise of the plain column. gemm_parallel is the fan-out crossover sweep behind tensor's PAR_MULADDS: serial kernel vs MR-aligned row panels over a pool of host_cores threads (replayed from outside the library, which applies the threshold itself); library_splits says which side of the constant a row is on. parallel_train_step rows compare data-parallel sharding at explicit pool sizes. On a 1-core host both measure dispatch overhead only.\",\n  \
          \"gemm\": [\n{}\n  ],\n  \"gemm_quant\": [\n{}\n  ],\n  \"gemm_parallel\": [\n{}\n  ],\n  \"training_step\": [\n{}\n  ],\n  \
          \"engine_throughput\": [\n{}\n  ]\n}}\n",
         gemm_rows.join(",\n"),

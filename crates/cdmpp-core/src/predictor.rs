@@ -613,7 +613,7 @@ impl Predictor {
     /// [`Predictor::share`] with the weight storage format chosen
     /// explicitly: `Bf16` / `I8` quantize every rank-2 weight matrix once,
     /// here, and replace the frozen copy's f32 values with the dequantized
-    /// numbers — so every executor of this frozen handle (fused quantized
+    /// numbers — so every executor of this frozen handle (quantized
     /// GEMMs, generic plans, the tape) computes from identical weights
     /// and stays bit-identical to the others. The training-side store is
     /// untouched.

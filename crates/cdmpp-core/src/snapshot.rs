@@ -1234,7 +1234,7 @@ impl InferenceModel {
         // may be hand-built rather than decoded, so each entry is
         // re-checked here; the f32 section must be the blob's exact
         // dequantization — that is what keeps reserialization
-        // byte-canonical and every executor (fused quant kernels and the
+        // byte-canonical and every executor (quantized GEMMs and the
         // generic f32 fallbacks alike) bitwise consistent.
         let mut last_q: Option<usize> = None;
         for q in &snap.quants {

@@ -2023,10 +2023,10 @@ enum SOp {
     },
     /// Weight GEMM against quantized (i8/bf16) prepacked panels —
     /// chosen when the frozen store carries a quantized encoding for the
-    /// parameter. Dequantization is fused into the kernel's B loads;
-    /// accumulation stays f32 and is bit-identical to
-    /// [`SOp::GemmPrepacked`] over the dequantized weights (which is
-    /// exactly what the store's f32 values hold).
+    /// parameter. Each k-block is dequantized into a per-thread f32
+    /// scratch and runs [`SOp::GemmPrepacked`]'s kernel, so accumulation
+    /// stays f32 and is bit-identical to it over the dequantized weights
+    /// (which is exactly what the store's f32 values hold).
     GemmQuantPrepacked {
         a: SpecSrc,
         b: Arc<tensor::QuantizedPackedB>,

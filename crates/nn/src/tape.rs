@@ -42,7 +42,7 @@ impl ParamId {
 /// produced once at freeze time. When a parameter is quantized its f32
 /// `values` entry holds the **dequantized** numbers, so every executor —
 /// generic plans, below-threshold GEMMs, the taped forward — computes with
-/// exactly the values the fused quantized kernels see, and all frozen
+/// exactly the values the quantized GEMM kernels see, and all frozen
 /// paths stay bit-identical to each other.
 #[derive(Debug, Default, Clone)]
 pub struct ParamStore {
@@ -146,7 +146,7 @@ impl ParamStore {
 
     /// Quantizes every rank-2 parameter (the GEMM weight matrices) to
     /// `kind`, replacing each one's f32 values with the dequantized
-    /// numbers so all executors agree with the fused kernels bit for bit.
+    /// numbers so all executors agree with the quantized kernels bit for bit.
     /// Rank-1 parameters (biases, norm gains) stay f32 — they are cheap
     /// and precision-critical. Returns the number of tensors quantized;
     /// already-quantized parameters are left untouched (quantization

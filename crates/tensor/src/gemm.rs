@@ -35,6 +35,8 @@
 //! for every epilogue (`Tanh` / `Sigmoid` through [`crate::math`]'s
 //! eight-lane forms), so a fused bias costs what a plain store does; only a
 //! ragged `n % 8` half spills to the stack and takes the definition.
+//! Quantized prepacked panels have no kernel of their own: each k-block is
+//! expanded to f32 (`Micro::dequant_*`) and runs the same body.
 //!
 //! # Kernel tiers
 //!
@@ -218,10 +220,10 @@ thread_local! {
     /// Per-thread packing buffers: pool workers and long-lived serving
     /// threads reuse the same panels for every GEMM they ever run.
     static PACK: RefCell<(AVec, AVec)> = const { RefCell::new((AVec::new(), AVec::new())) };
-    /// Per-thread dequantized-slab scratch for the prepacked quant path:
-    /// each `kc x NR` quantized slab is expanded to f32 once per
-    /// (k-block, slab) and reused by every row strip, so the dequant cost
-    /// amortizes over `m / MR` tiles instead of repeating in each one.
+    /// Per-thread dequantized k-block for the prepacked quant path: each
+    /// k-block's quantized slabs are expanded here to f32 (`slabs x kc x
+    /// NR`), then the f32 macro-kernel runs over them as over a
+    /// [`PackedB`]'s block.
     static DEQ: RefCell<AVec> = const { RefCell::new(AVec::new()) };
 }
 
@@ -322,38 +324,9 @@ trait Micro: Sized {
         ep: Epilogue,
     );
 
-    /// Dequantizing twin of `tile_direct` for i8 panels: `bslab` holds
-    /// `kc x NR` quantized values and `scales[j]` column `j`'s dequant
-    /// scale. Each value is widened exactly (int → f32) and multiplied by
-    /// its scale — one correctly-rounded f32 multiply — then fed to the
-    /// same fused multiply-add sequence as the f32 tile, so the result is
-    /// bit-identical to `tile_direct` over the dequantized slab.
-    ///
-    /// # Safety
-    ///
-    /// As `tile_direct`; additionally `scales` holds at least `NR`
-    /// elements.
-    unsafe fn tile_direct_i8(
-        kc: usize,
-        ar: &[&[f32]; MR_MAX],
-        bslab: &[i8],
-        scales: &[f32],
-    ) -> Self::Acc;
-
-    /// Dequantizing twin of `tile_direct` for bf16 panels: each u16 is
-    /// widened to the f32 whose upper bits it is (`(h as u32) << 16`,
-    /// exact), then the f32 tile's FMA sequence runs unchanged.
-    ///
-    /// # Safety
-    ///
-    /// As `tile_direct`.
-    unsafe fn tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Self::Acc;
-
-    /// Expands one quantized `kc x NR` i8 slab into f32 — per element the
-    /// exact value `tile_direct_i8` computes in registers (`q as f32`
-    /// widened exactly, then one correctly-rounded multiply by the
-    /// column's scale), materialized once so every row strip can reuse it
-    /// through the plain f32 `tile_direct`.
+    /// Expands one quantized `kc x NR` i8 slab into f32: per element
+    /// `q as f32` (exact) times the column's scale, one correctly-rounded
+    /// multiply. The f32 tile then runs over the expanded slab.
     ///
     /// # Safety
     ///
@@ -370,15 +343,16 @@ trait Micro: Sized {
         }
     }
 
-    /// bf16 twin of [`Micro::dequant_i8`]: exact bit reinterpretation,
-    /// no scales.
+    /// bf16 twin of [`Micro::dequant_i8`] over `rows` slab rows: the
+    /// exact widening [`bf16_to_f32`], no scales.
     ///
     /// # Safety
     ///
-    /// As `dequant_i8` (sans `scales`).
-    unsafe fn dequant_bf16(kc: usize, bslab: &[u16], dst: &mut [f32]) {
-        for (d, &h) in dst[..kc * Self::NR].iter_mut().zip(bslab) {
-            *d = f32::from_bits((h as u32) << 16);
+    /// ISA per the trait contract; `bslab` and `dst` hold at least
+    /// `rows * NR` elements.
+    unsafe fn dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
+        for (d, &h) in dst[..rows * Self::NR].iter_mut().zip(bslab) {
+            *d = bf16_to_f32(h);
         }
     }
 
@@ -955,18 +929,42 @@ unsafe fn gemm_prepacked_t<K: Micro>(
     if k == 0 {
         return store_empty_product(c, n, ep);
     }
-    let mut pc = 0usize;
     for (bi, block) in pb.blocks.iter().enumerate() {
-        let kc = KC.min(k - pc);
-        let ep_here = if pc + kc == k { ep } else { Epilogue::NONE };
-        let rows = APanel::Rows {
-            data: &a[pc..],
-            rs: k,
-        };
         // SAFETY: ISA and slab width vouched by this fn's caller.
-        unsafe { K::macro_kernel(m, n, kc, rows, block.as_slice(), c, n, bi == 0, ep_here) };
-        pc += kc;
+        unsafe { prepacked_block::<K>(m, k, n, a, bi, block.as_slice(), c, ep) };
     }
+}
+
+/// The loop body of every prepacked product: k-block `bi` of `C = ep(A ·
+/// B)`, `A`'s rows read in place against the block's f32 slabs. The first
+/// block overwrites `C`, later ones accumulate onto it, and the epilogue
+/// fires on the last one, when every element's sum is complete.
+///
+/// # Safety
+///
+/// The running CPU must support `K`'s ISA, and `panel` holds the block's
+/// `ceil(n / NR)` slabs of `kc x NR` in `K`'s layout.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn prepacked_block<K: Micro>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    bi: usize,
+    panel: &[f32],
+    c: &mut [f32],
+    ep: Epilogue,
+) {
+    let pc = bi * KC;
+    let kc = KC.min(k - pc);
+    let ep_here = if pc + kc == k { ep } else { Epilogue::NONE };
+    let rows = APanel::Rows {
+        data: &a[pc..],
+        rs: k,
+    };
+    // SAFETY: forwarded contract.
+    unsafe { K::macro_kernel(m, n, kc, rows, panel, c, n, bi == 0, ep_here) };
 }
 
 /// Shared tile write-back: overwrite or accumulate one tile row into `C`,
@@ -1018,8 +1016,8 @@ enum QPanels {
 /// by re-quantizing), so panels packed under any tier dequantize to the
 /// same numbers: the scale grouping lives in the matrix
 /// ([`crate::QUANT_GROUP`] columns), not the tier's slab width. Consumed
-/// by [`crate::gemm_prepacked_quant`], whose micro-kernels dequantize
-/// slab values into registers and accumulate in f32 — bit-identical to
+/// by [`crate::gemm_prepacked_quant`], which expands each k-block to f32
+/// and runs the f32 macro-kernel over it — bit-identical to
 /// [`crate::gemm_prepacked`] over a [`PackedB`] of the dequantized
 /// matrix, on every tier.
 pub struct QuantizedPackedB {
@@ -1148,8 +1146,9 @@ fn pack_q_blocks<T: Copy + Default>(
 }
 
 /// `C = ep(A · dequant(B))` against quantized prepacked panels — the
-/// quantized twin of [`gemm_prepacked_impl`], same loop nest, same
-/// write-back, dequantization fused into the micro-kernel's B loads.
+/// quantized twin of [`gemm_prepacked_impl`]: each k-block is expanded to
+/// f32 in the per-thread `DEQ` scratch, then runs the same loop body
+/// ([`prepacked_block`]) over it.
 pub(crate) fn gemm_prepacked_quant_impl(
     m: usize,
     a: &[f32],
@@ -1190,96 +1189,49 @@ unsafe fn gemm_prepacked_quant_t<K: Micro>(
         return store_empty_product(c, n, ep);
     }
     let slabs = n.div_ceil(K::NR);
-    let blocks = match &qb.panels {
-        QPanels::I8 { blocks, .. } => blocks.len(),
-        QPanels::Bf16 { blocks } => blocks.len(),
-    };
-    // Slabs reused by several row strips are expanded to f32 once into a
-    // per-thread scratch and fed to the plain f32 tile, so the dequant
-    // cost is paid per slab instead of per strip; single-strip calls keep
-    // the fused in-register dequant, which does less total work there.
-    // Both routes produce identical bits: the scratch holds exactly the
-    // per-element values the fused tiles compute (one correctly-rounded
-    // `q * scale` product for i8, an exact reinterpretation for bf16),
-    // and the FMA loop over them is the same f32 tile either way.
-    let amortize = m > 2 * K::MR;
-    let mut pc = 0usize;
-    for bi in 0..blocks {
-        let kc = KC.min(k - pc);
-        let store = bi == 0;
-        let ep_here = if pc + kc == k { ep } else { Epilogue::NONE };
-        for t in 0..slabs {
-            let j0 = t * K::NR;
-            let nr = K::NR.min(n - j0);
-            DEQ.with(|cell| {
-                let mut deq = cell.borrow_mut();
-                if amortize {
-                    deq.ensure_len(kc * K::NR);
-                    // SAFETY: ISA and slab width vouched by this fn's caller.
-                    unsafe {
-                        dequant_slab::<K>(&qb.panels, bi, t, j0, kc, deq.as_mut_slice());
-                    }
-                }
-                let mut i0 = 0usize;
-                while i0 < m {
-                    let mr = K::MR.min(m - i0);
-                    let ar = a_rows(&a[pc..], k, i0, mr, kc);
-                    // SAFETY: ISA vouched by caller; slab/scale/scratch
-                    // slices sized by the packer and `ensure_len` above;
-                    // A rows per `a_rows`.
-                    let acc = unsafe {
-                        if amortize {
-                            K::tile_direct(kc, &ar, deq.as_slice())
-                        } else {
-                            match &qb.panels {
-                                QPanels::I8 { blocks, scales } => {
-                                    let bslab = &blocks[bi][t * kc * K::NR..(t + 1) * kc * K::NR];
-                                    K::tile_direct_i8(kc, &ar, bslab, &scales[j0..j0 + K::NR])
-                                }
-                                QPanels::Bf16 { blocks } => {
-                                    let bslab = &blocks[bi][t * kc * K::NR..(t + 1) * kc * K::NR];
-                                    K::tile_direct_bf16(kc, &ar, bslab)
-                                }
-                            }
-                        }
-                    };
-                    let ctile = &mut c[i0 * n + j0..];
-                    // SAFETY: ISA vouched by caller.
-                    unsafe { acc.write_back(mr, nr, ctile, n, j0, store, ep_here) };
-                    i0 += mr;
-                }
-            });
+    DEQ.with(|cell| {
+        let mut deq = cell.borrow_mut();
+        deq.ensure_len(slabs * KC.min(k) * K::NR);
+        for bi in 0..k.div_ceil(KC) {
+            let kc = KC.min(k - bi * KC);
+            // SAFETY: ISA and slab width vouched by this fn's caller; the
+            // scratch holds a full k-block per `ensure_len` above.
+            unsafe {
+                qb.panels.dequant_block::<K>(bi, kc, deq.as_mut_slice());
+                prepacked_block::<K>(m, k, n, a, bi, deq.as_slice(), c, ep);
+            }
         }
-        pc += kc;
-    }
+    });
 }
 
-/// Expands the `(bi, t)` quantized `kc x NR` slab into `dst` as f32 —
-/// one correctly-rounded `q * scale` multiply per i8 element, an exact
-/// bit reinterpretation per bf16 element; exactly the values the fused
-/// dequant tiles compute in registers.
-///
-/// # Safety
-///
-/// The running CPU must support `K`'s ISA, and the panels must have been
-/// packed with `K`'s slab width.
-unsafe fn dequant_slab<K: Micro>(
-    panels: &QPanels,
-    bi: usize,
-    t: usize,
-    j0: usize,
-    kc: usize,
-    dst: &mut [f32],
-) {
-    let span = t * kc * K::NR..(t + 1) * kc * K::NR;
-    // SAFETY: ISA vouched by the caller; slab/scale slices sized by the
-    // packer, `dst` by the caller's `ensure_len`.
-    unsafe {
-        match panels {
-            QPanels::I8 { blocks, scales } => {
-                K::dequant_i8(kc, &blocks[bi][span], &scales[j0..j0 + K::NR], dst)
+impl QPanels {
+    /// Expands k-block `bi` (`kc` deep) into `dst` as f32, in the f32
+    /// panels' slab layout: one correctly-rounded `q * scale` multiply per
+    /// i8 element, an exact widening per bf16 element.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support `K`'s ISA, the panels were packed with
+    /// `K`'s slab width, and `dst` holds the whole block.
+    unsafe fn dequant_block<K: Micro>(&self, bi: usize, kc: usize, dst: &mut [f32]) {
+        let slab = kc * K::NR;
+        // SAFETY: forwarded contract; every slab, its scales and its
+        // destination are `chunks_exact` of the packer's sizes.
+        unsafe {
+            match self {
+                QPanels::I8 { blocks, scales } => {
+                    let slabs = blocks[bi]
+                        .chunks_exact(slab)
+                        .zip(scales.chunks_exact(K::NR));
+                    for ((q, s), d) in slabs.zip(dst.chunks_exact_mut(slab)) {
+                        K::dequant_i8(kc, q, s, d);
+                    }
+                }
+                QPanels::Bf16 { blocks } => {
+                    let block = &blocks[bi];
+                    K::dequant_bf16(block.len() / K::NR, block, &mut dst[..block.len()])
+                }
             }
-            QPanels::Bf16 { blocks } => K::dequant_bf16(kc, &blocks[bi][span], dst),
         }
     }
 }
@@ -1361,7 +1313,7 @@ enum APanel<'a> {
     },
 }
 
-/// The row slices `tile_direct*` streams for the strip starting at row
+/// The row slices `tile_direct` streams for the strip starting at row
 /// `i0` of row-major `data` (rows `rs` apart, already offset to the
 /// k-block's first column). Edge strips re-read row `i0` in the dead
 /// lanes `r >= mr`; those accumulator rows are never written back.
@@ -1487,49 +1439,6 @@ impl Micro for ScalarK {
     ) {
         naive_body(m, n, k, a, b, c, acc, ep)
     }
-
-    #[inline(always)]
-    unsafe fn tile_direct_i8(
-        kc: usize,
-        ar: &[&[f32]; MR_MAX],
-        bslab: &[i8],
-        scales: &[f32],
-    ) -> Tile {
-        let mut acc = [[0.0f32; NR_MAX]; MR_MAX];
-        let mut bv = [0.0f32; NR_MAX];
-        for p in 0..kc {
-            let brow = &bslab[p * Self::NR..(p + 1) * Self::NR];
-            for ((d, &q), &s) in bv.iter_mut().zip(brow).zip(scales) {
-                *d = (q as f32) * s;
-            }
-            for (accrow, arow) in acc.iter_mut().zip(ar).take(Self::MR) {
-                let av = arow[p];
-                for (s, &bc) in accrow.iter_mut().zip(&bv[..Self::NR]) {
-                    *s = av.mul_add(bc, *s);
-                }
-            }
-        }
-        acc
-    }
-
-    #[inline(always)]
-    unsafe fn tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Tile {
-        let mut acc = [[0.0f32; NR_MAX]; MR_MAX];
-        let mut bv = [0.0f32; NR_MAX];
-        for p in 0..kc {
-            let brow = &bslab[p * Self::NR..(p + 1) * Self::NR];
-            for (d, &h) in bv.iter_mut().zip(brow) {
-                *d = bf16_to_f32(h);
-            }
-            for (accrow, arow) in acc.iter_mut().zip(ar).take(Self::MR) {
-                let av = arow[p];
-                for (s, &bc) in accrow.iter_mut().zip(&bv[..Self::NR]) {
-                    *s = av.mul_add(bc, *s);
-                }
-            }
-        }
-        acc
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1599,32 +1508,15 @@ impl Micro for Avx2K {
     }
 
     #[inline]
-    unsafe fn tile_direct_i8(
-        kc: usize,
-        ar: &[&[f32]; MR_MAX],
-        bslab: &[i8],
-        scales: &[f32],
-    ) -> Avx2Acc {
-        // SAFETY: caller guarantees AVX2+FMA and slice lengths.
-        unsafe { avx2_tile_direct_i8(kc, ar, bslab, scales) }
-    }
-
-    #[inline]
-    unsafe fn tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Avx2Acc {
-        // SAFETY: caller guarantees AVX2+FMA and slice lengths.
-        unsafe { avx2_tile_direct_bf16(kc, ar, bslab) }
-    }
-
-    #[inline]
     unsafe fn dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f32]) {
         // SAFETY: caller guarantees AVX2+FMA and slice lengths.
         unsafe { avx2_dequant_i8(kc, bslab, scales, dst) }
     }
 
     #[inline]
-    unsafe fn dequant_bf16(kc: usize, bslab: &[u16], dst: &mut [f32]) {
+    unsafe fn dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
         // SAFETY: caller guarantees AVX2+FMA and slice lengths.
-        unsafe { avx2_dequant_bf16(kc, bslab, dst) }
+        unsafe { avx2_dequant_bf16(rows, bslab, dst) }
     }
 
     #[inline]
@@ -1820,9 +1712,9 @@ unsafe fn avx2_write_back_halves(
     }
 }
 
-/// Slab-granular i8 dequant: the same widen + `_mm256_mul_ps` sequence as
-/// [`avx2_tile_direct_i8`], but stored to the f32 scratch instead of fed
-/// straight into FMAs — identical bits, paid once per slab.
+/// [`Micro::dequant_i8`] on AVX2: 16 bytes a row, sign-extended to two
+/// epi32 octets, converted exactly, then one `_mm256_mul_ps` by the column
+/// scales (the scalar tier's correctly-rounded multiply).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn avx2_dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f32]) {
@@ -1851,17 +1743,17 @@ unsafe fn avx2_dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f3
     }
 }
 
-/// Slab-granular bf16 dequant: widen + shift into the f32 exponent
-/// position (exact), stored to the f32 scratch.
+/// [`Micro::dequant_bf16`] on AVX2: u16 lanes widened to u32 and shifted
+/// into the f32 exponent position (exact).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_dequant_bf16(kc: usize, bslab: &[u16], dst: &mut [f32]) {
+unsafe fn avx2_dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
     use std::arch::x86_64::*;
-    debug_assert!(bslab.len() >= kc * Avx2K::NR);
-    debug_assert!(dst.len() >= kc * Avx2K::NR);
+    debug_assert!(bslab.len() >= rows * Avx2K::NR);
+    debug_assert!(dst.len() >= rows * Avx2K::NR);
     let bp = bslab.as_ptr();
     let dp = dst.as_mut_ptr();
-    for p in 0..kc {
+    for p in 0..rows {
         // SAFETY: in-bounds per the slab/scratch contract.
         unsafe {
             let r0 = _mm_loadu_si128(bp.add(p * 16) as *const __m128i);
@@ -1872,80 +1764,6 @@ unsafe fn avx2_dequant_bf16(kc: usize, bslab: &[u16], dst: &mut [f32]) {
             _mm256_storeu_ps(dp.add(p * 16 + 8), b1);
         }
     }
-}
-
-/// i8 dequant tile: 16 bytes load, sign-extend to two epi32 octets, exact
-/// int→float convert, one `_mm256_mul_ps` by the column scales (the same
-/// correctly-rounded multiply the scalar tier performs), then the f32
-/// tile's FMA loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_tile_direct_i8(
-    kc: usize,
-    ar: &[&[f32]; MR_MAX],
-    bslab: &[i8],
-    scales: &[f32],
-) -> Avx2Acc {
-    use std::arch::x86_64::*;
-    debug_assert!(bslab.len() >= kc * Avx2K::NR);
-    debug_assert!(scales.len() >= Avx2K::NR);
-    debug_assert!(ar.iter().take(Avx2K::MR).all(|r| r.len() >= kc));
-    let mut acc = [[_mm256_setzero_ps(); 2]; 6];
-    let bp = bslab.as_ptr();
-    let aptr: [*const f32; 6] = std::array::from_fn(|r| ar[r].as_ptr());
-    // SAFETY: `scales` holds at least NR = 16 elements.
-    let (s0, s1) = unsafe {
-        (
-            _mm256_loadu_ps(scales.as_ptr()),
-            _mm256_loadu_ps(scales.as_ptr().add(8)),
-        )
-    };
-    for p in 0..kc {
-        // SAFETY: in-bounds per the panel-size contract.
-        let raw = unsafe { _mm_loadu_si128(bp.add(p * 16) as *const __m128i) };
-        let lo = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-        let hi = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128::<8>(raw)));
-        let b0 = _mm256_mul_ps(lo, s0);
-        let b1 = _mm256_mul_ps(hi, s1);
-        for (accr, &apr) in acc.iter_mut().zip(&aptr) {
-            // SAFETY: each row holds at least `kc` elements.
-            let a = unsafe { _mm256_set1_ps(*apr.add(p)) };
-            accr[0] = _mm256_fmadd_ps(a, b0, accr[0]);
-            accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
-        }
-    }
-    acc
-}
-
-/// bf16 dequant tile: widen u16 lanes to u32, shift into the f32 exponent
-/// position (`(h as u32) << 16` — exact), reinterpret, FMA as usual.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Avx2Acc {
-    use std::arch::x86_64::*;
-    debug_assert!(bslab.len() >= kc * Avx2K::NR);
-    debug_assert!(ar.iter().take(Avx2K::MR).all(|r| r.len() >= kc));
-    let mut acc = [[_mm256_setzero_ps(); 2]; 6];
-    let bp = bslab.as_ptr();
-    let aptr: [*const f32; 6] = std::array::from_fn(|r| ar[r].as_ptr());
-    for p in 0..kc {
-        // SAFETY: in-bounds per the panel-size contract (16 u16 per row).
-        let (r0, r1) = unsafe {
-            (
-                _mm_loadu_si128(bp.add(p * 16) as *const __m128i),
-                _mm_loadu_si128(bp.add(p * 16 + 8) as *const __m128i),
-            )
-        };
-        let b0 = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(r0)));
-        let b1 = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(r1)));
-        for (accr, &apr) in acc.iter_mut().zip(&aptr) {
-            // SAFETY: each row holds at least `kc` elements.
-            let a = unsafe { _mm256_set1_ps(*apr.add(p)) };
-            accr[0] = _mm256_fmadd_ps(a, b0, accr[0]);
-            accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
-        }
-    }
-    acc
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -2065,38 +1883,20 @@ impl Micro for NeonK {
     }
 
     #[inline]
-    unsafe fn tile_direct_i8(
-        kc: usize,
-        ar: &[&[f32]; MR_MAX],
-        bslab: &[i8],
-        scales: &[f32],
-    ) -> Tile {
-        // SAFETY: caller guarantees NEON and slice lengths.
-        unsafe { neon_tile_direct_i8(kc, ar, bslab, scales) }
-    }
-
-    #[inline]
-    unsafe fn tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Tile {
-        // SAFETY: caller guarantees NEON and slice lengths.
-        unsafe { neon_tile_direct_bf16(kc, ar, bslab) }
-    }
-
-    #[inline]
     unsafe fn dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f32]) {
         // SAFETY: caller guarantees NEON and slice lengths.
         unsafe { neon_dequant_i8(kc, bslab, scales, dst) }
     }
 
     #[inline]
-    unsafe fn dequant_bf16(kc: usize, bslab: &[u16], dst: &mut [f32]) {
+    unsafe fn dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
         // SAFETY: caller guarantees NEON and slice lengths.
-        unsafe { neon_dequant_bf16(kc, bslab, dst) }
+        unsafe { neon_dequant_bf16(rows, bslab, dst) }
     }
 }
 
-/// Slab-granular i8 dequant: the same widen + `vmulq_f32` sequence as
-/// [`neon_tile_direct_i8`], stored to the f32 scratch — identical bits,
-/// paid once per slab.
+/// [`Micro::dequant_i8`] on NEON: 8 bytes a row, widened to two s32
+/// quads, converted exactly, then one `vmulq_f32` by the column scales.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
 unsafe fn neon_dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f32]) {
@@ -2125,17 +1925,17 @@ unsafe fn neon_dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f3
     }
 }
 
-/// Slab-granular bf16 dequant: widen + shift into the f32 exponent
-/// position (exact), stored to the f32 scratch.
+/// [`Micro::dequant_bf16`] on NEON: u16 lanes widened to u32 and shifted
+/// into the f32 exponent position (exact).
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn neon_dequant_bf16(kc: usize, bslab: &[u16], dst: &mut [f32]) {
+unsafe fn neon_dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
     use std::arch::aarch64::*;
-    debug_assert!(bslab.len() >= kc * NeonK::NR);
-    debug_assert!(dst.len() >= kc * NeonK::NR);
+    debug_assert!(bslab.len() >= rows * NeonK::NR);
+    debug_assert!(dst.len() >= rows * NeonK::NR);
     let bp = bslab.as_ptr();
     let dp = dst.as_mut_ptr();
-    for p in 0..kc {
+    for p in 0..rows {
         // SAFETY: in-bounds per the slab/scratch contract.
         unsafe {
             let raw = vld1q_u16(bp.add(p * 8));
@@ -2145,71 +1945,6 @@ unsafe fn neon_dequant_bf16(kc: usize, bslab: &[u16], dst: &mut [f32]) {
             vst1q_f32(dp.add(p * 8 + 4), b1);
         }
     }
-}
-
-/// i8 dequant tile: widen 8 bytes to two s32 quads, exact int→float
-/// convert, one `vmulq_f32` by the column scales, then the f32 FMA loop.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn neon_tile_direct_i8(
-    kc: usize,
-    ar: &[&[f32]; MR_MAX],
-    bslab: &[i8],
-    scales: &[f32],
-) -> Tile {
-    use std::arch::aarch64::*;
-    debug_assert!(bslab.len() >= kc * NeonK::NR);
-    debug_assert!(scales.len() >= NeonK::NR);
-    debug_assert!(ar.iter().take(NeonK::MR).all(|r| r.len() >= kc));
-    let mut acc = [[vdupq_n_f32(0.0); 2]; 4];
-    let bp = bslab.as_ptr();
-    let aptr: [*const f32; 4] = std::array::from_fn(|r| ar[r].as_ptr());
-    // SAFETY: `scales` holds at least NR = 8 elements.
-    let (s0, s1) = unsafe {
-        (
-            vld1q_f32(scales.as_ptr()),
-            vld1q_f32(scales.as_ptr().add(4)),
-        )
-    };
-    for p in 0..kc {
-        // SAFETY: in-bounds per the panel-size contract (8 i8 per row).
-        let wide = unsafe { vmovl_s8(vld1_s8(bp.add(p * 8))) };
-        let b0 = vmulq_f32(vcvtq_f32_s32(vmovl_s16(vget_low_s16(wide))), s0);
-        let b1 = vmulq_f32(vcvtq_f32_s32(vmovl_s16(vget_high_s16(wide))), s1);
-        for (accr, &apr) in acc.iter_mut().zip(&aptr) {
-            // SAFETY: each row holds at least `kc` elements.
-            let a = unsafe { vdupq_n_f32(*apr.add(p)) };
-            accr[0] = vfmaq_f32(accr[0], a, b0);
-            accr[1] = vfmaq_f32(accr[1], a, b1);
-        }
-    }
-    neon_spill(&acc)
-}
-
-/// bf16 dequant tile: widen u16 lanes to u32, shift into the f32 exponent
-/// position (exact), reinterpret, FMA as usual.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn neon_tile_direct_bf16(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[u16]) -> Tile {
-    use std::arch::aarch64::*;
-    debug_assert!(bslab.len() >= kc * NeonK::NR);
-    debug_assert!(ar.iter().take(NeonK::MR).all(|r| r.len() >= kc));
-    let mut acc = [[vdupq_n_f32(0.0); 2]; 4];
-    let bp = bslab.as_ptr();
-    let aptr: [*const f32; 4] = std::array::from_fn(|r| ar[r].as_ptr());
-    for p in 0..kc {
-        // SAFETY: in-bounds per the panel-size contract (8 u16 per row).
-        let raw = unsafe { vld1q_u16(bp.add(p * 8)) };
-        let b0 = vreinterpretq_f32_u32(vshlq_n_u32::<16>(vmovl_u16(vget_low_u16(raw))));
-        let b1 = vreinterpretq_f32_u32(vshlq_n_u32::<16>(vmovl_u16(vget_high_u16(raw))));
-        for (accr, &apr) in acc.iter_mut().zip(&aptr) {
-            // SAFETY: each row holds at least `kc` elements.
-            let a = unsafe { vdupq_n_f32(*apr.add(p)) };
-            accr[0] = vfmaq_f32(accr[0], a, b0);
-            accr[1] = vfmaq_f32(accr[1], a, b1);
-        }
-    }
-    neon_spill(&acc)
 }
 
 #[cfg(target_arch = "aarch64")]

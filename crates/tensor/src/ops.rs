@@ -447,30 +447,7 @@ pub fn gemm_prepacked(
     act: Activation,
     out: &mut [f32],
 ) -> Result<()> {
-    let (k, n) = (b.k(), b.n());
-    if a.len() != m * k {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm_prepacked",
-            lhs: vec![m, k, a.len()],
-            rhs: vec![k, n],
-        });
-    }
-    if out.len() != m * n {
-        return Err(TensorError::BadShape {
-            op: "gemm_prepacked",
-            shape: vec![m, n],
-            len: out.len(),
-        });
-    }
-    if let Some(bv) = bias {
-        if bv.len() != n {
-            return Err(TensorError::BadShape {
-                op: "gemm_prepacked",
-                shape: vec![n],
-                len: bv.len(),
-            });
-        }
-    }
+    check_prepacked("gemm_prepacked", m, a, (b.k(), b.n()), bias, out)?;
     gemm_prepacked_impl(
         m,
         a,
@@ -485,11 +462,47 @@ pub fn gemm_prepacked(
     Ok(())
 }
 
+/// The shape contract [`gemm_prepacked`] and [`gemm_prepacked_quant`]
+/// share: `a` is `[m, k]`, `out` is `[m, n]` and `bias` (if any) is `[n]`
+/// for a packed `B` of shape `(k, n)`. Errors name `op`.
+fn check_prepacked(
+    op: &'static str,
+    m: usize,
+    a: &[f32],
+    (k, n): (usize, usize),
+    bias: Option<&[f32]>,
+    out: &[f32],
+) -> Result<()> {
+    if a.len() != m * k {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: vec![m, k, a.len()],
+            rhs: vec![k, n],
+        });
+    }
+    if out.len() != m * n {
+        return Err(TensorError::BadShape {
+            op,
+            shape: vec![m, n],
+            len: out.len(),
+        });
+    }
+    match bias {
+        Some(bv) if bv.len() != n => Err(TensorError::BadShape {
+            op,
+            shape: vec![n],
+            len: bv.len(),
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// `out = act(a · dequant(b) + bias)` against quantized prepacked panels —
-/// the [`crate::QuantizedPackedB`] twin of [`gemm_prepacked`], with
-/// dequantization fused into the micro-kernel's B loads and all
-/// accumulation in f32. Bit-identical to [`gemm_prepacked`] over a
-/// [`PackedB`] of the dequantized matrix, on every tier.
+/// the [`crate::QuantizedPackedB`] twin of [`gemm_prepacked`]. Each
+/// k-block of `b` is expanded to f32 in a per-thread scratch and runs
+/// [`gemm_prepacked`]'s kernel, so all accumulation is in f32 and the
+/// result is bit-identical to [`gemm_prepacked`] over a [`PackedB`] of
+/// the dequantized matrix, on every tier.
 pub fn gemm_prepacked_quant(
     m: usize,
     a: &[f32],
@@ -498,30 +511,7 @@ pub fn gemm_prepacked_quant(
     act: Activation,
     out: &mut [f32],
 ) -> Result<()> {
-    let (k, n) = (b.k(), b.n());
-    if a.len() != m * k {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm_prepacked_quant",
-            lhs: vec![m, k, a.len()],
-            rhs: vec![k, n],
-        });
-    }
-    if out.len() != m * n {
-        return Err(TensorError::BadShape {
-            op: "gemm_prepacked_quant",
-            shape: vec![m, n],
-            len: out.len(),
-        });
-    }
-    if let Some(bv) = bias {
-        if bv.len() != n {
-            return Err(TensorError::BadShape {
-                op: "gemm_prepacked_quant",
-                shape: vec![n],
-                len: bv.len(),
-            });
-        }
-    }
+    check_prepacked("gemm_prepacked_quant", m, a, (b.k(), b.n()), bias, out)?;
     gemm_prepacked_quant_impl(
         m,
         a,
@@ -817,5 +807,35 @@ mod tests {
         let i = t(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
         assert_eq!(matmul(&a, &i).unwrap(), a);
         assert_eq!(matmul(&i, &a).unwrap(), a);
+    }
+
+    #[test]
+    fn prepacked_entry_points_name_themselves_in_shape_errors() {
+        let (m, k, n) = (2, 3, 4);
+        let b = vec![0.5f32; k * n];
+        let f32_pack = PackedB::pack(&b, k, n);
+        let q = crate::QuantizedMatrix::quantize(&b, k, n, crate::QuantKind::I8);
+        let q_pack = QuantizedPackedB::pack(&q);
+        let a = vec![1.0f32; m * k];
+        let call = |quant: bool, a: &[f32], bias: Option<&[f32]>, out: &mut [f32]| {
+            let id = Activation::Identity;
+            if quant {
+                gemm_prepacked_quant(m, a, &q_pack, bias, id, out)
+            } else {
+                gemm_prepacked(m, a, &f32_pack, bias, id, out)
+            }
+        };
+        for (quant, name) in [(false, "gemm_prepacked"), (true, "gemm_prepacked_quant")] {
+            let mut out = vec![0.0f32; m * n];
+            let op_of = |r: Result<()>| match r {
+                Err(TensorError::ShapeMismatch { op, .. } | TensorError::BadShape { op, .. }) => op,
+                other => panic!("{name}: expected a shape error, got {other:?}"),
+            };
+            assert_eq!(op_of(call(quant, &a[1..], None, &mut out)), name);
+            assert_eq!(op_of(call(quant, &a, None, &mut out[1..])), name);
+            assert_eq!(op_of(call(quant, &a, Some(&[0.0; 3]), &mut out)), name);
+            assert!(call(quant, &a, Some(&[0.0; 4]), &mut out).is_ok());
+            assert_eq!(out, vec![1.5f32; m * n], "{name}");
+        }
     }
 }

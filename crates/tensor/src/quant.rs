@@ -5,14 +5,14 @@
 //! snapshot-load time) into a [`QuantizedMatrix`] — i8 with
 //! per-column-group scales, or bf16 (truncated f32, no scales). The
 //! packed GEMM panels in [`crate::gemm`] are then built *from* the stored
-//! quantized values per kernel tier, and the micro-kernels dequantize
-//! panel values into registers while accumulating in f32.
+//! quantized values per kernel tier; each call expands one k-block of
+//! them at a time to f32 and runs the f32 micro-kernel over it.
 //!
 //! # Determinism contract
 //!
-//! Every consumer of a quantized matrix — [`QuantizedMatrix::dequantize`],
-//! the scalar tile, the AVX2/NEON tiles — reconstructs element `(i, j)`
-//! with the **same** operation:
+//! Every consumer of a quantized matrix — [`QuantizedMatrix::dequantize`]
+//! and the scalar, AVX2 and NEON k-block expansions — reconstructs element
+//! `(i, j)` with the **same** operation:
 //!
 //! * i8: `(q as f32) * scale[j / QUANT_GROUP]` — an exact int→float
 //!   conversion followed by one correctly-rounded f32 multiply;
@@ -20,8 +20,8 @@
 //!
 //! Scale groups are fixed [`QUANT_GROUP`]-column spans — independent of
 //! any tier's slab width — so the dequantized value of every element is
-//! identical no matter which tier packs or consumes it. Combined with the
-//! kernels' shared FMA accumulation order this keeps the quantized GEMM
+//! identical no matter which tier packs or consumes it. Since the expanded
+//! block then runs the f32 prepacked kernel itself, the quantized GEMM is
 //! **bit-identical** to an f32 GEMM over the dequantized weights, on
 //! every tier.
 //!
@@ -171,6 +171,15 @@ impl QuantizedMatrix {
     /// Panics if `values.len() != k * n`.
     pub fn quantize(values: &[f32], k: usize, n: usize, kind: QuantKind) -> QuantizedMatrix {
         assert_eq!(values.len(), k * n, "QuantizedMatrix::quantize: [k, n]");
+        if n == 0 {
+            return QuantizedMatrix {
+                k,
+                n,
+                kind,
+                data: Vec::new(),
+                scales: Vec::new(),
+            };
+        }
         match kind {
             QuantKind::Bf16 => {
                 let mut data = Vec::with_capacity(k * n * 2);
@@ -309,7 +318,7 @@ impl QuantizedMatrix {
     }
 
     /// Dequantized value of element `(i, j)` — the exact operation every
-    /// kernel tier performs in registers.
+    /// kernel tier's dequantization performs.
     #[inline(always)]
     pub fn value(&self, i: usize, j: usize) -> f32 {
         let e = i * self.n + j;
@@ -321,8 +330,8 @@ impl QuantizedMatrix {
         }
     }
 
-    /// The full dequantized matrix, row-major — bit-identical to what the
-    /// quantized GEMM tiles compute element-wise.
+    /// The full dequantized matrix, row-major — bit-identical to the f32
+    /// k-blocks the quantized GEMM expands.
     pub fn dequantize(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.k * self.n);
         for i in 0..self.k {
@@ -383,6 +392,18 @@ mod tests {
                 (orig - deq).abs() <= 0.5 * s + 1e-12,
                 "element {i}: {orig} vs {deq} (scale {s})"
             );
+        }
+    }
+
+    #[test]
+    fn zero_width_matrix_is_empty() {
+        for kind in [QuantKind::I8, QuantKind::Bf16] {
+            let q = QuantizedMatrix::quantize(&[], 5, 0, kind);
+            assert_eq!((q.k(), q.n(), q.kind()), (5, 0, kind));
+            assert!(q.data().is_empty() && q.scales().is_empty());
+            assert!(q.dequantize().is_empty());
+            let parts = QuantizedMatrix::from_parts(kind, 5, 0, Vec::new(), Vec::new());
+            assert_eq!(parts, Ok(q));
         }
     }
 
