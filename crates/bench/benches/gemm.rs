@@ -242,12 +242,8 @@ fn bench_gemm(c: &mut Criterion) {
             })
         });
         let packed = tensor::PackedB::pack(b.data(), k, n);
-        let qi8 = tensor::QuantizedPackedB::pack(&tensor::QuantizedMatrix::quantize(
-            b.data(),
-            k,
-            n,
-            tensor::QuantKind::I8,
-        ));
+        let qi8 =
+            tensor::QuantizedPackedB::pack(&tensor::QuantizedMatrix::quantize(b.data(), k, n));
         let mut pbuf = vec![0.0f32; m * n];
         g.bench_function(&format!("prepacked_f32/{label}"), |bch| {
             bch.iter(|| {
@@ -347,11 +343,11 @@ fn emit_json() {
         ));
     }
 
-    // Quantized serving GEMM: f32 vs i8 vs bf16 prepacked panels, the
-    // fixed-shape weight-GEMM path specialized plans dispatch to. All
-    // three run the same f32 macro-kernel; the quantized paths first
-    // expand each k-block of panels to f32 in a per-thread scratch. Two
-    // regimes per shape:
+    // Quantized serving GEMM: f32 vs i8 prepacked panels, the
+    // fixed-shape weight-GEMM path specialized plans dispatch to. Both
+    // run the same f32 macro-kernel; the i8 path first expands each
+    // k-block of panels to f32 in a per-thread scratch. Two regimes per
+    // shape:
     //
     //  * `*_resident_ns`: one weight matrix reused back-to-back, panels
     //    pinned in L1/L2. Compute-bound, so quantization can at best tie
@@ -360,7 +356,7 @@ fn emit_json() {
     //    distinct weight matrices that the f32 panel working set exceeds
     //    the LLC — the serving regime where a layer's panels have been
     //    swept from cache between uses (layer stacks, multi-model
-    //    fleets). The 4x/2x smaller quantized panels cut the B-side
+    //    fleets). The 4x smaller i8 panels cut the B-side
     //    memory traffic that dominates here.
     let rot_bytes: usize = match bench::scale() {
         bench::Scale::Full => 384 << 20,
@@ -407,18 +403,19 @@ fn emit_json() {
                 black_box(&out);
             });
         }
-        let mut quant_pair = |kind: tensor::QuantKind| {
+        let resident_i8;
+        let rot_i8;
+        {
             let packs: Vec<tensor::QuantizedPackedB> = (0..rot)
                 .map(|_| {
                     tensor::QuantizedPackedB::pack(&tensor::QuantizedMatrix::quantize(
                         b.data(),
                         k,
                         n,
-                        kind,
                     ))
                 })
                 .collect();
-            let resident = median_ns(150, || {
+            resident_i8 = median_ns(150, || {
                 tensor::gemm_prepacked_quant(
                     m,
                     black_box(a.data()),
@@ -431,7 +428,7 @@ fn emit_json() {
                 black_box(&out);
             });
             let mut i = 0usize;
-            let rotated = median_ns(300, || {
+            rot_i8 = median_ns(300, || {
                 i = (i + 1) % rot;
                 tensor::gemm_prepacked_quant(
                     m,
@@ -444,21 +441,15 @@ fn emit_json() {
                 .unwrap();
                 black_box(&out);
             });
-            (resident, rotated)
-        };
-        let (resident_i8, rot_i8) = quant_pair(tensor::QuantKind::I8);
-        let (resident_bf16, rot_bf16) = quant_pair(tensor::QuantKind::Bf16);
+        }
         quant_rows.push(format!(
             "    {{\"shape\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
              \"weight_matrices\": {rot}, \
              \"f32_prepacked_ns\": {rot_f32:.0}, \"i8_prepacked_ns\": {rot_i8:.0}, \
-             \"bf16_prepacked_ns\": {rot_bf16:.0}, \
-             \"i8_vs_f32\": {:.2}, \"bf16_vs_f32\": {:.2}, \
+             \"i8_vs_f32\": {:.2}, \
              \"f32_resident_ns\": {resident_f32:.0}, \"i8_resident_ns\": {resident_i8:.0}, \
-             \"bf16_resident_ns\": {resident_bf16:.0}, \
              \"i8_vs_f32_resident\": {:.2}}}",
             rot_f32 / rot_i8,
-            rot_f32 / rot_bf16,
             resident_f32 / resident_i8
         ));
     }
@@ -561,7 +552,7 @@ fn emit_json() {
 
     let engine_rows = engine_section();
     let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"batch_rows\": {bs},\n  \"note\": \"gemm rows are single-core kernel-vs-kernel (both sides reuse output buffers; global pool pinned to 1 thread); simd_vs_autovec compares the runtime-selected micro-kernel against a replica of the pre-SIMD autovectorized 4x8 tile over the same blocking. gemm_quant rows compare the prepacked serving GEMM over f32 panels against i8/bf16 quantized panels (each k-block dequantized into a per-thread f32 scratch, then the same f32 macro-kernel; f32 accumulation). Headline *_prepacked_ns columns rotate each call over weight_matrices distinct matrices so the f32 panel working set exceeds the LLC - the cold-weights serving regime (layer stacks, multi-model fleets) where B-panel memory traffic binds and the 4x smaller i8 panels stay cache-resident; i8_vs_f32 > 1 means i8 is faster there. *_resident_ns columns reuse one cache-hot matrix back-to-back - compute-bound, so quantized at best ties f32 (same kernel plus a dequant pass); i8_vs_f32_resident reports that regime. blocked_bias*/prepacked* columns time the same product with the fused epilogues compiled plans run (bias on 19 of the predictor's 20 GEMMs, an activation on 5); the write-back finishes them in vector registers, so they should read within noise of the plain column. gemm_parallel is the fan-out crossover sweep behind tensor's PAR_MULADDS: serial kernel vs MR-aligned row panels over a pool of host_cores threads (replayed from outside the library, which applies the threshold itself); library_splits says which side of the constant a row is on. parallel_train_step rows compare data-parallel sharding at explicit pool sizes. On a 1-core host both measure dispatch overhead only.\",\n  \
+        "{{\n  \"bench\": \"gemm\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"batch_rows\": {bs},\n  \"note\": \"gemm rows are single-core kernel-vs-kernel (both sides reuse output buffers; global pool pinned to 1 thread); simd_vs_autovec compares the runtime-selected micro-kernel against a replica of the pre-SIMD autovectorized 4x8 tile over the same blocking. gemm_quant rows compare the prepacked serving GEMM over f32 panels against i8 quantized panels (each k-block dequantized into a per-thread f32 scratch, then the same f32 macro-kernel; f32 accumulation). Headline *_prepacked_ns columns rotate each call over weight_matrices distinct matrices so the f32 panel working set exceeds the LLC - the cold-weights serving regime (layer stacks, multi-model fleets) where B-panel memory traffic binds and the 4x smaller i8 panels stay cache-resident; i8_vs_f32 > 1 means i8 is faster there. *_resident_ns columns reuse one cache-hot matrix back-to-back - compute-bound, so quantized at best ties f32 (same kernel plus a dequant pass); i8_vs_f32_resident reports that regime. blocked_bias*/prepacked* columns time the same product with the fused epilogues compiled plans run (bias on 19 of the predictor's 20 GEMMs, an activation on 5); the write-back finishes them in vector registers, so they should read within noise of the plain column. gemm_parallel is the fan-out crossover sweep behind tensor's PAR_MULADDS: serial kernel vs MR-aligned row panels over a pool of host_cores threads (replayed from outside the library, which applies the threshold itself); library_splits says which side of the constant a row is on. parallel_train_step rows compare data-parallel sharding at explicit pool sizes. On a 1-core host both measure dispatch overhead only.\",\n  \
          \"gemm\": [\n{}\n  ],\n  \"gemm_quant\": [\n{}\n  ],\n  \"gemm_parallel\": [\n{}\n  ],\n  \"training_step\": [\n{}\n  ],\n  \
          \"engine_throughput\": [\n{}\n  ]\n}}\n",
         gemm_rows.join(",\n"),

@@ -38,7 +38,7 @@ use tensor::{QuantMode, Tensor, TensorError};
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 
 /// The quantization mode forced on every freeze boundary of this process
-/// via `CDMPP_QUANT=f32|bf16|i8` (the CI `test-quantized` job and ad-hoc
+/// via `CDMPP_QUANT=f32|i8` (the CI `test-quantized` job and ad-hoc
 /// A/B runs). Read once and cached: a process serves consistently-quantized
 /// frozen artifacts or consistently-f32 ones, never a mix. Unset means
 /// [`QuantMode::F32`] (no forcing). Snapshot *loading* never consults this
@@ -47,8 +47,8 @@ use features::{N_DEVICE_FEATURES, N_ENTRY};
 ///
 /// # Panics
 ///
-/// When `CDMPP_QUANT` is set to anything but `f32`, `bf16` or `i8` (ASCII
-/// case ignored): a typo must not quietly serve f32.
+/// When `CDMPP_QUANT` is set to anything but `f32` or `i8` (ASCII case
+/// ignored): a typo must not quietly serve f32.
 pub fn forced_quant_mode() -> QuantMode {
     static MODE: OnceLock<QuantMode> = OnceLock::new();
     *MODE.get_or_init(|| {
@@ -56,7 +56,7 @@ pub fn forced_quant_mode() -> QuantMode {
             return QuantMode::F32;
         };
         v.to_str().and_then(QuantMode::parse).unwrap_or_else(|| {
-            panic!("invalid CDMPP_QUANT value {v:?}: accepted values are f32, bf16 and i8")
+            panic!("invalid CDMPP_QUANT value {v:?}: accepted values are f32 and i8")
         })
     })
 }
@@ -611,8 +611,8 @@ impl Predictor {
     }
 
     /// [`Predictor::share`] with the weight storage format chosen
-    /// explicitly: `Bf16` / `I8` quantize every rank-2 weight matrix once,
-    /// here, and replace the frozen copy's f32 values with the dequantized
+    /// explicitly: `I8` quantizes every rank-2 weight matrix once, here,
+    /// and replaces the frozen copy's f32 values with the dequantized
     /// numbers — so every executor of this frozen handle (quantized
     /// GEMMs, generic plans, the tape) computes from identical weights
     /// and stays bit-identical to the others. The training-side store is
@@ -621,8 +621,8 @@ impl Predictor {
         // Values only: freezing must not drag the training-side
         // gradient buffers (as large as the weights) along.
         let mut store = self.store.clone_values();
-        if let Some(kind) = mode.kind() {
-            store.quantize_weights(kind);
+        if mode == QuantMode::I8 {
+            store.quantize_weights();
         }
         SharedPredictor {
             params: Arc::new(store),
@@ -731,8 +731,8 @@ impl Predictor {
     /// re-quantized — the file's blob is canonical.
     pub fn into_shared_quantized(self, mode: QuantMode) -> SharedPredictor {
         let mut store = self.store.into_values();
-        if let Some(kind) = mode.kind() {
-            store.quantize_weights(kind);
+        if mode == QuantMode::I8 {
+            store.quantize_weights();
         }
         SharedPredictor {
             params: Arc::new(store),
@@ -823,14 +823,10 @@ impl SharedPredictor {
         &self.params
     }
 
-    /// The storage format of this handle's quantized weights, or `None`
-    /// for a plain f32 freeze (all weight matrices share one kind — a
-    /// freeze quantizes all of them or none).
-    pub fn quant_kind(&self) -> Option<tensor::QuantKind> {
-        self.params
-            .ids()
-            .find_map(|id| self.params.quant(id))
-            .map(|q| q.kind())
+    /// Whether this handle's weight matrices are stored as i8, `false`
+    /// for a plain f32 freeze (a freeze quantizes all of them or none).
+    pub fn quant_kind(&self) -> bool {
+        self.params.has_quants()
     }
 
     /// Bytes of weight storage the serving hot path reads: per parameter,

@@ -27,14 +27,14 @@
 //! 28+H+P  4·Σ   weight blob: each *non-quantized* parameter's f32 data,
 //!               little-endian, concatenated in header order
 //! …       Σq    quantized blobs (only when `quant` is present): each
-//!               entry's raw i8 / bf16 elements, row-major, concatenated
-//!               in `quant` order; lengths implied by kind × param shape
+//!               entry's raw i8 elements, row-major, concatenated in
+//!               `quant` order; one byte per element of the param shape
 //! ```
 //!
 //! The header's optional sections are emitted only when non-empty, in a
 //! fixed canonical order, so equal snapshots have equal bytes. When
 //! `quant` is present, each entry carries a parameter's canonical
-//! quantized encoding (i8 with per-column-group scales, or bf16), which
+//! quantized encoding (i8 with per-column-group scales), which
 //! **replaces** that parameter's f32 data in the weight blob — the f32
 //! numbers are reconstructed as the blob's exact dequantization on decode,
 //! which is both the file-size win and what keeps every executor bitwise
@@ -90,7 +90,7 @@ use std::sync::Arc;
 use learn::FittedTransform;
 use nn::{Plan, PlanDesc};
 use serde::{Deserialize, Serialize};
-use tensor::{QuantKind, QuantMode, QuantizedMatrix, Tensor};
+use tensor::{QuantMode, QuantizedMatrix, Tensor, QUANT_GROUP};
 
 use crate::batch::FeatScaler;
 use crate::predictor::{PredictResult, Predictor, PredictorConfig};
@@ -277,9 +277,10 @@ pub struct PlanEntry {
 struct QuantMeta {
     /// Index into the header's `params`, strictly ascending.
     param: usize,
-    /// Storage kind name ([`QuantKind::name`]).
+    /// Storage kind name: always `"i8"` ([`QuantMode::name`]); any other
+    /// value is rejected on load.
     kind: String,
-    /// Per-column-group dequantization scales (i8; empty for bf16).
+    /// Per-column-group dequantization scales.
     scales: Vec<f32>,
 }
 
@@ -480,7 +481,7 @@ impl Snapshot {
 
     /// [`Snapshot::capture`] with an explicit weight-storage mode. With
     /// [`QuantMode::F32`] the snapshot is the classic full-precision
-    /// checkpoint; with `Bf16`/`I8` every rank-2 parameter is quantized
+    /// checkpoint; with `I8` every rank-2 parameter is quantized
     /// once here and the snapshot carries both the canonical quantized
     /// blob and its exact dequantization as the f32 weights — so loading
     /// the file and freezing the model in-process produce bitwise
@@ -503,7 +504,7 @@ impl Snapshot {
         }
         let mut params = store_params(&p.store);
         let mut quants = Vec::new();
-        if let Some(kind) = mode.kind() {
+        if mode == QuantMode::I8 {
             // Quantize rank-2 parameters exactly like
             // `ParamStore::quantize_weights` does at freeze time, and
             // overwrite the captured f32 data with the dequantization so
@@ -512,7 +513,7 @@ impl Snapshot {
                 if pt.shape.len() != 2 {
                     continue;
                 }
-                let q = QuantizedMatrix::quantize(&pt.data, pt.shape[0], pt.shape[1], kind);
+                let q = QuantizedMatrix::quantize(&pt.data, pt.shape[0], pt.shape[1]);
                 pt.data = q.dequantize();
                 quants.push(QuantTensor {
                     param: idx,
@@ -658,7 +659,7 @@ impl Snapshot {
                 .iter()
                 .map(|q| QuantMeta {
                     param: q.param,
-                    kind: q.matrix.kind().name().to_string(),
+                    kind: QuantMode::I8.name().to_string(),
                     scales: q.matrix.scales().to_vec(),
                 })
                 .collect(),
@@ -823,7 +824,7 @@ impl Snapshot {
                 "quantized parameters must be in strictly ascending index order".into(),
             ));
         }
-        let mut quant_blob_bytes = 0usize;
+        // One byte per quantized element.
         let mut quant_numel = 0usize;
         let mut quant_dims = Vec::with_capacity(header.quants.len());
         for q in &header.quants {
@@ -847,31 +848,30 @@ impl Snapshot {
                     ),
                 ));
             }
-            let kind = QuantKind::parse(&q.kind)
-                .ok_or_else(|| param_err(&meta.name, format!("unknown quant kind '{}'", q.kind)))?;
+            if q.kind != QuantMode::I8.name() {
+                return Err(param_err(
+                    &meta.name,
+                    format!("unknown quant kind '{}'", q.kind),
+                ));
+            }
             let (k, n) = (meta.shape[0], meta.shape[1]);
-            if q.scales.len() != kind.scale_count(n) {
+            let want_scales = n.div_ceil(QUANT_GROUP);
+            if q.scales.len() != want_scales {
                 return Err(param_err(
                     &meta.name,
                     format!(
-                        "{} scales declared, {} kind needs {} for n = {n}",
-                        q.scales.len(),
-                        kind.name(),
-                        kind.scale_count(n)
+                        "{} scales declared, i8 kind needs {want_scales} for n = {n}",
+                        q.scales.len()
                     ),
                 ));
             }
-            let blob_len = k
-                .checked_mul(n)
-                .and_then(|e| e.checked_mul(kind.bytes_per_elem()))
-                .ok_or(SnapshotError::Limit {
-                    what: "quantized blob bytes",
-                    value: usize::MAX,
-                    max: MAX_TENSOR_NUMEL * 4,
-                })?;
-            quant_blob_bytes += blob_len;
-            quant_numel += k * n;
-            quant_dims.push((kind, k, n, blob_len));
+            let blob_len = k.checked_mul(n).ok_or(SnapshotError::Limit {
+                what: "quantized blob bytes",
+                value: usize::MAX,
+                max: MAX_TENSOR_NUMEL * 4,
+            })?;
+            quant_numel += blob_len;
+            quant_dims.push((k, n));
         }
 
         // The binary section must match the declarations exactly: the f32
@@ -881,7 +881,7 @@ impl Snapshot {
         let quantized: std::collections::HashSet<usize> =
             header.quants.iter().map(|q| q.param).collect();
         let (plans, blob) = decode_plan_section(&bytes[20 + header_len..])?;
-        let needed = (total_numel - quant_numel) * 4 + quant_blob_bytes;
+        let needed = (total_numel - quant_numel) * 4 + quant_numel;
         need("weight data", needed, blob.len())?;
         if blob.len() > needed {
             return Err(SnapshotError::TrailingBytes {
@@ -919,19 +919,18 @@ impl Snapshot {
             });
         }
         let mut quants = Vec::with_capacity(header.quants.len());
-        for (q, (kind, k, n, blob_len)) in header.quants.into_iter().zip(quant_dims) {
-            let data = blob[at..at + blob_len].to_vec();
-            at += blob_len;
-            // `from_parts` bounds every scale and rejects non-finite bf16
-            // bits, so the dequantization below is always finite — the
-            // quantized path has no NaN smuggling lane.
-            let matrix =
-                QuantizedMatrix::from_parts(kind, k, n, data, q.scales).map_err(|reason| {
-                    SnapshotError::Param {
-                        name: params[q.param].name.clone(),
-                        reason,
-                    }
-                })?;
+        for (q, (k, n)) in header.quants.into_iter().zip(quant_dims) {
+            let data = blob[at..at + k * n].to_vec();
+            at += k * n;
+            // `from_parts` bounds every scale and every element, so the
+            // dequantization below is always finite — the quantized path
+            // has no NaN smuggling lane.
+            let matrix = QuantizedMatrix::from_parts(k, n, data, q.scales).map_err(|reason| {
+                SnapshotError::Param {
+                    name: params[q.param].name.clone(),
+                    reason,
+                }
+            })?;
             params[q.param].data = matrix.dequantize();
             quants.push(QuantTensor {
                 param: q.param,
@@ -1267,10 +1266,9 @@ impl InferenceModel {
                 )));
             }
             if q.matrix.dequantize() != pt.data {
-                return Err(qerr(format!(
-                    "{} blob does not dequantize to the stored f32 weights",
-                    q.matrix.kind().name()
-                )));
+                return Err(qerr(
+                    "i8 blob does not dequantize to the stored f32 weights".to_string(),
+                ));
             }
             predictor.store.set_quant(id, Arc::new(q.matrix.clone()));
         }

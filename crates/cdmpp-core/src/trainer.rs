@@ -735,9 +735,9 @@ impl TrainedModel {
     }
 
     /// [`TrainedModel::freeze`] with the weight storage format chosen
-    /// explicitly: `Bf16` / `I8` quantize every weight matrix once at this
-    /// freeze (~2× / ~4× smaller serving weights, dequantized a k-block
-    /// at a time in front of the prepacked GEMM). The frozen copy's f32
+    /// explicitly: `I8` quantizes every weight matrix once at this freeze
+    /// (~4× smaller serving weights, dequantized a k-block at a time in
+    /// front of the prepacked GEMM). The frozen copy's f32
     /// values hold the dequantized numbers, so all of its executors remain
     /// bit-identical to each other; predictions differ from an f32 freeze
     /// by the quantization error (bounded by the bench accuracy gate). The

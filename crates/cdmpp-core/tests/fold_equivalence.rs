@@ -3,7 +3,7 @@
 //! the generic plan and to the eager tape over the **whole**
 //! matrix it serves, not a sample of it: every leaf count × every batch
 //! size `1..=64` (plus 65 and 200, which replay the generic plan), for
-//! f32, bf16 and i8 weight stores, bit for bit — including inputs that
+//! f32 and i8 weight stores, bit for bit — including inputs that
 //! drive an attention row to all-equal scores, to `±inf`, to `NaN`, and
 //! operands of `-0.0`.
 //!
@@ -79,16 +79,11 @@ fn whole_matrix(mode: QuantMode) {
     assert!(shared.specialized_plans().is_empty(), "{mode:?}");
 }
 
-// One test per store so the three run side by side: the matrix is the
+// One test per store so the two run side by side: the matrix is the
 // longest thing in this crate's suite under `CDMPP_SIMD=scalar`.
 #[test]
 fn every_leaf_count_and_batch_size_replays_the_generic_bits_f32() {
     whole_matrix(QuantMode::F32);
-}
-
-#[test]
-fn every_leaf_count_and_batch_size_replays_the_generic_bits_bf16() {
-    whole_matrix(QuantMode::Bf16);
 }
 
 #[test]
@@ -116,7 +111,7 @@ fn make_special(x: &mut Tensor, l: usize, i: usize, class: usize) {
 fn special_values_replay_the_generic_bits() {
     let p = Predictor::new(PredictorConfig::default());
     let max_leaves = p.config().max_leaves;
-    for mode in [QuantMode::F32, QuantMode::Bf16, QuantMode::I8] {
+    for mode in [QuantMode::F32, QuantMode::I8] {
         let shared = p.share_quantized(mode);
         let mut runners = (PlanRunner::new(), PlanRunner::new());
         for l in 1..=max_leaves {

@@ -1,6 +1,6 @@
 //! End-to-end properties of the quantized serving path.
 //!
-//! * Quantized snapshots (i8 / bf16) must round trip canonically
+//! * Quantized (i8) snapshots must round trip canonically
 //!   (`save(load(x)) == x`), serve **bit-identically** to an in-process
 //!   quantized freeze, shrink both the file and the resident serving
 //!   weights, and never trigger plan recording.
@@ -22,7 +22,7 @@ use cdmpp_core::{
 };
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use learn::TransformKind;
-use tensor::{QuantKind, QuantMode};
+use tensor::QuantMode;
 
 fn tiny_config(seed: u64) -> PredictorConfig {
     PredictorConfig {
@@ -79,67 +79,63 @@ fn quantized_snapshots_round_trip_canonically_and_serve_bitwise() {
             .unwrap()
             .to_bytes()
     };
-    for (mode, kind) in [
-        (QuantMode::I8, QuantKind::I8),
-        (QuantMode::Bf16, QuantKind::Bf16),
-    ] {
-        let model = model_with(31);
-        let snap = Snapshot::capture_quantized(&model, &[1, 2, 3, 4], mode)
-            .unwrap()
-            .with_batch_classes(&[1, 4])
-            .unwrap();
-        assert!(
-            !snap.quants.is_empty(),
-            "{mode:?}: rank-2 params must quantize"
-        );
-        let bytes = snap.to_bytes();
-        assert!(
-            bytes.windows(7).any(|w| w == b"\"quant\""),
-            "{mode:?}: header must carry the quant section"
-        );
-        assert!(
-            bytes.len() < f32_bytes.len(),
-            "{mode:?}: file must shrink ({} vs f32's {})",
-            bytes.len(),
-            f32_bytes.len()
-        );
+    let mode = QuantMode::I8;
+    let model = model_with(31);
+    let snap = Snapshot::capture_quantized(&model, &[1, 2, 3, 4], mode)
+        .unwrap()
+        .with_batch_classes(&[1, 4])
+        .unwrap();
+    assert!(
+        !snap.quants.is_empty(),
+        "{mode:?}: rank-2 params must quantize"
+    );
+    let bytes = snap.to_bytes();
+    assert!(
+        bytes.windows(7).any(|w| w == b"\"quant\""),
+        "{mode:?}: header must carry the quant section"
+    );
+    assert!(
+        bytes.len() < f32_bytes.len(),
+        "{mode:?}: file must shrink ({} vs f32's {})",
+        bytes.len(),
+        f32_bytes.len()
+    );
 
-        let loaded = InferenceModel::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(loaded.predictor.quant_kind(), Some(kind));
-        assert_eq!(
-            loaded.predictor.plan_compile_count(),
-            0,
-            "load must not record"
-        );
+    let loaded = InferenceModel::from_snapshot_bytes(&bytes).unwrap();
+    assert!(loaded.predictor.quant_kind());
+    assert_eq!(
+        loaded.predictor.plan_compile_count(),
+        0,
+        "load must not record"
+    );
 
-        // In-process quantized freeze and the loaded file share the same
-        // canonical blobs, so every prediction matches bit-for-bit.
-        let frozen = model.freeze_quantized(mode);
-        let from_file = loaded.predict_samples(&enc).unwrap();
-        assert_eq!(
-            from_file,
-            frozen.predict_samples(&enc).unwrap(),
-            "{mode:?}: loaded vs frozen"
-        );
+    // In-process quantized freeze and the loaded file share the same
+    // canonical blobs, so every prediction matches bit-for-bit.
+    let frozen = model.freeze_quantized(mode);
+    let from_file = loaded.predict_samples(&enc).unwrap();
+    assert_eq!(
+        from_file,
+        frozen.predict_samples(&enc).unwrap(),
+        "{mode:?}: loaded vs frozen"
+    );
 
-        // Canonical bytes: the blob is re-emitted verbatim, never
-        // re-quantized, so save(load(x)) == x.
-        assert_eq!(
-            Snapshot::from_inference(&loaded).to_bytes(),
-            bytes,
-            "{mode:?}"
-        );
-    }
+    // Canonical bytes: the blob is re-emitted verbatim, never
+    // re-quantized, so save(load(x)) == x.
+    assert_eq!(
+        Snapshot::from_inference(&loaded).to_bytes(),
+        bytes,
+        "{mode:?}"
+    );
 }
 
 /// Restore builds the architecture with no weights in it and installs the
 /// file's tensors: every parameter must end up the captured one — a
-/// tensor left at the rebuild's zero would change answers — for plain,
-/// bf16 and i8 snapshots alike, on every leaf count, through the folded
+/// tensor left at the rebuild's zero would change answers — for plain
+/// and i8 snapshots alike, on every leaf count, through the folded
 /// classes (1 and 4 samples a bucket) and the generic plan (2 and 3).
 #[test]
 fn restored_answers_are_the_captured_models_on_every_leaf_count_and_mode() {
-    for mode in [QuantMode::F32, QuantMode::Bf16, QuantMode::I8] {
+    for mode in [QuantMode::F32, QuantMode::I8] {
         let model = model_with(34);
         let snap = Snapshot::capture_quantized(&model, &[1, 2, 3, 4], mode)
             .unwrap()
@@ -170,19 +166,15 @@ fn restored_answers_are_the_captured_models_on_every_leaf_count_and_mode() {
 fn quantized_serving_weights_shrink() {
     let enc = samples(8);
     let mut resident = Vec::new();
-    for mode in [QuantMode::F32, QuantMode::Bf16, QuantMode::I8] {
+    for mode in [QuantMode::F32, QuantMode::I8] {
         let model = model_with(32);
         let frozen = model.freeze_quantized(mode);
         // Serve once so the weight-pack cache is populated in every mode.
         frozen.predict_samples(&enc).unwrap();
         resident.push(frozen.predictor.serving_weights_bytes());
     }
-    let (f32b, bf16b, i8b) = (resident[0], resident[1], resident[2]);
-    assert!(
-        bf16b < f32b,
-        "bf16 resident {bf16b} must shrink vs f32 {f32b}"
-    );
-    assert!(i8b < bf16b, "i8 resident {i8b} must shrink vs bf16 {bf16b}");
+    let (f32b, i8b) = (resident[0], resident[1]);
+    assert!(i8b < f32b, "i8 resident {i8b} must shrink vs f32 {f32b}");
 }
 
 #[test]
@@ -197,7 +189,7 @@ fn pre_quantization_snapshots_carry_no_quant_section() {
     );
     // And the classic path is untouched: load, serve, reserialize.
     let loaded = InferenceModel::from_snapshot_bytes(&bytes).unwrap();
-    assert_eq!(loaded.predictor.quant_kind(), None);
+    assert!(!loaded.predictor.quant_kind());
     assert_eq!(Snapshot::from_inference(&loaded).to_bytes(), bytes);
 }
 
@@ -225,18 +217,9 @@ fn accuracy_delta(mode: QuantMode, enc: &[EncodedSample]) -> f64 {
 fn quantized_accuracy_stays_within_gate() {
     let enc = samples(32);
     let i8_delta = accuracy_delta(QuantMode::I8, &enc);
-    let bf16_delta = accuracy_delta(QuantMode::Bf16, &enc);
     assert!(
         i8_delta <= 0.05,
         "i8 mean relative delta {i8_delta} above 5% gate"
-    );
-    assert!(
-        bf16_delta <= 0.01,
-        "bf16 mean relative delta {bf16_delta} above 1% gate"
-    );
-    assert!(
-        bf16_delta <= i8_delta,
-        "bf16 ({bf16_delta}) must not be less accurate than i8 ({i8_delta})"
     );
 }
 
@@ -315,32 +298,36 @@ fn quantized_snapshot_serves_bit_identically_across_kernel_tiers() {
 
 #[test]
 fn misspelled_forced_quant_mode_fails_loudly() {
-    const TYPO: &str = "I8x";
-    // Child mode: the parent re-ran this test under the misspelled value,
-    // so reading the forced mode must panic instead of meaning f32.
-    if std::env::var_os("CDMPP_QUANT").is_some_and(|v| v == TYPO) {
+    // A typo, and a storage format this build does not have.
+    const TYPOS: [&str; 2] = ["I8x", "bf16"];
+    // Child mode: the parent re-ran this test under a rejected value, so
+    // reading the forced mode must panic instead of meaning f32.
+    if std::env::var_os("CDMPP_QUANT").is_some_and(|v| TYPOS.iter().any(|t| v == *t)) {
         cdmpp_core::forced_quant_mode();
         return;
     }
-    let out = std::process::Command::new(std::env::current_exe().unwrap())
-        .args([
-            "misspelled_forced_quant_mode_fails_loudly",
-            "--exact",
-            "--nocapture",
-            "--test-threads=1",
-        ])
-        .env("CDMPP_QUANT", TYPO)
-        .output()
-        .unwrap();
-    let log = String::from_utf8_lossy(&out.stderr) + String::from_utf8_lossy(&out.stdout);
-    assert!(
-        !out.status.success(),
-        "CDMPP_QUANT={TYPO} must not run: {log}"
-    );
-    assert!(
-        log.contains("invalid CDMPP_QUANT value \"I8x\"") && log.contains("f32, bf16 and i8"),
-        "the panic must name the variable and its accepted values: {log}"
-    );
+    for typo in TYPOS {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "misspelled_forced_quant_mode_fails_loudly",
+                "--exact",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env("CDMPP_QUANT", typo)
+            .output()
+            .unwrap();
+        let log = String::from_utf8_lossy(&out.stderr) + String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !out.status.success(),
+            "CDMPP_QUANT={typo} must not run: {log}"
+        );
+        let line = format!("invalid CDMPP_QUANT value {typo:?}: accepted values are f32 and i8\n");
+        assert!(
+            log.contains(&line),
+            "the panic must name the variable and only f32 and i8 as accepted: {log}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -468,17 +455,17 @@ fn hostile_quant_scales_and_kinds_are_typed_errors() {
         "NaN scale must fail header parsing"
     );
 
-    // Unknown storage kind.
-    let unknown = mutate_header(&bytes, |json| {
-        json.replacen("\"kind\":\"i8\"", "\"kind\":\"i4\"", 1)
-    });
-    assert!(
-        matches!(
-            Snapshot::from_bytes(&unknown).unwrap_err(),
-            SnapshotError::Param { .. }
-        ),
-        "unknown kind must be rejected"
-    );
+    // Unknown storage kinds: only "i8" is a quantized format.
+    for kind in ["\"kind\":\"i4\"", "\"kind\":\"bf16\""] {
+        let unknown = mutate_header(&bytes, |json| json.replacen("\"kind\":\"i8\"", kind, 1));
+        assert!(
+            matches!(
+                Snapshot::from_bytes(&unknown).unwrap_err(),
+                SnapshotError::Param { .. }
+            ),
+            "unknown kind {kind} must be rejected"
+        );
+    }
 
     // Wrong scale count for the declared kind and width: drop the first
     // scale (and its comma when the array has more).

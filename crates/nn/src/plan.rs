@@ -2021,7 +2021,7 @@ enum SOp {
         bias: Option<SpecSrc>,
         act: Activation,
     },
-    /// Weight GEMM against quantized (i8/bf16) prepacked panels —
+    /// Weight GEMM against quantized (i8) prepacked panels —
     /// chosen when the frozen store carries a quantized encoding for the
     /// parameter. Each k-block is dequantized into a per-thread f32
     /// scratch and runs [`SOp::GemmPrepacked`]'s kernel, so accumulation
@@ -2179,18 +2179,18 @@ fn concat_cols<T: Copy>(parts: [&[T]; 3], row: usize) -> Vec<T> {
 }
 
 /// The three quantized `[k, n]` encodings as one `[k, 3n]` encoding with
-/// the same stored values and scales — possible when they share a kind
+/// the same stored values and scales — possible when they share a shape
 /// and each part's scale groups end on its last column.
 fn concat_quant(parts: [&tensor::QuantizedMatrix; 3]) -> Option<tensor::QuantizedMatrix> {
     let [a, b, c] = parts;
-    let (kind, k, n) = (a.kind(), a.k(), a.n());
-    let same = |q: &tensor::QuantizedMatrix| q.kind() == kind && q.k() == k && q.n() == n;
-    if !same(b) || !same(c) || (kind == tensor::QuantKind::I8 && n % tensor::QUANT_GROUP != 0) {
+    let (k, n) = (a.k(), a.n());
+    let same = |q: &tensor::QuantizedMatrix| q.k() == k && q.n() == n;
+    if !same(b) || !same(c) || n % tensor::QUANT_GROUP != 0 {
         return None;
     }
-    let data = concat_cols(parts.map(|q| q.data()), n * kind.bytes_per_elem());
+    let data = concat_cols(parts.map(|q| q.data()), n);
     let scales = parts.iter().flat_map(|q| q.scales()).copied().collect();
-    tensor::QuantizedMatrix::from_parts(kind, k, 3 * n, data, scales).ok()
+    tensor::QuantizedMatrix::from_parts(k, 3 * n, data, scales).ok()
 }
 
 impl WeightPackCache {
@@ -2708,7 +2708,7 @@ impl Plan {
                         // prepacked register tile at every predictor shape
                         // (README, "Where replay time goes"); one row is its
                         // best case and stays. Quantized stores pack the
-                        // i8/bf16 encoding instead (the store's values are
+                        // i8 encoding instead (the store's values are
                         // the dequantized numbers, so every entry computes
                         // identical results).
                         Src::Param(id)
@@ -3007,7 +3007,7 @@ impl SpecializedPlan {
         self.prepacked
     }
 
-    /// Weight GEMMs resolved to the quantized (i8/bf16) prepacked kernel.
+    /// Weight GEMMs resolved to the quantized (i8) prepacked kernel.
     pub fn quant_prepacked_gemms(&self) -> usize {
         self.quant_prepacked
     }
@@ -5556,7 +5556,7 @@ mod tests {
         // the store's f32 values are the dequantized numbers, so both
         // entries see identical weights.
         let (mut store, ids) = store_with(&[&[64, 48], &[48]]);
-        assert_eq!(store.quantize_weights(tensor::QuantKind::I8), 1);
+        assert_eq!(store.quantize_weights(), 1);
         assert!(store.has_quants());
         let plan = Plan::compile(&store, |rec, b| {
             let x = rec.constant(Tensor::from_fn(&[b, 64], |i| (i as f32 * 0.29).sin()));
@@ -5723,26 +5723,30 @@ mod tests {
     fn attention_block_folds_into_one_gemm_and_one_attention_step() {
         // Generic: 3 projections + 3 splits + bmm + softmax + bmm + merge
         // + output projection = 11 steps. Folded: fused projection,
-        // attention, output projection. f32, bf16 and i8 stores alike.
-        for kind in [
-            None,
-            Some(tensor::QuantKind::Bf16),
-            Some(tensor::QuantKind::I8),
-        ] {
+        // attention, output projection. f32 and i8 stores alike.
+        for quantized in [false, true] {
             let (mut store, ids) = attention_store();
-            if let Some(kind) = kind {
-                assert_eq!(store.quantize_weights(kind), 4);
+            if quantized {
+                assert_eq!(store.quantize_weights(), 4);
             }
             let fold = fold_attention(&store, &ids, Leak::Nothing);
-            assert_eq!(fold.steps(), 3, "{kind:?}: {fold:?}");
-            assert_eq!(fold.fused_attentions(), 1, "{kind:?}");
-            assert_eq!(fold.fused_qkv_gemms(), 1, "{kind:?}");
-            assert_eq!(fold.unrolled_copies(), 0, "{kind:?}: no head copies left");
+            assert_eq!(fold.steps(), 3, "quantized {quantized}: {fold:?}");
+            assert_eq!(fold.fused_attentions(), 1, "quantized {quantized}");
+            assert_eq!(fold.fused_qkv_gemms(), 1, "quantized {quantized}");
+            assert_eq!(
+                fold.unrolled_copies(),
+                0,
+                "quantized {quantized}: no head copies left"
+            );
             // The fused projection and the output projection, on the
             // kernel the store's encoding selects.
-            let (f32_gemms, quant_gemms) = if kind.is_some() { (0, 2) } else { (2, 0) };
-            assert_eq!(fold.prepacked_gemms(), f32_gemms, "{kind:?}");
-            assert_eq!(fold.quant_prepacked_gemms(), quant_gemms, "{kind:?}");
+            let (f32_gemms, quant_gemms) = if quantized { (0, 2) } else { (2, 0) };
+            assert_eq!(fold.prepacked_gemms(), f32_gemms, "quantized {quantized}");
+            assert_eq!(
+                fold.quant_prepacked_gemms(),
+                quant_gemms,
+                "quantized {quantized}"
+            );
         }
     }
 

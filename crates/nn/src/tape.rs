@@ -15,8 +15,8 @@ use crate::kernels::{layer_norm_fwd, merge_heads, slice_last, split_heads};
 use std::sync::Arc;
 use tensor::math::Func;
 use tensor::{
-    bmm, bmm_acc_into, bmm_into, matmul, matmul_t_acc_into, matmul_t_into, QuantKind,
-    QuantizedMatrix, Result, Tensor, TensorError,
+    bmm, bmm_acc_into, bmm_into, matmul, matmul_t_acc_into, matmul_t_into, QuantizedMatrix, Result,
+    Tensor, TensorError,
 };
 
 /// Handle to a node in a [`Graph`].
@@ -38,7 +38,7 @@ impl ParamId {
 /// Storage for trainable parameters and their accumulated gradients.
 ///
 /// A frozen store may additionally carry a *quantized twin* per rank-2
-/// parameter (the GEMM weight matrices): the canonical i8/bf16 encoding
+/// parameter (the GEMM weight matrices): the canonical i8 encoding
 /// produced once at freeze time. When a parameter is quantized its f32
 /// `values` entry holds the **dequantized** numbers, so every executor —
 /// generic plans, below-threshold GEMMs, the taped forward — computes with
@@ -144,15 +144,15 @@ impl ParamStore {
         self.quants[id.0] = Some(q);
     }
 
-    /// Quantizes every rank-2 parameter (the GEMM weight matrices) to
-    /// `kind`, replacing each one's f32 values with the dequantized
-    /// numbers so all executors agree with the quantized kernels bit for bit.
-    /// Rank-1 parameters (biases, norm gains) stay f32 — they are cheap
-    /// and precision-critical. Returns the number of tensors quantized;
-    /// already-quantized parameters are left untouched (quantization
-    /// happens once, at freeze — re-quantizing dequantized values is not
-    /// idempotent for i8).
-    pub fn quantize_weights(&mut self, kind: QuantKind) -> usize {
+    /// Quantizes every rank-2 parameter (the GEMM weight matrices) to i8
+    /// with per-column-group scales, replacing each one's f32 values with
+    /// the dequantized numbers so all executors agree with the quantized
+    /// kernels bit for bit. Rank-1 parameters (biases, norm gains) stay
+    /// f32 — they are cheap and precision-critical. Returns the number of
+    /// tensors quantized; already-quantized parameters are left untouched
+    /// (quantization happens once, at freeze — re-quantizing dequantized
+    /// values is not idempotent).
+    pub fn quantize_weights(&mut self) -> usize {
         if self.quants.len() < self.values.len() {
             self.quants.resize(self.values.len(), None);
         }
@@ -162,7 +162,7 @@ impl ParamStore {
                 continue;
             }
             let (k, n) = (self.values[i].shape()[0], self.values[i].shape()[1]);
-            let q = QuantizedMatrix::quantize(self.values[i].data(), k, n, kind);
+            let q = QuantizedMatrix::quantize(self.values[i].data(), k, n);
             self.values[i] =
                 Tensor::from_vec(q.dequantize(), &[k, n]).expect("dequantize preserves numel");
             self.quants[i] = Some(Arc::new(q));

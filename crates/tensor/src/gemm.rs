@@ -66,7 +66,7 @@
 //! column-contiguous reads, a transposed `A` is read where it lies.
 
 use crate::aligned::AVec;
-use crate::quant::{bf16_to_f32, QuantKind, QuantizedMatrix};
+use crate::quant::QuantizedMatrix;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
@@ -340,19 +340,6 @@ trait Micro: Sized {
             for ((d, &q), &s) in drow.iter_mut().zip(qrow).zip(&scales[..Self::NR]) {
                 *d = q as f32 * s;
             }
-        }
-    }
-
-    /// bf16 twin of [`Micro::dequant_i8`] over `rows` slab rows: the
-    /// exact widening [`bf16_to_f32`], no scales.
-    ///
-    /// # Safety
-    ///
-    /// ISA per the trait contract; `bslab` and `dst` hold at least
-    /// `rows * NR` elements.
-    unsafe fn dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
-        for (d, &h) in dst[..rows * Self::NR].iter_mut().zip(bslab) {
-            *d = bf16_to_f32(h);
         }
     }
 
@@ -996,21 +983,8 @@ fn write_back_row(crow: &mut [f32], trow: &[f32], j0: usize, store: bool, ep: Ep
 // Quantized prepacked panels.
 // ---------------------------------------------------------------------------
 
-/// Per-tier panel storage of a [`QuantizedPackedB`].
-enum QPanels {
-    /// i8 slabs plus per-column dequant scales expanded to the padded slab
-    /// width (`slabs * NR`; padding columns get scale 1.0 over value 0).
-    I8 {
-        blocks: Vec<Vec<i8>>,
-        scales: Vec<f32>,
-    },
-    /// bf16 slabs (no scales).
-    Bf16 { blocks: Vec<Vec<u16>> },
-}
-
 /// A [`QuantizedMatrix`] packed into the blocked kernel's slab layout —
-/// the quantized twin of [`PackedB`], half (bf16) or a quarter (i8) of
-/// its panel bytes.
+/// the i8 twin of [`PackedB`], a quarter of its panel bytes.
 ///
 /// Built once per frozen model from the *stored* quantized values (never
 /// by re-quantizing), so panels packed under any tier dequantize to the
@@ -1024,7 +998,11 @@ pub struct QuantizedPackedB {
     k: usize,
     n: usize,
     tier: SimdTier,
-    panels: QPanels,
+    /// i8 slabs, one buffer per `KC` block.
+    blocks: Vec<Vec<i8>>,
+    /// Per-column dequant scales expanded to the padded slab width
+    /// (`slabs * NR`; padding columns get scale 1.0 over value 0).
+    scales: Vec<f32>,
 }
 
 impl QuantizedPackedB {
@@ -1039,26 +1017,17 @@ impl QuantizedPackedB {
     pub fn pack_for_tier(q: &QuantizedMatrix, tier: SimdTier) -> QuantizedPackedB {
         let nr = tier_nr(tier);
         let (k, n) = (q.k(), q.n());
-        let slabs = n.div_ceil(nr);
-        let panels = match q.kind() {
-            QuantKind::I8 => {
-                let mut scales = vec![1.0f32; slabs * nr];
-                for (j, s) in scales.iter_mut().enumerate().take(n) {
-                    *s = q.scale_for_col(j);
-                }
-                QPanels::I8 {
-                    blocks: pack_q_blocks(k, n, nr, |i, j| q.data()[i * n + j] as i8),
-                    scales,
-                }
-            }
-            QuantKind::Bf16 => QPanels::Bf16 {
-                blocks: pack_q_blocks(k, n, nr, |i, j| {
-                    let e = 2 * (i * n + j);
-                    u16::from_le_bytes([q.data()[e], q.data()[e + 1]])
-                }),
-            },
-        };
-        QuantizedPackedB { k, n, tier, panels }
+        let mut scales = vec![1.0f32; n.div_ceil(nr) * nr];
+        for (j, s) in scales.iter_mut().enumerate().take(n) {
+            *s = q.scale_for_col(j);
+        }
+        QuantizedPackedB {
+            k,
+            n,
+            tier,
+            blocks: pack_q_blocks(q, nr),
+            scales,
+        }
     }
 
     /// The contraction length this packing was built for.
@@ -1071,22 +1040,29 @@ impl QuantizedPackedB {
         self.n
     }
 
-    /// The storage format of the packed panels.
-    pub fn kind(&self) -> QuantKind {
-        match self.panels {
-            QPanels::I8 { .. } => QuantKind::I8,
-            QPanels::Bf16 { .. } => QuantKind::Bf16,
-        }
-    }
-
     /// Bytes the packed panels (plus expanded scales) occupy in memory —
     /// the serving-footprint column of the benches.
     pub fn panel_bytes(&self) -> usize {
-        match &self.panels {
-            QPanels::I8 { blocks, scales } => {
-                blocks.iter().map(|b| b.len()).sum::<usize>() + scales.len() * 4
-            }
-            QPanels::Bf16 { blocks } => blocks.iter().map(|b| b.len() * 2).sum(),
+        self.blocks.iter().map(|b| b.len()).sum::<usize>() + self.scales.len() * 4
+    }
+
+    /// Expands k-block `bi` (`kc` deep) into `dst` as f32, in the f32
+    /// panels' slab layout: one correctly-rounded `q * scale` multiply per
+    /// element.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support `K`'s ISA, the panels were packed with
+    /// `K`'s slab width, and `dst` holds the whole block.
+    unsafe fn dequant_block<K: Micro>(&self, bi: usize, kc: usize, dst: &mut [f32]) {
+        let slab = kc * K::NR;
+        let slabs = self.blocks[bi]
+            .chunks_exact(slab)
+            .zip(self.scales.chunks_exact(K::NR));
+        for ((q, s), d) in slabs.zip(dst.chunks_exact_mut(slab)) {
+            // SAFETY: forwarded contract; every slab, its scales and its
+            // destination are `chunks_exact` of the packer's sizes.
+            unsafe { K::dequant_i8(kc, q, s, d) };
         }
     }
 }
@@ -1096,7 +1072,6 @@ impl std::fmt::Debug for QuantizedPackedB {
         f.debug_struct("QuantizedPackedB")
             .field("k", &self.k)
             .field("n", &self.n)
-            .field("kind", &self.kind().name())
             .field("tier", &self.tier.name())
             .finish()
     }
@@ -1111,28 +1086,24 @@ fn tier_nr(tier: SimdTier) -> usize {
     }
 }
 
-/// Packs `k x n` quantized elements (fetched by `at`) into per-`KC`-block
-/// slab layouts: `ceil(n/nr)` slabs of `kc x nr`, zero-padded (the
-/// quantized encoding of 0.0 is 0 for both i8 and bf16).
-fn pack_q_blocks<T: Copy + Default>(
-    k: usize,
-    n: usize,
-    nr: usize,
-    at: impl Fn(usize, usize) -> T,
-) -> Vec<Vec<T>> {
+/// Packs `q`'s `k x n` elements into per-`KC`-block slab layouts:
+/// `ceil(n/nr)` slabs of `kc x nr`, zero-padded (0 is the encoding of 0.0).
+fn pack_q_blocks(q: &QuantizedMatrix, nr: usize) -> Vec<Vec<i8>> {
+    let (k, n) = (q.k(), q.n());
     let slabs = n.div_ceil(nr);
     let mut blocks = Vec::with_capacity(k.div_ceil(KC).max(1));
     let mut pc = 0;
     loop {
         let kc = KC.min(k - pc);
-        let mut buf = vec![T::default(); slabs * kc * nr];
+        let mut buf = vec![0i8; slabs * kc * nr];
         for t in 0..slabs {
             let j0 = t * nr;
             let cols = nr.min(n - j0);
             for p in 0..kc {
-                let d = &mut buf[t * kc * nr + p * nr..t * kc * nr + (p + 1) * nr];
-                for (cj, dj) in d.iter_mut().enumerate().take(cols) {
-                    *dj = at(pc + p, j0 + cj);
+                let src = &q.data()[(pc + p) * n + j0..][..cols];
+                let d = &mut buf[t * kc * nr + p * nr..][..cols];
+                for (dj, &b) in d.iter_mut().zip(src) {
+                    *dj = b as i8;
                 }
             }
         }
@@ -1197,43 +1168,11 @@ unsafe fn gemm_prepacked_quant_t<K: Micro>(
             // SAFETY: ISA and slab width vouched by this fn's caller; the
             // scratch holds a full k-block per `ensure_len` above.
             unsafe {
-                qb.panels.dequant_block::<K>(bi, kc, deq.as_mut_slice());
+                qb.dequant_block::<K>(bi, kc, deq.as_mut_slice());
                 prepacked_block::<K>(m, k, n, a, bi, deq.as_slice(), c, ep);
             }
         }
     });
-}
-
-impl QPanels {
-    /// Expands k-block `bi` (`kc` deep) into `dst` as f32, in the f32
-    /// panels' slab layout: one correctly-rounded `q * scale` multiply per
-    /// i8 element, an exact widening per bf16 element.
-    ///
-    /// # Safety
-    ///
-    /// The running CPU must support `K`'s ISA, the panels were packed with
-    /// `K`'s slab width, and `dst` holds the whole block.
-    unsafe fn dequant_block<K: Micro>(&self, bi: usize, kc: usize, dst: &mut [f32]) {
-        let slab = kc * K::NR;
-        // SAFETY: forwarded contract; every slab, its scales and its
-        // destination are `chunks_exact` of the packer's sizes.
-        unsafe {
-            match self {
-                QPanels::I8 { blocks, scales } => {
-                    let slabs = blocks[bi]
-                        .chunks_exact(slab)
-                        .zip(scales.chunks_exact(K::NR));
-                    for ((q, s), d) in slabs.zip(dst.chunks_exact_mut(slab)) {
-                        K::dequant_i8(kc, q, s, d);
-                    }
-                }
-                QPanels::Bf16 { blocks } => {
-                    let block = &blocks[bi];
-                    K::dequant_bf16(block.len() / K::NR, block, &mut dst[..block.len()])
-                }
-            }
-        }
-    }
 }
 
 /// Packs `kc` rows x `nc` columns of `B` into `ceil(nc/NR)` slabs, each
@@ -1514,12 +1453,6 @@ impl Micro for Avx2K {
     }
 
     #[inline]
-    unsafe fn dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
-        // SAFETY: caller guarantees AVX2+FMA and slice lengths.
-        unsafe { avx2_dequant_bf16(rows, bslab, dst) }
-    }
-
-    #[inline]
     unsafe fn macro_kernel(
         mc: usize,
         nc: usize,
@@ -1743,29 +1676,6 @@ unsafe fn avx2_dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f3
     }
 }
 
-/// [`Micro::dequant_bf16`] on AVX2: u16 lanes widened to u32 and shifted
-/// into the f32 exponent position (exact).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
-    use std::arch::x86_64::*;
-    debug_assert!(bslab.len() >= rows * Avx2K::NR);
-    debug_assert!(dst.len() >= rows * Avx2K::NR);
-    let bp = bslab.as_ptr();
-    let dp = dst.as_mut_ptr();
-    for p in 0..rows {
-        // SAFETY: in-bounds per the slab/scratch contract.
-        unsafe {
-            let r0 = _mm_loadu_si128(bp.add(p * 16) as *const __m128i);
-            let r1 = _mm_loadu_si128(bp.add(p * 16 + 8) as *const __m128i);
-            let b0 = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(r0)));
-            let b1 = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(r1)));
-            _mm256_storeu_ps(dp.add(p * 16), b0);
-            _mm256_storeu_ps(dp.add(p * 16 + 8), b1);
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2,fma")]
@@ -1887,12 +1797,6 @@ impl Micro for NeonK {
         // SAFETY: caller guarantees NEON and slice lengths.
         unsafe { neon_dequant_i8(kc, bslab, scales, dst) }
     }
-
-    #[inline]
-    unsafe fn dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
-        // SAFETY: caller guarantees NEON and slice lengths.
-        unsafe { neon_dequant_bf16(rows, bslab, dst) }
-    }
 }
 
 /// [`Micro::dequant_i8`] on NEON: 8 bytes a row, widened to two s32
@@ -1919,28 +1823,6 @@ unsafe fn neon_dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f3
             let wide = vmovl_s8(vld1_s8(bp.add(p * 8)));
             let b0 = vmulq_f32(vcvtq_f32_s32(vmovl_s16(vget_low_s16(wide))), s0);
             let b1 = vmulq_f32(vcvtq_f32_s32(vmovl_s16(vget_high_s16(wide))), s1);
-            vst1q_f32(dp.add(p * 8), b0);
-            vst1q_f32(dp.add(p * 8 + 4), b1);
-        }
-    }
-}
-
-/// [`Micro::dequant_bf16`] on NEON: u16 lanes widened to u32 and shifted
-/// into the f32 exponent position (exact).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn neon_dequant_bf16(rows: usize, bslab: &[u16], dst: &mut [f32]) {
-    use std::arch::aarch64::*;
-    debug_assert!(bslab.len() >= rows * NeonK::NR);
-    debug_assert!(dst.len() >= rows * NeonK::NR);
-    let bp = bslab.as_ptr();
-    let dp = dst.as_mut_ptr();
-    for p in 0..rows {
-        // SAFETY: in-bounds per the slab/scratch contract.
-        unsafe {
-            let raw = vld1q_u16(bp.add(p * 8));
-            let b0 = vreinterpretq_f32_u32(vshlq_n_u32::<16>(vmovl_u16(vget_low_u16(raw))));
-            let b1 = vreinterpretq_f32_u32(vshlq_n_u32::<16>(vmovl_u16(vget_high_u16(raw))));
             vst1q_f32(dp.add(p * 8), b0);
             vst1q_f32(dp.add(p * 8 + 4), b1);
         }
@@ -2345,8 +2227,7 @@ mod tests {
     /// The quantized prepacked kernel is bit-identical to the f32 prepacked
     /// kernel over the *dequantized* matrix: same per-element dequant op,
     /// same FMA accumulation order, so the fused path may not drift by even
-    /// one ULP from dequantize-then-pack — for both storage kinds, across
-    /// epilogues, including the multi-k-block reassociation points.
+    /// one ULP from dequantize-then-pack — across epilogues, including the multi-k-block reassociation points.
     #[test]
     fn quant_prepacked_bit_identical_to_f32_over_dequantized() {
         for &(m, n, k, tag) in &[
@@ -2361,31 +2242,27 @@ mod tests {
             let av = filled(m * k, 0.0);
             let bv = filled(k * n, 1.0);
             let bias: Vec<f32> = (0..n).map(|j| ((j as f32) * 0.61).cos()).collect();
-            for kind in [QuantKind::I8, QuantKind::Bf16] {
-                let q = QuantizedMatrix::quantize(&bv, k, n, kind);
-                let deq = q.dequantize();
-                let f32_pack = PackedB::pack(&deq, k, n);
-                let q_pack = QuantizedPackedB::pack(&q);
-                assert_eq!((q_pack.k(), q_pack.n(), q_pack.kind()), (k, n, kind));
-                for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
-                    for with_bias in [false, true] {
-                        let ep = Epilogue {
-                            scale: None,
-                            bias: with_bias.then_some(bias.as_slice()),
-                            act,
-                        };
-                        let mut want = vec![f32::NAN; m * n];
-                        gemm_prepacked_impl(m, &av, &f32_pack, &mut want, ep);
-                        let mut got = vec![f32::NAN; m * n];
-                        gemm_prepacked_quant_impl(m, &av, &q_pack, &mut got, ep);
-                        assert_eq!(
-                            got,
-                            want,
-                            "{tag} {}: act {act:?} bias {with_bias} must match the \
-                             f32 kernel over dequantized weights bit for bit",
-                            kind.name()
-                        );
-                    }
+            let q = QuantizedMatrix::quantize(&bv, k, n);
+            let deq = q.dequantize();
+            let f32_pack = PackedB::pack(&deq, k, n);
+            let q_pack = QuantizedPackedB::pack(&q);
+            assert_eq!((q_pack.k(), q_pack.n()), (k, n));
+            for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
+                for with_bias in [false, true] {
+                    let ep = Epilogue {
+                        scale: None,
+                        bias: with_bias.then_some(bias.as_slice()),
+                        act,
+                    };
+                    let mut want = vec![f32::NAN; m * n];
+                    gemm_prepacked_impl(m, &av, &f32_pack, &mut want, ep);
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_prepacked_quant_impl(m, &av, &q_pack, &mut got, ep);
+                    assert_eq!(
+                        got, want,
+                        "{tag}: act {act:?} bias {with_bias} must match the \
+                         f32 kernel over dequantized weights bit for bit"
+                    );
                 }
             }
         }
@@ -2408,27 +2285,20 @@ mod tests {
         ] {
             let av = filled(m * k, 0.0);
             let bv = filled(k * n, 1.0);
-            for kind in [QuantKind::I8, QuantKind::Bf16] {
-                let q = QuantizedMatrix::quantize(&bv, k, n, kind);
-                let oracle_pack = QuantizedPackedB::pack_for_tier(&q, SimdTier::Scalar);
-                let active_pack = QuantizedPackedB::pack_for_tier(&q, active_tier());
-                let mut pre_o = vec![f32::NAN; m * n];
-                let mut pre_a = vec![f32::NAN; m * n];
-                gemm_prepacked_quant_impl(m, &av, &oracle_pack, &mut pre_o, Epilogue::NONE);
-                gemm_prepacked_quant_impl(m, &av, &active_pack, &mut pre_a, Epilogue::NONE);
-                assert_eq!(
-                    pre_o,
-                    pre_a,
-                    "{m}x{n}x{k} {}: quant prepacked tier mismatch",
-                    kind.name()
-                );
-            }
+            let q = QuantizedMatrix::quantize(&bv, k, n);
+            let oracle_pack = QuantizedPackedB::pack_for_tier(&q, SimdTier::Scalar);
+            let active_pack = QuantizedPackedB::pack_for_tier(&q, active_tier());
+            let mut pre_o = vec![f32::NAN; m * n];
+            let mut pre_a = vec![f32::NAN; m * n];
+            gemm_prepacked_quant_impl(m, &av, &oracle_pack, &mut pre_o, Epilogue::NONE);
+            gemm_prepacked_quant_impl(m, &av, &active_pack, &mut pre_a, Epilogue::NONE);
+            assert_eq!(pre_o, pre_a, "{m}x{n}x{k}: quant prepacked tier mismatch");
         }
     }
 
     #[test]
     fn quant_prepacked_empty_product_applies_epilogue() {
-        let q = QuantizedMatrix::quantize(&[], 0, 3, QuantKind::I8);
+        let q = QuantizedMatrix::quantize(&[], 0, 3);
         let packed = QuantizedPackedB::pack(&q);
         let bias = [1.5f32, -2.0, 0.25];
         let mut c = vec![f32::NAN; 6];
@@ -2452,18 +2322,11 @@ mod tests {
         let bv = filled(k * n, 0.7);
         let f32_pack = PackedB::pack(&bv, k, n);
         let f32_bytes = f32_pack.panel_bytes();
-        let i8_pack = QuantizedPackedB::pack(&QuantizedMatrix::quantize(&bv, k, n, QuantKind::I8));
-        let bf16_pack =
-            QuantizedPackedB::pack(&QuantizedMatrix::quantize(&bv, k, n, QuantKind::Bf16));
+        let i8_pack = QuantizedPackedB::pack(&QuantizedMatrix::quantize(&bv, k, n));
         assert!(
             i8_pack.panel_bytes() * 3 < f32_bytes,
             "i8 panels ({}) should be ~4x smaller than f32 ({f32_bytes})",
             i8_pack.panel_bytes()
-        );
-        assert!(
-            bf16_pack.panel_bytes() * 2 <= f32_bytes,
-            "bf16 panels ({}) should be 2x smaller than f32 ({f32_bytes})",
-            bf16_pack.panel_bytes()
         );
     }
 

@@ -41,7 +41,7 @@ pub use ops::{
 };
 #[doc(hidden)]
 pub use ops::{gemm_slices_with_tier, matmul_into_with_pool};
-pub use quant::{bf16_to_f32, f32_to_bf16, QuantKind, QuantMode, QuantizedMatrix, QUANT_GROUP};
+pub use quant::{QuantMode, QuantizedMatrix, QUANT_GROUP};
 pub use shape::Shape;
 
 use std::fmt;

@@ -814,7 +814,7 @@ mod tests {
         let (m, k, n) = (2, 3, 4);
         let b = vec![0.5f32; k * n];
         let f32_pack = PackedB::pack(&b, k, n);
-        let q = crate::QuantizedMatrix::quantize(&b, k, n, crate::QuantKind::I8);
+        let q = crate::QuantizedMatrix::quantize(&b, k, n);
         let q_pack = QuantizedPackedB::pack(&q);
         let a = vec![1.0f32; m * k];
         let call = |quant: bool, a: &[f32], bias: Option<&[f32]>, out: &mut [f32]| {

@@ -24,7 +24,7 @@ use cdmpp::tir::{lower, Nest, OpSpec, Schedule};
 
 fn usage() -> ! {
     eprintln!("usage: cdmpp <network> <batch_size> <device>");
-    eprintln!("       cdmpp train <device> --save <snapshot> [--epochs N] [--quant i8|bf16]");
+    eprintln!("       cdmpp train <device> --save <snapshot> [--epochs N] [--quant f32|i8]");
     eprintln!(
         "       cdmpp serve --snapshot <snapshot> <network> <batch_size> <device> \
          [--queue-cap N] [--deadline-ms N] [--watch <snapshot>] [--iters N]"
@@ -118,7 +118,7 @@ fn print_result(net: &Network, batch: u64, dev: &DeviceSpec, r: &cdmpp::core::E2
     );
 }
 
-/// `cdmpp train <device> --save <path> [--epochs N] [--quant i8|bf16]`
+/// `cdmpp train <device> --save <path> [--epochs N] [--quant f32|i8]`
 fn cmd_train(args: &[String]) -> ! {
     let mut device: Option<String> = None;
     let mut save: Option<String> = None;
@@ -138,7 +138,7 @@ fn cmd_train(args: &[String]) -> ! {
                 quant = match it.next().and_then(|v| QuantMode::parse(v)) {
                     Some(m) => m,
                     None => {
-                        eprintln!("--quant takes i8, bf16, or f32");
+                        eprintln!("--quant takes f32 or i8");
                         usage();
                     }
                 }
@@ -206,9 +206,10 @@ fn parse_snapshot_args(args: &[String]) -> (String, Network, u64, DeviceSpec) {
 fn load_model(path: &str) -> InferenceModel {
     match InferenceModel::from_snapshot_file(path) {
         Ok(m) => {
-            let storage = match m.predictor.quant_kind() {
-                Some(kind) => kind.name(),
-                None => "f32",
+            let storage = if m.predictor.quant_kind() {
+                "i8"
+            } else {
+                "f32"
             };
             eprintln!(
                 "[cdmpp] loaded {path} ({storage} weights, {} serving bytes, \
