@@ -107,23 +107,6 @@ impl TlpModel {
         }
     }
 
-    /// Adds a head for a new device (cross-device fine-tuning).
-    pub fn add_device(&mut self, device: &str) {
-        if !self.heads.contains_key(device) {
-            let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xD0);
-            self.heads.insert(
-                device.to_string(),
-                Linear::new(
-                    &mut self.store,
-                    &mut rng,
-                    &format!("tlp.head.{device}"),
-                    self.cfg.hidden,
-                    1,
-                ),
-            );
-        }
-    }
-
     /// Trains on samples (relative labels computed per device × task).
     pub fn fit(&mut self, samples: &[TlpSample]) {
         // Per-(device, task) minimum latency = normalization scale.

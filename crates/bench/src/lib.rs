@@ -298,31 +298,24 @@ pub fn cdmpp_result(
     }
 }
 
-/// A GBT-backed cost model for the schedule-search comparison (Fig 14b).
-pub struct GbtCost {
-    model: GbtRegressor,
-}
-
-impl GbtCost {
-    /// Trains a GBT cost model from dataset records of one device.
-    pub fn train(ds: &Dataset, idx: &[usize]) -> Self {
-        let xs: Vec<Vec<f32>> = idx
-            .iter()
-            .map(|&i| flattened_features(&ds.records[i].program))
-            .collect();
-        let ys: Vec<f32> = idx
-            .iter()
-            .map(|&i| ds.records[i].latency_s.ln() as f32)
-            .collect();
-        GbtCost {
-            model: GbtRegressor::fit(&xs, &ys, GbtConfig::default()),
-        }
-    }
-}
+/// A GBT-backed cost model for the schedule-search comparison (Fig 14b):
+/// the fitted baseline scores a program by its predicted log latency.
+pub struct GbtCost(pub FittedGbt);
 
 impl cdmpp_core::CostModel for GbtCost {
     fn score(&self, prog: &tir::TensorProgram, _dev: &DeviceSpec) -> f64 {
-        self.model.predict(&flattened_features(prog)) as f64
+        self.0.model.predict(&flattened_features(prog)) as f64
+    }
+}
+
+/// Prints a computed verdict on one of the paper's claims: `PASS` when
+/// `pass` holds, else `FAIL` followed by `detail` (the numbers it failed
+/// on).
+pub fn claim_check(claim: &str, pass: bool, detail: &str) {
+    if pass {
+        println!("claim check: PASS: {claim}");
+    } else {
+        println!("claim check: FAIL: {claim} ({detail})");
     }
 }
 

@@ -12,12 +12,9 @@
 //!   GEMM-engine splitting (§5.5, Appendix C).
 //! * [`e2e`]: network-level latency prediction gluing all of the above.
 //! * [`search`]: Ansor-lite schedule search driven by a cost model (§7.5).
-//! * [`autotune`]: hyper-parameter / architecture random search
-//!   (Appendix B).
 //! * [`snapshot`]: the versioned checkpoint format — trained weights plus
 //!   compiled inference plans in one file, for zero-recording cold starts.
 
-pub mod autotune;
 pub mod batch;
 pub mod e2e;
 pub mod finetune;
@@ -28,7 +25,6 @@ pub mod search;
 pub mod snapshot;
 pub mod trainer;
 
-pub use autotune::{autotune, AutoTuneResult, Trial};
 pub use batch::{
     build_batch, build_scaled_batch, build_scaled_batch_idx, encode_records, group_by_leaf,
     group_by_leaf_into, group_by_leaf_refs, make_batches, Batch, EncodedSample, LeafGroups,
@@ -40,14 +36,14 @@ pub use e2e::{
 };
 pub use finetune::{finetune, latent_cmd, FineTuneConfig};
 pub use predictor::{
-    forced_quant_mode, PlanRunner, PredictError, Predictor, PredictorConfig, SharedPredictor,
-    StepSeeds, DEFAULT_MAX_BATCH, MAX_BATCH_CLASSES,
+    PlanRunner, PredictError, Predictor, PredictorConfig, SharedPredictor, StepSeeds,
+    DEFAULT_MAX_BATCH, MAX_BATCH_CLASSES,
 };
 pub use replayer::{build_dfg, engine_count, replay, replay_timeline, DfgNode, TimelineEntry};
 pub use sampler::select_tasks;
 pub use search::{
-    generational_search, search_schedule, CostModel, GenRound, GenSearchConfig, GenSearchTrace,
-    OracleCost, ProposerMix, RandomCost, SearchConfig, SearchTrace,
+    generational_search, CostModel, GenRound, GenSearchConfig, GenSearchTrace, OracleCost,
+    ProposerMix, RandomCost,
 };
 pub use snapshot::{ParamTensor, PlanEntry, QuantTensor, Snapshot, SnapshotError, SpecPlanEntry};
 pub use trainer::{

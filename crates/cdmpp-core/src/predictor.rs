@@ -37,30 +37,6 @@ use tensor::{QuantMode, Tensor, TensorError};
 
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 
-/// The quantization mode forced on every freeze boundary of this process
-/// via `CDMPP_QUANT=f32|i8` (the CI `test-quantized` job and ad-hoc
-/// A/B runs). Read once and cached: a process serves consistently-quantized
-/// frozen artifacts or consistently-f32 ones, never a mix. Unset means
-/// [`QuantMode::F32`] (no forcing). Snapshot *loading* never consults this
-/// — a file's quantization is whatever the file declares, so
-/// pre-quantization snapshots stay byte-canonical even in a forced process.
-///
-/// # Panics
-///
-/// When `CDMPP_QUANT` is set to anything but `f32` or `i8` (ASCII case
-/// ignored): a typo must not quietly serve f32.
-pub fn forced_quant_mode() -> QuantMode {
-    static MODE: OnceLock<QuantMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        let Some(v) = std::env::var_os("CDMPP_QUANT") else {
-            return QuantMode::F32;
-        };
-        v.to_str().and_then(QuantMode::parse).unwrap_or_else(|| {
-            panic!("invalid CDMPP_QUANT value {v:?}: accepted values are f32 and i8")
-        })
-    })
-}
-
 /// Errors from predictor execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PredictError {
@@ -604,10 +580,10 @@ impl Predictor {
     /// The parameters are copied **once** into an `Arc`; clones of the
     /// returned handle are cheap and all read the same weights. This is the
     /// serving path — worker threads no longer deep-clone the store.
-    /// Honors [`forced_quant_mode`]; use
-    /// [`Predictor::share_quantized`] to pick the mode explicitly.
+    /// The weights stay f32; use [`Predictor::share_quantized`] to pick
+    /// the mode explicitly.
     pub fn share(&self) -> SharedPredictor {
-        self.share_quantized(forced_quant_mode())
+        self.share_quantized(QuantMode::F32)
     }
 
     /// [`Predictor::share`] with the weight storage format chosen
@@ -718,10 +694,10 @@ impl Predictor {
     /// Consumes the predictor into a thread-shareable handle **without
     /// copying the weights** (the gradient buffers are dropped in place).
     /// Use this over [`Predictor::share`] when the training-side predictor
-    /// is no longer needed — e.g. the CLI's train-then-serve flow. Honors
-    /// [`forced_quant_mode`] like [`Predictor::share`].
+    /// is no longer needed — e.g. the CLI's train-then-serve flow. The
+    /// weights stay f32, as with [`Predictor::share`].
     pub fn into_shared(self) -> SharedPredictor {
-        self.into_shared_quantized(forced_quant_mode())
+        self.into_shared_quantized(QuantMode::F32)
     }
 
     /// [`Predictor::into_shared`] with the storage format chosen
@@ -1115,29 +1091,6 @@ mod tests {
         (x, dev)
     }
 
-    /// Asserts outputs across the freeze boundary. Bitwise by default;
-    /// when `CDMPP_QUANT` forces a quantized freeze, the frozen side
-    /// carries quantization error relative to the training-side oracle,
-    /// so the comparison switches to a loose tolerance. Frozen-vs-frozen
-    /// comparisons must stay `assert_eq!` — they are bitwise regardless.
-    fn assert_freeze_close<T>(got: &[T], want: &[T], ctx: &str)
-    where
-        T: Copy + PartialEq + std::fmt::Debug + Into<f64>,
-    {
-        assert_eq!(got.len(), want.len(), "{ctx}: length");
-        if forced_quant_mode() == QuantMode::F32 {
-            assert_eq!(got, want, "{ctx}");
-        } else {
-            for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-                let (g, w): (f64, f64) = (g.into(), w.into());
-                assert!(
-                    (g - w).abs() <= 0.15,
-                    "{ctx}: [{i}] {g} vs {w} beyond quantization tolerance"
-                );
-            }
-        }
-    }
-
     #[test]
     fn forward_shapes() {
         let p = Predictor::new(PredictorConfig::default());
@@ -1209,7 +1162,7 @@ mod tests {
         let (x, dev) = batch(3, 4);
         let a = p.predict_batch(x.clone(), dev.clone()).unwrap();
         let b = shared.predict_batch(x.clone(), dev.clone()).unwrap();
-        assert_freeze_close(&a, &b, "owner vs shared");
+        assert_eq!(a, b, "owner vs shared");
         // And the frozen side's compiled path, bitwise against its tape.
         let planned = shared
             .predict_planned(&mut PlanRunner::new(), &x, &dev)
@@ -1342,10 +1295,7 @@ mod tests {
         let (x, dev) = batch(5, 4);
         let planned = shared.latent_planned(&mut runner, &x, &dev).unwrap();
         let taped = p.latent_batch(x, dev).unwrap();
-        assert_eq!(planned.len(), taped.len());
-        for (i, (pl, tp)) in planned.iter().zip(&taped).enumerate() {
-            assert_freeze_close(pl, tp, &format!("latent row {i}"));
-        }
+        assert_eq!(planned, taped);
     }
 
     #[test]
@@ -1383,7 +1333,7 @@ mod tests {
             let (x, dev) = batch(b, 3);
             let routed = shared.predict_planned(&mut runner, &x, &dev).unwrap();
             let generic = p.predict_batch(x.clone(), dev.clone()).unwrap();
-            assert_freeze_close(&routed, &generic, &format!("b={b}"));
+            assert_eq!(routed, generic, "b={b}");
             // Folded up to `DEFAULT_MAX_BATCH`, generic above it.
             let fold = shared.spec_plan_for(3, b).unwrap();
             assert_eq!(fold.is_some(), b <= DEFAULT_MAX_BATCH, "b={b}");

@@ -1,11 +1,12 @@
 //! Ansor-lite schedule search (§7.5, Fig 14b).
 //!
 //! Evolutionary search over the schedule space of one task: each round
-//! proposes candidates (mutations of the population plus fresh samples), a
-//! cost model ranks them, the top few are "measured" (on the device
-//! simulator — standing in for real-hardware measurement in Ansor's loop),
-//! and measurements refresh the population. Better cost models prune the
-//! space better and find faster schedules in the same number of rounds.
+//! proposes candidates (mutations and crossovers of the population plus
+//! fresh samples, in a configurable mix), a cost model ranks them, the top
+//! few are "measured" (on the device simulator — standing in for
+//! real-hardware measurement in Ansor's loop), and measurements refresh
+//! the population. Better cost models prune the space better and find
+//! faster schedules in the same number of rounds.
 
 use std::collections::HashMap;
 
@@ -17,7 +18,7 @@ use tir::{
 };
 
 use crate::e2e::encode_programs;
-use crate::trainer::{InferenceModel, TrainedModel};
+use crate::trainer::InferenceModel;
 
 /// A cost model usable by the search: lower score = predicted faster.
 pub trait CostModel {
@@ -33,21 +34,11 @@ pub trait CostModel {
     }
 }
 
-impl CostModel for TrainedModel {
-    fn score(&self, prog: &TensorProgram, dev: &DeviceSpec) -> f64 {
-        self.score_batch(&[prog], dev)[0]
-    }
-
-    fn score_batch(&self, progs: &[&TensorProgram], dev: &DeviceSpec) -> Vec<f64> {
-        let enc = encode_programs(progs, dev, self.predictor.config().theta, self.use_pe);
-        self.predict_samples(&enc)
-    }
-}
-
-/// A frozen (inference-only) model is a cost model too: the CLI `search`
-/// subcommand restores one from a snapshot and drives search with zero
-/// recordings. Invalid leaf counts and prediction failures rank INFINITY,
-/// matching the serving engine's `CostModel` convention.
+/// The learned cost model: a search freezes its trained model once
+/// ([`crate::TrainedModel::freeze`]) or restores one from a snapshot (the
+/// CLI `search` subcommand), and scores every round on the calling thread.
+/// Invalid leaf counts and prediction failures rank INFINITY, matching the
+/// serving engine's `CostModel` convention.
 impl CostModel for InferenceModel {
     fn score(&self, prog: &TensorProgram, dev: &DeviceSpec) -> f64 {
         self.score_batch(&[prog], dev)[0]
@@ -106,118 +97,6 @@ impl CostModel for RandomCost {
         h ^= (prog.total_iterations() as u64).wrapping_mul(0x9E3779B97F4A7C15);
         h = h.wrapping_mul(0xBF58476D1CE4E5B9);
         (h >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// Search configuration.
-#[derive(Debug, Clone)]
-pub struct SearchConfig {
-    /// Search rounds.
-    pub rounds: usize,
-    /// Candidates proposed per round.
-    pub candidates_per_round: usize,
-    /// Candidates measured (on the simulator) per round — Ansor measures
-    /// ~10 per round.
-    pub measure_per_round: usize,
-    /// Population size kept across rounds.
-    pub population: usize,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            rounds: 30,
-            candidates_per_round: 24,
-            measure_per_round: 2,
-            population: 8,
-            seed: 0,
-        }
-    }
-}
-
-/// Trace of one search run.
-#[derive(Debug, Clone)]
-pub struct SearchTrace {
-    /// Best measured latency (seconds) after each round — Fig 14b's curve.
-    pub best_per_round: Vec<f64>,
-    /// The best schedule found.
-    pub best_schedule: Schedule,
-    /// Total simulator measurements spent.
-    pub measurements: usize,
-}
-
-/// Runs the evolutionary search on one task nest.
-pub fn search_schedule(
-    nest: &Nest,
-    dev: &DeviceSpec,
-    cost: &dyn CostModel,
-    cfg: &SearchConfig,
-) -> SearchTrace {
-    let sim = Simulator::new(dev.clone());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut population: Vec<Schedule> = Vec::new();
-    let mut best_measured = f64::INFINITY;
-    let mut best_schedule = Schedule::default();
-    let mut best_per_round = Vec::with_capacity(cfg.rounds);
-    let mut measurements = 0usize;
-    for _ in 0..cfg.rounds {
-        // Propose candidates: mutations of the population + fresh samples.
-        let mut candidates: Vec<(Schedule, TensorProgram)> = Vec::new();
-        for i in 0..cfg.candidates_per_round {
-            let sched = if !population.is_empty() && i % 2 == 0 {
-                let parent = &population[i / 2 % population.len()];
-                mutate_schedule(nest, parent, &mut rng)
-            } else {
-                sample_schedule(nest, &mut rng)
-            };
-            if let Ok(prog) = lower(nest, &sched) {
-                candidates.push((sched, prog));
-            }
-        }
-        if candidates.is_empty() {
-            best_per_round.push(best_measured);
-            continue;
-        }
-        // Cost model ranks (one batched call per round); top-k get measured.
-        let progs: Vec<&TensorProgram> = candidates.iter().map(|(_, p)| p).collect();
-        let mut scored: Vec<(f64, usize)> = cost
-            .score_batch(&progs, dev)
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| (s, i))
-            .collect();
-        // Total order so non-scoreable candidates (NaN from a failed
-        // prediction) sort last — never measured — instead of panicking.
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for &(_, ci) in scored.iter().take(cfg.measure_per_round) {
-            let t = sim.latency_seconds(&candidates[ci].1);
-            measurements += 1;
-            if t < best_measured {
-                best_measured = t;
-                best_schedule = candidates[ci].0.clone();
-            }
-        }
-        // Population = schedules of the best-ranked candidates, deduped by
-        // schedule identity first: a parent and its no-op mutation would
-        // otherwise occupy two of the top-`population` slots and silently
-        // shrink the effective diversity.
-        population.clear();
-        for &(_, ci) in &scored {
-            if population.len() >= cfg.population {
-                break;
-            }
-            if !population.contains(&candidates[ci].0) {
-                population.push(candidates[ci].0.clone());
-            }
-        }
-        best_per_round.push(best_measured);
-    }
-    SearchTrace {
-        best_per_round,
-        best_schedule,
-        measurements,
     }
 }
 
@@ -506,64 +385,6 @@ mod tests {
         .canonical_nest()
     }
 
-    #[test]
-    fn search_improves_over_rounds() {
-        let cfg = SearchConfig {
-            rounds: 15,
-            ..Default::default()
-        };
-        let trace = search_schedule(&nest(), &devsim::t4(), &OracleCost, &cfg);
-        assert_eq!(trace.best_per_round.len(), 15);
-        let first = trace.best_per_round[0];
-        let last = *trace.best_per_round.last().unwrap();
-        assert!(last <= first);
-        // Monotone non-increasing curve.
-        for w in trace.best_per_round.windows(2) {
-            assert!(w[1] <= w[0]);
-        }
-    }
-
-    #[test]
-    fn oracle_beats_random_cost_model() {
-        let cfg = SearchConfig {
-            rounds: 20,
-            seed: 3,
-            ..Default::default()
-        };
-        let oracle = search_schedule(&nest(), &devsim::t4(), &OracleCost, &cfg);
-        let random = search_schedule(&nest(), &devsim::t4(), &RandomCost { seed: 3 }, &cfg);
-        assert!(
-            oracle.best_per_round.last().unwrap() <= random.best_per_round.last().unwrap(),
-            "oracle {:?} vs random {:?}",
-            oracle.best_per_round.last(),
-            random.best_per_round.last()
-        );
-    }
-
-    #[test]
-    fn best_schedule_is_valid_and_matches_best_latency() {
-        let cfg = SearchConfig {
-            rounds: 10,
-            ..Default::default()
-        };
-        let trace = search_schedule(&nest(), &devsim::v100(), &OracleCost, &cfg);
-        let prog = lower(&nest(), &trace.best_schedule).expect("best schedule lowers");
-        let t = Simulator::new(devsim::v100()).latency_seconds(&prog);
-        let best = *trace.best_per_round.last().unwrap();
-        assert!((t - best).abs() / best < 1e-9);
-    }
-
-    #[test]
-    fn measurement_budget_respected() {
-        let cfg = SearchConfig {
-            rounds: 7,
-            measure_per_round: 3,
-            ..Default::default()
-        };
-        let trace = search_schedule(&nest(), &devsim::t4(), &OracleCost, &cfg);
-        assert!(trace.measurements <= 21);
-    }
-
     fn gen_cfg() -> GenSearchConfig {
         GenSearchConfig {
             rounds: 4,
@@ -573,6 +394,32 @@ mod tests {
             seed: 7,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn oracle_beats_random_cost_model() {
+        let oracle = generational_search(&nest(), &devsim::t4(), &OracleCost, &gen_cfg());
+        let random =
+            generational_search(&nest(), &devsim::t4(), &RandomCost { seed: 3 }, &gen_cfg());
+        assert!(
+            oracle.best_measured <= random.best_measured,
+            "oracle {} vs random {}",
+            oracle.best_measured,
+            random.best_measured
+        );
+    }
+
+    #[test]
+    fn measurement_budget_respected() {
+        let cfg = gen_cfg();
+        let trace = generational_search(&nest(), &devsim::t4(), &OracleCost, &cfg);
+        // Every round lowers more candidates than it measures, so each one
+        // spends exactly its budget.
+        assert!(trace
+            .rounds
+            .iter()
+            .all(|r| r.unique >= cfg.measure_per_round));
+        assert_eq!(trace.measurements, cfg.rounds * cfg.measure_per_round);
     }
 
     #[test]

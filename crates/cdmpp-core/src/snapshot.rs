@@ -470,13 +470,10 @@ impl Snapshot {
     /// Captures a trained model plus compiled plans for the given leaf
     /// counts (compiling any that are not cached yet, so the snapshot ships
     /// pre-fused plans to runners that never see the recorder).
-    ///
-    /// Honors the `CDMPP_QUANT` override ([`crate::forced_quant_mode`]),
-    /// exactly like [`TrainedModel::freeze`] — capture and freeze are both
-    /// freeze boundaries, so a forced mode yields a frozen model and a
-    /// saved file with identical serving weights.
+    /// Its weights stay f32, like [`TrainedModel::freeze`]'s; see
+    /// [`Snapshot::capture_quantized`].
     pub fn capture(model: &TrainedModel, plan_leaves: &[usize]) -> PredictResult<Snapshot> {
-        Snapshot::capture_quantized(model, plan_leaves, crate::predictor::forced_quant_mode())
+        Snapshot::capture_quantized(model, plan_leaves, QuantMode::F32)
     }
 
     /// [`Snapshot::capture`] with an explicit weight-storage mode. With
@@ -1333,13 +1330,9 @@ impl InferenceModel {
         // fold could be refused for is checked now — `Plan::from_desc`
         // above leaves `specialize_cached` nothing to reject at an
         // in-range batch — so a hostile file fails at load, never at a
-        // first replay.
-        //
-        // Explicit `F32` mode: the file alone decides quantization.
-        // Honoring `CDMPP_QUANT` here would re-quantize loaded weights
-        // (not idempotent for i8) and break byte-canonical reserialization
-        // of pre-quantization files.
-        let shared = predictor.into_shared_quantized(QuantMode::F32);
+        // first replay. The file alone decides quantization: encodings
+        // installed from it are kept, never re-quantized.
+        let shared = predictor.into_shared();
         for entry in &snap.spec_plans {
             let spec_err = |reason: String| SnapshotError::Plan {
                 leaves: entry.leaves,

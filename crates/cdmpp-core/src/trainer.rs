@@ -649,36 +649,18 @@ impl TrainedModel {
         self.predict_samples(&enc)
     }
 
-    /// Predicts latencies (seconds) for pre-encoded (unscaled) samples.
-    /// Standardization happens during the batch-building copy, so samples
-    /// are never cloned wholesale.
+    /// Predicts latencies (seconds) for pre-encoded (unscaled) samples:
+    /// group by leaf count, standardize during the batch-building copy (so
+    /// samples are never cloned wholesale), replay each dense batch through
+    /// its compiled plan and scatter back to input order. Batches whose leaf
+    /// count the predictor does not support come back as NaN (the serving
+    /// engine in `runtime` surfaces the descriptive error instead).
     pub fn predict_samples(&self, enc: &[EncodedSample]) -> Vec<f64> {
-        self.predict_grouped(enc, |refs| {
-            crate::batch::build_scaled_batch(refs, &self.scaler)
-        })
-    }
-
-    /// Predicts latencies for samples already standardized by the model's
-    /// scaler (the training loop's internal path).
-    pub fn predict_scaled(&self, enc: &[EncodedSample]) -> Vec<f64> {
-        self.predict_grouped(enc, crate::batch::build_batch)
-    }
-
-    /// Shared bucketing loop: group by leaf count, replay each dense batch
-    /// through its compiled plan, scatter back to input order. Batches
-    /// whose leaf count the predictor does not support come back as NaN
-    /// (the serving engine in `runtime` surfaces the descriptive error
-    /// instead).
-    fn predict_grouped(
-        &self,
-        enc: &[EncodedSample],
-        build: impl Fn(&[&EncodedSample]) -> Batch,
-    ) -> Vec<f64> {
         let mut out = vec![0.0f64; enc.len()];
         let mut runner = crate::PlanRunner::new();
         for (_, idxs) in group_by_leaf(enc) {
             let refs: Vec<&EncodedSample> = idxs.iter().map(|&i| &enc[i]).collect();
-            let batch = build(&refs);
+            let batch = crate::batch::build_scaled_batch(&refs, &self.scaler);
             match self
                 .predictor
                 .predict_planned(&mut runner, &batch.x, &batch.dev)
@@ -722,9 +704,8 @@ impl TrainedModel {
 
     /// Freezes the model for serving: weights behind an `Arc`, transform
     /// and scaler cloned. The result is cheap to clone and safe to share
-    /// across any number of inference threads. Honors
-    /// [`crate::forced_quant_mode`]; see [`TrainedModel::freeze_quantized`]
-    /// to pick the weight storage format explicitly.
+    /// across any number of inference threads. Its weights stay f32; see
+    /// [`TrainedModel::freeze_quantized`] to pick the storage format.
     pub fn freeze(&self) -> InferenceModel {
         InferenceModel {
             predictor: self.predictor.share(),
@@ -789,7 +770,7 @@ impl InferenceModel {
 
     /// Predicts latencies (seconds) for pre-encoded, unscaled samples on
     /// the current thread, bucketing by leaf count. Unlike
-    /// [`TrainedModel::predict_scaled`] this propagates errors (e.g.
+    /// [`TrainedModel::predict_samples`] this propagates errors (e.g.
     /// [`crate::predictor::PredictError::LeafCountOutOfRange`]) instead of
     /// yielding NaN.
     pub fn predict_samples(&self, enc: &[EncodedSample]) -> PredictResult<Vec<f64>> {

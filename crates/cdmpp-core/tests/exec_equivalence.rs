@@ -19,32 +19,6 @@ use learn::TransformKind;
 use proptest::prelude::*;
 use tensor::Tensor;
 
-/// Compares frozen-side outputs against a training-side oracle. Bitwise
-/// by default; when `CDMPP_QUANT` forces quantized freezing the frozen
-/// side carries quantization error relative to the unquantized oracle, so
-/// the comparison switches to a loose tolerance. Frozen-vs-frozen
-/// comparisons stay `assert_eq!` — those are bitwise in every mode.
-fn freeze_close<A: Copy + Into<f64>>(got: &[A], want: &[A]) -> bool {
-    let quant_forced = cdmpp_core::forced_quant_mode() != tensor::QuantMode::F32;
-    got.len() == want.len()
-        && got.iter().zip(want).all(|(&g, &w)| {
-            let (g, w): (f64, f64) = (g.into(), w.into());
-            if quant_forced {
-                (g - w).abs() <= 0.15 * w.abs().max(1.0)
-            } else {
-                g == w
-            }
-        })
-}
-
-fn freeze_close_rows<A: Copy + Into<f64>>(got: &[Vec<A>], want: &[Vec<A>]) -> bool {
-    got.len() == want.len()
-        && got
-            .iter()
-            .zip(want)
-            .all(|(g, w)| freeze_close(g.as_slice(), w.as_slice()))
-}
-
 fn inputs(b: usize, l: usize, seed: u64) -> (Tensor, Tensor) {
     // Deterministic pseudo-random inputs spanning a wide value range.
     let gen = |i: usize, salt: u64| -> f32 {
@@ -89,7 +63,7 @@ proptest! {
         prop_assert!(shared.register_batch_class(b));
         let mut spec_runner = PlanRunner::new();
         let spec = shared.predict_planned(&mut spec_runner, &x, &dev).unwrap();
-        prop_assert!(freeze_close(&spec, &planned), "specialized vs generic plan");
+        prop_assert_eq!(&spec, &planned, "specialized vs generic plan");
         prop_assert_eq!(spec_runner.spec_exec_count(), 1, "class batch must route specialized");
         // An off-class batch size falls back to the generic plan and
         // still matches the tape.
@@ -97,7 +71,7 @@ proptest! {
         let (x2, dev2) = inputs(b2, l, seed ^ 0x5bd1);
         let off_class = shared.predict_planned(&mut spec_runner, &x2, &dev2).unwrap();
         let taped2 = p.predict_batch(x2.clone(), dev2.clone()).unwrap();
-        prop_assert!(freeze_close(&off_class, &taped2), "off-class fallback vs tape");
+        prop_assert_eq!(&off_class, &taped2, "off-class fallback vs tape");
 
         // Fourth executor column: plans restored from snapshot bytes —
         // generic plan re-validated from its descriptor, specialized plan
@@ -122,9 +96,8 @@ proptest! {
             .predictor
             .predict_planned(&mut cold_runner, &x, &dev)
             .unwrap();
-        // Frozen vs frozen: `capture` quantizes exactly like `share`, so
-        // the restored model matches the live frozen handle bitwise even
-        // under a forced quant mode.
+        // Frozen vs frozen: the restored model matches the live frozen
+        // handle bitwise.
         prop_assert_eq!(&from_file, &spec, "snapshot-restored specialized vs live frozen plan");
         prop_assert_eq!(cold_runner.spec_exec_count(), 1, "class batch must route specialized");
         let from_file_off = loaded
@@ -151,7 +124,7 @@ proptest! {
         let mut runner = PlanRunner::new();
         let planned = shared.latent_planned(&mut runner, &x, &dev).unwrap();
         let taped = p.latent_batch(x, dev).unwrap();
-        prop_assert!(freeze_close_rows(&planned, &taped), "frozen planned latents vs tape");
+        prop_assert_eq!(planned, taped, "frozen planned latents vs tape");
     }
 
     #[test]
@@ -176,7 +149,7 @@ proptest! {
             let (x, dev) = inputs(b, l, seeds[i]);
             let planned = shared.predict_planned(&mut runner, &x, &dev).unwrap();
             let taped = p.predict_batch(x, dev).unwrap();
-            prop_assert!(freeze_close(&planned, &taped), "frozen planned vs tape");
+            prop_assert_eq!(planned, taped, "frozen planned vs tape");
         }
         prop_assert_eq!(
             runner.alloc_count(),
@@ -219,10 +192,7 @@ fn frozen_serving_matches_training_side_plans_with_and_without_pe() {
         // Training side: generic plans. Frozen side: folds.
         let via_generic = model.predict_samples(&enc);
         let via_plan = model.freeze().predict_samples(&enc).unwrap();
-        assert!(
-            freeze_close(&via_generic, &via_plan),
-            "use_pe = {use_pe}: {via_generic:?} vs {via_plan:?}"
-        );
+        assert_eq!(via_generic, via_plan, "use_pe = {use_pe}");
         assert!(via_plan.iter().all(|v| v.is_finite()));
     }
 }

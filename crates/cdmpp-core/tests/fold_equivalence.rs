@@ -8,8 +8,8 @@
 //! operands of `-0.0`.
 //!
 //! All three executors read one frozen store, so the comparison is
-//! frozen-vs-frozen and stays bitwise under `CDMPP_QUANT` (the quantized
-//! CI job) as well as under `CDMPP_SIMD=scalar` (the oracle tier).
+//! frozen-vs-frozen and stays bitwise under `CDMPP_SIMD=scalar` (the
+//! oracle tier) as well.
 
 use cdmpp_core::{PlanRunner, Predictor, PredictorConfig, SharedPredictor, DEFAULT_MAX_BATCH};
 use features::{N_DEVICE_FEATURES, N_ENTRY};

@@ -307,11 +307,6 @@ impl LstmCell {
         }
     }
 
-    /// Hidden size.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
     /// One step: `(x [B, in], h [B, H], c [B, H]) -> (h', c')`.
     pub fn step<E: Exec>(
         &self,

@@ -488,11 +488,6 @@ impl TrainPlan {
         self.n_outputs
     }
 
-    /// Number of gradient seeds [`TrainExec::backward`] expects.
-    pub fn num_seeds(&self) -> usize {
-        self.seeded.len()
-    }
-
     /// The shape of output `i` at batch size `b`.
     pub fn output_shape(&self, i: usize, b: usize) -> Vec<usize> {
         assert!(i < self.n_outputs, "output index out of range");

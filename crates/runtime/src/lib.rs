@@ -740,23 +740,6 @@ impl InferenceEngine {
             Err((PushError::Closed, _job)) => Err(()),
         }
     }
-
-    /// Encodes and scores standalone tensor programs for a device,
-    /// returning predicted latencies (seconds) in input order.
-    pub fn predict_programs(
-        &self,
-        progs: &[&TensorProgram],
-        dev: &DeviceSpec,
-    ) -> Result<Vec<f64>, EngineError> {
-        let served = self.served();
-        let enc = encode_programs(
-            progs,
-            dev,
-            served.model.predictor.config().theta,
-            served.model.use_pe,
-        );
-        self.predict_samples(&enc)
-    }
 }
 
 impl InferenceEngine {

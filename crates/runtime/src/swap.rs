@@ -102,12 +102,6 @@ impl InferenceEngine {
         let model = InferenceModel::from_snapshot_file(path).map_err(EngineError::Snapshot)?;
         self.swap_model(model)
     }
-
-    /// [`InferenceEngine::swap_snapshot`] from in-memory snapshot bytes.
-    pub fn swap_snapshot_bytes(&self, bytes: &[u8]) -> Result<u64, EngineError> {
-        let model = InferenceModel::from_snapshot_bytes(bytes).map_err(EngineError::Snapshot)?;
-        self.swap_model(model)
-    }
 }
 
 /// Polls a snapshot file for changes and hot-swaps the engine when it is

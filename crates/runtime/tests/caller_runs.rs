@@ -17,10 +17,11 @@ use cdmpp_core::{InferenceModel, Predictor, PredictorConfig, TrainConfig, Traine
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use learn::TransformKind;
 use runtime::{EngineConfig, EngineError, FaultPlan, InferenceEngine, SubmitOptions};
+use tensor::QuantMode;
 
 const MAX_BATCH: usize = 8;
 
-fn frozen(seed: u64, transform: TransformKind) -> InferenceModel {
+fn frozen(seed: u64, transform: TransformKind, quant: QuantMode) -> InferenceModel {
     TrainedModel {
         predictor: Predictor::new(PredictorConfig {
             seed,
@@ -31,7 +32,7 @@ fn frozen(seed: u64, transform: TransformKind) -> InferenceModel {
         use_pe: true,
         train_config: TrainConfig::default(),
     }
-    .freeze()
+    .freeze_quantized(quant)
 }
 
 fn sample(leaves: usize, salt: usize) -> EncodedSample {
@@ -53,8 +54,13 @@ fn mixed(n: usize, kinds: usize) -> Vec<EncodedSample> {
 }
 
 fn engine(faults: &str, cfg: EngineConfig) -> InferenceEngine {
+    quant_engine(QuantMode::F32, faults, cfg)
+}
+
+/// [`engine`] serving weights stored as `quant`.
+fn quant_engine(quant: QuantMode, faults: &str, cfg: EngineConfig) -> InferenceEngine {
     InferenceEngine::new(
-        frozen(0, TransformKind::None),
+        frozen(0, TransformKind::None, quant),
         EngineConfig {
             max_batch: MAX_BATCH,
             faults: Some(FaultPlan::parse(faults).unwrap()),
@@ -82,31 +88,35 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 
 #[test]
 fn every_size_across_the_boundary_matches_serial_bitwise() {
-    let eng = engine(
-        "",
-        EngineConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    );
-    let model = eng.model();
-    let mut completed = 0;
-    for n in 1..=MAX_BATCH + 1 {
-        let enc = mixed(n, 5);
-        let want = model.predict_samples(&enc).unwrap();
-        let before = eng.caller_chunks();
-        let got = eng.predict_samples(&enc).unwrap();
-        assert_eq!(bits(&got), bits(&want), "{n} samples");
-        let s = eng.stats();
-        if n <= MAX_BATCH {
-            let buckets = n.min(5) as u64;
-            assert_eq!(eng.caller_chunks() - before, buckets, "{n} samples");
-            assert_eq!(s.queue_depth_hw, 0, "{n} samples: nothing was queued");
-            completed += buckets;
-            assert_eq!(s.completed_chunks, completed, "{n} samples");
-        } else {
-            assert_eq!(eng.caller_chunks(), before, "above the class: queued");
-            assert!(s.queue_depth_hw >= 1, "{s}");
+    for quant in [QuantMode::F32, QuantMode::I8] {
+        let eng = quant_engine(
+            quant,
+            "",
+            EngineConfig {
+                workers: 2,
+                ..Default::default()
+            },
+        );
+        let model = eng.model();
+        assert_eq!(model.predictor.quant_kind(), quant == QuantMode::I8);
+        let mut completed = 0;
+        for n in 1..=MAX_BATCH + 1 {
+            let enc = mixed(n, 5);
+            let want = model.predict_samples(&enc).unwrap();
+            let before = eng.caller_chunks();
+            let got = eng.predict_samples(&enc).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{quant:?}, {n} samples");
+            let s = eng.stats();
+            if n <= MAX_BATCH {
+                let buckets = n.min(5) as u64;
+                assert_eq!(eng.caller_chunks() - before, buckets, "{n} samples");
+                assert_eq!(s.queue_depth_hw, 0, "{n} samples: nothing was queued");
+                completed += buckets;
+                assert_eq!(s.completed_chunks, completed, "{n} samples");
+            } else {
+                assert_eq!(eng.caller_chunks(), before, "above the class: queued");
+                assert!(s.queue_depth_hw >= 1, "{s}");
+            }
         }
     }
 }
@@ -196,22 +206,25 @@ fn delayed_chunk_past_its_deadline_is_shed_alone() {
 #[test]
 fn swap_between_two_calls_serves_each_its_own_generation() {
     let enc = mixed(MAX_BATCH, 3);
-    let model_b = frozen(7, TransformKind::BoxCox);
-    let want_b = model_b.predict_samples(&enc).unwrap();
-    let eng = engine(
-        "",
-        EngineConfig {
-            workers: 1,
-            ..Default::default()
-        },
-    );
-    let want_a = eng.model().predict_samples(&enc).unwrap();
-    assert_ne!(bits(&want_a), bits(&want_b), "fixture models must differ");
-    assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), bits(&want_a));
-    assert_eq!(eng.swap_model(model_b).unwrap(), 1);
-    // The same caller-side runner now replays the new generation's plans.
-    assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), bits(&want_b));
-    assert_eq!(eng.caller_chunks(), 6);
+    for quant in [QuantMode::F32, QuantMode::I8] {
+        let model_b = frozen(7, TransformKind::BoxCox, quant);
+        let want_b = model_b.predict_samples(&enc).unwrap();
+        let eng = quant_engine(
+            quant,
+            "",
+            EngineConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        let want_a = eng.model().predict_samples(&enc).unwrap();
+        assert_ne!(bits(&want_a), bits(&want_b), "fixture models must differ");
+        assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), bits(&want_a));
+        assert_eq!(eng.swap_model(model_b).unwrap(), 1);
+        // The same caller-side runner now replays the new generation's plans.
+        assert_eq!(bits(&eng.predict_samples(&enc).unwrap()), bits(&want_b));
+        assert_eq!(eng.caller_chunks(), 6, "{quant:?}");
+    }
 }
 
 #[test]

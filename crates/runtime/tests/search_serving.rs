@@ -1,6 +1,6 @@
 //! Engine-backed schedule search: the [`EngineCostModel`] scoring path
-//! must be bit-identical to the serial `TrainedModel` cost model (invalid
-//! candidates ranking INFINITY per the engine convention), its encode
+//! must be bit-identical to the serial frozen-model cost model (invalid
+//! candidates ranking INFINITY on both), its encode
 //! arena must stop allocating after warmup, and a generational search
 //! driven through a fault-injected engine must converge
 //! to exactly the same trace as a clean serial run — faults heal, they
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use runtime::{EngineConfig, EngineCostModel, FaultPlan, InferenceEngine};
 use tir::{lower, sample_schedule, OpSpec, TensorProgram};
 
-fn trained(max_leaves: usize) -> TrainedModel {
+fn frozen(max_leaves: usize) -> InferenceModel {
     TrainedModel {
         predictor: Predictor::new(PredictorConfig {
             max_leaves,
@@ -30,10 +30,7 @@ fn trained(max_leaves: usize) -> TrainedModel {
         use_pe: true,
         train_config: TrainConfig::default(),
     }
-}
-
-fn frozen(max_leaves: usize) -> InferenceModel {
-    trained(max_leaves).freeze()
+    .freeze()
 }
 
 /// Deterministic candidate mix across three op shapes (leaf counts 2-4),
@@ -72,12 +69,9 @@ fn candidate_programs(seed: u64, count: usize) -> Vec<TensorProgram> {
 fn engine_cost_model_matches_trained_model_bitwise() {
     // max_leaves = 3: the 3-leaf Dense candidates are valid, the 4-leaf
     // Softmax ones are not — the mix exercises both branches.
-    let reference = trained(3);
-    // The serial reference serves f32 weights, so pin the engine's freeze
-    // to f32 explicitly — under a forced CDMPP_QUANT the quantization
-    // delta would otherwise (correctly) break bit-identity.
+    let reference = frozen(3);
     let engine = Arc::new(InferenceEngine::new(
-        trained(3).freeze_quantized(tensor::QuantMode::F32),
+        frozen(3),
         EngineConfig {
             workers: 2,
             max_batch: 4,
@@ -95,20 +89,16 @@ fn engine_cost_model_matches_trained_model_bitwise() {
         let got = cost.score_batch(&refs, &dev);
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            if w.is_nan() {
-                // TrainedModel NaNs unsupported leaf counts; the engine
-                // convention ranks them INFINITY (sorts last either way,
-                // but INFINITY composes with total_cmp ranking).
-                assert_eq!(*g, f64::INFINITY, "round {round}, candidate {i}");
-                invalid += 1;
-            } else {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "round {round}, candidate {i}: engine-scored must be \
-                     bit-identical to the serial cost model"
-                );
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "round {round}, candidate {i}: engine-scored must be \
+                 bit-identical to the serial cost model"
+            );
+            if w.is_finite() {
                 valid += 1;
+            } else {
+                invalid += 1;
             }
         }
     }

@@ -206,11 +206,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the single element of a one-element tensor.
     ///
     /// # Panics

@@ -57,7 +57,7 @@ impl QuantMode {
         }
     }
 
-    /// Parses a mode name (the CLI `--quant` / `CDMPP_QUANT` values).
+    /// Parses a mode name (the CLI `--quant` values).
     pub fn parse(s: &str) -> Option<QuantMode> {
         match s.to_ascii_lowercase().as_str() {
             "f32" => Some(QuantMode::F32),

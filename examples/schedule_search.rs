@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example schedule_search`
 
+use cdmpp::core::{generational_search, GenSearchConfig, ProposerMix};
 use cdmpp::prelude::*;
 
 fn main() {
@@ -41,16 +42,24 @@ fn main() {
     let naive = sim.latency_seconds(&lower(&nest, &Schedule::default()).expect("lowers"));
     println!("canonical schedule: {:.1} us", naive * 1e6);
 
-    let cfg = SearchConfig {
+    let cfg = GenSearchConfig {
         rounds: 30,
+        candidates_per_round: 24,
+        measure_per_round: 2,
+        population: 8,
+        mix: ProposerMix {
+            mutation: 1,
+            crossover: 0,
+            fresh: 1,
+        },
         ..Default::default()
     };
-    let trace = search_schedule(&nest, &dev, &model, &cfg);
+    let trace = generational_search(&nest, &dev, &model.freeze(), &cfg);
     println!("search trace (best measured so far):");
-    for (i, t) in trace.best_per_round.iter().enumerate().step_by(5) {
-        println!("  round {:>3}: {:.1} us", i + 1, t * 1e6);
+    for (i, r) in trace.rounds.iter().enumerate().step_by(5) {
+        println!("  round {:>3}: {:.1} us", i + 1, r.best_measured * 1e6);
     }
-    let best = trace.best_per_round.last().expect("rounds > 0");
+    let best = trace.best_measured;
     println!(
         "\nbest found: {:.1} us ({:.1}x speedup over canonical, {} measurements)",
         best * 1e6,

@@ -73,9 +73,9 @@ pub use tir;
 /// The most common imports in one place.
 pub mod prelude {
     pub use cdmpp_core::{
-        autotune, end_to_end, evaluate, finetune, measured_end_to_end, pretrain, replay,
-        search_schedule, select_tasks, CostModel, EvalMetrics, FineTuneConfig, InferenceModel,
-        PredictError, Predictor, PredictorConfig, SearchConfig, TrainConfig, TrainedModel,
+        end_to_end, evaluate, finetune, measured_end_to_end, pretrain, replay, select_tasks,
+        CostModel, EvalMetrics, FineTuneConfig, InferenceModel, PredictError, Predictor,
+        PredictorConfig, TrainConfig, TrainedModel,
     };
     pub use dataset::{Dataset, GenConfig, Record, SplitIndices};
     pub use devsim::{DeviceClass, DeviceSpec, Simulator};

@@ -1,7 +1,25 @@
 //! Integration tests for the replayer (Algorithm 2) and the
 //! cost-model-guided schedule search.
 
+use cdmpp::core::{generational_search, GenSearchConfig, ProposerMix};
 use cdmpp::prelude::*;
+
+/// The schedule-search budget of the Fig 14b reproduction: 24 candidates a
+/// round, half mutations and half fresh samples, the top 2 measured.
+fn search_cfg(rounds: usize) -> GenSearchConfig {
+    GenSearchConfig {
+        rounds,
+        candidates_per_round: 24,
+        measure_per_round: 2,
+        population: 8,
+        mix: ProposerMix {
+            mutation: 1,
+            crossover: 0,
+            fresh: 1,
+        },
+        ..Default::default()
+    }
+}
 
 #[test]
 fn replayed_e2e_time_is_at_least_the_critical_path() {
@@ -69,16 +87,8 @@ fn oracle_guided_search_beats_canonical_schedule() {
     let dev = cdmpp::devsim::t4();
     let sim = Simulator::new(dev.clone());
     let canonical = sim.latency_seconds(&lower(&nest, &Schedule::default()).unwrap());
-    let trace = search_schedule(
-        &nest,
-        &dev,
-        &cdmpp::core::OracleCost,
-        &SearchConfig {
-            rounds: 20,
-            ..Default::default()
-        },
-    );
-    let best = *trace.best_per_round.last().unwrap();
+    let trace = generational_search(&nest, &dev, &cdmpp::core::OracleCost, &search_cfg(20));
+    let best = trace.best_measured;
     assert!(best < canonical, "search {best} vs canonical {canonical}");
     // The reported best schedule must reproduce the reported latency.
     let prog = lower(&nest, &trace.best_schedule).unwrap();
@@ -121,18 +131,15 @@ fn trained_model_is_a_usable_cost_model() {
         k: 64,
     }
     .canonical_nest();
-    let trace = search_schedule(
+    let trace = generational_search(
         &nest,
         &cdmpp::devsim::t4(),
-        &model,
-        &SearchConfig {
-            rounds: 10,
-            ..Default::default()
-        },
+        &model.freeze(),
+        &search_cfg(10),
     );
-    assert_eq!(trace.best_per_round.len(), 10);
+    assert_eq!(trace.rounds.len(), 10);
     assert!(trace
-        .best_per_round
+        .rounds
         .iter()
-        .all(|t| t.is_finite() && *t > 0.0));
+        .all(|r| r.best_measured.is_finite() && r.best_measured > 0.0));
 }
