@@ -1,6 +1,6 @@
 //! A small shared MLP-regressor used by the Habitat and TLP baselines.
 
-use nn::{Adam, Graph, Mlp, Optimizer, ParamStore};
+use nn::{clip_and_step, Adam, Graph, Mlp, ParamStore};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -89,8 +89,7 @@ impl MlpRegressor {
                     continue;
                 }
                 let _ = g.write_param_grads(&mut self.store);
-                self.store.clip_grad_norm(5.0);
-                opt.step(&mut self.store);
+                clip_and_step(&mut self.store, &mut opt, 5.0);
             }
         }
         last

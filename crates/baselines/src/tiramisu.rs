@@ -9,7 +9,7 @@
 //! distinct structure, which is exactly the inefficiency §7.2 measures.
 //! Trained with a MAPE objective, Tiramisu's default.
 
-use nn::{Adam, Graph, Linear, LstmCell, Mlp, Optimizer, ParamStore, Var};
+use nn::{clip_and_step, Adam, Graph, Linear, LstmCell, Mlp, ParamStore, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::Tensor;
@@ -188,8 +188,7 @@ impl TiramisuModel {
                     continue;
                 }
                 let _ = g.write_param_grads(&mut self.store);
-                self.store.clip_grad_norm(5.0);
-                opt.step(&mut self.store);
+                clip_and_step(&mut self.store, &mut opt, 5.0);
                 processed += 1;
             }
         }

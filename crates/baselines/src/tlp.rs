@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use features::tlp_features;
-use nn::{Adam, Graph, Linear, Mlp, Optimizer, ParamStore};
+use nn::{clip_and_step, Adam, Graph, Linear, Mlp, ParamStore};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -166,8 +166,7 @@ impl TlpModel {
                         continue;
                     }
                     let _ = g.write_param_grads(&mut self.store);
-                    self.store.clip_grad_norm(5.0);
-                    opt.step(&mut self.store);
+                    clip_and_step(&mut self.store, &mut opt, 5.0);
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! after CMD fine-tuning the distributions overlap. Reported here as
 //! t-SNE separation scores and raw CMD values per device pair.
 
-use bench::{standard_dataset, train_cdmpp};
+use bench::{claim_check, standard_dataset, train_cdmpp};
 use cdmpp_core::{finetune, latent_cmd, FineTuneConfig};
 use dataset::SplitIndices;
 use learn::tsne::{separation_score, tsne};
@@ -39,6 +39,7 @@ fn main() {
         .map(|_| 0)
         .chain((0..tgt_sample.len()).map(|_| 1))
         .collect();
+    let mut rows = Vec::new();
     for (name, model) in [("before finetuning", &base), ("after finetuning", &tuned)] {
         let mut z = model.latents(&ds, &src_sample);
         z.extend(model.latents(&ds, &tgt_sample));
@@ -47,6 +48,13 @@ fn main() {
         let sep = separation_score(&emb, &groups);
         let cmd = latent_cmd(model, &ds, &src_sample, &tgt_sample, 3);
         println!("Fig 11 {name:>18}: GPU-vs-EPYC t-SNE separation {sep:.3}  CMD {cmd:.4}");
+        rows.push((sep, cmd));
     }
-    println!("\nclaim check: separation and CMD both drop after fine-tuning.");
+    let [(sep0, cmd0), (sep1, cmd1)] = [rows[0], rows[1]];
+    println!();
+    claim_check(
+        "separation and CMD both drop after fine-tuning",
+        sep1 < sep0 && cmd1 < cmd0,
+        &format!("separation {sep0:.3} -> {sep1:.3}, CMD {cmd0:.4} -> {cmd1:.4}"),
+    );
 }

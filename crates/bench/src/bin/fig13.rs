@@ -5,7 +5,9 @@
 //! KMeans consistently below random; the error stops improving past ~50
 //! sampled tasks.
 
-use bench::{pct, print_header, print_row, records_by_task, standard_dataset, train_cdmpp};
+use bench::{
+    claim_check, pct, print_header, print_row, records_by_task, standard_dataset, train_cdmpp,
+};
 use cdmpp_core::{evaluate, finetune, select_tasks, FineTuneConfig};
 use dataset::SplitIndices;
 use rand::rngs::StdRng;
@@ -44,7 +46,9 @@ fn main() {
     println!("Fig 13: MAPE on {target} after fine-tuning with sampled tasks\n");
     let widths = [10, 14, 14];
     print_header(&["#tasks", "KMeans", "Random(avg 3)"], &widths);
-    for kappa in [5usize, 10, 20, 50] {
+    let budgets = [5usize, 10, 20, 50];
+    let mut rows = Vec::new();
+    for kappa in budgets {
         let run = |chosen: &[u32], seed: u64| -> f64 {
             let labeled: Vec<usize> = tgt_split
                 .train
@@ -76,8 +80,28 @@ fn main() {
             racc += run(&pool, rs);
         }
         print_row(&[kappa.to_string(), pct(km), pct(racc / 3.0)], &widths);
+        rows.push((km, racc / 3.0));
     }
-    println!(
-        "\nclaim check: KMeans ≤ random at every budget; improvement flattens at large budgets."
+    let table: Vec<String> = budgets
+        .iter()
+        .zip(&rows)
+        .map(|(k, (km, r))| format!("{k}: {} vs {}", pct(*km), pct(*r)))
+        .collect();
+    println!();
+    claim_check(
+        "KMeans ≤ random at every budget",
+        rows.iter().all(|(km, r)| km <= r),
+        &format!("KMeans vs random by budget: {}", table.join(", ")),
+    );
+    // Error gained back by the first budget step and by the last.
+    let (first, last) = (rows[0].0 - rows[1].0, rows[2].0 - rows[3].0);
+    claim_check(
+        "KMeans's improvement flattens at large budgets (20 -> 50 tasks gains less than 5 -> 10)",
+        last < first,
+        &format!(
+            "MAPE drop 5 -> 10 tasks {}, 20 -> 50 tasks {}",
+            pct(first),
+            pct(last)
+        ),
     );
 }

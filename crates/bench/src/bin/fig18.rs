@@ -5,7 +5,7 @@
 //! latent distributions, for both cross-model (a) and cross-device (b)
 //! settings. We report the (CMD, error) series and their correlation.
 
-use bench::{standard_dataset, train_cdmpp};
+use bench::{claim_check, standard_dataset, train_cdmpp};
 use cdmpp_core::{evaluate, latent_cmd};
 use dataset::SplitIndices;
 use learn::spearman;
@@ -56,9 +56,11 @@ fn main() {
         cmds.push(cmd);
         errs.push(err);
     }
-    println!(
-        "\nSpearman(CMD, error) over all subsets: {:.3}",
-        spearman(&cmds, &errs)
+    let rho = spearman(&cmds, &errs);
+    println!("\nSpearman(CMD, error) over all subsets: {rho:.3}");
+    claim_check(
+        "positive correlation — larger latent CMD, larger test error",
+        rho > 0.0,
+        &format!("Spearman {rho:.3} over {} subsets", cmds.len()),
     );
-    println!("claim check: positive correlation — larger latent CMD, larger test error.");
 }

@@ -4,7 +4,7 @@
 //! (Fig 2a) while leaf counts stay in a small range (Fig 2b) — the
 //! observation that motivates compact ASTs.
 
-use bench::standard_dataset;
+use bench::{claim_check, standard_dataset};
 use dataset::histogram;
 
 fn main() {
@@ -47,9 +47,11 @@ fn main() {
         leaves.iter().cloned().fold(f64::MIN, f64::max),
     );
     println!("  range: {lmin:.0}..{lmax:.0}");
-    println!(
-        "\nclaim check: leaf range ({:.0}) << node range ({:.0})",
-        lmax - lmin,
-        nmax - nmin
+    let (leaf_range, node_range) = (lmax - lmin, nmax - nmin);
+    println!();
+    claim_check(
+        "leaf range << node range (at least 10x narrower)",
+        leaf_range * 10.0 <= node_range,
+        &format!("leaf range {leaf_range:.0}, node range {node_range:.0}"),
     );
 }

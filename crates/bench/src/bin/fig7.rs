@@ -6,7 +6,9 @@
 //! CMD objective using the target network's *input features only* (§5.3,
 //! §7.6). Paper: CDMPP lowest error on both the T4 and EPYC panels.
 
-use bench::{fit_gbt, fit_tiramisu, pct, print_header, print_row, standard_dataset, train_cdmpp};
+use bench::{
+    claim_check, fit_gbt, fit_tiramisu, pct, print_header, print_row, standard_dataset, train_cdmpp,
+};
 use cdmpp_core::{evaluate, finetune, FineTuneConfig};
 use dataset::SplitIndices;
 use tir::HOLD_OUT;
@@ -20,6 +22,8 @@ fn main() {
         &["Device", "Target net", "CDMPP", "XGBoost", "Tiramisu"],
         &widths,
     );
+    // (device, target) pairs where CDMPP's error is not the lowest.
+    let (mut pairs, mut beaten) = (0usize, Vec::new());
     for dev in &devices {
         let split = SplitIndices::for_device(&ds, &dev.name, &HOLD_OUT, bench::EXP_SEED);
         let (base_model, _) = train_cdmpp(&ds, &split, bench::epochs());
@@ -46,6 +50,16 @@ fn main() {
             let c = evaluate(&model, &ds, &tgt_idx);
             let x = gbt.eval(&ds, &tgt_idx);
             let t = tira.eval(&ds, &tgt_idx);
+            pairs += 1;
+            if !(c.mape <= x.mape && c.mape <= t.mape) {
+                beaten.push(format!(
+                    "{}/{target} {} vs XGBoost {} / Tiramisu {}",
+                    dev.name,
+                    pct(c.mape),
+                    pct(x.mape),
+                    pct(t.mape)
+                ));
+            }
             print_row(
                 &[
                     dev.name.clone(),
@@ -58,5 +72,14 @@ fn main() {
             );
         }
     }
-    println!("\nclaim check: CDMPP achieves the lowest error for every (device, target) pair.");
+    println!();
+    claim_check(
+        "CDMPP achieves the lowest error for every (device, target) pair",
+        pairs > 0 && beaten.is_empty(),
+        &format!(
+            "not lowest on {} of {pairs}: {}",
+            beaten.len(),
+            beaten.join("; ")
+        ),
+    );
 }

@@ -4,8 +4,14 @@
 //! (`B = 48` per domain), each cut into its phases — the replayed forward
 //! (`TrainExec::forward`), the loss head on a tape, the replayed backward
 //! (`TrainExec::backward`), and zeroing, clipping and the Adam update —
-//! plus what a round pays once: `encode_records` over the source training
-//! records and compiling a fresh predictor's training plans.
+//! plus the whole step as the library runs it (`CompiledStep::step_sharded`
+//! per batch; `finetune`'s wall time less that of a zero-step `finetune`,
+//! per step) and what a round pays once: `encode_records` over the source
+//! training records and compiling a fresh predictor's training plans.
+//!
+//! The phase columns time the step cut open, with the loss head built on
+//! a tape over copies of the replayed outputs as the library once ran it;
+//! the whole-step column times whatever the library runs now.
 //!
 //! ```text
 //! cargo run --release -p cdmpp-core --example train_step_phases            # ~20 s
@@ -14,15 +20,17 @@
 //!
 //! A phase's figure is the median over rounds of its mean µs per step in
 //! the round; one thread. Public API only, so the same file builds against
-//! an older commit for a before/after table.
+//! an older commit for a before/after table: the whole-step column is the
+//! one that moves.
 
 use std::time::Instant;
 
 use cdmpp_core::batch::FeatScaler;
 use cdmpp_core::trainer::build_loss;
 use cdmpp_core::{
-    build_batch, encode_records, group_by_leaf, make_batches, Batch, EncodedSample, FineTuneConfig,
-    Predictor, PredictorConfig, StepSeeds, TrainConfig,
+    build_batch, encode_records, finetune, group_by_leaf, make_batches, Batch, CompiledStep,
+    EncodedSample, FineTuneConfig, Predictor, PredictorConfig, StepSeeds, TrainConfig,
+    TrainedModel,
 };
 use dataset::{Dataset, GenConfig, SplitIndices};
 use learn::{FittedTransform, LabelTransform, TransformKind};
@@ -229,6 +237,56 @@ fn finetune_steps(
     ph
 }
 
+/// µs per step of `CompiledStep::step_sharded` over one epoch.
+fn pretrain_whole(
+    predictor: &mut Predictor,
+    opt: &mut Adam,
+    batches: &[Batch],
+    transform: &FittedTransform,
+    stepper: &mut CompiledStep,
+) -> f64 {
+    let tcfg = TrainConfig::default();
+    let (mut secs, mut y) = (0.0, Vec::new());
+    for b in batches {
+        y.clear();
+        y.extend(b.y_raw.iter().map(|&y| transform.forward(y) as f32));
+        let loss = timed(&mut secs, || {
+            stepper.step_sharded(predictor, opt, b, &y, tcfg.loss, tcfg.lambda)
+        });
+        assert!(loss.is_finite(), "a pre-training step diverged");
+    }
+    secs * 1e6 / batches.len() as f64
+}
+
+/// µs per step of `finetune` (target labels used): its wall time over
+/// `steps` steps less that of a zero-step call (encoding and grouping).
+fn finetune_whole(
+    model: &TrainedModel,
+    ds: &Dataset,
+    (src, tgt): (&[usize], &[usize]),
+    steps: usize,
+    seed: u64,
+) -> f64 {
+    let cfg = FineTuneConfig {
+        steps,
+        use_target_labels: true,
+        seed,
+        ..Default::default()
+    };
+    let run = |steps| {
+        let mut m = model.clone();
+        let cfg = FineTuneConfig {
+            steps,
+            ..cfg.clone()
+        };
+        let mut secs = 0.0;
+        timed(&mut secs, || finetune(&mut m, ds, src, tgt, &cfg));
+        secs
+    };
+    let setup = run(0);
+    (run(steps) - setup).max(0.0) * 1e6 / steps as f64
+}
+
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     v[v.len() / 2]
@@ -252,7 +310,7 @@ fn main() {
 
     let mut encode_ms = Vec::new();
     let mut compile_ms = Vec::new();
-    let mut rows: Vec<[Vec<f64>; 5]> = vec![Default::default(), Default::default()];
+    let mut rows: Vec<[Vec<f64>; 6]> = vec![Default::default(), Default::default()];
     for round in 0..rounds {
         let t = Instant::now();
         let mut src = encode_records(&ds, &src_train, pcfg.theta, tcfg.use_pe);
@@ -286,6 +344,19 @@ fn main() {
         // A warm-up epoch sizes every arena; the next one is timed.
         pretrain_epoch(&mut predictor, &mut opt, &batches, &transform, &mut execs);
         let pre = pretrain_epoch(&mut predictor, &mut opt, &batches, &transform, &mut execs);
+        let mut stepper = CompiledStep::new();
+        let (p, o) = (&mut predictor, &mut opt);
+        pretrain_whole(p, o, &batches, &transform, &mut stepper);
+        let pre_whole = pretrain_whole(p, o, &batches, &transform, &mut stepper);
+        let model = TrainedModel {
+            predictor: predictor.clone(),
+            transform: transform.clone(),
+            scaler: scaler.clone(),
+            use_pe: tcfg.use_pe,
+            train_config: tcfg.clone(),
+        };
+        let idx = (src_train.as_slice(), tgt_train.as_slice());
+        let fine_whole = finetune_whole(&model, &ds, idx, ft_steps, round as u64);
         let mut ft_opt = Adam::new(FineTuneConfig::default().lr);
         let mut ft_execs = Vec::new();
         let mut ft = |steps| {
@@ -294,16 +365,27 @@ fn main() {
         };
         ft(ft_steps.min(8));
         let fine = ft(ft_steps);
-        for (row, ph) in rows.iter_mut().zip([pre, fine]) {
+        for ((row, ph), whole) in rows
+            .iter_mut()
+            .zip([pre, fine])
+            .zip([pre_whole, fine_whole])
+        {
             for (col, v) in row.iter_mut().zip(ph.per_step_us()) {
                 col.push(v);
             }
+            row[5].push(whole);
         }
     }
 
     println!(
-        "{:<34} {:>9} {:>10} {:>9} {:>12} {:>8}",
-        "step (µs per step)", "forward", "loss head", "backward", "clip+update", "total"
+        "{:<34} {:>9} {:>10} {:>9} {:>12} {:>8} {:>11}",
+        "step (µs per step)",
+        "forward",
+        "loss head",
+        "backward",
+        "clip+update",
+        "total",
+        "whole step"
     );
     let ft_b = FineTuneConfig::default().batch_size;
     let names = [
@@ -311,8 +393,8 @@ fn main() {
         format!("finetune, 2 domains x B={ft_b}"),
     ];
     for (name, row) in names.iter().zip(rows) {
-        let [f, h, b, u, t] = row.map(median);
-        println!("{name:<34} {f:>9.1} {h:>10.1} {b:>9.1} {u:>12.1} {t:>8.1}");
+        let [f, h, b, u, t, w] = row.map(median);
+        println!("{name:<34} {f:>9.1} {h:>10.1} {b:>9.1} {u:>12.1} {t:>8.1} {w:>11.1}");
     }
     println!(
         "per round: encode_records {:.2} ms ({} records), plan compile {:.2} ms",

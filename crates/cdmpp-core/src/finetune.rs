@@ -7,24 +7,27 @@
 //! for the tasks selected by Algorithm 1 and profiled on the new device.
 //!
 //! Each step replays the predictor's compiled forward for the source and
-//! the target batch (`nn::train_plan`), builds only the loss + CMD head on
-//! a tape over `constant` leaves holding the replayed predictions and
-//! latents, and seeds the two backward replays with the leaves' gradients —
-//! source first, then target, the order one tape's parameter leaves would
-//! be written back in. Each batch is one shard, so the step is bit-for-bit
-//! the single-graph tape step it replaced (kept under `tests/reference/`).
+//! the target batch (`nn::train_plan`), runs the head as fixed kernels over
+//! the replayed predictions and latents in place — the regression loss
+//! ([`crate::trainer::loss_head`]) and CMD ([`nn::CmdHead`]), each
+//! repeating the tape's expressions in the tape's order — and seeds the
+//! two backward replays with the gradients they write: source first, then
+//! target, the order one tape's parameter leaves would be written back in.
+//! Each batch is one shard, so the step is bit-for-bit the single-graph
+//! tape step it replaced (kept under `tests/reference/`). The update goes
+//! through [`nn::clip_and_step`], so a batch with a non-finite gradient
+//! norm leaves the model as it was.
 
 use dataset::Dataset;
 use learn::LabelTransform;
-use nn::{cmd, Adam, Graph, Optimizer, Var, TANH_SUPPORT};
+use nn::{clip_and_step, Adam, CmdHead, TANH_SUPPORT};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::SeedableRng;
-use tensor::Tensor;
 
 use crate::batch::{build_batch, encode_records, group_by_leaf};
 use crate::predictor::{StepSeeds, PLAN_OUT_LATENT, PLAN_OUT_PRED};
-use crate::trainer::{build_loss, StepExecs, TrainedModel};
+use crate::trainer::{loss_head, StepExecs, TrainedModel};
 
 /// Fine-tuning hyper-parameters.
 #[derive(Debug, Clone)]
@@ -101,12 +104,17 @@ pub fn finetune(
     let loss_kind = model.train_config.loss;
     let mut cmd_tail = Vec::new();
     let mut execs = StepExecs::default();
+    let mut cmd_head = CmdHead::new(cfg.moments, TANH_SUPPORT);
+    // Per domain: the latent's seed, then the prediction's.
+    let mut seeds: [[Vec<f32>; 2]; 2] = Default::default();
+    let mut labels: [Vec<f32>; 2] = Default::default();
     // The target's prediction takes a seed only when its labels are used.
     let tgt_seeds = if cfg.use_target_labels {
         StepSeeds::Both
     } else {
         StepSeeds::Latent
     };
+    let labeled = if cfg.use_target_labels { 2 } else { 1 };
     for step in 0..cfg.steps {
         let &l = shared.as_slice().choose(&mut rng).expect("non-empty");
         let pick = |group: &Vec<usize>, rng: &mut StdRng| -> Vec<usize> {
@@ -120,87 +128,70 @@ pub fn finetune(
         let sb = build_batch(&si.iter().map(|&i| &src[i]).collect::<Vec<_>>());
         let tb = build_batch(&ti.iter().map(|&i| &tgt[i]).collect::<Vec<_>>());
         model.predictor.store.zero_grad();
-        // Forward both domains; their outputs become the head's leaves.
-        let mut g = Graph::new();
         let domains = [(&sb, StepSeeds::Both), (&tb, tgt_seeds)];
-        let mut forward = |domain: usize| -> Option<(Var, Var)> {
-            let (batch, seeds) = domains[domain];
-            let exec = execs.get(&model.predictor, l, seeds, domain).ok()?;
-            exec.forward(&model.predictor.store, &[&batch.x, &batch.dev])
-                .ok()?;
-            let mut leaf = |out: usize| {
-                Tensor::from_vec(exec.output(out).to_vec(), &exec.output_shape(out))
-                    .map(|t| g.constant(t))
-                    .ok()
-            };
-            Some((leaf(PLAN_OUT_LATENT)?, leaf(PLAN_OUT_PRED)?))
-        };
-        let (Some((s_latent, s_pred)), Some((t_latent, t_pred))) = (forward(0), forward(1)) else {
-            continue;
-        };
-        // Regression loss on the source (always) and the target (CDPP).
-        let sy: Vec<f32> = sb
-            .y_raw
-            .iter()
-            .map(|&y| model.transform.forward(y) as f32)
-            .collect();
-        let Ok(mut loss) = build_loss(&mut g, s_pred, &sy, loss_kind, lambda) else {
-            continue;
-        };
-        if cfg.use_target_labels {
-            let ty: Vec<f32> = tb
-                .y_raw
-                .iter()
-                .map(|&y| model.transform.forward(y) as f32)
-                .collect();
-            let Ok(tl) = build_loss(&mut g, t_pred, &ty, loss_kind, lambda) else {
-                continue;
-            };
-            let Ok(sum) = g.add(loss, tl) else {
-                continue;
-            };
-            loss = sum;
-        }
-        // CMD regularizer between the two latent batches.
-        let Ok(c) = cmd(&mut g, s_latent, t_latent, cfg.moments, TANH_SUPPORT) else {
-            continue;
-        };
-        if step >= cfg.steps * 3 / 4 {
-            cmd_tail.push(g.value(c).item() as f64);
-        }
-        let scaled = g.scale(c, cfg.alpha);
-        let Ok(total) = g.add(loss, scaled) else {
-            continue;
-        };
-        if g.backward(total).is_err() {
-            continue;
-        }
-        // Seeds in output order (latent, prediction), for the outputs the
-        // domain's plan seeds.
-        let seed = |v| g.grad(v).map(|t: &Tensor| t.data());
-        let (Some(zs), Some(ps), Some(zt)) = (seed(s_latent), seed(s_pred), seed(t_latent)) else {
-            continue;
-        };
-        let s_grads = [zs, ps];
-        let t_grads = [zt, seed(t_pred).unwrap_or(&[])];
-        let t_grads = &t_grads[..if cfg.use_target_labels { 2 } else { 1 }];
-        // Source, then target: the order one tape's parameter leaves are
-        // written back in, so the stored gradient is `(0 + G_s) + G_t`.
-        let mut backward = |domain: usize, grads: &[&[f32]]| -> bool {
+        let forward = |execs: &mut StepExecs, domain: usize| -> bool {
             let (batch, seeds) = domains[domain];
             execs
                 .get(&model.predictor, l, seeds, domain)
+                .is_ok_and(|exec| {
+                    exec.forward(&model.predictor.store, &[&batch.x, &batch.dev])
+                        .is_ok()
+                })
+        };
+        if !(forward(&mut execs, 0) && forward(&mut execs, 1)) {
+            continue;
+        }
+        let (Some(s), Some(t)) = (
+            execs.find(l, StepSeeds::Both, 0),
+            execs.find(l, tgt_seeds, 1),
+        ) else {
+            continue;
+        };
+        // The head: regression on the source (always) and the target
+        // (CDPP), each loss node's gradient 1, and CMD between the two
+        // latent batches, whose node's gradient is α.
+        let outs = [s, t].map(|e| (e.output(PLAN_OUT_LATENT), e.output(PLAN_OUT_PRED)));
+        for (domain, (_, pred)) in outs.iter().enumerate().take(labeled) {
+            let y = &mut labels[domain];
+            y.clear();
+            y.extend(
+                domains[domain]
+                    .0
+                    .y_raw
+                    .iter()
+                    .map(|&y| model.transform.forward(y) as f32),
+            );
+            let seed = &mut seeds[domain][1];
+            seed.resize(pred.len(), 0.0);
+            loss_head(loss_kind, lambda, pred, y, 1.0, seed);
+        }
+        let [[gs, _], [gt, _]] = &mut seeds;
+        gs.resize(outs[0].0.len(), 0.0);
+        gt.resize(outs[1].0.len(), 0.0);
+        let d = outs[0].0.len() / sb.y_raw.len();
+        let c = cmd_head.run(outs[0].0, outs[1].0, d, cfg.alpha, gs, gt);
+        if step >= cfg.steps * 3 / 4 {
+            cmd_tail.push(c as f64);
+        }
+        // Source, then target: the order one tape's parameter leaves are
+        // written back in, so the stored gradient is `(0 + G_s) + G_t`.
+        let mut backward = |domain: usize| -> bool {
+            let (batch, step_seeds) = domains[domain];
+            let [latent, pred] = &seeds[domain];
+            let grads = [latent.as_slice(), pred.as_slice()];
+            let grads = &grads[..if domain < labeled { 2 } else { 1 }];
+            execs
+                .get(&model.predictor, l, step_seeds, domain)
                 .is_ok_and(|exec| {
                     let inputs = [&batch.x, &batch.dev];
                     exec.backward(&mut model.predictor.store, &inputs, grads, usize::MAX)
                         .is_ok()
                 })
         };
-        if !(backward(0, &s_grads) && backward(1, t_grads)) {
+        if !(backward(0) && backward(1)) {
             continue;
         }
-        model.predictor.store.clip_grad_norm(5.0);
-        opt.step(&mut model.predictor.store);
+        clip_and_step(&mut model.predictor.store, &mut opt, 5.0);
     }
     if cmd_tail.is_empty() {
         f64::NAN

@@ -8,9 +8,13 @@
 //! ([`Predictor::train_plan_for`]) and replayed from one arena — no graph
 //! rebuilt per batch, no weight cloned, bias/activation epilogues and their
 //! backward fused, parameter gradients accumulated straight into the
-//! store. Only the loss head (a dozen nodes over the `[B, 1]` prediction)
-//! is still built on a tape, over a `constant` leaf holding the replayed
-//! prediction; its gradient seeds the backward replay.
+//! store. The loss head is a fixed kernel, [`loss_head`]: it reads the
+//! replayed `[B, 1]` prediction in place and writes the loss value and the
+//! seed of the backward replay into buffers the stepper owns, repeating
+//! [`build_loss`]'s tape expressions in the tape's order. The step ends in
+//! [`nn::clip_and_step`], which skips the update when the gradient norm is
+//! not finite. A warmed step allocates nothing
+//! (`tests/step_allocations.rs`).
 //!
 //! The step's arithmetic is the **sharded** one: the minibatch is cut into
 //! fixed 16-row gradient shards (a function of the batch alone), each
@@ -25,9 +29,9 @@
 //! to back and 13 µs after 1 ms idle (p90 20 µs), and a second thread
 //! scaled a fixed loop 0.98–1.03× for whole stretches and 1.85–2.05× at
 //! other times (`cargo run --release -p parallel --example wake_probe`).
-//! A whole compiled step reads 0.86–1.23 ms for sharded pre-training at
-//! B = 64 and 1.26–1.66 ms for a two-domain fine-tuning step at B = 48 on
-//! that host
+//! A whole compiled step reads 0.56–0.58 ms for sharded pre-training at
+//! B = 64 and 0.79–0.86 ms for a two-domain fine-tuning step at B = 48 on
+//! a 2-vCPU Xeon (Sapphire Rapids) host
 //! (`cargo run --release -p cdmpp-core --example train_step_phases`), and
 //! 16-row shards make GEMMs too small to share.
 //!
@@ -39,7 +43,7 @@ use std::time::Instant;
 
 use dataset::Dataset;
 use learn::{accuracy_within, mape, rmse, FittedTransform, LabelTransform, TransformKind};
-use nn::{Adam, CyclicLr, Graph, LrSchedule, Optimizer, Sgd, TrainExec, Var};
+use nn::{clip_and_step, Adam, CyclicLr, Graph, LrSchedule, Optimizer, Sgd, TrainExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::Tensor;
@@ -195,6 +199,75 @@ pub fn build_loss(
     }
 }
 
+/// [`build_loss`] without a tape: returns the loss value and writes
+/// `gl · ∂loss/∂pred` into `seed`, `gl` being the gradient the tape's
+/// loss node receives (`1` alone, a shard's `rows / n` under the
+/// data-parallel step's scale node).
+///
+/// Each kind repeats the tape's own expressions in the tape's own order:
+/// a `mean` sums in `f64` and divides in `f32`, its gradient is
+/// `g / n`, and the hybrid's prediction gradient is the `|d|` branch's
+/// contribution plus the `d²` branch's (the tape reaches the absolute
+/// value's node first). Value and seed are [`build_loss`]'s, bit for bit.
+///
+/// # Panics
+///
+/// When the three slices differ in length or are empty.
+pub fn loss_head(
+    kind: LossKind,
+    lambda: f32,
+    pred: &[f32],
+    y_t: &[f32],
+    gl: f32,
+    seed: &mut [f32],
+) -> f32 {
+    let n = y_t.len();
+    assert!(
+        n > 0 && pred.len() == n && seed.len() == n,
+        "loss head lengths"
+    );
+    let nf = n as f32;
+    let d = |i: usize| pred[i] - y_t[i];
+    let w = |i: usize| 1.0 / y_t[i].abs().max(0.1);
+    // The tape's `mean`: an `f64` sum, rounded, divided in `f32`.
+    let mean =
+        |f: fn(f32, f32) -> f32| (0..n).map(|i| f(d(i), w(i)) as f64).sum::<f64>() as f32 / nf;
+    // The `|d|` branch's gradient at `d`, given its mean's `g`.
+    let abs_grad = |g: f32, i: usize| {
+        let d = d(i);
+        g / nf * w(i) * d.signum() * (d != 0.0) as u8 as f32
+    };
+    match kind {
+        LossKind::Mse => {
+            let g = gl / nf * 2.0;
+            for (i, o) in seed.iter_mut().enumerate() {
+                *o = g * d(i);
+            }
+            mean(|d, _| d * d)
+        }
+        LossKind::Mape => {
+            for (i, o) in seed.iter_mut().enumerate() {
+                *o = abs_grad(gl, i);
+            }
+            mean(|d, w| d.abs() * w)
+        }
+        LossKind::Mspe => {
+            let g = gl / nf * 2.0;
+            for (i, o) in seed.iter_mut().enumerate() {
+                *o = g * (d(i) * w(i)) * w(i);
+            }
+            mean(|d, w| (d * w) * (d * w))
+        }
+        LossKind::Hybrid => {
+            let (g_mape, g_sq) = (gl * lambda, gl / nf * 2.0);
+            for (i, o) in seed.iter_mut().enumerate() {
+                *o = abs_grad(g_mape, i) + g_sq * d(i);
+            }
+            mean(|d, _| d * d) + mean(|d, w| d.abs() * w) * lambda
+        }
+    }
+}
+
 fn make_optimizer(tcfg: &TrainConfig) -> Box<dyn Optimizer> {
     match tcfg.optimizer {
         OptKind::Adam => Box::new(Adam::with_weight_decay(tcfg.lr, tcfg.weight_decay)),
@@ -224,8 +297,9 @@ pub fn train_step(
         return value;
     }
     let _ = g.write_param_grads(&mut predictor.store);
-    predictor.store.clip_grad_norm(5.0);
-    opt.step(&mut predictor.store);
+    if !clip_and_step(&mut predictor.store, opt, 5.0) {
+        return f64::NAN;
+    }
     value
 }
 
@@ -399,15 +473,17 @@ pub fn train_step_parallel(
             let _ = predictor.store.add_to_grad(id, &g);
         }
     }
-    predictor.store.clip_grad_norm(5.0);
-    opt.step(&mut predictor.store);
+    if !clip_and_step(&mut predictor.store, opt, 5.0) {
+        return f64::NAN;
+    }
     total.loss
 }
 
 /// Replay state of the compiled training step: one [`TrainExec`] (arena +
 /// offsets) per `(leaf count, seeded outputs, domain)` actually trained,
-/// plus the seed buffers. Keep one per training loop; after the first
-/// step of a shape, a step allocates only its loss-head tape.
+/// plus the seed and shard-loss buffers the loss head writes. Keep one per
+/// training loop; after the first step of a shape, a step does not
+/// allocate — replay, loss head, clip and optimizer update included.
 #[derive(Default)]
 pub struct CompiledStep {
     execs: StepExecs,
@@ -447,6 +523,17 @@ impl StepExecs {
             }
         };
         Ok(&mut self.0[i].1)
+    }
+
+    /// The executor [`StepExecs::get`] last handed out for this key.
+    pub(crate) fn find(
+        &self,
+        leaves: usize,
+        seeds: StepSeeds,
+        domain: usize,
+    ) -> Option<&TrainExec> {
+        let key = (leaves, seeds, domain);
+        self.0.iter().find(|(k, _)| *k == key).map(|(_, e)| e)
     }
 }
 
@@ -516,41 +603,38 @@ impl CompiledStep {
         if exec.forward(&predictor.store, &inputs).is_err() {
             return f64::NAN;
         }
-        // One loss head per shard, over a constant leaf holding the shard's
-        // replayed predictions; its gradient is the shard's seed.
+        // One loss head per shard, over the shard's replayed predictions;
+        // its gradient, pre-weighted by the shard's `rows / n`, is the
+        // shard's seed.
         let pred = exec.output(PLAN_OUT_PRED);
-        seed.clear();
+        if seed.len() < n {
+            seed.resize(n, 0.0);
+        }
         shard_loss.clear();
         for r0 in (0..n).step_by(shard_rows) {
             let r1 = (r0 + shard_rows).min(n);
             let w = (r1 - r0) as f32 / n as f32;
-            let mut g = Graph::new();
-            let Ok(rows) = Tensor::from_vec(pred[r0..r1].to_vec(), &[r1 - r0, 1]) else {
-                return f64::NAN;
-            };
-            let leaf = g.constant(rows);
-            let Ok(loss) = build_loss(&mut g, leaf, &y_t[r0..r1], loss_kind, lambda) else {
-                return f64::NAN;
-            };
-            shard_loss.push(g.value(loss).item() as f64 * w as f64);
-            // As `run_shard`: backward from `w · loss` pre-weights every
-            // gradient; a lone shard (`w == 1`) skips the scale node.
-            let root = if w == 1.0 { loss } else { g.scale(loss, w) };
-            let ran = g.backward(root).is_ok();
-            match g.grad(leaf) {
-                Some(rows) if ran => seed.extend_from_slice(rows.data()),
-                _ => return f64::NAN,
-            }
+            let rows = r0..r1;
+            let value = loss_head(
+                loss_kind,
+                lambda,
+                &pred[rows.clone()],
+                &y_t[rows.clone()],
+                w,
+                &mut seed[rows],
+            );
+            shard_loss.push(value as f64 * w as f64);
         }
-        let seeds = [seed.as_slice()];
+        let seeds = [&seed[..n]];
         if exec
             .backward(&mut predictor.store, &inputs, &seeds, shard_rows)
             .is_err()
         {
             return f64::NAN;
         }
-        predictor.store.clip_grad_norm(5.0);
-        opt.step(&mut predictor.store);
+        if !clip_and_step(&mut predictor.store, opt, 5.0) {
+            return f64::NAN;
+        }
         // The shard losses add up in the gradients' tree order.
         let losses = shard_loss;
         let mut stride = 1;

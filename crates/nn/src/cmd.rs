@@ -55,6 +55,274 @@ pub fn cmd(g: &mut Graph, zs: Var, zt: Var, k: usize, support: f32) -> Result<Va
     Ok(total)
 }
 
+/// [`cmd`]'s value and both gradients without a tape — what a fine-tuning
+/// step runs over its replayed latents.
+///
+/// [`CmdHead::run`] repeats the tape's own expressions in the tape's own
+/// order: column means summed in `f64` row by row, each central moment
+/// as `f32::powi` computes it (square and multiply), every norm as
+/// `sqrt(Σ x² + 1e-12)`, and in the backward pass a node's first gradient
+/// contribution stored and later ones added, highest moment first. Its
+/// value and gradients are [`cmd`]'s, bit for bit. Every step is a pass
+/// over a whole batch or row, so each one vectorizes; the powers of the
+/// centred batches are computed once and serve both passes. The scratch
+/// grows to the largest batch seen; a warmed head does not allocate.
+#[derive(Debug, Clone)]
+pub struct CmdHead {
+    k: usize,
+    support: f32,
+    /// Column sums in `f64` (`[d]`).
+    sums: Vec<f64>,
+    /// The two domains' column means and their difference (`[d]` each).
+    ms: Vec<f32>,
+    mt: Vec<f32>,
+    md: Vec<f32>,
+    /// Moment `j`'s difference `Ω_j(zs) − Ω_j(zt)` at `[(j-2)·d ..]`.
+    dj: Vec<f32>,
+    /// Moment `j`'s norm at `j - 2`.
+    yj: Vec<f32>,
+    /// A `[d]` temporary: the target's moment, then per-column gradients.
+    tmp: Vec<f32>,
+    /// Per domain, the centred batch `c` (slot 0) and `powi(c, p)` for
+    /// `p = 1 ..= k` (slot `p`), each `rows · d` long.
+    pows: [Vec<f32>; 2],
+    /// The squares [`powi_into`] walks through.
+    squares: Vec<f32>,
+}
+
+impl CmdHead {
+    /// A head for `k` central moments over a support of width `support`
+    /// (the arguments of [`cmd`]).
+    pub fn new(k: usize, support: f32) -> Self {
+        CmdHead {
+            k,
+            support,
+            sums: Vec::new(),
+            ms: Vec::new(),
+            mt: Vec::new(),
+            md: Vec::new(),
+            dj: Vec::new(),
+            yj: Vec::new(),
+            tmp: Vec::new(),
+            pows: [Vec::new(), Vec::new()],
+            squares: Vec::new(),
+        }
+    }
+
+    /// CMD between `zs` (`[ns, d]`, row-major) and `zt` (`[nt, d]`),
+    /// writing `g · ∂CMD/∂zs` into `gs` and `g · ∂CMD/∂zt` into `gt`, `g`
+    /// being the gradient the tape's CMD node receives.
+    ///
+    /// # Panics
+    ///
+    /// When `d` is 0, a batch is not a whole number of rows, or a gradient
+    /// buffer's length differs from its batch's.
+    pub fn run(
+        &mut self,
+        zs: &[f32],
+        zt: &[f32],
+        d: usize,
+        g: f32,
+        gs: &mut [f32],
+        gt: &mut [f32],
+    ) -> f32 {
+        assert!(
+            d > 0 && zs.len().is_multiple_of(d) && zt.len().is_multiple_of(d),
+            "CMD latents are [rows, {d}]"
+        );
+        assert!(
+            gs.len() == zs.len() && gt.len() == zt.len(),
+            "CMD gradient lengths"
+        );
+        let (k, support) = (self.k, self.support);
+        let moments = k.max(1) - 1;
+        let CmdHead {
+            sums,
+            ms,
+            mt,
+            md,
+            dj,
+            yj,
+            tmp,
+            pows,
+            squares,
+            ..
+        } = self;
+        for buf in [&mut *ms, &mut *mt, &mut *md, &mut *tmp] {
+            buf.resize(d, 0.0);
+        }
+        sums.resize(d, 0.0);
+        dj.resize(moments * d, 0.0);
+        yj.resize(moments, 0.0);
+
+        // Forward: the mean term, then one term per moment.
+        col_means(zs, sums, ms);
+        col_means(zt, sums, mt);
+        for ((o, &a), &b) in md.iter_mut().zip(ms.iter()).zip(mt.iter()) {
+            *o = a - b;
+        }
+        let y0 = l2_value(md);
+        let inv_support = 1.0 / support;
+        let mut total = y0 * inv_support;
+        // The centred batches (`sub_row`) and the powers the moments
+        // average and the backward multiplies by.
+        for ((z, m), p) in [(zs, &*ms), (zt, &*mt)].into_iter().zip(pows.iter_mut()) {
+            let len = z.len();
+            p.resize((moments + 2) * len, 0.0);
+            squares.resize(len, 0.0);
+            let (c, higher) = p.split_at_mut(len);
+            for (row, out) in z.chunks_exact(d).zip(c.chunks_exact_mut(d)) {
+                for ((o, &x), &mean) in out.iter_mut().zip(row).zip(m.iter()) {
+                    *o = x - mean;
+                }
+            }
+            for (slot, power) in higher.chunks_exact_mut(len).zip(1u32..) {
+                powi_into(c, power, slot, squares);
+            }
+        }
+        for j in 2..=k {
+            let dj = &mut dj[(j - 2) * d..(j - 1) * d];
+            for (p, out) in pows.iter().zip([&mut *dj, &mut *tmp]) {
+                let len = p.len() / (moments + 2);
+                col_means(&p[j * len..(j + 1) * len], sums, out);
+            }
+            for (o, &b) in dj.iter_mut().zip(tmp.iter()) {
+                *o -= b;
+            }
+            let y = l2_value(dj);
+            yj[j - 2] = y;
+            total += y * (1.0 / support.powi(j as i32));
+        }
+
+        // Backward, in the tape's reverse node order: each moment's
+        // contribution to the centred batches (the highest stores), then
+        // the centring's and the mean term's to the means, then the means'
+        // to the batches.
+        let (ns, nt) = (zs.len() / d, zt.len() / d);
+        let (inv_s, inv_t) = (1.0 / ns.max(1) as f32, 1.0 / nt.max(1) as f32);
+        for j in (2..=k).rev() {
+            let g2 = l2_grad(g * (1.0 / support.powi(j as i32)), yj[j - 2]) * 2.0;
+            let dj = &dj[(j - 2) * d..(j - 1) * d];
+            let first = j == k;
+            // The target's moment enters the difference negated.
+            for (gz, p, neg, inv) in [
+                (&mut *gt, &pows[1], true, inv_t),
+                (&mut *gs, &pows[0], false, inv_s),
+            ] {
+                // Per column: `d_j`'s gradient, through the moment's mean
+                // to each centred element, times `powi`'s exponent; then
+                // per element, times `powi(c, j - 1)`.
+                for (t, &x) in tmp.iter_mut().zip(dj) {
+                    let gd = g2 * x;
+                    *t = (if neg { negate(gd) } else { gd }) * inv * j as f32;
+                }
+                let len = gz.len();
+                let power = &p[(j - 1) * len..j * len];
+                for (grow, prow) in gz.chunks_exact_mut(d).zip(power.chunks_exact(d)) {
+                    for ((o, &t), &x) in grow.iter_mut().zip(tmp.iter()).zip(prow) {
+                        let contrib = t * x;
+                        *o = if first { contrib } else { *o + contrib };
+                    }
+                }
+            }
+        }
+        let g0 = l2_grad(g * inv_support, y0) * 2.0;
+        // The mean difference's gradient, into `md`'s place.
+        for x in md.iter_mut() {
+            *x *= g0;
+        }
+        for (gz, neg, inv) in [(&mut *gt, true, inv_t), (&mut *gs, false, inv_s)] {
+            // The mean's gradient: with moments, `sub_row`'s row gradient
+            // `-Σ_rows` first, then the mean term's; without, the mean
+            // term's alone.
+            for (t, &x) in tmp.iter_mut().zip(md.iter()) {
+                *t = if neg { negate(x) } else { x };
+            }
+            if k >= 2 {
+                sums.fill(0.0);
+                for grow in gz.chunks_exact(d) {
+                    for (s, &x) in sums.iter_mut().zip(grow) {
+                        *s += x as f64;
+                    }
+                }
+                for (t, &s) in tmp.iter_mut().zip(sums.iter()) {
+                    *t += negate(s as f32);
+                }
+            }
+            for grow in gz.chunks_exact_mut(d) {
+                for (o, &t) in grow.iter_mut().zip(tmp.iter()) {
+                    *o = if k >= 2 { *o + t * inv } else { t * inv };
+                }
+            }
+        }
+        total
+    }
+}
+
+/// `out[i] = c[i].powi(n)`, computed as `f32::powi` computes it — square
+/// and multiply from `1`, low bit first (compiler-builtins' `__powisf2`,
+/// and LLVM's expansion for a constant exponent, which forms the same
+/// products) — one pass per step, so every step vectorizes. `squares` is
+/// scratch.
+fn powi_into(c: &[f32], n: u32, out: &mut [f32], squares: &mut [f32]) {
+    out.fill(1.0);
+    squares.copy_from_slice(c);
+    let mut b = n;
+    loop {
+        if b & 1 != 0 {
+            for (o, &a) in out.iter_mut().zip(squares.iter()) {
+                *o *= a;
+            }
+        }
+        b >>= 1;
+        if b == 0 {
+            break;
+        }
+        for a in squares.iter_mut() {
+            *a *= *a;
+        }
+    }
+}
+
+/// `-x` as the tape's `scale(-1.0)` computes it, which keeps a NaN's sign.
+#[allow(clippy::neg_multiply)]
+fn negate(x: f32) -> f32 {
+    x * -1.0
+}
+
+/// `out[c]` = the mean of column `c` of `z` (`[rows, out.len()]`), as
+/// `Tensor::mean_axis0` computes it: `f64` sums row by row, times
+/// `1 / rows` in `f64`.
+fn col_means(z: &[f32], sums: &mut [f64], out: &mut [f32]) {
+    let d = out.len();
+    sums.fill(0.0);
+    for row in z.chunks_exact(d) {
+        for (s, &x) in sums.iter_mut().zip(row) {
+            *s += x as f64;
+        }
+    }
+    let inv = 1.0 / (z.len() / d).max(1) as f64;
+    for (o, &s) in out.iter_mut().zip(sums.iter()) {
+        *o = (s * inv) as f32;
+    }
+}
+
+/// [`l2`]'s value: `sqrt(Σ x² + 1e-12)`, the sum in `f64`.
+fn l2_value(x: &[f32]) -> f32 {
+    let s = x.iter().map(|&v| (v * v) as f64).sum::<f64>() as f32;
+    (s + 1e-12).sqrt()
+}
+
+/// The gradient every squared element of [`l2`] receives, given the
+/// norm's gradient `g` and value `y` (the tape's `sqrt` backward).
+fn l2_grad(g: f32, y: f32) -> f32 {
+    if y > 0.0 {
+        g * 0.5 / y
+    } else {
+        0.0
+    }
+}
+
 /// Computes CMD between two plain matrices without building a graph
 /// (used for evaluation and Fig 18's CMD-vs-error analysis).
 pub fn cmd_value(zs: &Tensor, zt: &Tensor, k: usize, support: f32) -> Result<f32> {
@@ -124,6 +392,83 @@ mod tests {
         g.write_param_grads(&mut store).unwrap();
         assert!(store.grad(ps).norm2() > 0.0);
         assert!(store.grad(pt).norm2() > 0.0);
+    }
+
+    /// The tape's CMD value and its gradients into both batches, the CMD
+    /// node receiving `g`.
+    fn taped(zs: &Tensor, zt: &Tensor, k: usize, g: f32) -> (f32, Tensor, Tensor) {
+        let mut graph = Graph::new();
+        let (a, b) = (graph.constant(zs.clone()), graph.constant(zt.clone()));
+        let c = cmd(&mut graph, a, b, k, TANH_SUPPORT).unwrap();
+        let root = if g == 1.0 { c } else { graph.scale(c, g) };
+        graph.backward(root).unwrap();
+        let grad = |v| graph.grad(v).unwrap().clone();
+        (graph.value(c).item(), grad(a), grad(b))
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn powi_into_is_f32_powi() {
+        // Signed zeros, subnormals, values whose powers overflow or
+        // underflow, infinities, and a spread of ordinary magnitudes.
+        let mut xs = vec![
+            0.0f32,
+            -0.0,
+            1e-45,
+            -3e-39,
+            1.0,
+            -1.0,
+            3e38,
+            -1e20,
+            f32::INFINITY,
+        ];
+        xs.extend((0..2000).map(|i| ((i as f32) * 0.731).sin() * 10f32.powi(i % 13 - 6)));
+        let mut squares = vec![0.0; xs.len()];
+        let mut out = vec![0.0; xs.len()];
+        for n in 0..=9u32 {
+            powi_into(&xs, n, &mut out, &mut squares);
+            for (&x, &got) in xs.iter().zip(&out) {
+                assert_eq!(got.to_bits(), x.powi(n as i32).to_bits(), "{x}^{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn cmd_head_is_the_tape_bit_for_bit() {
+        // tanh-range latents with exact zeros of both signs, a constant
+        // column and identical rows across the two domains.
+        let latent = |rows: usize, d: usize, salt: f32| {
+            mat(rows, d, |i| match (i + salt as usize) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                _ if i % d == 1 => 0.25,
+                _ => ((i as f32) * 0.37 + salt).sin() * 0.95,
+            })
+        };
+        let mut head = CmdHead::new(1, TANH_SUPPORT);
+        for (ns, nt, d) in [
+            (48usize, 48usize, 20usize),
+            (48, 30, 20),
+            (7, 1, 3),
+            (1, 5, 2),
+        ] {
+            let (zs, zt) = (latent(ns, d, 0.0), latent(nt, d, 2.0));
+            for k in 1..=5 {
+                for g in [1.0f32, 0.5, 2.0] {
+                    let ctx = format!("ns={ns} nt={nt} d={d} k={k} g={g}");
+                    let (value, want_s, want_t) = taped(&zs, &zt, k, g);
+                    head.k = k;
+                    let (mut gs, mut gt) = (vec![f32::NAN; ns * d], vec![f32::NAN; nt * d]);
+                    let got = head.run(zs.data(), zt.data(), d, g, &mut gs, &mut gt);
+                    assert_eq!(got.to_bits(), value.to_bits(), "{ctx}: value");
+                    assert_eq!(bits(&gs), bits(want_s.data()), "{ctx}: source gradient");
+                    assert_eq!(bits(&gt), bits(want_t.data()), "{ctx}: target gradient");
+                }
+            }
+        }
     }
 
     #[test]

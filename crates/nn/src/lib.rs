@@ -38,7 +38,7 @@ pub mod plan;
 pub mod tape;
 pub mod train_plan;
 
-pub use cmd::{cmd, cmd_value, DEFAULT_MOMENTS, TANH_SUPPORT};
+pub use cmd::{cmd, cmd_value, CmdHead, DEFAULT_MOMENTS, TANH_SUPPORT};
 pub use exec::Exec;
 pub use init::{Init, ShapeOnly};
 pub use layers::{
@@ -46,7 +46,7 @@ pub use layers::{
     TransformerEncoderLayer,
 };
 pub use loss::{hybrid, mape, mse, mspe, LossKind};
-pub use optim::{Adam, ConstantLr, CyclicLr, LrSchedule, Optimizer, Sgd};
+pub use optim::{clip_and_step, Adam, ConstantLr, CyclicLr, LrSchedule, Optimizer, Sgd};
 pub use plan::desc::{PlanDecodeError, PlanDesc};
 pub use plan::{Plan, PlanError, PlanExec, PlanStats, Recorder, SpecializedPlan, WeightPackCache};
 pub use tape::{Graph, ParamId, ParamStore, Var};

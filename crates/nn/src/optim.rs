@@ -3,7 +3,7 @@
 //! The paper's auto-tuner searches over Adam vs SGD, weight decay and a
 //! cyclic learning-rate scheduler (Appendix B); all three are provided.
 
-use tensor::Tensor;
+use tensor::{SimdTier, Tensor};
 
 use crate::tape::ParamStore;
 
@@ -15,6 +15,22 @@ pub trait Optimizer {
     fn set_lr(&mut self, lr: f32);
     /// Current learning rate.
     fn lr(&self) -> f32;
+}
+
+/// The guarded end of every training step: clip the gradients to
+/// `max_norm`, then one `opt` step.
+///
+/// A step whose gradient norm is not finite — a NaN or infinite loss or
+/// label upstream — changes nothing: weights, the optimizer's moments and
+/// its step count stay as they were, and `false` comes back (the caller's
+/// step then reports a NaN loss). Without the check one bad batch writes
+/// NaN into every weight and both Adam moments for good.
+pub fn clip_and_step(store: &mut ParamStore, opt: &mut dyn Optimizer, max_norm: f32) -> bool {
+    if !store.clip_grad_norm(max_norm) {
+        return false;
+    }
+    opt.step(store);
+    true
 }
 
 /// Stochastic gradient descent with optional momentum and weight decay.
@@ -134,7 +150,25 @@ impl Optimizer for Adam {
     /// `u = (m/bc₁) / (sqrt(v/bc₂) + ε)`, `p -= wd·lr·p`, `p += -lr·u` —
     /// every product and sum rounded where the nine full-tensor passes
     /// this replaces rounded it, so the update is bit-identical to them.
+    /// On the AVX2 tier the pass runs eight elements wide, each multiply,
+    /// add, square root and division its own IEEE operation; every tier
+    /// returns the scalar pass's bits.
     fn step(&mut self, store: &mut ParamStore) {
+        self.step_on(tensor::active_tier(), store);
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        self.lr = lr;
+    }
+
+    fn lr(&self) -> f32 {
+        self.lr
+    }
+}
+
+impl Adam {
+    /// [`Optimizer::step`] with the kernel tier pinned.
+    fn step_on(&mut self, tier: SimdTier, store: &mut ParamStore) {
         if self.m.is_empty() {
             let zeros = |store: &ParamStore| -> Vec<Tensor> {
                 store
@@ -150,31 +184,123 @@ impl Optimizer for Adam {
             1.0 / (1.0 - self.beta1.powi(self.t as i32)),
             1.0 / (1.0 - self.beta2.powi(self.t as i32)),
         );
-        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
-        let (c1, c2) = (1.0 - b1, 1.0 - b2);
-        let decay = self.weight_decay * self.lr;
-        let decays = self.weight_decay != 0.0;
+        let (b1, b2) = (self.beta1, self.beta2);
+        let pass = AdamPass {
+            b1,
+            b2,
+            c1: 1.0 - b1,
+            c2: 1.0 - b2,
+            inv_bc1,
+            inv_bc2,
+            eps: self.eps,
+            lr: self.lr,
+            decay: self.weight_decay * self.lr,
+            decays: self.weight_decay != 0.0,
+        };
         for i in 0..store.len() {
             let (value, grad) = store.value_and_grad_mut(i);
-            let state = self.m[i].data_mut().iter_mut().zip(self.v[i].data_mut());
-            for ((p, &g), (m, v)) in value.data_mut().iter_mut().zip(grad.data()).zip(state) {
-                *m = *m * b1 + c1 * g;
-                *v = *v * b2 + c2 * (g * g);
-                let update = (*m * inv_bc1) / ((*v * inv_bc2).sqrt() + eps);
-                if decays {
-                    *p += -(*p * decay);
-                }
-                *p += -lr * update;
+            let (p, g) = (value.data_mut(), grad.data());
+            let (m, v) = (self.m[i].data_mut(), self.v[i].data_mut());
+            assert!(g.len() == p.len() && m.len() == p.len() && v.len() == p.len());
+            match tier {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the tier is only ever `Avx2Fma` on a host with
+                // AVX2 (runtime detection); the lengths are asserted equal.
+                SimdTier::Avx2Fma => unsafe { pass.avx2(p, g, m, v) },
+                _ => pass.scalar(p, g, m, v),
             }
         }
     }
+}
 
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
+/// One Adam step's constants, and the per-element pass over a parameter.
+///
+/// The AVX2 pass is the scalar one eight lanes at a time: each multiply,
+/// add, square root and division a separate correctly rounded IEEE
+/// operation (no fused multiply-add), in the scalar expression's order,
+/// so the two agree bit for bit on every input; a tail shorter than a
+/// vector runs the scalar pass.
+#[derive(Debug, Clone, Copy)]
+struct AdamPass {
+    b1: f32,
+    b2: f32,
+    c1: f32,
+    c2: f32,
+    inv_bc1: f32,
+    inv_bc2: f32,
+    eps: f32,
+    lr: f32,
+    decay: f32,
+    decays: bool,
+}
+
+impl AdamPass {
+    /// The definition, one element at a time.
+    fn scalar(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+        let state = m.iter_mut().zip(v.iter_mut());
+        for ((p, &g), (m, v)) in p.iter_mut().zip(g).zip(state) {
+            *m = *m * self.b1 + self.c1 * g;
+            *v = *v * self.b2 + self.c2 * (g * g);
+            let update = (*m * self.inv_bc1) / ((*v * self.inv_bc2).sqrt() + self.eps);
+            if self.decays {
+                *p += -(*p * self.decay);
+            }
+            *p += -self.lr * update;
+        }
     }
 
-    fn lr(&self) -> f32 {
-        self.lr
+    /// [`AdamPass::scalar`], eight elements per step.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; all four slices have the same length.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+        use std::arch::x86_64::*;
+        let n = p.len();
+        let whole = n - n % 8;
+        let (b1, b2) = (_mm256_set1_ps(self.b1), _mm256_set1_ps(self.b2));
+        let (c1, c2) = (_mm256_set1_ps(self.c1), _mm256_set1_ps(self.c2));
+        let inv_bc1 = _mm256_set1_ps(self.inv_bc1);
+        let inv_bc2 = _mm256_set1_ps(self.inv_bc2);
+        let eps = _mm256_set1_ps(self.eps);
+        let neg_lr = _mm256_set1_ps(-self.lr);
+        let decay = _mm256_set1_ps(self.decay);
+        let sign = _mm256_set1_ps(-0.0);
+        let (pp, gp, mp, vp) = (p.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+        for i in (0..whole).step_by(8) {
+            // SAFETY: `i + 8 <= whole <= n`, the length of every slice.
+            unsafe {
+                let gi = _mm256_loadu_ps(gp.add(i));
+                let mi = _mm256_add_ps(
+                    _mm256_mul_ps(_mm256_loadu_ps(mp.add(i)), b1),
+                    _mm256_mul_ps(c1, gi),
+                );
+                let g2 = _mm256_mul_ps(gi, gi);
+                let vi = _mm256_add_ps(
+                    _mm256_mul_ps(_mm256_loadu_ps(vp.add(i)), b2),
+                    _mm256_mul_ps(c2, g2),
+                );
+                _mm256_storeu_ps(mp.add(i), mi);
+                _mm256_storeu_ps(vp.add(i), vi);
+                let den = _mm256_add_ps(_mm256_sqrt_ps(_mm256_mul_ps(vi, inv_bc2)), eps);
+                let update = _mm256_div_ps(_mm256_mul_ps(mi, inv_bc1), den);
+                let mut pi = _mm256_loadu_ps(pp.add(i));
+                if self.decays {
+                    // `p += -(p·decay)`: the negation flips the sign bit.
+                    pi = _mm256_add_ps(pi, _mm256_xor_ps(_mm256_mul_ps(pi, decay), sign));
+                }
+                pi = _mm256_add_ps(pi, _mm256_mul_ps(neg_lr, update));
+                _mm256_storeu_ps(pp.add(i), pi);
+            }
+        }
+        self.scalar(
+            &mut p[whole..],
+            &g[whole..],
+            &mut m[whole..],
+            &mut v[whole..],
+        );
     }
 }
 
@@ -411,6 +537,100 @@ mod tests {
                 sgd_full_pass(&mut reference, &mut vel, 1e-2, mom, wd);
                 assert_values_bit_equal(&fused, &reference, &format!("mom={mom} wd={wd}"));
             }
+        }
+    }
+
+    /// [`awkward_store`] plus a parameter long enough for many vectors,
+    /// its gradient as awkward: signed zeros and denormals of both signs.
+    fn wide_store(step: usize) -> ParamStore {
+        let mut store = awkward_store(step);
+        let scale = |i: usize| 10f32.powi((i % 9) as i32 - 4);
+        let long = store.add(
+            "long",
+            Tensor::from_fn(&[203], |i| ((i as f32) * 0.53).cos() * scale(i)),
+        );
+        store.values_and_grads_mut().1[long.index()] =
+            Tensor::from_fn(&[203], |i| match (i + step) % 7 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => 1.0e-41,
+                3 => -3.0e-39,
+                _ => ((i * (step + 3)) as f32 * 0.71).sin() * scale(i),
+            });
+        store
+    }
+
+    /// Gives `store` the gradients of `wide_store(step)`.
+    fn fresh_grads(store: &mut ParamStore, step: usize) {
+        let fresh = wide_store(step);
+        for id in fresh.ids() {
+            store.values_and_grads_mut().1[id.index()] = fresh.grad(id).clone();
+        }
+    }
+
+    fn bits(ts: &[Tensor]) -> Vec<u32> {
+        ts.iter()
+            .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// Both passes pinned, whatever `CDMPP_SIMD` selects.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_adam_is_the_scalar_pass_bit_for_bit() {
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for wd in [0.0f32, 1e-3] {
+            let mut wide = wide_store(0);
+            let mut scalar = wide.clone();
+            let mut a = Adam::with_weight_decay(2e-3, wd);
+            let mut b = a.clone();
+            for step in 0..2000 {
+                let lr = 2e-3 * (1.0 + (step % 13) as f32 * 0.25);
+                for s in [&mut wide, &mut scalar] {
+                    fresh_grads(s, step);
+                }
+                a.set_lr(lr);
+                b.set_lr(lr);
+                a.step_on(SimdTier::Avx2Fma, &mut wide);
+                b.step_on(SimdTier::Scalar, &mut scalar);
+                let ctx = format!("wd={wd} step={step}");
+                assert_values_bit_equal(&wide, &scalar, &ctx);
+                assert_eq!(bits(&a.m), bits(&b.m), "{ctx}: m");
+                assert_eq!(bits(&a.v), bits(&b.v), "{ctx}: v");
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_step_changes_nothing() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut store = wide_store(0);
+            let mut opt = Adam::with_weight_decay(2e-3, 1e-3);
+            let (mut clean_store, mut clean) = (store.clone(), opt.clone());
+            assert!(clip_and_step(&mut store, &mut opt, 5.0));
+            assert!(clip_and_step(&mut clean_store, &mut clean, 5.0));
+
+            // A bad batch on one side only: nothing moves.
+            fresh_grads(&mut store, 1);
+            let w = store.ids().next().expect("a parameter");
+            store.values_and_grads_mut().1[w.index()].data_mut()[3] = bad;
+            let (values, t) = (store.clone(), opt.t);
+            let (m, v) = (bits(&opt.m), bits(&opt.v));
+            assert!(!clip_and_step(&mut store, &mut opt, 5.0), "{bad}");
+            assert_values_bit_equal(&store, &values, &format!("{bad}: weights"));
+            assert_eq!((bits(&opt.m), bits(&opt.v), opt.t), (m, v, t), "{bad}");
+
+            // The next finite step lands where a run that never saw the
+            // bad batch does.
+            for (s, o) in [(&mut store, &mut opt), (&mut clean_store, &mut clean)] {
+                fresh_grads(s, 2);
+                assert!(clip_and_step(s, o, 5.0));
+            }
+            assert_values_bit_equal(&store, &clean_store, &format!("{bad}: next step"));
+            assert_eq!(bits(&opt.m), bits(&clean.m), "{bad}: m");
+            assert_eq!(bits(&opt.v), bits(&clean.v), "{bad}: v");
         }
     }
 

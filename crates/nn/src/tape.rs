@@ -224,21 +224,38 @@ impl ParamStore {
         self.accumulate(id, g)
     }
 
-    /// Global L2 norm of all gradients (for clipping / monitoring).
+    /// Global L2 norm of all gradients (for clipping / monitoring): each
+    /// tensor's [`Tensor::norm2`], then the root of their squares summed
+    /// in `f64` in parameter order.
+    ///
+    /// A tensor's sum of squares is one serial `f64` chain in element
+    /// order, so a lone chain waits on every add. Eight chains run side by
+    /// side instead, longest tensor first, a lane taking the next tensor
+    /// when its own runs out. No sum is reassociated, so the bits are the
+    /// per-tensor formula's.
     pub fn grad_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .map(|g| {
-                let n = g.norm2();
-                (n as f64) * (n as f64)
-            })
-            .sum::<f64>()
-            .sqrt() as f32
+        let mut norms = [0.0f32; NORM_WINDOW];
+        let mut total = -0.0f64;
+        for window in self.grads.chunks(NORM_WINDOW) {
+            let norms = &mut norms[..window.len()];
+            norms_in_lanes(window, norms);
+            for &n in norms.iter() {
+                total += (n as f64) * (n as f64);
+            }
+        }
+        total.sqrt() as f32
     }
 
     /// Scales every gradient so the global norm is at most `max_norm`.
-    pub fn clip_grad_norm(&mut self, max_norm: f32) {
+    ///
+    /// A non-finite norm (a NaN or infinite gradient somewhere) changes
+    /// nothing and returns `false`: scaling by `max_norm / inf = 0` would
+    /// turn every infinite entry into NaN. See [`crate::clip_and_step`].
+    pub fn clip_grad_norm(&mut self, max_norm: f32) -> bool {
         let norm = self.grad_norm();
+        if !norm.is_finite() {
+            return false;
+        }
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
             for g in &mut self.grads {
@@ -246,6 +263,78 @@ impl ParamStore {
                     *x *= s;
                 }
             }
+        }
+        true
+    }
+}
+
+/// Tensors whose norms [`ParamStore::grad_norm`] schedules together.
+const NORM_WINDOW: usize = 64;
+
+/// `out[i] = tensors[i].norm2()` for up to [`NORM_WINDOW`] tensors, eight
+/// chains in flight. Lanes take the tensors longest first, so the last
+/// chains to finish are short ones.
+fn norms_in_lanes(tensors: &[Tensor], out: &mut [f32]) {
+    const LANES: usize = 8;
+    const IDLE: usize = usize::MAX;
+    let mut order = [0u8; NORM_WINDOW];
+    let order = &mut order[..tensors.len()];
+    for (i, o) in order.iter_mut().enumerate() {
+        *o = i as u8;
+    }
+    order.sort_unstable_by_key(|&t| std::cmp::Reverse(tensors[t as usize].numel()));
+    let mut order = order.iter().map(|&t| t as usize);
+    let mut owner = [IDLE; LANES];
+    let mut rows: [&[f32]; LANES] = [&[]; LANES];
+    let mut acc = [0.0f64; LANES];
+    loop {
+        // Finish the chains that ran out; start the next tensors in their
+        // lanes (an empty tensor is finished on the spot).
+        for l in 0..LANES {
+            if owner[l] != IDLE && !rows[l].is_empty() {
+                continue;
+            }
+            if owner[l] != IDLE {
+                out[owner[l]] = acc[l].sqrt() as f32;
+                owner[l] = IDLE;
+            }
+            while owner[l] == IDLE {
+                let Some(t) = order.next() else { break };
+                let data = tensors[t].data();
+                if data.is_empty() {
+                    out[t] = tensors[t].norm2();
+                } else {
+                    (owner[l], rows[l], acc[l]) = (t, data, -0.0);
+                }
+            }
+        }
+        if owner.contains(&IDLE) {
+            // Nothing left to start: finish the last (shortest) chains
+            // one after another.
+            for l in 0..LANES {
+                if owner[l] != IDLE {
+                    let chain = rows[l].iter().fold(acc[l], |a, &x| {
+                        let x = x as f64;
+                        a + x * x
+                    });
+                    out[owner[l]] = chain.sqrt() as f32;
+                }
+            }
+            return;
+        }
+        let m = rows.iter().map(|r| r.len()).min().unwrap_or(0);
+        let mut chains = acc;
+        let ptrs = rows.map(<[f32]>::as_ptr);
+        for i in 0..m {
+            for l in 0..LANES {
+                // SAFETY: `i < m`, and every lane holds at least `m` values.
+                let x = unsafe { *ptrs[l].add(i) } as f64;
+                chains[l] += x * x;
+            }
+        }
+        acc = chains;
+        for r in &mut rows {
+            *r = &r[m..];
         }
     }
 }
@@ -1191,6 +1280,59 @@ mod tests {
         assert!((store.grad_norm() - 5.0).abs() < 1e-6);
         store.clip_grad_norm(1.0);
         assert!((store.grad_norm() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn grad_norm_is_the_per_tensor_serial_formula() {
+        // The formula `grad_norm` was: one serial chain per tensor.
+        let serial = |s: &ParamStore| {
+            s.grads
+                .iter()
+                .map(|g| {
+                    let n = g.norm2();
+                    (n as f64) * (n as f64)
+                })
+                .sum::<f64>()
+                .sqrt() as f32
+        };
+        // Lengths from empty to larger than the rest combined, over more
+        // tensors than one window holds, with large and tiny magnitudes.
+        for (count, salt) in [(1usize, 0usize), (7, 1), (8, 2), (9, 3), (60, 4), (150, 5)] {
+            let mut store = ParamStore::new();
+            for t in 0..count {
+                let len = match (t * 7 + salt) % 9 {
+                    0 => 0,
+                    1 => 1,
+                    2 => 6144,
+                    k => k * 37 + t,
+                };
+                let value = Tensor::from_fn(&[len], |i| {
+                    let x = ((i * 31 + t * 17 + salt) as f32 * 0.173).sin();
+                    x * 10f32.powi(((i + t) % 11) as i32 - 5)
+                });
+                let id = store.add(format!("p{t}"), Tensor::zeros(&[len]));
+                store.grads[id.index()] = value;
+            }
+            assert_eq!(
+                store.grad_norm().to_bits(),
+                serial(&store).to_bits(),
+                "{count} tensors"
+            );
+        }
+    }
+
+    #[test]
+    fn a_non_finite_norm_clips_nothing() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut store = ParamStore::new();
+            let p = store.add("p", Tensor::zeros(&[3]));
+            store.grads[p.index()] = Tensor::from_vec(vec![30.0, bad, -0.0], &[3]).unwrap();
+            let before = store.grads[p.index()].clone();
+            assert!(!store.grad_norm().is_finite());
+            assert!(!store.clip_grad_norm(1.0), "{bad}");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(store.grad(p)), bits(&before), "{bad}");
+        }
     }
 
     #[test]

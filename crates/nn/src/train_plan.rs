@@ -35,11 +35,16 @@
 //! reading `Q`, `K`, `V` and the probabilities in place — every element
 //! the unfused steps' own chain.
 //!
-//! The loss stays on the tape: a caller builds it over `constant` leaves
-//! holding the replayed outputs, runs `backward`, and hands the leaves'
-//! gradients to [`TrainExec::backward`] as **seeds**. A seed is an output
-//! node's first contribution, which is where the tape puts it (loss nodes
-//! come after every forward node).
+//! The loss is not part of a plan: a plan may hold no reduction across
+//! rows, and every loss is one (a `mean`, CMD's `mean_axis0`). The caller
+//! computes the loss gradient of each seeded output and hands it to
+//! [`TrainExec::backward`] as a **seed** — an output node's first
+//! contribution, which is where the tape puts it (loss nodes come after
+//! every forward node). The predictor's heads are fixed kernels that read
+//! [`TrainExec::output`] in place and repeat the tape's expressions
+//! (`cdmpp_core::trainer::loss_head`, [`crate::CmdHead`]); any other loss
+//! can be built on a tape over `constant` leaves holding the outputs, its
+//! leaves' gradients being the seeds.
 //!
 //! # Shard-exact on one thread
 //!
