@@ -7,14 +7,22 @@
 //! real-hardware measurement in Ansor's loop), and measurements refresh
 //! the population. Better cost models prune the space better and find
 //! faster schedules in the same number of rounds.
+//!
+//! A round's proposals are deduped on the calling thread as they are
+//! drawn, and lowering overlaps proposing: each chunk of first occurrences
+//! is lowered on `parallel::global()` while the caller draws the next, so
+//! the proposer, which is serial, no longer leaves the pool idle.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use devsim::{DeviceSpec, Simulator};
+use parallel::{Scope, ThreadPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tir::{
-    crossover_schedule, lower, mutate_schedule, sample_schedule, Nest, Schedule, TensorProgram,
+    crossover_schedule, lower, mutate_schedule, sample_schedule, Nest, Schedule, ScheduleError,
+    TensorProgram,
 };
 
 use crate::e2e::encode_programs;
@@ -198,17 +206,28 @@ pub struct GenSearchTrace {
     pub measurements: usize,
 }
 
-/// One round's distinct candidates. The buffers live across rounds, so a
-/// round allocates for the schedules and programs it keeps and for the
-/// pool hand-off of its lowering, nothing else.
+/// First occurrences handed to the pool together. A chunk is large enough
+/// that its hand-off is a small share of its lowering, and small enough that
+/// the pool starts lowering while the round is still being proposed.
+const CHUNK: usize = 64;
+
+/// One chunk of first occurrences, in proposal order, and, once the task
+/// lowering it has run, their programs in the same order.
+struct Chunk {
+    schedules: Vec<Schedule>,
+    programs: OnceLock<Vec<Result<TensorProgram, ScheduleError>>>,
+}
+
+/// One round's distinct candidates. The table and the output buffers live
+/// across rounds, so a round allocates for the schedules and programs it
+/// keeps and for the pool hand-off of its chunks, nothing else.
 #[derive(Default)]
 struct RoundCandidates {
-    /// Identity hash → index into `distinct` of the schedule that claimed
-    /// it. A different schedule with the same hash (confirmed by
-    /// `PartialEq`) claims `hash + 1`, …
+    /// Identity hash → proposal-order index of the first occurrence that
+    /// claimed it (chunk `i / CHUNK`, slot `i % CHUNK`). A different
+    /// schedule with the same hash (confirmed by `PartialEq`) claims
+    /// `hash + 1`, …
     slots: HashMap<u64, usize>,
-    /// First occurrences, in proposal order, until they are lowered.
-    distinct: Vec<Schedule>,
     /// First occurrences that lowered, in proposal order.
     unique: Vec<(Schedule, TensorProgram)>,
     /// First occurrences that did not, in proposal order.
@@ -216,42 +235,138 @@ struct RoundCandidates {
 }
 
 impl RoundCandidates {
-    /// Dedups `proposals` by schedule identity, keeping first occurrences in
-    /// order, then lowers each distinct schedule exactly once, on every core
-    /// of `parallel::global()`. The programs come back in index order and
-    /// are split into `unique` / `failed` in proposal order, so the round is
-    /// bit-identical for any pool size.
+    /// [`RoundCandidates::dedup_then_lower_on`] on `parallel::global()`.
     fn dedup_then_lower(&mut self, nest: &Nest, proposals: impl Iterator<Item = Schedule>) {
+        self.dedup_then_lower_on(parallel::global(), nest, proposals);
+    }
+
+    /// Dedups `proposals` by schedule identity on the calling thread,
+    /// keeping first occurrences in order, and lowers each distinct schedule
+    /// exactly once while it proposes: every `CHUNK` first occurrences are
+    /// spawned on `pool` as soon as they are found, so the pool lowers chunk
+    /// k while the caller draws chunk k + 1. After the scope the chunks are
+    /// split into `unique` / `failed` in proposal order, so the round is
+    /// bit-identical for any pool size, and on a pool worker, where the
+    /// spawns run inline.
+    fn dedup_then_lower_on(
+        &mut self,
+        pool: &ThreadPool,
+        nest: &Nest,
+        proposals: impl Iterator<Item = Schedule>,
+    ) {
         self.slots.clear();
+        // The previous round's programs are freed here, while the pool is
+        // idle: freed while the pool lowers, they contend with its
+        // allocations for the same allocator arenas.
         self.unique.clear();
         self.failed.clear();
-        'next: for sched in proposals {
-            let mut key = sched.identity_hash();
-            while let Some(&i) = self.slots.get(&key) {
-                if self.distinct[i] == sched {
-                    continue 'next;
+        let slots = &mut self.slots;
+        // Handed-off chunks stay readable here: a duplicate is confirmed
+        // against its first occurrence while the pool lowers it.
+        let mut chunks: Vec<Arc<Chunk>> = Vec::new();
+        pool.scope(|s| {
+            let mut open: Vec<Schedule> = Vec::with_capacity(CHUNK);
+            'next: for sched in proposals {
+                let mut key = sched.identity_hash();
+                while let Some(&i) = slots.get(&key) {
+                    let first = match chunks.get(i / CHUNK) {
+                        Some(chunk) => &chunk.schedules[i % CHUNK],
+                        None => &open[i % CHUNK],
+                    };
+                    if *first == sched {
+                        continue 'next;
+                    }
+                    key = key.wrapping_add(1);
                 }
-                key = key.wrapping_add(1);
+                slots.insert(key, chunks.len() * CHUNK + open.len());
+                open.push(sched);
+                if open.len() == CHUNK {
+                    let full = std::mem::replace(&mut open, Vec::with_capacity(CHUNK));
+                    chunks.push(lower_chunk(s, nest, full));
+                }
             }
-            self.slots.insert(key, self.distinct.len());
-            self.distinct.push(sched);
-        }
-        let distinct = &self.distinct;
-        let lowered = parallel::global().run_indexed(distinct.len(), |i| lower(nest, &distinct[i]));
-        for (sched, prog) in self.distinct.drain(..).zip(lowered) {
-            match prog {
-                Ok(prog) => self.unique.push((sched, prog)),
-                Err(_) => self.failed.push(sched),
+            if !open.is_empty() {
+                chunks.push(lower_chunk(s, nest, open));
+            }
+        });
+        for chunk in chunks {
+            let Chunk {
+                schedules,
+                programs,
+            } = Arc::into_inner(chunk).expect("a finished task has dropped its chunk");
+            let programs = programs.into_inner().expect("the scope ran every task");
+            for (sched, prog) in schedules.into_iter().zip(programs) {
+                match prog {
+                    Ok(prog) => self.unique.push((sched, prog)),
+                    Err(_) => self.failed.push(sched),
+                }
             }
         }
     }
 }
 
+/// Spawns the lowering of `schedules` on `s` and returns the chunk, which
+/// the task fills with their programs.
+fn lower_chunk<'env>(
+    s: &Scope<'_, 'env>,
+    nest: &'env Nest,
+    schedules: Vec<Schedule>,
+) -> Arc<Chunk> {
+    let chunk = Arc::new(Chunk {
+        schedules,
+        programs: OnceLock::new(),
+    });
+    let task = Arc::clone(&chunk);
+    s.spawn(move || {
+        let programs = task.schedules.iter().map(|s| lower(nest, s)).collect();
+        let _ = task.programs.set(programs);
+    });
+    chunk
+}
+
+/// A round's proposals as a lazy stream, drawn in a fixed RNG order:
+/// mutations of round-robin population parents, then crossovers, then
+/// fresh samples up to `target`. Round 0 (empty population) is all fresh.
+fn proposals<'a>(
+    nest: &'a Nest,
+    population: &'a [Schedule],
+    mix: &ProposerMix,
+    target: usize,
+    rng: &'a mut StdRng,
+) -> impl Iterator<Item = Schedule> + 'a {
+    let weight = (mix.mutation + mix.crossover + mix.fresh).max(1);
+    let (n_mut, n_cross) = if population.is_empty() {
+        (0, 0)
+    } else {
+        (
+            target * mix.mutation / weight,
+            target * mix.crossover / weight,
+        )
+    };
+    let len = population.len();
+    (0..target).map(move |i| {
+        if i < n_mut {
+            mutate_schedule(nest, &population[i % len], rng)
+        } else if i < n_mut + n_cross {
+            let i = i - n_mut;
+            let a = i % len;
+            let mut b = (a + 1 + i / len) % len;
+            if b == a {
+                b = (b + 1) % len;
+            }
+            crossover_schedule(nest, &population[a], &population[b])
+        } else {
+            sample_schedule(nest, rng)
+        }
+    })
+}
+
 /// Large-scale generational search: thousands of candidates per round from
 /// a configurable proposer mix, deduped by schedule identity so identical
-/// programs are lowered, encoded and scored once, lowered on every core,
-/// and ranked by **one** `score_batch` call per round (the engine-backed
-/// cost model turns that into saturating serving traffic).
+/// programs are lowered, encoded and scored once, lowered on every core
+/// while the round is still being proposed, and ranked by **one**
+/// `score_batch` call per round (the engine-backed cost model turns that
+/// into saturating serving traffic).
 ///
 /// Deterministic for a fixed `(nest, dev, cost, cfg)`, whatever the pool
 /// size: proposals draw from a seeded RNG in a fixed order, crossover is
@@ -271,39 +386,16 @@ pub fn generational_search(
     let mut rounds = Vec::with_capacity(cfg.rounds);
     let mut measurements = 0usize;
     let target = cfg.candidates_per_round;
-    // Round buffers, reused: only `progs` (it borrows the round's programs)
-    // and the cost model's score vector are built per round.
-    let mut proposals: Vec<Schedule> = Vec::with_capacity(target);
+    // Round buffers, reused: only the lowering's chunks, `progs` (it
+    // borrows the round's programs) and the cost model's score vector are
+    // built per round.
     let mut candidates = RoundCandidates::default();
     let mut scored: Vec<(f64, usize)> = Vec::new();
     for _ in 0..cfg.rounds {
-        // --- Propose. ---
-        let weight = (cfg.mix.mutation + cfg.mix.crossover + cfg.mix.fresh).max(1);
-        let (n_mut, n_cross) = if population.is_empty() {
-            (0, 0)
-        } else {
-            (
-                target * cfg.mix.mutation / weight,
-                target * cfg.mix.crossover / weight,
-            )
-        };
-        for i in 0..n_mut {
-            let parent = &population[i % population.len()];
-            proposals.push(mutate_schedule(nest, parent, &mut rng));
-        }
-        for i in 0..n_cross {
-            let a = i % population.len();
-            let mut b = (a + 1 + i / population.len()) % population.len();
-            if b == a {
-                b = (b + 1) % population.len();
-            }
-            proposals.push(crossover_schedule(nest, &population[a], &population[b]));
-        }
-        while proposals.len() < target {
-            proposals.push(sample_schedule(nest, &mut rng));
-        }
-        // --- Dedup by schedule identity, then lower what is distinct. ---
-        candidates.dedup_then_lower(nest, proposals.drain(..));
+        // --- Propose, dedup by schedule identity, and lower what is
+        // distinct, chunk by chunk as it is found. ---
+        let stream = proposals(nest, &population, &cfg.mix, target, &mut rng);
+        candidates.dedup_then_lower(nest, stream);
         let unique = &candidates.unique;
         if unique.is_empty() {
             rounds.push(GenRound {
@@ -472,6 +564,96 @@ mod tests {
             assert_eq!(round.failed, std::slice::from_ref(&bad));
             assert_eq!(round.slots.len(), 4);
         }
+    }
+
+    /// `n` distinct schedules of `nest()`: fresh samples, with one that
+    /// never lowers at index `min(CHUNK - 1, n / 2)`.
+    fn distinct_schedules(n: usize) -> Vec<Schedule> {
+        use tir::Primitive;
+        // 128 is not a multiple of 5.
+        let bad = Schedule {
+            primitives: vec![Primitive::Split { axis: 0, factor: 5 }],
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut out: Vec<Schedule> = Vec::with_capacity(n);
+        while out.len() < n {
+            let s = if out.len() == (CHUNK - 1).min(n / 2) {
+                bad.clone()
+            } else {
+                sample_schedule(&nest(), &mut rng)
+            };
+            if !out.contains(&s) {
+                out.push(s);
+            }
+        }
+        out
+    }
+
+    /// `distinct` with repeats: after every third schedule, one that is
+    /// `CHUNK - 1` places back (or the first), so repeats reach back across
+    /// chunk boundaries, and the failing schedule proposed twice.
+    fn with_repeats(distinct: &[Schedule]) -> Vec<Schedule> {
+        let mut out = Vec::new();
+        for (i, s) in distinct.iter().enumerate() {
+            out.push(s.clone());
+            if i % 3 == 2 {
+                out.push(distinct[i.saturating_sub(CHUNK - 1)].clone());
+            }
+            if i == (CHUNK - 1).min(distinct.len() / 2) + 1 {
+                out.push(distinct[i - 1].clone());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn chunked_lowering_matches_serial_dedup_then_lower_at_any_pool_size() {
+        let pools: Vec<ThreadPool> = (1..=3).map(ThreadPool::new).collect();
+        let mut round = RoundCandidates::default();
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 1024] {
+            let distinct = distinct_schedules(n);
+            for proposals in [distinct.clone(), with_repeats(&distinct)] {
+                // The serial reference: dedup, then lower each first
+                // occurrence in order.
+                let mut firsts: Vec<&Schedule> = Vec::new();
+                for s in &proposals {
+                    if !firsts.contains(&s) {
+                        firsts.push(s);
+                    }
+                }
+                let (mut unique, mut failed) = (Vec::new(), Vec::new());
+                for &s in &firsts {
+                    match lower(&nest(), s) {
+                        Ok(p) => unique.push((s.clone(), p)),
+                        Err(_) => failed.push(s.clone()),
+                    }
+                }
+                assert_eq!(firsts.len(), n);
+                assert_eq!(failed.len(), usize::from(n > 0), "n = {n}");
+                for pool in &pools {
+                    round.dedup_then_lower_on(pool, &nest(), proposals.iter().cloned());
+                    let at = format!(
+                        "n = {n}, {} proposals, pool {}",
+                        proposals.len(),
+                        pool.threads()
+                    );
+                    assert!(round.unique == unique, "unique differs at {at}");
+                    assert_eq!(round.failed, failed, "at {at}");
+                    assert_eq!(round.slots.len(), firsts.len(), "at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generational_search_on_a_pool_worker_matches_the_caller() {
+        let from_caller =
+            generational_search(&nest(), &devsim::t4(), &RandomCost { seed: 1 }, &gen_cfg());
+        // On a worker the chunk spawns run inline, one after another.
+        let from_worker = parallel::global().run_indexed(1, |_| {
+            generational_search(&nest(), &devsim::t4(), &RandomCost { seed: 1 }, &gen_cfg())
+        });
+        assert_eq!(format!("{:?}", from_worker[0]), format!("{from_caller:?}"));
     }
 
     #[test]

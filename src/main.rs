@@ -346,6 +346,10 @@ fn parse_nest(spec: &str) -> Option<Nest> {
         .map(str::parse)
         .collect::<Result<_, _>>()
         .ok()?;
+    // A zero extent is an empty nest: nothing to search.
+    if d.contains(&0) {
+        return None;
+    }
     let op = match (kind, d.as_slice()) {
         ("dense", &[m, n, k]) => OpSpec::Dense { m, n, k },
         ("bmm", &[b, m, n, k]) => OpSpec::BatchMatmul { b, m, n, k },
@@ -499,5 +503,29 @@ fn main() {
         Some("search") => cmd_search(&args[1..]),
         Some(_) if args.len() == 3 => cmd_legacy(&args),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_nest_accepts_the_three_kinds_and_rejects_zero_extents() {
+        for spec in ["dense:128x128x128", "bmm:4x64x64x64", "softmax:256x256"] {
+            assert!(parse_nest(spec).is_some(), "{spec}");
+        }
+        for spec in [
+            "dense:0x128x128",
+            "dense:128x128x0",
+            "bmm:0x64x64x64",
+            "softmax:256x0",
+            "dense:128x128",
+            "conv:1x2x3",
+            "dense:-1x128x128",
+            "dense128x128x128",
+        ] {
+            assert!(parse_nest(spec).is_none(), "{spec}");
+        }
     }
 }
