@@ -1,13 +1,19 @@
-//! Inference values of the three tape-trained baselines, pinned bit for bit.
+//! Inference values of the baselines, pinned bit for bit.
 //!
 //! Seeded, untrained `TiramisuModel`, `TlpModel` and `MlpRegressor` models
 //! predict a few fixed programs / rows, and each answer's `to_bits` is
 //! compared against a committed constant. Inference runs the same kernels
 //! in the same order on every SIMD tier, so these pins hold under
 //! `CDMPP_SIMD=scalar` too; a change to the eager executor, a layer's
-//! forward or a kernel's arithmetic moves them.
+//! forward or a kernel's arithmetic moves them. The GBT is fitted (it has
+//! no kernels, only f64 histogram sums), and its pin is a hash of every
+//! answer over a few hundred rows: a change to binning, split search or
+//! row partitioning that moves one tree moves it.
 
-use baselines::{MlpRegConfig, MlpRegressor, TiramisuConfig, TiramisuModel, TlpConfig, TlpModel};
+use baselines::{
+    GbtConfig, GbtRegressor, MlpRegConfig, MlpRegressor, TiramisuConfig, TiramisuModel, TlpConfig,
+    TlpModel,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tir::{lower, sample_schedule, OpSpec, Schedule};
@@ -101,6 +107,37 @@ fn mlpreg_predictions_are_pinned() {
     assert_eq!(single, MLPREG, "{single:#x?}");
 }
 
+#[test]
+fn gbt_predictions_are_pinned() {
+    // 400 rows of 12 features: smooth, stepped and constant columns, and a
+    // target with interactions, so trees split on several features.
+    let xs: Vec<Vec<f32>> = (0..400)
+        .map(|r| {
+            (0..12)
+                .map(|c| match c % 4 {
+                    0 => ((r * 12 + c) as f32 * 0.137).sin(),
+                    1 => ((r * 7 + c * 3) % 23) as f32,
+                    2 => (r as f32 * 0.01 + c as f32).ln(),
+                    _ => 1.5,
+                })
+                .collect()
+        })
+        .collect();
+    let ys: Vec<f32> = xs
+        .iter()
+        .map(|x| x[0] * x[1] - 0.3 * x[2] + (x[4] * 0.2).cos() * x[5])
+        .collect();
+    let model = GbtRegressor::fit(&xs, &ys, GbtConfig::default());
+    // FNV-1a over every answer's bits.
+    let hash = model
+        .predict_batch(&xs)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+        });
+    assert_eq!(hash, GBT_HASH, "{hash:#x}");
+}
+
 /// Per spec, default then sampled schedule.
 const TIRAMISU: [u64; 6] = [
     0x3feeaeafc0000000,
@@ -130,3 +167,6 @@ const TLP: [u64; 12] = [
 const MLPREG: [u32; 6] = [
     0xbec0aee2, 0xbcd49c4d, 0xbec7e5e2, 0xbe394548, 0xbe11b0f7, 0xbea9d0e0,
 ];
+
+/// FNV-1a over `predict_batch`'s bits for the 400 fitted rows.
+const GBT_HASH: u64 = 0xd541_db44_8fb8_2450;
