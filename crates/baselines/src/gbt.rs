@@ -19,7 +19,7 @@ pub struct GbtConfig {
     pub learning_rate: f32,
     /// Minimum samples in a leaf.
     pub min_samples_leaf: usize,
-    /// Histogram bins per feature.
+    /// Histogram bins per feature (at most 256: a bin is a `u8`).
     pub n_bins: usize,
     /// Fraction of features considered per split (column subsampling).
     pub colsample: f32,
@@ -93,15 +93,23 @@ impl GbtRegressor {
     ///
     /// # Panics
     ///
-    /// Panics if `xs` is empty or row lengths differ from each other.
+    /// Panics if `xs` is empty, if row lengths differ from each other, or
+    /// if `config.n_bins` is above 256.
     pub fn fit(xs: &[Vec<f32>], ys: &[f32], config: GbtConfig) -> Self {
         assert!(!xs.is_empty(), "GBT fit on empty data");
         assert_eq!(xs.len(), ys.len());
+        assert!(
+            config.n_bins <= 256,
+            "GBT bins are u8: n_bins {} above 256",
+            config.n_bins
+        );
         let n_features = xs[0].len();
         let base = ys.iter().sum::<f32>() / ys.len() as f32;
         let mut residuals: Vec<f32> = ys.iter().map(|&y| y - base).collect();
-        // Global histogram bin edges per feature (quantile binning).
-        let bins = build_bins(xs, n_features, config.n_bins);
+        // Global histogram bin edges per feature (quantile binning), and
+        // every row's bin of every feature, found once.
+        let edges = build_bins(xs, n_features, config.n_bins);
+        let bins = Binned::new(xs, &edges);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut trees = Vec::with_capacity(config.n_trees);
         let all_idx: Vec<usize> = (0..xs.len()).collect();
@@ -113,10 +121,10 @@ impl GbtRegressor {
             let mut tree = Tree { nodes: Vec::new() };
             grow(
                 &mut tree,
-                xs,
+                &bins,
                 &residuals,
                 &all_idx,
-                &bins,
+                &edges,
                 &cols,
                 config.max_depth,
                 config.min_samples_leaf,
@@ -170,13 +178,43 @@ fn build_bins(xs: &[Vec<f32>], n_features: usize, n_bins: usize) -> Vec<Vec<f32>
     bins
 }
 
+/// Every row's bin of every feature, row-major: the number of the
+/// feature's edges strictly below the value. Edges strictly increase, so a
+/// row's value is `<= edges[b]` exactly when its bin is `<= b`.
+struct Binned {
+    bins: Vec<u8>,
+    n_features: usize,
+}
+
+impl Binned {
+    fn new(xs: &[Vec<f32>], edges: &[Vec<f32>]) -> Binned {
+        let bins = xs
+            .iter()
+            .flat_map(|x| {
+                assert_eq!(x.len(), edges.len(), "GBT rows differ in length");
+                x.iter()
+                    .zip(edges)
+                    .map(|(&v, e)| e.partition_point(|&e| e < v) as u8)
+            })
+            .collect();
+        Binned {
+            bins,
+            n_features: edges.len(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[u8] {
+        &self.bins[i * self.n_features..(i + 1) * self.n_features]
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn grow(
     tree: &mut Tree,
-    xs: &[Vec<f32>],
+    bins: &Binned,
     ys: &[f32],
     idx: &[usize],
-    bins: &[Vec<f32>],
+    edges: &[Vec<f32>],
     cols: &[usize],
     depth: usize,
     min_leaf: usize,
@@ -187,31 +225,36 @@ fn grow(
         tree.nodes.push(Node::Leaf(mean));
         return tree.nodes.len() - 1;
     }
-    // Find the best split over the sampled columns using histograms.
-    let mut best: Option<(usize, f32, f64)> = None; // (feature, threshold, gain)
+    // (count, sum) histograms of the sampled columns that have edges, all
+    // built in one pass over the rows in `idx` order — so each bin adds
+    // the same values in the same order as a pass per column would.
+    let split_cols: Vec<usize> = cols
+        .iter()
+        .copied()
+        .filter(|&f| !edges[f].is_empty())
+        .collect();
+    let width = edges.iter().map(|e| e.len() + 1).max().unwrap_or(1);
+    let mut hist = vec![(0f64, 0f64); split_cols.len() * width];
+    for &i in idx {
+        let row = bins.row(i);
+        let y = ys[i] as f64;
+        for (h, &f) in hist.chunks_exact_mut(width).zip(&split_cols) {
+            let (cnt, s) = &mut h[row[f] as usize];
+            *cnt += 1.0;
+            *s += y;
+        }
+    }
+    // Find the best split over the sampled columns.
+    let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, gain)
     let total_sum = sum;
     let total_cnt = idx.len() as f64;
     let parent_score = total_sum * total_sum / total_cnt;
-    for &f in cols {
-        let edges = &bins[f];
-        if edges.is_empty() {
-            continue;
-        }
-        // Histogram of (count, sum) per bin. Bin b = #edges <= value.
-        let nb = edges.len() + 1;
-        let mut cnt = vec![0f64; nb];
-        let mut sums = vec![0f64; nb];
-        for &i in idx {
-            let v = xs[i][f];
-            let b = edges.partition_point(|&e| e < v);
-            cnt[b] += 1.0;
-            sums[b] += ys[i] as f64;
-        }
+    for (h, &f) in hist.chunks_exact(width).zip(&split_cols) {
         let mut lcnt = 0.0;
         let mut lsum = 0.0;
-        for b in 0..nb - 1 {
-            lcnt += cnt[b];
-            lsum += sums[b];
+        for (b, &(cnt, s)) in h[..edges[f].len()].iter().enumerate() {
+            lcnt += cnt;
+            lsum += s;
             let rcnt = total_cnt - lcnt;
             let rsum = total_sum - lsum;
             if lcnt < min_leaf as f64 || rcnt < min_leaf as f64 {
@@ -219,7 +262,7 @@ fn grow(
             }
             let gain = lsum * lsum / lcnt + rsum * rsum / rcnt - parent_score;
             if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
-                best = Some((f, edges[b], gain));
+                best = Some((f, b, gain));
             }
         }
     }
@@ -228,16 +271,17 @@ fn grow(
             tree.nodes.push(Node::Leaf(mean));
             tree.nodes.len() - 1
         }
-        Some((feature, threshold, _)) => {
-            let (li, ri): (Vec<usize>, Vec<usize>) =
-                idx.iter().partition(|&&i| xs[i][feature] <= threshold);
+        Some((feature, bin, _)) => {
+            let (li, ri): (Vec<usize>, Vec<usize>) = idx
+                .iter()
+                .partition(|&&i| bins.row(i)[feature] as usize <= bin);
             let node = tree.nodes.len();
             tree.nodes.push(Node::Leaf(0.0)); // placeholder
-            let left = grow(tree, xs, ys, &li, bins, cols, depth - 1, min_leaf);
-            let right = grow(tree, xs, ys, &ri, bins, cols, depth - 1, min_leaf);
+            let left = grow(tree, bins, ys, &li, edges, cols, depth - 1, min_leaf);
+            let right = grow(tree, bins, ys, &ri, edges, cols, depth - 1, min_leaf);
             tree.nodes[node] = Node::Split {
                 feature,
-                threshold,
+                threshold: edges[feature][bin],
                 left,
                 right,
             };

@@ -5,7 +5,7 @@
 //! * [`batch`]: leaf-count-homogeneous batching of compact ASTs.
 //! * [`trainer`]: pre-training with Box-Cox label normalization and the
 //!   scale-insensitive hybrid objective (§5.2, §5.4).
-//! * [`finetune`]: CMD-regularized domain adaptation (§5.3).
+//! * [`finetune`](mod@finetune): CMD-regularized domain adaptation (§5.3).
 //! * [`sampler`]: Algorithm 1 — KMeans-based task selection for profiling
 //!   on a new device.
 //! * [`replayer`]: Algorithm 2 — end-to-end DFG replay, including HL-100

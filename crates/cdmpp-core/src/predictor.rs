@@ -801,7 +801,7 @@ impl SharedPredictor {
 
     /// Whether this handle's weight matrices are stored as i8, `false`
     /// for a plain f32 freeze (a freeze quantizes all of them or none).
-    pub fn quant_kind(&self) -> bool {
+    pub fn is_quantized(&self) -> bool {
         self.params.has_quants()
     }
 

@@ -6,7 +6,7 @@
 //! feature scaler, every named weight tensor, and (optionally) the
 //! compiled per-leaf-count inference plans — so a runner restores a warm
 //! [`InferenceModel`] with a single file load: **no training, no plan
-//! recording** (counter-asserted by [`SharedPredictor::plan_compile_count`]
+//! recording** (counter-asserted by [`crate::SharedPredictor::plan_compile_count`]
 //! staying at zero).
 //!
 //! ## File layout
@@ -23,7 +23,7 @@
 //! 20+H    8     plan section length P, u64 little-endian
 //! 28+H    P     plan section: per plan, ascending by leaf count,
 //!               `leaves: u32`, `len: u32`, then `len` bytes of
-//!               [`PlanDesc::encode_into`]; the entries fill P exactly
+//!               [`Plan::encode_into`]; the entries fill P exactly
 //! 28+H+P  4·Σ   weight blob: each *non-quantized* parameter's f32 data,
 //!               little-endian, concatenated in header order
 //! …       Σq    quantized blobs (only when `quant` is present): each
@@ -45,9 +45,10 @@
 //! and the fixed-width plan encoding of [`nn::plan::desc`], in which every
 //! value has exactly one form. So a save → load round trip is bit-exact
 //! and `save(load(x))` reproduces `x`'s bytes by construction. Plans are
-//! pure data (steps + symbolic shapes + slot table); decoding one checks
-//! its tags, counts and lengths against their caps and the bytes present,
-//! and on load each descriptor is re-validated by [`nn::Plan::from_desc`]
+//! pure data (steps + symbolic shapes + slot table). [`Snapshot::from_bytes`]
+//! checks only how the plan section frames them; restore reads each one
+//! with [`nn::Plan::decode`], which checks its tags, counts and lengths
+//! against their caps and the bytes present, then validates what they say
 //! — indices, slot capacities, per-step geometry, finite constants,
 //! write-once ordering, and in-place aliasing discipline — so a hostile
 //! file can never alias the replay arena out of bounds or trigger a panic.
@@ -88,7 +89,7 @@
 use std::sync::Arc;
 
 use learn::FittedTransform;
-use nn::{Plan, PlanDesc};
+use nn::Plan;
 use serde::{Deserialize, Serialize};
 use tensor::{QuantMode, QuantizedMatrix, Tensor, QUANT_GROUP};
 
@@ -102,7 +103,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CDMPSNAP";
 /// The (only) format version this build reads and writes.
 ///
 /// v3: plans left the JSON header for a binary plan section between the
-/// header and the weight blob ([`PlanDesc::encode_into`]). v2: plan
+/// header and the weight blob ([`Plan::encode_into`]). v2: plan
 /// descriptors gained `Bmm.scale` and `fused_bmm_scales`, and numerics
 /// moved to fused multiply-add accumulation, so v1 weights would no longer
 /// reproduce the predictions they were snapshotted with.
@@ -194,7 +195,7 @@ pub enum SnapshotError {
         /// Index of the offending element.
         index: usize,
     },
-    /// A serialized plan failed re-validation.
+    /// A serialized plan failed to decode or validate.
     Plan {
         /// The plan's leaf count.
         leaves: usize,
@@ -265,8 +266,20 @@ struct ParamMeta {
 pub struct PlanEntry {
     /// The leaf count this plan's embedding layer serves.
     pub leaves: usize,
-    /// The validated-on-load plan descriptor.
-    pub plan: PlanDesc,
+    /// The plan's byte form ([`Plan::encode_into`]), decoded and
+    /// validated on restore.
+    pub plan: Vec<u8>,
+}
+
+impl PlanEntry {
+    fn new(leaves: usize, plan: &Plan) -> PlanEntry {
+        let mut bytes = Vec::new();
+        plan.encode_into(&mut bytes);
+        PlanEntry {
+            leaves,
+            plan: bytes,
+        }
+    }
 }
 
 /// One quantized weight declaration in the JSON header: which parameter,
@@ -494,10 +507,7 @@ impl Snapshot {
         leaves.sort_unstable();
         leaves.dedup();
         for l in leaves {
-            plans.push(PlanEntry {
-                leaves: l,
-                plan: p.plan_for(l)?.to_desc(),
-            });
+            plans.push(PlanEntry::new(l, &*p.plan_for(l)?));
         }
         let mut params = store_params(&p.store);
         let mut quants = Vec::new();
@@ -619,10 +629,7 @@ impl Snapshot {
                 .predictor
                 .compiled_plans()
                 .into_iter()
-                .map(|(leaves, plan)| PlanEntry {
-                    leaves,
-                    plan: plan.to_desc(),
-                })
+                .map(|(leaves, plan)| PlanEntry::new(leaves, &plan))
                 .collect(),
             spec_plans: model
                 .predictor
@@ -679,7 +686,7 @@ impl Snapshot {
             out.extend_from_slice(&wire_u32(entry.leaves));
             let entry_at = out.len() + 4;
             out.extend_from_slice(&[0; 4]);
-            entry.plan.encode_into(&mut out);
+            out.extend_from_slice(&entry.plan);
             let len = wire_u32(out.len() - entry_at);
             out[entry_at - 4..entry_at].copy_from_slice(&len);
         }
@@ -708,9 +715,10 @@ impl Snapshot {
     }
 
     /// Decodes the byte format, validating structure and every declared
-    /// length **before** allocating for it. Plan descriptors are carried
-    /// through as data here; they are validated against the rebuilt
-    /// architecture by [`InferenceModel::from_snapshot`].
+    /// length **before** allocating for it. Plans are carried through as
+    /// bytes here, their framing checked (section and entry lengths, leaf
+    /// order); [`InferenceModel::from_snapshot`] decodes and validates
+    /// each against the rebuilt architecture.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let need = |what, needed, have| {
             if needed > have {
@@ -981,8 +989,7 @@ impl Snapshot {
 /// Reads the plan section off the front of `rest` (everything after the
 /// JSON header) and returns its plans with what follows it. Every length
 /// is checked against its cap and the bytes present before it is used;
-/// an entry's bytes become a [`PlanDesc`] only — [`Plan::from_desc`]
-/// validates it at restore.
+/// an entry's bytes stay bytes — [`Plan::decode`] reads them at restore.
 fn decode_plan_section(rest: &[u8]) -> Result<(Vec<PlanEntry>, &[u8]), SnapshotError> {
     let truncated = |what, needed, have| SnapshotError::Truncated { what, needed, have };
     let (len, rest) = rest
@@ -1000,43 +1007,80 @@ fn decode_plan_section(rest: &[u8]) -> Result<(Vec<PlanEntry>, &[u8]), SnapshotE
         .split_at_checked(len as usize)
         .ok_or_else(|| truncated("plan section", len as usize, rest.len()))?;
     let mut plans: Vec<PlanEntry> = Vec::new();
+    let mut prev_at = 0;
     while !section.is_empty() {
-        if plans.len() == MAX_PLANS {
-            return Err(SnapshotError::Limit {
-                what: "plan count",
-                value: MAX_PLANS + 1,
-                max: MAX_PLANS,
-            });
-        }
         let at = len as usize - section.len();
-        let (head, body) = section
-            .split_first_chunk::<8>()
-            .ok_or_else(|| truncated("plan entry", 8, section.len()))?;
-        let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("4 bytes"));
-        let (leaves, entry_len) = (word(0) as usize, word(4) as usize);
-        let plan_err = |reason: String| SnapshotError::Plan {
-            leaves,
-            reason: format!("entry at plan-section offset {at}: {reason}"),
-        };
-        let (mut entry, next) = body.split_at_checked(entry_len).ok_or_else(|| {
-            plan_err(format!("declares {entry_len} bytes, {} remain", body.len()))
+        let (entry, next) = next_entry(section, at, &plans).map_err(|e| match plans.last() {
+            // An entry that declares the wrong length misframes the next
+            // one: it is the one to name when its bytes are not one plan.
+            Some(prev) => plan_bytes_fault(&prev.plan).map_or(e, |reason| SnapshotError::Plan {
+                leaves: prev.leaves,
+                reason: format!("entry at plan-section offset {prev_at}: {reason}"),
+            }),
+            None => e,
         })?;
-        let plan = PlanDesc::decode(&mut entry).map_err(|e| plan_err(e.to_string()))?;
-        if !entry.is_empty() {
-            return Err(plan_err(format!(
-                "{} trailing bytes after the plan",
-                entry.len()
-            )));
-        }
-        if plans.last().is_some_and(|prev| prev.leaves >= leaves) {
-            return Err(SnapshotError::Header(
-                "plans must be in strictly ascending leaf order".into(),
-            ));
-        }
-        plans.push(PlanEntry { leaves, plan });
+        plans.push(entry);
+        prev_at = at;
         section = next;
     }
     Ok((plans, blob))
+}
+
+/// Frames the plan-section entry at the front of `section`, `at` bytes
+/// into the section: the plan count, the entry's declared length and the
+/// leaf order after `plans`.
+fn next_entry<'a>(
+    section: &'a [u8],
+    at: usize,
+    plans: &[PlanEntry],
+) -> Result<(PlanEntry, &'a [u8]), SnapshotError> {
+    if plans.len() == MAX_PLANS {
+        return Err(SnapshotError::Limit {
+            what: "plan count",
+            value: MAX_PLANS + 1,
+            max: MAX_PLANS,
+        });
+    }
+    let (head, body) = section
+        .split_first_chunk::<8>()
+        .ok_or(SnapshotError::Truncated {
+            what: "plan entry",
+            needed: 8,
+            have: section.len(),
+        })?;
+    let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("4 bytes"));
+    let (leaves, entry_len) = (word(0) as usize, word(4) as usize);
+    let (plan, next) = body
+        .split_at_checked(entry_len)
+        .ok_or_else(|| SnapshotError::Plan {
+            leaves,
+            reason: format!(
+                "entry at plan-section offset {at}: declares {entry_len} bytes, {} remain",
+                body.len()
+            ),
+        })?;
+    if plans.last().is_some_and(|prev| prev.leaves >= leaves) {
+        return Err(SnapshotError::Header(
+            "plans must be in strictly ascending leaf order".into(),
+        ));
+    }
+    let plan = plan.to_vec();
+    Ok((PlanEntry { leaves, plan }, next))
+}
+
+/// Why an entry's bytes are not exactly one plan's byte form, if they are
+/// not: what [`Plan::decode`] would refuse in the bytes alone, or bytes
+/// left after the plan.
+fn plan_bytes_fault(bytes: &[u8]) -> Option<String> {
+    match nn::plan::desc::plan_len(bytes) {
+        Err(e) => Some(e.to_string()),
+        Ok(n) if n < bytes.len() => Some(trailing_bytes(bytes.len() - n)),
+        Ok(_) => None,
+    }
+}
+
+fn trailing_bytes(n: usize) -> String {
+    format!("{n} trailing bytes after the plan")
 }
 
 fn store_params(store: &nn::ParamStore) -> Vec<ParamTensor> {
@@ -1154,8 +1198,8 @@ impl InferenceModel {
     /// [`SnapshotError::Param`]s), copies each tensor into the store
     /// exactly once, and hands the store to the served `Arc` by move
     /// ([`Predictor::into_shared`] — no `freeze()`-style second weight
-    /// copy). It also seeds the shared plan cache from the file's
-    /// validated plan descriptors; leaf counts without a serialized plan
+    /// copy). It also seeds the shared plan cache from the file's plans,
+    /// each decoded and validated here; leaf counts without a serialized plan
     /// fall back to lazy recording on first use, exactly like a freshly
     /// trained model.
     pub fn from_snapshot(snap: &Snapshot) -> Result<InferenceModel, SnapshotError> {
@@ -1270,11 +1314,16 @@ impl InferenceModel {
             predictor.store.set_quant(id, Arc::new(q.matrix.clone()));
         }
 
-        // Seed the plan cache from the file's descriptors: each one is
-        // re-validated against the freshly rebuilt parameter store, then
+        // Seed the plan cache from the file's plans: each one is decoded
+        // and validated against the freshly rebuilt parameter store, then
         // checked to actually be a plan *of this model* (ports + shapes).
+        // Errors name an entry by its offset in the plan section, which
+        // the entries fill in order.
         let latent = snap.config.d_emb + snap.config.d_dev;
+        let mut next_at = 0;
         for entry in &snap.plans {
+            let at = next_at;
+            next_at += 8 + entry.plan.len();
             let plan_err = |reason: String| SnapshotError::Plan {
                 leaves: entry.leaves,
                 reason,
@@ -1285,8 +1334,14 @@ impl InferenceModel {
                     snap.config.max_leaves
                 )));
             }
-            let plan = Plan::from_desc(&entry.plan, &predictor.store)
-                .map_err(|e| plan_err(e.to_string()))?;
+            let in_entry =
+                |reason: String| plan_err(format!("entry at plan-section offset {at}: {reason}"));
+            let mut bytes = entry.plan.as_slice();
+            let plan =
+                Plan::decode(&mut bytes, &predictor.store).map_err(|e| in_entry(e.to_string()))?;
+            if !bytes.is_empty() {
+                return Err(in_entry(trailing_bytes(bytes.len())));
+            }
             if plan.num_inputs() != 2 || plan.num_outputs() != 2 {
                 return Err(plan_err(format!(
                     "expected 2 inputs / 2 outputs, found {} / {}",
@@ -1327,7 +1382,7 @@ impl InferenceModel {
         // folded here: a fold is built by the first replay of its shape
         // (`SharedPredictor::spec_plan_for`), like every other size, so a
         // restore costs no folds its traffic never asks for. Everything a
-        // fold could be refused for is checked now — `Plan::from_desc`
+        // fold could be refused for is checked now — `Plan::decode`
         // above leaves `specialize_cached` nothing to reject at an
         // in-range batch — so a hostile file fails at load, never at a
         // first replay. The file alone decides quantization: encodings

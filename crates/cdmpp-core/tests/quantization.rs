@@ -102,7 +102,7 @@ fn quantized_snapshots_round_trip_canonically_and_serve_bitwise() {
     );
 
     let loaded = InferenceModel::from_snapshot_bytes(&bytes).unwrap();
-    assert!(loaded.predictor.quant_kind());
+    assert!(loaded.predictor.is_quantized());
     assert_eq!(
         loaded.predictor.plan_compile_count(),
         0,
@@ -189,7 +189,7 @@ fn pre_quantization_snapshots_carry_no_quant_section() {
     );
     // And the classic path is untouched: load, serve, reserialize.
     let loaded = InferenceModel::from_snapshot_bytes(&bytes).unwrap();
-    assert!(!loaded.predictor.quant_kind());
+    assert!(!loaded.predictor.is_quantized());
     assert_eq!(Snapshot::from_inference(&loaded).to_bytes(), bytes);
 }
 

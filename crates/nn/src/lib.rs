@@ -47,7 +47,7 @@ pub use layers::{
 };
 pub use loss::{hybrid, mape, mse, mspe, LossKind};
 pub use optim::{clip_and_step, Adam, ConstantLr, CyclicLr, LrSchedule, Optimizer, Sgd};
-pub use plan::desc::{PlanDecodeError, PlanDesc};
+pub use plan::desc::PlanDecodeError;
 pub use plan::{Plan, PlanError, PlanExec, PlanStats, Recorder, SpecializedPlan, WeightPackCache};
 pub use tape::{Graph, ParamId, ParamStore, Var};
 pub use train_plan::{TrainExec, TrainPlan, TrainPlanStats};

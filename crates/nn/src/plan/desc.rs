@@ -1,16 +1,16 @@
-//! Serializable plan descriptors: a plain-data mirror of [`Plan`]
-//! (`PlanDesc` ⇄ `Plan`) for persisting compiled plans next to trained
-//! weights.
+//! A plan's byte form, and the validator every plan read from bytes
+//! passes.
 //!
 //! A plan is pure data — lowered steps, symbolic (`c`/`c·B`) shapes, and a
 //! slot table — so a runner that never sees the [`Recorder`] can replay a
-//! pre-fused plan from disk. Because the bytes may come from an untrusted
-//! file, [`Plan::from_desc`] re-validates **every** invariant the planner
-//! normally guarantees before a descriptor becomes an executable plan:
+//! pre-fused plan from a file. [`Plan::encode_into`] writes the plan's own
+//! tables; [`Plan::decode`] reads them back and, because the bytes may
+//! come from an untrusted file, re-validates **every** invariant the
+//! planner normally guarantees before they become a plan:
 //!
 //! * all indices (buffers, slots, parameters, inputs, outputs) in range,
 //! * every count and shape constant below a hard decode cap (no
-//!   attacker-sized allocations),
+//!   attacker-sized allocations), and no dim zero,
 //! * each step's declared geometry consistent: the output buffer's symbolic
 //!   size equals the step's computed output size, and every operand buffer
 //!   /parameter/input exactly matches the size the kernel will read,
@@ -22,17 +22,17 @@
 //!   interpreter has a sanctioned in-place path (the same rule
 //!   [`RunCtx`]'s `assert_disjoint` enforces at replay).
 //!
-//! A descriptor that passes produces a plan whose replay stays in bounds
-//! for any batch size — a hostile file can yield garbage *values* at
-//! worst, never an out-of-bounds access or a panic.
+//! A plan that passes replays in bounds for any batch size — a hostile
+//! file can yield garbage *values* at worst, never an out-of-bounds access
+//! or a panic. So a [`Plan`] exists only compiled or validated, which the
+//! in-place slices of both executors rely on.
 //!
-//! On disk a descriptor is bytes, not text: [`desc::PlanDesc::encode_into`] /
-//! [`desc::PlanDesc::decode`] are one fixed-width little-endian encoding in
-//! which every value has exactly one form, so a descriptor round-trips
-//! both ways by construction. `decode` checks what bytes alone can be
-//! wrong about — tags, counts against the caps below and against the
-//! bytes left, short reads — and answers with a typed error carrying the
-//! offset; `from_desc` stays the one validator of what the bytes say.
+//! The encoding is fixed-width and little-endian, and every value has
+//! exactly one form, so a plan round-trips both ways by construction.
+//! What bytes alone can be wrong about — tags, counts against the caps
+//! below and against the bytes left, short reads — is a typed error
+//! carrying the byte offset; what the tables say is validated once they
+//! are read.
 
 use super::*;
 
@@ -51,7 +51,7 @@ pub const MAX_RANK: usize = 8;
 /// allocate per batch unit.
 pub const MAX_ARENA: usize = 1 << 26;
 
-/// Typed failure decoding or validating a [`PlanDesc`].
+/// Typed failure reading or validating a plan's bytes ([`Plan::decode`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanDecodeError {
     /// An index points outside its table.
@@ -93,7 +93,7 @@ pub enum PlanDecodeError {
         /// What is wrong with it.
         reason: String,
     },
-    /// The byte form ends inside a value ([`PlanDesc::decode`]).
+    /// The byte form ends inside a value.
     Truncated {
         /// Byte offset of the value, from where decoding started.
         offset: usize,
@@ -102,8 +102,7 @@ pub enum PlanDecodeError {
         /// Bytes left.
         have: usize,
     },
-    /// A one-byte tag names no variant of its enum
-    /// ([`PlanDesc::decode`]).
+    /// A one-byte tag names no variant of its enum.
     Tag {
         /// The enum being read.
         what: &'static str,
@@ -149,581 +148,18 @@ impl fmt::Display for PlanDecodeError {
 
 impl std::error::Error for PlanDecodeError {}
 
-/// A symbolic dimension: constant or linear in the batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DimDesc {
-    /// A batch-independent constant.
-    Fixed(usize),
-    /// `c · B`.
-    PerBatch(usize),
-}
-
-/// A symbolic element count `coef · B + fixed`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SizeDesc {
-    /// Batch-linear component.
-    pub coef: usize,
-    /// Constant component.
-    pub fixed: usize,
-}
-
-/// Where a step reads from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SrcDesc {
-    /// An arena buffer, by buffer id.
-    Buf(usize),
-    /// A parameter, by dense store index.
-    Param(usize),
-    /// A replay-time input, by position.
-    Input(usize),
-}
-
-/// A GEMM write-back activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActDesc {
-    /// No activation.
-    Identity,
-    /// `v.max(0.0)`.
-    Relu,
-    /// `v.tanh()`.
-    Tanh,
-    /// `1 / (1 + exp(-v))`.
-    Sigmoid,
-}
-
-/// Element-wise binary kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZipKindDesc {
-    /// `a + b`.
-    Add,
-    /// `a - b`.
-    Sub,
-    /// `a * b`.
-    Mul,
-}
-
-/// Broadcast-row binary kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowKindDesc {
-    /// `x + row`.
-    Add,
-    /// `x - row`.
-    Sub,
-}
-
-/// One scalar function of a fused chain (mirrors [`MapOp`], so
-/// internal refactors never silently change the wire format).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MapOpDesc {
-    /// `v * c`.
-    Scale(f32),
-    /// `v + c`.
-    AddScalar(f32),
-    /// `v.max(0.0)`.
-    Relu,
-    /// `v.tanh()`.
-    Tanh,
-    /// `1 / (1 + exp(-v))`.
-    Sigmoid,
-    /// `v.exp()`.
-    Exp,
-    /// `v.abs()`.
-    Abs,
-    /// `v.sqrt()`.
-    Sqrt,
-    /// `v * v`.
-    Square,
-}
-
-/// The compiler's optimization counters (mirrors [`PlanStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanStatsDesc {
-    /// Ops captured by the recorder.
-    pub recorded_ops: usize,
-    /// Recorded ops eliminated as common subexpressions.
-    pub cse_deduped: usize,
-    /// Lowered steps the interpreter replays per batch.
-    pub steps: usize,
-    /// Reshapes elided into aliases.
-    pub elided_reshapes: usize,
-    /// Bias rows fused into GEMM epilogues.
-    pub fused_bias: usize,
-    /// Activations fused into GEMM epilogues.
-    pub fused_activations: usize,
-    /// Scalar multiplies fused into batched-GEMM epilogues.
-    pub fused_bmm_scales: usize,
-    /// Element-wise ops folded into a preceding step's chain.
-    pub fused_elementwise: usize,
-    /// Steps that write in place over a dead input.
-    pub inplace_steps: usize,
-    /// Distinct intermediate buffers.
-    pub buffers: usize,
-    /// Arena slots after liveness-based aliasing.
-    pub arena_slots: usize,
-}
-
-/// One concatenated part: its source and trailing-dim width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConcatPartDesc {
-    /// Where the part is read from.
-    pub src: SrcDesc,
-    /// The part's trailing-dim width.
-    pub width: DimDesc,
-}
-
-/// One lowered instruction (mirrors the interpreter's step kinds).
-#[derive(Debug, Clone, PartialEq)]
-pub enum StepKindDesc {
-    /// `out = act(a · b + bias)` fused into the GEMM write-back.
-    Gemm {
-        /// Left operand `[m, k]`.
-        a: SrcDesc,
-        /// Right operand `[k, n]`.
-        b: SrcDesc,
-        /// Output rows.
-        m: DimDesc,
-        /// Contraction length.
-        k: DimDesc,
-        /// Output columns.
-        n: DimDesc,
-        /// Optional fused bias row of width `n`.
-        bias: Option<SrcDesc>,
-        /// Fused activation.
-        act: ActDesc,
-    },
-    /// Batched matmul.
-    Bmm {
-        /// Left operand.
-        a: SrcDesc,
-        /// Right operand.
-        b: SrcDesc,
-        /// Transpose `a`.
-        ta: bool,
-        /// Transpose `b`.
-        tb: bool,
-        /// Batch count.
-        batch: DimDesc,
-        /// Output rows per batch.
-        m: DimDesc,
-        /// Contraction length.
-        k: DimDesc,
-        /// Output columns per batch.
-        n: DimDesc,
-        /// Scalar fused into the write-back.
-        scale: Option<f32>,
-    },
-    /// `[b, l, d] -> [b·h, l, d/h]`.
-    SplitHeads {
-        /// Input.
-        x: SrcDesc,
-        /// Head count.
-        h: usize,
-        /// Batch dim.
-        b: DimDesc,
-        /// Sequence length.
-        l: DimDesc,
-        /// Model width (must divide by `h`).
-        d: DimDesc,
-    },
-    /// `[b·h, l, dh] -> [b, l, h·dh]`.
-    MergeHeads {
-        /// Input.
-        x: SrcDesc,
-        /// Head count.
-        h: usize,
-        /// Batch × heads dim (must divide by `h`).
-        bh: DimDesc,
-        /// Sequence length.
-        l: DimDesc,
-        /// Per-head width.
-        dh: DimDesc,
-    },
-    /// Row-wise softmax over the trailing dim.
-    Softmax {
-        /// Input.
-        x: SrcDesc,
-        /// Row count.
-        rows: DimDesc,
-        /// Trailing dim.
-        d: DimDesc,
-    },
-    /// Row-wise layer normalization.
-    LayerNorm {
-        /// Input.
-        x: SrcDesc,
-        /// Scale row of width `d`.
-        gamma: SrcDesc,
-        /// Shift row of width `d`.
-        beta: SrcDesc,
-        /// Variance epsilon.
-        eps: f32,
-        /// Row count.
-        rows: DimDesc,
-        /// Trailing dim.
-        d: DimDesc,
-    },
-    /// Fused element-wise chain (empty `ops` is a plain copy).
-    Map {
-        /// Input.
-        x: SrcDesc,
-        /// The fused scalar chain.
-        ops: Vec<MapOpDesc>,
-        /// Element count.
-        len: DimDesc,
-    },
-    /// Element-wise binary with a fused trailing chain.
-    Zip {
-        /// Left operand.
-        a: SrcDesc,
-        /// Right operand.
-        b: SrcDesc,
-        /// The binary op.
-        kind: ZipKindDesc,
-        /// The fused scalar chain.
-        ops: Vec<MapOpDesc>,
-        /// Element count.
-        len: DimDesc,
-    },
-    /// Broadcast-row binary with a fused trailing chain.
-    RowOp {
-        /// Input.
-        x: SrcDesc,
-        /// The broadcast row of width `d`.
-        row: SrcDesc,
-        /// The binary op.
-        kind: RowKindDesc,
-        /// The fused scalar chain.
-        ops: Vec<MapOpDesc>,
-        /// Row count.
-        rows: DimDesc,
-        /// Trailing dim.
-        d: DimDesc,
-    },
-    /// Concatenation along the trailing dim with a fused chain.
-    Concat {
-        /// The concatenated parts, in order.
-        parts: Vec<ConcatPartDesc>,
-        /// Row count.
-        rows: DimDesc,
-        /// The fused scalar chain.
-        ops: Vec<MapOpDesc>,
-    },
-    /// Trailing-dim slice `[start, end)`.
-    SliceLast {
-        /// Input.
-        x: SrcDesc,
-        /// Row count.
-        rows: DimDesc,
-        /// Input trailing dim.
-        d: DimDesc,
-        /// Slice start (inclusive).
-        start: usize,
-        /// Slice end (exclusive).
-        end: usize,
-    },
-}
-
-/// One step: a kind plus the buffer it writes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepDesc {
-    /// The instruction.
-    pub kind: StepKindDesc,
-    /// Output buffer id.
-    pub out: usize,
-}
-
-/// An arena buffer: its symbolic size and assigned slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufDesc {
-    /// Symbolic element count.
-    pub size: SizeDesc,
-    /// Arena slot id.
-    pub slot: usize,
-}
-
-/// One plan output: the buffer it reads and its symbolic shape.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OutputDesc {
-    /// Where the output lives (must be a buffer).
-    pub src: SrcDesc,
-    /// The output's symbolic shape.
-    pub dims: Vec<DimDesc>,
-}
-
-/// The serializable mirror of a compiled [`Plan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanDesc {
-    /// Lowered steps, in execution order.
-    pub steps: Vec<StepDesc>,
-    /// Buffer table.
-    pub bufs: Vec<BufDesc>,
-    /// Arena slot sizes.
-    pub slot_sizes: Vec<SizeDesc>,
-    /// Symbolic shapes of the replay-time inputs.
-    pub inputs: Vec<Vec<DimDesc>>,
-    /// Plan outputs.
-    pub outputs: Vec<OutputDesc>,
-    /// The compiler's optimization counters.
-    pub stats: PlanStatsDesc,
-}
-
-// ---- Plan -> PlanDesc -------------------------------------------------
-
-fn dim_desc(d: Dim) -> DimDesc {
-    match d {
-        Dim::Fixed(n) => DimDesc::Fixed(n),
-        Dim::PerBatch(c) => DimDesc::PerBatch(c),
-    }
-}
-
-fn size_desc(s: Size) -> SizeDesc {
-    SizeDesc {
-        coef: s.coef,
-        fixed: s.fixed,
-    }
-}
-
-fn src_desc(s: Src) -> SrcDesc {
-    match s {
-        Src::Buf(b) => SrcDesc::Buf(b),
-        Src::Param(id) => SrcDesc::Param(id.index()),
-        Src::Input(i) => SrcDesc::Input(i),
-    }
-}
-
-fn act_desc(a: Activation) -> ActDesc {
-    match a {
-        Activation::Identity => ActDesc::Identity,
-        Activation::Relu => ActDesc::Relu,
-        Activation::Tanh => ActDesc::Tanh,
-        Activation::Sigmoid => ActDesc::Sigmoid,
-    }
-}
-
-fn zip_desc(k: ZipKind) -> ZipKindDesc {
-    match k {
-        ZipKind::Add => ZipKindDesc::Add,
-        ZipKind::Sub => ZipKindDesc::Sub,
-        ZipKind::Mul => ZipKindDesc::Mul,
-    }
-}
-
-fn row_desc(k: RowKind) -> RowKindDesc {
-    match k {
-        RowKind::Add => RowKindDesc::Add,
-        RowKind::Sub => RowKindDesc::Sub,
-    }
-}
-
-fn map_op_desc(op: MapOp) -> MapOpDesc {
-    match op {
-        MapOp::Scale(c) => MapOpDesc::Scale(c),
-        MapOp::AddScalar(c) => MapOpDesc::AddScalar(c),
-        MapOp::Relu => MapOpDesc::Relu,
-        MapOp::Tanh => MapOpDesc::Tanh,
-        MapOp::Sigmoid => MapOpDesc::Sigmoid,
-        MapOp::Exp => MapOpDesc::Exp,
-        MapOp::Abs => MapOpDesc::Abs,
-        MapOp::Sqrt => MapOpDesc::Sqrt,
-        MapOp::Square => MapOpDesc::Square,
-    }
-}
-
-fn map_op_from(op: MapOpDesc) -> MapOp {
-    match op {
-        MapOpDesc::Scale(c) => MapOp::Scale(c),
-        MapOpDesc::AddScalar(c) => MapOp::AddScalar(c),
-        MapOpDesc::Relu => MapOp::Relu,
-        MapOpDesc::Tanh => MapOp::Tanh,
-        MapOpDesc::Sigmoid => MapOp::Sigmoid,
-        MapOpDesc::Exp => MapOp::Exp,
-        MapOpDesc::Abs => MapOp::Abs,
-        MapOpDesc::Sqrt => MapOp::Sqrt,
-        MapOpDesc::Square => MapOp::Square,
-    }
-}
-
-fn stats_desc(s: PlanStats) -> PlanStatsDesc {
-    PlanStatsDesc {
-        recorded_ops: s.recorded_ops,
-        cse_deduped: s.cse_deduped,
-        steps: s.steps,
-        elided_reshapes: s.elided_reshapes,
-        fused_bias: s.fused_bias,
-        fused_activations: s.fused_activations,
-        fused_bmm_scales: s.fused_bmm_scales,
-        fused_elementwise: s.fused_elementwise,
-        inplace_steps: s.inplace_steps,
-        buffers: s.buffers,
-        arena_slots: s.arena_slots,
-    }
-}
-
-fn stats_from(s: PlanStatsDesc) -> PlanStats {
-    PlanStats {
-        recorded_ops: s.recorded_ops,
-        cse_deduped: s.cse_deduped,
-        steps: s.steps,
-        elided_reshapes: s.elided_reshapes,
-        fused_bias: s.fused_bias,
-        fused_activations: s.fused_activations,
-        fused_bmm_scales: s.fused_bmm_scales,
-        fused_elementwise: s.fused_elementwise,
-        inplace_steps: s.inplace_steps,
-        buffers: s.buffers,
-        arena_slots: s.arena_slots,
-    }
-}
-
-fn kind_desc(k: &StepKind) -> StepKindDesc {
-    match k {
-        StepKind::Gemm {
-            a,
-            b,
-            m,
-            k,
-            n,
-            bias,
-            act,
-        } => StepKindDesc::Gemm {
-            a: src_desc(*a),
-            b: src_desc(*b),
-            m: dim_desc(*m),
-            k: dim_desc(*k),
-            n: dim_desc(*n),
-            bias: bias.map(src_desc),
-            act: act_desc(*act),
-        },
-        StepKind::Bmm {
-            a,
-            b,
-            ta,
-            tb,
-            batch,
-            m,
-            k,
-            n,
-            scale,
-        } => StepKindDesc::Bmm {
-            a: src_desc(*a),
-            b: src_desc(*b),
-            ta: *ta,
-            tb: *tb,
-            batch: dim_desc(*batch),
-            m: dim_desc(*m),
-            k: dim_desc(*k),
-            n: dim_desc(*n),
-            scale: *scale,
-        },
-        StepKind::SplitHeads { x, h, b, l, d } => StepKindDesc::SplitHeads {
-            x: src_desc(*x),
-            h: *h,
-            b: dim_desc(*b),
-            l: dim_desc(*l),
-            d: dim_desc(*d),
-        },
-        StepKind::MergeHeads { x, h, bh, l, dh } => StepKindDesc::MergeHeads {
-            x: src_desc(*x),
-            h: *h,
-            bh: dim_desc(*bh),
-            l: dim_desc(*l),
-            dh: dim_desc(*dh),
-        },
-        StepKind::Softmax { x, rows, d } => StepKindDesc::Softmax {
-            x: src_desc(*x),
-            rows: dim_desc(*rows),
-            d: dim_desc(*d),
-        },
-        StepKind::LayerNorm {
-            x,
-            gamma,
-            beta,
-            eps,
-            rows,
-            d,
-        } => StepKindDesc::LayerNorm {
-            x: src_desc(*x),
-            gamma: src_desc(*gamma),
-            beta: src_desc(*beta),
-            eps: *eps,
-            rows: dim_desc(*rows),
-            d: dim_desc(*d),
-        },
-        StepKind::Map { x, ops, len } => StepKindDesc::Map {
-            x: src_desc(*x),
-            ops: ops.iter().copied().map(map_op_desc).collect(),
-            len: dim_desc(*len),
-        },
-        StepKind::Zip {
-            a,
-            b,
-            kind,
-            ops,
-            len,
-        } => StepKindDesc::Zip {
-            a: src_desc(*a),
-            b: src_desc(*b),
-            kind: zip_desc(*kind),
-            ops: ops.iter().copied().map(map_op_desc).collect(),
-            len: dim_desc(*len),
-        },
-        StepKind::RowOp {
-            x,
-            row,
-            kind,
-            ops,
-            rows,
-            d,
-        } => StepKindDesc::RowOp {
-            x: src_desc(*x),
-            row: src_desc(*row),
-            kind: row_desc(*kind),
-            ops: ops.iter().copied().map(map_op_desc).collect(),
-            rows: dim_desc(*rows),
-            d: dim_desc(*d),
-        },
-        StepKind::Concat { parts, rows, ops } => StepKindDesc::Concat {
-            parts: parts
-                .iter()
-                .map(|(s, w)| ConcatPartDesc {
-                    src: src_desc(*s),
-                    width: dim_desc(*w),
-                })
-                .collect(),
-            rows: dim_desc(*rows),
-            ops: ops.iter().copied().map(map_op_desc).collect(),
-        },
-        StepKind::SliceLast {
-            x,
-            rows,
-            d,
-            start,
-            end,
-        } => StepKindDesc::SliceLast {
-            x: src_desc(*x),
-            rows: dim_desc(*rows),
-            d: dim_desc(*d),
-            start: *start,
-            end: *end,
-        },
-    }
-}
-
-// ---- PlanDesc <-> bytes -----------------------------------------------
+// ---- Plan <-> bytes ----------------------------------------------------
 //
 // One width per kind of value and nothing variable-length, all
-// little-endian: an enum is a one-byte tag and then its fields; an
-// index into a table (`SrcDesc`, `StepDesc::out`, `BufDesc::slot`) a
-// `u16`, tables being capped at 2^16 entries; a `DimDesc` one `u32`,
-// bit 31 set for `PerBatch` over a constant capped at 2^24; every
-// other integer a `u32`; an `f32` its bits; a `bool` or `Option` a 0/1
-// byte; a list a `u32` count and then its elements. A value has
-// exactly one encoding, so `decode(encode(d)) == d` and
-// `encode(decode(b)) == b`. An integer its field cannot hold is
-// written as the field's maximum, which `from_desc` refuses like the
-// value it replaces (a full 2^16-entry table aside). The reader only
-// turns bytes into a `PlanDesc`; whether that is a plan is
-// `Plan::from_desc`'s business alone.
+// little-endian: an enum is a one-byte tag and then its fields; an index
+// into a table (a `Src`, `Step::out`, `Buf::slot`) a `u16`, tables being
+// capped at 2^16 entries; a `Dim` one `u32`, bit 31 set for `PerBatch`
+// over a constant capped at 2^24; every other integer a `u32`; an `f32`
+// its bits; a `bool` or `Option` a 0/1 byte; a pair its two halves; a list
+// a `u32` count and then its elements. A value has exactly one encoding,
+// so decoding and encoding are inverses both ways. An integer its field
+// cannot hold is written as the field's maximum, which validation refuses
+// like the value it replaces (a full 2^16-entry table aside).
 
 /// The bytes still to be read, and how many there were at the start
 /// (error offsets count from there).
@@ -803,15 +239,15 @@ macro_rules! wire {
     (@get $r:ident, idx) => { Idx::get($r)?.0 };
 }
 
-wire!(enum SrcDesc as "source" { 0 => Buf(i: idx), 1 => Param(i: idx), 2 => Input(i: idx) });
-wire!(enum ActDesc as "activation" { 0 => Identity, 1 => Relu, 2 => Tanh, 3 => Sigmoid });
-wire!(enum ZipKindDesc as "zip kind" { 0 => Add, 1 => Sub, 2 => Mul });
-wire!(enum RowKindDesc as "row kind" { 0 => Add, 1 => Sub });
-wire!(enum MapOpDesc as "map op" {
+wire!(enum Src as "source" { 0 => Buf(i: idx), 1 => Param(id), 2 => Input(i: idx) });
+wire!(enum Activation as "activation" { 0 => Identity, 1 => Relu, 2 => Tanh, 3 => Sigmoid });
+wire!(enum ZipKind as "zip kind" { 0 => Add, 1 => Sub, 2 => Mul });
+wire!(enum RowKind as "row kind" { 0 => Add, 1 => Sub });
+wire!(enum MapOp as "map op" {
     0 => Scale(c), 1 => AddScalar(c), 2 => Relu, 3 => Tanh, 4 => Sigmoid,
     5 => Exp, 6 => Abs, 7 => Sqrt, 8 => Square
 });
-wire!(enum StepKindDesc as "step kind" {
+wire!(enum StepKind as "step kind" {
     0 => Gemm { a, b, m, k, n, bias, act },
     1 => Bmm { a, b, ta, tb, batch, m, k, n, scale },
     2 => SplitHeads { x, h, b, l, d },
@@ -824,16 +260,14 @@ wire!(enum StepKindDesc as "step kind" {
     9 => Concat { parts, rows, ops },
     10 => SliceLast { x, rows, d, start, end }
 });
-wire!(struct SizeDesc { coef, fixed });
-wire!(struct ConcatPartDesc { src, width });
-wire!(struct StepDesc { kind, out: idx });
-wire!(struct BufDesc { size, slot: idx });
-wire!(struct OutputDesc { src, dims });
-wire!(struct PlanStatsDesc {
+wire!(struct Size { coef, fixed });
+wire!(struct Step { kind, out: idx });
+wire!(struct Buf { size, slot: idx });
+wire!(struct PlanStats {
     recorded_ops, cse_deduped, steps, elided_reshapes, fused_bias, fused_activations,
     fused_bmm_scales, fused_elementwise, inplace_steps, buffers, arena_slots
 });
-wire!(struct PlanDesc { steps, bufs, slot_sizes, inputs, outputs, stats });
+wire!(struct Plan { steps, bufs, slot_sizes, inputs, outputs, stats });
 
 impl Wire for usize {
     fn put(&self, out: &mut Vec<u8>) {
@@ -858,14 +292,24 @@ impl Wire for Idx {
     }
 }
 
-/// Bit 31 of a [`DimDesc`]'s word: set for `PerBatch`.
+/// A parameter travels as its index into the store.
+impl Wire for ParamId {
+    fn put(&self, out: &mut Vec<u8>) {
+        Idx(self.index()).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+        Ok(ParamId(Idx::get(r)?.0))
+    }
+}
+
+/// Bit 31 of a [`Dim`]'s word: set for `PerBatch`.
 const PER_BATCH: u32 = 1 << 31;
 
-impl Wire for DimDesc {
+impl Wire for Dim {
     fn put(&self, out: &mut Vec<u8>) {
         let (flag, v) = match *self {
-            DimDesc::Fixed(n) => (0, n),
-            DimDesc::PerBatch(c) => (PER_BATCH, c),
+            Dim::Fixed(n) => (0, n),
+            Dim::PerBatch(c) => (PER_BATCH, c),
         };
         let v = u32::try_from(v).map_or(PER_BATCH - 1, |v| v.min(PER_BATCH - 1));
         out.extend_from_slice(&(flag | v).to_le_bytes());
@@ -874,9 +318,9 @@ impl Wire for DimDesc {
         let word = u32::from_le_bytes(r.take()?);
         let v = (word & !PER_BATCH) as usize;
         Ok(if word & PER_BATCH == 0 {
-            DimDesc::Fixed(v)
+            Dim::Fixed(v)
         } else {
-            DimDesc::PerBatch(v)
+            Dim::PerBatch(v)
         })
     }
 }
@@ -924,9 +368,19 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// An element type of a list field: what `from_desc` calls that list
-/// and the cap it holds it to — enforced here too, before the count
-/// sizes an allocation.
+/// A concat part `(source, width)` or an output `(source, shape)`.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PlanDecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// An element type of a list field: what that list is called and the cap
+/// it is held to, before its count sizes an allocation.
 trait Listed: Wire {
     const WHAT: &'static str;
     const MAX: usize;
@@ -942,14 +396,14 @@ macro_rules! listed {
 }
 
 listed!(
-    StepDesc: "steps" <= MAX_TABLE,
-    BufDesc: "buffers" <= MAX_TABLE,
-    SizeDesc: "slots" <= MAX_TABLE,
-    Vec<DimDesc>: "inputs" <= MAX_PORTS,
-    OutputDesc: "outputs" <= MAX_PORTS,
-    DimDesc: "rank" <= MAX_RANK,
-    MapOpDesc: "element-wise chain length" <= MAX_CHAIN,
-    ConcatPartDesc: "concat parts" <= MAX_PORTS
+    Step: "steps" <= MAX_TABLE,
+    Buf: "buffers" <= MAX_TABLE,
+    Size: "slots" <= MAX_TABLE,
+    Vec<Dim>: "inputs" <= MAX_PORTS,
+    (Src, Vec<Dim>): "outputs" <= MAX_PORTS,
+    Dim: "rank" <= MAX_RANK,
+    MapOp: "element-wise chain length" <= MAX_CHAIN,
+    (Src, Dim): "concat parts" <= MAX_PORTS
 );
 
 impl<T: Listed> Wire for Vec<T> {
@@ -983,285 +437,88 @@ impl<T: Listed> Wire for Vec<T> {
     }
 }
 
-impl PlanDesc {
-    /// Appends the descriptor's byte form (fixed-width, little-endian,
-    /// canonical: equal descriptors append equal bytes).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.put(out);
-    }
-
-    /// Reads one descriptor off the front of `bytes` and leaves
-    /// `bytes` at what follows it (untouched on error). Every count
-    /// is held to its decode cap and to the bytes left before it
-    /// sizes an allocation; the result is data, not yet a plan —
-    /// [`Plan::from_desc`] validates it.
-    pub fn decode(bytes: &mut &[u8]) -> Result<PlanDesc, PlanDecodeError> {
-        let mut r = Reader {
-            rest: bytes,
-            start: bytes.len(),
-        };
-        let desc = PlanDesc::get(&mut r)?;
-        *bytes = r.rest;
-        Ok(desc)
-    }
-}
-
-// ---- PlanDesc -> Plan (validated) -------------------------------------
-
-struct Decoder<'d, 'p> {
-    desc: &'d PlanDesc,
-    params: &'p ParamStore,
-}
-
-impl Decoder<'_, '_> {
-    fn dim(&self, d: DimDesc, what: &'static str) -> Result<Dim, PlanDecodeError> {
-        let v = match d {
-            DimDesc::Fixed(n) => n,
-            DimDesc::PerBatch(c) => c,
-        };
-        if v == 0 || v > MAX_DIM_CONST {
-            return Err(PlanDecodeError::Limit {
-                what,
-                value: v,
-                max: MAX_DIM_CONST,
-            });
-        }
-        Ok(match d {
-            DimDesc::Fixed(n) => Dim::Fixed(n),
-            DimDesc::PerBatch(c) => Dim::PerBatch(c),
-        })
-    }
-
-    fn size(&self, s: SizeDesc, what: &'static str) -> Result<Size, PlanDecodeError> {
-        if s.coef > MAX_DIM_CONST || s.fixed > MAX_DIM_CONST {
-            return Err(PlanDecodeError::Limit {
-                what,
-                value: s.coef.max(s.fixed),
-                max: MAX_DIM_CONST,
-            });
-        }
-        Ok(Size {
-            coef: s.coef,
-            fixed: s.fixed,
-        })
-    }
-
-    fn src(&self, s: SrcDesc) -> Result<Src, PlanDecodeError> {
-        match s {
-            SrcDesc::Buf(b) => {
-                if b >= self.desc.bufs.len() {
-                    return Err(PlanDecodeError::Index {
-                        what: "buffer",
-                        index: b,
-                        len: self.desc.bufs.len(),
-                    });
-                }
-                Ok(Src::Buf(b))
-            }
-            SrcDesc::Param(i) => {
-                if i >= self.params.len() {
-                    return Err(PlanDecodeError::Index {
-                        what: "parameter",
-                        index: i,
-                        len: self.params.len(),
-                    });
-                }
-                Ok(Src::Param(ParamId(i)))
-            }
-            SrcDesc::Input(i) => {
-                if i >= self.desc.inputs.len() {
-                    return Err(PlanDecodeError::Index {
-                        what: "input",
-                        index: i,
-                        len: self.desc.inputs.len(),
-                    });
-                }
-                Ok(Src::Input(i))
-            }
-        }
-    }
-
-    fn chain(&self, ops: &[MapOpDesc]) -> Result<Vec<MapOp>, PlanDecodeError> {
-        if ops.len() > MAX_CHAIN {
-            return Err(PlanDecodeError::Limit {
-                what: "element-wise chain length",
-                value: ops.len(),
-                max: MAX_CHAIN,
-            });
-        }
-        Ok(ops.iter().copied().map(map_op_from).collect())
-    }
-
-    fn kind(&self, k: &StepKindDesc) -> Result<StepKind, PlanDecodeError> {
-        Ok(match k {
-            StepKindDesc::Gemm {
-                a,
-                b,
-                m,
-                k,
-                n,
-                bias,
-                act,
-            } => StepKind::Gemm {
-                a: self.src(*a)?,
-                b: self.src(*b)?,
-                m: self.dim(*m, "gemm m")?,
-                k: self.dim(*k, "gemm k")?,
-                n: self.dim(*n, "gemm n")?,
-                bias: bias.map(|s| self.src(s)).transpose()?,
-                act: match act {
-                    ActDesc::Identity => Activation::Identity,
-                    ActDesc::Relu => Activation::Relu,
-                    ActDesc::Tanh => Activation::Tanh,
-                    ActDesc::Sigmoid => Activation::Sigmoid,
-                },
-            },
-            StepKindDesc::Bmm {
-                a,
-                b,
-                ta,
-                tb,
-                batch,
-                m,
-                k,
-                n,
-                scale,
-            } => StepKind::Bmm {
-                a: self.src(*a)?,
-                b: self.src(*b)?,
-                ta: *ta,
-                tb: *tb,
-                batch: self.dim(*batch, "bmm batch")?,
-                m: self.dim(*m, "bmm m")?,
-                k: self.dim(*k, "bmm k")?,
-                n: self.dim(*n, "bmm n")?,
-                scale: *scale,
-            },
-            StepKindDesc::SplitHeads { x, h, b, l, d } => StepKind::SplitHeads {
-                x: self.src(*x)?,
-                h: *h,
-                b: self.dim(*b, "split b")?,
-                l: self.dim(*l, "split l")?,
-                d: self.dim(*d, "split d")?,
-            },
-            StepKindDesc::MergeHeads { x, h, bh, l, dh } => StepKind::MergeHeads {
-                x: self.src(*x)?,
-                h: *h,
-                bh: self.dim(*bh, "merge bh")?,
-                l: self.dim(*l, "merge l")?,
-                dh: self.dim(*dh, "merge dh")?,
-            },
-            StepKindDesc::Softmax { x, rows, d } => StepKind::Softmax {
-                x: self.src(*x)?,
-                rows: self.dim(*rows, "softmax rows")?,
-                d: self.dim(*d, "softmax d")?,
-            },
-            StepKindDesc::LayerNorm {
-                x,
-                gamma,
-                beta,
-                eps,
-                rows,
-                d,
-            } => StepKind::LayerNorm {
-                x: self.src(*x)?,
-                gamma: self.src(*gamma)?,
-                beta: self.src(*beta)?,
-                eps: *eps,
-                rows: self.dim(*rows, "layer-norm rows")?,
-                d: self.dim(*d, "layer-norm d")?,
-            },
-            StepKindDesc::Map { x, ops, len } => StepKind::Map {
-                x: self.src(*x)?,
-                ops: self.chain(ops)?,
-                len: self.dim(*len, "map len")?,
-            },
-            StepKindDesc::Zip {
-                a,
-                b,
-                kind,
-                ops,
-                len,
-            } => StepKind::Zip {
-                a: self.src(*a)?,
-                b: self.src(*b)?,
-                kind: match kind {
-                    ZipKindDesc::Add => ZipKind::Add,
-                    ZipKindDesc::Sub => ZipKind::Sub,
-                    ZipKindDesc::Mul => ZipKind::Mul,
-                },
-                ops: self.chain(ops)?,
-                len: self.dim(*len, "zip len")?,
-            },
-            StepKindDesc::RowOp {
-                x,
-                row,
-                kind,
-                ops,
-                rows,
-                d,
-            } => StepKind::RowOp {
-                x: self.src(*x)?,
-                row: self.src(*row)?,
-                kind: match kind {
-                    RowKindDesc::Add => RowKind::Add,
-                    RowKindDesc::Sub => RowKind::Sub,
-                },
-                ops: self.chain(ops)?,
-                rows: self.dim(*rows, "row-op rows")?,
-                d: self.dim(*d, "row-op d")?,
-            },
-            StepKindDesc::Concat { parts, rows, ops } => {
-                if parts.len() > MAX_PORTS {
-                    return Err(PlanDecodeError::Limit {
-                        what: "concat parts",
-                        value: parts.len(),
-                        max: MAX_PORTS,
-                    });
-                }
-                StepKind::Concat {
-                    parts: parts
-                        .iter()
-                        .map(|p| Ok((self.src(p.src)?, self.dim(p.width, "concat width")?)))
-                        .collect::<Result<_, PlanDecodeError>>()?,
-                    rows: self.dim(*rows, "concat rows")?,
-                    ops: self.chain(ops)?,
-                }
-            }
-            StepKindDesc::SliceLast {
-                x,
-                rows,
-                d,
-                start,
-                end,
-            } => StepKind::SliceLast {
-                x: self.src(*x)?,
-                rows: self.dim(*rows, "slice rows")?,
-                d: self.dim(*d, "slice d")?,
-                start: *start,
-                end: *end,
-            },
-        })
-    }
-}
+// ---- Validation --------------------------------------------------------
 
 /// A step's first float constant that is NaN or infinite: replaying
 /// it would answer the same garbage for every sample.
-fn non_finite_const(kind: &StepKindDesc) -> Option<f32> {
+fn non_finite_const(kind: &StepKind) -> Option<f32> {
     let ops = match kind {
-        StepKindDesc::Bmm { scale: Some(c), .. } | StepKindDesc::LayerNorm { eps: c, .. } => {
+        StepKind::Bmm { scale: Some(c), .. } | StepKind::LayerNorm { eps: c, .. } => {
             return Some(*c).filter(|c| !c.is_finite());
         }
-        StepKindDesc::Map { ops, .. }
-        | StepKindDesc::Zip { ops, .. }
-        | StepKindDesc::RowOp { ops, .. }
-        | StepKindDesc::Concat { ops, .. } => ops,
+        StepKind::Map { ops, .. }
+        | StepKind::Zip { ops, .. }
+        | StepKind::RowOp { ops, .. }
+        | StepKind::Concat { ops, .. } => ops,
         _ => return None,
     };
     ops.iter().find_map(|op| match op {
-        MapOpDesc::Scale(c) | MapOpDesc::AddScalar(c) if !c.is_finite() => Some(*c),
+        MapOp::Scale(c) | MapOp::AddScalar(c) if !c.is_finite() => Some(*c),
         _ => None,
     })
+}
+
+/// [`check_dim`] over every dim a step carries, each named as its
+/// refusal names it.
+fn check_dims(kind: &StepKind) -> Result<(), PlanDecodeError> {
+    let check =
+        |dims: &[(Dim, &'static str)]| dims.iter().try_for_each(|&(d, what)| check_dim(d, what));
+    match *kind {
+        StepKind::Gemm { m, k, n, .. } => check(&[(m, "gemm m"), (k, "gemm k"), (n, "gemm n")]),
+        StepKind::Bmm { batch, m, k, n, .. } => check(&[
+            (batch, "bmm batch"),
+            (m, "bmm m"),
+            (k, "bmm k"),
+            (n, "bmm n"),
+        ]),
+        StepKind::SplitHeads { b, l, d, .. } => {
+            check(&[(b, "split b"), (l, "split l"), (d, "split d")])
+        }
+        StepKind::MergeHeads { bh, l, dh, .. } => {
+            check(&[(bh, "merge bh"), (l, "merge l"), (dh, "merge dh")])
+        }
+        StepKind::Softmax { rows, d, .. } => check(&[(rows, "softmax rows"), (d, "softmax d")]),
+        StepKind::LayerNorm { rows, d, .. } => {
+            check(&[(rows, "layer-norm rows"), (d, "layer-norm d")])
+        }
+        StepKind::Map { len, .. } => check_dim(len, "map len"),
+        StepKind::Zip { len, .. } => check_dim(len, "zip len"),
+        StepKind::RowOp { rows, d, .. } => check(&[(rows, "row-op rows"), (d, "row-op d")]),
+        StepKind::Concat {
+            ref parts, rows, ..
+        } => {
+            for &(_, w) in parts {
+                check_dim(w, "concat width")?;
+            }
+            check_dim(rows, "concat rows")
+        }
+        StepKind::SliceLast { rows, d, .. } => check(&[(rows, "slice rows"), (d, "slice d")]),
+    }
+}
+
+/// A dim's constant is nonzero and within [`MAX_DIM_CONST`].
+fn check_dim(d: Dim, what: &'static str) -> Result<(), PlanDecodeError> {
+    let (Dim::Fixed(v) | Dim::PerBatch(v)) = d;
+    if v == 0 || v > MAX_DIM_CONST {
+        return Err(PlanDecodeError::Limit {
+            what,
+            value: v,
+            max: MAX_DIM_CONST,
+        });
+    }
+    Ok(())
+}
+
+/// A size's two constants are within [`MAX_DIM_CONST`].
+fn check_size(s: Size, what: &'static str) -> Result<(), PlanDecodeError> {
+    if s.coef > MAX_DIM_CONST || s.fixed > MAX_DIM_CONST {
+        return Err(PlanDecodeError::Limit {
+            what,
+            value: s.coef.max(s.fixed),
+            max: MAX_DIM_CONST,
+        });
+    }
+    Ok(())
 }
 
 /// Symbolic size of one dim.
@@ -1442,82 +699,54 @@ fn step_io(kind: &StepKind) -> Result<(Size, Vec<Operand>), String> {
     })
 }
 
+/// The byte length of the plan at the front of `bytes`, read as
+/// [`Plan::decode`] reads it — tags, caps, lengths — but validated no
+/// further: for framing code that must tell a plan that ends early or late
+/// from a fault of its own.
+pub fn plan_len(bytes: &[u8]) -> Result<usize, PlanDecodeError> {
+    let mut r = Reader {
+        rest: bytes,
+        start: bytes.len(),
+    };
+    Plan::get(&mut r)?;
+    Ok(r.offset())
+}
+
 impl Plan {
-    /// Converts the compiled plan into its serializable descriptor.
-    pub fn to_desc(&self) -> PlanDesc {
-        PlanDesc {
-            steps: self
-                .steps
-                .iter()
-                .map(|s| StepDesc {
-                    kind: kind_desc(&s.kind),
-                    out: s.out,
-                })
-                .collect(),
-            bufs: self
-                .bufs
-                .iter()
-                .map(|b| BufDesc {
-                    size: size_desc(b.size),
-                    slot: b.slot,
-                })
-                .collect(),
-            slot_sizes: self.slot_sizes.iter().map(|&s| size_desc(s)).collect(),
-            inputs: self
-                .inputs
-                .iter()
-                .map(|dims| dims.iter().map(|&d| dim_desc(d)).collect())
-                .collect(),
-            outputs: self
-                .outputs
-                .iter()
-                .map(|(s, dims)| OutputDesc {
-                    src: src_desc(*s),
-                    dims: dims.iter().map(|&d| dim_desc(d)).collect(),
-                })
-                .collect(),
-            stats: stats_desc(self.stats),
-        }
+    /// Appends the plan's byte form (fixed-width, little-endian,
+    /// canonical: equal plans append equal bytes).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.put(out);
     }
 
-    /// Rebuilds an executable plan from a descriptor, re-validating
-    /// every slot/arena invariant (see the [`desc`](self) module docs).
-    /// `params` must be the store the plan will replay against: its
-    /// length bounds parameter references, and each referenced
-    /// parameter's element count is checked against what the step
-    /// kernels will read.
-    pub fn from_desc(d: &PlanDesc, params: &ParamStore) -> Result<Plan, PlanDecodeError> {
-        for (what, len) in [
-            ("steps", d.steps.len()),
-            ("buffers", d.bufs.len()),
-            ("slots", d.slot_sizes.len()),
-        ] {
-            if len > MAX_TABLE {
-                return Err(PlanDecodeError::Limit {
-                    what,
-                    value: len,
-                    max: MAX_TABLE,
-                });
-            }
-        }
-        for (what, len) in [("inputs", d.inputs.len()), ("outputs", d.outputs.len())] {
-            if len > MAX_PORTS {
-                return Err(PlanDecodeError::Limit {
-                    what,
-                    value: len,
-                    max: MAX_PORTS,
-                });
-            }
-        }
-        let dec = Decoder { desc: d, params };
+    /// Reads one plan off the front of `bytes` and leaves `bytes` at what
+    /// follows it (untouched on error). Every count is held to its decode
+    /// cap and to the bytes left before it sizes an allocation, and the
+    /// tables read are then validated (see the [`desc`] module docs).
+    /// `params` must be the store the plan will replay
+    /// against: its length bounds parameter references, and each
+    /// referenced parameter's element count is checked against what the
+    /// step kernels will read.
+    pub fn decode(bytes: &mut &[u8], params: &ParamStore) -> Result<Plan, PlanDecodeError> {
+        let mut r = Reader {
+            rest: bytes,
+            start: bytes.len(),
+        };
+        let plan = Plan::get(&mut r)?;
+        plan.validate(params)?;
+        *bytes = r.rest;
+        Ok(plan)
+    }
 
+    /// Every check of the module docs over tables just read. Table
+    /// lengths, ranks, chain lengths and concat arities were held to their
+    /// caps as the lists were read.
+    fn validate(&self, params: &ParamStore) -> Result<(), PlanDecodeError> {
         // Slot table: bounded sizes, bounded total arena.
-        let mut slot_sizes = Vec::with_capacity(d.slot_sizes.len());
         let mut arena_total = 0usize;
-        for &s in &d.slot_sizes {
-            let s = dec.size(s, "slot size")?;
+        for &s in &self.slot_sizes {
+            check_size(s, "slot size")?;
             arena_total = arena_total.saturating_add(s.coef).saturating_add(s.fixed);
-            slot_sizes.push(s);
         }
         if arena_total > MAX_ARENA {
             return Err(PlanDecodeError::Limit {
@@ -1528,78 +757,66 @@ impl Plan {
         }
 
         // Buffer table: every buffer's slot exists and fits it.
-        let mut bufs = Vec::with_capacity(d.bufs.len());
-        for &b in &d.bufs {
-            if b.slot >= slot_sizes.len() {
+        for b in &self.bufs {
+            let Some(slot) = self.slot_sizes.get(b.slot) else {
                 return Err(PlanDecodeError::Index {
                     what: "slot",
                     index: b.slot,
-                    len: slot_sizes.len(),
+                    len: self.slot_sizes.len(),
                 });
-            }
-            let size = dec.size(b.size, "buffer size")?;
-            if !slot_sizes[b.slot].fits(&size) {
+            };
+            check_size(b.size, "buffer size")?;
+            if !slot.fits(&b.size) {
                 return Err(PlanDecodeError::Limit {
                     what: "buffer size beyond its slot",
-                    value: size.coef.max(size.fixed),
-                    max: slot_sizes[b.slot].coef.max(slot_sizes[b.slot].fixed),
+                    value: b.size.coef.max(b.size.fixed),
+                    max: slot.coef.max(slot.fixed),
                 });
             }
-            bufs.push(Buf { size, slot: b.slot });
         }
 
         // Input shapes.
-        let mut inputs = Vec::with_capacity(d.inputs.len());
-        for dims in &d.inputs {
-            if dims.len() > MAX_RANK {
-                return Err(PlanDecodeError::Limit {
-                    what: "input rank",
-                    value: dims.len(),
-                    max: MAX_RANK,
-                });
-            }
-            inputs.push(
-                dims.iter()
-                    .map(|&dd| dec.dim(dd, "input dim"))
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
-        }
-        let input_sizes: Vec<Size> = inputs
+        let input_sizes = self
+            .inputs
             .iter()
             .enumerate()
             .map(|(i, dims)| {
+                dims.iter().try_for_each(|&d| check_dim(d, "input dim"))?;
                 sprod(dims).map_err(|reason| PlanDecodeError::Input { input: i, reason })
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<Vec<Size>, _>>()?;
 
         // Steps: geometry, operand sizes, write-once/def-before-use
         // ordering, and in-place aliasing discipline.
-        let mut steps = Vec::with_capacity(d.steps.len());
+        let bufs = &self.bufs;
         let mut defined = vec![false; bufs.len()];
-        for (si, sd) in d.steps.iter().enumerate() {
+        for (si, step) in self.steps.iter().enumerate() {
             let step_err = |reason: String| PlanDecodeError::Step { step: si, reason };
-            if let Some(c) = non_finite_const(&sd.kind) {
+            if let Some(c) = non_finite_const(&step.kind) {
                 return Err(step_err(format!("constant {c} is not finite")));
             }
-            let kind = dec.kind(&sd.kind)?;
-            if sd.out >= bufs.len() {
+            for src in step.kind.sources() {
+                self.check_src(src, params)?;
+            }
+            check_dims(&step.kind)?;
+            if step.out >= bufs.len() {
                 return Err(PlanDecodeError::Index {
                     what: "output buffer",
-                    index: sd.out,
+                    index: step.out,
                     len: bufs.len(),
                 });
             }
-            if defined[sd.out] {
-                return Err(step_err(format!("buffer {} written twice", sd.out)));
+            if defined[step.out] {
+                return Err(step_err(format!("buffer {} written twice", step.out)));
             }
-            let (out_size, operands) = step_io(&kind).map_err(step_err)?;
-            if bufs[sd.out].size != out_size {
+            let (out_size, operands) = step_io(&step.kind).map_err(step_err)?;
+            if bufs[step.out].size != out_size {
                 return Err(step_err(format!(
                     "output buffer size {:?} does not match the step's output {:?}",
-                    bufs[sd.out].size, out_size
+                    bufs[step.out].size, out_size
                 )));
             }
-            let out_slot = bufs[sd.out].slot;
+            let out_slot = bufs[step.out].slot;
             for o in &operands {
                 match o.src {
                     Src::Buf(b) => {
@@ -1639,50 +856,41 @@ impl Plan {
                     }
                 }
             }
-            defined[sd.out] = true;
-            steps.push(Step { kind, out: sd.out });
+            defined[step.out] = true;
         }
 
         // Outputs must read defined buffers with consistent shapes.
-        let mut outputs = Vec::with_capacity(d.outputs.len());
-        for (oi, od) in d.outputs.iter().enumerate() {
+        for (oi, (src, dims)) in self.outputs.iter().enumerate() {
             let out_err = |reason: String| PlanDecodeError::Output { output: oi, reason };
-            if od.dims.len() > MAX_RANK {
-                return Err(PlanDecodeError::Limit {
-                    what: "output rank",
-                    value: od.dims.len(),
-                    max: MAX_RANK,
-                });
-            }
-            let dims = od
-                .dims
-                .iter()
-                .map(|&dd| dec.dim(dd, "output dim"))
-                .collect::<Result<Vec<_>, _>>()?;
-            let bid = match dec.src(od.src)? {
-                Src::Buf(b) => b,
-                _ => return Err(out_err("output must read an arena buffer".into())),
+            dims.iter().try_for_each(|&d| check_dim(d, "output dim"))?;
+            self.check_src(*src, params)?;
+            let Src::Buf(bid) = *src else {
+                return Err(out_err("output must read an arena buffer".into()));
             };
             if !defined[bid] {
                 return Err(out_err(format!("output buffer {bid} is never written")));
             }
-            let need = sprod(&dims).map_err(out_err)?;
+            let need = sprod(dims).map_err(out_err)?;
             if bufs[bid].size != need {
                 return Err(out_err(format!(
                     "output shape {:?} does not match buffer {bid}'s size {:?}",
                     need, bufs[bid].size
                 )));
             }
-            outputs.push((Src::Buf(bid), dims));
         }
+        Ok(())
+    }
 
-        Ok(Plan {
-            steps,
-            bufs,
-            slot_sizes,
-            inputs,
-            outputs,
-            stats: stats_from(d.stats),
-        })
+    /// `src`'s index is within its table.
+    fn check_src(&self, src: Src, params: &ParamStore) -> Result<(), PlanDecodeError> {
+        let (what, index, len) = match src {
+            Src::Buf(b) => ("buffer", b, self.bufs.len()),
+            Src::Param(id) => ("parameter", id.index(), params.len()),
+            Src::Input(i) => ("input", i, self.inputs.len()),
+        };
+        if index >= len {
+            return Err(PlanDecodeError::Index { what, index, len });
+        }
+        Ok(())
     }
 }

@@ -55,11 +55,15 @@ pub(crate) fn infer_batch(sym: &[Vec<Dim>], inputs: &[&Tensor]) -> Result<usize,
 
 /// Replays a [`Plan`] against a preallocated arena.
 ///
-/// One `PlanExec` per serving thread: after the first batch of a given
-/// size warms the arena up, replay performs **zero heap allocation**
-/// (`tests/replay_allocations.rs` runs it under a counting allocator);
-/// [`PlanExec::alloc_count`] counts arena growth events so callers can
-/// watch the warm-up itself. The parameter store passed to [`PlanExec::run`]
+/// Serving replays a batch of at most 64 samples through its fold (a
+/// [`SpecializedPlan`], built on first use), so what replays a `PlanExec`
+/// is the rest: training-side predictions, serving batches above 64, and
+/// the tests, which hold every fold and compiled path to it bit for bit.
+///
+/// After the first batch of a given size warms the arena up, replay
+/// performs **zero heap allocation** (`tests/replay_allocations.rs` runs
+/// it under a counting allocator); [`PlanExec::alloc_count`] counts arena
+/// growth events so callers can watch the warm-up itself. The parameter store passed to [`PlanExec::run`]
 /// must be the one the plan was compiled against (same [`ParamId`]s).
 pub struct PlanExec {
     plan: Arc<Plan>,

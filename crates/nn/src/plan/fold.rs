@@ -37,7 +37,7 @@ use super::*;
 ///   column-concatenated panel and bias, written to a scratch region
 ///   behind the planned slots and read by the attention step at row
 ///   stride `3·d`. A fold is never serialized, so neither fusion exists
-///   in a [`desc::PlanDesc`].
+///   in a plan's byte form ([`desc`]).
 ///
 /// Bit-identity is preserved throughout: every kernel accumulates each
 /// output element in the same order as the generic interpreter, so a

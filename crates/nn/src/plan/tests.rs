@@ -797,31 +797,26 @@ fn cse_keeps_distinct_float_constants_apart() {
 
 #[test]
 fn desc_roundtrip_is_lossless_and_bit_identical() {
-    use super::desc::PlanDesc;
     let (store, ids) = store_with(&[&[4, 6], &[6, 6], &[6], &[6]]);
     let plan = Plan::compile(&store, |rec, b| {
         mixed_program(rec, &store, &ids, b).map_err(PlanError::from)
     })
     .unwrap();
-    let d = plan.to_desc();
     // The byte form round-trips exactly, both ways, and decoding stops
-    // where the descriptor does.
+    // where the plan does.
     let mut bytes = Vec::new();
-    d.encode_into(&mut bytes);
+    plan.encode_into(&mut bytes);
     let len = bytes.len();
     bytes.extend_from_slice(b"next");
     let mut rest = bytes.as_slice();
-    let back = PlanDesc::decode(&mut rest).unwrap();
+    let loaded = Plan::decode(&mut rest, &store).unwrap();
     assert_eq!(rest, b"next");
-    assert_eq!(back, d);
     let mut again = Vec::new();
-    back.encode_into(&mut again);
+    loaded.encode_into(&mut again);
     assert_eq!(again, bytes[..len]);
-    // Rebuilt plan re-describes identically...
-    let loaded = Plan::from_desc(&back, &store).unwrap();
-    assert_eq!(loaded.to_desc(), d);
     assert_eq!(loaded.stats(), plan.stats());
-    // ...and replays bit-identically to the original compilation.
+    // ...and the decoded plan replays bit-identically to the original
+    // compilation.
     let mut orig = PlanExec::new(Arc::new(plan));
     let mut from_file = PlanExec::new(Arc::new(loaded));
     for b in [1usize, 3, 5] {
@@ -836,19 +831,19 @@ fn desc_roundtrip_is_lossless_and_bit_identical() {
 
 #[test]
 fn hostile_plan_bytes_are_typed_errors_or_other_descriptors() {
-    use super::desc::{PlanDecodeError, PlanDesc};
+    use super::desc::PlanDecodeError;
     let (store, ids) = store_with(&[&[4, 6], &[6, 6], &[6], &[6]]);
     let plan = Plan::compile(&store, |rec, b| {
         mixed_program(rec, &store, &ids, b).map_err(PlanError::from)
     })
     .unwrap();
     let mut good = Vec::new();
-    plan.to_desc().encode_into(&mut good);
+    plan.encode_into(&mut good);
 
     // Every proper prefix is a short read, and the cursor stays put.
     for cut in 0..good.len() {
         let mut rest = &good[..cut];
-        let err = PlanDesc::decode(&mut rest).unwrap_err();
+        let err = Plan::decode(&mut rest, &store).unwrap_err();
         assert!(
             matches!(err, PlanDecodeError::Truncated { offset, .. } if offset <= cut),
             "cut at {cut}: unexpected {err:?}"
@@ -856,9 +851,8 @@ fn hostile_plan_bytes_are_typed_errors_or_other_descriptors() {
         assert_eq!(rest.len(), cut);
     }
 
-    // Every bit of every byte, flipped: a typed error, or a descriptor
-    // whose encoding is exactly the bytes it was read from — which
-    // `from_desc` then refuses or turns into a plan that replays
+    // Every bit of every byte, flipped: a typed error, or a plan whose
+    // encoding is exactly the bytes it was read from and which replays
     // without leaving its arena, whatever it computes.
     let x = input_for(2);
     let (mut refused, mut replayed) = (0, 0);
@@ -867,18 +861,16 @@ fn hostile_plan_bytes_are_typed_errors_or_other_descriptors() {
             let mut bytes = good.clone();
             bytes[at] ^= 1 << bit;
             let mut rest = bytes.as_slice();
-            let Ok(desc) = PlanDesc::decode(&mut rest) else {
+            let Ok(plan) = Plan::decode(&mut rest, &store) else {
                 refused += 1;
                 continue;
             };
             let read = bytes.len() - rest.len();
             let mut again = Vec::new();
-            desc.encode_into(&mut again);
+            plan.encode_into(&mut again);
             assert_eq!(again, bytes[..read], "byte {at} bit {bit}");
-            if let Ok(plan) = Plan::from_desc(&desc, &store) {
-                let _ = PlanExec::new(Arc::new(plan)).run(&store, &[&x]);
-                replayed += 1;
-            }
+            let _ = PlanExec::new(Arc::new(plan)).run(&store, &[&x]);
+            replayed += 1;
         }
     }
     assert!(
@@ -889,38 +881,45 @@ fn hostile_plan_bytes_are_typed_errors_or_other_descriptors() {
 
 #[test]
 fn tampered_descs_are_typed_errors_not_panics() {
-    use super::desc::{
-        BufDesc, DimDesc, MapOpDesc, OutputDesc, PlanDecodeError, SizeDesc, SrcDesc, StepKindDesc,
-    };
+    use super::desc::PlanDecodeError;
     let (store, ids) = store_with(&[&[4, 6], &[6, 6], &[6], &[6]]);
     let plan = Plan::compile(&store, |rec, b| {
         mixed_program(rec, &store, &ids, b).map_err(PlanError::from)
     })
     .unwrap();
-    let good = plan.to_desc();
-    assert!(Plan::from_desc(&good, &store).is_ok());
+    let mut good = Vec::new();
+    plan.encode_into(&mut good);
+    // A fresh copy of the compiled tables to tamper with, and what
+    // decoding makes of tampered tables.
+    let fresh = || Plan::decode(&mut good.as_slice(), &store).unwrap();
+    let decode = |p: &Plan| {
+        let mut bytes = Vec::new();
+        p.encode_into(&mut bytes);
+        Plan::decode(&mut bytes.as_slice(), &store)
+    };
+    assert!(decode(&plan).is_ok());
 
     // Slot index out of range.
-    let mut d = good.clone();
-    d.bufs[0].slot = d.slot_sizes.len() + 7;
+    let mut p = fresh();
+    p.bufs[0].slot = p.slot_sizes.len() + 7;
     assert!(matches!(
-        Plan::from_desc(&d, &store),
+        decode(&p),
         Err(PlanDecodeError::Index { what: "slot", .. })
     ));
 
     // Buffer bigger than its slot.
-    let mut d = good.clone();
-    d.bufs[0].size = SizeDesc {
+    let mut p = fresh();
+    p.bufs[0].size = Size {
         coef: 1 << 20,
         fixed: 0,
     };
-    assert!(Plan::from_desc(&d, &store).is_err());
+    assert!(decode(&p).is_err());
 
     // Step writing a buffer that does not exist.
-    let mut d = good.clone();
-    d.steps[0].out = d.bufs.len();
+    let mut p = fresh();
+    p.steps[0].out = p.bufs.len();
     assert!(matches!(
-        Plan::from_desc(&d, &store),
+        decode(&p),
         Err(PlanDecodeError::Index {
             what: "output buffer",
             ..
@@ -928,15 +927,15 @@ fn tampered_descs_are_typed_errors_not_panics() {
     ));
 
     // Parameter index out of range.
-    let mut d = good.clone();
-    for s in &mut d.steps {
-        if let StepKindDesc::Gemm { a, .. } = &mut s.kind {
-            *a = SrcDesc::Param(10_000);
+    let mut p = fresh();
+    for s in &mut p.steps {
+        if let StepKind::Gemm { a, .. } = &mut s.kind {
+            *a = Src::Param(ParamId(10_000));
             break;
         }
     }
     assert!(matches!(
-        Plan::from_desc(&d, &store),
+        decode(&p),
         Err(PlanDecodeError::Index {
             what: "parameter",
             ..
@@ -944,39 +943,36 @@ fn tampered_descs_are_typed_errors_not_panics() {
     ));
 
     // Geometry lying about the GEMM's contraction length.
-    let mut d = good.clone();
-    for s in &mut d.steps {
-        if let StepKindDesc::Gemm { k, .. } = &mut s.kind {
-            *k = DimDesc::Fixed(4096);
+    let mut p = fresh();
+    for s in &mut p.steps {
+        if let StepKind::Gemm { k, .. } = &mut s.kind {
+            *k = Dim::Fixed(4096);
             break;
         }
     }
-    assert!(matches!(
-        Plan::from_desc(&d, &store),
-        Err(PlanDecodeError::Step { .. })
-    ));
+    assert!(matches!(decode(&p), Err(PlanDecodeError::Step { .. })));
 
     // A NaN or infinite step constant would answer the same garbage for
     // every sample: refused, in each of the places one can sit.
     let mut poisoned = [0; 4];
-    for si in 0..good.steps.len() {
-        let mut d = good.clone();
-        let which = match &mut d.steps[si].kind {
-            StepKindDesc::Bmm { scale: Some(c), .. } => {
+    for si in 0..plan.steps.len() {
+        let mut p = fresh();
+        let which = match &mut p.steps[si].kind {
+            StepKind::Bmm { scale: Some(c), .. } => {
                 *c = f32::NAN;
                 0
             }
-            StepKindDesc::LayerNorm { eps, .. } => {
+            StepKind::LayerNorm { eps, .. } => {
                 *eps = f32::INFINITY;
                 1
             }
-            StepKindDesc::Map { ops, .. }
-            | StepKindDesc::Zip { ops, .. }
-            | StepKindDesc::RowOp { ops, .. }
-            | StepKindDesc::Concat { ops, .. } => {
+            StepKind::Map { ops, .. }
+            | StepKind::Zip { ops, .. }
+            | StepKind::RowOp { ops, .. }
+            | StepKind::Concat { ops, .. } => {
                 match ops.iter_mut().find_map(|op| match op {
-                    MapOpDesc::Scale(c) => Some((c, 2)),
-                    MapOpDesc::AddScalar(c) => Some((c, 3)),
+                    MapOp::Scale(c) => Some((c, 2)),
+                    MapOp::AddScalar(c) => Some((c, 3)),
                     _ => None,
                 }) {
                     Some((c, which)) => {
@@ -991,7 +987,7 @@ fn tampered_descs_are_typed_errors_not_panics() {
         poisoned[which] += 1;
         assert!(
             matches!(
-                Plan::from_desc(&d, &store),
+                decode(&p),
                 Err(PlanDecodeError::Step { step, .. }) if step == si
             ),
             "step {si}"
@@ -1003,44 +999,35 @@ fn tampered_descs_are_typed_errors_not_panics() {
     );
 
     // An attacker-sized dim constant is capped.
-    let mut d = good.clone();
-    d.slot_sizes[0] = SizeDesc {
+    let mut p = fresh();
+    p.slot_sizes[0] = Size {
         coef: usize::MAX / 2,
         fixed: 0,
     };
-    assert!(matches!(
-        Plan::from_desc(&d, &store),
-        Err(PlanDecodeError::Limit { .. })
-    ));
+    assert!(matches!(decode(&p), Err(PlanDecodeError::Limit { .. })));
 
     // Output pointing at a plan input (the interpreter has no path
     // for that — it must be rejected, not hit unreachable!).
-    let mut d = good.clone();
-    d.outputs[0] = OutputDesc {
-        src: SrcDesc::Input(0),
-        dims: d.outputs[0].dims.clone(),
-    };
-    assert!(matches!(
-        Plan::from_desc(&d, &store),
-        Err(PlanDecodeError::Output { .. })
-    ));
+    let mut p = fresh();
+    p.outputs[0].0 = Src::Input(0);
+    assert!(matches!(decode(&p), Err(PlanDecodeError::Output { .. })));
 
-    // A zero row width on any row-wise step: `from_desc` admits no
-    // zero dim at all (and the row kernels return early on one, so a
-    // recorded plan cannot divide or chunk by it either).
+    // A zero row width on any row-wise step: decoding admits no zero dim
+    // at all (and the row kernels return early on one, so a recorded
+    // plan cannot divide or chunk by it either).
     let mut zeroed = 0;
-    for si in 0..good.steps.len() {
-        let mut d = good.clone();
-        match &mut d.steps[si].kind {
-            StepKindDesc::Softmax { d: width, .. }
-            | StepKindDesc::LayerNorm { d: width, .. }
-            | StepKindDesc::RowOp { d: width, .. }
-            | StepKindDesc::SliceLast { d: width, .. } => *width = DimDesc::Fixed(0),
+    for si in 0..plan.steps.len() {
+        let mut p = fresh();
+        match &mut p.steps[si].kind {
+            StepKind::Softmax { d: width, .. }
+            | StepKind::LayerNorm { d: width, .. }
+            | StepKind::RowOp { d: width, .. }
+            | StepKind::SliceLast { d: width, .. } => *width = Dim::Fixed(0),
             _ => continue,
         }
         zeroed += 1;
         assert!(matches!(
-            Plan::from_desc(&d, &store),
+            decode(&p),
             Err(PlanDecodeError::Limit { value: 0, .. })
         ));
     }
@@ -1049,19 +1036,16 @@ fn tampered_descs_are_typed_errors_not_panics() {
     softmax_rows(&mut [1.0, 2.0], 0);
 
     // A buffer read before any step writes it.
-    let mut d = good.clone();
-    let last = d.bufs.len() - 1;
-    d.bufs.push(BufDesc {
-        size: d.bufs[last].size,
-        slot: d.bufs[last].slot,
-    });
-    for s in &mut d.steps {
-        if let StepKindDesc::Softmax { x, .. } = &mut s.kind {
-            *x = SrcDesc::Buf(d.bufs.len() - 1);
+    let mut p = fresh();
+    let last = p.bufs[p.bufs.len() - 1];
+    p.bufs.push(last);
+    for s in &mut p.steps {
+        if let StepKind::Softmax { x, .. } = &mut s.kind {
+            *x = Src::Buf(p.bufs.len() - 1);
             break;
         }
     }
-    assert!(Plan::from_desc(&d, &store).is_err());
+    assert!(decode(&p).is_err());
 }
 
 #[test]

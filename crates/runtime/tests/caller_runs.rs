@@ -98,7 +98,7 @@ fn every_size_across_the_boundary_matches_serial_bitwise() {
             },
         );
         let model = eng.model();
-        assert_eq!(model.predictor.quant_kind(), quant == QuantMode::I8);
+        assert_eq!(model.predictor.is_quantized(), quant == QuantMode::I8);
         let mut completed = 0;
         for n in 1..=MAX_BATCH + 1 {
             let enc = mixed(n, 5);

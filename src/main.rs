@@ -206,7 +206,7 @@ fn parse_snapshot_args(args: &[String]) -> (String, Network, u64, DeviceSpec) {
 fn load_model(path: &str) -> InferenceModel {
     match InferenceModel::from_snapshot_file(path) {
         Ok(m) => {
-            let storage = if m.predictor.quant_kind() {
+            let storage = if m.predictor.is_quantized() {
                 "i8"
             } else {
                 "f32"
