@@ -4,17 +4,13 @@
 //! grouped by leaf count so each minibatch is a dense `[B, L, N_ENTRY]`
 //! tensor routed through the `L`-specific embedding layer.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use dataset::Dataset;
 use devsim::device_by_name;
-use features::{
-    device_features, extract_compact_ast_into_cached, CompactAst, Log1pTable, N_DEVICE_FEATURES,
-    N_ENTRY,
-};
+use features::{device_features, N_DEVICE_FEATURES, N_ENTRY};
 
-use crate::e2e::PE_ROWS;
+use crate::e2e::encode_owned;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use tensor::Tensor;
@@ -127,53 +123,27 @@ impl SampleLike for SampleRef<'_> {
 
 /// Encodes dataset records into samples.
 ///
-/// `use_pe` toggles positional encoding (the Fig 14a ablation). Extraction
-/// reuses one compact-AST scratch and this thread's `log1p` memo, PE rows
-/// come from this thread's memo, and device features are looked up once
-/// per device name: each replays its direct computation bit for bit.
+/// `use_pe` toggles positional encoding (the Fig 14a ablation). Each
+/// program goes through this thread's encoder (one compact-AST scratch,
+/// `log1p` and PE memos), and device features are looked up once per
+/// device name: each replays its direct computation bit for bit.
 pub fn encode_records(ds: &Dataset, idx: &[usize], theta: f32, use_pe: bool) -> Vec<EncodedSample> {
     let mut devs: Vec<(&str, [f32; N_DEVICE_FEATURES])> = Vec::new();
-    let mut ast = CompactAst::default();
-    let (pe, logs) = (&PE_ROWS, &LOG1P);
-    pe.with_borrow_mut(|pe| {
-        logs.with_borrow_mut(|logs| {
-            idx.iter()
-                .map(|&i| {
-                    let rec = &ds.records[i];
-                    extract_compact_ast_into_cached(&rec.program, &mut ast, logs);
-                    let mut x = vec![0.0; ast.n_leaves() * N_ENTRY];
-                    if use_pe {
-                        ast.encoded_flat_into_cached(theta, pe, &mut x);
-                    } else {
-                        ast.flat_into(&mut x);
-                    }
-                    let dev = match devs.iter().find(|(name, _)| *name == rec.device) {
-                        Some((_, feats)) => *feats,
-                        None => {
-                            let feats = device_by_name(&rec.device)
-                                .map(|d| device_features(&d))
-                                .unwrap_or([0.0; N_DEVICE_FEATURES]);
-                            devs.push((&rec.device, feats));
-                            feats
-                        }
-                    };
-                    EncodedSample {
-                        record_idx: i,
-                        leaf_count: ast.n_leaves(),
-                        x,
-                        dev,
-                        y_raw: rec.latency_s,
-                    }
-                })
-                .collect()
-        })
-    })
-}
-
-thread_local! {
-    /// This thread's `log1p` memo for [`encode_records`]: filled once up to
-    /// the largest extent or stride seen (at most 256 KiB), replayed after.
-    static LOG1P: RefCell<Log1pTable> = RefCell::new(Log1pTable::new());
+    let items = idx.iter().map(|&i| {
+        let rec = &ds.records[i];
+        let dev = match devs.iter().find(|(name, _)| *name == rec.device) {
+            Some((_, feats)) => *feats,
+            None => {
+                let feats = device_by_name(&rec.device)
+                    .map(|d| device_features(&d))
+                    .unwrap_or([0.0; N_DEVICE_FEATURES]);
+                devs.push((&rec.device, feats));
+                feats
+            }
+        };
+        (i, &*rec.program, dev, rec.latency_s)
+    });
+    encode_owned(items, theta, use_pe)
 }
 
 /// Per-column feature standardizer fitted on the training set.
@@ -257,68 +227,78 @@ pub struct Batch {
 
 /// Builds a batch from a homogeneous slice of sample references.
 pub fn build_batch(samples: &[&EncodedSample]) -> Batch {
-    build_batch_impl(samples, None)
+    build(samples.iter(), None)
 }
 
 /// Builds a batch while standardizing features with `scaler` during the
 /// copy. One pass instead of clone-all + `FeatScaler::apply_all` +
-/// `build_batch` — the serving engine's hot path. Element-for-element the
-/// math matches [`FeatScaler::apply`], so results are bit-identical.
+/// `build_batch`. Element-for-element the math matches
+/// [`FeatScaler::apply`], so results are bit-identical.
 pub fn build_scaled_batch(samples: &[&EncodedSample], scaler: &FeatScaler) -> Batch {
-    build_batch_impl(samples, Some(scaler))
+    build(samples.iter(), Some(scaler))
 }
 
-fn build_batch_impl(samples: &[&EncodedSample], scaler: Option<&FeatScaler>) -> Batch {
-    let b = samples.len();
-    let l = samples[0].leaf_count;
-    debug_assert!(samples.iter().all(|s| s.leaf_count == l));
+/// [`build_scaled_batch`] straight from `idxs` (indices into `samples`) —
+/// the engine's dispatch path, which must not materialize a fresh
+/// `Vec<&EncodedSample>` per chunk.
+///
+/// # Panics
+///
+/// Panics if `idxs` is empty.
+pub fn build_scaled_batch_idx<S: SampleLike>(
+    samples: &[S],
+    idxs: &[usize],
+    scaler: &FeatScaler,
+) -> Batch {
+    build(idxs.iter().map(|&i| &samples[i]), Some(scaler))
+}
+
+/// The one batch builder: copies `members`, all of one leaf count, into a
+/// dense batch, standardizing each feature with `scaler` when given.
+fn build<S: SampleLike>(
+    members: impl ExactSizeIterator<Item = S>,
+    scaler: Option<&FeatScaler>,
+) -> Batch {
+    let b = members.len();
+    let mut members = members.peekable();
+    let l = members.peek().expect("a batch has members").leaf_count();
     let mut xs = Vec::with_capacity(b * l * N_ENTRY);
     let mut devs = Vec::with_capacity(b * N_DEVICE_FEATURES);
-    for s in samples {
+    let mut y_raw = Vec::with_capacity(b);
+    let mut record_idx = Vec::with_capacity(b);
+    for s in members {
+        debug_assert_eq!(s.leaf_count(), l);
         match scaler {
-            Some(sc) => xs.extend(s.x.iter().enumerate().map(|(j, &v)| {
+            Some(sc) => xs.extend(s.x().iter().enumerate().map(|(j, &v)| {
                 let col = j % N_ENTRY;
                 (v - sc.mean[col]) / sc.std[col]
             })),
-            None => xs.extend_from_slice(&s.x),
+            None => xs.extend_from_slice(s.x()),
         }
-        devs.extend_from_slice(&s.dev);
+        devs.extend_from_slice(s.dev());
+        y_raw.push(s.y_raw());
+        record_idx.push(s.record_idx());
     }
     Batch {
         leaf_count: l,
         x: Tensor::from_vec(xs, &[b, l, N_ENTRY]).expect("sample widths"),
         dev: Tensor::from_vec(devs, &[b, N_DEVICE_FEATURES]).expect("device widths"),
-        y_raw: samples.iter().map(|s| s.y_raw).collect(),
-        record_idx: samples.iter().map(|s| s.record_idx).collect(),
+        y_raw,
+        record_idx,
     }
 }
 
-/// Groups sample indices by leaf count.
-///
-/// This is the single place leaf-count bucketing lives: training batching
-/// ([`make_batches`]), the trained-model predict paths, fine-tuning's
-/// per-domain grouping, and the `runtime` serving engine all route through
-/// it, so the grouping policy cannot drift between call sites.
+/// Groups sample indices by leaf count, as a map: what training batching
+/// ([`make_batches`]) and fine-tuning's per-domain grouping iterate. The
+/// predict paths and the serving engine group with [`group_by_leaf_into`],
+/// the same policy into reusable buffers.
 pub fn group_by_leaf(samples: &[EncodedSample]) -> BTreeMap<usize, Vec<usize>> {
-    group_by_leaf_impl(samples)
-}
-
-/// [`group_by_leaf`] over borrowed samples — for callers (like the serving
-/// engine's `CostModel` path) that filter a request stream and must not
-/// clone the surviving samples wholesale just to regroup them.
-pub fn group_by_leaf_refs(samples: &[&EncodedSample]) -> BTreeMap<usize, Vec<usize>> {
-    group_by_leaf_impl(samples)
-}
-
-fn group_by_leaf_impl<T: std::borrow::Borrow<EncodedSample>>(
-    samples: &[T],
-) -> BTreeMap<usize, Vec<usize>> {
     // BTreeMap, deliberately: callers iterate the groups while drawing from
     // seeded RNGs (batch shuffling, fine-tuning's domain sampling), so the
     // iteration order must be deterministic for runs to be reproducible.
     let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (i, s) in samples.iter().enumerate() {
-        groups.entry(s.borrow().leaf_count).or_default().push(i);
+        groups.entry(s.leaf_count).or_default().push(i);
     }
     groups
 }
@@ -337,11 +317,11 @@ pub struct LeafGroups {
     pub spans: Vec<(usize, usize, usize)>,
 }
 
-/// [`group_by_leaf_refs`] into caller-owned scratch. Exactly the same
-/// grouping policy (ascending leaf counts, stable input order within a
-/// group — asserted against the map-based grouping in tests), but writing
-/// into reusable buffers so a serving hot path allocates nothing per
-/// request once warmed.
+/// [`group_by_leaf`] over any [`SampleLike`], into caller-owned scratch.
+/// Exactly the same grouping policy (ascending leaf counts, stable input
+/// order within a group — asserted against the map-based grouping in
+/// tests), but writing into reusable buffers so a serving hot path
+/// allocates nothing per request once warmed.
 pub fn group_by_leaf_into<S: SampleLike>(samples: &[S], out: &mut LeafGroups) {
     out.order.clear();
     out.spans.clear();
@@ -360,42 +340,27 @@ pub fn group_by_leaf_into<S: SampleLike>(samples: &[S], out: &mut LeafGroups) {
     }
 }
 
-/// Builds a standardized dense batch straight from `idxs` (indices into
-/// `samples`) — the engine's dispatch path, which must not materialize a
-/// fresh `Vec<&EncodedSample>` per chunk.
-///
-/// # Panics
-///
-/// Panics if `idxs` is empty.
-pub fn build_scaled_batch_idx<S: SampleLike>(
-    samples: &[S],
-    idxs: &[usize],
+/// The one leaf-bucket driver of the serial predict paths: groups `enc`
+/// by leaf count ([`group_by_leaf_into`]), builds each group's batch
+/// standardized by `scaler`, hands it to `run`, and scatters `run`'s rows
+/// back to input order. A leaf group is one batch, whatever its size; the
+/// first error `run` returns ends the call.
+pub(crate) fn predict_by_leaf<S: SampleLike, T: Clone + Default, E>(
+    enc: &[S],
     scaler: &FeatScaler,
-) -> Batch {
-    let b = idxs.len();
-    let l = samples[idxs[0]].leaf_count();
-    debug_assert!(idxs.iter().all(|&i| samples[i].leaf_count() == l));
-    let mut xs = Vec::with_capacity(b * l * N_ENTRY);
-    let mut devs = Vec::with_capacity(b * N_DEVICE_FEATURES);
-    let mut y_raw = Vec::with_capacity(b);
-    let mut record_idx = Vec::with_capacity(b);
-    for &i in idxs {
-        let s = &samples[i];
-        xs.extend(s.x().iter().enumerate().map(|(j, &v)| {
-            let col = j % N_ENTRY;
-            (v - scaler.mean[col]) / scaler.std[col]
-        }));
-        devs.extend_from_slice(s.dev());
-        y_raw.push(s.y_raw());
-        record_idx.push(s.record_idx());
+    mut run: impl FnMut(&Batch) -> Result<Vec<T>, E>,
+) -> Result<Vec<T>, E> {
+    let mut groups = LeafGroups::default();
+    group_by_leaf_into(enc, &mut groups);
+    let mut out = vec![T::default(); enc.len()];
+    for &(_, start, end) in &groups.spans {
+        let idxs = &groups.order[start..end];
+        let rows = run(&build_scaled_batch_idx(enc, idxs, scaler))?;
+        for (&i, row) in idxs.iter().zip(rows) {
+            out[i] = row;
+        }
     }
-    Batch {
-        leaf_count: l,
-        x: Tensor::from_vec(xs, &[b, l, N_ENTRY]).expect("sample widths"),
-        dev: Tensor::from_vec(devs, &[b, N_DEVICE_FEATURES]).expect("device widths"),
-        y_raw,
-        record_idx,
-    }
+    Ok(out)
 }
 
 /// Splits samples into shuffled leaf-count-homogeneous minibatches.
@@ -504,7 +469,7 @@ mod tests {
         let idx = d.device_records("T4");
         let enc = encode_records(&d, &idx, features::DEFAULT_THETA, true);
         let refs: Vec<&EncodedSample> = enc.iter().collect();
-        let map = group_by_leaf_refs(&refs);
+        let map = group_by_leaf(&enc);
         let mut flat = LeafGroups::default();
         group_by_leaf_into(&refs, &mut flat);
         assert_eq!(flat.spans.len(), map.len());
@@ -529,7 +494,7 @@ mod tests {
         let enc = encode_records(&d, &idx, features::DEFAULT_THETA, true);
         let scaler = FeatScaler::fit(&enc);
         let all: Vec<&EncodedSample> = enc.iter().collect();
-        let (leaf, idxs) = group_by_leaf_refs(&all)
+        let (leaf, idxs) = group_by_leaf(&enc)
             .into_iter()
             .max_by_key(|(_, v)| v.len())
             .expect("non-empty dataset");

@@ -2,11 +2,12 @@
 //! per-program cost-model predictions → Algorithm-2 replay.
 
 use std::cell::RefCell;
+use std::convert::Infallible;
 
 use devsim::{DeviceSpec, Simulator};
 use features::{
-    device_features, extract_compact_ast_into, extract_compact_ast_into_cached, CompactAst,
-    Log1pTable, PeTable, N_DEVICE_FEATURES, N_ENTRY,
+    device_features, extract_compact_ast_into_cached, CompactAst, Log1pTable, PeTable,
+    N_DEVICE_FEATURES, N_ENTRY,
 };
 use parallel::ThreadPool;
 use rand::rngs::StdRng;
@@ -33,13 +34,72 @@ impl E2eResult {
     }
 }
 
+/// One encoder's state: a compact-AST scratch and the `log1p` and PE
+/// memos, each a pure-function cache that replays its direct computation
+/// bit for bit. Every thread owns one for [`encode_programs`] and
+/// [`crate::batch::encode_records`], and every [`EncodeArena`] worker slot
+/// another, so all three encode paths run [`Encoder::encode`].
+#[derive(Debug, Default)]
+struct Encoder {
+    ast: CompactAst,
+    logs: Log1pTable,
+    pe: PeTable,
+}
+
+impl Encoder {
+    /// The one per-program encode: `p`'s compact AST, then its leaf rows
+    /// with PE added (`use_pe`) or bare, into `dst`
+    /// (`p.leaf_count() * N_ENTRY` floats).
+    fn encode(&mut self, p: &TensorProgram, theta: f32, use_pe: bool, dst: &mut [f32]) {
+        extract_compact_ast_into_cached(p, &mut self.ast, &mut self.logs);
+        if use_pe {
+            self.ast.encoded_flat_into_cached(theta, &mut self.pe, dst);
+        } else {
+            self.ast.flat_into(dst);
+        }
+    }
+
+    /// Capacities of the buffers [`Encoder::encode`] grows, for the
+    /// arena's growth counter.
+    fn capacities(&self) -> [usize; 4] {
+        [
+            self.ast.leaf_vectors.capacity(),
+            self.ast.ordering.capacity(),
+            self.pe.capacity_rows(),
+            self.logs.capacity(),
+        ]
+    }
+}
+
 thread_local! {
-    /// This thread's positional-encoding rows for [`encode_programs`] and
-    /// [`crate::batch::encode_records`]: a pure-function memo (28 `powf` +
-    /// 56 `sin`/`cos` per row otherwise), filled once per thread up to the
-    /// largest ordering value seen (224 bytes a row, a few dozen rows) and
-    /// dropped on a Θ change.
-    pub(crate) static PE_ROWS: RefCell<PeTable> = RefCell::new(PeTable::new());
+    /// This thread's [`Encoder`]: filled once up to the largest ordering
+    /// value (224 bytes a PE row, a few dozen rows; the rows drop on a Θ
+    /// change) and extent or stride (at most 256 KiB of `log1p`) seen.
+    static ENCODER: RefCell<Encoder> = RefCell::default();
+}
+
+/// Encodes `(record index, program, device row, label)` items into owned
+/// samples on this thread's [`Encoder`].
+pub(crate) fn encode_owned<'p>(
+    items: impl Iterator<Item = (usize, &'p TensorProgram, [f32; N_DEVICE_FEATURES], f64)>,
+    theta: f32,
+    use_pe: bool,
+) -> Vec<EncodedSample> {
+    ENCODER.with_borrow_mut(|encoder| {
+        items
+            .map(|(record_idx, p, dev, y_raw)| {
+                let mut x = vec![0.0; p.leaf_count() * N_ENTRY];
+                encoder.encode(p, theta, use_pe, &mut x);
+                EncodedSample {
+                    record_idx,
+                    leaf_count: p.leaf_count(),
+                    x,
+                    dev,
+                    y_raw,
+                }
+            })
+            .collect()
+    })
 }
 
 /// Encodes standalone tensor programs (not dataset records) for inference.
@@ -49,30 +109,9 @@ pub fn encode_programs(
     theta: f32,
     use_pe: bool,
 ) -> Vec<EncodedSample> {
-    let dev_feats: [f32; N_DEVICE_FEATURES] = device_features(dev);
-    let mut ast = CompactAst::default();
-    PE_ROWS.with_borrow_mut(|pe| {
-        programs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                extract_compact_ast_into(p, &mut ast);
-                let mut x = vec![0.0; ast.n_leaves() * N_ENTRY];
-                if use_pe {
-                    ast.encoded_flat_into_cached(theta, pe, &mut x);
-                } else {
-                    ast.flat_into(&mut x);
-                }
-                EncodedSample {
-                    record_idx: i,
-                    leaf_count: ast.n_leaves(),
-                    x,
-                    dev: dev_feats,
-                    y_raw: 0.0,
-                }
-            })
-            .collect()
-    })
+    let dev = device_features(dev);
+    let items = programs.iter().enumerate().map(|(i, &p)| (i, p, dev, 0.0));
+    encode_owned(items, theta, use_pe)
 }
 
 /// Pooled output of batch feature encoding: one flat `f32` slab holding
@@ -92,18 +131,10 @@ pub struct EncodeArena {
     spans: Vec<(usize, usize)>,
     /// Device feature row shared by every sample of the request.
     dev: [f32; N_DEVICE_FEATURES],
-    /// Per-worker `CompactAst` scratch, reused across calls.
-    scratch: Vec<CompactAst>,
-    /// High-water capacities of each scratch entry's inner buffers.
-    scratch_caps: Vec<(usize, usize)>,
-    /// Per-worker memoized positional-encoding rows (one Θ each).
-    pe: Vec<PeTable>,
-    /// High-water row capacity of each PE table.
-    pe_caps: Vec<usize>,
-    /// Per-worker memoized `log1p` over extents/strides.
-    logs: Vec<Log1pTable>,
-    /// High-water entry capacity of each `log1p` table.
-    log_caps: Vec<usize>,
+    /// Per-worker encoders, reused across calls.
+    encoders: Vec<Encoder>,
+    /// High-water [`Encoder::capacities`] of each.
+    encoder_caps: Vec<[usize; 4]>,
     /// Buffer-growth events since construction.
     growth: usize,
 }
@@ -199,21 +230,15 @@ pub fn encode_programs_into(
         return;
     }
     let jobs = pool.threads().min(n).max(1);
-    while arena.scratch.len() < jobs {
-        arena.scratch.push(CompactAst::default());
-        arena.scratch_caps.push((0, 0));
-        arena.pe.push(PeTable::new());
-        arena.pe_caps.push(0);
-        arena.logs.push(Log1pTable::new());
-        arena.log_caps.push(0);
+    while arena.encoders.len() < jobs {
+        arena.encoders.push(Encoder::default());
+        arena.encoder_caps.push([0; 4]);
         arena.growth += 1;
     }
     let per = n.div_ceil(jobs);
     let spans = &arena.spans;
     let mut rest: &mut [f32] = &mut arena.xs;
-    let mut scratch_iter = arena.scratch.iter_mut();
-    let mut pe_iter = arena.pe.iter_mut();
-    let mut log_iter = arena.logs.iter_mut();
+    let mut encoders = arena.encoders.iter_mut();
     pool.scope(|s| {
         for j in 0..jobs {
             let lo = j * per;
@@ -224,48 +249,26 @@ pub fn encode_programs_into(
             let floats: usize = spans[lo..hi].iter().map(|&(_, lc)| lc * N_ENTRY).sum();
             let (mine, tail) = std::mem::take(&mut rest).split_at_mut(floats);
             rest = tail;
-            let ast = scratch_iter.next().expect("scratch sized to jobs");
-            let pe = pe_iter.next().expect("pe tables sized to jobs");
-            let logs = log_iter.next().expect("log tables sized to jobs");
+            let encoder = encoders.next().expect("encoders sized to jobs");
             s.spawn(move || {
                 let mut cur = 0usize;
                 for &p in &programs[lo..hi] {
-                    extract_compact_ast_into_cached(p, ast, logs);
-                    let row = ast.n_leaves() * N_ENTRY;
-                    let dst = &mut mine[cur..cur + row];
-                    if use_pe {
-                        ast.encoded_flat_into_cached(theta, pe, dst);
-                    } else {
-                        ast.flat_into(dst);
-                    }
+                    let row = p.leaf_count() * N_ENTRY;
+                    encoder.encode(p, theta, use_pe, &mut mine[cur..cur + row]);
                     cur += row;
                 }
                 debug_assert_eq!(cur, mine.len());
             });
         }
     });
-    // Scratch `CompactAst`s and PE tables grow lazily inside the workers;
-    // surface that as arena growth so the zero-alloc assertion covers them.
-    for (ast, caps) in arena.scratch.iter().zip(arena.scratch_caps.iter_mut()) {
-        let now = (ast.leaf_vectors.capacity(), ast.ordering.capacity());
-        if now.0 > caps.0 || now.1 > caps.1 {
-            arena.growth += 1;
-            caps.0 = caps.0.max(now.0);
-            caps.1 = caps.1.max(now.1);
-        }
-    }
-    for (pe, cap) in arena.pe.iter().zip(arena.pe_caps.iter_mut()) {
-        let now = pe.capacity_rows();
-        if now > *cap {
-            arena.growth += 1;
-            *cap = now;
-        }
-    }
-    for (logs, cap) in arena.logs.iter().zip(arena.log_caps.iter_mut()) {
-        let now = logs.capacity();
-        if now > *cap {
-            arena.growth += 1;
-            *cap = now;
+    // Encoders grow lazily inside the workers; surface that as arena
+    // growth so the zero-alloc assertion covers them.
+    for (encoder, caps) in arena.encoders.iter().zip(&mut arena.encoder_caps) {
+        for (cap, now) in caps.iter_mut().zip(encoder.capacities()) {
+            if now > *cap {
+                arena.growth += 1;
+                *cap = now;
+            }
         }
     }
 }
@@ -289,12 +292,10 @@ pub fn sample_network_programs(net: &Network, seed: u64) -> (Vec<u32>, Vec<Tenso
 /// result shared across layers using the same kernel — the de-duplication
 /// optimization §5.5 describes.
 pub fn end_to_end(model: &TrainedModel, net: &Network, dev: &DeviceSpec, seed: u64) -> E2eResult {
-    let (task_ids, programs) = sample_network_programs(net, seed);
-    // Cost-model predictions, one per task.
-    let refs: Vec<&TensorProgram> = programs.iter().collect();
-    let enc = encode_programs(&refs, dev, model.predictor.config().theta, model.use_pe);
-    let predicted = model.predict_samples(&enc);
-    replay_predictions(net, dev, &task_ids, &programs, &predicted)
+    let (theta, use_pe) = (model.predictor.config().theta, model.use_pe);
+    let predict = |enc: &[EncodedSample]| Ok(model.predict_samples(enc));
+    predict_network(net, dev, seed, theta, use_pe, predict)
+        .unwrap_or_else(|e: Infallible| match e {})
 }
 
 /// [`end_to_end`] for a frozen / snapshot-restored model: predictions run
@@ -306,10 +307,26 @@ pub fn end_to_end_frozen(
     dev: &DeviceSpec,
     seed: u64,
 ) -> crate::predictor::PredictResult<E2eResult> {
+    let (theta, use_pe) = (model.predictor.config().theta, model.use_pe);
+    predict_network(net, dev, seed, theta, use_pe, |enc| {
+        model.predict_samples(enc)
+    })
+}
+
+/// The network front end of [`end_to_end`] and [`end_to_end_frozen`]: one
+/// sampled program per task, encoded once, scored by `predict` in task
+/// order, and replayed through [`replay_predictions`].
+fn predict_network<E>(
+    net: &Network,
+    dev: &DeviceSpec,
+    seed: u64,
+    theta: f32,
+    use_pe: bool,
+    predict: impl FnOnce(&[EncodedSample]) -> Result<Vec<f64>, E>,
+) -> Result<E2eResult, E> {
     let (task_ids, programs) = sample_network_programs(net, seed);
     let refs: Vec<&TensorProgram> = programs.iter().collect();
-    let enc = encode_programs(&refs, dev, model.predictor.config().theta, model.use_pe);
-    let predicted = model.predict_samples(&enc)?;
+    let predicted = predict(&encode_programs(&refs, dev, theta, use_pe))?;
     Ok(replay_predictions(
         net, dev, &task_ids, &programs, &predicted,
     ))

@@ -82,14 +82,12 @@ pub fn finetune(
         !source_idx.is_empty() && !target_idx.is_empty(),
         "empty domains"
     );
-    let theta = model.predictor.config().theta;
-    let use_pe = model.use_pe;
-    let mut src = encode_records(ds, source_idx, theta, use_pe);
-    let mut tgt = encode_records(ds, target_idx, theta, use_pe);
-    model.scaler.apply_all(&mut src);
-    model.scaler.apply_all(&mut tgt);
-    let src_groups = group_by_leaf(&src);
-    let tgt_groups = group_by_leaf(&tgt);
+    let [src, tgt] = [source_idx, target_idx].map(|idx| {
+        let mut enc = encode_records(ds, idx, model.predictor.config().theta, model.use_pe);
+        model.scaler.apply_all(&mut enc);
+        enc
+    });
+    let (src_groups, tgt_groups) = (group_by_leaf(&src), group_by_leaf(&tgt));
     // Leaf counts present in both domains (CMD compares same-shape
     // batches within one graph).
     let shared: Vec<usize> = src_groups
@@ -201,7 +199,9 @@ pub fn finetune(
 }
 
 /// Mean CMD between the latents of two record sets under the current model
-/// (the "before/after" number behind Figs 8 and 11).
+/// (the "before/after" number behind Figs 8 and 11). NaN when a record's
+/// leaf count has no embedding layer: its latent row is NaN
+/// ([`TrainedModel::latents`]).
 pub fn latent_cmd(
     model: &TrainedModel,
     ds: &Dataset,

@@ -27,8 +27,7 @@ pub mod trainer;
 
 pub use batch::{
     build_batch, build_scaled_batch, build_scaled_batch_idx, encode_records, group_by_leaf,
-    group_by_leaf_into, group_by_leaf_refs, make_batches, Batch, EncodedSample, LeafGroups,
-    SampleLike, SampleRef,
+    group_by_leaf_into, make_batches, Batch, EncodedSample, LeafGroups, SampleLike, SampleRef,
 };
 pub use e2e::{
     encode_programs, encode_programs_into, end_to_end, end_to_end_frozen, measured_end_to_end,

@@ -16,7 +16,7 @@
 //!
 //! ## Execution model
 //!
-//! The model *definition* ([`Arch`], internal) is decoupled from
+//! The model *definition* (`Arch`, internal) is decoupled from
 //! *execution*: [`Predictor::forward`] is generic over [`nn::Exec`], so the
 //! same definition runs eagerly on the autodiff tape ([`nn::Graph`]) and is
 //! recorded into compiled plans. The eager entry points
@@ -135,6 +135,16 @@ impl Default for PredictorConfig {
     }
 }
 
+impl PredictorConfig {
+    /// The error for a leaf count with no embedding layer.
+    fn leaf_error(&self, leaves: usize) -> PredictError {
+        PredictError::LeafCountOutOfRange {
+            leaves,
+            max_leaves: self.max_leaves,
+        }
+    }
+}
+
 /// Output handles of one forward pass.
 pub struct ForwardOut {
     /// The latent representation `z` (`[B, d_emb + d_dev]`, tanh-bounded).
@@ -202,19 +212,14 @@ impl Arch {
     /// element-wise chains into single passes, and lays every intermediate
     /// out in a liveness-aliased arena. The plan reads parameter *values*
     /// at replay time, so training the store further never invalidates it —
-    /// only parameter shapes are baked in.
+    /// only parameter shapes are baked in. `leaves` is in range: the plan
+    /// cache has a slot for it.
     fn compile_plan(
         &self,
         cfg: &PredictorConfig,
         store: &ParamStore,
         leaves: usize,
     ) -> PredictResult<Plan> {
-        if leaves == 0 || leaves > cfg.max_leaves {
-            return Err(PredictError::LeafCountOutOfRange {
-                leaves,
-                max_leaves: cfg.max_leaves,
-            });
-        }
         Ok(Plan::compile(store, |rec, b| {
             self.record(cfg, store, leaves, rec, b)
         })?)
@@ -269,15 +274,10 @@ impl Arch {
         let shape = x.shape().to_vec();
         debug_assert_eq!(shape.len(), 3);
         let (b, l) = (shape[0], shape[1]);
-        let layer = match l.checked_sub(1).and_then(|i| self.leaf_embed.get(i)) {
-            Some(layer) => layer,
-            None => {
-                return Err(PredictError::LeafCountOutOfRange {
-                    leaves: l,
-                    max_leaves: cfg.max_leaves,
-                })
-            }
-        };
+        let layer = l
+            .checked_sub(1)
+            .and_then(|i| self.leaf_embed.get(i))
+            .ok_or_else(|| cfg.leaf_error(l))?;
         let xv = g.constant(x);
         let h = self.input_proj.forward(g, store, xv)?;
         let h = self.encoder.forward(g, store, h)?;
@@ -413,10 +413,7 @@ fn plan_for(
     let slot = leaves
         .checked_sub(1)
         .and_then(|i| cache.slots.get(i))
-        .ok_or(PredictError::LeafCountOutOfRange {
-            leaves,
-            max_leaves: cfg.max_leaves,
-        })?;
+        .ok_or_else(|| cfg.leaf_error(leaves))?;
     if let Some(plan) = slot.get() {
         return Ok(Arc::clone(plan));
     }
@@ -471,7 +468,19 @@ impl PlanRunner {
         self.class_folds
     }
 
-    fn exec_for(&mut self, leaves: usize, plan: Arc<Plan>) -> &mut PlanExec {
+    /// The one generic-plan replay: replays `plan` (the batch-generic plan
+    /// of `inputs`' leaf count) over `params` in this runner's exec for that
+    /// leaf count, and hands plan output `out` — its values and shape — to
+    /// `read`.
+    fn replay_generic<R>(
+        &mut self,
+        plan: Arc<Plan>,
+        params: &ParamStore,
+        inputs: [&Tensor; 2],
+        out: usize,
+        read: impl FnOnce(&[f32], &[usize]) -> R,
+    ) -> PredictResult<R> {
+        let leaves = leaf_count_of(inputs[0])?;
         if self.execs.len() < leaves {
             self.execs.resize_with(leaves, || None);
         }
@@ -479,11 +488,12 @@ impl PlanRunner {
         // A runner may be handed batches from different models (A/B
         // serving, a re-frozen fine-tune): a cached exec is only valid for
         // the plan it was built from, so replace it when the plan differs.
-        match slot {
-            Some(exec) if Arc::ptr_eq(exec.plan(), &plan) => {}
-            _ => *slot = Some(PlanExec::new(plan)),
-        }
-        slot.as_mut().expect("just ensured")
+        let exec = match slot {
+            Some(exec) if Arc::ptr_eq(exec.plan(), &plan) => exec,
+            _ => slot.insert(PlanExec::new(plan)),
+        };
+        exec.run(params, &inputs)?;
+        Ok(read(exec.output(out), &exec.output_shape(out)))
     }
 
     /// Replays `fold` in this runner's arena and returns the arena.
@@ -512,15 +522,6 @@ impl PlanRunner {
         }
         *word |= bit;
     }
-}
-
-fn read_predictions(g: &Graph, out: &ForwardOut) -> Vec<f32> {
-    g.value(out.pred).data().to_vec()
-}
-
-fn read_latents(g: &Graph, out: &ForwardOut) -> Vec<Vec<f64>> {
-    let z = g.value(out.latent);
-    latent_rows(z.data(), z.shape()[1])
 }
 
 /// The CDMPP cost model (training-capable: owns a mutable [`ParamStore`]).
@@ -596,21 +597,14 @@ impl Predictor {
     pub fn share_quantized(&self, mode: QuantMode) -> SharedPredictor {
         // Values only: freezing must not drag the training-side
         // gradient buffers (as large as the weights) along.
-        let mut store = self.store.clone_values();
-        if mode == QuantMode::I8 {
-            store.quantize_weights();
-        }
-        SharedPredictor {
-            params: Arc::new(store),
+        Predictor {
+            store: self.store.clone_values(),
             arch: self.arch.clone(),
             cfg: self.cfg.clone(),
-            // Plans bake in parameter *shapes*, not values, so the frozen
-            // copy can reuse (and share) the same compiled plans.
             plans: Arc::clone(&self.plans),
-            // Folds DO bake values (prepacked weights), so every freeze
-            // starts a fresh fold table bound to this exact weight copy.
-            spec: new_spec_cache(self.cfg.max_leaves),
+            train_plans: Arc::clone(&self.train_plans),
         }
+        .into_shared_quantized(mode)
     }
 
     /// One forward pass over a leaf-count-homogeneous batch, on any
@@ -631,7 +625,7 @@ impl Predictor {
     pub fn predict_batch(&self, x: Tensor, dev: Tensor) -> PredictResult<Vec<f32>> {
         let mut g = Graph::new();
         let out = self.forward(&mut g, x, dev)?;
-        Ok(read_predictions(&g, &out))
+        Ok(g.value(out.pred).data().to_vec())
     }
 
     /// Latent representations for a batch (for CMD / t-SNE / Algorithm 1),
@@ -639,7 +633,8 @@ impl Predictor {
     pub fn latent_batch(&self, x: Tensor, dev: Tensor) -> PredictResult<Vec<Vec<f64>>> {
         let mut g = Graph::new();
         let out = self.forward(&mut g, x, dev)?;
-        Ok(read_latents(&g, &out))
+        let z = g.value(out.latent);
+        Ok(latent_rows(z.data(), z.shape()))
     }
 
     /// The compiled inference plan for one leaf count (compiled on first
@@ -658,10 +653,7 @@ impl Predictor {
             .checked_sub(1)
             .and_then(|i| self.train_plans.get(i))
             .map(|variants| &variants[seeds as usize])
-            .ok_or(PredictError::LeafCountOutOfRange {
-                leaves,
-                max_leaves: self.cfg.max_leaves,
-            })?;
+            .ok_or_else(|| self.cfg.leaf_error(leaves))?;
         if let Some(plan) = slot.get() {
             return Ok(Arc::clone(plan));
         }
@@ -712,6 +704,9 @@ impl Predictor {
         }
         SharedPredictor {
             params: Arc::new(store),
+            // Folds bake in parameter *values* (prepacked weights), so
+            // every freeze starts a fresh fold table bound to this exact
+            // weight copy; plans bake in shapes only and stay shared.
             spec: new_spec_cache(self.cfg.max_leaves),
             arch: self.arch,
             cfg: self.cfg,
@@ -728,11 +723,8 @@ impl Predictor {
         x: &Tensor,
         dev: &Tensor,
     ) -> PredictResult<Vec<f32>> {
-        let leaves = leaf_count_of(x)?;
-        let plan = self.plan_for(leaves)?;
-        let exec = runner.exec_for(leaves, plan);
-        exec.run(&self.store, &[x, dev])?;
-        Ok(exec.output(PLAN_OUT_PRED).to_vec())
+        let plan = self.plan_for(leaf_count_of(x)?)?;
+        runner.replay_generic(plan, &self.store, [x, dev], PLAN_OUT_PRED, pred_rows)
     }
 
     /// Latent rows through the compiled plan — the plan's other output,
@@ -743,20 +735,19 @@ impl Predictor {
         x: &Tensor,
         dev: &Tensor,
     ) -> PredictResult<Vec<Vec<f64>>> {
-        let leaves = leaf_count_of(x)?;
-        let plan = self.plan_for(leaves)?;
-        let exec = runner.exec_for(leaves, plan);
-        exec.run(&self.store, &[x, dev])?;
-        Ok(latent_rows(
-            exec.output(PLAN_OUT_LATENT),
-            exec.output_shape(PLAN_OUT_LATENT)[1],
-        ))
+        let plan = self.plan_for(leaf_count_of(x)?)?;
+        runner.replay_generic(plan, &self.store, [x, dev], PLAN_OUT_LATENT, latent_rows)
     }
 }
 
-/// Latent rows of width `d` as `f64` vectors.
-fn latent_rows(z: &[f32], d: usize) -> Vec<Vec<f64>> {
-    z.chunks(d)
+/// Prediction rows as read out of a `[B, 1]` plan output.
+fn pred_rows(pred: &[f32], _shape: &[usize]) -> Vec<f32> {
+    pred.to_vec()
+}
+
+/// Latent rows of a `[B, d]` output as `f64` vectors.
+fn latent_rows(z: &[f32], shape: &[usize]) -> Vec<Vec<f64>> {
+    z.chunks(shape[1])
         .map(|row| row.iter().map(|&v| v as f64).collect())
         .collect()
 }
@@ -844,7 +835,7 @@ impl SharedPredictor {
     pub fn predict_batch(&self, x: Tensor, dev: Tensor) -> PredictResult<Vec<f32>> {
         let mut g = Graph::new();
         let out = self.forward(&mut g, x, dev)?;
-        Ok(read_predictions(&g, &out))
+        Ok(g.value(out.pred).data().to_vec())
     }
 
     /// The compiled inference plan for one leaf count (compiled on first
@@ -948,10 +939,7 @@ impl SharedPredictor {
         let row = leaves
             .checked_sub(1)
             .and_then(|i| self.spec.folds.get(i))
-            .ok_or(PredictError::LeafCountOutOfRange {
-                leaves,
-                max_leaves: self.cfg.max_leaves,
-            })?;
+            .ok_or_else(|| self.cfg.leaf_error(leaves))?;
         let empty = || (0..DEFAULT_MAX_BATCH).map(|_| OnceLock::new()).collect();
         let slot = &row.get_or_init(empty)[batch - 1];
         if let Some(fold) = slot.get() {
@@ -1017,26 +1005,17 @@ impl SharedPredictor {
         let leaves = leaf_count_of(x)?;
         let batch = x.shape()[0];
         let Some(fold) = self.spec_plan_for(leaves, batch)? else {
-            return self.replay_generic(runner, x, dev, out, read);
+            return runner.replay_generic(
+                self.plan_for(leaves)?,
+                &self.params,
+                [x, dev],
+                out,
+                read,
+            );
         };
         runner.note_fold(leaves, batch, || self.is_batch_class(batch));
         let arena = runner.replay_fold(&fold, &self.params, &[x, dev])?;
         Ok(read(fold.output(arena, out), fold.output_shape(out)))
-    }
-
-    /// [`Self::replay`] pinned to the batch-generic plan.
-    fn replay_generic<R>(
-        &self,
-        runner: &mut PlanRunner,
-        x: &Tensor,
-        dev: &Tensor,
-        out: usize,
-        read: impl FnOnce(&[f32], &[usize]) -> R,
-    ) -> PredictResult<R> {
-        let leaves = leaf_count_of(x)?;
-        let exec = runner.exec_for(leaves, self.plan_for(leaves)?);
-        exec.run(&self.params, &[x, dev])?;
-        Ok(read(exec.output(out), &exec.output_shape(out)))
     }
 
     /// Predictions (transformed space) through a compiled plan replayed by
@@ -1051,7 +1030,7 @@ impl SharedPredictor {
         x: &Tensor,
         dev: &Tensor,
     ) -> PredictResult<Vec<f32>> {
-        self.replay(runner, x, dev, PLAN_OUT_PRED, |pred, _| pred.to_vec())
+        self.replay(runner, x, dev, PLAN_OUT_PRED, pred_rows)
     }
 
     /// [`SharedPredictor::predict_planned`] pinned to the batch-generic
@@ -1064,7 +1043,8 @@ impl SharedPredictor {
         x: &Tensor,
         dev: &Tensor,
     ) -> PredictResult<Vec<f32>> {
-        self.replay_generic(runner, x, dev, PLAN_OUT_PRED, |pred, _| pred.to_vec())
+        let plan = self.plan_for(leaf_count_of(x)?)?;
+        runner.replay_generic(plan, &self.params, [x, dev], PLAN_OUT_PRED, pred_rows)
     }
 
     /// Latent representations through a compiled plan (the plan's other
@@ -1075,9 +1055,7 @@ impl SharedPredictor {
         x: &Tensor,
         dev: &Tensor,
     ) -> PredictResult<Vec<Vec<f64>>> {
-        self.replay(runner, x, dev, PLAN_OUT_LATENT, |z, shape| {
-            latent_rows(z, shape[1])
-        })
+        self.replay(runner, x, dev, PLAN_OUT_LATENT, latent_rows)
     }
 }
 

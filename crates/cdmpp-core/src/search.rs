@@ -25,6 +25,7 @@ use tir::{
     TensorProgram,
 };
 
+use crate::batch::EncodedSample;
 use crate::e2e::encode_programs;
 use crate::trainer::InferenceModel;
 
@@ -55,26 +56,14 @@ impl CostModel for InferenceModel {
     fn score_batch(&self, progs: &[&TensorProgram], dev: &DeviceSpec) -> Vec<f64> {
         let enc = encode_programs(progs, dev, self.predictor.config().theta, self.use_pe);
         let max_leaves = self.predictor.config().max_leaves;
-        let valid_idx: Vec<usize> = enc
+        let (valid_idx, valid): (Vec<usize>, Vec<&EncodedSample>) = enc
             .iter()
             .enumerate()
             .filter(|(_, s)| (1..=max_leaves).contains(&s.leaf_count))
-            .map(|(i, _)| i)
-            .collect();
+            .unzip();
         let mut out = vec![f64::INFINITY; progs.len()];
-        if valid_idx.is_empty() {
-            return out;
-        }
-        if valid_idx.len() == enc.len() {
-            if let Ok(per) = self.predict_samples(&enc) {
-                return per;
-            }
-            return out;
-        }
-        let valid: Vec<crate::batch::EncodedSample> =
-            valid_idx.iter().map(|&i| enc[i].clone()).collect();
-        if let Ok(per) = self.predict_samples(&valid) {
-            for (&i, p) in valid_idx.iter().zip(per) {
+        if let Ok(per) = self.predict_any(&mut crate::PlanRunner::new(), &valid) {
+            for (i, p) in valid_idx.into_iter().zip(per) {
                 out[i] = p;
             }
         }

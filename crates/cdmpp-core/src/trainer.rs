@@ -39,6 +39,7 @@
 //! the one-graph step and the data-parallel step the compiled one must
 //! reproduce bit for bit (`tests/compiled_step_equivalence.rs`).
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use dataset::Dataset;
@@ -48,7 +49,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::Tensor;
 
-use crate::batch::{encode_records, group_by_leaf, make_batches, Batch, EncodedSample, FeatScaler};
+use crate::batch::{
+    encode_records, make_batches, predict_by_leaf, Batch, EncodedSample, FeatScaler, SampleLike,
+};
 use crate::predictor::{
     PredictResult, Predictor, PredictorConfig, SharedPredictor, StepSeeds, PLAN_OUT_PRED,
 };
@@ -406,7 +409,7 @@ fn merge_shards(a: &mut ShardOut, b: ShardOut) {
 
 /// One optimization step with data-parallel gradient accumulation.
 ///
-/// The batch is cut into [`SHARD_ROWS`]-row shards; each shard runs
+/// The batch is cut into `SHARD_ROWS`-row (16-row) shards; each shard runs
 /// forward + backward on its own tape across `pool`, and the shard
 /// gradients are combined by a fixed-order binary tree reduction before
 /// clipping and the optimizer step. Both the partition and the reduction
@@ -740,50 +743,36 @@ impl TrainedModel {
     /// count the predictor does not support come back as NaN (the serving
     /// engine in `runtime` surfaces the descriptive error instead).
     pub fn predict_samples(&self, enc: &[EncodedSample]) -> Vec<f64> {
-        let mut out = vec![0.0f64; enc.len()];
         let mut runner = crate::PlanRunner::new();
-        for (_, idxs) in group_by_leaf(enc) {
-            let refs: Vec<&EncodedSample> = idxs.iter().map(|&i| &enc[i]).collect();
-            let batch = crate::batch::build_scaled_batch(&refs, &self.scaler);
-            match self
-                .predictor
-                .predict_planned(&mut runner, &batch.x, &batch.dev)
-            {
-                Ok(preds) => {
-                    for (&i, &p) in idxs.iter().zip(preds.iter()) {
-                        out[i] = self.transform.inverse(p as f64).max(1e-12);
-                    }
-                }
-                Err(_) => {
-                    for &i in &idxs {
-                        out[i] = f64::NAN;
-                    }
-                }
-            }
-        }
-        out
+        let run = |b: &Batch| -> Result<_, Infallible> {
+            let preds = self.predictor.predict_planned(&mut runner, &b.x, &b.dev);
+            Ok(match preds {
+                Ok(preds) => preds
+                    .iter()
+                    .map(|&p| self.transform.inverse(p as f64).max(1e-12))
+                    .collect(),
+                Err(_) => vec![f64::NAN; b.record_idx.len()],
+            })
+        };
+        predict_by_leaf(enc, &self.scaler, run).unwrap_or_else(|e| match e {})
     }
 
-    /// Latent representations for dataset records.
+    /// Latent representations for dataset records. A record whose leaf
+    /// count the predictor does not support gets a row of NaN, as
+    /// [`TrainedModel::predict_samples`] answers NaN for it (so a
+    /// [`crate::latent_cmd`] over such records is NaN).
     pub fn latents(&self, ds: &Dataset, idx: &[usize]) -> Vec<Vec<f64>> {
         let theta = self.predictor.config().theta;
-        let mut enc = encode_records(ds, idx, theta, self.use_pe);
-        self.scaler.apply_all(&mut enc);
-        let mut out = vec![Vec::new(); enc.len()];
+        let enc = encode_records(ds, idx, theta, self.use_pe);
+        let d = self.predictor.config().d_emb + self.predictor.config().d_dev;
         let mut runner = crate::PlanRunner::new();
-        for (_, idxs) in group_by_leaf(&enc) {
-            let refs: Vec<&EncodedSample> = idxs.iter().map(|&i| &enc[i]).collect();
-            let batch = crate::batch::build_batch(&refs);
-            let zs = self
+        let run = |b: &Batch| -> Result<_, Infallible> {
+            Ok(self
                 .predictor
-                .latent_planned(&mut runner, &batch.x, &batch.dev);
-            if let Ok(zs) = zs {
-                for (&i, z) in idxs.iter().zip(zs) {
-                    out[i] = z;
-                }
-            }
-        }
-        out
+                .latent_planned(&mut runner, &b.x, &b.dev)
+                .unwrap_or_else(|_| vec![vec![f64::NAN; d]; b.record_idx.len()]))
+        };
+        predict_by_leaf(&enc, &self.scaler, run).unwrap_or_else(|e| match e {})
     }
 
     /// Freezes the model for serving: weights behind an `Arc`, transform
@@ -791,12 +780,7 @@ impl TrainedModel {
     /// across any number of inference threads. Its weights stay f32; see
     /// [`TrainedModel::freeze_quantized`] to pick the storage format.
     pub fn freeze(&self) -> InferenceModel {
-        InferenceModel {
-            predictor: self.predictor.share(),
-            transform: self.transform.clone(),
-            scaler: self.scaler.clone(),
-            use_pe: self.use_pe,
-        }
+        self.freeze_quantized(tensor::QuantMode::F32)
     }
 
     /// [`TrainedModel::freeze`] with the weight storage format chosen
@@ -863,27 +847,28 @@ impl InferenceModel {
     }
 
     /// [`InferenceModel::predict_samples`] through a caller-owned
-    /// [`crate::PlanRunner`], so long-lived serving threads replay the
-    /// cached compiled plans with zero per-batch allocation (this is what
-    /// the `runtime` engine's workers call).
+    /// [`crate::PlanRunner`], so a long-lived thread replays the cached
+    /// compiled plans with zero per-batch allocation. Each leaf group is one
+    /// batch; the `runtime` engine instead chunks groups at its `max_batch`
+    /// and replays each chunk with [`SharedPredictor::predict_planned`].
     pub fn predict_samples_with(
         &self,
         runner: &mut crate::PlanRunner,
         enc: &[EncodedSample],
     ) -> PredictResult<Vec<f64>> {
-        let mut out = vec![0.0f64; enc.len()];
-        for (_, idxs) in group_by_leaf(enc) {
-            let refs: Vec<&EncodedSample> = idxs.iter().map(|&i| &enc[i]).collect();
-            // Standardize during the batch copy — no wholesale clone.
-            let batch = crate::batch::build_scaled_batch(&refs, &self.scaler);
-            let preds = self
-                .predictor
-                .predict_planned(runner, &batch.x, &batch.dev)?;
-            for (&i, &p) in idxs.iter().zip(preds.iter()) {
-                out[i] = self.inverse_transform(p);
-            }
-        }
-        Ok(out)
+        self.predict_any(runner, enc)
+    }
+
+    /// [`InferenceModel::predict_samples_with`] over any sample view.
+    pub(crate) fn predict_any<S: SampleLike>(
+        &self,
+        runner: &mut crate::PlanRunner,
+        enc: &[S],
+    ) -> PredictResult<Vec<f64>> {
+        predict_by_leaf(enc, &self.scaler, |b| {
+            let preds = self.predictor.predict_planned(runner, &b.x, &b.dev)?;
+            Ok(preds.iter().map(|&p| self.inverse_transform(p)).collect())
+        })
     }
 }
 

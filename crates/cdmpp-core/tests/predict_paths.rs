@@ -166,3 +166,25 @@ fn leaf_count_out_of_range_is_nan_typed_or_infinite_by_path() {
         Err(PredictError::LeafCountOutOfRange { .. })
     ));
 }
+
+#[test]
+fn latents_of_an_unsupported_leaf_count_are_nan_rows_and_latent_cmd_is_nan() {
+    let ds = dataset();
+    let idx: Vec<usize> = (0..ds.records.len()).collect();
+    let max_leaves = 2;
+    let trained = model(&ds, max_leaves);
+    let d = trained.predictor.config().d_emb + trained.predictor.config().d_dev;
+    let enc = encode_records(&ds, &idx, features::DEFAULT_THETA, true);
+    let zs = trained.latents(&ds, &idx);
+    assert_eq!(zs.len(), enc.len());
+    for (s, z) in enc.iter().zip(&zs) {
+        assert_eq!(z.len(), d, "leaf {}", s.leaf_count);
+        if s.leaf_count > max_leaves {
+            assert!(z.iter().all(|v| v.is_nan()), "leaf {}", s.leaf_count);
+        } else {
+            assert!(z.iter().all(|v| v.is_finite()), "leaf {}", s.leaf_count);
+        }
+    }
+    let (a, b) = idx.split_at(idx.len() / 2);
+    assert!(cdmpp_core::latent_cmd(&trained, &ds, a, b, 3).is_nan());
+}

@@ -20,7 +20,7 @@
 //! * buffers written exactly once, read only after they are written,
 //! * an operand may share the output's arena slot only where the
 //!   interpreter has a sanctioned in-place path (the same rule
-//!   [`RunCtx`]'s `assert_disjoint` enforces at replay).
+//!   `RunCtx`'s `assert_disjoint` enforces at replay).
 //!
 //! A plan that passes replays in bounds for any batch size — a hostile
 //! file can yield garbage *values* at worst, never an out-of-bounds access

@@ -9,7 +9,7 @@
 //! gradients are pulled back into the store afterwards.
 //!
 //! The forward math itself is shared with the plan recorder through
-//! [`crate::kernels`], so a recording starts from the tape's own values.
+//! `crate::kernels`, so a recording starts from the tape's own values.
 
 use crate::kernels::{layer_norm_fwd, merge_heads, slice_last, split_heads};
 use std::sync::Arc;

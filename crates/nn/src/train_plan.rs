@@ -5,7 +5,7 @@
 //! ([`crate::Graph`]) still rebuilds a graph per batch — every weight
 //! cloned onto it, one allocation per node and per gradient, nothing fused.
 //! A [`TrainPlan`] is the differentiable counterpart of a [`Plan`]: from
-//! the same dual-probe [`Recording`] it
+//! the same dual-probe `Recording` it
 //!
 //! 1. **derives the backward pass** by walking the raw recorded ops — which
 //!    correspond one to one with the nodes the tape would hold — in exactly
@@ -13,7 +13,7 @@
 //!    contribution stores, later ones accumulate, operands in the tape's
 //!    order, every per-element expression the tape's own;
 //! 2. **lowers the forward** through the inference planner itself
-//!    ([`Recording::lower`]) with the activations the backward reads listed
+//!    (`Recording::lower`) with the activations the backward reads listed
 //!    as extra outputs — so bias/activation epilogues still fuse (their
 //!    backward runs off the fused output), reshapes stay aliases, and an
 //!    in-place rewrite that would destroy a value the backward reads is

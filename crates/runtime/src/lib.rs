@@ -24,14 +24,14 @@
 //!   start fails that call with [`EngineError::WorkersUnavailable`]; the
 //!   workers that did start are kept and the next queued chunk starts the
 //!   rest.
-//! * **Bounded admission** ([`ingress`]): a capacity-limited submission
+//! * **Bounded admission** (`ingress`): a capacity-limited submission
 //!   queue with a typed [`EngineError::Overloaded`] rejection and an
 //!   [`AdmissionPolicy`] knob — overload degrades to fast typed errors,
 //!   never to unbounded memory growth.
 //! * **Deadlines** ([`Deadline`] via [`SubmitOptions`]): expired chunks
 //!   are shed *before* execution with [`EngineError::DeadlineExceeded`];
 //!   results for the unexpired remainder are bit-identical to serial.
-//! * **Worker supervision** ([`supervisor`]): a worker panic fails only
+//! * **Worker supervision** (`supervisor`): a worker panic fails only
 //!   the in-flight chunk ([`EngineError::WorkerPanicked`], transparently
 //!   retried up to `EngineConfig::max_retries` times), the worker respawns
 //!   in place, and the pool stays at full strength — the pool self-heals
@@ -875,44 +875,30 @@ impl CostModel for EngineCostModel {
         // post-retry worker panic, a deadline shed — shed the affected
         // candidates to INFINITY and count in `stats().score_sheds`,
         // instead of panicking the search process.
-        let valid_idx: Vec<usize> = (0..arena.len())
-            .filter(|&i| (1..=max_leaves).contains(&arena.leaf_count(i)))
-            .collect();
-        if valid_idx.is_empty() {
-            return out;
-        }
-        let valid: Vec<cdmpp_core::SampleRef<'_>> =
-            valid_idx.iter().map(|&i| arena.sample(i)).collect();
+        let (valid_idx, valid): (Vec<usize>, Vec<cdmpp_core::SampleRef<'_>>) = arena
+            .samples()
+            .filter(|s| (1..=max_leaves).contains(&s.leaf_count))
+            .map(|s| (s.record_idx, s))
+            .unzip();
         let t1 = std::time::Instant::now();
         let res = self
             .engine
             .predict_samples_opts(&valid, &SubmitOptions::default());
         self.dispatch_ns
             .fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        match res {
-            Ok(per) => {
-                for (&i, r) in valid_idx.iter().zip(per) {
-                    match r {
-                        Ok(p) => {
-                            out[i] = p;
-                            self.scored.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            self.engine
-                                .stats_inner()
-                                .score_sheds
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                self.engine
-                    .stats_inner()
-                    .score_sheds
-                    .fetch_add(valid_idx.len() as u64, Ordering::Relaxed);
+        // A call-level failure sheds every valid candidate.
+        let per = res.unwrap_or_default();
+        let mut scored = 0;
+        for (&i, p) in valid_idx.iter().zip(&per) {
+            if let Ok(p) = p {
+                out[i] = *p;
+                scored += 1;
             }
         }
+        self.scored.fetch_add(scored, Ordering::Relaxed);
+        let shed = valid_idx.len() as u64 - scored;
+        let sheds = &self.engine.stats_inner().score_sheds;
+        sheds.fetch_add(shed, Ordering::Relaxed);
         out
     }
 }
@@ -950,11 +936,10 @@ pub fn end_to_end_opts(
         served.model.predictor.config().theta,
         served.model.use_pe,
     );
-    let per = engine.predict_samples_opts(&enc, opts)?;
-    let mut predicted = Vec::with_capacity(per.len());
-    for r in per {
-        predicted.push(r?);
-    }
+    let predicted = engine
+        .predict_samples_opts(&enc, opts)?
+        .into_iter()
+        .collect::<Result<Vec<f64>, _>>()?;
     Ok(cdmpp_core::replay_predictions(
         net, dev, &task_ids, &programs, &predicted,
     ))

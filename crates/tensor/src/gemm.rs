@@ -70,7 +70,7 @@ use crate::quant::QuantizedMatrix;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-/// Activation applied by a GEMM [`Epilogue`] during output write-back.
+/// Activation applied by a GEMM `Epilogue` during output write-back.
 ///
 /// The formulas are **exactly** the ones `nn`'s executors use for the
 /// standalone element-wise ops (`relu = v.max(0.0)`, `tanh` and `sigmoid`
@@ -770,7 +770,7 @@ unsafe fn gemm_blocked_t<K: Micro>(
     });
 }
 
-/// Whether [`gemm`] routes `[m, k] · [k, n]` to the blocked/packed kernel
+/// Whether `gemm` routes `[m, k] · [k, n]` to the blocked/packed kernel
 /// — exactly the shapes where a [`PackedB`] pays for itself. Below the
 /// threshold the naive loop (which reads `B` unpacked) wins, so
 /// fixed-shape callers should keep the generic entry point there.
@@ -795,7 +795,7 @@ pub fn gemm_prepacked_is_exact(m: usize, k: usize, n: usize) -> bool {
 /// This is the weight side of a fixed-shape GEMM: compiled inference plans
 /// specialize to a known batch size, and the `B` operand of every linear
 /// layer is a parameter whose values are frozen for serving — so the
-/// packing that [`gemm`] performs per call can happen exactly once, at
+/// packing that `gemm` performs per call can happen exactly once, at
 /// specialize time. Replay through [`crate::gemm_prepacked`] then touches
 /// no packing buffers at all. The packing remembers its tier and is always
 /// consumed by the same tier's tile, so a `PackedB` built under a forced
