@@ -21,7 +21,7 @@ fn cdmpp_cross(ds: &Dataset, sources: &[&str], target: &str, kappa: usize) -> f6
     }
     let mut src_split = SplitIndices::from_indices(ds, src_idx, &[], bench::EXP_SEED);
     src_split.train.truncate(16_000);
-    let (mut model, _) = train_cdmpp(ds, &src_split, bench::epochs());
+    let (mut model, _) = train_cdmpp(ds, &src_split, bench::epochs(src_split.train.len()));
     // Algorithm 1: pick representative tasks using source-side latents.
     let tgt_all = ds.device_records(target);
     let tgt_split = SplitIndices::from_indices(ds, tgt_all, &[], bench::EXP_SEED);

@@ -24,7 +24,7 @@ fn main() {
     }
     let src_split = SplitIndices::from_indices(&ds, src_idx, &[], bench::EXP_SEED);
     let tgt_split = SplitIndices::for_device(&ds, target, &[], bench::EXP_SEED);
-    let (base, _) = train_cdmpp(&ds, &src_split, bench::epochs());
+    let (base, _) = train_cdmpp(&ds, &src_split, bench::epochs(src_split.train.len()));
     let mut tuned = base.clone();
     let cfg = FineTuneConfig {
         steps: 200,

@@ -56,7 +56,7 @@ fn main() {
         let mut src_split = SplitIndices::from_indices(&ds, src_idx, &[], bench::EXP_SEED);
         src_split.train.truncate(16_000);
         let tgt_split = SplitIndices::for_device(&ds, target, &[], bench::EXP_SEED);
-        let (mut model, _) = train_cdmpp(&ds, &src_split, bench::epochs());
+        let (mut model, _) = train_cdmpp(&ds, &src_split, bench::epochs(src_split.train.len()));
         let sampled: Vec<usize> = tgt_split.train.iter().copied().take(400).collect();
         let cfg = FineTuneConfig {
             steps: 200,

@@ -34,7 +34,7 @@ fn main() {
     let mut src_split = SplitIndices::from_indices(&ds, src_idx, &[], bench::EXP_SEED);
     src_split.train.truncate(16_000);
     let tgt_split = SplitIndices::for_device(&ds, target, &[], bench::EXP_SEED);
-    let (base, _) = train_cdmpp(&ds, &src_split, bench::epochs());
+    let (base, _) = train_cdmpp(&ds, &src_split, bench::epochs(src_split.train.len()));
     // Task features for Algorithm 1 from a source device's latents.
     let by_task = records_by_task(&ds, &ds.device_records("V100"));
     let mut task_feats = std::collections::HashMap::new();

@@ -21,7 +21,7 @@ fn main() {
         let mut cells = vec![dev.name.clone()];
         let mut mape = [0.0; 2];
         for (m, use_pe) in mape.iter_mut().zip([true, false]) {
-            let mut tcfg = default_tcfg(bench::epochs());
+            let mut tcfg = default_tcfg(bench::epochs(split.train.len()));
             tcfg.use_pe = use_pe;
             let (model, _) = pretrain(&ds, &split.train, &split.valid, default_pcfg(), tcfg);
             *m = evaluate(&model, &ds, &split.test).mape;

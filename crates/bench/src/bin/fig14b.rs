@@ -11,7 +11,7 @@ use dataset::SplitIndices;
 fn main() {
     let ds = standard_dataset(vec![devsim::t4()], bench::spt_multi());
     let split = SplitIndices::for_device(&ds, "T4", &[], bench::EXP_SEED);
-    let (model, _) = train_cdmpp(&ds, &split, bench::epochs());
+    let (model, _) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
     let gbt = GbtCost(fit_gbt(&ds, &split.train));
     // BERT-tiny's attention-projection dense task.
     let nest = tir::OpSpec::Dense {

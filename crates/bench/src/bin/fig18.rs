@@ -17,7 +17,7 @@ fn main() {
         bench::spt_multi(),
     );
     let split = SplitIndices::for_device(&ds, "T4", &[], bench::EXP_SEED);
-    let (model, _) = train_cdmpp(&ds, &split, bench::epochs());
+    let (model, _) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
     let train_sample: Vec<usize> = split.train.iter().copied().take(200).collect();
     println!("Fig 18(a): per-network test subsets on T4 (train domain = T4 mixture)\n");
     println!("{:>14}  {:>8}  {:>8}", "subset", "CMD", "MAPE");

@@ -34,7 +34,7 @@ fn main() {
     let mut beaten = Vec::new();
     for dev in &devices {
         let split = SplitIndices::for_device(&ds, &dev.name, &[], bench::EXP_SEED);
-        let (model, stats) = train_cdmpp(&ds, &split, bench::epochs());
+        let (model, stats) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
         let c = cdmpp_result(&model, &ds, &split.test, Some(&stats));
         let x = run_gbt(&ds, &split, &split.test);
         let t = run_tiramisu(&ds, &split, &split.test, 300, 2);

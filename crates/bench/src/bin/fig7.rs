@@ -26,7 +26,7 @@ fn main() {
     let (mut pairs, mut beaten) = (0usize, Vec::new());
     for dev in &devices {
         let split = SplitIndices::for_device(&ds, &dev.name, &HOLD_OUT, bench::EXP_SEED);
-        let (base_model, _) = train_cdmpp(&ds, &split, bench::epochs());
+        let (base_model, _) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
         let gbt = fit_gbt(&ds, &split.train);
         let tira = fit_tiramisu(&ds, &split.train, 300, 2);
         for target in HOLD_OUT {

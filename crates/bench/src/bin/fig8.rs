@@ -18,7 +18,7 @@ fn main() {
     let mut failed = Vec::new();
     for target in ["bert_tiny", "mobilenet_v2"] {
         let split = SplitIndices::for_device(&ds, "T4", &[target], bench::EXP_SEED);
-        let (base, _) = train_cdmpp(&ds, &split, bench::epochs());
+        let (base, _) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
         let mut tuned = base.clone();
         let cfg = FineTuneConfig {
             steps: 120,

@@ -51,7 +51,7 @@ fn main() {
     let mut n = 0.0;
     for dev in &devices {
         let split = SplitIndices::for_device(&ds, &dev.name, &[], bench::EXP_SEED);
-        let (model, _) = train_cdmpp(&ds, &split, bench::epochs());
+        let (model, _) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
         let gbt = fit_gbt(&ds, &split.train);
         let tira = fit_tiramisu(&ds, &split.train, 300, 2);
         let sim = Simulator::new(dev.clone());

@@ -30,7 +30,7 @@ fn main() {
             TransformKind::Quantile,
             TransformKind::None,
         ]) {
-            let mut tcfg = default_tcfg(bench::epochs());
+            let mut tcfg = default_tcfg(bench::epochs(split.train.len()));
             tcfg.transform = kind;
             let (model, _) = pretrain(&ds, &split.train, &split.valid, default_pcfg(), tcfg);
             *m = evaluate(&model, &ds, &split.test).mape;

@@ -29,7 +29,7 @@ fn main() {
         let mut rrow = vec![dev.name.clone()];
         let (mut mapes, mut rmses) = (Vec::new(), Vec::new());
         for kind in kinds {
-            let mut tcfg = default_tcfg(bench::epochs());
+            let mut tcfg = default_tcfg(bench::epochs(split.train.len()));
             tcfg.loss = kind;
             let (model, _) = pretrain(&ds, &split.train, &split.valid, default_pcfg(), tcfg);
             let m = evaluate(&model, &ds, &split.test);

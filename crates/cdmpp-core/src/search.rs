@@ -56,15 +56,14 @@ impl CostModel for InferenceModel {
     fn score_batch(&self, progs: &[&TensorProgram], dev: &DeviceSpec) -> Vec<f64> {
         let enc = encode_programs(progs, dev, self.predictor.config().theta, self.use_pe);
         let max_leaves = self.predictor.config().max_leaves;
-        let (valid_idx, valid): (Vec<usize>, Vec<&EncodedSample>) = enc
+        let valid: Vec<&EncodedSample> = enc
             .iter()
-            .enumerate()
-            .filter(|(_, s)| (1..=max_leaves).contains(&s.leaf_count))
-            .unzip();
+            .filter(|s| (1..=max_leaves).contains(&s.leaf_count))
+            .collect();
         let mut out = vec![f64::INFINITY; progs.len()];
         if let Ok(per) = self.predict_any(&mut crate::PlanRunner::new(), &valid) {
-            for (i, p) in valid_idx.into_iter().zip(per) {
-                out[i] = p;
+            for (s, p) in valid.iter().zip(per) {
+                out[s.record_idx] = p;
             }
         }
         out

@@ -875,11 +875,10 @@ impl CostModel for EngineCostModel {
         // post-retry worker panic, a deadline shed — shed the affected
         // candidates to INFINITY and count in `stats().score_sheds`,
         // instead of panicking the search process.
-        let (valid_idx, valid): (Vec<usize>, Vec<cdmpp_core::SampleRef<'_>>) = arena
+        let valid: Vec<cdmpp_core::SampleRef<'_>> = arena
             .samples()
             .filter(|s| (1..=max_leaves).contains(&s.leaf_count))
-            .map(|s| (s.record_idx, s))
-            .unzip();
+            .collect();
         let t1 = std::time::Instant::now();
         let res = self
             .engine
@@ -889,14 +888,14 @@ impl CostModel for EngineCostModel {
         // A call-level failure sheds every valid candidate.
         let per = res.unwrap_or_default();
         let mut scored = 0;
-        for (&i, p) in valid_idx.iter().zip(&per) {
+        for (s, p) in valid.iter().zip(&per) {
             if let Ok(p) = p {
-                out[i] = *p;
+                out[s.record_idx] = *p;
                 scored += 1;
             }
         }
         self.scored.fetch_add(scored, Ordering::Relaxed);
-        let shed = valid_idx.len() as u64 - scored;
+        let shed = valid.len() as u64 - scored;
         let sheds = &self.engine.stats_inner().score_sheds;
         sheds.fetch_add(shed, Ordering::Relaxed);
         out

@@ -12,7 +12,7 @@ fn main() {
     println!("generating GPUs + EPYC dataset...");
     let ds = Dataset::generate(GenConfig {
         batch: 1,
-        schedules_per_task: 12,
+        schedules_per_task: 960,
         devices: vec![
             cdmpp::devsim::t4(),
             cdmpp::devsim::v100(),
@@ -26,6 +26,8 @@ fn main() {
     let src = SplitIndices::from_indices(&ds, src_idx, &[], 9);
     let tgt = SplitIndices::for_device(&ds, "EPYC-7452", &[], 9);
 
+    // Two source devices at the CLI's 960 schedules per task: six epochs
+    // give the CLI's ≈ 19k optimizer updates.
     println!("pre-training on GPUs ({} records)...", src.train.len());
     let (mut model, _) = pretrain(
         &ds,
@@ -33,19 +35,23 @@ fn main() {
         &src.valid,
         PredictorConfig::default(),
         TrainConfig {
-            epochs: 12,
+            epochs: 6,
             ..Default::default()
         },
     );
     let zero_shot = evaluate(&model, &ds, &tgt.test);
     println!("zero-shot MAPE on EPYC: {:.1}%", zero_shot.mape * 100.0);
 
-    // Algorithm 1: select 15 representative tasks from source latents.
+    // Algorithm 1: select 15 representative tasks from source latents,
+    // four schedules of every task.
+    let probe: Vec<usize> = ds
+        .device_records("V100")
+        .into_iter()
+        .filter(|&i| ds.records[i].schedule_id < 4)
+        .collect();
     let mut task_feats: HashMap<u32, Vec<Vec<f64>>> = HashMap::new();
-    for &i in ds.device_records("V100").iter().take(600) {
-        let tid = ds.records[i].task_id;
-        let z = model.latents(&ds, &[i]).pop().expect("one latent");
-        task_feats.entry(tid).or_default().push(z);
+    for (&i, z) in probe.iter().zip(model.latents(&ds, &probe)) {
+        task_feats.entry(ds.records[i].task_id).or_default().push(z);
     }
     let chosen = select_tasks(&task_feats, 15, 9);
     println!(

@@ -6,12 +6,13 @@
 use cdmpp::prelude::*;
 
 fn main() {
-    // 1. Generate a synthetic-Tenset dataset: the model zoo's tasks, 16
-    //    random Ansor-style schedules each, measured on a simulated T4.
+    // 1. Generate a synthetic-Tenset dataset: the model zoo's tasks, 960
+    //    random Ansor-style schedules each (the paper's data regime, as the
+    //    CLI trains), measured on a simulated T4.
     println!("generating dataset...");
     let ds = Dataset::generate(GenConfig {
         batch: 1,
-        schedules_per_task: 48,
+        schedules_per_task: 960,
         devices: vec![cdmpp::devsim::t4()],
         seed: 0,
         noise_sigma: 0.03,
@@ -30,7 +31,7 @@ fn main() {
         &split.valid,
         PredictorConfig::default(),
         TrainConfig {
-            epochs: 25,
+            epochs: 12,
             lr: 1.5e-3,
             ..Default::default()
         },
