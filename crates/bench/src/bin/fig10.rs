@@ -3,51 +3,15 @@
 //! Three source→target combinations (§7.3): GPUs → a GPU (T4),
 //! GPUs+CPUs → a CPU (EPYC), GPUs → the inference accelerator (HL-100).
 //! CDMPP pre-trains on the sources and fine-tunes with Algorithm-1-sampled
-//! target records + CMD. Baselines: TLP (relative-time, per-device heads)
+//! target records + CMD; the same pre-trained model is also scored before
+//! fine-tuning (`bench::cross`). Baselines: TLP (relative-time, per-device heads)
 //! and Habitat (op-level MLP + roofline scaling; GPUs only).
 
 use baselines::{HabitatModel, MlpRegConfig, TlpConfig, TlpModel, TlpSample};
-use bench::{
-    claim_check, pct, print_header, print_row, records_by_task, standard_dataset, train_cdmpp,
-};
-use cdmpp_core::{evaluate, finetune, select_tasks, FineTuneConfig};
+use bench::cross::{fig10_cdmpp, FIG10_CASES};
+use bench::{claim_check, pct, print_header, print_row, standard_dataset};
 use dataset::{Dataset, SplitIndices};
 use learn::mape;
-
-fn cdmpp_cross(ds: &Dataset, sources: &[&str], target: &str, kappa: usize) -> f64 {
-    let mut src_idx = Vec::new();
-    for s in sources {
-        src_idx.extend(ds.device_records(s));
-    }
-    let mut src_split = SplitIndices::from_indices(ds, src_idx, &[], bench::EXP_SEED);
-    src_split.train.truncate(16_000);
-    let (mut model, _) = train_cdmpp(ds, &src_split, bench::epochs(src_split.train.len()));
-    // Algorithm 1: pick representative tasks using source-side latents.
-    let tgt_all = ds.device_records(target);
-    let tgt_split = SplitIndices::from_indices(ds, tgt_all, &[], bench::EXP_SEED);
-    let src_dev = sources[0];
-    let by_task = records_by_task(ds, &ds.device_records(src_dev));
-    let mut task_feats = std::collections::HashMap::new();
-    for (tid, recs) in &by_task {
-        let sample: Vec<usize> = recs.iter().copied().take(8).collect();
-        task_feats.insert(*tid, model.latents(ds, &sample));
-    }
-    let chosen = select_tasks(&task_feats, kappa, bench::EXP_SEED);
-    // "Profile" the chosen tasks on the target = use their target records.
-    let tgt_labeled: Vec<usize> = tgt_split
-        .train
-        .iter()
-        .copied()
-        .filter(|&i| chosen.contains(&ds.records[i].task_id))
-        .collect();
-    let cfg = FineTuneConfig {
-        steps: 200,
-        use_target_labels: true,
-        ..Default::default()
-    };
-    finetune(&mut model, ds, &src_split.train, &tgt_labeled, &cfg);
-    evaluate(&model, ds, &tgt_split.test).mape
-}
 
 fn tlp_cross(ds: &Dataset, sources: &[&str], target: &str) -> f64 {
     // TLP trains heads per source device on relative labels and keeps one
@@ -127,44 +91,20 @@ fn habitat_cross(ds: &Dataset, source: &str, target: &str) -> f64 {
 fn main() {
     let ds = standard_dataset(devsim::all_devices(), bench::spt_multi());
     println!("Fig 10: cross-device TIR-level MAPE\n");
-    let widths = [26, 12, 12, 12, 12];
+    let widths = [26, 12, 14, 12, 12];
     print_header(
-        &["Source -> Target", "CDMPP", "TLP", "Habitat", ""],
+        &["Source -> Target", "CDMPP", "CDMPP no FT", "TLP", "Habitat"],
         &widths,
     );
-    let cases: Vec<(&str, Vec<&str>, &str, bool)> = vec![
-        (
-            "GPUs -> T4",
-            vec!["K80", "P100", "V100", "A100"],
-            "T4",
-            true,
-        ),
-        (
-            "GPUs -> P100",
-            vec!["T4", "K80", "V100", "A100"],
-            "P100",
-            true,
-        ),
-        (
-            "GPUs+CPUs -> EPYC",
-            vec!["T4", "V100", "E5-2673", "Graviton2"],
-            "EPYC-7452",
-            false,
-        ),
-        (
-            "GPUs -> HL-100",
-            vec!["T4", "K80", "P100", "V100", "A100"],
-            "HL-100",
-            false,
-        ),
-    ];
-    // Rows where CDMPP's error is not the lowest.
-    let mut beaten = Vec::new();
-    for (name, sources, target, habitat_applicable) in cases {
-        let c = cdmpp_cross(&ds, &sources, target, 20);
-        let t = tlp_cross(&ds, &sources, target);
+    // Rows where CDMPP's error is not the lowest, and where fine-tuning
+    // did not lower it.
+    let (mut beaten, mut no_gain) = (Vec::new(), Vec::new());
+    for case in &FIG10_CASES {
+        let (name, sources, target) = (case.name, case.sources, case.target);
+        let [pre, c] = fig10_cdmpp(&ds, case);
+        let t = tlp_cross(&ds, sources, target);
         // Habitat supports GPUs only (§7.3).
-        let h = habitat_applicable.then(|| habitat_cross(&ds, sources[0], target));
+        let h = case.habitat.then(|| habitat_cross(&ds, sources[0], target));
         if !(c <= t && h.is_none_or(|h| c <= h)) {
             let h = h.map_or("n/a".to_string(), pct);
             beaten.push(format!(
@@ -173,22 +113,31 @@ fn main() {
                 pct(t)
             ));
         }
+        if c >= pre {
+            no_gain.push(format!("{name}: {} -> {}", pct(pre), pct(c)));
+        }
         print_row(
             &[
                 name.to_string(),
                 pct(c),
+                pct(pre),
                 pct(t),
                 h.map_or("n/a".to_string(), pct),
-                String::new(),
             ],
             &widths,
         );
     }
-    println!("\nnote: TLP predicts relative time and has no target-device scale; Habitat is n/a");
-    println!("on non-GPU targets (paper: GPUs only).");
+    println!("\nnote: \"CDMPP no FT\" is the same pre-trained model before fine-tuning. TLP");
+    println!("predicts relative time and has no target-device scale; Habitat is n/a on");
+    println!("non-GPU targets (paper: GPUs only).");
     claim_check(
         "CDMPP lowest in every row",
         beaten.is_empty(),
         &beaten.join("; "),
+    );
+    claim_check(
+        "fine-tuned CDMPP below the same model not fine-tuned, on every target",
+        no_gain.is_empty(),
+        &no_gain.join("; "),
     );
 }

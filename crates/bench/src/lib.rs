@@ -9,6 +9,8 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+pub mod cross;
+
 use baselines::{GbtConfig, GbtRegressor, TiramisuConfig, TiramisuModel};
 use cdmpp_core::{
     evaluate, pretrain, EvalMetrics, PredictorConfig, TrainConfig, TrainStats, TrainedModel,

@@ -313,10 +313,12 @@ pub fn end_to_end_frozen(
     })
 }
 
-/// The network front end of [`end_to_end`] and [`end_to_end_frozen`]: one
-/// sampled program per task, encoded once, scored by `predict` in task
-/// order, and replayed through [`replay_predictions`].
-fn predict_network<E>(
+/// The network front end of every end-to-end prediction ([`end_to_end`],
+/// [`end_to_end_frozen`] and the `runtime` crate's engine-served one): one
+/// sampled program per task, encoded once with the model's `theta` and
+/// `use_pe`, scored by `predict` in task order, and replayed through
+/// [`replay_predictions`]. An error from `predict` is returned as is.
+pub fn predict_network<E>(
     net: &Network,
     dev: &DeviceSpec,
     seed: u64,

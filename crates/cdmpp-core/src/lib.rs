@@ -31,7 +31,7 @@ pub use batch::{
 };
 pub use e2e::{
     encode_programs, encode_programs_into, end_to_end, end_to_end_frozen, measured_end_to_end,
-    replay_predictions, sample_network_programs, E2eResult, EncodeArena,
+    predict_network, replay_predictions, sample_network_programs, E2eResult, EncodeArena,
 };
 pub use finetune::{finetune, latent_cmd, FineTuneConfig};
 pub use predictor::{

@@ -540,19 +540,18 @@ impl Predictor {
     /// `StdRng::seed_from_u64(cfg.seed)`.
     pub fn new(cfg: PredictorConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        Self::with_init(cfg, &mut rng)
+        Self::with_init(cfg, ParamStore::new(), &mut rng)
     }
 
     /// The architecture `cfg` describes — the same parameter names, shapes
-    /// and order as [`Predictor::new`] — with every weight matrix left at
-    /// zero and no random number drawn: what a snapshot restore builds
-    /// before it installs the stored tensors.
+    /// and order as [`Predictor::new`] — in a values-only store, every
+    /// weight matrix left at zero and no random number drawn: what a
+    /// snapshot restore builds and then copies the stored tensors into.
     pub(crate) fn shape_only(cfg: PredictorConfig) -> Self {
-        Self::with_init(cfg, &mut nn::ShapeOnly)
+        Self::with_init(cfg, ParamStore::values_only(), &mut nn::ShapeOnly)
     }
 
-    fn with_init(cfg: PredictorConfig, init: &mut impl Init) -> Self {
-        let mut store = ParamStore::new();
+    fn with_init(cfg: PredictorConfig, mut store: ParamStore, init: &mut impl Init) -> Self {
         let arch = Arch::new(&mut store, &cfg, init);
         let plans = new_plan_cache(cfg.max_leaves);
         let train_plans = Arc::new((0..cfg.max_leaves).map(|_| Default::default()).collect());

@@ -73,11 +73,15 @@
 //!
 //! ## What a load costs
 //!
-//! Restore draws no random numbers: the architecture is rebuilt for its
-//! parameter names, shapes and order only (`Predictor::shape_only`, the
-//! one constructor with `nn::ShapeOnly` as its initializer) and the
-//! file's tensors are installed into it — `Predictor::new`'s seeded
-//! Xavier draw would be overwritten on the next line. Decode parses the
+//! Restore draws no random numbers and holds each tensor once: the
+//! architecture is rebuilt for its parameter names, shapes and order only
+//! (`Predictor::shape_only`, the one constructor with `nn::ShapeOnly` as
+//! its initializer) into a values-only store ([`nn::ParamStore::values_only`],
+//! no gradient per weight), and the file's tensors are copied into it — or,
+//! on the owned paths ([`InferenceModel::from_snapshot_bytes`] /
+//! [`InferenceModel::from_snapshot_file`]), the decoded tensors are moved
+//! in. Plan validation compares operand lists and port shapes in place,
+//! without allocating per step. Decode parses the
 //! small header without allocating for its structure (object keys are
 //! compared in place, enum tags borrowed), reads each plan off its bytes
 //! with one allocation per list it holds — no text to scan, which was
@@ -91,7 +95,7 @@ use std::sync::Arc;
 use learn::FittedTransform;
 use nn::Plan;
 use serde::{Deserialize, Serialize};
-use tensor::{QuantMode, QuantizedMatrix, Tensor, QUANT_GROUP};
+use tensor::{QuantMode, QuantizedMatrix, Tensor, TensorError, QUANT_GROUP};
 
 use crate::batch::FeatScaler;
 use crate::predictor::{PredictResult, Predictor, PredictorConfig};
@@ -1079,6 +1083,29 @@ fn plan_bytes_fault(bytes: &[u8]) -> Option<String> {
     }
 }
 
+/// Why a plan's port does not have the shape this model needs at batch
+/// size `b`, if it does not; compared dim by dim, in place.
+fn port_fault(
+    what: &str,
+    got: impl Iterator<Item = usize> + Clone,
+    want: &[usize],
+    b: usize,
+) -> Option<String> {
+    (!got.clone().eq(want.iter().copied())).then(|| {
+        let got: Vec<usize> = got.collect();
+        format!("{what} has shape {got:?} at B={b}, this model needs {want:?}")
+    })
+}
+
+/// The index of `v`'s first NaN or infinity, if it has one. The common,
+/// all-finite case is one branch-free pass the compiler vectorizes.
+fn first_non_finite(v: &[f32]) -> Option<usize> {
+    if v.iter().fold(true, |ok, x| ok & x.is_finite()) {
+        return None;
+    }
+    v.iter().position(|x| !x.is_finite())
+}
+
 fn trailing_bytes(n: usize) -> String {
     format!("{n} trailing bytes after the plan")
 }
@@ -1195,14 +1222,32 @@ impl InferenceModel {
     /// declared weight tensor against it (name, shape, element count,
     /// finiteness — the snapshot may be hand-built rather than decoded, so
     /// weights are re-checked here; mismatches are typed
-    /// [`SnapshotError::Param`]s), copies each tensor into the store
-    /// exactly once, and hands the store to the served `Arc` by move
+    /// [`SnapshotError::Param`]s), copies each tensor into the
+    /// values-only store exactly once, and hands the store to the served
+    /// `Arc` by move
     /// ([`Predictor::into_shared`] — no `freeze()`-style second weight
     /// copy). It also seeds the shared plan cache from the file's plans,
     /// each decoded and validated here; leaf counts without a serialized plan
     /// fall back to lazy recording on first use, exactly like a freshly
     /// trained model.
     pub fn from_snapshot(snap: &Snapshot) -> Result<InferenceModel, SnapshotError> {
+        InferenceModel::restore(snap, Vec::new())
+    }
+
+    /// [`InferenceModel::from_snapshot`] on a snapshot its caller gives
+    /// up: the weight tensors move into the store instead of being copied.
+    fn from_owned_snapshot(mut snap: Snapshot) -> Result<InferenceModel, SnapshotError> {
+        let owned = snap
+            .params
+            .iter_mut()
+            .map(|p| std::mem::take(&mut p.data))
+            .collect();
+        InferenceModel::restore(&snap, owned)
+    }
+
+    /// The restore behind both: `owned` is empty, or holds each of `snap`'s
+    /// tensors' data in its place (the `params` entries then hold none).
+    fn restore(snap: &Snapshot, mut owned: Vec<Vec<f32>>) -> Result<InferenceModel, SnapshotError> {
         validate_config(&snap.config)?;
         snap.transform
             .validate()
@@ -1230,7 +1275,9 @@ impl InferenceModel {
         }
 
         // Rebuild the architecture — names, shapes and order only, no
-        // weights drawn — then install the snapshot's tensors.
+        // weights drawn, no gradients — then install the snapshot's
+        // tensors: moved in when the caller gave them up, else copied into
+        // the architecture's own, so each tensor is held once.
         let mut predictor = Predictor::shape_only(snap.config.clone());
         if predictor.store.len() != snap.params.len() {
             return Err(SnapshotError::Model(format!(
@@ -1240,11 +1287,12 @@ impl InferenceModel {
             )));
         }
         let ids: Vec<nn::ParamId> = predictor.store.ids().collect();
-        for (&id, pt) in ids.iter().zip(&snap.params) {
+        for (i, (&id, pt)) in ids.iter().zip(&snap.params).enumerate() {
             let mismatch = |reason: String| SnapshotError::Param {
                 name: pt.name.clone(),
                 reason,
             };
+            let data = owned.get(i).unwrap_or(&pt.data);
             let expect = predictor.store.value(id);
             if predictor.store.name(id) != pt.name {
                 return Err(mismatch(format!(
@@ -1259,15 +1307,28 @@ impl InferenceModel {
                     expect.shape()
                 )));
             }
-            if let Some(i) = pt.data.iter().position(|v| !v.is_finite()) {
+            if let Some(index) = first_non_finite(data) {
                 return Err(SnapshotError::NonFinite {
                     name: pt.name.clone(),
-                    index: i,
+                    index,
                 });
             }
-            let tensor = Tensor::from_vec(pt.data.clone(), &pt.shape)
-                .map_err(|e| mismatch(format!("data length does not match shape: {e}")))?;
-            *predictor.store.value_mut(id) = tensor;
+            if data.len() != expect.numel() {
+                let e = TensorError::BadShape {
+                    op: "from_vec",
+                    shape: pt.shape.clone(),
+                    len: data.len(),
+                };
+                return Err(mismatch(format!("data length does not match shape: {e}")));
+            }
+            let value = predictor.store.value_mut(id);
+            match owned.get_mut(i) {
+                Some(data) => {
+                    *value = Tensor::from_vec(std::mem::take(data), &pt.shape)
+                        .expect("length checked above");
+                }
+                None => value.data_mut().copy_from_slice(&pt.data),
+            }
         }
 
         // Install the file's canonical quantized encodings. The snapshot
@@ -1306,7 +1367,7 @@ impl InferenceModel {
                     pt.shape
                 )));
             }
-            if q.matrix.dequantize() != pt.data {
+            if q.matrix.dequantize() != predictor.store.value(id).data() {
                 return Err(qerr(
                     "i8 blob does not dequantize to the stored f32 weights".to_string(),
                 ));
@@ -1350,26 +1411,24 @@ impl InferenceModel {
                 )));
             }
             for b in [1usize, 3] {
-                let checks = [
-                    (
-                        "input x",
-                        plan.input_shape(0, b),
-                        vec![b, entry.leaves, N_ENTRY],
-                    ),
-                    (
-                        "input dev",
-                        plan.input_shape(1, b),
-                        vec![b, N_DEVICE_FEATURES],
-                    ),
-                    ("latent output", plan.output_shape(0, b), vec![b, latent]),
-                    ("prediction output", plan.output_shape(1, b), vec![b, 1]),
-                ];
-                for (what, got, want) in checks {
-                    if got != want {
-                        return Err(plan_err(format!(
-                            "{what} has shape {got:?} at B={b}, this model needs {want:?}"
-                        )));
-                    }
+                let x = &[b, entry.leaves, N_ENTRY];
+                let fault = port_fault("input x", plan.input_shape(0, b), x, b)
+                    .or_else(|| {
+                        port_fault(
+                            "input dev",
+                            plan.input_shape(1, b),
+                            &[b, N_DEVICE_FEATURES],
+                            b,
+                        )
+                    })
+                    .or_else(|| {
+                        port_fault("latent output", plan.output_shape(0, b), &[b, latent], b)
+                    })
+                    .or_else(|| {
+                        port_fault("prediction output", plan.output_shape(1, b), &[b, 1], b)
+                    });
+                if let Some(reason) = fault {
+                    return Err(plan_err(reason));
                 }
             }
             if !predictor.seed_plan(entry.leaves, Arc::new(plan)) {
@@ -1447,7 +1506,7 @@ impl InferenceModel {
     /// Decodes snapshot bytes and restores a serving model (the one-call
     /// cold-start path for in-memory bytes).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<InferenceModel, SnapshotError> {
-        InferenceModel::from_snapshot(&Snapshot::from_bytes(bytes)?)
+        InferenceModel::from_owned_snapshot(Snapshot::from_bytes(bytes)?)
     }
 
     /// Loads a snapshot file and restores a serving model (the one-call
@@ -1455,6 +1514,6 @@ impl InferenceModel {
     pub fn from_snapshot_file(
         path: impl AsRef<std::path::Path>,
     ) -> Result<InferenceModel, SnapshotError> {
-        InferenceModel::from_snapshot(&Snapshot::load(path)?)
+        InferenceModel::from_owned_snapshot(Snapshot::load(path)?)
     }
 }

@@ -560,20 +560,50 @@ fn divisible(d: Dim, h: usize) -> bool {
 /// One operand requirement: where it is read from, the exact symbolic
 /// size the kernel reads, and whether the interpreter has a sanctioned
 /// in-place path when it shares the output's slot.
+#[derive(Clone, Copy)]
 struct Operand {
     src: Src,
     need: Size,
     may_alias_out: bool,
 }
 
+/// A step's operands, held on the stack: up to three fixed ones, or a
+/// concat's parts, each `rows × width` (sizes checked by [`step_io`]).
+enum Operands<'k> {
+    Fixed([Option<Operand>; 3]),
+    Parts { rows: Dim, parts: &'k [(Src, Dim)] },
+}
+
+impl Operands<'_> {
+    fn iter(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (fixed, rows, parts): (&[Option<Operand>], _, &[(Src, Dim)]) = match self {
+            Operands::Fixed(fixed) => (fixed, Dim::Fixed(0), &[]),
+            Operands::Parts { rows, parts } => (&[], *rows, parts),
+        };
+        let part = move |&(src, w): &(Src, Dim)| Operand {
+            src,
+            need: smul(dsize(rows), dsize(w)).expect("part size checked by step_io"),
+            may_alias_out: false,
+        };
+        fixed
+            .iter()
+            .flatten()
+            .copied()
+            .chain(parts.iter().map(part))
+    }
+}
+
 /// Computes a step's exact output size and operand requirements, plus
 /// kind-specific structural checks (divisibility, slice bounds).
-fn step_io(kind: &StepKind) -> Result<(Size, Vec<Operand>), String> {
-    let op = |src: Src, need: Size, may_alias_out: bool| Operand {
-        src,
-        need,
-        may_alias_out,
+fn step_io(kind: &StepKind) -> Result<(Size, Operands<'_>), String> {
+    let op = |src: Src, need: Size, may_alias_out: bool| {
+        Some(Operand {
+            src,
+            need,
+            may_alias_out,
+        })
     };
+    let one = |x| Operands::Fixed([x, None, None]);
     Ok(match kind {
         StepKind::Gemm {
             a,
@@ -584,14 +614,10 @@ fn step_io(kind: &StepKind) -> Result<(Size, Vec<Operand>), String> {
             bias,
             ..
         } => {
-            let mut srcs = vec![
-                op(*a, sprod(&[*m, *k])?, false),
-                op(*b, sprod(&[*k, *n])?, false),
-            ];
-            if let Some(bs) = bias {
-                srcs.push(op(*bs, dsize(*n), false));
-            }
-            (sprod(&[*m, *n])?, srcs)
+            let a = op(*a, sprod(&[*m, *k])?, false);
+            let b = op(*b, sprod(&[*k, *n])?, false);
+            let bias = bias.and_then(|bs| op(bs, dsize(*n), false));
+            (sprod(&[*m, *n])?, Operands::Fixed([a, b, bias]))
         }
         StepKind::Bmm {
             a,
@@ -603,28 +629,29 @@ fn step_io(kind: &StepKind) -> Result<(Size, Vec<Operand>), String> {
             ..
         } => (
             sprod(&[*batch, *m, *n])?,
-            vec![
+            Operands::Fixed([
                 op(*a, sprod(&[*batch, *m, *k])?, false),
                 op(*b, sprod(&[*batch, *k, *n])?, false),
-            ],
+                None,
+            ]),
         ),
         StepKind::SplitHeads { x, h, b, l, d } => {
             if *h == 0 || !divisible(*d, *h) {
                 return Err(format!("split-heads width {d:?} not divisible by {h}"));
             }
             let numel = sprod(&[*b, *l, *d])?;
-            (numel, vec![op(*x, numel, false)])
+            (numel, one(op(*x, numel, false)))
         }
         StepKind::MergeHeads { x, h, bh, l, dh } => {
             if *h == 0 || !divisible(*bh, *h) {
                 return Err(format!("merge-heads batch {bh:?} not divisible by {h}"));
             }
             let numel = sprod(&[*bh, *l, *dh])?;
-            (numel, vec![op(*x, numel, false)])
+            (numel, one(op(*x, numel, false)))
         }
         StepKind::Softmax { x, rows, d } => {
             let numel = sprod(&[*rows, *d])?;
-            (numel, vec![op(*x, numel, true)])
+            (numel, one(op(*x, numel, true)))
         }
         StepKind::LayerNorm {
             x,
@@ -637,37 +664,45 @@ fn step_io(kind: &StepKind) -> Result<(Size, Vec<Operand>), String> {
             let numel = sprod(&[*rows, *d])?;
             (
                 numel,
-                vec![
+                Operands::Fixed([
                     op(*x, numel, true),
                     op(*gamma, dsize(*d), false),
                     op(*beta, dsize(*d), false),
-                ],
+                ]),
             )
         }
         StepKind::Map { x, len, .. } => {
             let numel = dsize(*len);
-            (numel, vec![op(*x, numel, true)])
+            (numel, one(op(*x, numel, true)))
         }
         StepKind::Zip { a, b, len, .. } => {
             let numel = dsize(*len);
-            (numel, vec![op(*a, numel, true), op(*b, numel, true)])
+            (
+                numel,
+                Operands::Fixed([op(*a, numel, true), op(*b, numel, true), None]),
+            )
         }
         StepKind::RowOp {
             x, row, rows, d, ..
         } => {
             let numel = sprod(&[*rows, *d])?;
-            (numel, vec![op(*x, numel, true), op(*row, dsize(*d), false)])
+            (
+                numel,
+                Operands::Fixed([op(*x, numel, true), op(*row, dsize(*d), false), None]),
+            )
         }
         StepKind::Concat { parts, rows, .. } => {
             let mut total = Size { coef: 0, fixed: 0 };
-            let mut srcs = Vec::with_capacity(parts.len());
-            for (s, w) in parts {
+            for (_, w) in parts {
                 let ws = dsize(*w);
                 total.coef = total.coef.checked_add(ws.coef).ok_or("size overflows")?;
                 total.fixed = total.fixed.checked_add(ws.fixed).ok_or("size overflows")?;
-                srcs.push(op(*s, smul(dsize(*rows), ws)?, false));
+                smul(dsize(*rows), ws)?;
             }
-            (smul(dsize(*rows), total)?, srcs)
+            (
+                smul(dsize(*rows), total)?,
+                Operands::Parts { rows: *rows, parts },
+            )
         }
         StepKind::SliceLast {
             x,
@@ -693,7 +728,7 @@ fn step_io(kind: &StepKind) -> Result<(Size, Vec<Operand>), String> {
                         fixed: end - start,
                     },
                 )?,
-                vec![op(*x, sprod(&[*rows, *d])?, false)],
+                one(op(*x, sprod(&[*rows, *d])?, false)),
             )
         }
     })
@@ -817,7 +852,7 @@ impl Plan {
                 )));
             }
             let out_slot = bufs[step.out].slot;
-            for o in &operands {
+            for o in operands.iter() {
                 match o.src {
                     Src::Buf(b) => {
                         if !defined[b] {

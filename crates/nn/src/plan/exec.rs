@@ -151,7 +151,7 @@ impl PlanExec {
 
     /// Output `i`'s shape for the last executed batch.
     pub fn output_shape(&self, i: usize) -> Vec<usize> {
-        self.plan.output_shape(i, self.cur_b)
+        self.plan.output_shape(i, self.cur_b).collect()
     }
 }
 

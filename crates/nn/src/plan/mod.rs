@@ -537,14 +537,22 @@ impl Plan {
         self.outputs.len()
     }
 
-    /// The shape of output `i` at batch size `b`.
-    pub fn output_shape(&self, i: usize, b: usize) -> Vec<usize> {
-        self.outputs[i].1.iter().map(|d| d.at(b)).collect()
+    /// The shape of output `i` at batch size `b`, dim by dim.
+    pub fn output_shape(
+        &self,
+        i: usize,
+        b: usize,
+    ) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
+        self.outputs[i].1.iter().map(move |d| d.at(b))
     }
 
-    /// The shape input `i` must have at batch size `b`.
-    pub fn input_shape(&self, i: usize, b: usize) -> Vec<usize> {
-        self.inputs[i].iter().map(|d| d.at(b)).collect()
+    /// The shape input `i` must have at batch size `b`, dim by dim.
+    pub fn input_shape(
+        &self,
+        i: usize,
+        b: usize,
+    ) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
+        self.inputs[i].iter().map(move |d| d.at(b))
     }
 
     /// Total arena elements needed at batch size `b`.

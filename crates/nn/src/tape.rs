@@ -12,7 +12,7 @@
 //! `crate::kernels`, so a recording starts from the tape's own values.
 
 use crate::kernels::{layer_norm_fwd, merge_heads, slice_last, split_heads};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tensor::math::Func;
 use tensor::{
     bmm, bmm_acc_into, bmm_into, matmul, matmul_t_acc_into, matmul_t_into, QuantizedMatrix, Result,
@@ -37,6 +37,10 @@ impl ParamId {
 
 /// Storage for trainable parameters and their accumulated gradients.
 ///
+/// A store that will only be served keeps no gradients at all
+/// ([`ParamStore::values_only`], and every freeze): each tensor is held
+/// once, as its value.
+///
 /// A frozen store may additionally carry a *quantized twin* per rank-2
 /// parameter (the GEMM weight matrices): the canonical i8 encoding
 /// produced once at freeze time. When a parameter is quantized its f32
@@ -47,8 +51,10 @@ impl ParamId {
 #[derive(Debug, Default, Clone)]
 pub struct ParamStore {
     values: Vec<Tensor>,
+    /// One per value on a training store; empty on a values-only one.
     grads: Vec<Tensor>,
     names: Vec<String>,
+    values_only: bool,
     /// Per-parameter quantized encodings (`None` = plain f32). Same length
     /// as `values` on frozen quantized stores; empty on training stores.
     quants: Vec<Option<Arc<QuantizedMatrix>>>,
@@ -60,10 +66,25 @@ impl ParamStore {
         Self::default()
     }
 
+    /// Creates an empty store that keeps no gradients: [`ParamStore::add`]
+    /// registers a value and its name only. For a model that is only ever
+    /// served, such as a snapshot restore, whose weights would otherwise
+    /// each come with a zeroed gradient it never reads. It must not be
+    /// trained: every gradient reads as an empty tensor, and accumulating
+    /// into one fails with a shape error.
+    pub fn values_only() -> Self {
+        ParamStore {
+            values_only: true,
+            ..Self::default()
+        }
+    }
+
     /// Registers a parameter, returning its id.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.values.len());
-        self.grads.push(Tensor::zeros(value.shape()));
+        if !self.values_only {
+            self.grads.push(Tensor::zeros(value.shape()));
+        }
         self.values.push(value);
         self.names.push(name.into());
         id
@@ -94,8 +115,14 @@ impl ParamStore {
         &mut self.values[id.0]
     }
 
-    /// Immutable access to a parameter gradient.
+    /// Immutable access to a parameter gradient (an empty tensor on a
+    /// values-only store).
     pub fn grad(&self, id: ParamId) -> &Tensor {
+        static NONE: OnceLock<Tensor> = OnceLock::new();
+        if self.values_only {
+            assert!(id.0 < self.values.len(), "no parameter {}", id.0);
+            return NONE.get_or_init(|| Tensor::zeros(&[0]));
+        }
         &self.grads[id.0]
     }
 
@@ -171,27 +198,27 @@ impl ParamStore {
         count
     }
 
-    /// Clones parameter values and names only; gradient slots become empty
-    /// placeholders. This is the freeze path for read-only inference
-    /// sharing — a full clone would permanently carry a dead gradient
-    /// buffer as large as the weights themselves. The result must not be
-    /// trained (gradient accumulation into it fails with a shape error).
+    /// Clones parameter values and names only, into a values-only store
+    /// ([`ParamStore::values_only`]). This is the freeze path for read-only
+    /// inference sharing — a full clone would permanently carry a dead
+    /// gradient buffer as large as the weights themselves.
     pub fn clone_values(&self) -> ParamStore {
         ParamStore {
             values: self.values.clone(),
-            grads: self.values.iter().map(|_| Tensor::zeros(&[0])).collect(),
+            grads: Vec::new(),
             names: self.names.clone(),
+            values_only: true,
             quants: self.quants.clone(),
         }
     }
 
     /// Consumes the store, keeping values and names but dropping the
-    /// gradient buffers (replaced by empty placeholders) — the zero-copy
-    /// counterpart of [`ParamStore::clone_values`] for callers that own the
-    /// store (snapshot loading, freeze-by-move). The result must not be
-    /// trained.
+    /// gradient buffers — the zero-copy counterpart of
+    /// [`ParamStore::clone_values`] for callers that own the store
+    /// (freeze-by-move). The result is values-only.
     pub fn into_values(mut self) -> ParamStore {
-        self.grads = self.values.iter().map(|_| Tensor::zeros(&[0])).collect();
+        self.grads = Vec::new();
+        self.values_only = true;
         self
     }
 
@@ -215,6 +242,13 @@ impl ParamStore {
     }
 
     pub(crate) fn accumulate(&mut self, id: ParamId, g: &Tensor) -> Result<()> {
+        if self.values_only {
+            return Err(TensorError::ShapeMismatch {
+                op: "add_assign to a values-only store",
+                lhs: vec![0],
+                rhs: g.shape().to_vec(),
+            });
+        }
         self.grads[id.0].add_assign(g)
     }
 

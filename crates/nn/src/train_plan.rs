@@ -496,7 +496,7 @@ impl TrainPlan {
     /// The shape of output `i` at batch size `b`.
     pub fn output_shape(&self, i: usize, b: usize) -> Vec<usize> {
         assert!(i < self.n_outputs, "output index out of range");
-        self.fwd.output_shape(i, b)
+        self.fwd.output_shape(i, b).collect()
     }
 }
 

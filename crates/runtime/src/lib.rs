@@ -80,7 +80,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
 use cdmpp_core::batch::{build_scaled_batch_idx, group_by_leaf_into, LeafGroups, SampleLike};
-use cdmpp_core::e2e::{encode_programs, encode_programs_into, EncodeArena};
+use cdmpp_core::e2e::{encode_programs_into, EncodeArena};
 use cdmpp_core::predictor::PredictError;
 use cdmpp_core::{CostModel, InferenceModel, PlanRunner, TrainedModel};
 use devsim::DeviceSpec;
@@ -926,22 +926,16 @@ pub fn end_to_end_opts(
     seed: u64,
     opts: &SubmitOptions,
 ) -> Result<cdmpp_core::E2eResult, EngineError> {
-    let (task_ids, programs) = cdmpp_core::sample_network_programs(net, seed);
-    let refs: Vec<&TensorProgram> = programs.iter().collect();
-    let served = engine.served();
-    let enc = encode_programs(
-        &refs,
-        dev,
-        served.model.predictor.config().theta,
-        served.model.use_pe,
-    );
-    let predicted = engine
-        .predict_samples_opts(&enc, opts)?
-        .into_iter()
-        .collect::<Result<Vec<f64>, _>>()?;
-    Ok(cdmpp_core::replay_predictions(
-        net, dev, &task_ids, &programs, &predicted,
-    ))
+    let (theta, use_pe) = {
+        let served = engine.served();
+        (served.model.predictor.config().theta, served.model.use_pe)
+    };
+    cdmpp_core::predict_network(net, dev, seed, theta, use_pe, |enc| {
+        engine
+            .predict_samples_opts(enc, opts)?
+            .into_iter()
+            .collect::<Result<Vec<f64>, _>>()
+    })
 }
 
 #[cfg(test)]
