@@ -1,5 +1,6 @@
-//! The cross-device orderings of §7.3 and §7.4, shared by `fig10`, `fig8`
-//! and `cross_device` (which writes them to `BENCH_cross_device.json`).
+//! The cross-device orderings of §7.3 and §7.4, measured for `fig10` and
+//! `fig8`, each of which writes its ordering's rows to a committed
+//! `BENCH_<fig>.json` ([`write_rows`]).
 //!
 //! * Fig 10: CDMPP pre-trained on source devices, then fine-tuned on
 //!   Algorithm-1-sampled target records with CMD, is scored on the
@@ -93,6 +94,28 @@ pub fn fig10_cdmpp(ds: &Dataset, case: &Fig10Case) -> [f64; 2] {
     };
     finetune(&mut model, ds, &src_split.train, &tgt_labeled, &cfg);
     [pretrained, evaluate(&model, ds, &tgt_split.test).mape]
+}
+
+/// Writes one figure's ordering to `BENCH_<fig>.json` at the workspace
+/// root: the scale it was measured at, what it measures (`note`), the
+/// paper's `claim`, whether it `holds` on every row, and the `rows` (one
+/// JSON object each).
+pub fn write_rows(fig: &str, note: &str, claim: &str, holds: bool, rows: &[String]) {
+    let scale = match crate::scale() {
+        crate::Scale::Quick => "quick",
+        crate::Scale::Mid => "mid",
+        crate::Scale::Full => "full",
+    };
+    let json = format!(
+        "{{\n  \"bench\": \"{fig}\",\n  \"scale\": \"{scale}\",\n  \
+         \"schedules_per_task\": {},\n  \"seed\": {EXP_SEED},\n  \"note\": \"{note}\",\n  \
+         \"claim\": \"{claim}\",\n  \"holds\": {holds},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        crate::spt_multi(),
+        rows.join(",\n    "),
+    );
+    let path = format!("{}/../../BENCH_{fig}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    println!("\nwrote {path}");
 }
 
 /// Fig 8's target networks (Fig 16 is the second).

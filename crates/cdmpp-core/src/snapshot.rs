@@ -77,11 +77,9 @@
 //! architecture is rebuilt for its parameter names, shapes and order only
 //! (`Predictor::shape_only`, the one constructor with `nn::ShapeOnly` as
 //! its initializer) into a values-only store ([`nn::ParamStore::values_only`],
-//! no gradient per weight), and the file's tensors are copied into it — or,
-//! on the owned paths ([`InferenceModel::from_snapshot_bytes`] /
-//! [`InferenceModel::from_snapshot_file`]), the decoded tensors are moved
-//! in. Plan validation compares operand lists and port shapes in place,
-//! without allocating per step. Decode parses the
+//! no gradient per weight), and the file's tensors are copied into it
+//! once. Plan validation reuses one operand list across a plan's steps
+//! and compares port shapes in place. Decode parses the
 //! small header without allocating for its structure (object keys are
 //! compared in place, enum tags borrowed), reads each plan off its bytes
 //! with one allocation per list it holds — no text to scan, which was
@@ -95,7 +93,7 @@ use std::sync::Arc;
 use learn::FittedTransform;
 use nn::Plan;
 use serde::{Deserialize, Serialize};
-use tensor::{QuantMode, QuantizedMatrix, Tensor, TensorError, QUANT_GROUP};
+use tensor::{QuantMode, QuantizedMatrix, QUANT_GROUP};
 
 use crate::batch::FeatScaler;
 use crate::predictor::{PredictResult, Predictor, PredictorConfig};
@@ -1231,23 +1229,6 @@ impl InferenceModel {
     /// fall back to lazy recording on first use, exactly like a freshly
     /// trained model.
     pub fn from_snapshot(snap: &Snapshot) -> Result<InferenceModel, SnapshotError> {
-        InferenceModel::restore(snap, Vec::new())
-    }
-
-    /// [`InferenceModel::from_snapshot`] on a snapshot its caller gives
-    /// up: the weight tensors move into the store instead of being copied.
-    fn from_owned_snapshot(mut snap: Snapshot) -> Result<InferenceModel, SnapshotError> {
-        let owned = snap
-            .params
-            .iter_mut()
-            .map(|p| std::mem::take(&mut p.data))
-            .collect();
-        InferenceModel::restore(&snap, owned)
-    }
-
-    /// The restore behind both: `owned` is empty, or holds each of `snap`'s
-    /// tensors' data in its place (the `params` entries then hold none).
-    fn restore(snap: &Snapshot, mut owned: Vec<Vec<f32>>) -> Result<InferenceModel, SnapshotError> {
         validate_config(&snap.config)?;
         snap.transform
             .validate()
@@ -1275,9 +1256,8 @@ impl InferenceModel {
         }
 
         // Rebuild the architecture — names, shapes and order only, no
-        // weights drawn, no gradients — then install the snapshot's
-        // tensors: moved in when the caller gave them up, else copied into
-        // the architecture's own, so each tensor is held once.
+        // weights drawn, no gradients — then copy the snapshot's tensors
+        // into the architecture's own, so each tensor is held once.
         let mut predictor = Predictor::shape_only(snap.config.clone());
         if predictor.store.len() != snap.params.len() {
             return Err(SnapshotError::Model(format!(
@@ -1287,12 +1267,11 @@ impl InferenceModel {
             )));
         }
         let ids: Vec<nn::ParamId> = predictor.store.ids().collect();
-        for (i, (&id, pt)) in ids.iter().zip(&snap.params).enumerate() {
+        for (&id, pt) in ids.iter().zip(&snap.params) {
             let mismatch = |reason: String| SnapshotError::Param {
                 name: pt.name.clone(),
                 reason,
             };
-            let data = owned.get(i).unwrap_or(&pt.data);
             let expect = predictor.store.value(id);
             if predictor.store.name(id) != pt.name {
                 return Err(mismatch(format!(
@@ -1307,28 +1286,24 @@ impl InferenceModel {
                     expect.shape()
                 )));
             }
-            if let Some(index) = first_non_finite(data) {
+            if let Some(index) = first_non_finite(&pt.data) {
                 return Err(SnapshotError::NonFinite {
                     name: pt.name.clone(),
                     index,
                 });
             }
-            if data.len() != expect.numel() {
-                let e = TensorError::BadShape {
-                    op: "from_vec",
-                    shape: pt.shape.clone(),
-                    len: data.len(),
-                };
-                return Err(mismatch(format!("data length does not match shape: {e}")));
+            if pt.data.len() != expect.numel() {
+                return Err(mismatch(format!(
+                    "data length {} does not match shape {:?}",
+                    pt.data.len(),
+                    pt.shape
+                )));
             }
-            let value = predictor.store.value_mut(id);
-            match owned.get_mut(i) {
-                Some(data) => {
-                    *value = Tensor::from_vec(std::mem::take(data), &pt.shape)
-                        .expect("length checked above");
-                }
-                None => value.data_mut().copy_from_slice(&pt.data),
-            }
+            predictor
+                .store
+                .value_mut(id)
+                .data_mut()
+                .copy_from_slice(&pt.data);
         }
 
         // Install the file's canonical quantized encodings. The snapshot
@@ -1367,7 +1342,7 @@ impl InferenceModel {
                     pt.shape
                 )));
             }
-            if q.matrix.dequantize() != predictor.store.value(id).data() {
+            if q.matrix.dequantize() != pt.data {
                 return Err(qerr(
                     "i8 blob does not dequantize to the stored f32 weights".to_string(),
                 ));
@@ -1506,7 +1481,7 @@ impl InferenceModel {
     /// Decodes snapshot bytes and restores a serving model (the one-call
     /// cold-start path for in-memory bytes).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<InferenceModel, SnapshotError> {
-        InferenceModel::from_owned_snapshot(Snapshot::from_bytes(bytes)?)
+        InferenceModel::from_snapshot(&Snapshot::from_bytes(bytes)?)
     }
 
     /// Loads a snapshot file and restores a serving model (the one-call
@@ -1514,6 +1489,6 @@ impl InferenceModel {
     pub fn from_snapshot_file(
         path: impl AsRef<std::path::Path>,
     ) -> Result<InferenceModel, SnapshotError> {
-        InferenceModel::from_owned_snapshot(Snapshot::load(path)?)
+        InferenceModel::from_snapshot(&Snapshot::load(path)?)
     }
 }

@@ -560,50 +560,24 @@ fn divisible(d: Dim, h: usize) -> bool {
 /// One operand requirement: where it is read from, the exact symbolic
 /// size the kernel reads, and whether the interpreter has a sanctioned
 /// in-place path when it shares the output's slot.
-#[derive(Clone, Copy)]
 struct Operand {
     src: Src,
     need: Size,
     may_alias_out: bool,
 }
 
-/// A step's operands, held on the stack: up to three fixed ones, or a
-/// concat's parts, each `rows × width` (sizes checked by [`step_io`]).
-enum Operands<'k> {
-    Fixed([Option<Operand>; 3]),
-    Parts { rows: Dim, parts: &'k [(Src, Dim)] },
-}
-
-impl Operands<'_> {
-    fn iter(&self) -> impl Iterator<Item = Operand> + '_ {
-        let (fixed, rows, parts): (&[Option<Operand>], _, &[(Src, Dim)]) = match self {
-            Operands::Fixed(fixed) => (fixed, Dim::Fixed(0), &[]),
-            Operands::Parts { rows, parts } => (&[], *rows, parts),
-        };
-        let part = move |&(src, w): &(Src, Dim)| Operand {
-            src,
-            need: smul(dsize(rows), dsize(w)).expect("part size checked by step_io"),
-            may_alias_out: false,
-        };
-        fixed
-            .iter()
-            .flatten()
-            .copied()
-            .chain(parts.iter().map(part))
-    }
-}
-
-/// Computes a step's exact output size and operand requirements, plus
-/// kind-specific structural checks (divisibility, slice bounds).
-fn step_io(kind: &StepKind) -> Result<(Size, Operands<'_>), String> {
-    let op = |src: Src, need: Size, may_alias_out: bool| {
-        Some(Operand {
+/// Computes a step's exact output size and pushes its operand
+/// requirements onto `ops` (which the caller clears and reuses across
+/// steps), plus kind-specific structural checks (divisibility, slice
+/// bounds).
+fn step_io(kind: &StepKind, ops: &mut Vec<Operand>) -> Result<Size, String> {
+    let mut op = |src: Src, need: Size, may_alias_out: bool| {
+        ops.push(Operand {
             src,
             need,
             may_alias_out,
         })
     };
-    let one = |x| Operands::Fixed([x, None, None]);
     Ok(match kind {
         StepKind::Gemm {
             a,
@@ -614,10 +588,12 @@ fn step_io(kind: &StepKind) -> Result<(Size, Operands<'_>), String> {
             bias,
             ..
         } => {
-            let a = op(*a, sprod(&[*m, *k])?, false);
-            let b = op(*b, sprod(&[*k, *n])?, false);
-            let bias = bias.and_then(|bs| op(bs, dsize(*n), false));
-            (sprod(&[*m, *n])?, Operands::Fixed([a, b, bias]))
+            op(*a, sprod(&[*m, *k])?, false);
+            op(*b, sprod(&[*k, *n])?, false);
+            if let Some(bs) = bias {
+                op(*bs, dsize(*n), false);
+            }
+            sprod(&[*m, *n])?
         }
         StepKind::Bmm {
             a,
@@ -627,31 +603,32 @@ fn step_io(kind: &StepKind) -> Result<(Size, Operands<'_>), String> {
             k,
             n,
             ..
-        } => (
-            sprod(&[*batch, *m, *n])?,
-            Operands::Fixed([
-                op(*a, sprod(&[*batch, *m, *k])?, false),
-                op(*b, sprod(&[*batch, *k, *n])?, false),
-                None,
-            ]),
-        ),
+        } => {
+            let out = sprod(&[*batch, *m, *n])?;
+            op(*a, sprod(&[*batch, *m, *k])?, false);
+            op(*b, sprod(&[*batch, *k, *n])?, false);
+            out
+        }
         StepKind::SplitHeads { x, h, b, l, d } => {
             if *h == 0 || !divisible(*d, *h) {
                 return Err(format!("split-heads width {d:?} not divisible by {h}"));
             }
             let numel = sprod(&[*b, *l, *d])?;
-            (numel, one(op(*x, numel, false)))
+            op(*x, numel, false);
+            numel
         }
         StepKind::MergeHeads { x, h, bh, l, dh } => {
             if *h == 0 || !divisible(*bh, *h) {
                 return Err(format!("merge-heads batch {bh:?} not divisible by {h}"));
             }
             let numel = sprod(&[*bh, *l, *dh])?;
-            (numel, one(op(*x, numel, false)))
+            op(*x, numel, false);
+            numel
         }
         StepKind::Softmax { x, rows, d } => {
             let numel = sprod(&[*rows, *d])?;
-            (numel, one(op(*x, numel, true)))
+            op(*x, numel, true);
+            numel
         }
         StepKind::LayerNorm {
             x,
@@ -662,47 +639,39 @@ fn step_io(kind: &StepKind) -> Result<(Size, Operands<'_>), String> {
             ..
         } => {
             let numel = sprod(&[*rows, *d])?;
-            (
-                numel,
-                Operands::Fixed([
-                    op(*x, numel, true),
-                    op(*gamma, dsize(*d), false),
-                    op(*beta, dsize(*d), false),
-                ]),
-            )
+            op(*x, numel, true);
+            op(*gamma, dsize(*d), false);
+            op(*beta, dsize(*d), false);
+            numel
         }
         StepKind::Map { x, len, .. } => {
             let numel = dsize(*len);
-            (numel, one(op(*x, numel, true)))
+            op(*x, numel, true);
+            numel
         }
         StepKind::Zip { a, b, len, .. } => {
             let numel = dsize(*len);
-            (
-                numel,
-                Operands::Fixed([op(*a, numel, true), op(*b, numel, true), None]),
-            )
+            op(*a, numel, true);
+            op(*b, numel, true);
+            numel
         }
         StepKind::RowOp {
             x, row, rows, d, ..
         } => {
             let numel = sprod(&[*rows, *d])?;
-            (
-                numel,
-                Operands::Fixed([op(*x, numel, true), op(*row, dsize(*d), false), None]),
-            )
+            op(*x, numel, true);
+            op(*row, dsize(*d), false);
+            numel
         }
         StepKind::Concat { parts, rows, .. } => {
             let mut total = Size { coef: 0, fixed: 0 };
-            for (_, w) in parts {
+            for (s, w) in parts {
                 let ws = dsize(*w);
                 total.coef = total.coef.checked_add(ws.coef).ok_or("size overflows")?;
                 total.fixed = total.fixed.checked_add(ws.fixed).ok_or("size overflows")?;
-                smul(dsize(*rows), ws)?;
+                op(*s, smul(dsize(*rows), ws)?, false);
             }
-            (
-                smul(dsize(*rows), total)?,
-                Operands::Parts { rows: *rows, parts },
-            )
+            smul(dsize(*rows), total)?
         }
         StepKind::SliceLast {
             x,
@@ -720,16 +689,15 @@ fn step_io(kind: &StepKind) -> Result<(Size, Operands<'_>), String> {
                     "slice [{start}, {end}) out of the trailing dim {d:?}"
                 ));
             }
-            (
-                smul(
-                    dsize(*rows),
-                    Size {
-                        coef: 0,
-                        fixed: end - start,
-                    },
-                )?,
-                one(op(*x, sprod(&[*rows, *d])?, false)),
-            )
+            let out = smul(
+                dsize(*rows),
+                Size {
+                    coef: 0,
+                    fixed: end - start,
+                },
+            )?;
+            op(*x, sprod(&[*rows, *d])?, false);
+            out
         }
     })
 }
@@ -825,6 +793,7 @@ impl Plan {
         // ordering, and in-place aliasing discipline.
         let bufs = &self.bufs;
         let mut defined = vec![false; bufs.len()];
+        let mut operands = Vec::new();
         for (si, step) in self.steps.iter().enumerate() {
             let step_err = |reason: String| PlanDecodeError::Step { step: si, reason };
             if let Some(c) = non_finite_const(&step.kind) {
@@ -844,7 +813,8 @@ impl Plan {
             if defined[step.out] {
                 return Err(step_err(format!("buffer {} written twice", step.out)));
             }
-            let (out_size, operands) = step_io(&step.kind).map_err(step_err)?;
+            operands.clear();
+            let out_size = step_io(&step.kind, &mut operands).map_err(step_err)?;
             if bufs[step.out].size != out_size {
                 return Err(step_err(format!(
                     "output buffer size {:?} does not match the step's output {:?}",
@@ -852,7 +822,7 @@ impl Plan {
                 )));
             }
             let out_slot = bufs[step.out].slot;
-            for o in operands.iter() {
+            for o in &operands {
                 match o.src {
                     Src::Buf(b) => {
                         if !defined[b] {

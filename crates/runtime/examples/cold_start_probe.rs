@@ -15,8 +15,8 @@
 //! call on the same engine (the steady state the first call is set
 //! against), the folds the first call builds (each `(leaf count, batch)`
 //! shape it meets, folded on a model restored for the purpose), decode +
-//! restore as the one owned call the benchmark's untraced cycle makes
-//! (`from_snapshot_bytes`, whose restore may keep the decoded tensors), and
+//! restore as the one call the benchmark's untraced cycle makes
+//! (`from_snapshot_bytes`), and
 //! decode + restore for three snapshots of the same model — weights only,
 //! weights + plans, weights + plans + the 16 specialization requests — so
 //! the plan section's share of the file and of a load can be read off by
@@ -193,7 +193,7 @@ fn main() {
         "drop engine",
         "Predictor::new alone",
         "folds the first call builds",
-        "decode + restore as one owned call (from_snapshot_bytes)",
+        "decode + restore as one call (from_snapshot_bytes)",
     ];
     let mut t: [Samples; 10] = Default::default();
     let (mut workers, mut folds) = (0, 0);
