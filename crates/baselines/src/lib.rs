@@ -20,3 +20,19 @@ pub use habitat::HabitatModel;
 pub use mlpreg::{MlpRegConfig, MlpRegressor};
 pub use tiramisu::{TiramisuConfig, TiramisuModel};
 pub use tlp::{TlpConfig, TlpModel, TlpSample};
+
+use nn::{clip_and_step, Adam, Graph, ParamStore, Var};
+
+/// One optimizer step of a taped baseline on the loss `fit` built on `g`:
+/// zero the gradients, backpropagate, write the parameter gradients, clip
+/// at 5 and step. Returns the loss. Building the loss reads only weights,
+/// so zeroing here equals zeroing first. A closure in place of `g` would
+/// borrow the model (Tiramisu's `forward`) while `store` is borrowed mutably.
+fn tape_step(store: &mut ParamStore, opt: &mut Adam, mut g: Graph, loss: Var) -> f32 {
+    store.zero_grad();
+    if g.backward(loss).is_ok() {
+        let _ = g.write_param_grads(store);
+        clip_and_step(store, opt, 5.0);
+    }
+    g.value(loss).item()
+}

@@ -1,6 +1,6 @@
-//! A small shared MLP-regressor used by the Habitat and TLP baselines.
+//! A small MLP regressor: Habitat's per-op-class model.
 
-use nn::{clip_and_step, Adam, Graph, Mlp, ParamStore};
+use nn::{Adam, Graph, Mlp, ParamStore};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -73,23 +73,15 @@ impl MlpRegressor {
                 let by: Vec<f32> = chunk.iter().map(|&i| ys[i]).collect();
                 let x = Tensor::from_vec(bx, &[chunk.len(), self.in_dim]).expect("row width");
                 let t = Tensor::from_vec(by, &[chunk.len()]).expect("labels");
-                self.store.zero_grad();
                 let mut g = Graph::new();
                 let xv = g.constant(x);
-                let pred = match self.mlp.forward(&mut g, &self.store, xv) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let loss = match nn::loss::mse(&mut g, pred, &t) {
-                    Ok(l) => l,
-                    Err(_) => continue,
-                };
-                last = g.value(loss).item();
-                if g.backward(loss).is_err() {
+                let Ok(pred) = self.mlp.forward(&mut g, &self.store, xv) else {
                     continue;
-                }
-                let _ = g.write_param_grads(&mut self.store);
-                clip_and_step(&mut self.store, &mut opt, 5.0);
+                };
+                let Ok(loss) = nn::loss::mse(&mut g, pred, &t) else {
+                    continue;
+                };
+                last = crate::tape_step(&mut self.store, &mut opt, g, loss);
             }
         }
         last

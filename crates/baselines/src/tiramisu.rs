@@ -9,11 +9,11 @@
 //! distinct structure, which is exactly the inefficiency §7.2 measures.
 //! Trained with a MAPE objective, Tiramisu's default.
 
-use nn::{clip_and_step, Adam, Graph, Linear, LstmCell, Mlp, ParamStore, Var};
+use nn::{Adam, Graph, Linear, LstmCell, Mlp, ParamStore, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::Tensor;
-use tir::{LeafView, NodeView, TensorProgram};
+use tir::{LeafView, NodeView, Nodes, TensorProgram};
 
 use features::N_ENTRY;
 
@@ -116,17 +116,7 @@ impl TiramisuModel {
                 g.relu(e)
             }
             NodeView::Loop { var, body } => {
-                // LSTM over children embeddings.
-                let h0 = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
-                let c0 = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
-                let mut h = h0;
-                let mut c = c0;
-                for child in body {
-                    let e = self.embed_node(g, child)?;
-                    let (h2, c2) = self.lstm.step(g, &self.store, e, h, c)?;
-                    h = h2;
-                    c = c2;
-                }
+                let h = self.lstm_over(g, body)?;
                 // Mix the loop's own features into the hidden state.
                 let lv = g.constant(loop_vector(var));
                 let le = self.loop_embed.forward(g, &self.store, lv)?;
@@ -136,19 +126,22 @@ impl TiramisuModel {
         }
     }
 
+    /// The LSTM over `nodes`' embeddings from a zero state: its last
+    /// hidden state.
+    fn lstm_over(&self, g: &mut Graph, nodes: Nodes<'_>) -> Result<Var, tensor::TensorError> {
+        let mut h = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
+        let mut c = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
+        for node in nodes {
+            let e = self.embed_node(g, node)?;
+            (h, c) = self.lstm.step(g, &self.store, e, h, c)?;
+        }
+        Ok(h)
+    }
+
     /// Builds the prediction node for one program (batch of one — the
     /// structural constraint Tiramisu imposes).
     fn forward(&self, g: &mut Graph, prog: &TensorProgram) -> Result<Var, tensor::TensorError> {
-        let h0 = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
-        let c0 = g.constant(Tensor::zeros(&[1, self.cfg.hidden]));
-        let mut h = h0;
-        let mut c = c0;
-        for root in prog.roots() {
-            let e = self.embed_node(g, root)?;
-            let (h2, c2) = self.lstm.step(g, &self.store, e, h, c)?;
-            h = h2;
-            c = c2;
-        }
+        let h = self.lstm_over(g, prog.roots())?;
         let out = self.head.forward(g, &self.store, h)?;
         // Latencies are positive; exp keeps the MAPE objective stable.
         g.exp(out)
@@ -173,22 +166,14 @@ impl TiramisuModel {
         let mut processed = 0;
         for _ in 0..self.cfg.epochs {
             for (prog, &y) in programs.iter().zip(labels_ms.iter()) {
-                self.store.zero_grad();
                 let mut g = Graph::new();
-                let pred = match self.forward(&mut g, prog) {
-                    Ok(v) => v,
-                    Err(_) => continue,
-                };
-                let target = Tensor::scalar(y as f32);
-                let loss = match nn::loss::mape(&mut g, pred, &target) {
-                    Ok(l) => l,
-                    Err(_) => continue,
-                };
-                if g.backward(loss).is_err() {
+                let Ok(pred) = self.forward(&mut g, prog) else {
                     continue;
-                }
-                let _ = g.write_param_grads(&mut self.store);
-                clip_and_step(&mut self.store, &mut opt, 5.0);
+                };
+                let Ok(loss) = nn::loss::mape(&mut g, pred, &Tensor::scalar(y as f32)) else {
+                    continue;
+                };
+                crate::tape_step(&mut self.store, &mut opt, g, loss);
                 processed += 1;
             }
         }

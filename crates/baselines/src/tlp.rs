@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use features::tlp_features;
-use nn::{clip_and_step, Adam, Graph, Linear, Mlp, ParamStore};
+use nn::{Adam, Graph, Linear, Mlp, ParamStore};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -140,7 +140,6 @@ impl TlpModel {
                 let Some(head) = self.heads.get(dev) else {
                     continue;
                 };
-                let head = head.clone();
                 for chunk in idxs.chunks(self.cfg.batch) {
                     let bx: Vec<f32> = chunk
                         .iter()
@@ -149,7 +148,6 @@ impl TlpModel {
                     let by: Vec<f32> = chunk.iter().map(|&i| rows[i].1).collect();
                     let x = Tensor::from_vec(bx, &[chunk.len(), self.in_dim]).expect("width");
                     let t = Tensor::from_vec(by, &[chunk.len()]).expect("labels");
-                    self.store.zero_grad();
                     let mut g = Graph::new();
                     let xv = g.constant(x);
                     let Ok(h) = self.trunk.forward(&mut g, &self.store, xv) else {
@@ -162,11 +160,7 @@ impl TlpModel {
                     let Ok(loss) = nn::loss::mse(&mut g, pred, &t) else {
                         continue;
                     };
-                    if g.backward(loss).is_err() {
-                        continue;
-                    }
-                    let _ = g.write_param_grads(&mut self.store);
-                    clip_and_step(&mut self.store, &mut opt, 5.0);
+                    crate::tape_step(&mut self.store, &mut opt, g, loss);
                 }
             }
         }

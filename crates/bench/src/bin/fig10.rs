@@ -20,7 +20,7 @@
 use baselines::{HabitatModel, MlpRegConfig, TlpConfig, TlpModel, TlpSample};
 use bench::cross::{fig10_cdmpp, write_rows, FIG10_CASES, FIG10_KAPPA};
 use bench::{claim_check, pct, print_header, print_row, standard_dataset};
-use dataset::{Dataset, SplitIndices};
+use dataset::{Dataset, Record, SplitIndices};
 use learn::mape;
 
 fn tlp_cross(ds: &Dataset, sources: &[&str], target: &str) -> f64 {
@@ -49,19 +49,11 @@ fn tlp_cross(ds: &Dataset, sources: &[&str], target: &str) -> f64 {
         },
     );
     m.fit(&samples);
-    let tgt_split = SplitIndices::from_indices(ds, ds.device_records(target), &[], bench::EXP_SEED);
-    let mut preds = Vec::new();
-    let mut truth = Vec::new();
-    for &i in &tgt_split.test {
-        let r = &ds.records[i];
+    // Head + scale from the first source device (no target scale exists).
+    target_mape(ds, target, |r| {
         let spec = ds.tasks[r.task_id as usize].spec;
-        // Head + scale from the first source device (no target scale exists).
-        if let Some(p) = m.predict_absolute(&spec, &r.schedule, r.task_id, sources[0], sources[0]) {
-            preds.push(p);
-            truth.push(r.latency_s);
-        }
-    }
-    mape(&preds, &truth)
+        m.predict_absolute(&spec, &r.schedule, r.task_id, sources[0], sources[0])
+    })
 }
 
 fn habitat_cross(ds: &Dataset, source: &str, target: &str) -> f64 {
@@ -84,17 +76,19 @@ fn habitat_cross(ds: &Dataset, source: &str, target: &str) -> f64 {
         ..Default::default()
     });
     m.fit(&samples);
-    let tgt_split = SplitIndices::from_indices(ds, ds.device_records(target), &[], bench::EXP_SEED);
-    let mut preds = Vec::new();
-    let mut truth = Vec::new();
-    for &i in &tgt_split.test {
-        let r = &ds.records[i];
-        let spec = ds.tasks[r.task_id as usize].spec;
-        if let Some(p) = m.predict_cross_device(&spec, &src_dev, &tgt_dev) {
-            preds.push(p);
-            truth.push(r.latency_s);
-        }
-    }
+    target_mape(ds, target, |r| {
+        m.predict_cross_device(&ds.tasks[r.task_id as usize].spec, &src_dev, &tgt_dev)
+    })
+}
+
+/// MAPE over `target`'s test split, on the records `predict` answers.
+fn target_mape(ds: &Dataset, target: &str, predict: impl Fn(&Record) -> Option<f64>) -> f64 {
+    let split = SplitIndices::from_indices(ds, ds.device_records(target), &[], bench::EXP_SEED);
+    let (preds, truth): (Vec<f64>, Vec<f64>) = split
+        .test
+        .iter()
+        .filter_map(|&i| predict(&ds.records[i]).map(|p| (p, ds.records[i].latency_s)))
+        .unzip();
     mape(&preds, &truth)
 }
 

@@ -7,7 +7,7 @@
 //! accelerator/CPU panel (Fig 6b).
 
 use bench::{
-    cdmpp_result, claim_check, pct, print_header, print_row, run_gbt, run_tiramisu,
+    cdmpp_result, claim_check, fit_gbt, fit_tiramisu, pct, print_header, print_row,
     standard_dataset, train_cdmpp,
 };
 use dataset::SplitIndices;
@@ -36,8 +36,8 @@ fn main() {
         let split = SplitIndices::for_device(&ds, &dev.name, &[], bench::EXP_SEED);
         let (model, stats) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
         let c = cdmpp_result(&model, &ds, &split.test, Some(&stats));
-        let x = run_gbt(&ds, &split, &split.test);
-        let t = run_tiramisu(&ds, &split, &split.test, 300, 2);
+        let x = fit_gbt(&ds, &split.train).eval(&ds, &split.test);
+        let t = fit_tiramisu(&ds, &split.train, 300, 2).eval(&ds, &split.test);
         print_row(
             &[
                 dev.name.clone(),

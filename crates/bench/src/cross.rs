@@ -1,6 +1,6 @@
 //! The cross-device orderings of §7.3 and §7.4, measured for `fig10` and
-//! `fig8`, each of which writes its ordering's rows to a committed
-//! `BENCH_<fig>.json` ([`write_rows`]).
+//! `fig8`. Those two bins, `fig11` and `fig13` each write their ordering's
+//! rows to a committed `BENCH_<fig>.json` ([`write_rows`]).
 //!
 //! * Fig 10: CDMPP pre-trained on source devices, then fine-tuned on
 //!   Algorithm-1-sampled target records with CMD, is scored on the

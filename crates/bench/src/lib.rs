@@ -4,7 +4,7 @@
 //! a standard seeded dataset, training wrappers for CDMPP and each
 //! baseline, and plain-text table printing. Absolute numbers differ from
 //! the paper (simulated devices, ~1000× smaller data, ~100× smaller
-//! model); the *comparisons* are what EXPERIMENTS.md tracks.
+//! model); the *comparisons* are what README's "Accuracy" section tracks.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -141,6 +141,19 @@ pub struct MethodResult {
     pub throughput: Option<f64>,
 }
 
+/// A fitted baseline's [`MethodResult`] from its predictions and the truth
+/// (seconds).
+fn method_result(method: &str, preds: &[f64], truth: &[f64], throughput: f64) -> MethodResult {
+    let pred_ms: Vec<f64> = preds.iter().map(|p| p * 1e3).collect();
+    let truth_ms: Vec<f64> = truth.iter().map(|t| t * 1e3).collect();
+    MethodResult {
+        method: method.into(),
+        mape: mape(preds, truth),
+        rmse_ms: rmse(&pred_ms, &truth_ms),
+        throughput: Some(throughput),
+    }
+}
+
 /// A fitted GBT baseline with its training throughput.
 pub struct FittedGbt {
     /// The ensemble.
@@ -185,53 +198,8 @@ impl FittedGbt {
     /// Evaluates into a [`MethodResult`].
     pub fn eval(&self, ds: &Dataset, idx: &[usize]) -> MethodResult {
         let preds = self.predict(ds, idx);
-        let truth = ds.latencies(idx);
-        let pred_ms: Vec<f64> = preds.iter().map(|p| p * 1e3).collect();
-        let truth_ms: Vec<f64> = truth.iter().map(|t| t * 1e3).collect();
-        MethodResult {
-            method: "XGBoost".into(),
-            mape: mape(&preds, &truth),
-            rmse_ms: rmse(&pred_ms, &truth_ms),
-            throughput: Some(self.throughput),
-        }
+        method_result("XGBoost", &preds, &ds.latencies(idx), self.throughput)
     }
-}
-
-/// Trains + evaluates the GBT baseline on a split (convenience wrapper).
-pub fn run_gbt(ds: &Dataset, split: &SplitIndices, eval_idx: &[usize]) -> MethodResult {
-    fit_gbt(ds, &split.train).eval(ds, eval_idx)
-}
-
-/// Trains + evaluates the Tiramisu baseline. `max_train` caps the training
-/// subset (the recursive LSTM is batch-1 and slow — that slowness is the
-/// paper's point; the cap keeps experiment wall-time sane and is reported
-/// in EXPERIMENTS.md).
-pub fn run_tiramisu(
-    ds: &Dataset,
-    split: &SplitIndices,
-    eval_idx: &[usize],
-    max_train: usize,
-    epochs: usize,
-) -> MethodResult {
-    let train: Vec<usize> = split.train.iter().copied().take(max_train).collect();
-    let progs: Vec<&tir::TensorProgram> = train.iter().map(|&i| &*ds.records[i].program).collect();
-    // Tiramisu's default pipeline predicts in milliseconds with MAPE loss.
-    let labels: Vec<f64> = train
-        .iter()
-        .map(|&i| ds.records[i].latency_s * 1e3)
-        .collect();
-    let mut model = TiramisuModel::new(TiramisuConfig {
-        epochs,
-        ..Default::default()
-    });
-    let start = Instant::now();
-    let processed = model.fit(&progs, &labels);
-    let train_time = start.elapsed().as_secs_f64();
-    let fitted = FittedTiramisu {
-        model,
-        throughput: processed as f64 / train_time.max(1e-9),
-    };
-    fitted.eval(ds, eval_idx)
 }
 
 /// A fitted Tiramisu baseline.
@@ -253,19 +221,13 @@ impl FittedTiramisu {
     /// Evaluates into a [`MethodResult`].
     pub fn eval(&self, ds: &Dataset, idx: &[usize]) -> MethodResult {
         let preds = self.predict(ds, idx);
-        let truth = ds.latencies(idx);
-        let pred_ms: Vec<f64> = preds.iter().map(|p| p * 1e3).collect();
-        let truth_ms: Vec<f64> = truth.iter().map(|t| t * 1e3).collect();
-        MethodResult {
-            method: "Tiramisu".into(),
-            mape: mape(&preds, &truth),
-            rmse_ms: rmse(&pred_ms, &truth_ms),
-            throughput: Some(self.throughput),
-        }
+        method_result("Tiramisu", &preds, &ds.latencies(idx), self.throughput)
     }
 }
 
 /// Fits the Tiramisu baseline on (up to `max_train`) training records.
+/// The cap keeps wall time sane: the recursive LSTM trains one sample per
+/// step, and that slowness is what §7.2 measures.
 pub fn fit_tiramisu(
     ds: &Dataset,
     train_idx: &[usize],
