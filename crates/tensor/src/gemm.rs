@@ -281,16 +281,29 @@ pub fn kernel_tier_name() -> &'static str {
     active_tier().name()
 }
 
-fn detect_tier() -> SimdTier {
+/// Every tier this CPU can run, the scalar oracle first and the detected
+/// tier last — whatever `CDMPP_SIMD` says. The bit-identity suites hold
+/// each one to the scalar oracle through the tier-pinned seams, so a
+/// narrower SIMD tier stays covered on a host that detects a wider one.
+#[doc(hidden)]
+pub fn supported_tiers() -> Vec<SimdTier> {
+    let mut tiers = vec![SimdTier::Scalar];
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-        return SimdTier::Avx2Fma;
+        tiers.push(SimdTier::Avx2Fma);
     }
     #[cfg(target_arch = "aarch64")]
     if std::arch::is_aarch64_feature_detected!("neon") {
-        return SimdTier::Neon;
+        tiers.push(SimdTier::Neon);
     }
-    SimdTier::Scalar
+    tiers
+}
+
+/// The widest tier this CPU supports.
+fn detect_tier() -> SimdTier {
+    *supported_tiers()
+        .last()
+        .expect("the scalar tier is always supported")
 }
 
 /// One register-tile micro-kernel. `MR`/`NR` are per-implementation
@@ -2169,58 +2182,47 @@ mod tests {
         }
     }
 
-    /// Every tier agrees bit-for-bit with the scalar oracle, on both the
-    /// packed-panel and the prepacked direct-A paths. (On hosts where
-    /// detection lands on the scalar tier this degenerates to self-equality
-    /// — the real SIMD coverage runs wherever CI has AVX2/NEON.)
+    /// Shapes every supported tier is held to the scalar oracle at: ragged
+    /// and exact tiles of every tier's `MR x NR`, and two k-blocks (the same
+    /// `KC` reassociation points).
+    const ORACLE_SHAPES: &[(usize, usize, usize)] = &[
+        (1, 1, 1),
+        (5, 12, 7),
+        (8, 32, 56),
+        (64, 48, 56),
+        (130, 33, 70),
+        (512, 96, 48),
+        (9, 100, 600),
+    ];
+
+    /// Every supported tier agrees bit-for-bit with the scalar oracle, on
+    /// both the packed-panel and the prepacked direct-A paths. (On hosts
+    /// with no SIMD tier this degenerates to self-equality — the real SIMD
+    /// coverage runs wherever CI has AVX2/NEON.)
     #[test]
     fn active_tier_is_bit_identical_to_scalar_oracle() {
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (5, 12, 7),
-            (8, 32, 56),
-            (64, 48, 56),
-            (130, 33, 70),
-            (512, 96, 48),
-            (9, 100, 600), // two k-blocks: same KC reassociation points
-        ] {
-            let av = filled(m * k, 0.0);
-            let bv = filled(k * n, 1.0);
-            let a = MatRef::dense(&av, k);
-            let b = MatRef::dense(&bv, n);
-            let mut oracle = vec![f32::NAN; m * n];
-            gemm_blocked_tier(
-                m,
-                n,
-                k,
-                a,
-                b,
-                &mut oracle,
-                false,
-                Epilogue::NONE,
-                SimdTier::Scalar,
-            );
-            let mut active = vec![f32::NAN; m * n];
-            gemm_blocked_tier(
-                m,
-                n,
-                k,
-                a,
-                b,
-                &mut active,
-                false,
-                Epilogue::NONE,
-                active_tier(),
-            );
-            assert_eq!(oracle, active, "{m}x{n}x{k}: blocked tier mismatch");
+        for tier in supported_tiers() {
+            for &(m, n, k) in ORACLE_SHAPES {
+                let av = filled(m * k, 0.0);
+                let bv = filled(k * n, 1.0);
+                let a = MatRef::dense(&av, k);
+                let b = MatRef::dense(&bv, n);
+                let what = format!("{} {m}x{n}x{k}", tier.name());
+                let mut oracle = vec![f32::NAN; m * n];
+                let (acc, ep) = (false, Epilogue::NONE);
+                gemm_blocked_tier(m, n, k, a, b, &mut oracle, acc, ep, SimdTier::Scalar);
+                let mut active = vec![f32::NAN; m * n];
+                gemm_blocked_tier(m, n, k, a, b, &mut active, acc, ep, tier);
+                assert_eq!(oracle, active, "{what}: blocked tier mismatch");
 
-            let oracle_pack = PackedB::pack_for_tier(&bv, k, n, SimdTier::Scalar);
-            let active_pack = PackedB::pack_for_tier(&bv, k, n, active_tier());
-            let mut pre_o = vec![f32::NAN; m * n];
-            let mut pre_a = vec![f32::NAN; m * n];
-            gemm_prepacked_impl(m, &av, &oracle_pack, &mut pre_o, Epilogue::NONE);
-            gemm_prepacked_impl(m, &av, &active_pack, &mut pre_a, Epilogue::NONE);
-            assert_eq!(pre_o, pre_a, "{m}x{n}x{k}: prepacked tier mismatch");
+                let oracle_pack = PackedB::pack_for_tier(&bv, k, n, SimdTier::Scalar);
+                let active_pack = PackedB::pack_for_tier(&bv, k, n, tier);
+                let mut pre_o = vec![f32::NAN; m * n];
+                let mut pre_a = vec![f32::NAN; m * n];
+                gemm_prepacked_impl(m, &av, &oracle_pack, &mut pre_o, ep);
+                gemm_prepacked_impl(m, &av, &active_pack, &mut pre_a, ep);
+                assert_eq!(pre_o, pre_a, "{what}: prepacked tier mismatch");
+            }
         }
     }
 
@@ -2268,31 +2270,26 @@ mod tests {
         }
     }
 
-    /// Quantized panels packed under the active tier serve bit-identically
-    /// to panels packed under the scalar oracle: the scale grouping is
-    /// tier-independent, so repacking on a different host cannot change a
-    /// single output bit.
+    /// Quantized panels packed under every supported tier serve
+    /// bit-identically to panels packed under the scalar oracle: the scale
+    /// grouping is tier-independent, so repacking on a different host
+    /// cannot change a single output bit.
     #[test]
     fn quant_active_tier_is_bit_identical_to_scalar_oracle() {
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (5, 12, 7),
-            (8, 32, 56),
-            (64, 48, 56),
-            (130, 33, 70),
-            (512, 96, 48),
-            (9, 100, 600),
-        ] {
-            let av = filled(m * k, 0.0);
-            let bv = filled(k * n, 1.0);
-            let q = QuantizedMatrix::quantize(&bv, k, n);
-            let oracle_pack = QuantizedPackedB::pack_for_tier(&q, SimdTier::Scalar);
-            let active_pack = QuantizedPackedB::pack_for_tier(&q, active_tier());
-            let mut pre_o = vec![f32::NAN; m * n];
-            let mut pre_a = vec![f32::NAN; m * n];
-            gemm_prepacked_quant_impl(m, &av, &oracle_pack, &mut pre_o, Epilogue::NONE);
-            gemm_prepacked_quant_impl(m, &av, &active_pack, &mut pre_a, Epilogue::NONE);
-            assert_eq!(pre_o, pre_a, "{m}x{n}x{k}: quant prepacked tier mismatch");
+        for tier in supported_tiers() {
+            for &(m, n, k) in ORACLE_SHAPES {
+                let av = filled(m * k, 0.0);
+                let bv = filled(k * n, 1.0);
+                let q = QuantizedMatrix::quantize(&bv, k, n);
+                let oracle_pack = QuantizedPackedB::pack_for_tier(&q, SimdTier::Scalar);
+                let active_pack = QuantizedPackedB::pack_for_tier(&q, tier);
+                let mut pre_o = vec![f32::NAN; m * n];
+                let mut pre_a = vec![f32::NAN; m * n];
+                gemm_prepacked_quant_impl(m, &av, &oracle_pack, &mut pre_o, Epilogue::NONE);
+                gemm_prepacked_quant_impl(m, &av, &active_pack, &mut pre_a, Epilogue::NONE);
+                let what = format!("{} {m}x{n}x{k}", tier.name());
+                assert_eq!(pre_o, pre_a, "{what}: quant prepacked tier mismatch");
+            }
         }
     }
 

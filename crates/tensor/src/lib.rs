@@ -33,7 +33,7 @@ pub use gemm::{
     PackedB, QuantizedPackedB, SimdTier,
 };
 #[doc(hidden)]
-pub use gemm::{gemm_would_split, PAR_MULADDS, TINY_MULADDS};
+pub use gemm::{gemm_would_split, supported_tiers, PAR_MULADDS, TINY_MULADDS};
 pub use ops::{
     bmm, bmm_acc_into, bmm_acc_slices, bmm_ep_slices, bmm_into, bmm_slices, gemm_ep_slices,
     gemm_prepacked, gemm_prepacked_quant, gemm_t_slices, matmul, matmul_acc_into, matmul_into,

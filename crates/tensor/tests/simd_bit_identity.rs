@@ -1,25 +1,28 @@
 //! SIMD-vs-scalar bit-identity suite.
 //!
-//! The runtime-selected micro-kernel tier (AVX2+FMA on x86_64, NEON on
-//! aarch64) must reproduce the scalar kernel's exact accumulation order:
+//! Every SIMD micro-kernel tier (AVX2+FMA on x86_64, NEON on aarch64)
+//! must reproduce the scalar kernel's exact accumulation order:
 //! fused multiply-adds ascending in `k` within each `KC` block,
 //! reassociation only at `KC` boundaries. That makes the scalar kernel a
-//! bitwise *oracle* for every other tier — this suite compares the active
-//! tier against a forced-scalar run with `assert_eq!` on the raw `f32`
+//! bitwise *oracle* for every other tier — this suite runs every tier the
+//! CPU supports ([`supported_tiers`], whichever one is active) through the
+//! tier-pinned seams and compares each against a forced-scalar run with
+//! `assert_eq!` on the raw `f32`
 //! bits across transpose flags, accumulate variants, fused epilogues
 //! (scale / bias / activation), threshold-crossing and degenerate shapes,
 //! and the prepacked-B path. The tiers that finish the write-back epilogue
 //! in vector registers get a dedicated oracle run over operands built to
 //! land `-0.0`, `+0.0`, `NaN` and `±inf` in front of every epilogue.
 //!
-//! On a host whose active tier *is* scalar (or under `CDMPP_SIMD=scalar`)
-//! the comparisons are trivially true; CI runs the suite both ways.
+//! On a host with no SIMD tier the comparisons are trivially true. The
+//! entry points that take no tier (`gemm_t_slices`, `bmm_slices`) run on
+//! the active one, which CI also forces to scalar (`CDMPP_SIMD=scalar`).
 
 use proptest::prelude::*;
 use tensor::{
     active_tier, bmm_acc_slices, bmm_slices, gemm_prepacked, gemm_prepacked_quant,
-    gemm_slices_with_tier, gemm_t_slices, gemm_would_split, Activation, PackedB, QuantizedMatrix,
-    QuantizedPackedB, SimdTier, PAR_MULADDS, QUANT_GROUP, TINY_MULADDS,
+    gemm_slices_with_tier, gemm_t_slices, gemm_would_split, supported_tiers, Activation, PackedB,
+    QuantizedMatrix, QuantizedPackedB, SimdTier, PAR_MULADDS, QUANT_GROUP, TINY_MULADDS,
 };
 
 fn fill(numel: usize, seed: f32) -> Vec<f32> {
@@ -88,7 +91,7 @@ const SHAPES: &[(usize, usize, usize)] = &[
 
 #[test]
 fn active_tier_matches_scalar_across_variants() {
-    let tier = active_tier();
+    let tiers = supported_tiers();
     let bias_store = fill(128, 4.2);
     for &(m, k, n) in SHAPES {
         for ta in [false, true] {
@@ -109,18 +112,21 @@ fn active_tier_matches_scalar_across_variants() {
                             if acc && (bias.is_some() || act != Activation::Identity) {
                                 continue;
                             }
-                            let got = run(tier, m, k, n, ta, tb, acc, scale, bias, act);
                             let want =
                                 run(SimdTier::Scalar, m, k, n, ta, tb, acc, scale, bias, act);
-                            assert_bits_equal(
-                                &got,
-                                &want,
-                                &format!(
-                                    "m={m} k={k} n={n} ta={ta} tb={tb} acc={acc} \
-                                     scale={scale:?} bias={} act={act:?}",
-                                    bias.is_some()
-                                ),
-                            );
+                            for &tier in &tiers {
+                                let got = run(tier, m, k, n, ta, tb, acc, scale, bias, act);
+                                assert_bits_equal(
+                                    &got,
+                                    &want,
+                                    &format!(
+                                        "{} m={m} k={k} n={n} ta={ta} tb={tb} acc={acc} \
+                                         scale={scale:?} bias={} act={act:?}",
+                                        tier.name(),
+                                        bias.is_some()
+                                    ),
+                                );
+                            }
                         }
                     }
                 }
@@ -131,25 +137,27 @@ fn active_tier_matches_scalar_across_variants() {
 
 #[test]
 fn prepacked_matches_scalar_oracle() {
-    let tier = active_tier();
-    for &(m, k, n) in SHAPES {
-        if k == 0 || n == 0 {
-            continue; // PackedB requires a non-empty [k, n]
-        }
-        let a = fill(m * k, 0.9);
-        let b = fill(k * n, 3.1);
-        let pb_active = PackedB::pack_for_tier(&b, k, n, tier);
-        let pb_scalar = PackedB::pack_for_tier(&b, k, n, SimdTier::Scalar);
-        let bias = fill(n, 5.0);
-        for (biasv, act) in [
-            (None, Activation::Identity),
-            (Some(&bias[..]), Activation::Relu),
-        ] {
-            let mut got = vec![0.0f32; m * n];
-            let mut want = vec![0.0f32; m * n];
-            gemm_prepacked(m, &a, &pb_active, biasv, act, &mut got).unwrap();
-            gemm_prepacked(m, &a, &pb_scalar, biasv, act, &mut want).unwrap();
-            assert_bits_equal(&got, &want, &format!("prepacked m={m} k={k} n={n}"));
+    for tier in supported_tiers() {
+        for &(m, k, n) in SHAPES {
+            if k == 0 || n == 0 {
+                continue; // PackedB requires a non-empty [k, n]
+            }
+            let a = fill(m * k, 0.9);
+            let b = fill(k * n, 3.1);
+            let pb_active = PackedB::pack_for_tier(&b, k, n, tier);
+            let pb_scalar = PackedB::pack_for_tier(&b, k, n, SimdTier::Scalar);
+            let bias = fill(n, 5.0);
+            for (biasv, act) in [
+                (None, Activation::Identity),
+                (Some(&bias[..]), Activation::Relu),
+            ] {
+                let mut got = vec![0.0f32; m * n];
+                let mut want = vec![0.0f32; m * n];
+                gemm_prepacked(m, &a, &pb_active, biasv, act, &mut got).unwrap();
+                gemm_prepacked(m, &a, &pb_scalar, biasv, act, &mut want).unwrap();
+                let what = format!("{} prepacked m={m} k={k} n={n}", tier.name());
+                assert_bits_equal(&got, &want, &what);
+            }
         }
     }
 }
@@ -254,10 +262,11 @@ fn tally(seen: &mut [bool; 5], vals: &[f32]) {
     }
 }
 
-/// The write-back oracle: every path whose epilogue the active tier may
+/// The write-back oracle: every path whose epilogue a SIMD tier may
 /// finish in vector registers — naive, blocked over packed `A` (forced by
 /// `ta`), blocked over direct `A`, prepacked f32, prepacked i8 — is
-/// compared bit for bit with the scalar tier, whose per-element
+/// compared bit for bit with the scalar tier on every supported tier,
+/// the scalar tier's per-element
 /// `Epilogue::apply` defines the answer (`v.max(0.0)` included: if a vector
 /// `max` ever disagrees on `NaN` / `-0.0`, the override is what changes).
 /// Widths cover full 16- and 8-column groups, several full tiles and every
@@ -277,7 +286,7 @@ fn tally(seen: &mut [bool; 5], vals: &[f32]) {
 /// land on the scalar tier's bits.
 #[test]
 fn vector_write_back_matches_scalar_epilogue() {
-    let tier = active_tier();
+    let tiers = supported_tiers();
     let mut seen = [[false; 5]; 3];
     let mut shapes = Vec::new();
     for (ks, ms, ns) in [
@@ -347,7 +356,10 @@ fn vector_write_back_matches_scalar_epilogue() {
                 for &(bv, tb) in bs {
                     let what = format!("ta={ta} tb={tb} {what}");
                     let want = generic(SimdTier::Scalar, (av, ta), (bv, tb));
-                    assert_bits_equal(&generic(tier, (av, ta), (bv, tb)), &want, &what);
+                    for &tier in &tiers {
+                        let what = format!("{} {what}", tier.name());
+                        assert_bits_equal(&generic(tier, (av, ta), (bv, tb)), &want, &what);
+                    }
                     if ci == 0 && !tb {
                         tally(&mut seen[0], &want);
                     }
@@ -382,7 +394,10 @@ fn vector_write_back_matches_scalar_epilogue() {
                 out
             };
             let want = pre(SimdTier::Scalar);
-            assert_bits_equal(&pre(tier), &want, &format!("prepacked {what}"));
+            for &tier in &tiers {
+                let what = format!("{} prepacked {what}", tier.name());
+                assert_bits_equal(&pre(tier), &want, &what);
+            }
             if ci == 0 {
                 tally(&mut seen[1], &want);
             }
@@ -395,7 +410,10 @@ fn vector_write_back_matches_scalar_epilogue() {
                 out
             };
             let want = quant(SimdTier::Scalar);
-            assert_bits_equal(&quant(tier), &want, &format!("i8 {what}"));
+            for &tier in &tiers {
+                let what = format!("{} i8 {what}", tier.name());
+                assert_bits_equal(&quant(tier), &want, &what);
+            }
             if ci == 0 {
                 tally(&mut seen[2], &want);
             }
@@ -440,7 +458,7 @@ fn fused_attention_matches_scalar_oracle() {
     // the oracle for the active tier's. Dense operands and heads read out
     // of one fused `[rows, 3d]` projection; `l` off a whole vector; a score row
     // of all-equal values, `-0.0` operands, and rows driven to ±inf / NaN.
-    let tier = active_tier();
+    let tiers = supported_tiers();
     for &(b, h, l, dh) in &[
         (1usize, 1usize, 1usize, 1usize),
         (2, 2, 8, 16),
@@ -479,11 +497,17 @@ fn fused_attention_matches_scalar_oracle() {
                     .unwrap();
                     out
                 };
-                assert_bits_equal(
-                    &run(tier),
-                    &run(SimdTier::Scalar),
-                    &format!("attention b={b} h={h} l={l} dh={dh} special={special:?}"),
-                );
+                let want = run(SimdTier::Scalar);
+                for &tier in &tiers {
+                    assert_bits_equal(
+                        &run(tier),
+                        &want,
+                        &format!(
+                            "{} attention b={b} h={h} l={l} dh={dh} special={special:?}",
+                            tier.name()
+                        ),
+                    );
+                }
             }
         }
     }
@@ -515,13 +539,19 @@ fn fused_attention_matches_scalar_oracle() {
                     let [dq, dk, dv] = grads;
                     [out, p, dq, dk, dv]
                 };
-                let (got, want) = (run(tier), run(SimdTier::Scalar));
-                for (name, (got, want)) in ["out", "probs", "dq", "dk", "dv"]
-                    .iter()
-                    .zip(got.iter().zip(&want))
-                {
-                    let what = format!("training attention {name} l={l} special={special:?}");
-                    assert_bits_equal(got, want, &what);
+                let want = run(SimdTier::Scalar);
+                for &tier in &tiers {
+                    let got = run(tier);
+                    for (name, (got, want)) in ["out", "probs", "dq", "dk", "dv"]
+                        .iter()
+                        .zip(got.iter().zip(&want))
+                    {
+                        let what = format!(
+                            "{} training attention {name} l={l} special={special:?}",
+                            tier.name()
+                        );
+                        assert_bits_equal(got, want, &what);
+                    }
                 }
             }
         }
@@ -541,10 +571,14 @@ proptest! {
         let (ta, tb, acc, scale_on) =
             (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
         let scale = if scale_on && !acc { Some(0.31f32) } else { None };
-        let got = run(active_tier(), m, k, n, ta, tb, acc, scale, None, Activation::Identity);
         let want = run(SimdTier::Scalar, m, k, n, ta, tb, acc, scale, None, Activation::Identity);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g.to_bits(), w.to_bits(), "element {} of {}x{}x{}", i, m, k, n);
+        for tier in supported_tiers() {
+            let got = run(tier, m, k, n, ta, tb, acc, scale, None, Activation::Identity);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(
+                    g.to_bits(), w.to_bits(), "{}: element {} of {}x{}x{}", tier.name(), i, m, k, n
+                );
+            }
         }
     }
 }
