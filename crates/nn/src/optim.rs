@@ -150,7 +150,7 @@ impl Optimizer for Adam {
     /// `u = (m/bc₁) / (sqrt(v/bc₂) + ε)`, `p -= wd·lr·p`, `p += -lr·u` —
     /// every product and sum rounded where the nine full-tensor passes
     /// this replaces rounded it, so the update is bit-identical to them.
-    /// On the AVX2 tier the pass runs eight elements wide, each multiply,
+    /// On the AVX2 and AVX-512 tiers the pass runs eight elements wide, each multiply,
     /// add, square root and division its own IEEE operation; every tier
     /// returns the scalar pass's bits.
     fn step(&mut self, store: &mut ParamStore) {
@@ -204,9 +204,10 @@ impl Adam {
             assert!(g.len() == p.len() && m.len() == p.len() && v.len() == p.len());
             match tier {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: the tier is only ever `Avx2Fma` on a host with
-                // AVX2 (runtime detection); the lengths are asserted equal.
-                SimdTier::Avx2Fma => unsafe { pass.avx2(p, g, m, v) },
+                // SAFETY: the tier is only ever `Avx2Fma` or `Avx512F` on
+                // a host with AVX2 (runtime detection); the lengths are
+                // asserted equal.
+                SimdTier::Avx2Fma | SimdTier::Avx512F => unsafe { pass.avx2(p, g, m, v) },
                 _ => pass.scalar(p, g, m, v),
             }
         }

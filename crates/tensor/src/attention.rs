@@ -244,7 +244,9 @@ fn attention_fwd(
     match tier {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier was selected by runtime feature detection.
-        SimdTier::Avx2Fma => unsafe { avx2_attention(b, h, l, dh, q, k, v, rs, scale, out, probs) },
+        SimdTier::Avx2Fma | SimdTier::Avx512F => unsafe {
+            avx2_attention(b, h, l, dh, q, k, v, rs, scale, out, probs)
+        },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
         SimdTier::Neon => unsafe { neon_attention(b, h, l, dh, q, k, v, rs, scale, out, probs) },
@@ -332,7 +334,7 @@ pub fn attention_bwd_slices_with_tier(
     match tier {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier was selected by runtime feature detection.
-        SimdTier::Avx2Fma => unsafe {
+        SimdTier::Avx2Fma | SimdTier::Avx512F => unsafe {
             avx2_attention_bwd(b, h, l, dh, [q, k, v], probs, g, scale, [dq, dk, dv])
         },
         #[cfg(target_arch = "aarch64")]

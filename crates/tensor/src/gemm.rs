@@ -168,10 +168,13 @@ impl Epilogue<'_> {
 /// Largest `MR` any tier uses (sizes the shared accumulator tile).
 const MR_MAX: usize = 8;
 /// Largest `NR` any tier uses.
-const NR_MAX: usize = 16;
+const NR_MAX: usize = 32;
+/// Largest `NR` of a tier that keeps its accumulators in a [`Tile`] (the
+/// scalar and NEON tiers; the x86 tiers keep theirs in registers).
+const TILE_NR: usize = 16;
 /// A micro-kernel accumulator held in memory: a tier that keeps its tile
 /// here fills the `MR x NR` prefix.
-type Tile = [[f32; NR_MAX]; MR_MAX];
+type Tile = [[f32; TILE_NR]; MR_MAX];
 /// K-dimension block: sized to cover every predictor shape in one block so
 /// accumulation order matches the naive kernel exactly at those sizes.
 pub(crate) const KC: usize = 512;
@@ -234,6 +237,9 @@ pub enum SimdTier {
     Scalar,
     /// x86_64 AVX2 + FMA 6x16 tile (`_mm256_fmadd_ps`).
     Avx2Fma,
+    /// x86_64 AVX-512F 8x32 tile (`_mm512_fmadd_ps`); every other kernel
+    /// (attention, `math::map`, the tiny-product loop) runs the AVX2 code.
+    Avx512F,
     /// aarch64 NEON 4x8 tile (`vfmaq_f32`).
     Neon,
 }
@@ -244,6 +250,7 @@ impl SimdTier {
         match self {
             SimdTier::Scalar => ScalarK::MR,
             SimdTier::Avx2Fma => 6,
+            SimdTier::Avx512F => 8,
             SimdTier::Neon => 4,
         }
     }
@@ -253,6 +260,7 @@ impl SimdTier {
         match self {
             SimdTier::Scalar => "scalar",
             SimdTier::Avx2Fma => "avx2+fma",
+            SimdTier::Avx512F => "avx512f",
             SimdTier::Neon => "neon",
         }
     }
@@ -276,7 +284,8 @@ pub fn active_tier() -> SimdTier {
     })
 }
 
-/// Name of the active kernel tier (`scalar` / `avx2+fma` / `neon`).
+/// Name of the active kernel tier (`scalar` / `avx2+fma` / `avx512f` /
+/// `neon`).
 pub fn kernel_tier_name() -> &'static str {
     active_tier().name()
 }
@@ -291,6 +300,9 @@ pub fn supported_tiers() -> Vec<SimdTier> {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
         tiers.push(SimdTier::Avx2Fma);
+        if std::is_x86_feature_detected!("avx512f") {
+            tiers.push(SimdTier::Avx512F);
+        }
     }
     #[cfg(target_arch = "aarch64")]
     if std::arch::is_aarch64_feature_detected!("neon") {
@@ -593,6 +605,9 @@ fn gemm_naive(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier was selected by runtime feature detection.
         SimdTier::Avx2Fma => unsafe { Avx2K::naive(m, n, k, a, b, c, acc, ep) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        SimdTier::Avx512F => unsafe { Avx512K::naive(m, n, k, a, b, c, acc, ep) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
         SimdTier::Neon => unsafe { NeonK::naive(m, n, k, a, b, c, acc, ep) },
@@ -618,6 +633,9 @@ fn gemm_blocked_tier(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier was selected by runtime feature detection.
         SimdTier::Avx2Fma => unsafe { gemm_blocked_t::<Avx2K>(m, n, k, a, b, c, acc, ep) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        SimdTier::Avx512F => unsafe { gemm_blocked_t::<Avx512K>(m, n, k, a, b, c, acc, ep) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
         SimdTier::Neon => unsafe { gemm_blocked_t::<NeonK>(m, n, k, a, b, c, acc, ep) },
@@ -845,6 +863,8 @@ impl PackedB {
             match tier {
                 #[cfg(target_arch = "x86_64")]
                 SimdTier::Avx2Fma => pack_b::<Avx2K>(view, pc, kc, 0, n, &mut buf),
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Avx512F => pack_b::<Avx512K>(view, pc, kc, 0, n, &mut buf),
                 #[cfg(target_arch = "aarch64")]
                 SimdTier::Neon => pack_b::<NeonK>(view, pc, kc, 0, n, &mut buf),
                 _ => pack_b::<ScalarK>(view, pc, kc, 0, n, &mut buf),
@@ -901,6 +921,9 @@ pub(crate) fn gemm_prepacked_impl(m: usize, a: &[f32], pb: &PackedB, c: &mut [f3
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the packing's tier was selected by runtime detection.
         SimdTier::Avx2Fma => unsafe { gemm_prepacked_t::<Avx2K>(m, a, pb, c, ep) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        SimdTier::Avx512F => unsafe { gemm_prepacked_t::<Avx512K>(m, a, pb, c, ep) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
         SimdTier::Neon => unsafe { gemm_prepacked_t::<NeonK>(m, a, pb, c, ep) },
@@ -1095,6 +1118,7 @@ fn tier_nr(tier: SimdTier) -> usize {
     match tier {
         SimdTier::Scalar => 8,
         SimdTier::Avx2Fma => 16,
+        SimdTier::Avx512F => 32,
         SimdTier::Neon => 8,
     }
 }
@@ -1144,6 +1168,9 @@ pub(crate) fn gemm_prepacked_quant_impl(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the packing's tier was selected by runtime detection.
         SimdTier::Avx2Fma => unsafe { gemm_prepacked_quant_t::<Avx2K>(m, a, qb, c, ep) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        SimdTier::Avx512F => unsafe { gemm_prepacked_quant_t::<Avx512K>(m, a, qb, c, ep) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
         SimdTier::Neon => unsafe { gemm_prepacked_quant_t::<NeonK>(m, a, qb, c, ep) },
@@ -1351,7 +1378,7 @@ impl Micro for ScalarK {
 
     #[inline(always)]
     unsafe fn tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Tile {
-        let mut acc = [[0.0f32; NR_MAX]; MR_MAX];
+        let mut acc = [[0.0f32; TILE_NR]; MR_MAX];
         for p in 0..kc {
             let av = &astrip[p * lda..p * lda + Self::MR];
             let bv = &bslab[p * Self::NR..(p + 1) * Self::NR];
@@ -1366,7 +1393,7 @@ impl Micro for ScalarK {
 
     #[inline(always)]
     unsafe fn tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Tile {
-        let mut acc = [[0.0f32; NR_MAX]; MR_MAX];
+        let mut acc = [[0.0f32; TILE_NR]; MR_MAX];
         for p in 0..kc {
             let bv = &bslab[p * Self::NR..(p + 1) * Self::NR];
             for (accrow, arow) in acc.iter_mut().zip(ar).take(Self::MR) {
@@ -1462,7 +1489,7 @@ impl Micro for Avx2K {
     #[inline]
     unsafe fn dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f32]) {
         // SAFETY: caller guarantees AVX2+FMA and slice lengths.
-        unsafe { avx2_dequant_i8(kc, bslab, scales, dst) }
+        unsafe { avx2_dequant_i8::<16>(kc, bslab, scales, dst) }
     }
 
     #[inline]
@@ -1658,33 +1685,43 @@ unsafe fn avx2_write_back_halves(
     }
 }
 
-/// [`Micro::dequant_i8`] on AVX2: 16 bytes a row, sign-extended to two
-/// epi32 octets, converted exactly, then one `_mm256_mul_ps` by the column
-/// scales (the scalar tier's correctly-rounded multiply).
+/// [`Micro::dequant_i8`] on AVX2 for a slab `NR` (a multiple of 16)
+/// wide: 16 bytes at a time, sign-extended to two epi32 octets, converted
+/// exactly, then one `_mm256_mul_ps` by the column scales (the scalar
+/// tier's correctly-rounded multiply).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn avx2_dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f32]) {
+unsafe fn avx2_dequant_i8<const NR: usize>(
+    kc: usize,
+    bslab: &[i8],
+    scales: &[f32],
+    dst: &mut [f32],
+) {
     use std::arch::x86_64::*;
-    debug_assert!(bslab.len() >= kc * Avx2K::NR);
-    debug_assert!(dst.len() >= kc * Avx2K::NR);
-    debug_assert!(scales.len() >= Avx2K::NR);
+    debug_assert!(NR.is_multiple_of(16));
+    debug_assert!(bslab.len() >= kc * NR);
+    debug_assert!(dst.len() >= kc * NR);
+    debug_assert!(scales.len() >= NR);
     let bp = bslab.as_ptr();
     let dp = dst.as_mut_ptr();
-    // SAFETY: `scales` holds at least NR = 16 elements.
-    let (s0, s1) = unsafe {
-        (
-            _mm256_loadu_ps(scales.as_ptr()),
-            _mm256_loadu_ps(scales.as_ptr().add(8)),
-        )
-    };
-    for p in 0..kc {
-        // SAFETY: in-bounds per the slab/scratch contract.
-        unsafe {
-            let raw = _mm_loadu_si128(bp.add(p * 16) as *const __m128i);
-            let lo = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-            let hi = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128::<8>(raw)));
-            _mm256_storeu_ps(dp.add(p * 16), _mm256_mul_ps(lo, s0));
-            _mm256_storeu_ps(dp.add(p * 16 + 8), _mm256_mul_ps(hi, s1));
+    for j in (0..NR).step_by(16) {
+        // SAFETY: `scales` holds at least NR elements.
+        let (s0, s1) = unsafe {
+            (
+                _mm256_loadu_ps(scales.as_ptr().add(j)),
+                _mm256_loadu_ps(scales.as_ptr().add(j + 8)),
+            )
+        };
+        for p in 0..kc {
+            // SAFETY: in-bounds per the slab/scratch contract.
+            unsafe {
+                let at = p * NR + j;
+                let raw = _mm_loadu_si128(bp.add(at) as *const __m128i);
+                let lo = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
+                let hi = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128::<8>(raw)));
+                _mm256_storeu_ps(dp.add(at), _mm256_mul_ps(lo, s0));
+                _mm256_storeu_ps(dp.add(at + 8), _mm256_mul_ps(hi, s1));
+            }
         }
     }
 }
@@ -1761,6 +1798,324 @@ unsafe fn avx2_naive(
     ep: Epilogue,
 ) {
     naive_body(m, n, k, a, b, c, acc, ep)
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512F tier (x86_64).
+// ---------------------------------------------------------------------------
+
+/// x86_64 tier: an explicit 8x32 register tile (16 `zmm` accumulators, two
+/// B vectors and one broadcast in flight, of the 32 `zmm` registers) built
+/// from `_mm512_fmadd_ps`. Per element the operation sequence is identical
+/// to [`ScalarK`]'s: one fused multiply-add per `k` step, ascending `k`.
+/// Everything that is not the tile — the tiny-product loop, the i8
+/// dequantization, the transcendental write-back — runs the AVX2 tier's
+/// code, which the CPU supports too (detection requires it).
+#[cfg(target_arch = "x86_64")]
+struct Avx512K;
+
+/// The AVX-512 tile's accumulators: row `r`'s columns `0..16` and `16..32`.
+#[cfg(target_arch = "x86_64")]
+type Avx512Acc = [[std::arch::x86_64::__m512; 2]; Avx512K::MR];
+
+#[cfg(target_arch = "x86_64")]
+impl TileAcc for Avx512Acc {
+    #[inline]
+    unsafe fn write_back(
+        &self,
+        mr: usize,
+        nr: usize,
+        c: &mut [f32],
+        ldc: usize,
+        j0: usize,
+        store: bool,
+        ep: Epilogue,
+    ) {
+        // SAFETY: caller guarantees AVX-512F, AVX2 and FMA.
+        unsafe { avx512_write_back(self, mr, nr, c, ldc, j0, store, ep) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Micro for Avx512K {
+    const MR: usize = 8;
+    const NR: usize = 32;
+    type Acc = Avx512Acc;
+
+    #[inline]
+    unsafe fn tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Avx512Acc {
+        // SAFETY: caller guarantees AVX-512F and panel sizes.
+        unsafe { avx512_tile(kc, astrip, lda, bslab) }
+    }
+
+    #[inline]
+    unsafe fn tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Avx512Acc {
+        // SAFETY: caller guarantees AVX-512F and slice lengths.
+        unsafe { avx512_tile_direct(kc, ar, bslab) }
+    }
+
+    #[inline]
+    unsafe fn naive(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: MatRef,
+        b: MatRef,
+        c: &mut [f32],
+        acc: bool,
+        ep: Epilogue,
+    ) {
+        // SAFETY: caller guarantees AVX2+FMA (detection requires both).
+        unsafe { avx2_naive(m, n, k, a, b, c, acc, ep) }
+    }
+
+    #[inline]
+    unsafe fn dequant_i8(kc: usize, bslab: &[i8], scales: &[f32], dst: &mut [f32]) {
+        // SAFETY: caller guarantees AVX2+FMA and slice lengths.
+        unsafe { avx2_dequant_i8::<32>(kc, bslab, scales, dst) }
+    }
+
+    #[inline]
+    unsafe fn macro_kernel(
+        mc: usize,
+        nc: usize,
+        kc: usize,
+        a: APanel,
+        bpack: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        store: bool,
+        ep: Epilogue,
+    ) {
+        // SAFETY: caller guarantees AVX-512F, AVX2, FMA and panel sizes.
+        unsafe { avx512_macro_kernel(mc, nc, kc, a, bpack, c, ldc, store, ep) }
+    }
+}
+
+/// [`macro_body`] compiled with AVX-512F enabled: the tile and
+/// [`avx512_write_back`] inline into the tile loop, so the accumulators go
+/// from the last `k` step to `C` without leaving their registers.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn avx512_macro_kernel(
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    a: APanel,
+    bpack: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    store: bool,
+    ep: Epilogue,
+) {
+    // SAFETY: forwarded contract.
+    unsafe { macro_body::<Avx512K>(mc, nc, kc, a, bpack, c, ldc, store, ep) }
+}
+
+/// [`TileAcc::write_back`] straight from the accumulators, as
+/// [`avx2_write_back`] does with sixteen lanes: every full 16-column half
+/// finishes in its `zmm` ([`avx512_finish`]). A full-width tile runs as
+/// straight-line code; a ragged one goes to [`avx512_write_back_halves`].
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn avx512_write_back(
+    acc: &Avx512Acc,
+    mr: usize,
+    nr: usize,
+    c: &mut [f32],
+    ldc: usize,
+    j0: usize,
+    store: bool,
+    ep: Epilogue,
+) {
+    use std::arch::x86_64::*;
+    if nr != Avx512K::NR {
+        // SAFETY: forwarded contract.
+        return unsafe { avx512_write_back_halves(*acc, mr, nr, c, ldc, j0, store, ep) };
+    }
+    assert!((1..=Avx512K::MR).contains(&mr) && c.len() >= (mr - 1) * ldc + Avx512K::NR);
+    let scale = ep.scale.map(|s| _mm512_set1_ps(s));
+    // SAFETY: the loads read a bounds-checked 32-element slice.
+    let bias = ep.bias.map(|b| {
+        let b = &b[j0..j0 + Avx512K::NR];
+        unsafe {
+            [
+                _mm512_loadu_ps(b.as_ptr()),
+                _mm512_loadu_ps(b[16..].as_ptr()),
+            ]
+        }
+    });
+    for (r, accr) in acc.iter().enumerate() {
+        if r == mr {
+            break;
+        }
+        for (h, &v) in accr.iter().enumerate() {
+            // SAFETY: row `r < mr`, columns `16h..16h + 16 <= NR`: inside
+            // `c` per the assert above.
+            unsafe {
+                let cp = c.as_mut_ptr().add(r * ldc + 16 * h);
+                let cv = (!store).then(|| _mm512_loadu_ps(cp));
+                let v = avx512_finish(v, cv, scale, bias.map(|b| b[h]), ep.act);
+                _mm512_storeu_ps(cp, v);
+            }
+        }
+    }
+}
+
+/// One `zmm` of a finished tile, given the 16 `C` values it accumulates
+/// onto (`cv`, when not storing): [`avx2_finish`]'s operations in its
+/// order, sixteen lanes at a time (`_mm512_max_ps` has `_mm256_max_ps`'s
+/// NaN and `-0.0` rule). `Tanh` / `Sigmoid` run [`avx2_transcendental`] on
+/// each eight-lane half.
+///
+/// # Safety
+///
+/// AVX-512F, AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn avx512_finish(
+    mut v: std::arch::x86_64::__m512,
+    cv: Option<std::arch::x86_64::__m512>,
+    scale: Option<std::arch::x86_64::__m512>,
+    bias: Option<std::arch::x86_64::__m512>,
+    act: Activation,
+) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    if let Some(cv) = cv {
+        v = _mm512_add_ps(cv, v);
+    }
+    if let Some(s) = scale {
+        v = _mm512_mul_ps(v, s);
+    }
+    if let Some(b) = bias {
+        v = _mm512_add_ps(v, b);
+    }
+    match act {
+        Activation::Identity => v,
+        Activation::Relu => _mm512_max_ps(v, _mm512_setzero_ps()),
+        // SAFETY: AVX2+FMA, per this function's own target features.
+        _ => unsafe { avx512_transcendental(v, act) },
+    }
+}
+
+/// `Tanh` / `Sigmoid` of one `zmm`: [`avx2_transcendental`] on its low and
+/// high eight lanes. Out of line, as on AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn avx512_transcendental(
+    v: std::arch::x86_64::__m512,
+    act: Activation,
+) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    let lo = _mm512_castps512_ps256(v);
+    let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+    // SAFETY: AVX2+FMA, per this function's own target features.
+    let (lo, hi) = unsafe { (avx2_transcendental(lo, act), avx2_transcendental(hi, act)) };
+    let lo = _mm512_castpd256_pd512(_mm256_castps_pd(lo));
+    _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
+}
+
+/// The ragged-`nr` rest of [`avx512_write_back`], half by half. A full
+/// half finishes in its register as there; a ragged half (`nr % 16`
+/// columns) does too, its `C` and bias lanes read and its result written
+/// under a lane mask, so no lane past `nr` is touched.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn avx512_write_back_halves(
+    acc: Avx512Acc,
+    mr: usize,
+    nr: usize,
+    c: &mut [f32],
+    ldc: usize,
+    j0: usize,
+    store: bool,
+    ep: Epilogue,
+) {
+    use std::arch::x86_64::*;
+    let scale = ep.scale.map(|s| _mm512_set1_ps(s));
+    for (h, j) in (0..nr).step_by(16).enumerate() {
+        let lanes = 16.min(nr - j);
+        let mask: __mmask16 = ((1u32 << lanes) - 1) as __mmask16;
+        // SAFETY: the masked load reads the `lanes` elements of a
+        // bounds-checked slice.
+        let bias = ep
+            .bias
+            .map(|b| unsafe { _mm512_maskz_loadu_ps(mask, b[j0 + j..j0 + j + lanes].as_ptr()) });
+        for (r, accr) in acc.iter().take(mr).enumerate() {
+            let cv = &mut c[r * ldc + j..r * ldc + j + lanes];
+            // SAFETY: the masked load and store touch the `lanes` elements
+            // of the bounds-checked slice `cv`.
+            unsafe {
+                let cp = cv.as_mut_ptr();
+                let old = (!store).then(|| _mm512_maskz_loadu_ps(mask, cp));
+                let v = avx512_finish(accr[h], old, scale, bias, ep.act);
+                _mm512_mask_storeu_ps(cp, mask, v);
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn avx512_tile(kc: usize, astrip: &[f32], lda: usize, bslab: &[f32]) -> Avx512Acc {
+    use std::arch::x86_64::*;
+    debug_assert!(kc == 0 || astrip.len() >= (kc - 1) * lda + Avx512K::MR);
+    debug_assert!(bslab.len() >= kc * Avx512K::NR);
+    let mut acc = [[_mm512_setzero_ps(); 2]; Avx512K::MR];
+    let ap = astrip.as_ptr();
+    let bp = bslab.as_ptr();
+    for p in 0..kc {
+        // SAFETY: in-bounds per the panel-size contract.
+        let (b0, b1) = unsafe {
+            (
+                _mm512_loadu_ps(bp.add(p * 32)),
+                _mm512_loadu_ps(bp.add(p * 32 + 16)),
+            )
+        };
+        for (r, accr) in acc.iter_mut().enumerate() {
+            // SAFETY: in-bounds per the panel-size contract.
+            let a = unsafe { _mm512_set1_ps(*ap.add(p * lda + r)) };
+            accr[0] = _mm512_fmadd_ps(a, b0, accr[0]);
+            accr[1] = _mm512_fmadd_ps(a, b1, accr[1]);
+        }
+    }
+    acc
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn avx512_tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> Avx512Acc {
+    use std::arch::x86_64::*;
+    debug_assert!(bslab.len() >= kc * Avx512K::NR);
+    debug_assert!(ar.iter().take(Avx512K::MR).all(|r| r.len() >= kc));
+    let mut acc = [[_mm512_setzero_ps(); 2]; Avx512K::MR];
+    let bp = bslab.as_ptr();
+    let aptr: [*const f32; Avx512K::MR] = std::array::from_fn(|r| ar[r].as_ptr());
+    for p in 0..kc {
+        // SAFETY: in-bounds per the slice-length contract.
+        let (b0, b1) = unsafe {
+            (
+                _mm512_loadu_ps(bp.add(p * 32)),
+                _mm512_loadu_ps(bp.add(p * 32 + 16)),
+            )
+        };
+        for (accr, &apr) in acc.iter_mut().zip(&aptr) {
+            // SAFETY: each row holds at least `kc` elements.
+            let a = unsafe { _mm512_set1_ps(*apr.add(p)) };
+            accr[0] = _mm512_fmadd_ps(a, b0, accr[0]);
+            accr[1] = _mm512_fmadd_ps(a, b1, accr[1]);
+        }
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -1890,9 +2245,9 @@ unsafe fn neon_tile_direct(kc: usize, ar: &[&[f32]; MR_MAX], bslab: &[f32]) -> T
 #[target_feature(enable = "neon")]
 unsafe fn neon_spill(acc: &[[std::arch::aarch64::float32x4_t; 2]; 4]) -> Tile {
     use std::arch::aarch64::*;
-    let mut out = [[0.0f32; NR_MAX]; MR_MAX];
+    let mut out = [[0.0f32; TILE_NR]; MR_MAX];
     for (r, accr) in acc.iter().enumerate() {
-        // SAFETY: each Tile row holds NR_MAX = 16 f32, more than two q regs.
+        // SAFETY: each Tile row holds TILE_NR = 16 f32, more than two q regs.
         unsafe {
             vst1q_f32(out[r].as_mut_ptr(), accr[0]);
             vst1q_f32(out[r].as_mut_ptr().add(4), accr[1]);

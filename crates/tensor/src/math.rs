@@ -312,7 +312,7 @@ pub fn map_with_tier(tier: SimdTier, f: Func, x: Option<&[f32]>, out: &mut [f32]
     match tier {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier was selected by runtime feature detection.
-        SimdTier::Avx2Fma => unsafe { avx2::map(f, x, out) },
+        SimdTier::Avx2Fma | SimdTier::Avx512F => unsafe { avx2::map(f, x, out) },
         _ => match x {
             Some(x) => out.iter_mut().zip(x).for_each(|(o, &v)| *o = f.eval(v)),
             None => out.iter_mut().for_each(|o| *o = f.eval(*o)),
