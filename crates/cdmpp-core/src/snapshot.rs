@@ -908,11 +908,8 @@ impl Snapshot {
                 continue;
             }
             let numel: usize = meta.shape.iter().product();
-            let data: Vec<f32> = blob[at..at + numel * 4]
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
-                .collect();
-            if let Some(index) = data.iter().position(|v| !v.is_finite()) {
+            let data = le_f32s(&blob[at..at + numel * 4]);
+            if let Some(index) = first_non_finite(&data) {
                 return Err(SnapshotError::NonFinite {
                     name: meta.name,
                     index,
@@ -1093,6 +1090,15 @@ fn port_fault(
         let got: Vec<usize> = got.collect();
         format!("{what} has shape {got:?} at B={b}, this model needs {want:?}")
     })
+}
+
+/// Little-endian `f32` words (`bytes.len()` a multiple of 4) as values: a
+/// fixed-width word per element with no per-element check, which the
+/// compiler vectorizes (on a little-endian target, a copy).
+fn le_f32s(bytes: &[u8]) -> Vec<f32> {
+    let (words, rest) = bytes.as_chunks::<4>();
+    debug_assert!(rest.is_empty());
+    words.iter().map(|&w| f32::from_le_bytes(w)).collect()
 }
 
 /// The index of `v`'s first NaN or infinity, if it has one. The common,
