@@ -2,9 +2,14 @@
 //! and V100), CDMPP vs Habitat against the measured replay.
 //!
 //! Paper: CDMPP 15.72% average error vs Habitat 28.01%.
+//!
+//! The claim check compares the two averages; the rows go to
+//! `BENCH_fig12.json` at the workspace root. A FAIL is a non-replication
+//! at that scale, reported as such (README, "Accuracy").
 
 use baselines::{HabitatModel, MlpRegConfig};
-use bench::{pct, print_header, print_row, standard_dataset, train_cdmpp};
+use bench::cross::write_rows;
+use bench::{claim_check, pct, print_header, print_row, standard_dataset, train_cdmpp};
 use cdmpp_core::replayer::{build_dfg, engine_count, replay};
 use cdmpp_core::{finetune, sample_network_programs, FineTuneConfig};
 use dataset::SplitIndices;
@@ -43,6 +48,7 @@ fn main() {
     let mut csum = 0.0;
     let mut hsum = 0.0;
     let mut n = 0.0;
+    let mut json_rows = Vec::new();
     for target in ["P100", "V100"] {
         let tgt_dev = devsim::device_by_name(target).expect("known");
         let sources: Vec<&str> = ["T4", "K80", "P100", "V100", "A100"]
@@ -104,15 +110,39 @@ fn main() {
             csum += ce;
             hsum += he;
             n += 1.0;
+            json_rows.push(format!(
+                "{{\"target\": \"{target}\", \"network\": \"{name}\", \"cdmpp_err\": {ce:.6}, \
+                 \"habitat_err\": {he:.6}, \"holds\": {}}}",
+                ce < he
+            ));
             print_row(
                 &[target.to_string(), name.to_string(), pct(ce), pct(he)],
                 &widths,
             );
         }
     }
+    let (cavg, havg) = (csum / n, hsum / n);
     println!(
         "\naverage: CDMPP {} vs Habitat {} (paper: 15.72% vs 28.01%)",
-        pct(csum / n),
-        pct(hsum / n)
+        pct(cavg),
+        pct(havg)
+    );
+    let claim = "CDMPP average e2e error < Habitat's";
+    let detail = format!("CDMPP {} vs Habitat {}", pct(cavg), pct(havg));
+    claim_check(claim, cavg < havg, &detail);
+    write_rows(
+        "fig12",
+        &format!(
+            "CDMPP against Habitat. Per target (P100, V100), CDMPP is pre-trained on the \
+             other GPUs and fine-tuned for 200 steps on 400 target records; Habitat's MLP is \
+             trained on the first source and roofline-scaled to the target. Each network's \
+             end-to-end latency is replayed with each model's per-task predictions and \
+             compared with the replay of the simulator's latencies. Row holds = CDMPP's \
+             relative error < Habitat's; holds = the average over rows is lower for CDMPP \
+             ({detail})."
+        ),
+        claim,
+        cavg < havg,
+        &json_rows,
     );
 }

@@ -26,15 +26,20 @@
 //! finishes each tile through one trait method, `TileAcc::write_back`.
 //! Each tier names the form its accumulators take (`Micro::Acc`) and
 //! compiles the loop under its own target features (`Micro::macro_kernel`,
-//! a `#[target_feature]` trampoline on AVX2), so the micro-kernel and its
-//! write-back inline into one function. The scalar and NEON tiers hold a
-//! stack [`Tile`], whose write-back is the per-element definition (`C`
-//! update, then `Epilogue::apply`). The AVX2
+//! a `#[target_feature]` trampoline on AVX2 and AVX-512), so the
+//! micro-kernel and its write-back inline into one function. The scalar
+//! and NEON tiers hold a stack [`Tile`], whose write-back is the
+//! per-element definition (`C` update, then `Epilogue::apply`). The AVX2
 //! tier writes every full 8-column half straight from its `ymm`
 //! accumulators, doing the definition's per-lane operations in registers
 //! for every epilogue (`Tanh` / `Sigmoid` through [`crate::math`]'s
 //! eight-lane forms), so a fused bias costs what a plain store does; only a
-//! ragged `n % 8` half spills to the stack and takes the definition.
+//! ragged `n % 8` half spills to the stack and takes the definition. The
+//! AVX-512 tier does the same sixteen lanes at a time from its `zmm`
+//! accumulators (`Tanh` / `Sigmoid` through the eight-lane forms on each
+//! half of a register), and finishes a ragged `n % 16` half in its
+//! register too, its `C` and bias lanes read and its result stored under
+//! a lane mask.
 //! Quantized prepacked panels have no kernel of their own: each k-block is
 //! expanded to f32 (`Micro::dequant_*`) and runs the same body.
 //!
@@ -48,18 +53,26 @@
 //!   *and* the bit-identity oracle the SIMD tiers are tested against.
 //! * **`avx2+fma`** (x86_64, via `is_x86_feature_detected!`) — an explicit
 //!   `std::arch` 6x16 tile built from `_mm256_fmadd_ps`.
+//! * **`avx512f`** (x86_64 with `avx512f`, `avx2` and `fma`) — an 8x32
+//!   tile of 16 `zmm` accumulators built from `_mm512_fmadd_ps`, chosen
+//!   over `avx2+fma` where the CPU has it. Only the tile and its
+//!   write-back are 512 bits wide: the tiny-product loop, the i8
+//!   dequantization, attention, softmax, [`crate::math::map`] and `nn`'s
+//!   Adam lanes run the AVX2 tier's code on it.
 //! * **`neon`** (aarch64) — an explicit 4x8 tile built from `vfmaq_f32`.
 //!
 //! Setting `CDMPP_SIMD=scalar` in the environment forces the scalar tier
 //! (read once, at first kernel use; any other value panics). Every tier
 //! performs the **same fused multiply-add per element in the same order**:
 //! one accumulator per output element, ascending-`k` within a `KC` block,
-//! reassociated only at `KC` boundaries. A fused multiply-add is a single correctly-rounded IEEE
-//! operation, so `f32::mul_add`, `_mm256_fmadd_ps` and `vfmaq_f32` agree
-//! bit-for-bit — which is what keeps every executor in `nn` bitwise
+//! reassociated only at `KC` boundaries. A fused multiply-add is a single
+//! correctly-rounded IEEE operation, so `f32::mul_add`, `_mm256_fmadd_ps`,
+//! `_mm512_fmadd_ps` and `vfmaq_f32` agree bit-for-bit — which is what keeps every executor in `nn` bitwise
 //! identical with SIMD on or off. Tile *shape* (`MR x NR`) is a
 //! kernel-selected constant and never affects results: it only changes
 //! which elements are produced together, not any element's own sum.
+//! [`supported_tiers`] lists every tier the CPU can run, and the
+//! bit-identity suites hold each one to the scalar oracle.
 //!
 //! Transposed operands are strided [`MatRef`] views — there is no
 //! materialized transpose anywhere: a transposed `B` is packed with
