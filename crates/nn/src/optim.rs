@@ -150,9 +150,9 @@ impl Optimizer for Adam {
     /// `u = (m/bc₁) / (sqrt(v/bc₂) + ε)`, `p -= wd·lr·p`, `p += -lr·u` —
     /// every product and sum rounded where the nine full-tensor passes
     /// this replaces rounded it, so the update is bit-identical to them.
-    /// On the AVX2 and AVX-512 tiers the pass runs eight elements wide, each multiply,
-    /// add, square root and division its own IEEE operation; every tier
-    /// returns the scalar pass's bits.
+    /// On the AVX2 and AVX-512 tiers the pass runs eight elements wide,
+    /// each multiply, add, square root and division its own IEEE
+    /// operation; every tier returns the scalar pass's bits.
     fn step(&mut self, store: &mut ParamStore) {
         self.step_on(tensor::active_tier(), store);
     }

@@ -67,8 +67,9 @@
 //! one accumulator per output element, ascending-`k` within a `KC` block,
 //! reassociated only at `KC` boundaries. A fused multiply-add is a single
 //! correctly-rounded IEEE operation, so `f32::mul_add`, `_mm256_fmadd_ps`,
-//! `_mm512_fmadd_ps` and `vfmaq_f32` agree bit-for-bit — which is what keeps every executor in `nn` bitwise
-//! identical with SIMD on or off. Tile *shape* (`MR x NR`) is a
+//! `_mm512_fmadd_ps` and `vfmaq_f32` agree bit-for-bit — which is what
+//! keeps every executor in `nn` bitwise identical with SIMD on or off.
+//! Tile *shape* (`MR x NR`) is a
 //! kernel-selected constant and never affects results: it only changes
 //! which elements are produced together, not any element's own sum.
 //! [`supported_tiers`] lists every tier the CPU can run, and the
