@@ -111,14 +111,7 @@ pub(crate) fn layer_norm_fwd(
             rhs: gamma.shape().to_vec(),
         });
     }
-    let mut out = x.data().to_vec();
-    for chunk in out.chunks_mut(d) {
-        let mean: f32 = chunk.iter().sum::<f32>() / d as f32;
-        let var: f32 = chunk.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let inv = 1.0 / (var + eps).sqrt();
-        for (j, v) in chunk.iter_mut().enumerate() {
-            *v = (*v - mean) * inv * gamma.data()[j] + beta.data()[j];
-        }
-    }
+    let mut out = vec![0.0; x.numel()];
+    tensor::layer_norm_rows(Some(x.data()), &mut out, gamma.data(), beta.data(), d, eps);
     Tensor::from_vec(out, x.shape())
 }

@@ -328,9 +328,9 @@ impl<'r> RunCtx<'r> {
             } => {
                 self.assert_disjoint([*gamma, *beta], out);
                 let o = self.out(out);
-                map_into(o, self.read_unless_out(*x, out), &[]);
                 let (gv, bv) = (self.read(*gamma), self.read(*beta));
-                layer_norm_rows(o, gv, bv, d.at(self.b), *eps);
+                let xs = self.read_unless_out(*x, out);
+                layer_norm_rows(xs, o, gv, bv, d.at(self.b), *eps);
             }
             StepKind::Map { x, ops, .. } => {
                 map_into(self.out(out), self.read_unless_out(*x, out), ops);
@@ -479,79 +479,4 @@ pub(super) fn row_op_into(
         }
     }
     map_into(o, None, ops);
-}
-
-/// Where `Iterator::sum` starts an `f32` sum (`-0.0`): a row sum kept in
-/// a hand-interleaved accumulator starts here, so it takes exactly the
-/// steps `iter().sum()` takes — the tape's definition — down to the sign
-/// of an all-zero row's sum.
-#[inline(always)]
-pub(crate) fn sum_start() -> f32 {
-    std::iter::empty::<f32>().sum()
-}
-
-/// Rows [`layer_norm_rows`] and the training step's layer-norm backward
-/// advance together: rows are independent, so interleaving them runs that
-/// many accumulation chains side by side without changing any row's own
-/// operation order.
-pub(crate) const NORM_ROWS: usize = 8;
-
-/// `rows` split into `R` disjoint rows of width `d` (`rows` holds exactly
-/// `R * d`).
-#[inline(always)]
-pub(crate) fn split_rows<const R: usize>(rows: &mut [f32], d: usize) -> [&mut [f32]; R] {
-    let mut it = rows.chunks_exact_mut(d);
-    std::array::from_fn(|_| it.next().expect("R rows of width d"))
-}
-
-/// Row-wise layer norm, [`NORM_ROWS`] rows at a time, then four, then one.
-///
-/// The mean and variance sums are serial dependency chains per row (the
-/// f32 accumulation order is part of the bit-identity contract, so they
-/// cannot be vectorized within a row) — but rows are independent, so
-/// interleaving them runs one chain per row in parallel without changing
-/// any row's operation order (`R = 1` is the per-row definition; the tape
-/// computes the same sequence).
-pub(super) fn layer_norm_rows(o: &mut [f32], gv: &[f32], bv: &[f32], d: usize, eps: f32) {
-    #[inline(always)]
-    fn rows<'o, const R: usize>(
-        o: &'o mut [f32],
-        gv: &[f32],
-        bv: &[f32],
-        d: usize,
-        eps: f32,
-    ) -> &'o mut [f32] {
-        let (gv, bv) = (&gv[..d], &bv[..d]);
-        let mut blocks = o.chunks_exact_mut(R * d);
-        for block in blocks.by_ref() {
-            let mut r = split_rows::<R>(block, d);
-            let mut s = [sum_start(); R];
-            for p in 0..d {
-                for (s, row) in s.iter_mut().zip(&r) {
-                    *s += row[p];
-                }
-            }
-            let mean = s.map(|x| x / d as f32);
-            let mut vs = [sum_start(); R];
-            for p in 0..d {
-                for ((v, row), &m) in vs.iter_mut().zip(&r).zip(&mean) {
-                    *v += (row[p] - m) * (row[p] - m);
-                }
-            }
-            let inv = vs.map(|v| 1.0 / (v / d as f32 + eps).sqrt());
-            // Element-wise: a row at a time, so the loop runs across `j`.
-            for ((row, &m), &i) in r.iter_mut().zip(&mean).zip(&inv) {
-                for ((v, &g), &b) in row.iter_mut().zip(gv).zip(bv) {
-                    *v = (*v - m) * i * g + b;
-                }
-            }
-        }
-        blocks.into_remainder()
-    }
-    if d == 0 {
-        return;
-    }
-    let rest = rows::<NORM_ROWS>(o, gv, bv, d, eps);
-    let rest = rows::<4>(rest, gv, bv, d, eps);
-    rows::<1>(rest, gv, bv, d, eps);
 }

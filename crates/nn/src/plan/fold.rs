@@ -1,6 +1,6 @@
 //! Batch-specialized plans: a [`Plan`] constant-folded for one batch size.
 
-use super::exec::{layer_norm_rows, map_into, row_op_into, zip_into};
+use super::exec::{map_into, row_op_into, zip_into};
 use super::*;
 
 /// A [`Plan`] constant-folded for **one fixed batch size**.
@@ -1332,9 +1332,8 @@ impl<'r> SpecRun<'r> {
                 eps,
                 d,
             } => {
-                map_into(o, x.map(|s| self.read(s, step.out_len)), &[]);
                 let (gv, bv) = (self.read(*gamma, *d), self.read(*beta, *d));
-                layer_norm_rows(o, gv, bv, *d, *eps);
+                layer_norm_rows(x.map(|s| self.read(s, step.out_len)), o, gv, bv, *d, *eps);
             }
             SOp::Map { x, ops } => map_into(o, x.map(|s| self.read(s, step.out_len)), ops),
             SOp::Zip { a, b, kind, ops } => {

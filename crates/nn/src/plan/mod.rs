@@ -54,7 +54,9 @@ use crate::kernels;
 use crate::memory::{assign_slots, Def, Slots};
 use crate::tape::{ParamId, ParamStore, Var};
 use tensor::math::{self, Func};
-use tensor::{softmax_rows, Activation, Result as TensorResult, Tensor, TensorError};
+use tensor::{
+    layer_norm_rows, softmax_rows, Activation, Result as TensorResult, Tensor, TensorError,
+};
 
 pub mod desc;
 mod exec;
@@ -65,7 +67,7 @@ mod record;
 mod tests;
 
 pub use exec::PlanExec;
-pub(crate) use exec::{infer_batch, split_rows, sum_start, RunCtx, NORM_ROWS};
+pub(crate) use exec::{infer_batch, RunCtx};
 pub(crate) use fold::TrainAttention;
 pub use fold::{SpecializedPlan, WeightPackCache};
 pub use record::Recorder;

@@ -1014,34 +1014,18 @@ fn layer_norm_bwd(
     g: &Tensor,
 ) -> Result<(Tensor, Tensor, Tensor)> {
     let d = *x.shape().last().expect("non-empty");
-    let rows = x.numel() / d;
-    let mut gx = vec![0.0f32; x.numel()];
+    let mut gx = g.data().to_vec();
     let mut ggamma = vec![0.0f32; d];
     let mut gbeta = vec![0.0f32; d];
-    for r in 0..rows {
-        let xrow = &x.data()[r * d..(r + 1) * d];
-        let grow = &g.data()[r * d..(r + 1) * d];
-        let mean: f32 = xrow.iter().sum::<f32>() / d as f32;
-        let var: f32 = xrow.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let inv = 1.0 / (var + eps).sqrt();
-        // xhat and the two row means needed by the dx formula.
-        let mut mean_gg = 0.0f32;
-        let mut mean_ggx = 0.0f32;
-        let xhat: Vec<f32> = xrow.iter().map(|&v| (v - mean) * inv).collect();
-        for j in 0..d {
-            let gg = grow[j] * gamma.data()[j];
-            mean_gg += gg;
-            mean_ggx += gg * xhat[j];
-            ggamma[j] += grow[j] * xhat[j];
-            gbeta[j] += grow[j];
-        }
-        mean_gg /= d as f32;
-        mean_ggx /= d as f32;
-        for j in 0..d {
-            let gg = grow[j] * gamma.data()[j];
-            gx[r * d + j] = inv * (gg - mean_gg - xhat[j] * mean_ggx);
-        }
-    }
+    tensor::layer_norm_bwd_rows(
+        x.data(),
+        gamma.data(),
+        eps,
+        d,
+        &mut gx,
+        &mut ggamma,
+        &mut gbeta,
+    );
     Ok((
         Tensor::from_vec(gx, x.shape())?,
         Tensor::from_vec(ggamma, gamma.shape())?,

@@ -89,8 +89,8 @@ use std::sync::Arc;
 
 use crate::memory::{assign_slots, Def};
 use crate::plan::{
-    infer_batch, size_of, split_rows, sum_start, Dim, MapOp, Plan, PlanError, ROp, Recorder,
-    Recording, RowKind, RunCtx, Size, Src, TrainAttention, ZipKind, NORM_ROWS,
+    infer_batch, size_of, Dim, MapOp, Plan, PlanError, ROp, Recorder, Recording, RowKind, RunCtx,
+    Size, Src, TrainAttention, ZipKind,
 };
 use crate::tape::{ParamId, ParamStore, Var};
 use tensor::Tensor;
@@ -1586,7 +1586,7 @@ impl<'r> BwdCtx<'r> {
                     let stripe = &mut self.scratch[s * 2 * d..(s + 1) * 2 * d];
                     stripe.fill(0.0);
                     let (dg, db) = stripe.split_at_mut(d);
-                    layer_norm_bwd_rows(&xs[lo..hi], gv, eps, d, &mut o[lo..hi], dg, db);
+                    tensor::layer_norm_bwd_rows(&xs[lo..hi], gv, eps, d, &mut o[lo..hi], dg, db);
                 }
                 self.reduce_into(2 * d, &[(dgamma, 0, d), (dbeta, d, d)]);
             }
@@ -1727,91 +1727,6 @@ fn softmax_bwd_rows(s: &[f32], d: usize, o: &mut [f32]) {
     for (srow, orow) in s.chunks(d).zip(o.chunks_mut(d)) {
         tensor::softmax_bwd_row(srow, orow);
     }
-}
-
-/// Layer-norm backward over rows of width `d`, in place: `o` holds the
-/// incoming gradient on entry and `dx` on return; `dgamma` / `dbeta`
-/// accumulate row after row, as the tape's do. Rows advance
-/// [`NORM_ROWS`] at a time, then four, then one: each row's mean,
-/// variance and two dot chains stay serial and in the tape's order, but
-/// the rows' chains run side by side, and a column accumulator still
-/// takes its rows in order.
-fn layer_norm_bwd_rows(
-    x: &[f32],
-    gamma: &[f32],
-    eps: f32,
-    d: usize,
-    o: &mut [f32],
-    dgamma: &mut [f32],
-    dbeta: &mut [f32],
-) {
-    #[inline(always)]
-    fn rows<'x, 'o, const R: usize>(
-        x: &'x [f32],
-        o: &'o mut [f32],
-        gamma: &[f32],
-        eps: f32,
-        d: usize,
-        dgamma: &mut [f32],
-        dbeta: &mut [f32],
-    ) -> (&'x [f32], &'o mut [f32]) {
-        let (gamma, dgamma, dbeta) = (&gamma[..d], &mut dgamma[..d], &mut dbeta[..d]);
-        let mut xs = x.chunks_exact(R * d);
-        let mut os = o.chunks_exact_mut(R * d);
-        for (xb, ob) in (&mut xs).zip(&mut os) {
-            let mut it = xb.chunks_exact(d);
-            let xr: [&[f32]; R] = std::array::from_fn(|_| it.next().expect("R rows"));
-            let or = split_rows::<R>(ob, d);
-            let mut s = [sum_start(); R];
-            for p in 0..d {
-                for (s, row) in s.iter_mut().zip(&xr) {
-                    *s += row[p];
-                }
-            }
-            let mean = s.map(|v| v / d as f32);
-            let mut vs = [sum_start(); R];
-            for p in 0..d {
-                for ((v, row), &m) in vs.iter_mut().zip(&xr).zip(&mean) {
-                    *v += (row[p] - m) * (row[p] - m);
-                }
-            }
-            let inv = vs.map(|v| 1.0 / (v / d as f32 + eps).sqrt());
-            let xhat = |r: usize, j: usize| (xr[r][j] - mean[r]) * inv[r];
-            let mut mean_gg = [0.0f32; R];
-            let mut mean_ggx = [0.0f32; R];
-            for j in 0..d {
-                for r in 0..R {
-                    let gg = or[r][j] * gamma[j];
-                    mean_gg[r] += gg;
-                    mean_ggx[r] += gg * xhat(r, j);
-                }
-            }
-            let mean_gg = mean_gg.map(|v| v / d as f32);
-            let mean_ggx = mean_ggx.map(|v| v / d as f32);
-            // The column accumulators and `dx` are element-wise: a row at a
-            // time (rows in order), so those loops run across `j`.
-            for (r, orow) in or.into_iter().enumerate() {
-                let (xrow, m, iv) = (xr[r], mean[r], inv[r]);
-                let cols = dgamma.iter_mut().zip(dbeta.iter_mut());
-                for ((&g, &x), (dg, db)) in orow.iter().zip(xrow).zip(cols) {
-                    *dg += g * ((x - m) * iv);
-                    *db += g;
-                }
-                let (mg, mgx) = (mean_gg[r], mean_ggx[r]);
-                for ((o, &x), &ga) in orow.iter_mut().zip(xrow).zip(gamma) {
-                    let xhat = (x - m) * iv;
-                    *o = iv * (*o * ga - mg - xhat * mgx);
-                }
-            }
-        }
-        (xs.remainder(), os.into_remainder())
-    }
-    if d == 0 {
-        return;
-    }
-    let (x, o) = rows::<NORM_ROWS>(x, o, gamma, eps, d, dgamma, dbeta);
-    let (x, o) = rows::<4>(x, o, gamma, eps, d, dgamma, dbeta);
-    rows::<1>(x, o, gamma, eps, d, dgamma, dbeta);
 }
 
 /// Column sums of rows of width `d`, each column accumulated in `f64` in

@@ -16,6 +16,7 @@ pub mod aligned;
 mod attention;
 mod gemm;
 pub mod math;
+mod norm;
 mod ops;
 mod quant;
 mod shape;
@@ -34,6 +35,9 @@ pub use gemm::{
 };
 #[doc(hidden)]
 pub use gemm::{gemm_would_split, supported_tiers, PAR_MULADDS, TINY_MULADDS};
+pub use norm::{layer_norm_bwd_rows, layer_norm_rows};
+#[doc(hidden)]
+pub use norm::{layer_norm_bwd_rows_with_tier, layer_norm_rows_with_tier};
 pub use ops::{
     bmm, bmm_acc_into, bmm_acc_slices, bmm_ep_slices, bmm_into, bmm_slices, gemm_ep_slices,
     gemm_prepacked, gemm_prepacked_quant, gemm_t_slices, matmul, matmul_acc_into, matmul_into,

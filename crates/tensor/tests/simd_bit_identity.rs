@@ -558,6 +558,88 @@ fn fused_attention_matches_scalar_oracle() {
     }
 }
 
+/// Rows for the layer-norm oracle: a wave, with every eleventh-row pattern
+/// a reordered chain would change the bits of — a constant row (variance
+/// 0), all `+0`, all `-0`, mixed `±0`, one `NaN`, one `±inf`, and `±1e30`
+/// (whose squares overflow the variance).
+fn norm_rows(rows: usize, d: usize, seed: f32) -> Vec<f32> {
+    let mut x = fill(rows * d, seed);
+    for (r, row) in x.chunks_mut(d).enumerate() {
+        match r % 11 {
+            1 => row.fill(0.75),
+            3 => row.fill(0.0),
+            4 => row.fill(-0.0),
+            5 => row.iter_mut().step_by(2).for_each(|v| *v = -0.0),
+            6 => row[d / 2] = f32::NAN,
+            7 => row[d - 1] = f32::INFINITY,
+            8 => row[0] = f32::NEG_INFINITY,
+            9 => row.iter_mut().step_by(3).for_each(|v| *v = 1e30),
+            10 => row.iter_mut().skip(1).step_by(2).for_each(|v| *v = -1e30),
+            _ => {}
+        }
+    }
+    x
+}
+
+/// `v` with every `NaN` made `f32::NAN`. When both operands of an add or
+/// a multiply are `NaN`, which one the result carries depends on the
+/// operand order the compiler picks for a commutative operation, so a
+/// `NaN`'s sign and payload are not part of the layer norm's definition
+/// (in a column accumulator, one row's `NaN` meets another's).
+fn canonical_nan(v: &[f32]) -> Vec<f32> {
+    v.iter()
+        .map(|&x| if x.is_nan() { f32::NAN } else { x })
+        .collect()
+}
+
+#[test]
+fn layer_norm_matches_scalar_oracle() {
+    // Every row count up to two lane blocks and one past, then a large
+    // one; widths around every vector and the lanes form's 64-column
+    // tile. Forward in place and out of place; backward onto non-zero
+    // column accumulators.
+    let tiers = supported_tiers();
+    let eps = 1e-5f32;
+    for d in [1usize, 7, 8, 16, 24, 32, 33, 64, 65] {
+        let gamma = fill(d, 0.9);
+        let beta = fill(d, 2.2);
+        for rows in (0..=33).chain([192]) {
+            let x = norm_rows(rows, d, 0.3);
+            let g = norm_rows(rows, d, 1.1);
+            let run = |tier: SimdTier| {
+                let mut out = vec![f32::NAN; rows * d];
+                tensor::layer_norm_rows_with_tier(tier, Some(&x), &mut out, &gamma, &beta, d, eps);
+                let mut inplace = x.clone();
+                tensor::layer_norm_rows_with_tier(tier, None, &mut inplace, &gamma, &beta, d, eps);
+                let mut dx = g.clone();
+                let (mut dgamma, mut dbeta) = (fill(d, 0.5), fill(d, 1.5));
+                tensor::layer_norm_bwd_rows_with_tier(
+                    tier,
+                    &x,
+                    &gamma,
+                    eps,
+                    d,
+                    &mut dx,
+                    &mut dgamma,
+                    &mut dbeta,
+                );
+                [out, inplace, dx, dgamma, dbeta]
+            };
+            let want = run(SimdTier::Scalar);
+            for &tier in &tiers {
+                let got = run(tier);
+                for (name, (got, want)) in ["out", "in place", "dx", "dgamma", "dbeta"]
+                    .iter()
+                    .zip(got.iter().zip(&want))
+                {
+                    let what = format!("{} layer norm {name} rows={rows} d={d}", tier.name());
+                    assert_bits_equal(&canonical_nan(got), &canonical_nan(want), &what);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
