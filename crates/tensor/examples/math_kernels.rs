@@ -1,5 +1,5 @@
-//! What `tanh`, `exp` and `sigmoid` cost on this host, and what share of a
-//! serving fold they are.
+//! What `tanh`, `exp`, `sigmoid` and layer norm cost on this host, and what
+//! share of a serving fold the first three are.
 //!
 //! ```text
 //! cargo run --release -p tensor --example math_kernels            # ~15 s
@@ -12,7 +12,12 @@
 //! `tensor::math::map` on the active tier. `libm`'s `tanhf` costs more the
 //! further `|x|` is from 0, so each function is timed at several `r`.
 //!
-//! The second table estimates each function's share of one fold replay of
+//! The second table is ns per call of layer norm's forward (out of place)
+//! and backward at `d = 32`, the default predictor's width, on every tier
+//! the CPU supports, through the tier-pinned seams: one binary gives the
+//! before / after of a tier's change.
+//!
+//! The third table estimates each function's share of one fold replay of
 //! the default predictor (`predict_planned`, one thread) at `L` leaves and
 //! `B` samples, as calls × ns ÷ replay µs: a fold takes `tanh` on its
 //! `B × (d_emb + d_dev)` latent and `exp` on the `n_layers × B × heads × L²`
@@ -29,12 +34,18 @@ use std::time::Instant;
 use cdmpp_core::{PlanRunner, Predictor, PredictorConfig};
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use tensor::math::{self, Func};
-use tensor::{attention_slices, Tensor};
+use tensor::{
+    attention_slices, layer_norm_bwd_rows_with_tier, layer_norm_rows_with_tier, supported_tiers,
+    Tensor,
+};
 
 const RANGES: [f32; 5] = [0.1, 0.5, 1.0, 2.5, 6.0];
 /// The `RANGES` entry the fold shares are estimated at.
 const SHARE_RANGE: usize = 3;
 const N: usize = 4096;
+/// The layer-norm table's row width and row counts.
+const LN_D: usize = 32;
+const LN_ROWS: [usize; 5] = [3, 13, 39, 96, 192];
 
 /// Minimum over `repeats` of the mean µs per call of `f`, each repeat
 /// timing enough calls to cover roughly `target_us`.
@@ -138,6 +149,12 @@ fn main() {
         }
     }
 
+    layer_norm_table(
+        if quick { &LN_ROWS[..2] } else { &LN_ROWS },
+        repeats,
+        target,
+    );
+
     let cfg = PredictorConfig::default();
     let shared = Predictor::new(cfg.clone()).share();
     let mut runner = PlanRunner::new();
@@ -191,5 +208,60 @@ fn main() {
             pct(exp_per_attn, exp[0], attn_libm),
             pct(exp_per_attn, exp[2], attn),
         );
+    }
+}
+
+/// ns per call of layer norm forward and backward at `LN_D` columns, one
+/// column per supported tier.
+fn layer_norm_table(rows: &[usize], repeats: usize, target: f64) {
+    let tiers = supported_tiers();
+    let d = LN_D;
+    println!();
+    println!("layer norm, ns per call, d = {d}:");
+    println!();
+    let names: Vec<&str> = tiers.iter().map(|t| t.name()).collect();
+    println!("| pass | rows | {} |", names.join(" | "));
+    println!("|---|---:|{}", "---:|".repeat(tiers.len()));
+    let gamma: Vec<f32> = (0..d)
+        .map(|j| 1.0 + (j as f32 * 0.61).cos() * 0.4)
+        .collect();
+    let beta: Vec<f32> = (0..d).map(|j| (j as f32 * 0.29).sin() * 0.2).collect();
+    for pass in ["forward", "backward"] {
+        for &n in rows {
+            let x: Vec<f32> = (0..n * d)
+                .map(|i| ((i as f32) * 0.377).sin() * 2.5)
+                .collect();
+            let g: Vec<f32> = (0..n * d).map(|i| ((i as f32) * 0.213).cos()).collect();
+            let mut out = vec![0.0f32; n * d];
+            let (mut dgamma, mut dbeta) = (vec![0.0f32; d], vec![0.0f32; d]);
+            let ns: Vec<String> = tiers
+                .iter()
+                .map(|&tier| {
+                    let us = min_us(repeats, target, || {
+                        if pass == "forward" {
+                            let x = Some(black_box(&x[..]));
+                            layer_norm_rows_with_tier(tier, x, &mut out, &gamma, &beta, d, 1e-5);
+                        } else {
+                            // The gradient is overwritten by `dx`: start
+                            // each call from the same one.
+                            out.copy_from_slice(black_box(&g));
+                            layer_norm_bwd_rows_with_tier(
+                                tier,
+                                black_box(&x),
+                                &gamma,
+                                1e-5,
+                                d,
+                                &mut out,
+                                &mut dgamma,
+                                &mut dbeta,
+                            );
+                        }
+                        black_box(&mut out);
+                    });
+                    format!("{:.0}", us * 1e3)
+                })
+                .collect();
+            println!("| {pass} | {n} | {} |", ns.join(" | "));
+        }
     }
 }

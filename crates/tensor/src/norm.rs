@@ -23,16 +23,15 @@
 //! independent, though, so the tiers run many rows' chains side by side:
 //!
 //! * **scalar** (the oracle) interleaves eight rows, then four, then one;
-//! * **`avx512f`** puts sixteen rows in the sixteen lanes of a `zmm`: a
-//!   column of the block is one masked gather, each lane runs its own
-//!   row's chains in the row's own order, `sqrt` and the divides are the
+//! * **`avx512f`** puts sixteen rows in the sixteen lanes of a `zmm`: the
+//!   block is read row-major and transposed in registers into a tile of
+//!   columns, each lane runs its own row's chains in the row's own order, `sqrt` and the divides are the
 //!   IEEE instructions, and the element-wise passes (normalize, `dx`, the
 //!   column accumulators) run row-major, a row at a time. A block of
 //!   fewer than sixteen rows runs under the lane mask. The column tile
 //!   holds [`LANES_MAX_D`] columns; a wider row runs the scalar form.
 //!
-//! AVX2 keeps the scalar form: an eight-lane gather does not pay for
-//! itself there.
+//! `avx2+fma` (and NEON) run the scalar form.
 
 use crate::gemm::{active_tier, SimdTier};
 
@@ -284,17 +283,9 @@ mod avx512 {
 
     const LANES: usize = 16;
 
-    /// The block's column tile: column `p` of up to sixteen rows in lane
-    /// order, gathered once and read by every pass over the columns.
+    /// A block's column tile: column `p` of up to sixteen rows in lane
+    /// order, read by every pass over the columns.
     type Tile = [MaybeUninit<__m512>; LANES_MAX_D];
-
-    /// Lane `r`'s offset in a block of rows of width `d`: `r * d`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn row_offsets(d: usize) -> __m512i {
-        let r = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        _mm512_mullo_epi32(r, _mm512_set1_epi32(d as i32))
-    }
 
     /// Lane `r` of `v`.
     #[inline(always)]
@@ -304,9 +295,53 @@ mod avx512 {
         unsafe { std::mem::transmute(v) }
     }
 
-    /// Gathers the `d` columns of the `n` rows at `src` (row stride `d`)
-    /// into `tile` and returns the rows' `(mean, inv)` lane by lane. Lanes
-    /// from `n` up hold garbage.
+    /// The 16×16 transpose of `r`: lane `k` of column `c` is `r[k][c]`.
+    /// Four rounds of sixteen shuffles, no arithmetic.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(r: [__m512; LANES]) -> [__m512; LANES] {
+        // t[2i] / t[2i + 1]: rows 2i and 2i + 1 interleaved, columns
+        // 4L + {0, 1} / 4L + {2, 3} of each 128-bit lane L.
+        let mut t = [_mm512_setzero_ps(); LANES];
+        for i in 0..8 {
+            t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+            t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+        }
+        // u[4q + c]: lane L holds column 4L + c of rows 4q..4q + 4.
+        let mut u = [_mm512_setzero_ps(); LANES];
+        for q in 0..4 {
+            let a = _mm512_castps_pd(t[4 * q]);
+            let b = _mm512_castps_pd(t[4 * q + 1]);
+            let c = _mm512_castps_pd(t[4 * q + 2]);
+            let e = _mm512_castps_pd(t[4 * q + 3]);
+            u[4 * q] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, c));
+            u[4 * q + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, c));
+            u[4 * q + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(b, e));
+            u[4 * q + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(b, e));
+        }
+        // v[c] / v[4 + c]: columns c, c + 8 / c + 4, c + 12 of rows 0..8
+        // (v[8 + c] / v[12 + c]: of rows 8..16), four rows a lane.
+        let mut v = [_mm512_setzero_ps(); LANES];
+        for c in 0..4 {
+            v[c] = _mm512_shuffle_f32x4::<0x88>(u[c], u[4 + c]);
+            v[4 + c] = _mm512_shuffle_f32x4::<0xdd>(u[c], u[4 + c]);
+            v[8 + c] = _mm512_shuffle_f32x4::<0x88>(u[8 + c], u[12 + c]);
+            v[12 + c] = _mm512_shuffle_f32x4::<0xdd>(u[8 + c], u[12 + c]);
+        }
+        let mut out = [_mm512_setzero_ps(); LANES];
+        for c in 0..4 {
+            out[c] = _mm512_shuffle_f32x4::<0x88>(v[c], v[8 + c]);
+            out[8 + c] = _mm512_shuffle_f32x4::<0xdd>(v[c], v[8 + c]);
+            out[4 + c] = _mm512_shuffle_f32x4::<0x88>(v[4 + c], v[12 + c]);
+            out[12 + c] = _mm512_shuffle_f32x4::<0xdd>(v[4 + c], v[12 + c]);
+        }
+        out
+    }
+
+    /// Writes columns `0..d` of the `n` rows at `src` (row stride `d`) to
+    /// `tile[..d]`, row `r` in lane `r`; lanes from `n` up hold `0.0`.
+    /// Rows are read row-major, sixteen columns at a time, and turned
+    /// into columns in registers.
     ///
     /// # Safety
     ///
@@ -314,37 +349,46 @@ mod avx512 {
     /// `1 ≤ d ≤ LANES_MAX_D`.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn stats(
-        src: *const f32,
-        n: usize,
-        d: usize,
-        eps: f32,
-        tile: &mut Tile,
-    ) -> (__m512, __m512) {
-        let (mask, idx) = (rows_mask(n), row_offsets(d));
+    unsafe fn load_columns(src: *const f32, n: usize, d: usize, tile: &mut Tile) {
+        for j in (0..d).step_by(LANES) {
+            let mask = cols(j, d);
+            let mut rows = [_mm512_setzero_ps(); LANES];
+            for (r, row) in rows[..n].iter_mut().enumerate() {
+                // SAFETY: columns `j..min(j + 16, d)` of row `r < n`.
+                *row = unsafe { _mm512_maskz_loadu_ps(mask, src.add(r * d + j)) };
+            }
+            let end = (j + LANES).min(d);
+            for (slot, c) in tile[j..end].iter_mut().zip(transpose(rows)) {
+                slot.write(c);
+            }
+        }
+    }
+
+    /// The `(mean, inv)` of the rows whose columns `tile[..d]` holds, lane
+    /// by lane.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F; `tile[..d]` was written by [`load_columns`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn stats(tile: &Tile, d: usize, eps: f32) -> (__m512, __m512) {
+        // SAFETY: per this function's contract.
+        let col = |p: usize| unsafe { tile[p].assume_init() };
         let mut s = _mm512_set1_ps(-0.0);
-        for (p, slot) in tile[..d].iter_mut().enumerate() {
-            // SAFETY: each live lane reads `src[r * d + p]`, `r < n`;
-            // masked-off lanes read nothing.
-            let c = unsafe {
-                _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, idx, src.add(p))
-            };
-            slot.write(c);
-            s = _mm512_add_ps(s, c);
+        for p in 0..d {
+            s = _mm512_add_ps(s, col(p));
         }
         let dv = _mm512_set1_ps(d as f32);
         let mean = _mm512_div_ps(s, dv);
         let mut vs = _mm512_set1_ps(-0.0);
-        for slot in &tile[..d] {
-            // SAFETY: written by the gather loop above.
-            let t = _mm512_sub_ps(unsafe { slot.assume_init() }, mean);
+        for p in 0..d {
+            let t = _mm512_sub_ps(col(p), mean);
             vs = _mm512_add_ps(vs, _mm512_mul_ps(t, t));
         }
         let var = _mm512_add_ps(_mm512_div_ps(vs, dv), _mm512_set1_ps(eps));
-        (
-            mean,
-            _mm512_div_ps(_mm512_set1_ps(1.0), _mm512_sqrt_ps(var)),
-        )
+        let inv = _mm512_div_ps(_mm512_set1_ps(1.0), _mm512_sqrt_ps(var));
+        (mean, inv)
     }
 
     /// The mask of the first `n ≤ 16` lanes.
@@ -378,8 +422,12 @@ mod avx512 {
         let mut tile: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
         for r0 in (0..rows).step_by(LANES) {
             let n = LANES.min(rows - r0);
-            // SAFETY: rows `r0..r0 + n` are in bounds of both operands.
-            let (mean, inv) = unsafe { stats(src.add(r0 * d), n, d, eps, &mut tile) };
+            // SAFETY: rows `r0..r0 + n` are in bounds of both operands;
+            // `load_columns` writes the tile `stats` reads.
+            let (mean, inv) = unsafe {
+                load_columns(src.add(r0 * d), n, d, &mut tile);
+                stats(&tile, d, eps)
+            };
             let (mean, inv) = (lanes(mean), lanes(inv));
             for r in 0..n {
                 let (m, i) = (_mm512_set1_ps(mean[r]), _mm512_set1_ps(inv[r]));
@@ -417,27 +465,22 @@ mod avx512 {
         let rows = o.len() / d;
         let (xp, op) = (x.as_ptr(), o.as_mut_ptr());
         let (gp, dgp, dbp) = (gamma.as_ptr(), dgamma.as_mut_ptr(), dbeta.as_mut_ptr());
-        let idx = row_offsets(d);
         let dv = _mm512_set1_ps(d as f32);
-        let mut tile: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
+        let mut xt: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
+        let mut gt: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
         for r0 in (0..rows).step_by(LANES) {
             let n = LANES.min(rows - r0);
-            let lane_mask = rows_mask(n);
-            // SAFETY: rows `r0..r0 + n` of `x` are in bounds.
-            let (mean, inv) = unsafe { stats(xp.add(r0 * d), n, d, eps, &mut tile) };
+            // SAFETY: rows `r0..r0 + n` of `x` and `o` are in bounds;
+            // `load_columns` writes the tiles read here.
+            let (mean, inv) = unsafe {
+                load_columns(xp.add(r0 * d), n, d, &mut xt);
+                load_columns(op.add(r0 * d), n, d, &mut gt);
+                stats(&xt, d, eps)
+            };
             let (mut mean_gg, mut mean_ggx) = (_mm512_setzero_ps(), _mm512_setzero_ps());
-            for (p, slot) in tile[..d].iter().enumerate() {
-                // SAFETY: the gather reads column `p` of the block's live
-                // rows of `o`; the tile slot was written by `stats`.
-                let (g, xc) = unsafe {
-                    let g = _mm512_mask_i32gather_ps::<4>(
-                        _mm512_setzero_ps(),
-                        lane_mask,
-                        idx,
-                        op.add(r0 * d + p),
-                    );
-                    (g, slot.assume_init())
-                };
+            for p in 0..d {
+                // SAFETY: written by `load_columns` above.
+                let (xc, g) = unsafe { (xt[p].assume_init(), gt[p].assume_init()) };
                 let gg = _mm512_mul_ps(g, _mm512_set1_ps(gamma[p]));
                 mean_gg = _mm512_add_ps(mean_gg, gg);
                 let xhat = _mm512_mul_ps(_mm512_sub_ps(xc, mean), inv);
