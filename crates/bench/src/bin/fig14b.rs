@@ -1,26 +1,129 @@
-//! Fig 14(b): schedule-search quality with different cost models
-//! (BERT-tiny's dominant dense task on T4).
+//! Fig 14(b): schedule-search quality with different cost models on T4.
 //!
 //! Paper: searching with the CDMPP cost model finds better schedules than
 //! searching with XGBoost at the same round budget; both beat random.
+//!
+//! Per task and per arm (CDMPP, XGBoost, random) this bin records how well
+//! the arm ranks candidates and what that buys a search:
+//!
+//! * over a pool of distinct fresh candidates, every one measured: the
+//!   Kendall τ-b of the arm's scores against the simulator's latencies,
+//!   the recall of the true top-k among the arm's top-k, and the pool's
+//!   best-of-top-k regret (the best latency among the arm's top-k over
+//!   the pool's best, minus one), with k = `measure_per_round`;
+//! * a generational search guided by the arm with `oracle_regret` on:
+//!   the mean over rounds of the same regret against each round's own
+//!   candidates, and the best latency it measured.
+//!
+//! The claim check compares the mean search regret over tasks, CDMPP
+//! against XGBoost; the rows go to `BENCH_fig14b.json` at the workspace
+//! root. A FAIL is a non-replication at that scale, reported as such
+//! (README, "Accuracy").
 
+use bench::cross::write_rows;
 use bench::{claim_check, fit_gbt, standard_dataset, train_cdmpp, GbtCost};
-use cdmpp_core::{generational_search, GenSearchConfig, ProposerMix, RandomCost};
+use cdmpp_core::{generational_search, CostModel, GenSearchConfig, ProposerMix, RandomCost};
 use dataset::SplitIndices;
+use devsim::Simulator;
+use learn::kendall_tau;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use tir::{OpSpec, Schedule, TensorProgram};
+
+/// Fresh candidates drawn per task for the rank metrics (before dedup).
+const POOL: usize = 256;
+
+/// The tasks searched: BERT-tiny's attention-projection dense task, then
+/// the other nests the benchmark's `search_bulk` searches.
+const TASKS: [(&str, OpSpec); 4] = [
+    (
+        "dense 128^3 (bert_tiny)",
+        OpSpec::Dense {
+            m: 128,
+            n: 128,
+            k: 128,
+        },
+    ),
+    (
+        "dense 512^3",
+        OpSpec::Dense {
+            m: 512,
+            n: 512,
+            k: 512,
+        },
+    ),
+    (
+        "bmm 4x64^3",
+        OpSpec::BatchMatmul {
+            b: 4,
+            m: 64,
+            n: 64,
+            k: 64,
+        },
+    ),
+    (
+        "softmax 256^2",
+        OpSpec::Softmax {
+            rows: 256,
+            cols: 256,
+        },
+    ),
+];
+
+/// Indices of the `k` smallest of `v` (stable: ties keep pool order).
+fn top_k(v: &[f64], k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..v.len()).collect();
+    idx.sort_by(|&a, &b| v[a].total_cmp(&v[b]));
+    idx.truncate(k);
+    idx
+}
+
+/// `(τ, top-k recall, best-of-top-k regret)` of `scores` against `truth`.
+fn rank_metrics(scores: &[f64], truth: &[f64], k: usize) -> (f64, f64, f64) {
+    let picked = top_k(scores, k);
+    let best = top_k(truth, k);
+    let recall = picked.iter().filter(|i| best.contains(i)).count() as f64 / k as f64;
+    let picked_best = picked
+        .iter()
+        .map(|&i| truth[i])
+        .fold(f64::INFINITY, f64::min);
+    let oracle = truth[best[0]];
+    (
+        kendall_tau(scores, truth),
+        recall,
+        picked_best / oracle - 1.0,
+    )
+}
+
+/// Up to `POOL` distinct lowered fresh candidates of `nest`.
+fn pool(nest: &tir::Nest, seed: u64) -> Vec<TensorProgram> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut seen: Vec<Schedule> = Vec::new();
+    let mut progs = Vec::new();
+    for _ in 0..POOL {
+        let s = tir::sample_schedule(nest, &mut rng);
+        if seen.contains(&s) {
+            continue;
+        }
+        if let Ok(p) = tir::lower(nest, &s) {
+            seen.push(s);
+            progs.push(p);
+        }
+    }
+    progs
+}
 
 fn main() {
     let ds = standard_dataset(vec![devsim::t4()], bench::spt_multi());
     let split = SplitIndices::for_device(&ds, "T4", &[], bench::EXP_SEED);
     let (model, _) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
     let gbt = GbtCost(fit_gbt(&ds, &split.train));
-    // BERT-tiny's attention-projection dense task.
-    let nest = tir::OpSpec::Dense {
-        m: 128,
-        n: 128,
-        k: 128,
-    }
-    .canonical_nest();
+    let cdmpp = model.freeze();
+    let random = RandomCost { seed: 1 };
+    let arms: [(&str, &dyn CostModel); 3] =
+        [("CDMPP", &cdmpp), ("XGBoost", &gbt), ("random", &random)];
     let dev = devsim::t4();
+    let sim = Simulator::new(dev.clone());
     let cfg = GenSearchConfig {
         rounds: 40,
         candidates_per_round: 24,
@@ -31,36 +134,71 @@ fn main() {
             crossover: 0,
             fresh: 1,
         },
+        oracle_regret: true,
         ..Default::default()
     };
-    let c = generational_search(&nest, &dev, &model.freeze(), &cfg);
-    let x = generational_search(&nest, &dev, &gbt, &cfg);
-    let r = generational_search(&nest, &dev, &RandomCost { seed: 1 }, &cfg);
-    println!("Fig 14(b): best measured latency (us) over search rounds, BERT-tiny dense on T4\n");
+    let k = cfg.measure_per_round;
+    println!("Fig 14(b): search quality by cost model on T4, k = {k}\n");
     println!(
-        "{:>6}  {:>10}  {:>10}  {:>10}",
-        "round", "CDMPP", "XGBoost", "random"
+        "{:<24} {:<8} {:>6} {:>6} {:>9} {:>8} {:>10} {:>10}",
+        "task", "arm", "pool", "tau", "recall@k", "regret", "search rg", "best (us)"
     );
-    for i in (0..cfg.rounds).step_by(5) {
-        println!(
-            "{:>6}  {:>10.2}  {:>10.2}  {:>10.2}",
-            i + 1,
-            c.rounds[i].best_measured * 1e6,
-            x.rounds[i].best_measured * 1e6,
-            r.rounds[i].best_measured * 1e6,
-        );
+    let mut rows = Vec::new();
+    let mut search_regret = [0.0f64; 3];
+    for (ti, (name, spec)) in TASKS.iter().enumerate() {
+        let nest = spec.canonical_nest();
+        let progs = pool(&nest, bench::EXP_SEED + ti as u64);
+        let refs: Vec<&TensorProgram> = progs.iter().collect();
+        let truth: Vec<f64> = progs.iter().map(|p| sim.latency_seconds(p)).collect();
+        for (ai, (arm, cost)) in arms.iter().enumerate() {
+            let (tau, recall, regret) = rank_metrics(&cost.score_batch(&refs, &dev), &truth, k);
+            let trace = generational_search(&nest, &dev, *cost, &cfg);
+            let finite: Vec<f64> = trace
+                .rounds
+                .iter()
+                .map(|r| r.regret)
+                .filter(|r| r.is_finite())
+                .collect();
+            let sr = finite.iter().sum::<f64>() / finite.len().max(1) as f64;
+            search_regret[ai] += sr / TASKS.len() as f64;
+            let best_us = trace.best_measured * 1e6;
+            println!(
+                "{name:<24} {arm:<8} {:>6} {tau:>6.3} {recall:>9.2} {regret:>8.3} {sr:>10.3} {best_us:>10.2}",
+                progs.len()
+            );
+            rows.push(format!(
+                "{{\"task\": \"{name}\", \"arm\": \"{arm}\", \"pool\": {}, \"k\": {k}, \
+                 \"kendall_tau\": {tau:.6}, \"top_k_recall\": {recall:.6}, \
+                 \"pool_regret\": {regret:.6}, \"search_regret\": {sr:.6}, \
+                 \"best_measured_us\": {best_us:.4}}}",
+                progs.len()
+            ));
+        }
     }
-    let (c, x, r) = (c.best_measured, x.best_measured, r.best_measured);
-    let finals = format!(
-        "final: CDMPP {:.2}us  XGBoost {:.2}us  random {:.2}us",
-        c * 1e6,
-        x * 1e6,
-        r * 1e6
+    let [c, x, r] = search_regret;
+    let detail = format!(
+        "mean search regret over {} tasks: CDMPP {c:.4}, XGBoost {x:.4}, random {r:.4}",
+        TASKS.len()
     );
-    println!("\n{finals}");
-    claim_check(
-        "CDMPP-guided search finds the fastest (or tied) schedule",
-        c <= x && c <= r,
-        &finals,
+    println!("\n{detail}");
+    let claim = "CDMPP-guided search regret <= XGBoost-guided search regret";
+    claim_check(claim, c <= x, &detail);
+    write_rows(
+        "fig14b",
+        &format!(
+            "Search quality by cost model on T4 (CDMPP trained on the T4 training split, \
+             XGBoost on the same records, random = RandomCost seed 1). Per task and arm: \
+             over a pool of up to {POOL} distinct fresh candidates, all measured, the Kendall \
+             tau-b of scores against simulator latency, the recall of the true top-{k} among \
+             the arm's top-{k}, and the best-of-top-{k} regret (best latency among the arm's \
+             top-{k} / pool best - 1); then a {}-round search of {} candidates a round, {k} \
+             measured, with oracle_regret on: search_regret is the mean over rounds of the same \
+             regret against the round's own candidates. holds = CDMPP's mean search regret \
+             over tasks <= XGBoost's ({detail}).",
+            cfg.rounds, cfg.candidates_per_round
+        ),
+        claim,
+        c <= x,
+        &rows,
     );
 }

@@ -11,6 +11,6 @@ pub mod transform;
 pub mod tsne;
 
 pub use kmeans::{kmeans, KMeansResult};
-pub use metrics::{accuracy_within, mape, rmse, spearman};
+pub use metrics::{accuracy_within, kendall_tau, mape, rmse, spearman};
 pub use transform::{BoxCox, FittedTransform, LabelTransform, Quantile, TransformKind, YeoJohnson};
 pub use tsne::tsne;

@@ -88,9 +88,62 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
     cov / (va.sqrt() * vb.sqrt())
 }
 
+/// Kendall's rank correlation τ-b of `a` against `b`: concordant minus
+/// discordant pairs over the geometric mean of the pairs untied in each
+/// (a pair tied in either counts as neither). Ties in both are allowed;
+/// `0.0` when either side is constant or there are fewer than two
+/// points, as [`spearman`]. Compares with `total_cmp`, so `inf` ranks
+/// last and a `NaN` above it. O(n²).
+pub fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let (mut concordant, mut discordant) = (0i64, 0i64);
+    let (mut untied_a, mut untied_b) = (0i64, 0i64);
+    for i in 0..a.len() {
+        for j in i + 1..a.len() {
+            let (sa, sb) = (a[i].total_cmp(&a[j]), b[i].total_cmp(&b[j]));
+            untied_a += i64::from(sa.is_ne());
+            untied_b += i64::from(sb.is_ne());
+            if sa.is_ne() && sb.is_ne() {
+                if sa == sb {
+                    concordant += 1;
+                } else {
+                    discordant += 1;
+                }
+            }
+        }
+    }
+    if untied_a == 0 || untied_b == 0 {
+        return 0.0;
+    }
+    (concordant - discordant) as f64 / ((untied_a as f64) * (untied_b as f64)).sqrt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kendall_tau_counts_ties_as_neither() {
+        let up = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(kendall_tau(&up, &up), 1.0);
+        assert_eq!(kendall_tau(&up, &[4.0, 3.0, 2.0, 1.0]), -1.0);
+        // One tie in `a`: 5 concordant pairs of 6, 5 untied in `a`, 6 in
+        // `b`, so τ-b = 5 / √30.
+        let tied = [1.0, 2.0, 2.0, 3.0];
+        let want = 5.0 / 30f64.sqrt();
+        assert!((kendall_tau(&tied, &up) - want).abs() < 1e-12);
+        assert!((kendall_tau(&up, &tied) - want).abs() < 1e-12);
+        // Ties on both sides in the same pair: that pair drops out of all
+        // three counts, and the rest agree perfectly.
+        assert!((kendall_tau(&tied, &tied) - 1.0).abs() < 1e-12);
+        // A constant side carries no ordering.
+        assert_eq!(kendall_tau(&[7.0; 4], &up), 0.0);
+        assert_eq!(kendall_tau(&[1.0], &[2.0]), 0.0);
+        // Infinite scores (a model's invalid candidates) tie among
+        // themselves and rank last.
+        let inf = f64::INFINITY;
+        assert_eq!(kendall_tau(&[1.0, 2.0, inf], &[1.0, 2.0, 3.0]), 1.0);
+    }
 
     #[test]
     fn mape_known() {

@@ -14,8 +14,9 @@
 //!
 //! The second table is ns per call of layer norm's forward (out of place)
 //! and backward at `d = 32`, the default predictor's width, on every tier
-//! the CPU supports, through the tier-pinned seams: one binary gives the
-//! before / after of a tier's change.
+//! the CPU supports, through the tier-pinned seams (the tiers take turns
+//! within each repeat): one binary gives the before / after of a tier's
+//! change.
 //!
 //! The third table estimates each function's share of one fold replay of
 //! the default predictor (`predict_planned`, one thread) at `L` leaves and
@@ -234,33 +235,29 @@ fn layer_norm_table(rows: &[usize], repeats: usize, target: f64) {
             let g: Vec<f32> = (0..n * d).map(|i| ((i as f32) * 0.213).cos()).collect();
             let mut out = vec![0.0f32; n * d];
             let (mut dgamma, mut dbeta) = (vec![0.0f32; d], vec![0.0f32; d]);
-            let ns: Vec<String> = tiers
-                .iter()
-                .map(|&tier| {
-                    let us = min_us(repeats, target, || {
-                        if pass == "forward" {
-                            let x = Some(black_box(&x[..]));
-                            layer_norm_rows_with_tier(tier, x, &mut out, &gamma, &beta, d, 1e-5);
-                        } else {
-                            // The gradient is overwritten by `dx`: start
-                            // each call from the same one.
-                            out.copy_from_slice(black_box(&g));
-                            layer_norm_bwd_rows_with_tier(
-                                tier,
-                                black_box(&x),
-                                &gamma,
-                                1e-5,
-                                d,
-                                &mut out,
-                                &mut dgamma,
-                                &mut dbeta,
-                            );
-                        }
-                        black_box(&mut out);
-                    });
-                    format!("{:.0}", us * 1e3)
-                })
-                .collect();
+            let mut call = |tier| {
+                if pass == "forward" {
+                    let x = Some(black_box(&x[..]));
+                    layer_norm_rows_with_tier(tier, x, &mut out, &gamma, &beta, d, 1e-5);
+                } else {
+                    // The gradient is overwritten by `dx`: start each call
+                    // from the same one.
+                    out.copy_from_slice(black_box(&g));
+                    let x = black_box(&x);
+                    let (dg, db) = (&mut dgamma, &mut dbeta);
+                    layer_norm_bwd_rows_with_tier(tier, x, &gamma, 1e-5, d, &mut out, dg, db);
+                }
+                black_box(&mut out);
+            };
+            // The tiers take turns, one timed batch each per repeat, so a
+            // change in the host's speed reaches every column alike.
+            let mut best = vec![f64::INFINITY; tiers.len()];
+            for _ in 0..repeats {
+                for (b, &tier) in best.iter_mut().zip(&tiers) {
+                    *b = b.min(min_us(1, target, || call(tier)));
+                }
+            }
+            let ns: Vec<String> = best.iter().map(|us| format!("{:.0}", us * 1e3)).collect();
             println!("| {pass} | {n} | {} |", ns.join(" | "));
         }
     }

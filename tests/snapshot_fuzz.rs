@@ -17,6 +17,13 @@
 //!   included — a layer-norm epsilon with its sign flipped is a finite
 //!   constant. What validation promises for it is memory safety.)
 //!
+//! The weight blob after the plan section is numbers, so it is mutated
+//! differently: seeded exponent-bit flips of its `f32` words, where a
+//! mutant whose word is no longer finite must be refused with a typed
+//! [`SnapshotError::NonFinite`] naming that parameter and element, and any
+//! other must load as a different valid file; and seeded cuts inside it,
+//! which must be refused as truncated weight data.
+//!
 //! Never a panic, and never one allocation larger than the largest arena a
 //! validated plan may ask for — the binary runs under an allocator that
 //! records the largest request.
@@ -236,6 +243,8 @@ fn mutated_golden_bytes_are_typed_errors_or_other_valid_files() {
         );
     }
 
+    weight_blob_mutations(&base, &mut tally);
+
     // The largest arena a validated plan may ask for, one batch unit.
     let largest = LARGEST.load(Ordering::Relaxed);
     assert!(
@@ -247,4 +256,121 @@ fn mutated_golden_bytes_are_typed_errors_or_other_valid_files() {
          largest allocation {largest} bytes",
         tally.refused, tally.same_answers, tally.other_model
     );
+}
+
+/// xorshift64*: seeded, so a failure names a mutation that recurs.
+fn xorshift(mut state: u64) -> impl FnMut(usize) -> usize {
+    move |below| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % below
+    }
+}
+
+/// The weight-blob half of the contract in the module docs.
+fn weight_blob_mutations(base: &Baseline, tally: &mut Tally) {
+    // The blob follows the plan section: each f32 parameter's data in
+    // header order, then the quantized blobs. `(name, first byte,
+    // elements)` of each f32 parameter.
+    let start = plan_section().end;
+    let mut spans = Vec::new();
+    let mut at = start;
+    for (i, p) in base.snap.params.iter().enumerate() {
+        if base.snap.quants.iter().any(|q| q.param == i) {
+            continue;
+        }
+        spans.push((p.name.as_str(), at, p.data.len()));
+        at += 4 * p.data.len();
+    }
+    let words = (at - start) / 4;
+    assert!(words > 0, "the fixture has f32 weights");
+    let mut next = xorshift(0xD1B5_4A32_D192_ED03);
+    let (mut refused, mut loaded) = (0, 0);
+    for n in 0..400 {
+        let byte = start + 4 * next(words);
+        let &(name, first, numel) = spans
+            .iter()
+            .rev()
+            .find(|s| s.1 <= byte)
+            .expect("every word belongs to a parameter");
+        let index = (byte - first) / 4;
+        assert!(index < numel);
+        let word = u32::from_le_bytes(FIXTURE[byte..byte + 4].try_into().unwrap());
+        // One exponent bit flipped, then the whole exponent set (always
+        // `inf` or `NaN`).
+        let bit = 23 + next(8);
+        for (kind, flipped) in [("bit", word ^ (1 << bit)), ("exponent", word | 0x7F80_0000)] {
+            let mut mutant = FIXTURE.to_vec();
+            mutant[byte..byte + 4].copy_from_slice(&flipped.to_le_bytes());
+            let what = format!("weight {n}: {kind} flip at byte {byte} ({name}[{index}])");
+            let run = std::panic::AssertUnwindSafe(|| match Snapshot::from_bytes(&mutant) {
+                Err(SnapshotError::NonFinite {
+                    name: got,
+                    index: at,
+                }) => {
+                    assert!(
+                        !f32::from_bits(flipped).is_finite(),
+                        "{what}: refused a finite word"
+                    );
+                    assert_eq!(
+                        (got.as_str(), at),
+                        (name, index),
+                        "{what}: wrong element named"
+                    );
+                    false
+                }
+                Err(e) => panic!("{what}: refused with {e}"),
+                Ok(snap) => {
+                    assert!(
+                        f32::from_bits(flipped).is_finite(),
+                        "{what}: loaded a non-finite word"
+                    );
+                    let model =
+                        InferenceModel::from_snapshot(&snap).expect("a finite weight restores");
+                    let answers = model
+                        .predict_samples(&base.probes)
+                        .expect("a model that loads answers");
+                    assert_eq!(answers.len(), base.probes.len());
+                    assert!(
+                        Snapshot::from_inference(&model).to_bytes() == mutant,
+                        "{what}: a mutant that loads must re-serialize to its own bytes"
+                    );
+                    true
+                }
+            });
+            match std::panic::catch_unwind(run) {
+                Ok(true) => loaded += 1,
+                Ok(false) => refused += 1,
+                Err(panic) => {
+                    eprintln!("mutation: {what}");
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
+    assert!(
+        refused >= 400 && loaded > 0,
+        "weight flips should reach both outcomes: {refused} refused, {loaded} loaded"
+    );
+    tally.refused += refused;
+    tally.other_model += loaded;
+
+    // Cuts inside the blob, at a seeded byte and at every offset inside
+    // one word: the weight data is short.
+    let blob = start..FIXTURE.len();
+    let cuts = (0..64)
+        .map(|_| blob.start + next(blob.len()))
+        .chain(blob.start..blob.start + 5)
+        .chain(blob.end - 4..blob.end);
+    for cut in cuts {
+        match Snapshot::from_bytes(&FIXTURE[..cut]) {
+            Err(SnapshotError::Truncated { what, needed, have }) => {
+                assert_eq!(what, "weight data", "cut at {cut}");
+                assert!(have < needed, "cut at {cut}: {have} of {needed}");
+            }
+            other => panic!("cut at {cut} inside the weights: {:?}", other.map(|_| ())),
+        }
+        tally.refused += 1;
+    }
 }
