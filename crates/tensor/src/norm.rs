@@ -31,10 +31,9 @@
 //!   element-wise passes (normalize, `dx`, the column accumulators) run
 //!   row-major, a row at a time, rows in order. A block of fewer than
 //!   sixteen rows runs under the lane mask, so no row count falls back to
-//!   scalar. The forward runs two blocks side by side while more than
-//!   sixteen rows are left;
-//! * **`avx2+fma`** is the same form eight lanes wide, one block at a
-//!   time.
+//!   scalar (running two blocks' chains side by side in the forward
+//!   measured 2.9% slower end to end);
+//! * **`avx2+fma`** is the same form eight lanes wide.
 //!
 //! The column tile holds [`LANES_MAX_D`] columns; a wider row runs the
 //! scalar form. `cargo run --release -p tensor --example math_kernels`
@@ -381,44 +380,31 @@ mod avx512 {
         }
     }
 
-    /// The `(mean, inv)` of the rows whose columns each `tiles[k][..d]`
-    /// holds, lane by lane; the `K` blocks' chains run side by side.
+    /// The `(mean, inv)` of the rows whose columns `tile[..d]` holds, lane
+    /// by lane.
     ///
     /// # Safety
     ///
-    /// AVX-512F; each `tiles[k][..d]` was written by [`load_columns`].
+    /// AVX-512F; `tile[..d]` was written by [`load_columns`].
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn stats<const K: usize>(tiles: &[Tile; K], d: usize, eps: f32) -> [[__m512; 2]; K] {
+    unsafe fn stats(tile: &Tile, d: usize, eps: f32) -> (__m512, __m512) {
         // SAFETY: per this function's contract.
-        let col = |k: usize, p: usize| unsafe { tiles[k][p].assume_init() };
-        let mut s = [_mm512_set1_ps(-0.0); K];
+        let col = |p: usize| unsafe { tile[p].assume_init() };
+        let mut s = _mm512_set1_ps(-0.0);
         for p in 0..d {
-            for (k, s) in s.iter_mut().enumerate() {
-                *s = _mm512_add_ps(*s, col(k, p));
-            }
+            s = _mm512_add_ps(s, col(p));
         }
         let dv = _mm512_set1_ps(d as f32);
-        let mut mean = [_mm512_setzero_ps(); K];
-        for (m, &s) in mean.iter_mut().zip(&s) {
-            *m = _mm512_div_ps(s, dv);
-        }
-        let mut vs = [_mm512_set1_ps(-0.0); K];
+        let mean = _mm512_div_ps(s, dv);
+        let mut vs = _mm512_set1_ps(-0.0);
         for p in 0..d {
-            for (k, v) in vs.iter_mut().enumerate() {
-                let t = _mm512_sub_ps(col(k, p), mean[k]);
-                *v = _mm512_add_ps(*v, _mm512_mul_ps(t, t));
-            }
+            let t = _mm512_sub_ps(col(p), mean);
+            vs = _mm512_add_ps(vs, _mm512_mul_ps(t, t));
         }
-        let mut out = [[_mm512_setzero_ps(); 2]; K];
-        for (k, o) in out.iter_mut().enumerate() {
-            let var = _mm512_add_ps(_mm512_div_ps(vs[k], dv), _mm512_set1_ps(eps));
-            *o = [
-                mean[k],
-                _mm512_div_ps(_mm512_set1_ps(1.0), _mm512_sqrt_ps(var)),
-            ];
-        }
-        out
+        let var = _mm512_add_ps(_mm512_div_ps(vs, dv), _mm512_set1_ps(eps));
+        let inv = _mm512_div_ps(_mm512_set1_ps(1.0), _mm512_sqrt_ps(var));
+        (mean, inv)
     }
 
     /// The mask of the first `n ≤ 16` lanes.
@@ -433,49 +419,6 @@ mod avx512 {
         rows_mask((d - j).min(LANES))
     }
 
-    /// Writes rows `r0..r0 + n` of `dst`, normalized from the same rows of
-    /// `src` with their `[mean, inv]`.
-    ///
-    /// # Safety
-    ///
-    /// AVX-512F; rows `r0..r0 + n` (width `d`) of `src` and `dst` are in
-    /// bounds, `n ≤ 16`, and `gamma` / `beta` hold `d`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn normalize(
-        src: *const f32,
-        dst: *mut f32,
-        r0: usize,
-        n: usize,
-        [mean, inv]: [__m512; 2],
-        gamma: &[f32],
-        beta: &[f32],
-        d: usize,
-    ) {
-        let (mean, inv) = (lanes(mean), lanes(inv));
-        for r in 0..n {
-            let (m, i) = (_mm512_set1_ps(mean[r]), _mm512_set1_ps(inv[r]));
-            let at = (r0 + r) * d;
-            for j in (0..d).step_by(LANES) {
-                let mask = cols(j, d);
-                // SAFETY: the masked loads and the store touch columns
-                // `j..min(j + 16, d)` of an in-bounds row.
-                unsafe {
-                    let v = _mm512_maskz_loadu_ps(mask, src.add(at + j));
-                    let g = _mm512_maskz_loadu_ps(mask, gamma.as_ptr().add(j));
-                    let b = _mm512_maskz_loadu_ps(mask, beta.as_ptr().add(j));
-                    let y = _mm512_mul_ps(_mm512_mul_ps(_mm512_sub_ps(v, m), i), g);
-                    _mm512_mask_storeu_ps(dst.add(at + j), mask, _mm512_add_ps(y, b));
-                }
-            }
-        }
-    }
-
-    /// Rows run two blocks (32 rows) at a time while more than sixteen
-    /// are left, so two blocks' chains hide each other's latency, then as
-    /// one block.
-    ///
     /// # Safety
     ///
     /// AVX-512F; `d ≤ LANES_MAX_D`; `o.len()` is a multiple of `d`, `x`
@@ -492,29 +435,31 @@ mod avx512 {
         let rows = o.len() / d;
         let dst = o.as_mut_ptr();
         let src = x.map_or(dst as *const f32, <[f32]>::as_ptr);
-        let mut tiles: [Tile; 2] = [[MaybeUninit::uninit(); LANES_MAX_D]; 2];
-        let mut r0 = 0;
-        while rows - r0 > LANES {
-            let n = LANES.min(rows - r0 - LANES);
-            // SAFETY: rows `r0..r0 + 16 + n` are in bounds of both
-            // operands; `load_columns` writes the tiles `stats` reads.
-            unsafe {
-                load_columns(src.add(r0 * d), LANES, d, &mut tiles[0]);
-                load_columns(src.add((r0 + LANES) * d), n, d, &mut tiles[1]);
-                let [a, b] = stats(&tiles, d, eps);
-                normalize(src, dst, r0, LANES, a, gamma, beta, d);
-                normalize(src, dst, r0 + LANES, n, b, gamma, beta, d);
-            }
-            r0 += LANES + n;
-        }
-        if r0 < rows {
-            let n = rows - r0;
-            let [tile, _] = &mut tiles;
-            // SAFETY: as above, for rows `r0..rows`.
-            unsafe {
-                load_columns(src.add(r0 * d), n, d, tile);
-                let [st] = stats(std::array::from_ref(tile), d, eps);
-                normalize(src, dst, r0, n, st, gamma, beta, d);
+        let mut tile: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
+        for r0 in (0..rows).step_by(LANES) {
+            let n = LANES.min(rows - r0);
+            // SAFETY: rows `r0..r0 + n` are in bounds of both operands;
+            // `load_columns` writes the tile `stats` reads.
+            let (mean, inv) = unsafe {
+                load_columns(src.add(r0 * d), n, d, &mut tile);
+                stats(&tile, d, eps)
+            };
+            let (mean, inv) = (lanes(mean), lanes(inv));
+            for r in 0..n {
+                let (m, i) = (_mm512_set1_ps(mean[r]), _mm512_set1_ps(inv[r]));
+                let at = (r0 + r) * d;
+                for j in (0..d).step_by(LANES) {
+                    let mask = cols(j, d);
+                    // SAFETY: the masked loads and the store touch
+                    // columns `j..min(j + 16, d)` of an in-bounds row.
+                    unsafe {
+                        let v = _mm512_maskz_loadu_ps(mask, src.add(at + j));
+                        let g = _mm512_maskz_loadu_ps(mask, gamma.as_ptr().add(j));
+                        let b = _mm512_maskz_loadu_ps(mask, beta.as_ptr().add(j));
+                        let y = _mm512_mul_ps(_mm512_mul_ps(_mm512_sub_ps(v, m), i), g);
+                        _mm512_mask_storeu_ps(dst.add(at + j), mask, _mm512_add_ps(y, b));
+                    }
+                }
             }
         }
     }
@@ -546,8 +491,7 @@ mod avx512 {
             let (mean, inv) = unsafe {
                 load_columns(xp.add(r0 * d), n, d, &mut xt);
                 load_columns(op.add(r0 * d), n, d, &mut gt);
-                let [[mean, inv]] = stats(std::array::from_ref(&xt), d, eps);
-                (mean, inv)
+                stats(&xt, d, eps)
             };
             let (mut mean_gg, mut mean_ggx) = (_mm512_setzero_ps(), _mm512_setzero_ps());
             for p in 0..d {
