@@ -22,8 +22,7 @@
 //! the bit-identity contract, so no tier reassociates one. Rows are
 //! independent, though, so the tiers run many rows' chains side by side:
 //!
-//! * **scalar** (the oracle, and NEON's form) interleaves eight rows, then
-//!   four, then one;
+//! * **scalar** (the oracle) interleaves eight rows, then four, then one;
 //! * **`avx512f`** puts sixteen rows in the sixteen lanes of a `zmm`: a
 //!   block is read row-major and transposed in registers into a tile of
 //!   columns, each lane runs its own row's chains in the row's own order,
@@ -32,16 +31,19 @@
 //!   row-major, a row at a time, rows in order. A block of fewer than
 //!   sixteen rows runs under the lane mask, so no row count falls back to
 //!   scalar (running two blocks' chains side by side in the forward
-//!   measured 2.9% slower end to end);
-//! * **`avx2+fma`** is the same form eight lanes wide.
+//!   measured 2.9% slower end to end).
 //!
 //! The column tile holds [`LANES_MAX_D`] columns; a wider row runs the
-//! scalar form. `cargo run --release -p tensor --example math_kernels`
-//! times every supported tier at the predictor's width.
+//! scalar form. `avx2+fma` and NEON run the scalar form too: the same
+//! lanes form eight wide on AVX2 measured 0.86–0.91× scalar in the
+//! forward at 3 rows and 1.04–1.93× from 13 rows up, and no benchmark
+//! workload runs that tier on a host with `avx512f`. `cargo run
+//! --release -p tensor --example math_kernels` times every supported
+//! tier at the predictor's width.
 
 use crate::gemm::{active_tier, SimdTier};
 
-/// Widest row the lanes forms serve: their column tile (64 vectors).
+/// Widest row the lanes form serves: its column tile (64 `zmm`, 4 KiB).
 const LANES_MAX_D: usize = 64;
 
 /// Rows the scalar form interleaves.
@@ -87,11 +89,6 @@ pub fn layer_norm_rows_with_tier(
         // slice contracts are checked above.
         SimdTier::Avx512F if d <= LANES_MAX_D => unsafe {
             avx512::layer_norm_rows(x, o, gamma, beta, d, eps)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdTier::Avx2Fma if d <= LANES_MAX_D => unsafe {
-            avx2::layer_norm_rows(x, o, gamma, beta, d, eps)
         },
         _ => scalar::layer_norm_rows(x, o, gamma, beta, d, eps),
     }
@@ -143,11 +140,6 @@ pub fn layer_norm_bwd_rows_with_tier(
         // slice contracts are checked above.
         SimdTier::Avx512F if d <= LANES_MAX_D => unsafe {
             avx512::layer_norm_bwd_rows(x, gamma, eps, d, o, dgamma, dbeta)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdTier::Avx2Fma if d <= LANES_MAX_D => unsafe {
-            avx2::layer_norm_bwd_rows(x, gamma, eps, d, o, dgamma, dbeta)
         },
         _ => scalar::layer_norm_bwd_rows(x, gamma, eps, d, o, dgamma, dbeta),
     }
@@ -526,226 +518,6 @@ mod avx512 {
                         let t = _mm512_sub_ps(_mm512_mul_ps(g, ga), mg);
                         let t = _mm512_sub_ps(t, _mm512_mul_ps(xhat, mgx));
                         _mm512_mask_storeu_ps(op.add(at + j), mask, _mm512_mul_ps(iv, t));
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! Eight rows to a `ymm`, one row per lane: the `avx512f` form at half
-    //! the width.
-    use super::LANES_MAX_D;
-    use std::arch::x86_64::*;
-    use std::mem::MaybeUninit;
-
-    const LANES: usize = 8;
-
-    /// A block's column tile: column `p` of up to eight rows in lane order.
-    type Tile = [MaybeUninit<__m256>; LANES_MAX_D];
-
-    /// Lane `r` of `v`.
-    #[inline(always)]
-    fn lanes(v: __m256) -> [f32; LANES] {
-        // SAFETY: `__m256` and `[f32; 8]` have the same size, and every
-        // bit pattern is a valid `f32`.
-        unsafe { std::mem::transmute(v) }
-    }
-
-    /// The load / store mask of columns `j..min(j + 8, d)`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn cols(j: usize, d: usize) -> __m256i {
-        let n = (d - j).min(LANES) as i32;
-        _mm256_cmpgt_epi32(
-            _mm256_set1_epi32(n),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        )
-    }
-
-    /// The 8×8 transpose of `r`: lane `k` of column `c` is `r[k][c]`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn transpose(r: [__m256; LANES]) -> [__m256; LANES] {
-        let mut t = [_mm256_setzero_ps(); LANES];
-        for i in 0..4 {
-            t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
-            t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
-        }
-        // u[4h + c]: columns c and c + 4 of rows 4h..4h + 4.
-        let mut u = [_mm256_setzero_ps(); LANES];
-        for h in 0..2 {
-            let (a, b, c, e) = (t[4 * h], t[4 * h + 1], t[4 * h + 2], t[4 * h + 3]);
-            u[4 * h] = _mm256_shuffle_ps::<0x44>(a, c);
-            u[4 * h + 1] = _mm256_shuffle_ps::<0xEE>(a, c);
-            u[4 * h + 2] = _mm256_shuffle_ps::<0x44>(b, e);
-            u[4 * h + 3] = _mm256_shuffle_ps::<0xEE>(b, e);
-        }
-        let mut out = [_mm256_setzero_ps(); LANES];
-        for c in 0..4 {
-            out[c] = _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c]);
-            out[4 + c] = _mm256_permute2f128_ps::<0x31>(u[c], u[4 + c]);
-        }
-        out
-    }
-
-    /// Writes columns `0..d` of the `n` rows at `src` to `tile[..d]`, row
-    /// `r` in lane `r`; lanes from `n` up hold `0.0`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2; `src` points at `n * d` readable values, `1 ≤ n ≤ 8`,
-    /// `1 ≤ d ≤ LANES_MAX_D`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_columns(src: *const f32, n: usize, d: usize, tile: &mut Tile) {
-        for j in (0..d).step_by(LANES) {
-            let mask = cols(j, d);
-            let mut rows = [_mm256_setzero_ps(); LANES];
-            for (r, row) in rows[..n].iter_mut().enumerate() {
-                // SAFETY: columns `j..min(j + 8, d)` of row `r < n`.
-                *row = unsafe { _mm256_maskload_ps(src.add(r * d + j), mask) };
-            }
-            let end = (j + LANES).min(d);
-            for (slot, c) in tile[j..end].iter_mut().zip(transpose(rows)) {
-                slot.write(c);
-            }
-        }
-    }
-
-    /// The `(mean, inv)` of the rows whose columns `tile[..d]` holds.
-    ///
-    /// # Safety
-    ///
-    /// AVX2; `tile[..d]` was written by [`load_columns`].
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn stats(tile: &Tile, d: usize, eps: f32) -> (__m256, __m256) {
-        // SAFETY: per this function's contract.
-        let col = |p: usize| unsafe { tile[p].assume_init() };
-        let mut s = _mm256_set1_ps(-0.0);
-        for p in 0..d {
-            s = _mm256_add_ps(s, col(p));
-        }
-        let dv = _mm256_set1_ps(d as f32);
-        let mean = _mm256_div_ps(s, dv);
-        let mut vs = _mm256_set1_ps(-0.0);
-        for p in 0..d {
-            let t = _mm256_sub_ps(col(p), mean);
-            vs = _mm256_add_ps(vs, _mm256_mul_ps(t, t));
-        }
-        let var = _mm256_add_ps(_mm256_div_ps(vs, dv), _mm256_set1_ps(eps));
-        let inv = _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_sqrt_ps(var));
-        (mean, inv)
-    }
-
-    /// # Safety
-    ///
-    /// AVX2; as [`super::avx512::layer_norm_rows`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn layer_norm_rows(
-        x: Option<&[f32]>,
-        o: &mut [f32],
-        gamma: &[f32],
-        beta: &[f32],
-        d: usize,
-        eps: f32,
-    ) {
-        let rows = o.len() / d;
-        let dst = o.as_mut_ptr();
-        let src = x.map_or(dst as *const f32, <[f32]>::as_ptr);
-        let mut tile: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
-        for r0 in (0..rows).step_by(LANES) {
-            let n = LANES.min(rows - r0);
-            // SAFETY: rows `r0..r0 + n` are in bounds of both operands;
-            // `load_columns` writes the tile `stats` reads.
-            let (mean, inv) = unsafe {
-                load_columns(src.add(r0 * d), n, d, &mut tile);
-                stats(&tile, d, eps)
-            };
-            let (mean, inv) = (lanes(mean), lanes(inv));
-            for r in 0..n {
-                let (m, i) = (_mm256_set1_ps(mean[r]), _mm256_set1_ps(inv[r]));
-                let at = (r0 + r) * d;
-                for j in (0..d).step_by(LANES) {
-                    let mask = cols(j, d);
-                    // SAFETY: the masked loads and the store touch
-                    // columns `j..min(j + 8, d)` of an in-bounds row.
-                    unsafe {
-                        let v = _mm256_maskload_ps(src.add(at + j), mask);
-                        let g = _mm256_maskload_ps(gamma.as_ptr().add(j), mask);
-                        let b = _mm256_maskload_ps(beta.as_ptr().add(j), mask);
-                        let y = _mm256_mul_ps(_mm256_mul_ps(_mm256_sub_ps(v, m), i), g);
-                        _mm256_maskstore_ps(dst.add(at + j), mask, _mm256_add_ps(y, b));
-                    }
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// AVX2; as [`super::avx512::layer_norm_bwd_rows`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn layer_norm_bwd_rows(
-        x: &[f32],
-        gamma: &[f32],
-        eps: f32,
-        d: usize,
-        o: &mut [f32],
-        dgamma: &mut [f32],
-        dbeta: &mut [f32],
-    ) {
-        let rows = o.len() / d;
-        let (xp, op) = (x.as_ptr(), o.as_mut_ptr());
-        let (gp, dgp, dbp) = (gamma.as_ptr(), dgamma.as_mut_ptr(), dbeta.as_mut_ptr());
-        let dv = _mm256_set1_ps(d as f32);
-        let mut xt: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
-        let mut gt: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
-        for r0 in (0..rows).step_by(LANES) {
-            let n = LANES.min(rows - r0);
-            // SAFETY: rows `r0..r0 + n` of `x` and `o` are in bounds;
-            // `load_columns` writes the tiles read here.
-            let (mean, inv) = unsafe {
-                load_columns(xp.add(r0 * d), n, d, &mut xt);
-                load_columns(op.add(r0 * d), n, d, &mut gt);
-                stats(&xt, d, eps)
-            };
-            let (mut mean_gg, mut mean_ggx) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-            for p in 0..d {
-                // SAFETY: written by `load_columns` above.
-                let (xc, g) = unsafe { (xt[p].assume_init(), gt[p].assume_init()) };
-                let gg = _mm256_mul_ps(g, _mm256_set1_ps(gamma[p]));
-                mean_gg = _mm256_add_ps(mean_gg, gg);
-                let xhat = _mm256_mul_ps(_mm256_sub_ps(xc, mean), inv);
-                mean_ggx = _mm256_add_ps(mean_ggx, _mm256_mul_ps(gg, xhat));
-            }
-            let (mean_gg, mean_ggx) = (_mm256_div_ps(mean_gg, dv), _mm256_div_ps(mean_ggx, dv));
-            let [mean, inv, mean_gg, mean_ggx] = [mean, inv, mean_gg, mean_ggx].map(lanes);
-            for r in 0..n {
-                let (m, iv) = (_mm256_set1_ps(mean[r]), _mm256_set1_ps(inv[r]));
-                let (mg, mgx) = (_mm256_set1_ps(mean_gg[r]), _mm256_set1_ps(mean_ggx[r]));
-                let at = (r0 + r) * d;
-                for j in (0..d).step_by(LANES) {
-                    let mask = cols(j, d);
-                    // SAFETY: the masked loads and stores touch columns
-                    // `j..min(j + 8, d)` of an in-bounds row and of the
-                    // `d`-wide `gamma` / `dgamma` / `dbeta`.
-                    unsafe {
-                        let xv = _mm256_maskload_ps(xp.add(at + j), mask);
-                        let g = _mm256_maskload_ps(op.add(at + j), mask);
-                        let ga = _mm256_maskload_ps(gp.add(j), mask);
-                        let xhat = _mm256_mul_ps(_mm256_sub_ps(xv, m), iv);
-                        let dg = _mm256_maskload_ps(dgp.add(j), mask);
-                        let dg = _mm256_add_ps(dg, _mm256_mul_ps(g, xhat));
-                        _mm256_maskstore_ps(dgp.add(j), mask, dg);
-                        let db = _mm256_add_ps(_mm256_maskload_ps(dbp.add(j), mask), g);
-                        _mm256_maskstore_ps(dbp.add(j), mask, db);
-                        let t = _mm256_sub_ps(_mm256_mul_ps(g, ga), mg);
-                        let t = _mm256_sub_ps(t, _mm256_mul_ps(xhat, mgx));
-                        _mm256_maskstore_ps(op.add(at + j), mask, _mm256_mul_ps(iv, t));
                     }
                 }
             }
