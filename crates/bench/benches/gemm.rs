@@ -7,9 +7,8 @@
 //! * a machine-readable `BENCH_gemm.json` at the workspace root (override
 //!   the path with the `BENCH_GEMM_JSON` env var) recording
 //!   naive-vs-blocked GEMM timings per shape (plain and with the fused
-//!   bias / bias+ReLU epilogues plans run), the serial-vs-split fan-out
-//!   crossover sweep, and serial-vs-parallel training-step timings, for
-//!   the repo's perf trajectory.
+//!   bias / bias+ReLU epilogues plans run) and serial-vs-parallel
+//!   training-step timings, for the repo's perf trajectory.
 //!
 //! The "naive" baseline is a faithful replica of the seed's ikj
 //! `mm_kernel` (transposed-B dot-product form included), so speedups are
@@ -206,14 +205,6 @@ fn training_fixture() -> (Batch, Vec<f32>) {
 }
 
 fn bench_gemm(c: &mut Criterion) {
-    // Pin the global GEMM pool to one thread (unless the caller chose a
-    // size) so the naive-vs-blocked sweep and the "serial" training-step
-    // baseline are genuinely single-core even on multi-core hosts; the
-    // parallel variants use their own explicitly sized pools and the
-    // engine passes explicit worker counts, so neither is affected.
-    if std::env::var_os("PARALLEL_THREADS").is_none() {
-        std::env::set_var("PARALLEL_THREADS", "1");
-    }
     let mut g = c.benchmark_group("gemm");
     g.sample_size(15);
     for &(m, k, n, label) in SHAPES {
@@ -454,58 +445,9 @@ fn emit_json() {
         ));
     }
 
-    // The fan-out crossover behind `tensor`'s `PAR_MULADDS`: serial kernel
-    // vs the row-panel split over a pool of `nproc` threads, from 192K to
-    // 32M multiply-adds in three shape families. The split is replayed
-    // here, from outside — MR-aligned row panels handed to `pool.scope`,
-    // exactly what `gemm_dispatch` does — because the library applies the
-    // threshold itself and would run every row below it serial. The
-    // constant sits where `speedup_vs_serial` crosses 1.0 in every family.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let pool = parallel::ThreadPool::new(cores);
-    let mr = tensor::active_tier().mr();
-    let mut par_rows = Vec::new();
-    for (k, n) in [(32usize, 32usize), (96, 48), (256, 256)] {
-        for shift in 0..9 {
-            let m = ((192usize << 10) << shift).min(32 << 20) / (k * n);
-            if m < 2 * mr {
-                continue; // too few rows for two MR-aligned panels
-            }
-            let a = mk(m, k, 0.0);
-            let b = mk(k, n, 1.0);
-            let mut out = vec![0.0f32; m * n];
-            let id = tensor::Activation::Identity;
-            let serial = median_ns(150, || {
-                let (a, b) = (black_box(a.data()), black_box(b.data()));
-                tensor::gemm_ep_slices(m, k, n, a, b, None, id, &mut out).unwrap();
-                black_box(&out);
-            });
-            let rows_per = m.div_ceil(cores).next_multiple_of(mr);
-            let split = median_ns(150, || {
-                pool.scope(|s| {
-                    let panels = out.chunks_mut(rows_per * n);
-                    for (orows, arows) in panels.zip(a.data().chunks(rows_per * k)) {
-                        let b = b.data();
-                        s.spawn(move || {
-                            let rows = orows.len() / n;
-                            tensor::gemm_ep_slices(rows, k, n, arows, b, None, id, orows).unwrap();
-                        });
-                    }
-                });
-                black_box(&out);
-            });
-            par_rows.push(format!(
-                "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"muladds\": {}, \
-                 \"threads\": {cores}, \"serial_ns\": {serial:.0}, \"split_ns\": {split:.0}, \
-                 \"speedup_vs_serial\": {:.2}, \"library_splits\": {}}}",
-                m * k * n,
-                serial / split,
-                tensor::gemm_would_split(m, k, n, cores)
-            ));
-        }
-    }
 
     let (batch, y) = training_fixture();
     let bs = batch.record_idx.len();
@@ -552,12 +494,11 @@ fn emit_json() {
 
     let engine_rows = engine_section();
     let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"batch_rows\": {bs},\n  \"note\": \"gemm rows are single-core kernel-vs-kernel (both sides reuse output buffers; global pool pinned to 1 thread); simd_vs_autovec compares the runtime-selected micro-kernel against a replica of the pre-SIMD autovectorized 4x8 tile over the same blocking. gemm_quant rows compare the prepacked serving GEMM over f32 panels against i8 quantized panels (each k-block dequantized into a per-thread f32 scratch, then the same f32 macro-kernel; f32 accumulation). Headline *_prepacked_ns columns rotate each call over weight_matrices distinct matrices so the f32 panel working set exceeds the LLC - the cold-weights serving regime (layer stacks, multi-model fleets) where B-panel memory traffic binds and the 4x smaller i8 panels stay cache-resident; i8_vs_f32 > 1 means i8 is faster there. *_resident_ns columns reuse one cache-hot matrix back-to-back - compute-bound, so quantized at best ties f32 (same kernel plus a dequant pass); i8_vs_f32_resident reports that regime. blocked_bias*/prepacked* columns time the same product with the fused epilogues compiled plans run (bias on 19 of the predictor's 20 GEMMs, an activation on 5); the write-back finishes them in vector registers, so they should read within noise of the plain column. gemm_parallel is the fan-out crossover sweep behind tensor's PAR_MULADDS: serial kernel vs MR-aligned row panels over a pool of host_cores threads (replayed from outside the library, which applies the threshold itself); library_splits says which side of the constant a row is on. parallel_train_step rows compare data-parallel sharding at explicit pool sizes. On a 1-core host both measure dispatch overhead only.\",\n  \
-         \"gemm\": [\n{}\n  ],\n  \"gemm_quant\": [\n{}\n  ],\n  \"gemm_parallel\": [\n{}\n  ],\n  \"training_step\": [\n{}\n  ],\n  \
+        "{{\n  \"bench\": \"gemm\",\n  \"host_cores\": {cores},\n  \"kernel_tier\": \"{tier}\",\n  \"batch_rows\": {bs},\n  \"note\": \"gemm rows are single-core kernel-vs-kernel (both sides reuse output buffers; every kernel runs on its calling thread); simd_vs_autovec compares the runtime-selected micro-kernel against a replica of the pre-SIMD autovectorized 4x8 tile over the same blocking. gemm_quant rows compare the prepacked serving GEMM over f32 panels against i8 quantized panels (each k-block dequantized into a per-thread f32 scratch, then the same f32 macro-kernel; f32 accumulation). Headline *_prepacked_ns columns rotate each call over weight_matrices distinct matrices so the f32 panel working set exceeds the LLC - the cold-weights serving regime (layer stacks, multi-model fleets) where B-panel memory traffic binds and the 4x smaller i8 panels stay cache-resident; i8_vs_f32 > 1 means i8 is faster there. *_resident_ns columns reuse one cache-hot matrix back-to-back - compute-bound, so quantized at best ties f32 (same kernel plus a dequant pass); i8_vs_f32_resident reports that regime. blocked_bias*/prepacked* columns time the same product with the fused epilogues compiled plans run (bias on 19 of the predictor's 20 GEMMs, an activation on 5); the write-back finishes them in vector registers, so they should read within noise of the plain column. parallel_train_step rows compare data-parallel sharding at explicit pool sizes; on a 1-core host they measure dispatch overhead only.\",\n  \
+         \"gemm\": [\n{}\n  ],\n  \"gemm_quant\": [\n{}\n  ],\n  \"training_step\": [\n{}\n  ],\n  \
          \"engine_throughput\": [\n{}\n  ]\n}}\n",
         gemm_rows.join(",\n"),
         quant_rows.join(",\n"),
-        par_rows.join(",\n"),
         step_rows.join(",\n"),
         engine_rows.join(",\n"),
         tier = tensor::kernel_tier_name(),
@@ -617,9 +558,7 @@ fn engine_section() -> Vec<String> {
          \"requests_per_s\": {:.0}}}",
         n as f64 * 1e9 / serial
     )];
-    // Explicit worker counts (1 and one-per-core): the bench pins
-    // `PARALLEL_THREADS` for its serial baselines, which would otherwise
-    // leak into the engine's `workers: 0` auto-resolution.
+    // Explicit worker counts: 1 and one per core.
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);

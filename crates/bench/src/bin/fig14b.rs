@@ -23,13 +23,31 @@
 
 use bench::cross::write_rows;
 use bench::{claim_check, fit_gbt, standard_dataset, train_cdmpp, GbtCost};
-use cdmpp_core::{generational_search, CostModel, GenSearchConfig, ProposerMix, RandomCost};
+use std::cell::RefCell;
+
+use cdmpp_core::{generational_search, CostModel, GenSearchConfig, ProposerMix};
 use dataset::SplitIndices;
-use devsim::Simulator;
+use devsim::{DeviceSpec, Simulator};
 use learn::kendall_tau;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tir::{OpSpec, Schedule, TensorProgram};
+
+/// The random arm: every candidate scored is given the next draw of a
+/// seeded RNG, so no two candidates tie and a rerun draws the same scores.
+struct DrawnCost(RefCell<StdRng>);
+
+impl DrawnCost {
+    fn new(seed: u64) -> Self {
+        DrawnCost(RefCell::new(StdRng::seed_from_u64(seed)))
+    }
+}
+
+impl CostModel for DrawnCost {
+    fn score(&self, _prog: &TensorProgram, _dev: &DeviceSpec) -> f64 {
+        self.0.borrow_mut().random_range(0.0..1.0)
+    }
+}
 
 /// Fresh candidates drawn per task for the rank metrics (before dedup).
 const POOL: usize = 256;
@@ -120,7 +138,7 @@ fn main() {
     let (model, _) = train_cdmpp(&ds, &split, bench::epochs(split.train.len()));
     let gbt = GbtCost(fit_gbt(&ds, &split.train));
     let cdmpp = model.freeze();
-    let random = RandomCost { seed: 1 };
+    let random = DrawnCost::new(1);
     let arms: [(&str, &dyn CostModel); 3] =
         [("CDMPP", &cdmpp), ("XGBoost", &gbt), ("random", &random)];
     let dev = devsim::t4();
@@ -202,7 +220,8 @@ fn main() {
         "fig14b",
         &format!(
             "Search quality by cost model on T4 (CDMPP trained on the T4 training split, \
-             XGBoost on the same records, random = RandomCost seed 1). Per task and arm: \
+             XGBoost on the same records, random = one uniform draw per scored candidate from \
+             a StdRng seeded 1, shared by all tasks in order). Per task and arm: \
              over a pool of up to {POOL} distinct fresh candidates, all measured, the Kendall \
              tau-b of scores against simulator latency, the recall of the true top-{k} among \
              the arm's top-{k}, and the best-of-top-{k} regret (best latency among the arm's \

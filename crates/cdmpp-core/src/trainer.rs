@@ -32,8 +32,9 @@
 //! A whole compiled step reads 0.56–0.58 ms for sharded pre-training at
 //! B = 64 and 0.79–0.86 ms for a two-domain fine-tuning step at B = 48 on
 //! a 2-vCPU Xeon (Sapphire Rapids) host
-//! (`cargo run --release -p cdmpp-core --example train_step_phases`), and
-//! 16-row shards make GEMMs too small to share.
+//! (`cargo run --release -p cdmpp-core --example train_step_phases`).
+//! No kernel splits over threads either: every GEMM runs on the thread
+//! that calls it, and 16-row shards make GEMMs too small to share.
 //!
 //! [`train_step`] and [`train_step_parallel`] are the taped **oracles**:
 //! the one-graph step and the data-parallel step the compiled one must

@@ -349,6 +349,33 @@ mod tests {
     }
 
     #[test]
+    fn cmd_value_is_zellingers_definition() {
+        // Zellinger et al. 2017 (arXiv:1702.08811), Definition 1, on a
+        // pair checkable by hand, with |b − a| = 2 (the tanh support):
+        //   CMD_K(X, Y) = ‖E(X) − E(Y)‖₂ / |b − a|
+        //               + Σ_{k=2..K} ‖c_k(X) − c_k(Y)‖₂ / |b − a|^k,
+        //   c_k(X) = E((X − E(X))^k), per column.
+        // X = {(0.5, 0), (−0.5, 0)}: mean (0, 0), centred ±(0.5, 0).
+        // Y = {(0.25, 0.5), (0.75, 0.5)}: mean (0.5, 0.5), centred ±(0.25, 0).
+        let x = Tensor::from_vec(vec![0.5, 0.0, -0.5, 0.0], &[2, 2]).unwrap();
+        let y = Tensor::from_vec(vec![0.25, 0.5, 0.75, 0.5], &[2, 2]).unwrap();
+        let terms = [
+            0.5f64.sqrt() / 2.0,          // ‖(−0.5, −0.5)‖ / 2
+            (0.25 - 0.0625) / 4.0,        // c_2: 0.5² vs 0.25², per column (x, 0)
+            0.0,                          // c_3: odd moments of symmetric pairs
+            (0.0625 - 0.00390625) / 16.0, // c_4: 0.5⁴ vs 0.25⁴
+            0.0,                          // c_5
+        ];
+        for k in 1..=5 {
+            let want: f64 = terms[..k].iter().sum();
+            let got = cmd_value(&x, &y, k, TANH_SUPPORT).unwrap() as f64;
+            // Every norm is taken as sqrt(Σ x² + 1e-12), so a zero moment
+            // difference reads 1e-6 / 2^k rather than 0.
+            assert!((got - want).abs() < 1e-6, "K = {k}: {got} vs {want}");
+        }
+    }
+
+    #[test]
     fn cmd_is_symmetric() {
         let a = mat(8, 3, |i| (i as f32 * 0.13).sin() * 0.9);
         let b = mat(6, 3, |i| (i as f32 * 0.29).cos() * 0.9);

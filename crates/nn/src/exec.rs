@@ -9,10 +9,9 @@
 //!   while capturing the op program that [`crate::plan`] lowers into plans
 //!   and folds.
 //!
-//! The matrix products route through `tensor`'s blocked/packed GEMM (with
-//! row-panel multi-threading above a size threshold): path selection and
-//! accumulation order depend only on shapes, never on which executor — or
-//! how many threads — ran the op.
+//! The matrix products route through `tensor`'s blocked/packed GEMM, on
+//! the calling thread: path selection and accumulation order depend only
+//! on shapes, never on which executor ran the op.
 
 use crate::tape::{Graph, ParamId, ParamStore, Var};
 use tensor::{Result, Tensor};

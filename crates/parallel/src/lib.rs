@@ -1,11 +1,11 @@
 //! Minimal std-only scoped thread pool.
 //!
-//! One pool serves both compute layers of the CDMPP stack:
-//!
-//! * the blocked GEMM kernels in `tensor` split large matrix products over
-//!   row panels, and
-//! * the data-parallel trainer in `cdmpp-core` runs gradient shards of one
-//!   minibatch on worker threads.
+//! The pool runs whole units of work, never pieces of one kernel: the
+//! data-parallel trainer in `cdmpp-core` runs the gradient shards of one
+//! minibatch on it, the schedule search lowers candidates on it while the
+//! caller proposes the next round, and `runtime`'s engine cost model
+//! encodes candidates on a pool of its own. Every matrix product runs on
+//! the thread that calls it.
 //!
 //! Design constraints, in order:
 //!
@@ -14,17 +14,10 @@
 //! 2. **Determinism-friendly.** The pool never decides *how* work is split —
 //!    callers fix the partition (by shape or shard size, never by thread
 //!    count) and the pool only executes it. Nothing here reorders results.
-//! 3. **No nested fan-out.** A task running on any pool worker (or a thread
-//!    marked with [`mark_worker_thread`], e.g. the serving engine's workers)
-//!    executes nested `spawn`s inline. This keeps one parallel layer active
-//!    at a time: the trainer's shards don't oversubscribe cores by also
-//!    splitting every GEMM, and a scope entered from a worker can never
-//!    deadlock waiting on its own pool.
-//! 4. **Composable budgets.** Threads that are *not* pool workers but still
-//!    belong to a parallel ensemble (serving-engine workers) carry an
-//!    explicit intra-op budget ([`set_intra_op_threads`]) instead of the
-//!    all-or-nothing worker mark: `engine workers x per-worker GEMM
-//!    threads` is capped at the core count by construction.
+//! 3. **No nested fan-out.** A task running on a pool worker executes
+//!    nested `spawn`s inline. This keeps one parallel layer active at a
+//!    time, and a scope entered from a worker can never deadlock waiting
+//!    on its own pool.
 //!
 //! Thread-count resolution is centralized in [`resolve_threads`]: an
 //! explicit request wins, then the `PARALLEL_THREADS` environment variable,
@@ -44,54 +37,17 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// Per-thread intra-op parallelism budget: how many pool threads a
-    /// kernel running on this thread may fan out over. `0` = unset
-    /// (unlimited — bounded only by the pool size).
-    static INTRA_OP: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Marks the current thread as part of a parallel ensemble: any
-/// [`Scope::spawn`] issued from it runs inline instead of fanning out.
-///
-/// Pool workers are marked automatically; external worker threads (e.g. the
-/// serving engine's per-core workers) should call this once at startup so
-/// kernels they execute stay single-threaded.
-pub fn mark_worker_thread() {
+/// Marks the current thread as a pool worker: any [`Scope::spawn`] issued
+/// from it runs inline instead of fanning out.
+fn mark_worker_thread() {
     IS_WORKER.with(|c| c.set(true));
 }
 
-/// Whether the current thread is marked as a worker (see
-/// [`mark_worker_thread`]).
-pub fn is_worker_thread() -> bool {
+/// Whether the current thread is a pool worker.
+fn is_worker_thread() -> bool {
     IS_WORKER.with(|c| c.get())
-}
-
-/// Sets this thread's intra-op parallelism budget: the maximum number of
-/// pool threads a kernel invoked from this thread may split one operation
-/// over. `0` clears the budget (unlimited).
-///
-/// This is how inter-op workers (the serving engine's per-request threads)
-/// and intra-op kernels (the GEMM row-panel split) **compose** without
-/// oversubscription: an engine running `w` workers on `c` cores gives each
-/// worker a budget of `c / w`, so `workers x intra-op threads <= cores`.
-/// A budget of `1` keeps kernels serial on this thread — the pre-budget
-/// behavior of [`mark_worker_thread`] — without making it a pool worker
-/// (nested scopes from it still fan out if the budget allows).
-pub fn set_intra_op_threads(n: usize) {
-    INTRA_OP.with(|c| c.set(n));
-}
-
-/// This thread's intra-op budget: the cap from [`set_intra_op_threads`],
-/// `1` on pool workers (they own exactly one core of a split already), or
-/// `usize::MAX` when unset. Kernels take `min(budget, pool.threads())`.
-pub fn intra_op_threads() -> usize {
-    if is_worker_thread() {
-        return 1;
-    }
-    match INTRA_OP.with(|c| c.get()) {
-        0 => usize::MAX,
-        n => n,
-    }
 }
 
 /// Resolves a thread count: `requested` if non-zero, else the
@@ -129,7 +85,7 @@ fn env_threads() -> Option<usize> {
 
 /// The process-wide pool, sized by [`resolve_threads`]`(0)` on first use.
 ///
-/// The GEMM layer draws from this pool; code that needs an explicit size
+/// Search lowering draws from this pool; code that needs an explicit size
 /// (benchmarks, determinism tests) builds its own [`ThreadPool`].
 pub fn global() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
@@ -437,18 +393,5 @@ mod tests {
         assert_eq!(pool.run_indexed(0, |i| i), Vec::<usize>::new());
         // Fewer items than threads: every index still runs exactly once.
         assert_eq!(pool.run_indexed(2, |i| i * 7), vec![0, 7]);
-    }
-
-    #[test]
-    fn intra_op_budget_defaults_and_overrides() {
-        assert_eq!(intra_op_threads(), usize::MAX, "unset = unlimited");
-        set_intra_op_threads(3);
-        assert_eq!(intra_op_threads(), 3);
-        set_intra_op_threads(0);
-        assert_eq!(intra_op_threads(), usize::MAX);
-        // Pool workers always report a budget of 1, whatever was set.
-        let pool = ThreadPool::new(1);
-        let on_worker = pool.run_indexed(1, |_| intra_op_threads());
-        assert_eq!(on_worker[0], 1);
     }
 }

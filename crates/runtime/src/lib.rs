@@ -337,16 +337,10 @@ impl InferenceEngine {
         let faults = cfg.faults.clone().unwrap_or_else(FaultPlan::from_env);
         let queue = JobQueue::new(cfg.queue_capacity);
         let n_workers = cfg.resolved_workers();
-        // Split the machine between engine workers and intra-op GEMM
-        // threads so the two layers compose instead of oversubscribing:
-        // each worker gets cores/workers threads for its own GEMMs. With
-        // one worker per core the budget is 1 and GEMMs stay serial.
-        let intra_op = (parallel::resolve_threads(0) / n_workers.max(1)).max(1);
         let caller_ctx = supervisor::WorkerCtx {
             queue: Arc::clone(&queue),
             stats: Arc::clone(&stats),
             faults: faults.clone(),
-            intra_op,
         };
         InferenceEngine {
             served: RwLock::new(Arc::new(Served {
@@ -803,8 +797,8 @@ pub struct EngineCostModel {
 
 impl EngineCostModel {
     /// Wraps `engine` with an encode pool of `encode_threads` threads
-    /// (0 = `PARALLEL_THREADS` / available parallelism, like the GEMM
-    /// layer). Encoding is bit-identical for any thread count.
+    /// (0 = `PARALLEL_THREADS` / available parallelism). Encoding is
+    /// bit-identical for any thread count.
     pub fn new(engine: Arc<InferenceEngine>, encode_threads: usize) -> EngineCostModel {
         EngineCostModel {
             engine,

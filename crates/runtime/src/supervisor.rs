@@ -40,19 +40,12 @@ pub(crate) struct WorkerCtx {
     pub queue: Arc<JobQueue>,
     pub stats: Arc<StatsInner>,
     pub faults: FaultPlan,
-    /// Intra-op GEMM thread budget (cores / workers). Applied to worker
-    /// threads only: a calling thread's `parallel` budget is its own.
-    pub intra_op: usize,
 }
 
 /// The worker entry point: a respawn loop around the serve loop. The only
 /// clean exit is queue closure; any panic that escapes the per-chunk
 /// handler restarts the loop with fresh replay state.
 pub(crate) fn supervised_worker(ctx: WorkerCtx) {
-    // Cap how many threads this worker's GEMMs may fan out to, so
-    // worker-level and GEMM-level parallelism compose instead of
-    // oversubscribing the machine (budget 1 == serial GEMMs).
-    parallel::set_intra_op_threads(ctx.intra_op);
     loop {
         let mut runner = PlanRunner::new();
         let run = catch_unwind(AssertUnwindSafe(|| serve_loop(&ctx, &mut runner)));

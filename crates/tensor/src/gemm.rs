@@ -2,12 +2,12 @@
 //! [`crate::matmul`] / [`crate::bmm`] and their `*_into` / `*_acc_into`
 //! variants.
 //!
-//! Three layers, engaged by problem size:
+//! Two layers, engaged by problem size, both on the calling thread:
 //!
 //! 1. **Naive strided loop** for tiny products (attention tiles, single
 //!    rows): per-element dot products in ascending-`k` order. Packing would
 //!    cost more than it saves here.
-//! 2. **Blocked serial kernel**: the classic GOTO/BLIS loop nest. `B` is
+//! 2. **Blocked kernel**: the classic GOTO/BLIS loop nest. `B` is
 //!    packed into `KC x NR` column slabs (cache-line-aligned via
 //!    [`crate::aligned::AVec`], pooled per thread so steady-state calls
 //!    never allocate) and an explicit register-tile micro-kernel streams
@@ -15,12 +15,11 @@
 //!    a transposed view's strips through `tile` at the view's column
 //!    stride (bitwise the same tile); only a transposed block's ragged
 //!    last strip is copied into a zero-padded `KC x MR` strip.
-//! 3. **Row-panel parallelism**: products of at least `PAR_MULADDS`
-//!    multiply-adds (the measured crossover, see the constant) split their
-//!    `M` dimension over [`parallel::global`]. Each output element is
-//!    produced by exactly one task with an accumulation order fixed by
-//!    shape alone, so results are **bit-identical for every thread count**
-//!    (including 1).
+//!
+//! No kernel fans out over threads: the predictor's products (at most
+//! ≈ 2.1M multiply-adds) are too small for a split to pay for its
+//! dispatch, so parallelism lives in the callers that own whole units of
+//! work (engine workers, search lowering, training shards).
 //!
 //! Every blocked path runs one loop body over its tiles (`macro_body`) and
 //! finishes each tile through one trait method, `TileAcc::write_back`.
@@ -195,8 +194,7 @@ type Tile = [[f32; TILE_NR]; MR_MAX];
 pub(crate) const KC: usize = 512;
 /// M-dimension block (rows of A packed at a time).
 const MC: usize = 128;
-/// N-dimension block. Row-panel parallelism assumes `n <= NC`, which holds
-/// for every shape this workspace produces; wider products run serial.
+/// N-dimension block.
 const NC: usize = 4096;
 
 /// Below this many multiply-adds the naive loop wins (no packing traffic).
@@ -205,37 +203,9 @@ const NC: usize = 4096;
 /// (`m=8`: 14K muladds at predictor shapes) onto the fast path.
 #[doc(hidden)]
 pub const TINY_MULADDS: usize = 8 * 1024;
-/// At this many multiply-adds the row-panel split across the global pool
-/// pays for its dispatch: the measured crossover of the `gemm_parallel`
-/// sweep in `BENCH_gemm.json` (2 threads on a 2-core host, where an empty
-/// pool round trip costs 9-13 us at p50 and 20 us at p90, and a second
-/// thread scales a fixed loop anywhere from 1.0x to 2.0x depending on the
-/// host's neighbours, per the `parallel` crate's `wake_probe` example:
-/// the split runs 0.11x serial at 192K
-/// multiply-adds, 0.6-0.9x at 3M, breaks even around 6M — 0.9-1.2x over
-/// three sweeps — and wins 1.3-1.5x at 12M in every shape family). Every
-/// CLI-model GEMM (<= 2.1M) therefore runs serial. Shared with the bmm
-/// batch-axis split in `ops.rs` so the two dispatch layers cut over
-/// together.
-#[doc(hidden)]
-pub const PAR_MULADDS: usize = 6 * 1024 * 1024;
-
-/// Whether the *shape* qualifies for the row-panel split under `tier`
-/// (the caller's thread context and pool size are checked separately).
-fn split_shape_ok(m: usize, k: usize, n: usize, tier: SimdTier) -> bool {
-    m * n * k >= PAR_MULADDS && n <= NC && m >= 2 * tier.mr()
-}
-
-/// Whether a `[m, k] · [k, n]` product handed `threads` workers is fanned
-/// out over row panels — the rule `gemm_dispatch` itself applies, exposed
-/// so tests can assert their shapes really take (or really miss) the split.
-#[doc(hidden)]
-pub fn gemm_would_split(m: usize, k: usize, n: usize, threads: usize) -> bool {
-    threads > 1 && split_shape_ok(m, k, n, active_tier())
-}
 
 thread_local! {
-    /// Per-thread packing buffers: pool workers and long-lived serving
+    /// Per-thread packing buffers: long-lived serving and training
     /// threads reuse the same panels for every GEMM they ever run.
     static PACK: RefCell<(AVec, AVec)> = const { RefCell::new((AVec::new(), AVec::new())) };
     /// Per-thread dequantized k-block for the prepacked quant path: each
@@ -261,16 +231,6 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// The tier's register-tile row count.
-    pub fn mr(self) -> usize {
-        match self {
-            SimdTier::Scalar => ScalarK::MR,
-            SimdTier::Avx2Fma => 6,
-            SimdTier::Avx512F => 8,
-            SimdTier::Neon => 4,
-        }
-    }
-
     /// Human-readable tier name (stable — emitted into bench JSON).
     pub fn name(self) -> &'static str {
         match self {
@@ -335,8 +295,8 @@ fn detect_tier() -> SimdTier {
 }
 
 /// One register-tile micro-kernel. `MR`/`NR` are per-implementation
-/// constants — the blocked loop nest, the packing layout and the row-panel
-/// split are all generic over them.
+/// constants — the blocked loop nest and the packing layout are generic
+/// over them.
 ///
 /// # Safety
 ///
@@ -496,15 +456,6 @@ impl<'a> MatRef<'a> {
     fn at(&self, i: usize, j: usize) -> f32 {
         self.data[i * self.rs + j * self.cs]
     }
-
-    /// The view shifted down by `rows` logical rows.
-    fn offset_rows(&self, rows: usize) -> MatRef<'a> {
-        MatRef {
-            data: &self.data[rows * self.rs..],
-            rs: self.rs,
-            cs: self.cs,
-        }
-    }
 }
 
 /// `C = ep(A·B)` (or `C += A·B` when `acc`) for logical shapes `[m,k]·[k,n]`.
@@ -525,12 +476,11 @@ pub(crate) fn gemm(
     acc: bool,
     ep: Epilogue,
 ) {
-    gemm_dispatch(m, n, k, a, b, c, acc, ep, active_tier(), None)
+    gemm_dispatch(m, n, k, a, b, c, acc, ep, active_tier())
 }
 
-/// [`gemm`] with the tier pinned and (optionally) an explicit pool for the
-/// row-panel split — the seams the bit-identity tests and the multi-thread
-/// benches drive directly.
+/// [`gemm`] with the tier pinned — the seam the bit-identity tests drive
+/// directly.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_dispatch(
     m: usize,
@@ -542,7 +492,6 @@ pub(crate) fn gemm_dispatch(
     acc: bool,
     ep: Epilogue,
     tier: SimdTier,
-    pool: Option<&parallel::ThreadPool>,
 ) {
     debug_assert_eq!(c.len(), m * n);
     debug_assert!(!acc || ep.is_none(), "epilogue cannot combine with C +=");
@@ -555,43 +504,10 @@ pub(crate) fn gemm_dispatch(
         }
         return;
     }
-    let muladds = m * n * k;
-    if muladds < TINY_MULADDS {
+    if m * n * k < TINY_MULADDS {
         return gemm_naive(m, n, k, a, b, c, acc, ep, tier);
     }
-    let mr = tier.mr();
-    // Check the cheap disqualifiers before touching the global pool, so
-    // processes whose GEMMs never parallelize (worker threads, budget-1
-    // serving threads, mid-size products) never lazily spawn it.
-    let eligible = split_shape_ok(m, k, n, tier)
-        && (pool.is_some() || (!parallel::is_worker_thread() && parallel::intra_op_threads() > 1));
-    if !eligible {
-        return gemm_blocked_tier(m, n, k, a, b, c, acc, ep, tier);
-    }
-    let pool = pool.unwrap_or_else(|| parallel::global());
-    let threads = pool.threads().min(parallel::intra_op_threads());
-    if threads <= 1 {
-        return gemm_blocked_tier(m, n, k, a, b, c, acc, ep, tier);
-    }
-    // Row-panel split: chunk boundaries never change any element's
-    // accumulation order, so the result is bit-identical to the serial run
-    // for every chunk count. The epilogue is per-element (bias indexed by
-    // column, which every row panel keeps in full), so it splits with the
-    // rows.
-    let chunks = threads.min(m.div_ceil(mr));
-    let rows_per = m.div_ceil(chunks).next_multiple_of(mr);
-    pool.scope(|s| {
-        let mut rest = c;
-        let mut i0 = 0;
-        while i0 < m {
-            let rows = rows_per.min(m - i0);
-            let (head, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            let a_sub = a.offset_rows(i0);
-            s.spawn(move || gemm_blocked_tier(rows, n, k, a_sub, b, head, acc, ep, tier));
-            i0 += rows;
-        }
-    });
+    gemm_blocked_tier(m, n, k, a, b, c, acc, ep, tier)
 }
 
 /// An empty product (`k == 0`) is all zeros; the epilogue still applies
@@ -2276,22 +2192,6 @@ unsafe fn neon_spill(acc: &[[std::arch::aarch64::float32x4_t; 2]; 4]) -> Tile {
 mod tests {
     use super::*;
 
-    /// The tests below run the full dispatch through `gemm`; the blocked
-    /// path is reached via the public threshold behavior.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_blocked(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: MatRef,
-        b: MatRef,
-        c: &mut [f32],
-        acc: bool,
-        ep: Epilogue,
-    ) {
-        gemm_blocked_tier(m, n, k, a, b, c, acc, ep, active_tier())
-    }
-
     /// Reference: textbook triple loop on strided views.
     fn reference(m: usize, n: usize, k: usize, a: MatRef, b: MatRef) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
@@ -2399,14 +2299,14 @@ mod tests {
     /// The epilogue contract: fused scale+bias+activation must be
     /// bit-identical to running the plain GEMM followed by separate scale /
     /// bias / activation passes, on every kernel path (tiny naive, blocked,
-    /// multi-k-block, and the row-panel parallel split).
+    /// multi-k-block, and a large blocked product of many row strips).
     #[test]
     fn epilogue_bit_identical_to_separate_passes() {
         for &(m, n, k, tag) in &[
             (3usize, 5usize, 4usize, "naive-ikj"),
             (64, 48, 56, "blocked"),
             (9, 100, 600, "two-k-blocks"),
-            (PAR_MULADDS / (64 * 64), 64, 64, "parallel-eligible"),
+            (1536, 64, 64, "large-blocked"),
         ] {
             let av = filled(m * k, 0.0);
             let bv = filled(k * n, 1.0);
@@ -2715,42 +2615,5 @@ mod tests {
             },
         );
         assert_eq!(c, vec![1.5, 0.0, 0.25, 1.5, 0.0, 0.25]);
-    }
-
-    /// Shapes derived from the cut-over itself — one just below it, one
-    /// on it, one 4x above — so moving `PAR_MULADDS` can never leave this
-    /// test comparing two serial runs: the predicate `gemm_dispatch`
-    /// applies must say "split" for the explicit-pool runs that claim it.
-    #[test]
-    fn parallel_threshold_sizes_are_bit_identical_to_serial() {
-        let (n, k) = (64, 64);
-        let at = PAR_MULADDS / (n * k);
-        for (m, splits) in [(at - 1, false), (at, true), (4 * at, true)] {
-            let av = filled(m * k, 0.3);
-            let bv = filled(k * n, 0.6);
-            let a = MatRef::dense(&av, k);
-            let b = MatRef::dense(&bv, n);
-            let mut serial = vec![0.0f32; m * n];
-            gemm_blocked(m, n, k, a, b, &mut serial, false, Epilogue::NONE);
-            for threads in [2usize, 3] {
-                assert_eq!(gemm_would_split(m, k, n, threads), splits, "m={m}");
-                let pool = parallel::ThreadPool::new(threads);
-                let mut par = vec![f32::NAN; m * n];
-                let tier = active_tier();
-                gemm_dispatch(
-                    m,
-                    n,
-                    k,
-                    a,
-                    b,
-                    &mut par,
-                    false,
-                    Epilogue::NONE,
-                    tier,
-                    Some(&pool),
-                );
-                assert_eq!(serial, par, "m={m}: row split must not change any bit");
-            }
-        }
     }
 }

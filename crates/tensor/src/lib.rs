@@ -34,17 +34,17 @@ pub use gemm::{
     PackedB, QuantizedPackedB, SimdTier,
 };
 #[doc(hidden)]
-pub use gemm::{gemm_would_split, supported_tiers, PAR_MULADDS, TINY_MULADDS};
+pub use gemm::{supported_tiers, TINY_MULADDS};
 pub use norm::{layer_norm_bwd_rows, layer_norm_rows};
 #[doc(hidden)]
 pub use norm::{layer_norm_bwd_rows_with_tier, layer_norm_rows_with_tier};
+#[doc(hidden)]
+pub use ops::gemm_slices_with_tier;
 pub use ops::{
     bmm, bmm_acc_into, bmm_acc_slices, bmm_ep_slices, bmm_into, bmm_slices, gemm_ep_slices,
     gemm_prepacked, gemm_prepacked_quant, gemm_t_slices, matmul, matmul_acc_into, matmul_into,
     matmul_t_acc_into, matmul_t_into,
 };
-#[doc(hidden)]
-pub use ops::{gemm_slices_with_tier, matmul_into_with_pool};
 pub use quant::{QuantMode, QuantizedMatrix, QUANT_GROUP};
 pub use shape::Shape;
 

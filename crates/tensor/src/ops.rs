@@ -1,8 +1,8 @@
 //! Matrix-multiplication entry points.
 //!
 //! All products route through the blocked/packed/register-tiled kernel in
-//! [`crate::gemm`] (with a naive fast path for tiny shapes, and row-panel
-//! multi-threading for large ones). Every operation has three forms:
+//! [`crate::gemm`] (with a naive fast path for tiny shapes), on the
+//! calling thread. Every operation has three forms:
 //!
 //! * an allocating wrapper ([`matmul`], [`bmm`]),
 //! * a `*_into` variant writing into a caller-provided `Vec` (reusing its
@@ -245,7 +245,7 @@ pub fn bmm_into(
 ) -> Result<[usize; 3]> {
     let [batch, m, k, n] = check_bmm(a, ta, b, tb)?;
     ensure_len(out, batch * m * n);
-    bmm_dispatch(a, ta, b, tb, [batch, m, k, n], out, false);
+    bmm_core(batch, m, k, n, a.data(), ta, b.data(), tb, out, false, None);
     Ok([batch, m, n])
 }
 
@@ -265,27 +265,12 @@ pub fn bmm_acc_into(
             len: out.len(),
         });
     }
-    bmm_dispatch(a, ta, b, tb, [batch, m, k, n], out, true);
+    bmm_core(batch, m, k, n, a.data(), ta, b.data(), tb, out, true, None);
     Ok([batch, m, n])
 }
 
-/// Runs the per-batch products, splitting the batch axis across the global
-/// pool when the total is worth it. Every batch's accumulation order is
-/// fixed by shape alone, so the split is bit-identical for any thread
-/// count.
-fn bmm_dispatch(
-    a: &Tensor,
-    ta: bool,
-    b: &Tensor,
-    tb: bool,
-    [batch, m, k, n]: [usize; 4],
-    out: &mut [f32],
-    acc: bool,
-) {
-    bmm_core(batch, m, k, n, a.data(), ta, b.data(), tb, out, acc, None);
-}
-
-/// The slice-level core behind [`bmm_dispatch`] and [`bmm_slices`].
+/// The slice-level core behind [`bmm`], [`bmm_slices`] and their
+/// `*_into` / `*_acc_*` forms.
 ///
 /// `a` holds `batch` row-major `[m, k]` matrices (`[k, m]` when `ta`), `b`
 /// holds `batch` `[k, n]` matrices (`[n, k]` when `tb`), `out` holds
@@ -320,7 +305,7 @@ fn bmm_core(
         scale,
         ..Epilogue::NONE
     };
-    let per_batch = move |t: usize, osl: &mut [f32]| {
+    for (t, osl) in out.chunks_exact_mut(m * n).enumerate() {
         let asl = &a[t * a_stride..(t + 1) * a_stride];
         let bsl = &b[t * b_stride..(t + 1) * b_stride];
         gemm(
@@ -333,34 +318,7 @@ fn bmm_core(
             acc,
             ep,
         );
-    };
-    // Same cut-over as the GEMM-internal row split; per-batch products
-    // below it would each run serial anyway, so fan the batch axis out
-    // instead. The cheap checks run first so ineligible callers never
-    // lazily spawn the global pool.
-    let serial = batch == 1
-        || batch * m * n * k < crate::gemm::PAR_MULADDS
-        || parallel::intra_op_threads() <= 1
-        || parallel::global().threads() <= 1;
-    if serial {
-        for (t, osl) in out.chunks_exact_mut(m * n).enumerate() {
-            per_batch(t, osl);
-        }
-        return;
     }
-    let pool = parallel::global();
-    let threads = pool.threads().min(parallel::intra_op_threads());
-    let chunk = batch.div_ceil(threads);
-    pool.scope(|s| {
-        for (ci, och) in out.chunks_mut(chunk * m * n).enumerate() {
-            let per_batch = &per_batch;
-            s.spawn(move || {
-                for (j, osl) in och.chunks_exact_mut(m * n).enumerate() {
-                    per_batch(ci * chunk + j, osl);
-                }
-            });
-        }
-    });
 }
 
 /// Epilogue-capable 2-D GEMM over raw slices: `out = act(a · b + bias)`,
@@ -527,10 +485,10 @@ pub fn gemm_prepacked_quant(
 }
 
 /// Batched matrix product over raw slices (the slice-level twin of
-/// [`bmm_into`], sharing its batch-axis parallel dispatch and bit-identity
-/// guarantees). `a` holds `batch` `[m, k]` matrices (`[k, m]` when `ta`),
-/// `b` holds `batch` `[k, n]` matrices (`[n, k]` when `tb`), and `out`
-/// holds exactly `batch * m * n` elements (fully overwritten).
+/// [`bmm_into`], sharing its kernel and bit-identity guarantees). `a`
+/// holds `batch` `[m, k]` matrices (`[k, m]` when `ta`), `b` holds `batch`
+/// `[k, n]` matrices (`[n, k]` when `tb`), and `out` holds exactly
+/// `batch * m * n` elements (fully overwritten).
 #[allow(clippy::too_many_arguments)]
 pub fn bmm_slices(
     batch: usize,
@@ -617,35 +575,6 @@ pub fn bmm_acc_slices(
     Ok(())
 }
 
-/// [`matmul_into`] routed through an explicit pool for the row-panel
-/// split, bypassing the global pool and the caller-thread budget checks
-/// (the shape rule, `gemm_would_split`, still applies) — the seam the
-/// thread-count-invariance tests drive. Bit-identical to [`matmul_into`]
-/// for any pool size.
-#[doc(hidden)]
-pub fn matmul_into_with_pool(
-    pool: &parallel::ThreadPool,
-    a: &Tensor,
-    b: &Tensor,
-    out: &mut Vec<f32>,
-) -> Result<[usize; 2]> {
-    let [m, k, n] = check_mm(a, false, b, false)?;
-    ensure_len(out, m * n);
-    gemm_dispatch(
-        m,
-        n,
-        k,
-        MatRef::dense(a.data(), k),
-        MatRef::dense(b.data(), n),
-        out,
-        false,
-        Epilogue::NONE,
-        crate::gemm::active_tier(),
-        Some(pool),
-    );
-    Ok([m, n])
-}
-
 /// Full GEMM dispatch (naive/blocked thresholds included, serial) with the
 /// kernel tier pinned — the seam the SIMD-vs-scalar bit-identity tests
 /// drive. `a` is stored `[m, k]` row-major (`[k, m]` when `ta`), `b` is
@@ -679,7 +608,6 @@ pub fn gemm_slices_with_tier(
         acc,
         Epilogue { scale, bias, act },
         tier,
-        None,
     );
 }
 

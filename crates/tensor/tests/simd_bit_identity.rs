@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 use tensor::{
     active_tier, bmm_acc_slices, bmm_slices, gemm_prepacked, gemm_prepacked_quant,
-    gemm_slices_with_tier, gemm_t_slices, gemm_would_split, supported_tiers, Activation, PackedB,
-    QuantizedMatrix, QuantizedPackedB, SimdTier, PAR_MULADDS, QUANT_GROUP, TINY_MULADDS,
+    gemm_slices_with_tier, gemm_t_slices, supported_tiers, Activation, PackedB, QuantizedMatrix,
+    QuantizedPackedB, SimdTier, QUANT_GROUP, TINY_MULADDS,
 };
 
 fn fill(numel: usize, seed: f32) -> Vec<f32> {
@@ -426,29 +426,6 @@ fn vector_write_back_matches_scalar_epilogue() {
             s, [true; 5],
             "{path}: [-0.0, +0.0, NaN, +inf, -inf] reached the write-back"
         );
-    }
-}
-
-#[test]
-fn parallel_split_is_bitwise_equal_to_serial() {
-    // Thread splits happen at kernel-MR-aligned row boundaries, so every
-    // output element sees the same accumulation chain regardless of the
-    // pool size. Shapes sit one row below the fan-out cut-over, on it, and
-    // 4x above it, so the test keeps splitting wherever the constant
-    // moves; `gemm_would_split` is the dispatcher's own rule.
-    let (k, n) = (700, 64);
-    let at = PAR_MULADDS.div_ceil(k * n);
-    for (m, splits) in [(at - 1, false), (at, true), (4 * at, true)] {
-        let a = tensor::Tensor::from_vec(fill(m * k, 0.1), &[m, k]).unwrap();
-        let b = tensor::Tensor::from_vec(fill(k * n, 1.1), &[k, n]).unwrap();
-        let serial = tensor::matmul(&a, &b).unwrap();
-        for threads in [1usize, 2, 3, 4] {
-            assert_eq!(gemm_would_split(m, k, n, threads), splits && threads > 1);
-            let pool = parallel::ThreadPool::new(threads);
-            let mut out = Vec::new();
-            tensor::matmul_into_with_pool(&pool, &a, &b, &mut out).unwrap();
-            assert_bits_equal(&out, serial.data(), &format!("m={m}, pool of {threads}"));
-        }
     }
 }
 
