@@ -429,32 +429,86 @@ fn vector_write_back_matches_scalar_epilogue() {
     }
 }
 
+/// Shapes for the fused-attention oracle, `(b, h, l, dh)`. The `avx512f`
+/// tier runs sixteen (sample, head, query) rows to a vector, whole
+/// (sample, head) groups of `l` rows to a block, so the list covers its
+/// block geometry: the serving shapes (`h = 2`, `dh = 16`, `l` 2–4, with
+/// ragged last blocks at every `b`), `l = 16` (one group a block), `l` 5
+/// and 9 (dead lanes past the last group), and heads that are not whole
+/// vectors or span several (`dh` 17, 40, 64).
+const ATTENTION_SHAPES: &[(usize, usize, usize, usize)] = &[
+    (1, 1, 1, 1),
+    (2, 2, 8, 16),
+    (3, 4, 5, 8),
+    (1, 2, 11, 40),
+    (1, 2, 2, 16),
+    (7, 2, 2, 16),
+    (13, 2, 2, 16),
+    (24, 2, 2, 16),
+    (1, 2, 3, 16),
+    (7, 2, 3, 16),
+    (13, 2, 3, 16),
+    (24, 2, 3, 16),
+    (1, 2, 4, 16),
+    (7, 2, 4, 16),
+    (13, 2, 4, 16),
+    (24, 2, 4, 16),
+    (2, 2, 16, 16),
+    (3, 2, 5, 16),
+    (2, 3, 9, 16),
+    (5, 2, 3, 17),
+    (7, 1, 3, 40),
+    (3, 2, 4, 64),
+    (2, 1, 7, 64),
+];
+
+/// A fused `[b·l, 3d]` `Q | K | V` projection, with `special` (when given)
+/// written into the first row's first query head and into the last row's
+/// last query head and first key element (the last lane block), and a
+/// `-0.0` value in each of those rows.
+fn attention_operands(b: usize, h: usize, l: usize, dh: usize, special: Option<f32>) -> Vec<f32> {
+    let d = h * dh;
+    let rs = 3 * d;
+    let mut qkv = fill(b * l * rs, 0.7);
+    if let Some(v) = special {
+        let last = (b * l - 1) * rs;
+        qkv[..dh].fill(v);
+        qkv[last + (h - 1) * dh..last + d].fill(v);
+        qkv[last + d] = v;
+        qkv[2 * d] = -0.0;
+        qkv[last + 2 * d + d - 1] = -0.0;
+    }
+    qkv
+}
+
 #[test]
 fn fused_attention_matches_scalar_oracle() {
     // One body per tier, like the naive GEMM loop: the scalar compile is
-    // the oracle for the active tier's. Dense operands and heads read out
-    // of one fused `[rows, 3d]` projection; `l` off a whole vector; a score row
-    // of all-equal values, `-0.0` operands, and rows driven to ±inf / NaN.
+    // the oracle for every other tier's. Heads read out of one fused
+    // `[rows, 3d]` projection (row stride past the heads); a score row of
+    // all-equal values, `-0.0` operands, and rows driven to ±inf, NaN and
+    // 1e30, in the first and the last lane block. The training forward
+    // (which also writes `P`) runs at the same shapes over dense operands.
     let tiers = supported_tiers();
-    for &(b, h, l, dh) in &[
-        (1usize, 1usize, 1usize, 1usize),
-        (2, 2, 8, 16),
-        (3, 4, 5, 8),
-        (1, 2, 11, 40),
-    ] {
+    for &(b, h, l, dh) in ATTENTION_SHAPES {
         let d = h * dh;
         for special in [
             None,
             Some(0.0f32),
             Some(-0.0),
             Some(f32::INFINITY),
+            Some(f32::NEG_INFINITY),
             Some(f32::NAN),
+            Some(1e30),
         ] {
-            let mut qkv = fill(b * l * 3 * d, 0.7);
-            if let Some(v) = special {
-                qkv[..dh].fill(v);
-                qkv[2 * d] = -0.0;
-            }
+            let qkv = attention_operands(b, h, l, dh, special);
+            // Column block `c` (0 = Q, 1 = K, 2 = V) as a dense `[b·l, d]`.
+            let dense = |c: usize| -> Vec<f32> {
+                qkv.chunks(3 * d)
+                    .flat_map(|r| r[c * d..(c + 1) * d].to_vec())
+                    .collect()
+            };
+            let (q, k, v) = (dense(0), dense(1), dense(2));
             for scale in [None, Some(0.25f32)] {
                 let run = |tier: SimdTier| {
                     let mut out = vec![f32::NAN; b * l * d];
@@ -472,18 +526,31 @@ fn fused_attention_matches_scalar_oracle() {
                         &mut out,
                     )
                     .unwrap();
-                    out
+                    let mut train = vec![f32::NAN; b * l * d];
+                    let mut p = vec![f32::NAN; b * h * l * l];
+                    tensor::attention_train_slices_with_tier(
+                        tier, b, h, l, dh, &q, &k, &v, scale, &mut train, &mut p,
+                    )
+                    .unwrap();
+                    [out, train, p]
                 };
                 let want = run(SimdTier::Scalar);
                 for &tier in &tiers {
-                    assert_bits_equal(
-                        &run(tier),
-                        &want,
-                        &format!(
-                            "{} attention b={b} h={h} l={l} dh={dh} special={special:?}",
-                            tier.name()
-                        ),
-                    );
+                    let got = run(tier);
+                    for (name, (got, want)) in ["out", "train out", "probs"]
+                        .iter()
+                        .zip(got.iter().zip(&want))
+                    {
+                        assert_bits_equal(
+                            got,
+                            want,
+                            &format!(
+                                "{} attention {name} b={b} h={h} l={l} dh={dh} \
+                                 scale={scale:?} special={special:?}",
+                                tier.name()
+                            ),
+                        );
+                    }
                 }
             }
         }
