@@ -48,6 +48,8 @@ pub use layers::{
 pub use loss::{hybrid, mape, mse, mspe, LossKind};
 pub use optim::{clip_and_step, Adam, ConstantLr, CyclicLr, LrSchedule, Optimizer, Sgd};
 pub use plan::desc::PlanDecodeError;
+#[doc(hidden)]
+pub use plan::ReplayProbe;
 pub use plan::{Plan, PlanError, PlanExec, PlanStats, Recorder, SpecializedPlan, WeightPackCache};
 pub use tape::{Graph, ParamId, ParamStore, Var};
 pub use train_plan::{TrainExec, TrainPlan, TrainPlanStats};

@@ -64,6 +64,21 @@ pub struct SpecializedPlan {
     qkv_gemms: usize,
 }
 
+/// What [`SpecializedPlan::replay_with`] runs each step through: `run`
+/// executes the step, `kind` names its step kind (`"prepacked GEMM"`,
+/// `"fused attention"`, `"layer norm"`, ...). `()` just runs it.
+#[doc(hidden)]
+pub trait ReplayProbe {
+    /// Runs one step of kind `kind`.
+    #[inline(always)]
+    fn step<R>(&mut self, kind: &'static str, run: impl FnOnce() -> R) -> R {
+        let _ = kind;
+        run()
+    }
+}
+
+impl ReplayProbe for () {}
+
 /// Cap on the block copies one `split_heads` / `merge_heads` step may
 /// unroll into a span list; bigger steps (only reachable through
 /// adversarial plan descriptors) keep the generic loop form, so
@@ -217,6 +232,27 @@ enum SOp {
         start: usize,
         end: usize,
     },
+}
+
+impl SOp {
+    /// The step kind a [`ReplayProbe`] is told.
+    fn kind(&self) -> &'static str {
+        match self {
+            SOp::Gemm { .. } => "GEMM",
+            SOp::GemmPrepacked { .. } => "prepacked GEMM",
+            SOp::GemmQuantPrepacked { .. } => "quantized GEMM",
+            SOp::Bmm { .. } => "bmm",
+            SOp::Attention { .. } => "fused attention",
+            SOp::Copy { .. } | SOp::SplitLoop { .. } | SOp::MergeLoop { .. } => "head copy",
+            SOp::Softmax { .. } => "softmax",
+            SOp::LayerNorm { .. } => "layer norm",
+            SOp::Map { .. } => "map",
+            SOp::Zip { .. } => "zip",
+            SOp::RowOp { .. } => "row op",
+            SOp::Concat { .. } => "concat",
+            SOp::SliceLast { .. } => "slice",
+        }
+    }
 }
 
 /// Shared prepacked weight panels, keyed by `(parameter, k, n)`.
@@ -1136,6 +1172,20 @@ impl SpecializedPlan {
         params: &ParamStore,
         inputs: &[&Tensor],
     ) -> Result<(), PlanError> {
+        self.replay_with(arena, params, inputs, &mut ())
+    }
+
+    /// [`Self::replay`] with every step run through `probe` — the seam a
+    /// per-step-kind profiler drives (`runtime`'s `replay_step_shares`
+    /// example). `replay` is this with `()`, which compiles away.
+    #[doc(hidden)]
+    pub fn replay_with(
+        &self,
+        arena: &mut Vec<f32>,
+        params: &ParamStore,
+        inputs: &[&Tensor],
+        probe: &mut impl ReplayProbe,
+    ) -> Result<(), PlanError> {
         if inputs.len() != self.inputs.len() {
             return Err(PlanError::Input(format!(
                 "expected {} inputs, got {}",
@@ -1163,7 +1213,7 @@ impl SpecializedPlan {
             arena_len: arena.len(),
         };
         for step in &self.steps {
-            ctx.exec(step)?;
+            probe.step(step.op.kind(), || ctx.exec(step))?;
         }
         Ok(())
     }

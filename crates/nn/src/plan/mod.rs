@@ -69,7 +69,7 @@ mod tests;
 pub use exec::PlanExec;
 pub(crate) use exec::{infer_batch, RunCtx};
 pub(crate) use fold::TrainAttention;
-pub use fold::{SpecializedPlan, WeightPackCache};
+pub use fold::{ReplayProbe, SpecializedPlan, WeightPackCache};
 pub use record::Recorder;
 pub(crate) use record::{ROp, Recording};
 

@@ -610,6 +610,34 @@ fn attention_block_folds_into_one_gemm_and_one_attention_step() {
 }
 
 #[test]
+fn a_probe_sees_every_step_and_moves_no_bit() {
+    // `replay_with` runs each step through the probe, in order, named by
+    // its kind; the outputs are `replay`'s.
+    struct Kinds(Vec<&'static str>);
+    impl ReplayProbe for Kinds {
+        fn step<R>(&mut self, kind: &'static str, run: impl FnOnce() -> R) -> R {
+            self.0.push(kind);
+            run()
+        }
+    }
+    let (store, ids) = attention_store();
+    let fold = fold_attention(&store, &ids, Leak::Nothing);
+    let x = attention_input(4);
+    let (mut plain, mut probed) = (Vec::new(), Vec::new());
+    fold.replay(&mut plain, &store, &[&x]).unwrap();
+    let mut kinds = Kinds(Vec::new());
+    fold.replay_with(&mut probed, &store, &[&x], &mut kinds)
+        .unwrap();
+    assert_eq!(
+        kinds.0,
+        ["prepacked GEMM", "fused attention", "prepacked GEMM"]
+    );
+    for i in 0..fold.num_outputs() {
+        assert_eq!(bits(fold.output(&probed, i)), bits(fold.output(&plain, i)));
+    }
+}
+
+#[test]
 fn a_second_reader_keeps_the_generic_steps() {
     let (store, ids) = attention_store();
     // `probs` or a split head observed from outside: the seven steps

@@ -1,4 +1,5 @@
-//! What `tanh`, `exp`, `sigmoid` and layer norm cost on this host, and what
+//! What `tanh`, `exp`, `sigmoid`, layer norm and fused attention cost on
+//! this host, and what
 //! share of a serving fold the first three are.
 //!
 //! ```text
@@ -18,7 +19,14 @@
 //! within each repeat): one binary gives the before / after of a tier's
 //! change.
 //!
-//! The third table estimates each function's share of one fold replay of
+//! The third table is ns per call of the fused attention forward
+//! (`attention_slices`, heads read in place out of a `[B·L, 3d]` `Q|K|V`
+//! projection, as a fold runs it) and the training forward
+//! (`attention_train_slices`, dense operands, also writing `P`) at
+//! `h = 2`, `dh = 16`, the default predictor's heads, on every supported
+//! tier through the tier-pinned seams, the tiers taking turns as above.
+//!
+//! The fourth table estimates each function's share of one fold replay of
 //! the default predictor (`predict_planned`, one thread) at `L` leaves and
 //! `B` samples, as calls × ns ÷ replay µs: a fold takes `tanh` on its
 //! `B × (d_emb + d_dev)` latent and `exp` on the `n_layers × B × heads × L²`
@@ -36,8 +44,8 @@ use cdmpp_core::{PlanRunner, Predictor, PredictorConfig};
 use features::{N_DEVICE_FEATURES, N_ENTRY};
 use tensor::math::{self, Func};
 use tensor::{
-    attention_slices, layer_norm_bwd_rows_with_tier, layer_norm_rows_with_tier, supported_tiers,
-    Tensor,
+    attention_slices, attention_slices_with_tier, attention_train_slices_with_tier,
+    layer_norm_bwd_rows_with_tier, layer_norm_rows_with_tier, supported_tiers, SimdTier, Tensor,
 };
 
 const RANGES: [f32; 5] = [0.1, 0.5, 1.0, 2.5, 6.0];
@@ -47,6 +55,10 @@ const N: usize = 4096;
 /// The layer-norm table's row width and row counts.
 const LN_D: usize = 32;
 const LN_ROWS: [usize; 5] = [3, 13, 39, 96, 192];
+/// The attention table's sequence lengths and batch sizes (`h = 2`,
+/// `dh = 16`).
+const ATTN_L: [usize; 5] = [1, 2, 3, 4, 8];
+const ATTN_B: [usize; 3] = [1, 13, 64];
 
 /// Minimum over `repeats` of the mean µs per call of `f`, each repeat
 /// timing enough calls to cover roughly `target_us`.
@@ -156,6 +168,12 @@ fn main() {
         target,
     );
 
+    if quick {
+        attention_table(&[3], &[13], repeats, target);
+    } else {
+        attention_table(&ATTN_L, &ATTN_B, repeats, target);
+    }
+
     let cfg = PredictorConfig::default();
     let shared = Predictor::new(cfg.clone()).share();
     let mut runner = PlanRunner::new();
@@ -249,16 +267,97 @@ fn layer_norm_table(rows: &[usize], repeats: usize, target: f64) {
                 }
                 black_box(&mut out);
             };
-            // The tiers take turns, one timed batch each per repeat, so a
-            // change in the host's speed reaches every column alike.
-            let mut best = vec![f64::INFINITY; tiers.len()];
-            for _ in 0..repeats {
-                for (b, &tier) in best.iter_mut().zip(&tiers) {
-                    *b = b.min(min_us(1, target, || call(tier)));
-                }
-            }
+            let best = per_tier_us(&tiers, repeats, target, &mut call);
             let ns: Vec<String> = best.iter().map(|us| format!("{:.0}", us * 1e3)).collect();
             println!("| {pass} | {n} | {} |", ns.join(" | "));
+        }
+    }
+}
+
+/// Minimum over `repeats` of each tier's µs per call of `call(tier)`, the
+/// tiers taking turns within each repeat (one timed batch each), so a
+/// change in the host's speed reaches every column alike.
+fn per_tier_us(
+    tiers: &[SimdTier],
+    repeats: usize,
+    target: f64,
+    mut call: impl FnMut(SimdTier),
+) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; tiers.len()];
+    for _ in 0..repeats {
+        for (b, &tier) in best.iter_mut().zip(tiers) {
+            *b = b.min(min_us(1, target, || call(tier)));
+        }
+    }
+    best
+}
+
+/// ns per call of the fused attention forward and training forward at
+/// `h = 2`, `dh = 16`, one column per supported tier.
+fn attention_table(ls: &[usize], bs: &[usize], repeats: usize, target: f64) {
+    let tiers = supported_tiers();
+    let (h, dh) = (2usize, 16usize);
+    let d = h * dh;
+    let scale = Some(1.0 / (dh as f32).sqrt());
+    println!();
+    println!("fused attention, ns per call, h = {h}, dh = {dh}:");
+    println!();
+    let names: Vec<&str> = tiers.iter().map(|t| t.name()).collect();
+    println!("| pass | L | B | {} |", names.join(" | "));
+    println!("|---|---:|---:|{}", "---:|".repeat(tiers.len()));
+    for pass in ["forward", "training forward"] {
+        for &l in ls {
+            for &b in bs {
+                let rows = b * l;
+                let qkv: Vec<f32> = (0..rows * 3 * d)
+                    .map(|i| ((i as f32) * 0.013).sin())
+                    .collect();
+                let dense = |c: usize| -> Vec<f32> {
+                    qkv.chunks(3 * d)
+                        .flat_map(|r| r[c * d..(c + 1) * d].to_vec())
+                        .collect()
+                };
+                let (q, k, v) = (dense(0), dense(1), dense(2));
+                let mut out = vec![0.0f32; rows * d];
+                let mut p = vec![0.0f32; b * h * l * l];
+                let best = per_tier_us(&tiers, repeats, target, |tier| {
+                    if pass == "forward" {
+                        let (q, k, v) = (&qkv[..], &qkv[d..], &qkv[2 * d..]);
+                        attention_slices_with_tier(
+                            tier,
+                            b,
+                            h,
+                            l,
+                            dh,
+                            black_box(q),
+                            k,
+                            v,
+                            3 * d,
+                            scale,
+                            &mut out,
+                        )
+                        .unwrap();
+                    } else {
+                        attention_train_slices_with_tier(
+                            tier,
+                            b,
+                            h,
+                            l,
+                            dh,
+                            black_box(&q),
+                            &k,
+                            &v,
+                            scale,
+                            &mut out,
+                            &mut p,
+                        )
+                        .unwrap();
+                    }
+                    black_box((&mut out, &mut p));
+                });
+                let ns: Vec<String> = best.iter().map(|us| format!("{:.0}", us * 1e3)).collect();
+                println!("| {pass} | {l} | {b} | {} |", ns.join(" | "));
+            }
         }
     }
 }

@@ -31,7 +31,50 @@
 //! paths.
 //! Like the GEMM tiers, the body is compiled once per SIMD tier so
 //! `f32::mul_add` lowers to the tier's fused instruction; the scalar tier
-//! is the oracle (`tests/simd_bit_identity.rs`).
+//! is the oracle (`tests/simd_bit_identity.rs`). Scalar, `avx2+fma` and
+//! NEON run that body; `avx512f` runs the lanes form below.
+//!
+//! # The `avx512f` forward: sixteen rows to a `zmm`
+//!
+//! A query row's scores are only `l` wide (2–4 at the predictor's leaf
+//! counts), so the shared body fills 2–4 of a vector's lanes. The
+//! `avx512f` forward turns the problem around, as layer norm's lanes form
+//! does (`norm.rs`): each lane of a `zmm` is one (sample, head, query)
+//! row, and a block holds ⌊16 / l⌋ whole (sample, head) groups, lane
+//! `g·l + i` being query `i` of group `g` (lanes past the last group are
+//! dead: computed, never stored). Per block:
+//!
+//! * **loads** — the block's `Q`, `K` and `V` head rows are read
+//!   row-major (masked where `dh` is not a multiple of 16) and turned
+//!   into column tiles in registers, sixteen columns at a time, through
+//!   layer norm's `load_columns` and 16×16 `transpose`;
+//! * **keys and values** — key (or value) `j` of lane `(g, i)` is lane
+//!   `(g, j)` of the transposed `K` (or `V`) column: one
+//!   `_mm512_permutexvar_ps` per (key, column), with index vectors built
+//!   once per call;
+//! * **scores** — one chain per lane and key: from `0.0`, one FMA per `p`
+//!   ascending over `0..dh` (padding columns never enter a chain), then
+//!   `* scale`;
+//! * **softmax** — per lane, the max is `_mm512_max_ps(s_j, m)` from
+//!   `-inf` in key order: `vmaxps` returns its second operand when either
+//!   is NaN, so a NaN score leaves `m` as it was, which is what
+//!   `fold(NEG_INFINITY, f32::max)` does (`m.max(NaN)` is `m`); the other
+//!   operand order would turn `m` into the NaN and restart it at the next
+//!   key. (A row with a NaN score is NaN throughout either way, since the
+//!   sum takes the NaN; the max is kept exact all the same.) Then `exp`
+//!   of `s - max`
+//!   through `math`'s eight-lane `exp` on each half (bit-equal to
+//!   [`crate::math::exp`]), the ascending sum from `0.0`, and
+//!   `* (1 / sum)`;
+//! * **context** — per output column one accumulator from `0.0`, one FMA
+//!   per key ascending; the columns are turned back into rows and each
+//!   live lane's row is stored in place. The training forward writes `P`
+//!   from the same lanes: a block's probabilities are one contiguous
+//!   `[live, l]` slab of `[b·h, l, l]`.
+//!
+//! Every chain is the scalar body's, element for element and in the same
+//! order, so the tier is bit-identical to the oracle; only where the
+//! operands sit in registers changed. The backward keeps the shared body.
 //!
 //! # Training
 //!
@@ -244,8 +287,11 @@ fn attention_fwd(
     match tier {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier was selected by runtime feature detection.
-        SimdTier::Avx2Fma | SimdTier::Avx512F => unsafe {
-            avx2_attention(b, h, l, dh, q, k, v, rs, scale, out, probs)
+        SimdTier::Avx2Fma => unsafe { avx2_attention(b, h, l, dh, q, k, v, rs, scale, out, probs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; the geometry is checked above.
+        SimdTier::Avx512F => unsafe {
+            avx512::attention(b, h, l, dh, q, k, v, rs, scale, out, probs)
         },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
@@ -741,6 +787,258 @@ fn transpose_into<'a>(t: &mut [f32], lp: usize, l: usize, row: impl Fn(usize) ->
     for j in 0..l {
         for (lane, &y) in t[j..].iter_mut().step_by(lp).zip(row(j)) {
             *lane = y;
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    //! Sixteen (sample, head, query) rows to a `zmm`, one row per lane, in
+    //! whole (sample, head) groups (see the module docs).
+    use super::{ATTENTION_MAX_DH, ATTENTION_MAX_L};
+    use crate::math::avx2::exp8;
+    use crate::norm::avx512::{cols, load_columns, rows_mask, transpose, Tile, LANES};
+    use crate::norm::LANES_MAX_D;
+    use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+
+    const _: () = assert!(ATTENTION_MAX_DH <= LANES_MAX_D && ATTENTION_MAX_L <= LANES);
+
+    /// Value columns (and, up to this many, key chains) a pass advances
+    /// side by side: independent chains, so their latencies overlap.
+    const CHAINS: usize = 4;
+
+    /// One `zmm` per key position: score, then probability, lane by lane.
+    type Keys = [__m512; ATTENTION_MAX_L];
+
+    /// [`exp8`] on each half of `x`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn exp16(x: __m512) -> __m512 {
+        let x = _mm512_castps_pd(x);
+        // SAFETY: AVX2 and FMA are enabled here.
+        let (lo, hi) = unsafe {
+            (
+                exp8(_mm256_castpd_ps(_mm512_castpd512_pd256(x))),
+                exp8(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(x))),
+            )
+        };
+        let lo = _mm512_castpd256_pd512(_mm256_castps_pd(lo));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
+    }
+
+    /// The forward over blocks of `⌊16 / l⌋` (sample, head) groups; lane
+    /// `g·l + i` of a block is query `i` of its group `g`. `probs`, when
+    /// given, receives each block's `[live, l]` slab of probabilities.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F, AVX2 and FMA; the geometry passed `attention_fwd`'s
+    /// checks (`(l, dh)` fusable, `rs ≥ h·dh`, every operand holds its
+    /// last row, `out` is `[b·l, h·dh]`, `probs` is `[b·h, l, l]`).
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn attention(
+        b: usize,
+        h: usize,
+        l: usize,
+        dh: usize,
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        rs: usize,
+        scale: Option<f32>,
+        out: &mut [f32],
+        probs: Option<&mut [f32]>,
+    ) {
+        let d = h * dh;
+        let per = LANES / l;
+        let groups = b * h;
+        let op = out.as_mut_ptr();
+        let pp = probs.map(<[f32]>::as_mut_ptr);
+        // `key[j]`: lane `g·l + i` takes lane `g·l + j`, key (or value)
+        // `j` of its own group. Lanes past the last whole group wrap onto
+        // live ones and are never stored.
+        let mut key = [_mm512_setzero_si512(); ATTENTION_MAX_L];
+        for (j, idx) in key[..l].iter_mut().enumerate() {
+            let mut lanes = [j as i32; LANES];
+            for (g, group) in lanes[..per * l].chunks_exact_mut(l).enumerate() {
+                group.fill((g * l + j) as i32);
+            }
+            // SAFETY: sixteen `i32`, an unaligned load.
+            *idx = unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) };
+        }
+        let mut qt: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
+        let mut kt: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
+        let mut vt: Tile = [MaybeUninit::uninit(); LANES_MAX_D];
+        let mut s: Keys = [_mm512_setzero_ps(); ATTENTION_MAX_L];
+        // The (sample, head) of the block's first group.
+        let (mut bi, mut hi) = (0, 0);
+        for g0 in (0..groups).step_by(per) {
+            let live = per.min(groups - g0) * l;
+            // Where lane `r`'s head starts in the operands and in `out`.
+            let (mut src, mut dst) = ([0usize; LANES], [0usize; LANES]);
+            for (src, dst) in src[..live].chunks_exact_mut(l).zip(dst.chunks_exact_mut(l)) {
+                for (i, (s, o)) in src.iter_mut().zip(dst).enumerate() {
+                    let row = bi * l + i;
+                    (*s, *o) = (row * rs + hi * dh, row * d + hi * dh);
+                }
+                hi += 1;
+                if hi == h {
+                    (bi, hi) = (bi + 1, 0);
+                }
+            }
+            // SAFETY: every live lane's head is in bounds of `q`, `k` and
+            // `v` (the caller's geometry); the tiles are written before
+            // they are read, and the stores stay inside `out` and the
+            // block's slab of `probs`.
+            unsafe {
+                load_columns(q.as_ptr(), |r| src[r], live, dh, &mut qt);
+                load_columns(k.as_ptr(), |r| src[r], live, dh, &mut kt);
+                load_columns(v.as_ptr(), |r| src[r], live, dh, &mut vt);
+                match l {
+                    1 => scores::<1>(l, dh, &qt, &kt, &key, &mut s),
+                    2 => scores::<2>(l, dh, &qt, &kt, &key, &mut s),
+                    3 => scores::<3>(l, dh, &qt, &kt, &key, &mut s),
+                    _ => scores::<CHAINS>(l, dh, &qt, &kt, &key, &mut s),
+                }
+                if let Some(c) = scale {
+                    let c = _mm512_set1_ps(c);
+                    for x in s[..l].iter_mut() {
+                        *x = _mm512_mul_ps(*x, c);
+                    }
+                }
+                softmax(&mut s[..l]);
+                if let Some(pp) = pp {
+                    store_probs(&s, l, live, pp.add(g0 * l * l));
+                }
+                context(l, dh, &s, &vt, &key, live, op, &dst);
+            }
+        }
+    }
+
+    /// `s[j]` for `j < l`: lane `(g, i)`'s score against key `j`, one
+    /// chain from `0.0`, one FMA per `p` in `0..dh` ascending. `J` keys'
+    /// chains advance together; a pass past the last key repeats it and
+    /// is not kept.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F and FMA; `qt[..dh]` and `kt[..dh]` are written.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn scores<const J: usize>(
+        l: usize,
+        dh: usize,
+        qt: &Tile,
+        kt: &Tile,
+        key: &[__m512i; ATTENTION_MAX_L],
+        s: &mut Keys,
+    ) {
+        for j0 in (0..l).step_by(J) {
+            let mut idx = [_mm512_setzero_si512(); J];
+            for (t, x) in idx.iter_mut().enumerate() {
+                *x = key[(j0 + t).min(l - 1)];
+            }
+            let mut acc = [_mm512_setzero_ps(); J];
+            for p in 0..dh {
+                // SAFETY: per this function's contract.
+                let (qc, kc) = unsafe { (qt[p].assume_init(), kt[p].assume_init()) };
+                for (a, &x) in acc.iter_mut().zip(&idx) {
+                    *a = _mm512_fmadd_ps(qc, _mm512_permutexvar_ps(x, kc), *a);
+                }
+            }
+            let n = J.min(l - j0);
+            s[j0..j0 + n].copy_from_slice(&acc[..n]);
+        }
+    }
+
+    /// Each lane's softmax over `s` in place: the max from `-inf` in key
+    /// order, `exp` of `s - max`, the ascending sum from `0.0`, then
+    /// `* (1 / sum)`. `_mm512_max_ps(s, m)` returns `m` when `s` is NaN,
+    /// as `m.max(s)` does in the scalar fold.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn softmax(s: &mut [__m512]) {
+        let mut m = _mm512_set1_ps(f32::NEG_INFINITY);
+        for &x in s.iter() {
+            m = _mm512_max_ps(x, m);
+        }
+        for x in s.iter_mut() {
+            // SAFETY: AVX2 and FMA are enabled here.
+            *x = unsafe { exp16(_mm512_sub_ps(*x, m)) };
+        }
+        let mut z = _mm512_setzero_ps();
+        for &x in s.iter() {
+            z = _mm512_add_ps(z, x);
+        }
+        let inv = _mm512_div_ps(_mm512_set1_ps(1.0), z);
+        for x in s.iter_mut() {
+            *x = _mm512_mul_ps(*x, inv);
+        }
+    }
+
+    /// Writes the `live` lanes' probability rows (`l` each) to the slab
+    /// at `dst`, row `r` at `dst + r·l`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F; `dst` has room for `live · l` values.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_probs(s: &Keys, l: usize, live: usize, dst: *mut f32) {
+        let mut c = [_mm512_setzero_ps(); LANES];
+        c[..l].copy_from_slice(&s[..l]);
+        let mask = rows_mask(l);
+        for (r, row) in transpose(c)[..live].iter().enumerate() {
+            // SAFETY: row `r < live` of the slab.
+            unsafe { _mm512_mask_storeu_ps(dst.add(r * l), mask, *row) };
+        }
+    }
+
+    /// Each live lane's context row, `Σ_j p[j] · V[g, j]`: per column one
+    /// chain from `0.0`, one FMA per key ascending, [`CHAINS`] columns
+    /// side by side (a pass past the last column repeats it and is not
+    /// kept); sixteen columns at a time turned back into rows and stored
+    /// at `out + dst[r]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F and FMA; `vt[..dh]` is written and every live lane's row
+    /// of `dh` values at `out + dst[r]` is in bounds.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn context(
+        l: usize,
+        dh: usize,
+        p: &Keys,
+        vt: &Tile,
+        key: &[__m512i; ATTENTION_MAX_L],
+        live: usize,
+        out: *mut f32,
+        dst: &[usize; LANES],
+    ) {
+        for c0 in (0..dh).step_by(LANES) {
+            let w = (dh - c0).min(LANES);
+            let mut c = [_mm512_setzero_ps(); LANES];
+            for cc in (0..w).step_by(CHAINS) {
+                let mut acc = [_mm512_setzero_ps(); CHAINS];
+                for (&pj, &idx) in p[..l].iter().zip(&key[..l]) {
+                    for (t, a) in acc.iter_mut().enumerate() {
+                        // SAFETY: column `c0 + min(cc + t, w - 1) < dh`.
+                        let col = unsafe { vt[c0 + (cc + t).min(w - 1)].assume_init() };
+                        *a = _mm512_fmadd_ps(pj, _mm512_permutexvar_ps(idx, col), *a);
+                    }
+                }
+                let n = CHAINS.min(w - cc);
+                c[cc..cc + n].copy_from_slice(&acc[..n]);
+            }
+            let mask = cols(c0, dh);
+            for (row, &at) in transpose(c)[..live].iter().zip(dst) {
+                // SAFETY: columns `c0..c0 + w` of a live lane's row.
+                unsafe { _mm512_mask_storeu_ps(out.add(at + c0), mask, *row) };
+            }
         }
     }
 }

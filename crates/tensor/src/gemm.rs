@@ -55,10 +55,11 @@
 //! * **`avx512f`** (x86_64 with `avx512f`, `avx2` and `fma`) — an 8x32
 //!   tile of 16 `zmm` accumulators built from `_mm512_fmadd_ps`, chosen
 //!   over `avx2+fma` where the CPU has it. Only the tile and its
-//!   write-back (and, outside this module, layer norm) are 512 bits
-//!   wide: the tiny-product loop, the i8
-//!   dequantization, attention, softmax, [`crate::math::map`] and `nn`'s
-//!   Adam lanes run the AVX2 tier's code on it.
+//!   write-back (and, outside this module, layer norm and the fused
+//!   attention forward) are 512 bits wide: the tiny-product loop, the i8
+//!   dequantization, the attention backward, softmax,
+//!   [`crate::math::map`] and `nn`'s Adam lanes run the AVX2 tier's code
+//!   on it.
 //! * **`neon`** (aarch64) — an explicit 4x8 tile built from `vfmaq_f32`.
 //!
 //! Setting `CDMPP_SIMD=scalar` in the environment forces the scalar tier
@@ -222,9 +223,10 @@ pub enum SimdTier {
     Scalar,
     /// x86_64 AVX2 + FMA 6x16 tile (`_mm256_fmadd_ps`).
     Avx2Fma,
-    /// x86_64 AVX-512F 8x32 tile (`_mm512_fmadd_ps`), and layer norm
-    /// sixteen rows to a `zmm`; every other kernel (attention,
-    /// `math::map`, the tiny-product loop) runs the AVX2 code.
+    /// x86_64 AVX-512F 8x32 tile (`_mm512_fmadd_ps`), and layer norm and
+    /// the fused attention forward sixteen rows to a `zmm`; every other
+    /// kernel (the attention backward, `math::map`, the tiny-product
+    /// loop) runs the AVX2 code.
     Avx512F,
     /// aarch64 NEON 4x8 tile (`vfmaq_f32`).
     Neon,

@@ -44,7 +44,7 @@
 use crate::gemm::{active_tier, SimdTier};
 
 /// Widest row the lanes form serves: its column tile (64 `zmm`, 4 KiB).
-const LANES_MAX_D: usize = 64;
+pub(crate) const LANES_MAX_D: usize = 64;
 
 /// Rows the scalar form interleaves.
 const SCALAR_ROWS: usize = 8;
@@ -283,17 +283,19 @@ mod scalar {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod avx512 {
+pub(crate) mod avx512 {
     //! Sixteen rows to a `zmm`, one row per lane (see the module docs).
+    //! The fused attention's `avx512f` form loads its blocks through the
+    //! same [`load_columns`] and [`transpose`].
     use super::LANES_MAX_D;
     use std::arch::x86_64::*;
     use std::mem::MaybeUninit;
 
-    const LANES: usize = 16;
+    pub(crate) const LANES: usize = 16;
 
     /// A block's column tile: column `p` of up to sixteen rows in lane
     /// order, read by every pass over the columns.
-    type Tile = [MaybeUninit<__m512>; LANES_MAX_D];
+    pub(crate) type Tile = [MaybeUninit<__m512>; LANES_MAX_D];
 
     /// Lane `r` of `v`.
     #[inline(always)]
@@ -307,7 +309,7 @@ mod avx512 {
     /// Four rounds of sixteen shuffles, no arithmetic.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn transpose(r: [__m512; LANES]) -> [__m512; LANES] {
+    pub(crate) fn transpose(r: [__m512; LANES]) -> [__m512; LANES] {
         // t[2i] / t[2i + 1]: rows 2i and 2i + 1 interleaved, columns
         // 4L + {0, 1} / 4L + {2, 3} of each 128-bit lane L.
         let mut t = [_mm512_setzero_ps(); LANES];
@@ -346,24 +348,30 @@ mod avx512 {
         out
     }
 
-    /// Writes columns `0..d` of the `n` rows at `src` (row stride `d`) to
-    /// `tile[..d]`, row `r` in lane `r`; lanes from `n` up hold `0.0`.
-    /// Rows are read row-major, sixteen columns at a time, and turned
-    /// into columns in registers.
+    /// Writes columns `0..d` of the `n` rows that start at
+    /// `src + row(r)` to `tile[..d]`, row `r` in lane `r`; lanes from `n`
+    /// up hold `0.0`. Rows are read row-major, sixteen columns at a time,
+    /// and turned into columns in registers.
     ///
     /// # Safety
     ///
-    /// AVX-512F; `src` points at `n * d` readable values, `1 ≤ n ≤ 16`,
-    /// `1 ≤ d ≤ LANES_MAX_D`.
+    /// AVX-512F; `src + row(r)` points at `d` readable values for each
+    /// `r < n`, `1 ≤ n ≤ 16`, `1 ≤ d ≤ LANES_MAX_D`.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn load_columns(src: *const f32, n: usize, d: usize, tile: &mut Tile) {
+    pub(crate) unsafe fn load_columns(
+        src: *const f32,
+        row: impl Fn(usize) -> usize,
+        n: usize,
+        d: usize,
+        tile: &mut Tile,
+    ) {
         for j in (0..d).step_by(LANES) {
             let mask = cols(j, d);
             let mut rows = [_mm512_setzero_ps(); LANES];
-            for (r, row) in rows[..n].iter_mut().enumerate() {
+            for (r, v) in rows[..n].iter_mut().enumerate() {
                 // SAFETY: columns `j..min(j + 16, d)` of row `r < n`.
-                *row = unsafe { _mm512_maskz_loadu_ps(mask, src.add(r * d + j)) };
+                *v = unsafe { _mm512_maskz_loadu_ps(mask, src.add(row(r) + j)) };
             }
             let end = (j + LANES).min(d);
             for (slot, c) in tile[j..end].iter_mut().zip(transpose(rows)) {
@@ -401,13 +409,13 @@ mod avx512 {
 
     /// The mask of the first `n ≤ 16` lanes.
     #[inline(always)]
-    fn rows_mask(n: usize) -> __mmask16 {
+    pub(crate) fn rows_mask(n: usize) -> __mmask16 {
         ((1u32 << n) - 1) as __mmask16
     }
 
     /// The lane mask of columns `j..min(j + 16, d)`.
     #[inline(always)]
-    fn cols(j: usize, d: usize) -> __mmask16 {
+    pub(crate) fn cols(j: usize, d: usize) -> __mmask16 {
         rows_mask((d - j).min(LANES))
     }
 
@@ -433,7 +441,7 @@ mod avx512 {
             // SAFETY: rows `r0..r0 + n` are in bounds of both operands;
             // `load_columns` writes the tile `stats` reads.
             let (mean, inv) = unsafe {
-                load_columns(src.add(r0 * d), n, d, &mut tile);
+                load_columns(src.add(r0 * d), |r| r * d, n, d, &mut tile);
                 stats(&tile, d, eps)
             };
             let (mean, inv) = (lanes(mean), lanes(inv));
@@ -481,8 +489,8 @@ mod avx512 {
             // SAFETY: rows `r0..r0 + n` of `x` and `o` are in bounds;
             // `load_columns` writes the tiles read here.
             let (mean, inv) = unsafe {
-                load_columns(xp.add(r0 * d), n, d, &mut xt);
-                load_columns(op.add(r0 * d), n, d, &mut gt);
+                load_columns(xp.add(r0 * d), |r| r * d, n, d, &mut xt);
+                load_columns(op.add(r0 * d), |r| r * d, n, d, &mut gt);
                 stats(&xt, d, eps)
             };
             let (mut mean_gg, mut mean_ggx) = (_mm512_setzero_ps(), _mm512_setzero_ps());
