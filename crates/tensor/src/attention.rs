@@ -796,7 +796,7 @@ mod avx512 {
     //! Sixteen (sample, head, query) rows to a `zmm`, one row per lane, in
     //! whole (sample, head) groups (see the module docs).
     use super::{ATTENTION_MAX_DH, ATTENTION_MAX_L};
-    use crate::math::avx2::exp8;
+    use crate::math::avx2::{exp8, on_halves};
     use crate::norm::avx512::{cols, load_columns, rows_mask, transpose, Tile, LANES};
     use crate::norm::LANES_MAX_D;
     use std::arch::x86_64::*;
@@ -810,22 +810,6 @@ mod avx512 {
 
     /// One `zmm` per key position: score, then probability, lane by lane.
     type Keys = [__m512; ATTENTION_MAX_L];
-
-    /// [`exp8`] on each half of `x`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn exp16(x: __m512) -> __m512 {
-        let x = _mm512_castps_pd(x);
-        // SAFETY: AVX2 and FMA are enabled here.
-        let (lo, hi) = unsafe {
-            (
-                exp8(_mm256_castpd_ps(_mm512_castpd512_pd256(x))),
-                exp8(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(x))),
-            )
-        };
-        let lo = _mm512_castpd256_pd512(_mm256_castps_pd(lo));
-        _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
-    }
 
     /// The forward over blocks of `⌊16 / l⌋` (sample, head) groups; lane
     /// `g·l + i` of a block is query `i` of its group `g`. `probs`, when
@@ -965,8 +949,8 @@ mod avx512 {
             m = _mm512_max_ps(x, m);
         }
         for x in s.iter_mut() {
-            // SAFETY: AVX2 and FMA are enabled here.
-            *x = unsafe { exp16(_mm512_sub_ps(*x, m)) };
+            // SAFETY: AVX-512F, AVX2 and FMA are enabled here.
+            *x = unsafe { on_halves(_mm512_sub_ps(*x, m), |h| exp8(h)) };
         }
         let mut z = _mm512_setzero_ps();
         for &x in s.iter() {

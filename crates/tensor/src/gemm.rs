@@ -1945,13 +1945,9 @@ unsafe fn avx512_transcendental(
     v: std::arch::x86_64::__m512,
     act: Activation,
 ) -> std::arch::x86_64::__m512 {
-    use std::arch::x86_64::*;
-    let lo = _mm512_castps512_ps256(v);
-    let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
-    // SAFETY: AVX2+FMA, per this function's own target features.
-    let (lo, hi) = unsafe { (avx2_transcendental(lo, act), avx2_transcendental(hi, act)) };
-    let lo = _mm512_castpd256_pd512(_mm256_castps_pd(lo));
-    _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
+    // SAFETY: AVX-512F, AVX2 and FMA, per this function's own target
+    // features.
+    unsafe { crate::math::avx2::on_halves(v, |h| avx2_transcendental(h, act)) }
 }
 
 /// The ragged-`nr` rest of [`avx512_write_back`], half by half. A full

@@ -550,4 +550,20 @@ pub(crate) mod avx2 {
         let one = _mm256_set1_ps(1.0);
         _mm256_div_ps(one, _mm256_add_ps(one, e))
     }
+
+    /// An eight-lane form `f` on the low and the high half of a `zmm`:
+    /// how the `avx512f` tier runs these functions.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F, AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(crate) unsafe fn on_halves(x: __m512, f: impl Fn(__m256) -> __m256) -> __m512 {
+        let x = _mm512_castps_pd(x);
+        let lo = f(_mm256_castpd_ps(_mm512_castpd512_pd256(x)));
+        let hi = f(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(x)));
+        let lo = _mm512_castpd256_pd512(_mm256_castps_pd(lo));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
+    }
 }
